@@ -5,7 +5,8 @@ and an independent character-theoretic verifier."""
 
 from .characters import (FormalCharacter, branch_equal_rank,
                          branch_interleave_BD, decompose,
-                         irreducible_character, weyl_dim)
+                         irreducible_character, weight_multiplicity,
+                         weyl_dim)
 from .dirac import (EulerReport, KernelResult, KernelStatus,
                     casimir_eigenvalue, casimir_shell, chi_casimir_check,
                     dirac_kernel, euler_verify, frobenius_multiplicity)
@@ -25,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FormalCharacter", "branch_equal_rank", "branch_interleave_BD",
-    "decompose", "irreducible_character", "weyl_dim",
+    "decompose", "irreducible_character", "weight_multiplicity", "weyl_dim",
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
     "casimir_shell", "chi_casimir_check", "dirac_kernel", "euler_verify",
     "frobenius_multiplicity",

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping
 
-from .errors import (DecompositionError, DimensionError, NonDominantError,
-                     SymmetryError)
+from .errors import (ConsistencyError, DecompositionError, DimensionError,
+                     NonDominantError, SymmetryError)
 from .lattice import Weight, inner_product
 from .roots import RootSystem, WeylElement
 from .sympair import SymmetricPair
@@ -208,11 +208,29 @@ def dominant_weight_multiplicities(rs: RootSystem, nu: Weight) -> tuple:
                 cur = cur + alpha
         denom = target - inner_product(w + delta, w + delta)
         value = 2 * acc / denom
-        assert value.denominator == 1 and value > 0, \
-            f"Freudenthal produced {value} at {w}"
+        if value.denominator != 1 or value <= 0:
+            raise ConsistencyError(f"Freudenthal produced {value} at {w}")
         mult[w] = int(value)
     order = sorted(mult, key=lambda w: (height(w), tuple(-c for c in w)))
     return tuple((w, mult[w]) for w in order)
+
+
+@lru_cache(maxsize=None)
+def _multiplicity_table(rs: RootSystem, nu: Weight) -> tuple:
+    """(multiplicities on the dominant weights, all weights) of pi_nu."""
+    return dict(dominant_weight_multiplicities(rs, nu)), _weight_set(rs, nu)
+
+
+def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
+    """Multiplicity of the weight w in pi_nu (0 when w is not a weight).
+
+    Membership in the weight set is tested first, so a miss never walks w
+    to the dominant chamber.
+    """
+    dominant, weights = _multiplicity_table(rs, nu)
+    if w not in weights:
+        return 0
+    return dominant[_dominant_rep(w, rs)]
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +240,8 @@ def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
     nu must be dominant; integrality against any particular lattice is
     deliberately not required (spin representations are half-integral).
     """
-    nu = Weight(nu)
-    dom = dict(dominant_weight_multiplicities(rs, nu))
-    weights = _weight_set(rs, nu)
-    terms = {w: dom[_dominant_rep(w, rs)] for w in weights}
+    dominant, weights = _multiplicity_table(rs, Weight(nu))
+    terms = {w: dominant[_dominant_rep(w, rs)] for w in weights}
     return FormalCharacter(rs.rank, terms)
 
 
@@ -239,7 +255,9 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
     shifted = nu + delta
     for alpha in rs.positive_roots:
         result *= inner_product(shifted, alpha) / inner_product(delta, alpha)
-    assert result.denominator == 1 and result > 0
+    if result.denominator != 1 or result <= 0:
+        raise ConsistencyError(
+            f"Weyl dimension formula gave {result} for {nu} in {rs}")
     return int(result)
 
 
@@ -303,7 +321,9 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
     ch = irreducible_character(rs, nu)
     result = decompose(ch, pair.h_system)
     total = sum(mult * weyl_dim(pair.h_system, w) for w, mult in result.items())
-    assert total == weyl_dim(rs, nu), "branching lost dimensions"
+    if total != weyl_dim(rs, nu):
+        raise ConsistencyError(
+            f"branching of {nu} lost dimensions: {total} != {weyl_dim(rs, nu)}")
     return result
 
 

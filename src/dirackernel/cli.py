@@ -26,7 +26,7 @@ from typing import Optional
 
 from .characters import branch_equal_rank, decompose, irreducible_character, weyl_dim
 from .dirac import KernelStatus, chi_casimir_check, dirac_kernel, euler_verify
-from .errors import AdmissibilityError, ConsistencyError
+from .errors import AdmissibilityError, ConsistencyError, GroupOrderLimitError
 from .lattice import LatticeSpec, Weight
 from .roots import RootSystem, build_classical, weyl_group
 from .spin import chi_decompose, chi_trace_difference, spinor_weights
@@ -39,11 +39,14 @@ class CliError(Exception):
 
 
 def load_pair_file(path: str) -> SymmetricPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"cannot parse pair file {path}: {exc}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read pair file {path}: "
+                       f"{exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot parse pair file {path}: {exc}") from None
     try:
         rank = int(data["rank"])
         roots = [Weight.parse(s) for s in data["positive_roots"]]
@@ -53,9 +56,12 @@ def load_pair_file(path: str) -> SymmetricPair:
         name = data.get("name", os.path.basename(path))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad pair file {path}: {exc}") from None
+    # bool is a subclass of int, so true would otherwise read as index 1
+    if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
+        raise CliError("h_positive_indices must be integers")
     if len(set(indices)) != len(indices):
         raise CliError("h_positive_indices must be distinct")
-    if any(not isinstance(i, int) or not 0 <= i < len(roots) for i in indices):
+    if any(not 0 <= i < len(roots) for i in indices):
         raise CliError("h_positive_indices out of range")
     try:
         rs = RootSystem(rank, roots, name=name)
@@ -440,7 +446,7 @@ def run(argv, out=None, err=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _HANDLERS[args.command](args, out)
-    except CliError as exc:
+    except (CliError, GroupOrderLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except ConsistencyError as exc:

@@ -8,9 +8,10 @@ decided by sgn(sigma) * (-1)^m.
 
 The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda, computes Frobenius
-multiplicities on both sides by spinor-weight character products and
-highest-weight peeling, and checks that the alternating sum collapses to
-the predicted signed irreducible (or to zero).
+multiplicities on both sides by Brauer-Klimyk coefficient extraction (the
+weight multiplicities of pi_nu summed against signed shifts built from
+W_H and the half-spinor weights), and checks that the alternating sum
+collapses to the predicted signed irreducible (or to zero).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from .characters import decompose, irreducible_character, weyl_dim
+from .characters import weight_multiplicity, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import Weight, inner_product
 from .roots import WeylElement, dominant_representative
@@ -165,13 +166,27 @@ def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
     return sorted(set(found))
 
 
-@lru_cache(maxsize=4096)
-def _restriction_multiplicities(pair: SymmetricPair, nu: Weight,
-                                s: int) -> tuple:
-    """Decomposition of chi^s tensor pi_nu over Delta_h, as sorted items."""
-    chi = spinor_weights(pair).side_character(s)
-    product = chi * irreducible_character(pair.root_system, nu)
-    return tuple(sorted(decompose(product, pair.h_system).items()))
+@lru_cache(maxsize=None)
+def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
+    """Signed shifts (k, c) with m_mu = sum c * mult_nu(mu + k).
+
+    Multiplying chi^s * pi_nu = sum m_mu' ch_h(mu') by the Weyl denominator
+    of Delta_h and reading off the coefficient of e^(mu + delta_h) gives
+    m_mu = sum over w in W_H, e in E^s of sgn(w) mult_nu(mu + delta_h -
+    w delta_h - e).  The shifts delta_h - w delta_h - e are collected here
+    with their signs summed, and those whose signs cancel are dropped.
+    """
+    dh = pair.delta_h
+    spinors = [e.weight for e in spinor_weights(pair).entries
+               if e.parity == s]
+    coeffs: Dict[Weight, int] = {}
+    for w in pair.weyl_h:
+        sign = (-1) ** len(w.word)
+        base = dh - w.apply(dh)
+        for e in spinors:
+            k = base - e
+            coeffs[k] = coeffs.get(k, 0) + sign
+    return tuple((k, c) for k, c in coeffs.items() if c)
 
 
 def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
@@ -180,9 +195,9 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
     chi^s tensor pi_nu restricted, where s = side for m even and -side
     for m odd (the duality twist of the half-spinor modules).
 
-    Computed purely by character arithmetic: multiply the half-spinor
-    character by the restricted irreducible character and peel against
-    Delta_h.
+    Computed purely by character arithmetic, by Brauer-Klimyk coefficient
+    extraction: the alternating sum over W_H and the half-spinor weights
+    of the weight multiplicities of pi_nu at mu + delta_h - w delta_h - e.
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
@@ -193,7 +208,8 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
         raise ValueError(f"nu={nu} is not a dominant lattice point")
     _require_admissible(pair, mu)
     s = side if pair.m % 2 == 0 else -side
-    return dict(_restriction_multiplicities(pair, nu, s)).get(mu, 0)
+    return sum(c * weight_multiplicity(rs, nu, mu + k)
+               for k, c in _extraction_kernel(pair, s))
 
 
 @dataclass(frozen=True)

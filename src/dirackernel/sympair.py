@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .errors import DimensionError, InvalidPairError
+from .errors import ConsistencyError, DimensionError, InvalidPairError
 from .lattice import HALF, LatticeSpec, Weight, is_dominant
 from .roots import (RootSystem, WeylElement, build_classical, generate_group,
                     weyl_group)
@@ -235,7 +235,9 @@ def deltas(pair: SymmetricPair):
     """(delta, delta_h, delta_p); checks delta = delta_h + delta_p."""
     pair.ensure_valid()
     d, dh, dp = pair.delta, pair.delta_h, pair.delta_p
-    assert d == dh + dp
+    if d != dh + dp:
+        raise ConsistencyError(
+            f"delta = {d} differs from delta_h + delta_p = {dh + dp}")
     return d, dh, dp
 
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dirackernel.characters as characters
 from dirackernel.characters import (FormalCharacter, branch_equal_rank,
                                     branch_interleave_BD, decompose,
-                                    irreducible_character, weyl_dim)
-from dirackernel.errors import (DecompositionError, NonDominantError,
-                                SymmetryError)
+                                    dominant_weight_multiplicities,
+                                    irreducible_character,
+                                    weight_multiplicity, weyl_dim)
+from dirackernel.errors import (ConsistencyError, DecompositionError,
+                                NonDominantError, SymmetryError)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import build_classical, weyl_group
 from dirackernel.sympair import builtin_pair
@@ -276,3 +279,51 @@ class TestBranching:
                     continue
                 assert branch_equal_rank(pair, nu) == \
                     branch_interleave_BD(m, nu), nu
+
+
+class TestWeightMultiplicity:
+    @pytest.mark.parametrize("family,rank,nu", [
+        ("B", 2, "2,1"), ("B", 3, "3/2,1/2,1/2"), ("C", 2, "2,1"),
+        ("D", 4, "2,1,1,0"), ("A", 2, "2,1,0")])
+    def test_matches_irreducible_character(self, family, rank, nu):
+        rs = build_classical(family, rank)
+        nu = W(nu)
+        ch = irreducible_character(rs, nu)
+        for w, mult in ch.terms.items():
+            assert weight_multiplicity(rs, nu, w) == mult
+        # one step above the top and outside the lattice coset: not weights
+        for a in rs.simple_roots:
+            assert weight_multiplicity(rs, nu, nu + a) == 0
+        shifted = nu + Weight([Fraction(1, 3)] + [0] * (len(nu) - 1))
+        assert weight_multiplicity(rs, nu, shifted) == 0
+
+    def test_non_dominant_rejected(self):
+        rs = build_classical("B", 2)
+        with pytest.raises(NonDominantError):
+            weight_multiplicity(rs, W("0,1"), W("5,5"))
+
+
+class TestInvariantsRaise:
+    """Broken invariants raise ConsistencyError, also under python -O."""
+
+    def test_freudenthal_integrality(self, monkeypatch):
+        rs = build_classical("B", 2)
+        nu = W("1,1")
+        # a weight set missing 0,1 gives a fractional multiplicity at 0,0
+        broken = characters._weight_set(rs, nu) - {W("0,1")}
+        monkeypatch.setattr(characters, "_weight_set", lambda r, n: broken)
+        with pytest.raises(ConsistencyError, match="Freudenthal"):
+            dominant_weight_multiplicities.__wrapped__(rs, nu)
+
+    def test_weyl_dim_integrality(self, monkeypatch):
+        rs = build_classical("B", 2)
+        monkeypatch.setitem(vars(rs), "delta", W("3,1"))
+        with pytest.raises(ConsistencyError, match="Weyl dimension"):
+            weyl_dim(rs, W("1,0"))
+
+    def test_branching_dimension_balance(self, monkeypatch):
+        pair = builtin_pair("so5_so4")
+        monkeypatch.setattr(characters, "decompose",
+                            lambda ch, rs: {W("1,0"): 1})
+        with pytest.raises(ConsistencyError, match="lost dimensions"):
+            branch_equal_rank(pair, W("1,0"))

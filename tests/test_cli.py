@@ -155,6 +155,36 @@ class TestPairCommands:
         assert code == 2
         assert "distinct" in err
 
+    def test_pair_file_boolean_index(self, tmp_path):
+        # true must not be read as index 1
+        data = {
+            "name": "bad3",
+            "rank": 2,
+            "positive_roots": ["1,-1", "1,1", "1,0", "0,1"],
+            "h_positive_indices": [True],
+            "lattice_F_shifts": ["0,0"],
+            "lattice_F1_shifts": ["0,0", "1/2,0"],
+        }
+        path = tmp_path / "bad3.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(["pair", "show", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: h_positive_indices must be integers\n"
+
+    def test_directory_as_pair(self, tmp_path):
+        code, out, err = invoke(["pair", "show", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read pair file")
+        assert err.count("\n") == 1
+
+    def test_pair_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = invoke(["kernel", str(path), "--mu", "1/2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse pair file")
+        assert err.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_spinor_table(self):
@@ -224,6 +254,18 @@ class TestExitCodes:
         code, out, _ = invoke(["verify", "euler", "so3_so2", "--mu", "5/2"])
         assert code == 1
         assert "result: FAIL" in out
+
+    def test_group_order_limit_exits_two(self, monkeypatch):
+        import dirackernel.cli as cli
+        from dirackernel.errors import GroupOrderLimitError
+
+        def too_large(pair):
+            raise GroupOrderLimitError("group closure exceeded limit 10")
+
+        monkeypatch.setattr(cli, "w1_enumerate", too_large)
+        code, out, err = invoke(["pair", "show", "so5_so4"])
+        assert (code, out) == (2, "")
+        assert err == "error: group closure exceeded limit 10\n"
 
 
 class TestDeterminism:

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import dirackernel.dirac as dirac
+from dirackernel.characters import decompose, irreducible_character
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                casimir_shell, chi_casimir_check, dirac_kernel,
                                euler_verify, frobenius_multiplicity)
 from dirackernel.errors import AdmissibilityError
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import WeylElement
+from dirackernel.spin import spinor_weights
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names)
 
@@ -198,6 +201,71 @@ class TestFrobenius:
             assert mu not in sigma_weights
             assert frobenius_multiplicity(pair, zero, mu, +1) == 0
             assert frobenius_multiplicity(pair, zero, mu, -1) == 0
+
+
+def reference_multiplicity(pair, nu, mu, side):
+    """The product-and-peel route: decompose chi^s * pi_nu over Delta_h."""
+    s = side if pair.m % 2 == 0 else -side
+    product = (spinor_weights(pair).side_character(s)
+               * irreducible_character(pair.root_system, nu))
+    return decompose(product, pair.h_system).get(mu, 0)
+
+
+def admissible_box(pair, box):
+    """(lambda, mu) for every admissible mu with |lambda_i| <= box."""
+    for lam in itertools.product(range(-box, box + 1), repeat=pair.rank):
+        mu = Weight(lam) + pair.delta_p
+        if admissible_mu(pair, mu):
+            yield Weight(lam), mu
+
+
+class TestExtractionKernel:
+    @pytest.mark.parametrize("name", builtin_pair_names())
+    def test_shifts_cancel_to_one_orbit_per_component(self, name):
+        # The kernel is e^delta_h times (A_delta_h * chi^s)(-x), and
+        # A_delta_h * chi^s is the sum of the alternants A_(tau + delta_h)
+        # over the components tau of chi^s, each with |W_H| distinct
+        # terms; chi^+ and chi^- together have |W_1| components.
+        pair = builtin_pair(name)
+        terms = (len(dirac._extraction_kernel(pair, 1))
+                 + len(dirac._extraction_kernel(pair, -1)))
+        assert terms == len(pair.weyl_h) * len(pair.w1)
+
+
+class TestFrobeniusDifferential:
+    def assert_agree(self, pair, nu, mu):
+        for side in (1, -1):
+            assert (frobenius_multiplicity(pair, nu, mu, side)
+                    == reference_multiplicity(pair, nu, mu, side)
+                    ), (pair.name, mu, nu, side)
+
+    def test_extraction_matches_product_and_peel_on_shells(self):
+        boxes = {"so3_so2": 3, "so5_so4": 3, "so5_so2xso3": 3, "so7_so6": 2}
+        pairs = 0
+        for name, box in boxes.items():
+            pair = builtin_pair(name)
+            for lam, mu in admissible_box(pair, box):
+                for nu in casimir_shell(pair, lam):
+                    self.assert_agree(pair, nu, mu)
+                    pairs += 1
+        assert 2 * pairs == 146
+
+    def test_extraction_matches_product_and_peel_off_shell(self):
+        # On the shells above every term with w != 1 in W_H vanishes, so a
+        # wrong sign there passes the test before; nu off the shell of mu
+        # exercises the alternating sum over W_H.
+        # pair -> (box on |lambda_i|, bound on the coordinates of nu)
+        boxes = {"so3_so2": (3, 4), "so5_so4": (2, 3),
+                 "so5_so2xso3": (2, 2), "so7_so6": (1, 1)}
+        for name, (box, top) in boxes.items():
+            pair = builtin_pair(name)
+            nus = [Weight(c) for c in
+                   itertools.product(range(top + 1), repeat=pair.rank)]
+            nus = [nu for nu in nus if nu in pair.lattice_F
+                   and pair.root_system.is_dominant(nu)]
+            for _lam, mu in admissible_box(pair, box):
+                for nu in nus:
+                    self.assert_agree(pair, nu, mu)
 
 
 class TestEulerVerify:

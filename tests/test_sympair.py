@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirackernel.errors import InvalidPairError
+from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import build_classical, weyl_group
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
@@ -158,6 +158,12 @@ class TestDeltas:
         for name in builtin_pair_names():
             d, dh, dp = deltas(builtin_pair(name))
             assert d == dh + dp
+
+    def test_broken_split_raises(self, monkeypatch):
+        pair = builtin_pair("so5_so4")
+        monkeypatch.setitem(vars(pair), "delta_h", W("1,1"))
+        with pytest.raises(ConsistencyError, match="delta_h"):
+            deltas(pair)
 
 
 class TestAdmissibility:

@@ -10,13 +10,11 @@ from .characters import (FormalCharacter, branch_equal_rank,
 from .dirac import (EulerReport, KernelResult, KernelStatus,
                     casimir_eigenvalue, casimir_shell, chi_casimir_check,
                     dirac_kernel, euler_verify, frobenius_multiplicity)
-from .lattice import (LatticeSpec, Weight, inner_product, is_dominant,
-                      is_member)
+from .lattice import LatticeSpec, Weight, inner_product, is_dominant
 from .roots import (RootSystem, WeylElement, build_classical,
-                    dominant_representative, half_sum, weyl_group)
-from .spin import (CliffordModel, SpinorWeights, build_clifford,
-                   chi_decompose, chi_trace_difference,
-                   simultaneous_spin_weights, spinor_weights)
+                    dominant_representative, weyl_group)
+from .spin import (SpinorWeights, chi_decompose, chi_trace_difference,
+                   spinor_weights)
 from .sympair import (PairReport, SymmetricPair, W1Element, admissible_mu,
                       admissibility_failures, builtin_pair,
                       builtin_pair_names, deltas, validate_pair,
@@ -30,11 +28,11 @@ __all__ = [
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
     "casimir_shell", "chi_casimir_check", "dirac_kernel", "euler_verify",
     "frobenius_multiplicity",
-    "LatticeSpec", "Weight", "inner_product", "is_dominant", "is_member",
+    "LatticeSpec", "Weight", "inner_product", "is_dominant",
     "RootSystem", "WeylElement", "build_classical",
-    "dominant_representative", "half_sum", "weyl_group",
-    "CliffordModel", "SpinorWeights", "build_clifford", "chi_decompose",
-    "chi_trace_difference", "simultaneous_spin_weights", "spinor_weights",
+    "dominant_representative", "weyl_group",
+    "SpinorWeights", "chi_decompose", "chi_trace_difference",
+    "spinor_weights",
     "PairReport", "SymmetricPair", "W1Element", "admissible_mu",
     "admissibility_failures", "builtin_pair", "builtin_pair_names",
     "deltas", "validate_pair", "w1_enumerate",

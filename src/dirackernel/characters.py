@@ -19,7 +19,7 @@ from typing import Dict, Mapping
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError)
 from .lattice import Weight, inner_product
-from .roots import RootSystem, WeylElement
+from .roots import RootSystem, WeylElement, dominant_walk
 from .sympair import SymmetricPair
 
 
@@ -98,9 +98,6 @@ class FormalCharacter:
 
     def apply(self, element: WeylElement) -> "FormalCharacter":
         """Weyl action: permutes the support, preserves multiplicities."""
-        if element.rank != self.rank:
-            raise DimensionError(
-                f"element rank {element.rank} vs character rank {self.rank}")
         return FormalCharacter(
             self.rank, {element.apply(w): c for w, c in self.terms.items()})
 
@@ -130,20 +127,6 @@ class FormalCharacter:
 
 
 # -- irreducible characters (Freudenthal) ----------------------------------
-
-def _dominant_rep(w: Weight, rs: RootSystem) -> Weight:
-    current = w
-    simples = rs.simple_roots
-    while True:
-        moved = False
-        for a in simples:
-            p = inner_product(current, a)
-            if p < 0:
-                current = current - a * (2 * p / inner_product(a, a))
-                moved = True
-        if not moved:
-            return current
-
 
 @lru_cache(maxsize=None)
 def _weight_set(rs: RootSystem, nu: Weight) -> frozenset:
@@ -203,7 +186,7 @@ def dominant_weight_multiplicities(rs: RootSystem, nu: Weight) -> tuple:
         for alpha in rs.positive_roots:
             cur = w + alpha
             while cur in weights:
-                rep = _dominant_rep(cur, rs)
+                rep = dominant_walk(cur, rs)[1]
                 acc += mult[rep] * inner_product(cur, alpha)
                 cur = cur + alpha
         denom = target - inner_product(w + delta, w + delta)
@@ -230,7 +213,7 @@ def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
     dominant, weights = _multiplicity_table(rs, nu)
     if w not in weights:
         return 0
-    return dominant[_dominant_rep(w, rs)]
+    return dominant[dominant_walk(w, rs)[1]]
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +224,7 @@ def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
     deliberately not required (spin representations are half-integral).
     """
     dominant, weights = _multiplicity_table(rs, Weight(nu))
-    terms = {w: dominant[_dominant_rep(w, rs)] for w in weights}
+    terms = {w: dominant[dominant_walk(w, rs)[1]] for w in weights}
     return FormalCharacter(rs.rank, terms)
 
 

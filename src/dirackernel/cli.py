@@ -117,10 +117,6 @@ def emit(doc: dict, machine: bool, lines: list, out) -> None:
             print(line, file=out)
 
 
-def _fmt_map(mapping) -> str:
-    return ", ".join(f"[{w}]:{m}" for w, m in sorted(mapping.items()))
-
-
 def _pair_doc(pair: SymmetricPair) -> dict:
     report = validate_pair(pair)
     w1 = w1_enumerate(pair)
@@ -140,7 +136,7 @@ def _pair_doc(pair: SymmetricPair) -> dict:
         "weyl_order": len(weyl_group(pair.root_system)),
         "weyl_h_order": len(pair.weyl_h),
         "w1": [{"delta_p_sigma": str(x.delta_p_sigma), "sign": x.sign,
-                "word": list(x.element.word or ())} for x in w1],
+                "word": list(x.element.word)} for x in w1],
         "validation": [{"check": c.name, "passed": c.passed,
                         "detail": c.detail} for c in report.checks],
         "valid": report.ok,
@@ -229,7 +225,7 @@ def cmd_kernel(args, out) -> int:
         doc.update({
             "nu": str(result.nu),
             "sigma_sign": result.sigma_sign,
-            "sigma_word": list(result.sigma.word or ()),
+            "sigma_word": list(result.sigma.word),
             "dimension": result.dimension,
         })
         side = "D+" if result.status is KernelStatus.PLUS else "D-"

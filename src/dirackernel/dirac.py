@@ -98,8 +98,7 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     nu = dominant - pair.delta
     # Automatic consequences of admissibility; treated as runtime
     # assertions, not assumptions.
-    pos = set(rs.positive_roots)
-    if not all(element.apply(a) in pos for a in pair.h_positive):
+    if not pair.h_system.is_dominant(sigma.image, strict=True):
         raise ConsistencyError(
             f"computed sigma is not in W_1 for mu={mu} (lambda={lam})")
     if nu not in pair.lattice_F or not rs.is_dominant(nu):
@@ -181,11 +180,10 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
                if e.parity == s]
     coeffs: Dict[Weight, int] = {}
     for w in pair.weyl_h:
-        sign = (-1) ** len(w.word)
-        base = dh - w.apply(dh)
+        base = dh - w.image
         for e in spinors:
             k = base - e
-            coeffs[k] = coeffs.get(k, 0) + sign
+            coeffs[k] = coeffs.get(k, 0) + w.sign
     return tuple((k, c) for k, c in coeffs.items() if c)
 
 

@@ -79,13 +79,6 @@ class Weight(tuple):
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Weight") -> Fraction:
-        self._check_len(other)
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
-
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self)
 
@@ -169,8 +162,3 @@ class LatticeSpec:
 
     def sorted_shifts(self) -> list:
         return sorted(self.coset_shifts)
-
-
-def is_member(w: Weight, lattice: LatticeSpec) -> bool:
-    """True iff w - s is all-integer for some coset shift s of the lattice."""
-    return lattice.contains(w)

@@ -1,11 +1,14 @@
 """Classical root systems and Weyl groups over exact rationals.
 
-Weyl elements are stored as orthogonal matrices with Fraction entries, so a
-user-supplied list of positive roots works just as well as a built-in
-family.  Group enumeration is a breadth-first closure over the simple
-reflections; the breadth-first depth yields a reduced word for each
-element.  A, B, C, D are realized in the standard e-basis, which for the
-A family means an ambient space of dimension rank + 1.
+A Weyl element is a reduced word in the simple reflections together with
+its image w(delta).  W acts simply transitively on the orbit of the regular
+weight delta (Humphreys, Introduction to Lie Algebras, 10.3), so the image
+identifies the element, and the group is the breadth-first orbit of delta
+under the simple reflections, each element carrying its breadth-first word.
+Reflections act on weight vectors directly, so a user-supplied list of
+positive roots works just as well as a built-in family.  A, B, C, D are
+realized in the standard e-basis, which for the A family means an ambient
+space of dimension rank + 1.
 """
 
 from __future__ import annotations
@@ -19,126 +22,50 @@ from .errors import (DimensionError, GroupOrderLimitError,
                      UnsupportedRootSystemError)
 from .lattice import Weight, inner_product, is_dominant
 
-Matrix = tuple  # tuple of row tuples of Fraction
+
+def _apply_word(rs: "RootSystem", word: tuple, v: Weight) -> Weight:
+    """s_word[0] ... s_word[-1] applied to v (rightmost reflection first)."""
+    for i in reversed(word):
+        v = rs.reflect(v, i)
+    return v
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a)
-
-
-def _mat_apply(m: Matrix, w: Weight) -> Weight:
-    if len(m) != len(w):
-        raise DimensionError(f"matrix size {len(m)} vs weight length {len(w)}")
-    return Weight(sum((x * y for x, y in zip(row, w)), Fraction(0)) for row in m)
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def _determinant(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeylElement:
-    """An orthogonal map of the weight space, with an optional word in the
-    simple reflections (indices into ``RootSystem.simple_roots``)."""
+    """w = s_word[0] ... s_word[-1] in the Weyl group of ``rs``, with its
+    image w(delta); the word is reduced, and equality and hashing use the
+    image alone."""
 
-    matrix: Matrix
-    word: Optional[tuple] = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
+    rs: "RootSystem" = field(compare=False, repr=False)
+    word: tuple = field(compare=False)
+    image: Weight
 
     @classmethod
-    def identity(cls, rank: int) -> "WeylElement":
-        return cls(_identity_matrix(rank), word=())
+    def from_word(cls, rs: "RootSystem", word: Iterable) -> "WeylElement":
+        word = tuple(word)
+        return cls(rs, word, _apply_word(rs, word, rs.delta))
 
     @classmethod
-    def reflection(cls, alpha: Weight, index: Optional[int] = None) -> "WeylElement":
-        """The orthogonal reflection in the hyperplane normal to alpha."""
-        n = len(alpha)
-        norm = inner_product(alpha, alpha)
-        if norm == 0:
-            raise ValueError("cannot reflect in the zero vector")
-        cols = []
-        for j in range(n):
-            e = Weight.basis(n, j)
-            image = e - alpha * (2 * inner_product(e, alpha) / norm)
-            cols.append(image)
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return cls(matrix, word=None if index is None else (index,))
+    def identity(cls, rs: "RootSystem") -> "WeylElement":
+        return cls(rs, (), rs.delta)
 
     def apply(self, w: Weight) -> Weight:
-        return _mat_apply(self.matrix, w)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other (matrix product self.matrix @ other.matrix)."""
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(_mat_mul(self.matrix, other.matrix), word)
+        if len(w) != self.rs.rank:
+            raise DimensionError(
+                f"weight length {len(w)} vs rank {self.rs.rank}")
+        return _apply_word(self.rs, self.word, w)
 
     def __matmul__(self, other: "WeylElement") -> "WeylElement":
-        return self.compose(other)
+        """self after other, with a reduced word read off its image."""
+        image = self.apply(other.image)
+        return WeylElement(self.rs, dominant_walk(image, self.rs)[0], image)
 
     def inverse(self) -> "WeylElement":
-        word = None if self.word is None else tuple(reversed(self.word))
-        return WeylElement(_transpose(self.matrix), word)
-
-    @cached_property
-    def determinant(self) -> Fraction:
-        return _determinant(self.matrix)
+        return WeylElement.from_word(self.rs, reversed(self.word))
 
     @property
     def sign(self) -> int:
-        d = self.determinant
-        if d not in (1, -1):
-            raise ValueError(f"non-orthogonal element, det={d}")
-        return int(d)
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-    def is_orthogonal(self) -> bool:
-        return _mat_mul(_transpose(self.matrix), self.matrix) == _identity_matrix(self.rank)
-
-    def __repr__(self) -> str:
-        rows = "; ".join(",".join(str(x) for x in row) for row in self.matrix)
-        return f"WeylElement([{rows}], word={self.word})"
+        return (-1) ** len(self.word)
 
 
 def _derive_simple_roots(positive_roots: Sequence[Weight]) -> tuple:
@@ -177,6 +104,8 @@ class RootSystem:
                 raise DimensionError(f"root {r} has length {len(r)}, rank {rank}")
             if all(c == 0 for c in r):
                 raise ValueError("positive roots must be nonzero")
+            if any((2 * c).denominator != 1 for c in r):
+                raise ValueError(f"root {r} has a coordinate outside 1/2 Z")
         if len(set(roots)) != len(roots):
             raise ValueError("positive roots must be pairwise distinct")
         object.__setattr__(self, "rank", rank)
@@ -189,9 +118,40 @@ class RootSystem:
                     f"{alpha} is not a nonnegative integer combination "
                     f"of the simple roots {self.simple_roots}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # lru_cache keys: hashing every Fraction on each lookup is slow
+        return hash((self.rank, self.positive_roots))
+
     @cached_property
     def simple_roots(self) -> tuple:
         return _derive_simple_roots(self.positive_roots)
+
+    @cached_property
+    def _simple_supports(self) -> tuple:
+        """Per simple root a, (k, a_k, 2 a_k / <a, a>) over the nonzero
+        coordinates of a: pairings and reflections touch only those."""
+        supports = []
+        for a in self.simple_roots:
+            scale = 2 / inner_product(a, a)
+            supports.append(tuple((k, c, c * scale)
+                                  for k, c in enumerate(a) if c))
+        return tuple(supports)
+
+    def coroot_pairing(self, v: Weight, i: int) -> Fraction:
+        """<v, a^> for the i-th simple root a, where a^ = 2a / <a, a>."""
+        return sum(v[k] * c for k, _, c in self._simple_supports[i])
+
+    def reflect(self, v: Weight, i: int) -> Weight:
+        """s_a(v) = v - <v, a^> a for the i-th simple root a."""
+        pairing = self.coroot_pairing(v, i)
+        coords = list(v)
+        for k, c, _ in self._simple_supports[i]:
+            coords[k] -= pairing * c
+        return Weight(coords)
 
     @cached_property
     def delta(self) -> Weight:
@@ -241,8 +201,8 @@ class RootSystem:
         return is_dominant(w, self.simple_roots, strict)
 
     def simple_reflections(self) -> tuple:
-        return tuple(WeylElement.reflection(a, index=i)
-                     for i, a in enumerate(self.simple_roots))
+        return tuple(WeylElement.from_word(self, (i,))
+                     for i in range(len(self.simple_roots)))
 
     def all_roots(self) -> tuple:
         return self.positive_roots + tuple(-a for a in self.positive_roots)
@@ -292,73 +252,59 @@ def build_classical(family: str, rank: int) -> RootSystem:
     raise UnsupportedRootSystemError(f"unknown family {family!r}")
 
 
-def half_sum(rs: RootSystem) -> Weight:
-    """delta, the exact half-sum of the positive roots."""
-    return rs.delta
+@lru_cache(maxsize=None)
+def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
+    """The Weyl group as the orbit of delta under the simple reflections.
 
-
-def generate_group(generators: Sequence[WeylElement], rank: int,
-                   limit: int = 10 ** 6) -> list:
-    """Breadth-first closure of a set of involutive generators.
-
-    Returns the elements sorted lexicographically by flattened matrix, each
-    carrying a shortest word in the given generators.
+    Breadth-first from delta, generators in index order, a new element's
+    word being the generator prepended to its parent's, so every word is
+    reduced.  Elements are returned sorted by their image of delta.
     """
-    identity = WeylElement.identity(rank)
-    seen = {identity.matrix: ()}
-    frontier = [identity.matrix]
-    gens = [(g.word[0] if g.word else i, g.matrix)
-            for i, g in enumerate(generators)]
+    seen = {rs.delta: ()}
+    frontier = [rs.delta]
     while frontier:
         new_frontier = []
-        for m in frontier:
-            word = seen[m]
-            for idx, g in gens:
-                prod = _mat_mul(g, m)
-                if prod not in seen:
-                    seen[prod] = (idx,) + word
-                    new_frontier.append(prod)
+        for v in frontier:
+            word = seen[v]
+            for i in range(len(rs.simple_roots)):
+                image = rs.reflect(v, i)
+                if image not in seen:
+                    seen[image] = (i,) + word
+                    new_frontier.append(image)
                     if len(seen) > limit:
                         raise GroupOrderLimitError(
                             f"group closure exceeded limit {limit}")
         frontier = new_frontier
-    return [WeylElement(m, seen[m]) for m in sorted(seen)]
+    return tuple(WeylElement(rs, seen[v], v) for v in sorted(seen))
 
 
-@lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
-    """The full Weyl group generated by the simple reflections.
-
-    Deterministic order (lex on flattened matrices); each element carries a
-    reduced word, and det = (-1)^(word length) is verified.
+def dominant_walk(w: Weight, rs: RootSystem) -> tuple:
+    """(steps, dominant): reflect w in the first simple root that pairs
+    negatively with it, rescanning from the first root after each step,
+    until none does.  The walk terminates because <. , delta> strictly
+    increases, and s_steps[-1] ... s_steps[0] w = dominant.
     """
-    elements = generate_group(rs.simple_reflections(), rs.rank, limit)
-    for w in elements:
-        if w.determinant != (-1) ** len(w.word):
-            raise AssertionError(f"sign/word-length mismatch for {w}")
-    return tuple(elements)
+    steps = []
+    i = 0
+    while i < len(rs.simple_roots):
+        if rs.coroot_pairing(w, i) < 0:
+            w = rs.reflect(w, i)
+            steps.append(i)
+            i = 0
+        else:
+            i += 1
+    return tuple(steps), w
 
 
 def dominant_representative(w: Weight, rs: RootSystem):
     """Return (element, dominant, regular) with element * w = dominant.
 
-    The walk reflects in any simple root pairing negatively until none
-    does; it terminates because <. , delta> strictly increases.  When the
-    result is regular (strictly dominant), the element is the unique Weyl
-    element moving w into the open chamber.
+    The element comes from ``dominant_walk``.  When the result is regular
+    (strictly dominant), it is the unique Weyl element moving w into the
+    open chamber.
     """
     if len(w) != rs.rank:
         raise DimensionError(f"weight length {len(w)} vs rank {rs.rank}")
-    simples = rs.simple_roots
-    reflections = rs.simple_reflections()
-    current = w
-    element = WeylElement.identity(rs.rank)
-    while True:
-        neg = next((i for i, a in enumerate(simples)
-                    if inner_product(current, a) < 0), None)
-        if neg is None:
-            break
-        current = reflections[neg].apply(current)
-        element = reflections[neg] @ element
-    regular = all(inner_product(current, a) > 0 for a in rs.positive_roots)
-    return element, current, regular
+    steps, dominant = dominant_walk(w, rs)
+    regular = rs.is_dominant(dominant, strict=True)
+    return WeylElement.from_word(rs, steps[::-1]), dominant, regular

@@ -14,8 +14,7 @@ from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError, DimensionError, InvalidPairError
 from .lattice import HALF, LatticeSpec, Weight, is_dominant
-from .roots import (RootSystem, WeylElement, build_classical, generate_group,
-                    weyl_group)
+from .roots import RootSystem, WeylElement, build_classical, weyl_group
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,15 @@ class SymmetricPair:
         object.__setattr__(self, "lattice_F1", lattice_F1)
         object.__setattr__(self, "name", name)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # lru_cache keys: hashing every Fraction on each lookup is slow
+        return hash((self.root_system, self.h_positive, self.lattice_F,
+                     self.lattice_F1))
+
     # -- derived structure ------------------------------------------------
 
     @property
@@ -108,13 +116,10 @@ class SymmetricPair:
         return RootSystem(self.rank, self.h_positive,
                           name=f"{self.name}:h")
 
-    @cached_property
+    @property
     def weyl_h(self) -> tuple:
-        """W_H: closure of the reflections in the h-roots."""
-        gens = [WeylElement.reflection(a) for a in self.h_positive]
-        if not gens:
-            return (WeylElement.identity(self.rank),)
-        return tuple(generate_group(gens, self.rank))
+        """W_H, as the orbit of the Delta_h-regular weight delta_h."""
+        return weyl_group(self.h_system)
 
     @cached_property
     def validation(self) -> PairReport:
@@ -195,23 +200,20 @@ def validate_pair(pair: SymmetricPair) -> PairReport:
 @lru_cache(maxsize=None)
 def _w1_cached(pair: SymmetricPair) -> tuple:
     pair.ensure_valid()
-    rs = pair.root_system
-    full = weyl_group(rs)
-    pos = set(rs.positive_roots)
-    result = []
-    for sigma in full:
-        sigma_inv = sigma.inverse()
-        if all(sigma_inv.apply(a) in pos for a in pair.h_positive):
-            dps = sigma.apply(pair.delta) - pair.delta_h
-            result.append(W1Element(sigma, sigma.sign, dps))
+    full = weyl_group(pair.root_system)
+    h_system = pair.h_system
+    # Delta_h^+ lies in sigma(Delta^+) iff sigma(delta) is strictly
+    # Delta_h-dominant.
+    result = [W1Element(sigma, sigma.sign, sigma.image - pair.delta_h)
+              for sigma in full
+              if h_system.is_dominant(sigma.image, strict=True)]
     if len(full) != len(pair.weyl_h) * len(result):
         raise InvalidPairError(
             f"|W| = {len(full)} != |W_H| * |W_1| = "
             f"{len(pair.weyl_h)} * {len(result)}")
-    h_simples = pair.h_system.simple_roots
     seen = set()
     for w1 in result:
-        if not is_dominant(w1.delta_p_sigma, h_simples):
+        if not h_system.is_dominant(w1.delta_p_sigma):
             raise InvalidPairError(
                 f"delta_p^sigma = {w1.delta_p_sigma} is not dominant for h")
         if w1.delta_p_sigma in seen:

@@ -8,6 +8,9 @@ per-criterion lines.
 import itertools
 from fractions import Fraction
 
+from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
+                            _m_scale, build_clifford,
+                            simultaneous_spin_weights)
 from dirackernel.characters import (FormalCharacter, branch_equal_rank,
                                     branch_interleave_BD,
                                     irreducible_character, weyl_dim)
@@ -15,9 +18,7 @@ from dirackernel.dirac import (KernelStatus, chi_casimir_check, dirac_kernel,
                                euler_verify)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import WeylElement, build_classical, weyl_group
-from dirackernel.spin import (_kernel_basis, _m_add, _m_identity, _m_mul,
-                              _m_scale, build_clifford, chi_decompose,
-                              chi_trace_difference, simultaneous_spin_weights,
+from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names, w1_enumerate)
@@ -273,7 +274,7 @@ def test_criterion_11_completeness():
     failures = []
     for name in builtin_pair_names():
         pair = builtin_pair(name)
-        identity = WeylElement.identity(pair.rank)
+        identity = WeylElement.identity(pair.root_system)
         for coords in itertools.product(range(3), repeat=pair.rank):
             nu = Weight(coords)
             if not pair.root_system.is_dominant(nu):

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,20 @@ class TestPairCommands:
         assert err.startswith("error: cannot parse pair file")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["pair", "show"], ["spinor"], ["verify", "chi"]])
+    def test_pair_file_root_outside_half_integers(self, tmp_path, argv):
+        data = {"name": "third", "rank": 1, "positive_roots": ["1/3"],
+                "h_positive_indices": [], "lattice_F_shifts": ["0"],
+                "lattice_F1_shifts": ["0", "1/2"]}
+        path = tmp_path / "third.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke([*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad pair file")
+        assert "outside 1/2 Z" in err
+        assert err.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_spinor_table(self):
@@ -282,3 +297,15 @@ class TestDeterminism:
         second = invoke(argv)
         assert first == second
         assert first[0] == 0
+
+
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_goldens.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDENS))
+def test_golden_output(key):
+    """Exit code and stdout match the committed CLI goldens byte for byte."""
+    code, out, _ = invoke(key.split(" "))
+    assert (code, out) == (GOLDENS[key]["code"], GOLDENS[key]["stdout"])

@@ -105,7 +105,7 @@ class TestDiracKernel:
         # nu + delta_p is admissible and comes back unchanged with sigma = 1.
         for name in builtin_pair_names():
             pair = builtin_pair(name)
-            identity = WeylElement.identity(pair.rank)
+            identity = WeylElement.identity(pair.root_system)
             for coords in itertools.product(range(3), repeat=pair.rank):
                 nu = Weight(coords)
                 if not pair.root_system.is_dominant(nu):

@@ -1,11 +1,12 @@
+import itertools
+
 import pytest
 
 from dirackernel.errors import (GroupOrderLimitError,
                                 UnsupportedRootSystemError)
-from dirackernel.lattice import Weight
-from dirackernel.roots import (WeylElement, build_classical,
-                               dominant_representative, generate_group,
-                               half_sum, weyl_group)
+from dirackernel.lattice import Weight, inner_product
+from dirackernel.roots import (RootSystem, WeylElement, build_classical,
+                               dominant_representative, weyl_group)
 
 
 def W(text):
@@ -57,17 +58,21 @@ class TestBuildClassical:
                               Weight.zero(rs.rank))
                 assert rebuilt == alpha
 
+    def test_rejects_root_outside_half_integers(self):
+        with pytest.raises(ValueError, match="outside 1/2 Z"):
+            RootSystem(1, [W("1/3")])
+
 
 class TestHalfSum:
     def test_b1(self):
-        assert half_sum(build_classical("B", 1)) == W("1/2")
+        assert build_classical("B", 1).delta == W("1/2")
 
     def test_b2(self):
         # half-sum of the four listed positive roots, not the closed form
-        assert half_sum(build_classical("B", 2)) == W("3/2,1/2")
+        assert build_classical("B", 2).delta == W("3/2,1/2")
 
     def test_d2(self):
-        assert half_sum(build_classical("D", 2)) == W("1,0")
+        assert build_classical("D", 2).delta == W("1,0")
 
 
 class TestWeylGroup:
@@ -86,7 +91,7 @@ class TestWeylGroup:
     @pytest.mark.parametrize("family,rank,order", [
         ("B", 2, 8), ("B", 3, 48), ("B", 4, 384),
         ("D", 2, 4), ("D", 3, 24), ("D", 4, 192),
-        ("A", 2, 6), ("A", 3, 24), ("C", 3, 48),
+        ("A", 2, 6), ("A", 3, 24), ("C", 3, 48), ("D", 5, 1920),
     ])
     def test_orders_match_formulas(self, family, rank, order):
         assert len(weyl_group(build_classical(family, rank))) == order
@@ -106,9 +111,21 @@ class TestWeylGroup:
                     assert (w1 @ w2).sign == w1.sign * w2.sign
 
     def test_words_are_reduced_and_match_sign(self):
-        for w in weyl_group(build_classical("B", 3)):
-            assert w.sign == (-1) ** len(w.word)
-            assert w.is_orthogonal()
+        # len(word) equals the number of positive roots sent to negative
+        # roots, which is the length of w and fixes det(w) = (-1)^length;
+        # w also preserves the inner products of the basis vectors.
+        for family, rank in [("B", 3), ("D", 4), ("A", 3)]:
+            rs = build_classical(family, rank)
+            pos = set(rs.positive_roots)
+            basis = [Weight.basis(rs.rank, k) for k in range(rs.rank)]
+            for w in weyl_group(rs):
+                inversions = sum(1 for a in pos if -w.apply(a) in pos)
+                assert len(w.word) == inversions
+                assert w.sign == (-1) ** inversions
+                images = [w.apply(e) for e in basis]
+                for i, j in itertools.product(range(rs.rank), repeat=2):
+                    assert (inner_product(images[i], images[j])
+                            == inner_product(basis[i], basis[j]))
 
     def test_order_limit(self):
         with pytest.raises(GroupOrderLimitError):
@@ -117,9 +134,9 @@ class TestWeylGroup:
     def test_deterministic_order(self):
         rs = build_classical("B", 2)
         weyl_group.cache_clear()
-        first = [w.matrix for w in weyl_group(rs)]
+        first = [w.image for w in weyl_group(rs)]
         weyl_group.cache_clear()
-        second = [w.matrix for w in weyl_group(build_classical("B", 2))]
+        second = [w.image for w in weyl_group(build_classical("B", 2))]
         assert first == second == sorted(first)
 
 
@@ -137,7 +154,7 @@ class TestDominantRepresentative:
         element, dom, regular = dominant_representative(W("3/2,3/2"), rs)
         assert dom == W("3/2,3/2")
         assert not regular
-        assert element == WeylElement.identity(2)
+        assert element == WeylElement.identity(rs)
 
     def test_sort_and_flip(self):
         # one transposition plus one sign flip: determinant +1
@@ -151,7 +168,7 @@ class TestDominantRepresentative:
     def test_delta_orbit_recovers_inverse(self):
         for family, rank in [("B", 2), ("D", 3), ("A", 2)]:
             rs = build_classical(family, rank)
-            delta = half_sum(rs)
+            delta = rs.delta
             for w in weyl_group(rs):
                 element, dom, regular = dominant_representative(
                     w.apply(delta), rs)
@@ -164,14 +181,12 @@ class TestWeylElement:
     def test_inverse_is_transpose(self):
         rs = build_classical("B", 3)
         for w in weyl_group(rs)[:10]:
-            assert (w @ w.inverse()) == WeylElement.identity(3)
+            assert (w @ w.inverse()) == WeylElement.identity(rs)
+            assert (w.inverse() @ w) == WeylElement.identity(rs)
 
     def test_reflection_is_involution(self):
-        refl = WeylElement.reflection(W("1,-1"))
-        assert refl @ refl == WeylElement.identity(2)
+        rs = build_classical("B", 2)
+        refl = rs.simple_reflections()[0]
+        assert rs.simple_roots[0] == W("1,-1")
+        assert refl @ refl == WeylElement.identity(rs)
         assert refl.apply(W("2,5")) == W("5,2")
-
-    def test_generate_group_with_custom_generators(self):
-        gens = [WeylElement.reflection(W("1,-1")),
-                WeylElement.reflection(W("0,1"))]
-        assert len(generate_group(gens, 2)) == 8

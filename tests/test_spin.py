@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
+                            _m_scale, build_clifford, pair_operators,
+                            simultaneous_spin_weights)
 from dirackernel.lattice import Weight
-from dirackernel.spin import (_entries_from_roots, _kernel_basis,
-                              _m_add, _m_identity, _m_mul, _m_scale,
-                              build_clifford, chi_decompose,
-                              chi_trace_difference, pair_operators,
-                              simultaneous_spin_weights, spinor_weights)
+from dirackernel.spin import (_entries_from_roots, chi_decompose,
+                              chi_trace_difference, spinor_weights)
 from dirackernel.characters import FormalCharacter, irreducible_character
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 

@@ -2,9 +2,10 @@
 
 A formal character is a finitely supported integer-valued function on the
 weight lattice, stored sparsely.  Irreducible characters come from the
-Freudenthal multiplicity recursion evaluated on the dominant weights of
-the string-closure weight set; dimensions come from the closed product
-formula and are cross-checked against the multiplicity mass in the tests.
+Freudenthal multiplicity recursion evaluated on the dominant weights only,
+each value copied over the Weyl orbit of its weight; dimensions come from
+the closed product formula and are cross-checked against the multiplicity
+mass in the tests.
 Decomposition of an invariant character is highest-weight peeling on its
 dominant part.  Half-integral highest weights are first-class; lattice
 membership is only ever enforced against an explicit LatticeSpec.
@@ -19,7 +20,7 @@ from typing import Dict, Mapping
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError)
 from .lattice import Weight, inner_product
-from .roots import RootSystem, WeylElement, dominant_walk
+from .roots import RootSystem, WeylElement, orbit
 from .sympair import SymmetricPair
 
 
@@ -128,92 +129,31 @@ class FormalCharacter:
 
 # -- irreducible characters (Freudenthal) ----------------------------------
 
-@lru_cache(maxsize=None)
-def _weight_set(rs: RootSystem, nu: Weight) -> frozenset:
-    """All weights of the irreducible with highest weight nu, via downward
-    closure along simple-root strings."""
-    seen = {nu}
-    frontier = [nu]
-    simples = rs.simple_roots
-    norms = [inner_product(a, a) for a in simples]
-    while frontier:
-        new = []
-        for w in frontier:
-            for a, n2 in zip(simples, norms):
-                steps = 2 * inner_product(w, a) / n2
-                step_count = int(steps)
-                cur = w
-                for _ in range(max(step_count, 0)):
-                    cur = cur - a
-                    if cur not in seen:
-                        seen.add(cur)
-                        new.append(cur)
-        frontier = new
-    return frozenset(seen)
+def _dominant_weights(rs: RootSystem, nu: Weight) -> list:
+    """The dominant weights of pi_nu, by descending <., delta>.
 
-
-@lru_cache(maxsize=None)
-def dominant_weight_multiplicities(rs: RootSystem, nu: Weight) -> tuple:
-    """Freudenthal multiplicities on the dominant weights of pi_nu.
-
-    Returns ((weight, multiplicity), ...) sorted by descending height of nu
-    minus the weight, which is also a valid evaluation order for the
-    recursion.  Works verbatim for reducible systems and systems with free
-    torus directions, and for empty systems (character = e^nu).
+    They are the dominant weights below nu (Humphreys, 21.3), and each is
+    reached from nu through dominant weights one positive root at a time
+    (Stembridge, "The partial order of dominant weights", Adv. Math. 136
+    (1998), Cor. 2.7).  Ties keep the order of discovery.
     """
     if not rs.is_dominant(nu):
         raise NonDominantError(f"{nu} is not dominant for {rs}")
-    for a in rs.simple_roots:
-        pairing = 2 * inner_product(nu, a) / inner_product(a, a)
+    for i, a in enumerate(rs.simple_roots):
+        pairing = rs.coroot_pairing(nu, i)
         if pairing.denominator != 1:
             raise NonDominantError(
                 f"{nu} is not algebraically integral: <nu, {a}^> = {pairing}")
-    weights = _weight_set(rs, nu)
-    delta = rs.delta
-    dominant = [w for w in weights if rs.is_dominant(w)]
-
-    def height(w: Weight) -> Fraction:
-        coeffs = rs.simple_coefficients(nu - w)
-        return sum(coeffs, Fraction(0))
-
-    dominant.sort(key=lambda w: (height(w), tuple(-c for c in w)))
-    mult: Dict[Weight, int] = {nu: 1}
-    target = inner_product(nu + delta, nu + delta)
-    for w in dominant:
-        if w == nu:
-            continue
-        acc = Fraction(0)
+    found = [nu]
+    seen = {nu}
+    for w in found:
         for alpha in rs.positive_roots:
-            cur = w + alpha
-            while cur in weights:
-                rep = dominant_walk(cur, rs)[1]
-                acc += mult[rep] * inner_product(cur, alpha)
-                cur = cur + alpha
-        denom = target - inner_product(w + delta, w + delta)
-        value = 2 * acc / denom
-        if value.denominator != 1 or value <= 0:
-            raise ConsistencyError(f"Freudenthal produced {value} at {w}")
-        mult[w] = int(value)
-    order = sorted(mult, key=lambda w: (height(w), tuple(-c for c in w)))
-    return tuple((w, mult[w]) for w in order)
-
-
-@lru_cache(maxsize=None)
-def _multiplicity_table(rs: RootSystem, nu: Weight) -> tuple:
-    """(multiplicities on the dominant weights, all weights) of pi_nu."""
-    return dict(dominant_weight_multiplicities(rs, nu)), _weight_set(rs, nu)
-
-
-def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
-    """Multiplicity of the weight w in pi_nu (0 when w is not a weight).
-
-    Membership in the weight set is tested first, so a miss never walks w
-    to the dominant chamber.
-    """
-    dominant, weights = _multiplicity_table(rs, nu)
-    if w not in weights:
-        return 0
-    return dominant[dominant_walk(w, rs)[1]]
+            lower = w - alpha
+            if lower not in seen and rs.is_dominant(lower):
+                seen.add(lower)
+                found.append(lower)
+    delta = rs.delta
+    return sorted(found, key=lambda w: inner_product(w, delta), reverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +162,49 @@ def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
 
     nu must be dominant; integrality against any particular lattice is
     deliberately not required (spin representations are half-integral).
+    Freudenthal runs on the dominant weights by descending <., delta>, and
+    each value is copied over the W-orbit of its weight before the next.
+    Every w + k alpha the recursion reads has a dominant representative
+    strictly higher in <., delta>, so it is already in the table, and
+    alpha-strings of weights are unbroken, so each string ends at the first
+    point outside the table.  Works verbatim for reducible systems, systems
+    with free torus directions, and empty systems (character = e^nu).
     """
-    dominant, weights = _multiplicity_table(rs, Weight(nu))
-    terms = {w: dominant[dominant_walk(w, rs)[1]] for w in weights}
-    return FormalCharacter(rs.rank, terms)
+    nu = Weight(nu)
+    delta = rs.delta
+    target = inner_product(nu + delta, nu + delta)
+    table: Dict[Weight, int] = {}
+    for w in _dominant_weights(rs, nu):
+        value = 1
+        if w != nu:
+            acc = Fraction(0)
+            for alpha in rs.positive_roots:
+                cur = w + alpha
+                while cur in table:
+                    acc += table[cur] * inner_product(cur, alpha)
+                    cur = cur + alpha
+            value = 2 * acc / (target - inner_product(w + delta, w + delta))
+            if value.denominator != 1 or value <= 0:
+                raise ConsistencyError(f"Freudenthal produced {value} at {w}")
+        for image in orbit(rs, w):
+            table[image] = int(value)
+    character = FormalCharacter(rs.rank)
+    character.terms = table  # already canonical: no zeros, exact weights
+    return character
+
+
+@lru_cache(maxsize=None)
+def dominant_weight_multiplicities(rs: RootSystem, nu: Weight) -> tuple:
+    """((weight, multiplicity), ...) on the dominant weights of pi_nu, by
+    descending <., delta>, the order in which Freudenthal evaluates them.
+    """
+    terms = irreducible_character(rs, nu).terms
+    return tuple((w, terms[w]) for w in _dominant_weights(rs, Weight(nu)))
+
+
+def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
+    """Multiplicity of the weight w in pi_nu (0 when w is not a weight)."""
+    return irreducible_character(rs, nu).terms.get(w, 0)
 
 
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:

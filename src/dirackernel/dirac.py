@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from .characters import weight_multiplicity, weyl_dim
+from .characters import irreducible_character, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import Weight, inner_product
 from .roots import WeylElement, dominant_representative
@@ -113,12 +113,29 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
                         sigma_sign=sign, dimension=weyl_dim(rs, nu))
 
 
+def _squares_summing_to(offsets: tuple, step: int, total: int):
+    """Integer vectors x with sum x_k^2 = total and x_k = offsets[k] mod
+    step, in lex order."""
+    if not offsets:
+        if total == 0:
+            yield ()
+        return
+    bound = math.isqrt(total)
+    first = -bound + (offsets[0] + bound) % step
+    for x in range(first, bound + 1, step):
+        for rest in _squares_summing_to(offsets[1:], step, total - x * x):
+            yield (x,) + rest
+
+
 def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
     """All dominant lattice points nu with the same Casimir scalar as lambda.
 
     Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
-    |nu + delta| = |lambda + delta|, so each coordinate of nu + delta is
-    bounded by that radius; the box is enumerated exactly, in lex order.
+    |nu + delta| = |lambda + delta|.  Per coset shift s of F, with D the
+    lcm of the denominators of s + delta, the points x = D (nu + delta) are
+    the integer vectors with x = D (s + delta) mod D and sum x_k^2 =
+    D^2 |lambda + delta|^2; each coordinate steps by D up to the integer
+    square root of what remains.
     """
     pair.ensure_valid()
     lam = Weight(lam)
@@ -126,43 +143,21 @@ def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
         raise ValueError(f"lambda={lam} is not in F for pair {pair.name}")
     delta = pair.delta
     radius_sq = inner_product(lam + delta, lam + delta)
-    rank = pair.rank
     rs = pair.root_system
 
     found: List[Weight] = []
-    for shift in sorted(pair.lattice_F.coset_shifts):
-        coords: List[List[Fraction]] = []
-        for k in range(rank):
-            options = []
-            base = shift[k]
-            # Integers t with (base + t + delta_k)^2 <= radius_sq form an
-            # interval; start from the integer nearest its center.
-            center = -base - delta[k]
-            t0 = math.floor(center + Fraction(1, 2))
-            t = t0
-            while (base + t + delta[k]) ** 2 <= radius_sq:
-                options.append(base + t)
-                t += 1
-            t = t0 - 1
-            while (base + t + delta[k]) ** 2 <= radius_sq:
-                options.append(base + t)
-                t -= 1
-            coords.append(sorted(options))
-
-        def _extend(k: int, prefix: tuple, partial: Fraction) -> None:
-            if k == rank:
-                if partial == radius_sq:
-                    nu = Weight(prefix)
-                    if rs.is_dominant(nu):
-                        found.append(nu)
-                return
-            for value in coords[k]:
-                term = (value + delta[k]) ** 2
-                if partial + term <= radius_sq:
-                    _extend(k + 1, prefix + (value,), partial + term)
-
-        _extend(0, (), Fraction(0))
-    return sorted(set(found))
+    for shift in pair.lattice_F.coset_shifts:
+        start = shift + delta
+        scale = math.lcm(*(c.denominator for c in start))
+        total = radius_sq * scale * scale
+        if total.denominator != 1:
+            continue
+        offsets = tuple(int(c * scale) for c in start)
+        for x in _squares_summing_to(offsets, scale, int(total)):
+            nu = Weight(Fraction(xk, scale) - dk for xk, dk in zip(x, delta))
+            if rs.is_dominant(nu):
+                found.append(nu)
+    return sorted(found)
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +201,8 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
         raise ValueError(f"nu={nu} is not a dominant lattice point")
     _require_admissible(pair, mu)
     s = side if pair.m % 2 == 0 else -side
-    return sum(c * weight_multiplicity(rs, nu, mu + k)
-               for k, c in _extraction_kernel(pair, s))
+    mult = irreducible_character(rs, nu).terms
+    return sum(c * mult.get(mu + k, 0) for k, c in _extraction_kernel(pair, s))
 
 
 @dataclass(frozen=True)

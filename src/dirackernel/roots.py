@@ -252,22 +252,22 @@ def build_classical(family: str, rank: int) -> RootSystem:
     raise UnsupportedRootSystemError(f"unknown family {family!r}")
 
 
-@lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
-    """The Weyl group as the orbit of delta under the simple reflections.
+def orbit(rs: RootSystem, v: Weight, limit: int = 10 ** 6) -> dict:
+    """The W-orbit of v as {image: word}, with s_word[0] ... s_word[-1] v
+    = image.
 
-    Breadth-first from delta, generators in index order, a new element's
-    word being the generator prepended to its parent's, so every word is
-    reduced.  Elements are returned sorted by their image of delta.
+    Breadth-first from v, generators in index order, a new image's word
+    being the generator prepended to its parent's, so every word is of
+    minimal length.  Raises GroupOrderLimitError past ``limit`` images.
     """
-    seen = {rs.delta: ()}
-    frontier = [rs.delta]
+    seen = {v: ()}
+    frontier = [v]
     while frontier:
         new_frontier = []
-        for v in frontier:
-            word = seen[v]
+        for u in frontier:
+            word = seen[u]
             for i in range(len(rs.simple_roots)):
-                image = rs.reflect(v, i)
+                image = rs.reflect(u, i)
                 if image not in seen:
                     seen[image] = (i,) + word
                     new_frontier.append(image)
@@ -275,6 +275,16 @@ def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
                         raise GroupOrderLimitError(
                             f"group closure exceeded limit {limit}")
         frontier = new_frontier
+    return seen
+
+
+@lru_cache(maxsize=None)
+def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
+    """The Weyl group as the orbit of the regular weight delta, each
+    element carrying its orbit word (reduced, since the stabilizer of delta
+    is trivial).  Elements are returned sorted by their image of delta.
+    """
+    seen = orbit(rs, rs.delta, limit)
     return tuple(WeylElement(rs, seen[v], v) for v in sorted(seen))
 
 

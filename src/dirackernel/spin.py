@@ -16,7 +16,7 @@ from typing import Dict, Sequence
 from .characters import FormalCharacter, irreducible_character
 from .errors import ConsistencyError
 from .lattice import HALF, Weight
-from .sympair import SymmetricPair, w1_enumerate
+from .sympair import SymmetricPair
 
 
 # -- combinatorial spinor weights -------------------------------------------
@@ -102,7 +102,7 @@ def chi_decompose(pair: SymmetricPair):
     pair.ensure_valid()
     plus: Dict[Weight, int] = {}
     minus: Dict[Weight, int] = {}
-    for w1 in w1_enumerate(pair):
+    for w1 in pair.w1:
         target = plus if w1.sign == 1 else minus
         if w1.delta_p_sigma in target:
             raise ConsistencyError(

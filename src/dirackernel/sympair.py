@@ -133,7 +133,33 @@ class SymmetricPair:
 
     @cached_property
     def w1(self) -> tuple:
-        return tuple(w1_enumerate(self))
+        """W_1: each sigma with its sign and delta_p^sigma = sigma(delta) -
+        delta_h.  The bijection count |W| = |W_H| * |W_1| and the dominance
+        plus distinctness of the delta_p^sigma are verified on the way.
+        """
+        self.ensure_valid()
+        full = weyl_group(self.root_system)
+        h_system = self.h_system
+        # Delta_h^+ lies in sigma(Delta^+) iff sigma(delta) is strictly
+        # Delta_h-dominant.
+        result = tuple(
+            W1Element(sigma, sigma.sign, sigma.image - self.delta_h)
+            for sigma in full if h_system.is_dominant(sigma.image, strict=True))
+        if len(full) != len(self.weyl_h) * len(result):
+            raise InvalidPairError(
+                f"|W| = {len(full)} != |W_H| * |W_1| = "
+                f"{len(self.weyl_h)} * {len(result)}")
+        seen = set()
+        for w1 in result:
+            if not h_system.is_dominant(w1.delta_p_sigma):
+                raise InvalidPairError(
+                    f"delta_p^sigma = {w1.delta_p_sigma} is not dominant "
+                    f"for h")
+            if w1.delta_p_sigma in seen:
+                raise InvalidPairError(
+                    f"duplicate delta_p^sigma = {w1.delta_p_sigma}")
+            seen.add(w1.delta_p_sigma)
+        return result
 
     def __repr__(self) -> str:
         return (f"SymmetricPair({self.name}, rank={self.rank}, "
@@ -197,40 +223,10 @@ def validate_pair(pair: SymmetricPair) -> PairReport:
     return PairReport(tuple(checks), dim_p=2 * len(p_set))
 
 
-@lru_cache(maxsize=None)
-def _w1_cached(pair: SymmetricPair) -> tuple:
-    pair.ensure_valid()
-    full = weyl_group(pair.root_system)
-    h_system = pair.h_system
-    # Delta_h^+ lies in sigma(Delta^+) iff sigma(delta) is strictly
-    # Delta_h-dominant.
-    result = [W1Element(sigma, sigma.sign, sigma.image - pair.delta_h)
-              for sigma in full
-              if h_system.is_dominant(sigma.image, strict=True)]
-    if len(full) != len(pair.weyl_h) * len(result):
-        raise InvalidPairError(
-            f"|W| = {len(full)} != |W_H| * |W_1| = "
-            f"{len(pair.weyl_h)} * {len(result)}")
-    seen = set()
-    for w1 in result:
-        if not h_system.is_dominant(w1.delta_p_sigma):
-            raise InvalidPairError(
-                f"delta_p^sigma = {w1.delta_p_sigma} is not dominant for h")
-        if w1.delta_p_sigma in seen:
-            raise InvalidPairError(
-                f"duplicate delta_p^sigma = {w1.delta_p_sigma}")
-        seen.add(w1.delta_p_sigma)
-    return tuple(result)
-
-
 def w1_enumerate(pair: SymmetricPair) -> list:
-    """All sigma in W with Delta_h^+ contained in sigma(Delta^+).
-
-    Each element carries sign and delta_p^sigma = sigma(delta) - delta_h;
-    the bijection count |W| = |W_H| * |W_1| and the dominance plus
-    distinctness of the delta_p^sigma are verified on the way.
-    """
-    return list(_w1_cached(pair))
+    """All sigma in W with Delta_h^+ contained in sigma(Delta^+), as a list
+    copy of ``pair.w1``."""
+    return list(pair.w1)
 
 
 def deltas(pair: SymmetricPair):

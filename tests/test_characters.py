@@ -84,6 +84,18 @@ class TestIrreducibleCharacter:
         with pytest.raises(NonDominantError):
             irreducible_character(rs, W("0,1"))
 
+    def test_dominant_part_by_descending_height(self):
+        for family, rank, nu in [("B", 3, "2,1,0"), ("C", 3, "2,1,1"),
+                                 ("D", 4, "3/2,1/2,1/2,-1/2")]:
+            rs = build_classical(family, rank)
+            ch = irreducible_character(rs, W(nu))
+            dominant = dominant_weight_multiplicities(rs, W(nu))
+            assert dict(dominant) == {w: m for w, m in ch.terms.items()
+                                      if rs.is_dominant(w)}
+            heights = [inner_product(w, rs.delta) for w, _ in dominant]
+            assert heights == sorted(heights, reverse=True)
+            assert dominant[0] == (W(nu), 1)
+
     def test_weyl_character_formula_identity(self):
         # Independent of Freudenthal: ch * (sum_w sgn(w) e^{w delta})
         # must equal sum_w sgn(w) e^{w(nu+delta)}.
@@ -119,6 +131,7 @@ class TestWeylDim:
         cases = [
             ("B", 1, 3), ("B", 2, 3), ("A", 2, 2), ("D", 2, 3),
             ("C", 2, 2), ("B", 3, 2), ("D", 3, 2),
+            ("C", 3, 2), ("D", 4, 2), ("B", 4, 2),
         ]
         for family, rank, bound in cases:
             rs = build_classical(family, rank)
@@ -131,9 +144,18 @@ class TestWeylDim:
                 assert ch.mass() == weyl_dim(rs, nu), (family, rank, coords)
 
     def test_half_integral_mass(self):
-        rs = build_classical("B", 3)
-        for nu in [W("1/2,1/2,1/2"), W("3/2,1/2,1/2"), W("3/2,3/2,3/2")]:
-            assert irreducible_character(rs, nu).mass() == weyl_dim(rs, nu)
+        cases = [
+            ("B", 3, ["1/2,1/2,1/2", "3/2,1/2,1/2", "3/2,3/2,3/2"]),
+            ("D", 4, ["1/2,1/2,1/2,1/2", "1/2,1/2,1/2,-1/2",
+                      "3/2,1/2,1/2,1/2", "3/2,3/2,1/2,-1/2"]),
+            ("B", 4, ["1/2,1/2,1/2,1/2", "3/2,1/2,1/2,1/2",
+                      "3/2,3/2,1/2,1/2"]),
+        ]
+        for family, rank, nus in cases:
+            rs = build_classical(family, rank)
+            for nu in map(W, nus):
+                assert irreducible_character(rs, nu).mass() == \
+                    weyl_dim(rs, nu), (family, rank, nu)
 
 
 class TestDecompose:
@@ -309,11 +331,15 @@ class TestInvariantsRaise:
     def test_freudenthal_integrality(self, monkeypatch):
         rs = build_classical("B", 2)
         nu = W("1,1")
-        # a weight set missing 0,1 gives a fractional multiplicity at 0,0
-        broken = characters._weight_set(rs, nu) - {W("0,1")}
-        monkeypatch.setattr(characters, "_weight_set", lambda r, n: broken)
+        # without 1,0 (and so its orbit) the table is incomplete, and
+        # Freudenthal gives 4/3 at 0,0
+        full = characters._dominant_weights(rs, nu)
+        broken = [w for w in full if w != W("1,0")]
+        assert len(broken) == len(full) - 1
+        monkeypatch.setattr(characters, "_dominant_weights",
+                            lambda r, n: broken)
         with pytest.raises(ConsistencyError, match="Freudenthal"):
-            dominant_weight_multiplicities.__wrapped__(rs, nu)
+            irreducible_character.__wrapped__(rs, nu)
 
     def test_weyl_dim_integrality(self, monkeypatch):
         rs = build_classical("B", 2)

@@ -9,10 +9,10 @@ from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                casimir_shell, chi_casimir_check, dirac_kernel,
                                euler_verify, frobenius_multiplicity)
 from dirackernel.errors import AdmissibilityError
-from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import WeylElement
+from dirackernel.lattice import LatticeSpec, Weight, inner_product
+from dirackernel.roots import RootSystem, WeylElement
 from dirackernel.spin import spinor_weights
-from dirackernel.sympair import (admissible_mu, builtin_pair,
+from dirackernel.sympair import (SymmetricPair, admissible_mu, builtin_pair,
                                  builtin_pair_names)
 
 
@@ -173,6 +173,21 @@ class TestCasimirShell:
             reference = casimir_shell(pair, lam)
             for factor in (Fraction(2), Fraction(1, 3)):
                 assert brute_force_shell(pair, lam, scale=factor) == reference
+
+    def test_quarter_delta_matches_brute_force(self):
+        # B2 scaled by 1/2 with h = {(0, 1/2)} has delta = (3/4, 1/4), so
+        # D (nu + delta) is integral for D = 4 and not for D = 2
+        half = Fraction(1, 2)
+        rs = RootSystem(2, [(half, -half), (half, half), (half, 0), (0, half)])
+        both = LatticeSpec.integers_and_half_integers(2)
+        pair = SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
+        assert pair.delta == W("3/4,1/4")
+        assert casimir_shell(pair, W("4,3")) == [W("4,3"), W("5,0")]
+        for coords in itertools.product(range(-1, 4), repeat=2):
+            for shift in both.coset_shifts:
+                lam = Weight(coords) + shift
+                assert casimir_shell(pair, lam) == \
+                    brute_force_shell(pair, lam), lam
 
     def test_requires_lattice_membership(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from dirackernel.errors import (GroupOrderLimitError,
                                 UnsupportedRootSystemError)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, build_classical,
-                               dominant_representative, weyl_group)
+                               dominant_representative, orbit, weyl_group)
 
 
 def W(text):
@@ -138,6 +138,24 @@ class TestWeylGroup:
         weyl_group.cache_clear()
         second = [w.image for w in weyl_group(build_classical("B", 2))]
         assert first == second == sorted(first)
+
+
+class TestOrbit:
+    def test_words_reach_every_image(self):
+        rs = build_classical("B", 3)
+        group = weyl_group(rs)
+        for v, size in [("1,0,0", 6), ("1,1,0", 12), ("1/2,1/2,1/2", 8),
+                        ("2,1,0", 24), ("0,0,0", 1)]:
+            v = W(v)
+            images = orbit(rs, v)
+            assert set(images) == {w.apply(v) for w in group}
+            assert len(images) == size
+            for image, word in images.items():
+                assert WeylElement.from_word(rs, word).apply(v) == image
+
+    def test_limit(self):
+        with pytest.raises(GroupOrderLimitError):
+            orbit(build_classical("B", 3), W("2,1,0"), limit=10)
 
 
 class TestDominantRepresentative:

@@ -6,9 +6,10 @@ Freudenthal multiplicity recursion evaluated on the dominant weights only,
 each value copied over the Weyl orbit of its weight; dimensions come from
 the closed product formula and are cross-checked against the multiplicity
 mass in the tests.
-Decomposition of an invariant character is highest-weight peeling on its
-dominant part.  Half-integral highest weights are first-class; lattice
-membership is only ever enforced against an explicit LatticeSpec.
+Decomposition of an invariant character is straightening: each support
+weight w is walked from w + delta into the dominant chamber, as the theorem
+path walks lambda + delta.  Half-integral highest weights are first-class;
+lattice membership is only ever enforced against an explicit LatticeSpec.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Mapping
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError)
 from .lattice import Weight, inner_product
-from .roots import RootSystem, WeylElement, orbit
+from .roots import RootSystem, WeylElement, dominant_walk, orbit
 from .sympair import SymmetricPair
 
 
@@ -129,6 +130,14 @@ class FormalCharacter:
 
 # -- irreducible characters (Freudenthal) ----------------------------------
 
+def _check_highest_weight(rs: RootSystem, nu: Weight) -> None:
+    """Raise NonDominantError unless nu is dominant and integral."""
+    if not rs.is_dominant(nu):
+        raise NonDominantError(f"{nu} is not dominant for {rs}")
+    if not rs.is_integral(nu):
+        raise NonDominantError(f"{nu} is not algebraically integral for {rs}")
+
+
 def _dominant_weights(rs: RootSystem, nu: Weight) -> list:
     """The dominant weights of pi_nu, by descending <., delta>.
 
@@ -137,13 +146,7 @@ def _dominant_weights(rs: RootSystem, nu: Weight) -> list:
     (Stembridge, "The partial order of dominant weights", Adv. Math. 136
     (1998), Cor. 2.7).  Ties keep the order of discovery.
     """
-    if not rs.is_dominant(nu):
-        raise NonDominantError(f"{nu} is not dominant for {rs}")
-    for i, a in enumerate(rs.simple_roots):
-        pairing = rs.coroot_pairing(nu, i)
-        if pairing.denominator != 1:
-            raise NonDominantError(
-                f"{nu} is not algebraically integral: <nu, {a}^> = {pairing}")
+    _check_highest_weight(rs, nu)
     found = [nu]
     seen = {nu}
     for w in found:
@@ -193,15 +196,6 @@ def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
     return character
 
 
-@lru_cache(maxsize=None)
-def dominant_weight_multiplicities(rs: RootSystem, nu: Weight) -> tuple:
-    """((weight, multiplicity), ...) on the dominant weights of pi_nu, by
-    descending <., delta>, the order in which Freudenthal evaluates them.
-    """
-    terms = irreducible_character(rs, nu).terms
-    return tuple((w, terms[w]) for w in _dominant_weights(rs, Weight(nu)))
-
-
 def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
     """Multiplicity of the weight w in pi_nu (0 when w is not a weight)."""
     return irreducible_character(rs, nu).terms.get(w, 0)
@@ -210,8 +204,7 @@ def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:
     """Dimension of pi_nu by the product formula over positive roots."""
     nu = Weight(nu)
-    if not rs.is_dominant(nu):
-        raise NonDominantError(f"{nu} is not dominant for {rs}")
+    _check_highest_weight(rs, nu)
     delta = rs.delta
     result = Fraction(1)
     shifted = nu + delta
@@ -223,45 +216,43 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
     return int(result)
 
 
-# -- decomposition by highest-weight peeling --------------------------------
+# -- decomposition by straightening ----------------------------------------
 
 def _check_invariance(ch: FormalCharacter, rs: RootSystem) -> None:
-    for refl in rs.simple_reflections():
-        if ch.apply(refl) != ch:
-            raise SymmetryError(
-                f"character is not invariant under reflection in "
-                f"{rs.simple_roots[refl.word[0]]}")
+    for i, a in enumerate(rs.simple_roots):
+        for w, c in ch.terms.items():
+            if ch.terms.get(rs.reflect(w, i)) != c:
+                raise SymmetryError(
+                    f"character is not invariant under reflection in {a}")
 
 
 def decompose(ch: FormalCharacter, rs: RootSystem) -> Dict[Weight, int]:
     """Multiplicities m_nu with ch = sum m_nu * irreducible_character(nu).
 
-    The input must be W(rs)-invariant; a negative multiplicity encountered
-    while peeling means the character is not a nonnegative combination.
-    Peeling always picks the lexicographically largest dominant support
-    weight among those of maximal height (pairing with delta), and runs on
-    the dominant part only, which determines an invariant character.
+    The input must be W(rs)-invariant.  Straightening (Racah-Speiser): by
+    invariance, ch times the Weyl denominator alternates sum_w ch[w]
+    e^(w + delta), so each w + delta is walked into the dominant chamber; a
+    strictly dominant end point p adds (-1)^steps * ch[w] to m at
+    p - delta, a singular one nothing.  A negative m raises
+    DecompositionError, a non-integral nu NonDominantError.
     """
     if ch.rank != rs.rank:
         raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
     _check_invariance(ch, rs)
     delta = rs.delta
-    remaining = {w: c for w, c in ch.terms.items() if rs.is_dominant(w)}
-    result: Dict[Weight, int] = {}
-    while remaining:
-        top = max(remaining, key=lambda w: (inner_product(w, delta), w))
-        coeff = remaining[top]
-        if coeff < 0:
+    sums: Dict[Weight, int] = {}
+    for w, c in ch.terms.items():
+        steps, p = dominant_walk(w + delta, rs)
+        if rs.is_dominant(p, strict=True):
+            nu = p - delta
+            sums[nu] = sums.get(nu, 0) + (-1) ** len(steps) * c
+    result = {nu: m for nu, m in sums.items() if m}
+    for nu, m in result.items():
+        if m < 0:
             raise DecompositionError(
-                f"negative multiplicity {coeff} at {top}: character is not "
+                f"negative multiplicity {m} at {nu}: character is not "
                 f"a nonnegative combination of irreducibles")
-        result[top] = coeff
-        for w, c in dominant_weight_multiplicities(rs, top):
-            newc = remaining.get(w, 0) - coeff * c
-            if newc:
-                remaining[w] = newc
-            else:
-                remaining.pop(w, None)
+        _check_highest_weight(rs, nu)
     return result
 
 

@@ -31,7 +31,7 @@ from .lattice import LatticeSpec, Weight
 from .roots import RootSystem, build_classical, weyl_group
 from .spin import chi_decompose, chi_trace_difference, spinor_weights
 from .sympair import (SymmetricPair, builtin_pair, builtin_pair_names,
-                      validate_pair, w1_enumerate)
+                      w1_enumerate)
 
 
 class CliError(Exception):
@@ -72,7 +72,7 @@ def load_pair_file(path: str) -> SymmetricPair:
             name=name)
     except ValueError as exc:
         raise CliError(f"bad pair file {path}: {exc}") from None
-    report = validate_pair(pair)
+    report = pair.validation
     if not report.ok:
         bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         raise CliError(f"pair file {path} fails validation: {bad}")
@@ -118,7 +118,7 @@ def emit(doc: dict, machine: bool, lines: list, out) -> None:
 
 
 def _pair_doc(pair: SymmetricPair) -> dict:
-    report = validate_pair(pair)
+    report = pair.validation
     w1 = w1_enumerate(pair)
     return {
         "name": pair.name,

@@ -28,7 +28,8 @@ class Weight(tuple):
     __slots__ = ()
 
     def __new__(cls, coords: Iterable) -> "Weight":
-        return super().__new__(cls, (Fraction(c) for c in coords))
+        return super().__new__(
+            cls, (c if type(c) is Fraction else Fraction(c) for c in coords))
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":

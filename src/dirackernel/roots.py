@@ -200,9 +200,10 @@ class RootSystem:
     def is_dominant(self, w: Weight, strict: bool = False) -> bool:
         return is_dominant(w, self.simple_roots, strict)
 
-    def simple_reflections(self) -> tuple:
-        return tuple(WeylElement.from_word(self, (i,))
-                     for i in range(len(self.simple_roots)))
+    def is_integral(self, v: Weight) -> bool:
+        """<v, a^> is an integer for every simple root a."""
+        return all(self.coroot_pairing(v, i).denominator == 1
+                   for i in range(len(self.simple_roots)))
 
     def all_roots(self) -> tuple:
         return self.positive_roots + tuple(-a for a in self.positive_roots)

@@ -65,6 +65,9 @@ class SymmetricPair:
             raise ValueError("h_positive contains duplicates")
         if lattice_F.rank != root_system.rank or lattice_F1.rank != root_system.rank:
             raise DimensionError("lattice rank differs from root-system rank")
+        for s in lattice_F.coset_shifts:  # F: characters of the torus of G
+            if not root_system.is_integral(s):
+                raise ValueError(f"F shift {s} is not integral for {root_system}")
         object.__setattr__(self, "root_system", root_system)
         object.__setattr__(self, "h_positive", h_roots)
         object.__setattr__(self, "lattice_F", lattice_F)

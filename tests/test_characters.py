@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 import dirackernel.characters as characters
 from dirackernel.characters import (FormalCharacter, branch_equal_rank,
                                     branch_interleave_BD, decompose,
-                                    dominant_weight_multiplicities,
                                     irreducible_character,
                                     weight_multiplicity, weyl_dim)
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 NonDominantError, SymmetryError)
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import build_classical, weyl_group
-from dirackernel.sympair import builtin_pair
+from dirackernel.roots import WeylElement, build_classical, weyl_group
+from dirackernel.sympair import builtin_pair, builtin_pair_names
+from peel_reference import peel
 
 
 def W(text):
@@ -34,7 +35,7 @@ class TestRingOps:
 
     def test_weyl_action_permutes_support(self):
         rs = build_classical("B", 1)
-        refl = rs.simple_reflections()[0]
+        refl = WeylElement.from_word(rs, (0,))
         assert mono("1/2").apply(refl) == mono("-1/2")
 
     def test_cancellation_removes_zero_terms(self):
@@ -89,12 +90,14 @@ class TestIrreducibleCharacter:
                                  ("D", 4, "3/2,1/2,1/2,-1/2")]:
             rs = build_classical(family, rank)
             ch = irreducible_character(rs, W(nu))
-            dominant = dominant_weight_multiplicities(rs, W(nu))
-            assert dict(dominant) == {w: m for w, m in ch.terms.items()
-                                      if rs.is_dominant(w)}
-            heights = [inner_product(w, rs.delta) for w, _ in dominant]
+            dominant = characters._dominant_weights(rs, W(nu))
+            assert len(set(dominant)) == len(dominant)
+            assert set(dominant) == {w for w in ch.terms
+                                     if rs.is_dominant(w)}
+            heights = [inner_product(w, rs.delta) for w in dominant]
             assert heights == sorted(heights, reverse=True)
-            assert dominant[0] == (W(nu), 1)
+            assert dominant[0] == W(nu)
+            assert ch.terms[W(nu)] == 1
 
     def test_weyl_character_formula_identity(self):
         # Independent of Freudenthal: ch * (sum_w sgn(w) e^{w delta})
@@ -142,6 +145,12 @@ class TestWeylDim:
                     continue
                 ch = irreducible_character(rs, nu)
                 assert ch.mass() == weyl_dim(rs, nu), (family, rank, coords)
+
+    @pytest.mark.parametrize("family,rank,nu", [
+        ("B", 2, "5/2,0"), ("B", 3, "7/2,1/2,0"), ("B", 2, "1/3,0")])
+    def test_non_integral_rejected(self, family, rank, nu):
+        with pytest.raises(NonDominantError, match="not algebraically integral"):
+            weyl_dim(build_classical(family, rank), W(nu))
 
     def test_half_integral_mass(self):
         cases = [
@@ -211,6 +220,106 @@ class TestDecompose:
             combo[nu] = combo.get(nu, 0) + mult
             total += irreducible_character(rs, nu) * mult
         assert decompose(total, rs) == combo
+
+
+def dominant_grid(rs, top, half=False):
+    """Dominant weights with coordinates in 0..top, and with every
+    coordinate shifted by 1/2 as well when ``half``."""
+    shifts = [Weight.zero(rs.rank)]
+    if half:
+        shifts.append(Weight([Fraction(1, 2)] * rs.rank))
+    return [nu for coords in itertools.product(range(top + 1), repeat=rs.rank)
+            for nu in (Weight(coords) + s for s in shifts)
+            if rs.is_dominant(nu)]
+
+
+class TestDecomposeMatchesPeel:
+    """Straightening against the test reference peel on the same input."""
+
+    SYSTEMS = [("A", 2, 2, False), ("A", 3, 1, False), ("B", 2, 2, True),
+               ("B", 3, 1, True), ("C", 2, 2, False), ("C", 3, 1, False),
+               ("D", 3, 1, True), ("D", 4, 1, True)]
+
+    def assert_agree(self, ch, rs):
+        try:
+            expected = peel(ch, rs)
+        except (DecompositionError, NonDominantError) as exc:
+            with pytest.raises(type(exc)):
+                decompose(ch, rs)
+            return None
+        assert decompose(ch, rs) == expected
+        return expected
+
+    def test_products(self):
+        cases = spin = 0
+        for family, rank, top, half in self.SYSTEMS:
+            rs = build_classical(family, rank)
+            nus = dominant_grid(rs, top, half)
+            for nu1, nu2 in itertools.combinations_with_replacement(nus, 2):
+                dim = weyl_dim(rs, nu1) * weyl_dim(rs, nu2)
+                if dim > 200:
+                    continue
+                product = (irreducible_character(rs, nu1)
+                           * irreducible_character(rs, nu2))
+                parts = self.assert_agree(product, rs)
+                assert sum(m * weyl_dim(rs, w)
+                           for w, m in parts.items()) == dim
+                cases += 1
+                spin += not (nu1.is_integral() and nu2.is_integral())
+        assert (cases, spin) == (182, 48)
+
+    def test_random_signed_combinations(self):
+        rng = random.Random(6)
+        raised = 0
+        for family, rank, top, half in self.SYSTEMS:
+            rs = build_classical(family, rank)
+            nus = [nu for nu in dominant_grid(rs, top, half)
+                   if weyl_dim(rs, nu) <= 64]
+            for _ in range(25):
+                combo = {}
+                for nu in rng.sample(nus, rng.randint(1, 4)):
+                    combo[nu] = rng.choice((-2, -1, 1, 2, 3))
+                total = FormalCharacter.zero(rs.rank)
+                for nu, c in combo.items():
+                    total += irreducible_character(rs, nu) * c
+                parts = self.assert_agree(total, rs)
+                if parts is None:
+                    assert min(combo.values()) < 0
+                    raised += 1
+                else:
+                    assert parts == combo
+        assert 40 < raised < 160  # both outcomes well represented
+
+    @pytest.mark.parametrize("name", builtin_pair_names())
+    def test_branch_equal_rank_over_a_box(self, name):
+        pair = builtin_pair(name)
+        rs = pair.root_system
+        top = {"so3_so2": 4, "so5_so4": 2, "so5_so2xso3": 2}.get(name, 1)
+        nus = [nu for nu in dominant_grid(rs, top, half=True)
+               if nu in pair.lattice_F1]
+        assert len(nus) >= 4
+        for nu in nus:
+            assert branch_equal_rank(pair, nu) == peel(
+                irreducible_character(rs, nu), pair.h_system), nu
+
+    def test_cancelled_negative_constituent_raises(self):
+        # chi_1 - chi_0 = e^1 + e^-1 in B1: the weight 0 of the negative
+        # constituent is gone from the support, and e^-1 straightens to it
+        rs = build_classical("B", 1)
+        ch = irreducible_character(rs, W("1")) - irreducible_character(rs, W("0"))
+        assert ch.terms == {W("1"): 1, W("-1"): 1}
+        with pytest.raises(DecompositionError, match="-1 at 0"):
+            decompose(ch, rs)
+        with pytest.raises(DecompositionError):
+            peel(ch, rs)
+
+    def test_non_integral_support_raises(self):
+        rs = build_classical("B", 1)
+        ch = mono("1/3") + mono("-1/3")
+        with pytest.raises(NonDominantError):
+            decompose(ch, rs)
+        with pytest.raises(NonDominantError):
+            peel(ch, rs)
 
 
 class TestKostantWeightLemma:

@@ -200,6 +200,24 @@ class TestPairCommands:
         assert "outside 1/2 Z" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,extra", [
+        (["pair", "show"], []), (["kernel"], ["--mu", "2,2"]),
+        (["verify", "euler"], ["--mu", "2,2"])])
+    def test_pair_file_F_not_integral(self, tmp_path, command, extra):
+        # C2 with F = F1 = Z^2 and (Z + 1/2)^2: <(1/2,1/2), (0,1)> = 1/2
+        data = {"name": "c2_half", "rank": 2,
+                "positive_roots": ["1,-1", "1,1", "2,0", "0,2"],
+                "h_positive_indices": [0],
+                "lattice_F_shifts": ["0,0", "1/2,1/2"],
+                "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
+        path = tmp_path / "c2_half.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke([*command, str(path), *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad pair file")
+        assert "F shift 1/2,1/2 is not integral" in err
+        assert err.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_spinor_table(self):
@@ -232,6 +250,14 @@ class TestOtherCommands:
     def test_bad_system_token(self):
         code, _, err = invoke(["dim", "X9", "--nu", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("nu", ["5/2,0", "1/3,0"])
+    def test_non_integral_weight_rejected(self, nu):
+        code, out, err = invoke(["dim", "B2", "--nu", nu])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "not algebraically integral" in err
+        assert err.count("\n") == 1
 
     def test_non_dominant_weight_rejected(self):
         code, _, err = invoke(["dim", "B2", "--nu", "0,1"])

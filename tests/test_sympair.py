@@ -68,6 +68,14 @@ class TestValidate:
         report = validate_pair(pair)
         assert "lattice_containment" in {c.name for c in report.failures()}
 
+    def test_F_must_be_integral_for_G(self):
+        # (1/2,1/2) is integral for B2 (above) but pairs to 1/2 with the
+        # coroot (0,1) of the C2 simple root (0,2)
+        rs = build_classical("C", 2)
+        half = LatticeSpec.integers_and_half_integers(2)
+        with pytest.raises(ValueError, match="F shift 1/2,1/2 is not integral"):
+            SymmetricPair(rs, (W("1,-1"),), half, half, name="c2_half")
+
 
 class TestW1:
     def test_so3_so2(self):

@@ -264,7 +264,6 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
     The maximal torus is shared, so restriction is reinterpretation of the
     same formal character, followed by decomposition against Delta_h.
     """
-    pair.ensure_valid()
     nu = Weight(nu)
     rs = pair.root_system
     if not rs.is_dominant(nu):

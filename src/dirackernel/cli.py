@@ -5,7 +5,8 @@ branch, tensor, dim.  ``--format machine`` emits a single JSON document
 with every rational rendered as a "p/q" string and weights in the same
 comma-separated grammar the flags accept; exit codes are 0 for
 success/verification pass, 1 for verification failure, 2 for usage or
-parse errors.  Output ordering is deterministic everywhere.
+input errors, which ``run`` maps in one place: every input error is a
+``ValueError``.  Output ordering is deterministic everywhere.
 
 Custom pairs load from a JSON file of the shape::
 
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .characters import branch_equal_rank, decompose, irreducible_character, weyl_dim
 from .dirac import KernelStatus, chi_casimir_check, dirac_kernel, euler_verify
-from .errors import AdmissibilityError, ConsistencyError, GroupOrderLimitError
+from .errors import ConsistencyError, GroupOrderLimitError
 from .lattice import LatticeSpec, Weight
 from .roots import RootSystem, build_classical, weyl_group
 from .spin import chi_decompose, chi_trace_difference, spinor_weights
@@ -34,7 +35,7 @@ from .sympair import (SymmetricPair, builtin_pair, builtin_pair_names,
                       w1_enumerate)
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage-level error: message printed to stderr, exit code 2."""
 
 
@@ -59,8 +60,6 @@ def load_pair_file(path: str) -> SymmetricPair:
     # bool is a subclass of int, so true would otherwise read as index 1
     if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
         raise CliError("h_positive_indices must be integers")
-    if len(set(indices)) != len(indices):
-        raise CliError("h_positive_indices must be distinct")
     if any(not 0 <= i < len(roots) for i in indices):
         raise CliError("h_positive_indices out of range")
     try:
@@ -72,10 +71,6 @@ def load_pair_file(path: str) -> SymmetricPair:
             name=name)
     except ValueError as exc:
         raise CliError(f"bad pair file {path}: {exc}") from None
-    report = pair.validation
-    if not report.ok:
-        bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        raise CliError(f"pair file {path} fails validation: {bad}")
     return pair
 
 
@@ -89,10 +84,7 @@ def resolve_pair(token: str) -> SymmetricPair:
 
 
 def parse_weight(token: str, rank: Optional[int] = None) -> Weight:
-    try:
-        w = Weight.parse(token)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    w = Weight.parse(token)
     if rank is not None and len(w) != rank:
         raise CliError(f"weight {token!r} has {len(w)} coordinates, "
                        f"expected {rank}")
@@ -103,10 +95,7 @@ def resolve_classical(token: str):
     family, digits = token[:1], token[1:]
     if family.upper() not in "ABCD" or not digits.isdigit():
         raise CliError(f"bad root-system token {token!r}; expected e.g. B2")
-    try:
-        return build_classical(family, int(digits))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return build_classical(family, int(digits))
 
 
 def emit(doc: dict, machine: bool, lines: list, out) -> None:
@@ -206,10 +195,7 @@ def cmd_spinor(args, out) -> int:
 def cmd_kernel(args, out) -> int:
     pair = resolve_pair(args.pair)
     mu = parse_weight(args.mu, pair.rank)
-    try:
-        result = dirac_kernel(pair, mu)
-    except AdmissibilityError as exc:
-        raise CliError(str(exc)) from None
+    result = dirac_kernel(pair, mu)
     doc = {
         "pair": pair.name,
         "mu": str(mu),
@@ -243,10 +229,7 @@ def cmd_verify(args, out) -> int:
     pair = resolve_pair(args.pair)
     if args.what == "euler":
         mu = parse_weight(args.mu, pair.rank)
-        try:
-            report = euler_verify(pair, mu)
-        except AdmissibilityError as exc:
-            raise CliError(str(exc)) from None
+        report = euler_verify(pair, mu)
         doc = {
             "pair": pair.name,
             "mu": str(mu),
@@ -314,10 +297,7 @@ def cmd_verify(args, out) -> int:
 def cmd_branch(args, out) -> int:
     pair = resolve_pair(args.pair)
     nu = parse_weight(args.nu, pair.rank)
-    try:
-        result = branch_equal_rank(pair, nu)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    result = branch_equal_rank(pair, nu)
     doc = {
         "pair": pair.name,
         "nu": str(nu),
@@ -336,12 +316,8 @@ def cmd_tensor(args, out) -> int:
     rs = resolve_classical(args.system)
     nu1 = parse_weight(args.nu1, rs.rank)
     nu2 = parse_weight(args.nu2, rs.rank)
-    try:
-        product = (irreducible_character(rs, nu1)
-                   * irreducible_character(rs, nu2))
-        result = decompose(product, rs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    product = irreducible_character(rs, nu1) * irreducible_character(rs, nu2)
+    result = decompose(product, rs)
     doc = {
         "system": rs.name,
         "nu1": str(nu1),
@@ -359,10 +335,7 @@ def cmd_tensor(args, out) -> int:
 def cmd_dim(args, out) -> int:
     rs = resolve_classical(args.system)
     nu = parse_weight(args.nu, rs.rank)
-    try:
-        d = weyl_dim(rs, nu)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    d = weyl_dim(rs, nu)
     doc = {"system": rs.name, "nu": str(nu), "dimension": d}
     emit(doc, args.format == "machine",
          [f"dim of the {rs.name} irreducible with highest weight {nu}: {d}"],
@@ -442,7 +415,7 @@ def run(argv, out=None, err=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _HANDLERS[args.command](args, out)
-    except (CliError, GroupOrderLimitError) as exc:
+    except (ValueError, GroupOrderLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except ConsistencyError as exc:

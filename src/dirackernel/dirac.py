@@ -63,7 +63,6 @@ def chi_casimir_check(pair: SymmetricPair) -> Fraction:
     per-component identity <delta_p^sigma, delta_p^sigma + 2*delta_h> = c
     for every sigma in W_1.
     """
-    pair.ensure_valid()
     c = (inner_product(pair.delta, pair.delta)
          - inner_product(pair.delta_h, pair.delta_h))
     for w1 in pair.w1:
@@ -137,7 +136,6 @@ def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
     D^2 |lambda + delta|^2; each coordinate steps by D up to the integer
     square root of what remains.
     """
-    pair.ensure_valid()
     lam = Weight(lam)
     if lam not in pair.lattice_F:
         raise ValueError(f"lambda={lam} is not in F for pair {pair.name}")
@@ -194,7 +192,6 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
-    pair.ensure_valid()
     nu, mu = Weight(nu), Weight(mu)
     rs = pair.root_system
     if nu not in pair.lattice_F or not rs.is_dominant(nu):

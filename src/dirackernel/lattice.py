@@ -45,6 +45,8 @@ class Weight(tuple):
     @classmethod
     def parse(cls, text: str) -> "Weight":
         """Parse "p/q,p/q,..." (whitespace tolerated)."""
+        if not isinstance(text, str):
+            raise ValueError(f"weight must be a string, got {text!r}")
         parts = [p.strip() for p in text.strip().split(",")]
         if not parts or parts == [""]:
             raise ValueError(f"empty weight string: {text!r}")
@@ -131,7 +133,8 @@ class LatticeSpec:
                     f"shift {s} has length {len(s)}, lattice rank is {rank}")
             if not all(c in (0, HALF) for c in s):
                 raise ValueError(f"shift coordinates must be 0 or 1/2: {s}")
-        if Weight.zero(rank) not in shifts:
+        # every shift has a nonzero coordinate; no rank-long zero is built
+        if all(any(s) for s in shifts):
             raise ValueError("the zero shift must be present")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coset_shifts", shifts)

@@ -13,6 +13,7 @@ space of dimension rank + 1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -222,6 +223,8 @@ def build_classical(family: str, rank: int) -> RootSystem:
     family = family.upper()
     if rank < 1:
         raise UnsupportedRootSystemError(f"rank must be >= 1, got {rank}")
+    if rank >= sys.maxsize:  # no list holds the rank + 1 coordinates of A
+        raise UnsupportedRootSystemError(f"rank {rank} is too large")
     roots = []
     if family == "A":
         n = rank + 1

@@ -63,7 +63,6 @@ def _entries_from_roots(roots: Sequence[Weight], rank: int) -> tuple:
 def spinor_weights(pair: SymmetricPair) -> SpinorWeights:
     """One entry per sign vector over Delta_p^+ (in pair order): the weight
     (1/2) sum eps_k alpha_k, tagged with its E+/E- parity."""
-    pair.ensure_valid()
     return SpinorWeights(_entries_from_roots(pair.p_positive, pair.rank))
 
 
@@ -73,7 +72,6 @@ def chi_trace_difference(pair: SymmetricPair) -> FormalCharacter:
     Equals the parity-signed sum of the spinor weights; the identity is
     asserted here since both sides are cheap.
     """
-    pair.ensure_valid()
     rank = pair.rank
     product = FormalCharacter.monomial(Weight.zero(rank))
     for alpha in pair.p_positive:
@@ -99,7 +97,6 @@ def chi_decompose(pair: SymmetricPair):
     irreducible characters of the subgroup equals the E+/E- spinor weight
     multiset exactly; failure raises, since it indicates a bad pair or bug.
     """
-    pair.ensure_valid()
     plus: Dict[Weight, int] = {}
     minus: Dict[Weight, int] = {}
     for w1 in pair.w1:

@@ -3,8 +3,9 @@
 A pair is the ambient root system together with the subset of positive
 roots living on the subgroup side, plus two lattice specifications: F for
 the common maximal torus of G/H and F1 for the covers on which the spinor
-representation exists.  Everything downstream (spinor weights, the kernel
-classification, the trace oracle) consumes this structure.
+representation exists.  A pair is validated when it is constructed, so an
+invalid one never exists; everything downstream (spinor weights, the
+kernel classification, the trace oracle) consumes it without re-checking.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class PairCheck:
 @dataclass(frozen=True)
 class PairReport:
     checks: tuple
-    dim_p: int  # informational: dimension of the tangent part, always 2m
 
     @property
     def ok(self) -> bool:
@@ -62,7 +62,7 @@ class SymmetricPair:
             if r not in pos:
                 raise ValueError(f"h-root {r} is not a positive root")
         if len(set(h_roots)) != len(h_roots):
-            raise ValueError("h_positive contains duplicates")
+            raise ValueError("h_positive roots must be distinct")
         if lattice_F.rank != root_system.rank or lattice_F1.rank != root_system.rank:
             raise DimensionError("lattice rank differs from root-system rank")
         for s in lattice_F.coset_shifts:  # F: characters of the torus of G
@@ -73,6 +73,11 @@ class SymmetricPair:
         object.__setattr__(self, "lattice_F", lattice_F)
         object.__setattr__(self, "lattice_F1", lattice_F1)
         object.__setattr__(self, "name", name)
+        report = validate_pair(self)
+        if not report.ok:
+            bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+            raise InvalidPairError(f"pair {name!r} fails validation: {bad}")
+        object.__setattr__(self, "validation", report)
 
     def __hash__(self) -> int:
         return self._hash
@@ -125,22 +130,11 @@ class SymmetricPair:
         return weyl_group(self.h_system)
 
     @cached_property
-    def validation(self) -> PairReport:
-        return validate_pair(self)
-
-    def ensure_valid(self) -> None:
-        report = self.validation
-        if not report.ok:
-            bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-            raise InvalidPairError(f"pair {self.name!r} failed validation: {bad}")
-
-    @cached_property
     def w1(self) -> tuple:
         """W_1: each sigma with its sign and delta_p^sigma = sigma(delta) -
         delta_h.  The bijection count |W| = |W_H| * |W_1| and the dominance
         plus distinctness of the delta_p^sigma are verified on the way.
         """
-        self.ensure_valid()
         full = weyl_group(self.root_system)
         h_system = self.h_system
         # Delta_h^+ lies in sigma(Delta^+) iff sigma(delta) is strictly
@@ -170,7 +164,9 @@ class SymmetricPair:
 
 
 def validate_pair(pair: SymmetricPair) -> PairReport:
-    """Check the structural invariants; failures are reported, not raised."""
+    """The structural checks of ``pair``.  ``SymmetricPair`` runs them on
+    construction, raises ``InvalidPairError`` if one fails and keeps the
+    report as ``pair.validation``."""
     rs = pair.root_system
     checks = []
 
@@ -223,7 +219,7 @@ def validate_pair(pair: SymmetricPair) -> PairReport:
         "lattice_containment", lat_ok,
         "" if lat_ok else "F is not contained in F1"))
 
-    return PairReport(tuple(checks), dim_p=2 * len(p_set))
+    return PairReport(tuple(checks))
 
 
 def w1_enumerate(pair: SymmetricPair) -> list:
@@ -234,7 +230,6 @@ def w1_enumerate(pair: SymmetricPair) -> list:
 
 def deltas(pair: SymmetricPair):
     """(delta, delta_h, delta_p); checks delta = delta_h + delta_p."""
-    pair.ensure_valid()
     d, dh, dp = pair.delta, pair.delta_h, pair.delta_p
     if d != dh + dp:
         raise ConsistencyError(
@@ -244,7 +239,6 @@ def deltas(pair: SymmetricPair):
 
 def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     """The admissibility clauses mu violates, by name (empty = admissible)."""
-    pair.ensure_valid()
     if len(mu) != pair.rank:
         raise DimensionError(f"mu length {len(mu)} vs rank {pair.rank}")
     failures = []
@@ -316,6 +310,4 @@ def builtin_pair(name: str) -> SymmetricPair:
     except KeyError:
         raise KeyError(f"unknown pair {name!r}; known: "
                        f"{', '.join(_REGISTRY)}") from None
-    pair = factory()
-    pair.ensure_valid()
-    return pair
+    return factory()

@@ -1,8 +1,11 @@
+import copy
 import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirackernel.cli import run
 
@@ -218,6 +221,51 @@ class TestPairCommands:
         assert "F shift 1/2,1/2 is not integral" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,extra", [
+        (["pair", "show"], []), (["spinor"], []),
+        (["kernel"], ["--mu", "1/2,1/2"]),
+        (["verify", "euler"], ["--mu", "1/2,1/2"]), (["verify", "chi"], []),
+        (["branch"], ["--nu", "0,0"])])
+    def test_pair_file_non_string_root(self, tmp_path, command, extra):
+        data = {"name": "ints", "rank": 2, "positive_roots": [1, 2],
+                "h_positive_indices": [], "lattice_F_shifts": ["0,0"],
+                "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke([*command, str(path), *extra])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: "
+                       "weight must be a string, got 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["pair", "show"], ["spinor"], ["verify", "chi"]])
+    def test_pair_file_failing_w1_count(self, tmp_path, argv):
+        # passes every validate_pair check, but the reflections in the
+        # orthogonal simple roots give |W| = 4 while |W_H| * |W_1| = 2 * 1
+        data = {"name": "w1_count", "rank": 2,
+                "positive_roots": ["1,0", "0,1", "1,1"],
+                "h_positive_indices": [2], "lattice_F_shifts": ["0,0"],
+                "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
+        path = tmp_path / "w1_count.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke([*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "|W| = 4" in err
+        assert err.count("\n") == 1
+
+    def test_pair_file_huge_rank(self, tmp_path):
+        # the zero-shift check must not build a weight of this length
+        data = {"name": "huge", "rank": 10 ** 20, "positive_roots": [],
+                "h_positive_indices": [], "lattice_F_shifts": [],
+                "lattice_F1_shifts": []}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(["pair", "show", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: "
+                       "the zero shift must be present\n")
+
 
 class TestOtherCommands:
     def test_spinor_table(self):
@@ -258,6 +306,11 @@ class TestOtherCommands:
         assert err.startswith("error: ")
         assert "not algebraically integral" in err
         assert err.count("\n") == 1
+
+    def test_rank_too_large(self):
+        code, out, err = invoke(["dim", "A9999999999999999999", "--nu", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: rank 9999999999999999999 is too large\n"
 
     def test_non_dominant_weight_rejected(self):
         code, _, err = invoke(["dim", "B2", "--nu", "0,1"])
@@ -323,6 +376,118 @@ class TestDeterminism:
         second = invoke(argv)
         assert first == second
         assert first[0] == 0
+
+
+# -- the exit-code contract under random input ------------------------------
+
+BASE_PAIR = {"name": "fuzz", "rank": 2,
+             "positive_roots": ["1,-1", "1,1", "1,0", "0,1"],
+             "h_positive_indices": [0, 1], "lattice_F_shifts": ["0,0"],
+             "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
+JUNK = [None, True, 0, 1, -1, 2.5, "", "x", "1,0", "1/2,1/2", [], {}, [0],
+        ["0,0"], [1, 2], {"a": 1}]
+junk = st.sampled_from(JUNK).map(copy.deepcopy)  # mutated in place later
+# pairwise angles are multiples of 45 degrees, so every reflection group
+# generated by a subset is finite
+ROOT_POOL = ["1,0", "0,1", "1,1", "1,-1", "2,0", "0,2", "1/2,1/2",
+             "1/2,-1/2"]
+SHIFT_POOL = ["0,0", "1/2,1/2", "1/2,0", "0,1/2", "1,0", "0"]
+WEIGHTS = ["1/2", "3/2", "2", "-3/2", "1/2,1/2", "3/2,-1/2", "3/2,1/2",
+           "1,0", "0,1", "0,0", "1/3,0", "x", "", "1/0", "1,2,3"]
+PAIR_COMMANDS = [["pair", "show"], ["spinor"], ["kernel"],
+                 ["verify", "euler"], ["verify", "chi"], ["branch"]]
+
+
+@st.composite
+def mutated_pair_file(draw):
+    """The valid so5_so4 file after up to three random mutations."""
+    data = json.loads(json.dumps(BASE_PAIR))
+    for _ in range(draw(st.integers(0, 3))):
+        if not isinstance(data, dict):
+            break
+        kind = draw(st.sampled_from(
+            ["type", "missing", "entry", "roots", "roots", "shifts",
+             "document"]))
+        keys = sorted(data)
+        if kind == "type" and keys:
+            data[draw(st.sampled_from(keys))] = draw(junk)
+        elif kind == "missing" and keys:
+            del data[draw(st.sampled_from(keys))]
+        elif kind == "entry":
+            lists = [k for k in keys if isinstance(data[k], list) and data[k]]
+            if lists:
+                entries = data[draw(st.sampled_from(lists))]
+                entries[draw(st.integers(0, len(entries) - 1))] = draw(junk)
+        elif kind == "roots":
+            roots = draw(st.lists(st.sampled_from(ROOT_POOL), min_size=1,
+                                  max_size=5, unique=True))
+            data["positive_roots"] = roots
+            data["h_positive_indices"] = draw(st.lists(
+                st.integers(-1, len(roots)), max_size=3))
+        elif kind == "shifts":
+            key = draw(st.sampled_from(
+                ["lattice_F_shifts", "lattice_F1_shifts"]))
+            data[key] = draw(st.lists(st.sampled_from(SHIFT_POOL),
+                                      max_size=3))
+        else:
+            data = draw(junk)
+    return data
+
+
+# the weight flags each command requires
+COMMAND_FLAGS = {("kernel",): ["--mu"], ("verify", "euler"): ["--mu"],
+                 ("branch",): ["--nu"], ("dim",): ["--nu"],
+                 ("tensor",): ["--nu1", "--nu2"]}
+PAIRS = ["so3_so2", "so5_so4", "nosuch"]
+SYSTEMS = ["B1", "B2", "A1", "C2", "D2", "B0", "X2"]
+
+
+@st.composite
+def small_argv(draw):
+    fmt = draw(st.sampled_from([[], [], ["--format", "machine"],
+                                ["--format", "xml"]]))
+    command = draw(st.sampled_from(
+        PAIR_COMMANDS + [["pair", "list"], ["tensor"], ["dim"], ["bogus"]]))
+    on_system = command[0] in ("tensor", "dim")
+    target = draw(st.sampled_from(  # with one target of the wrong kind
+        (SYSTEMS if on_system else PAIRS) + ["so5_so4" if on_system else "B2"]))
+    flags = COMMAND_FLAGS.get(tuple(command), [])
+    if draw(st.integers(0, 9)) == 0:  # a missing or an unknown flag
+        flags = draw(st.lists(st.sampled_from(["--mu", "--nu", "--nu1"]),
+                              max_size=2))
+    return [*fmt, *command, target,
+            *(f"{f}={draw(st.sampled_from(WEIGHTS))}" for f in flags)]
+
+
+def assert_cli_contract(argv):
+    """Exit 0, 1 or 2, no exception (a traceback in a real process), and a
+    message on stderr is one line with nothing on stdout."""
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if err:
+        assert err.startswith(("error: ", "internal consistency error: "))
+        assert err.count("\n") == 1
+        assert out == ""
+
+
+class TestContractUnderRandomInput:
+    @given(argv=small_argv())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_argv(self, argv):
+        assert_cli_contract(argv)
+
+    @given(data=mutated_pair_file(),
+           command=st.sampled_from(PAIR_COMMANDS),
+           weight=st.sampled_from(WEIGHTS))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mutated_pair_file(self, tmp_path_factory, data, command,
+                               weight):
+        path = tmp_path_factory.mktemp("fuzz") / "pair.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        flags = COMMAND_FLAGS.get(tuple(command), [])
+        assert_cli_contract(
+            [*command, str(path), *(f"{f}={weight}" for f in flags)])
 
 
 GOLDENS = json.loads(

@@ -26,20 +26,18 @@ def b2_pair(h_roots, name="test"):
 
 class TestValidate:
     def test_so5_so4_all_pass(self):
-        report = validate_pair(b2_pair(["1,-1", "1,1"]))
-        assert report.ok
-        assert report.dim_p == 4
+        pair = b2_pair(["1,-1", "1,1"])
+        assert validate_pair(pair).ok
+        assert pair.m == 2
 
     def test_so5_so2xso3_all_pass(self):
-        report = validate_pair(b2_pair(["0,1"]))
-        assert report.ok
-        assert report.dim_p == 6
+        pair = b2_pair(["0,1"])
+        assert validate_pair(pair).ok
+        assert pair.m == 3
 
     def test_bad_split_fails_closure(self):
-        report = validate_pair(b2_pair(["1,-1"]))
-        assert not report.ok
-        failed = {c.name for c in report.failures()}
-        assert "bracket_grading" in failed
+        with pytest.raises(InvalidPairError, match="bracket_grading"):
+            b2_pair(["1,-1"])
 
     def test_empty_h_is_allowed_for_rank_one(self):
         rs = build_classical("B", 1)
@@ -49,24 +47,30 @@ class TestValidate:
         assert validate_pair(pair).ok
 
     def test_h_equal_g_is_rejected(self):
-        report = validate_pair(b2_pair(["1,-1", "1,1", "1,0", "0,1"]))
-        assert not report.ok
-        assert "p_nonempty" in {c.name for c in report.failures()}
+        with pytest.raises(InvalidPairError, match="p_nonempty"):
+            b2_pair(["1,-1", "1,1", "1,0", "0,1"])
 
     def test_invalid_pair_blocks_derived_ops(self):
-        pair = b2_pair(["1,-1"])
-        with pytest.raises(InvalidPairError):
-            w1_enumerate(pair)
+        # an invalid pair cannot be constructed, so no derived op sees one
+        with pytest.raises(InvalidPairError,
+                           match="pair 'split' fails validation"):
+            b2_pair(["1,-1"], name="split")
 
     def test_lattice_containment_check(self):
         rs = build_classical("B", 2)
-        pair = SymmetricPair(
-            rs, (W("1,-1"), W("1,1")),
-            lattice_F=LatticeSpec.integers_and_half_integers(2),
-            lattice_F1=LatticeSpec.integers(2),
-            name="bad_lattices")
-        report = validate_pair(pair)
-        assert "lattice_containment" in {c.name for c in report.failures()}
+        with pytest.raises(InvalidPairError, match="lattice_containment"):
+            SymmetricPair(
+                rs, (W("1,-1"), W("1,1")),
+                lattice_F=LatticeSpec.integers_and_half_integers(2),
+                lattice_F1=LatticeSpec.integers(2),
+                name="bad_lattices")
+
+    def test_report_kept_on_the_pair(self):
+        pair = b2_pair(["1,-1", "1,1"])
+        assert pair.validation == validate_pair(pair)
+        assert [c.name for c in pair.validation.checks] == [
+            "p_nonempty", "bracket_grading", "p_level_parity",
+            "lattice_containment"]
 
     def test_F_must_be_integral_for_G(self):
         # (1/2,1/2) is integral for B2 (above) but pairs to 1/2 with the

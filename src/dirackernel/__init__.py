@@ -10,7 +10,7 @@ from .characters import (FormalCharacter, branch_equal_rank,
 from .dirac import (EulerReport, KernelResult, KernelStatus,
                     casimir_eigenvalue, casimir_shell, chi_casimir_check,
                     dirac_kernel, euler_verify, frobenius_multiplicity)
-from .lattice import LatticeSpec, Weight, inner_product, is_dominant
+from .lattice import LatticeSpec, Weight, inner_product
 from .roots import (RootSystem, WeylElement, build_classical,
                     dominant_representative, weyl_group)
 from .spin import (SpinorWeights, chi_decompose, chi_trace_difference,
@@ -28,7 +28,7 @@ __all__ = [
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
     "casimir_shell", "chi_casimir_check", "dirac_kernel", "euler_verify",
     "frobenius_multiplicity",
-    "LatticeSpec", "Weight", "inner_product", "is_dominant",
+    "LatticeSpec", "Weight", "inner_product",
     "RootSystem", "WeylElement", "build_classical",
     "dominant_representative", "weyl_group",
     "SpinorWeights", "chi_decompose", "chi_trace_difference",

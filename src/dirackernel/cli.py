@@ -29,7 +29,8 @@ from .characters import branch_equal_rank, decompose, irreducible_character, wey
 from .dirac import KernelStatus, chi_casimir_check, dirac_kernel, euler_verify
 from .errors import ConsistencyError, GroupOrderLimitError
 from .lattice import LatticeSpec, Weight
-from .roots import RootSystem, build_classical, weyl_group
+from .roots import (RootSystem, build_classical, classical_dimension,
+                    weyl_group)
 from .spin import chi_decompose, chi_trace_difference, spinor_weights
 from .sympair import (SymmetricPair, builtin_pair, builtin_pair_names,
                       w1_enumerate)
@@ -91,11 +92,15 @@ def parse_weight(token: str, rank: Optional[int] = None) -> Weight:
     return w
 
 
-def resolve_classical(token: str):
+def resolve_classical(token: str, *weights: str) -> tuple:
+    """The classical system a token such as B2 names, then the weights;
+    their lengths are checked before the system is built."""
     family, digits = token[:1], token[1:]
     if family.upper() not in "ABCD" or not digits.isdigit():
         raise CliError(f"bad root-system token {token!r}; expected e.g. B2")
-    return build_classical(family, int(digits))
+    n = classical_dimension(family, int(digits))
+    parsed = [parse_weight(w, n) for w in weights]
+    return build_classical(family, int(digits)), *parsed
 
 
 def emit(doc: dict, machine: bool, lines: list, out) -> None:
@@ -313,9 +318,7 @@ def cmd_branch(args, out) -> int:
 
 
 def cmd_tensor(args, out) -> int:
-    rs = resolve_classical(args.system)
-    nu1 = parse_weight(args.nu1, rs.rank)
-    nu2 = parse_weight(args.nu2, rs.rank)
+    rs, nu1, nu2 = resolve_classical(args.system, args.nu1, args.nu2)
     product = irreducible_character(rs, nu1) * irreducible_character(rs, nu2)
     result = decompose(product, rs)
     doc = {
@@ -333,8 +336,7 @@ def cmd_tensor(args, out) -> int:
 
 
 def cmd_dim(args, out) -> int:
-    rs = resolve_classical(args.system)
-    nu = parse_weight(args.nu, rs.rank)
+    rs, nu = resolve_classical(args.system, args.nu)
     d = weyl_dim(rs, nu)
     doc = {"system": rs.name, "nu": str(nu), "dimension": d}
     emit(doc, args.format == "machine",

@@ -89,7 +89,7 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     _require_admissible(pair, mu)
     rs = pair.root_system
     lam = mu - pair.delta_p
-    casimir = inner_product(lam + pair.delta * 2, lam)
+    casimir = casimir_eigenvalue(pair, lam)
     element, dominant, regular = dominant_representative(lam + pair.delta, rs)
     if not regular:
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
@@ -103,7 +103,7 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     if nu not in pair.lattice_F or not rs.is_dominant(nu):
         raise ConsistencyError(
             f"computed nu={nu} is not a dominant lattice point for mu={mu}")
-    if inner_product(nu + pair.delta * 2, nu) != casimir:
+    if casimir_eigenvalue(pair, nu) != casimir:
         raise ConsistencyError("Casimir mismatch between nu and lambda")
     sign = sigma.sign
     status = (KernelStatus.PLUS

@@ -104,13 +104,6 @@ def inner_product(a: Weight, b: Weight) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def is_dominant(w: Weight, simple_roots: Sequence[Weight], strict: bool = False) -> bool:
-    """True iff <w, a> >= 0 (or > 0 when strict) for every simple root a."""
-    if strict:
-        return all(inner_product(w, a) > 0 for a in simple_roots)
-    return all(inner_product(w, a) >= 0 for a in simple_roots)
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """A weight lattice given as a finite union of coset shifts of Z^m.

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (DimensionError, GroupOrderLimitError,
                      UnsupportedRootSystemError)
-from .lattice import Weight, inner_product, is_dominant
+from .lattice import Weight, inner_product
 
 
 def _apply_word(rs: "RootSystem", word: tuple, v: Weight) -> Weight:
@@ -112,12 +112,24 @@ class RootSystem:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "positive_roots", roots)
         object.__setattr__(self, "name", name)
+        coefficients = {}
         for alpha in roots:
             coeffs = self.simple_coefficients(alpha)
             if any(c.denominator != 1 or c < 0 for c in coeffs):
                 raise ValueError(
                     f"{alpha} is not a nonnegative integer combination "
                     f"of the simple roots {self.simple_roots}")
+            coefficients[alpha] = tuple(int(c) for c in coeffs)
+        # {positive root: its coefficients over simple_roots}
+        object.__setattr__(self, "coefficients", coefficients)
+        closed = set(roots) | {-a for a in roots}
+        for i, simple in enumerate(self.simple_roots):
+            for alpha in roots:
+                image = self.reflect(alpha, i)
+                if image not in closed:
+                    raise ValueError(
+                        f"reflecting {alpha} in the simple root {simple} "
+                        f"gives {image}, which is not a root")
 
     def __hash__(self) -> int:
         return self._hash
@@ -199,7 +211,14 @@ class RootSystem:
         return tuple(coeffs)
 
     def is_dominant(self, w: Weight, strict: bool = False) -> bool:
-        return is_dominant(w, self.simple_roots, strict)
+        """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
+        if len(w) != self.rank:
+            raise DimensionError(f"weight length {len(w)} vs rank {self.rank}")
+        pairings = (self.coroot_pairing(w, i)
+                    for i in range(len(self.simple_roots)))
+        if strict:
+            return all(p > 0 for p in pairings)
+        return all(p >= 0 for p in pairings)
 
     def is_integral(self, v: Weight) -> bool:
         """<v, a^> is an integer for every simple root a."""
@@ -214,8 +233,9 @@ class RootSystem:
         return f"RootSystem({label}, {len(self.positive_roots)} positive roots)"
 
 
-def build_classical(family: str, rank: int) -> RootSystem:
-    """Standard positive roots of A/B/C/D in the e-basis.
+def classical_dimension(family: str, rank: int) -> int:
+    """The number of coordinates of ``build_classical(family, rank)``,
+    after the same checks of family and rank, without building anything.
 
     B and C need rank >= 1, D needs rank >= 2, and A_rank lives in
     rank + 1 coordinates.
@@ -225,35 +245,28 @@ def build_classical(family: str, rank: int) -> RootSystem:
         raise UnsupportedRootSystemError(f"rank must be >= 1, got {rank}")
     if rank >= sys.maxsize:  # no list holds the rank + 1 coordinates of A
         raise UnsupportedRootSystemError(f"rank {rank} is too large")
-    roots = []
-    if family == "A":
-        n = rank + 1
-        roots = [Weight.basis(n, i) - Weight.basis(n, j)
-                 for i in range(n) for j in range(i + 1, n)]
-        return RootSystem(n, roots, name=f"A{rank}")
+    if family not in ("A", "B", "C", "D"):
+        raise UnsupportedRootSystemError(f"unknown family {family!r}")
+    if family == "D" and rank < 2:
+        raise UnsupportedRootSystemError("family D needs rank >= 2")
+    return rank + 1 if family == "A" else rank
+
+
+def build_classical(family: str, rank: int) -> RootSystem:
+    """Standard positive roots of A/B/C/D in the e-basis: e_i - e_j, then
+    e_i + e_j (B, C, D), then e_k (B) or 2 e_k (C), for i < j."""
+    n = classical_dimension(family, rank)
+    family = family.upper()
+    e = [Weight.basis(n, k) for k in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    roots = [e[i] - e[j] for i, j in pairs]
+    if family != "A":
+        roots += [e[i] + e[j] for i, j in pairs]
     if family == "B":
-        roots = [Weight.basis(rank, i) - Weight.basis(rank, j)
-                 for i in range(rank) for j in range(i + 1, rank)]
-        roots += [Weight.basis(rank, i) + Weight.basis(rank, j)
-                  for i in range(rank) for j in range(i + 1, rank)]
-        roots += [Weight.basis(rank, k) for k in range(rank)]
-        return RootSystem(rank, roots, name=f"B{rank}")
-    if family == "C":
-        roots = [Weight.basis(rank, i) - Weight.basis(rank, j)
-                 for i in range(rank) for j in range(i + 1, rank)]
-        roots += [Weight.basis(rank, i) + Weight.basis(rank, j)
-                  for i in range(rank) for j in range(i + 1, rank)]
-        roots += [Weight.basis(rank, k, 2) for k in range(rank)]
-        return RootSystem(rank, roots, name=f"C{rank}")
-    if family == "D":
-        if rank < 2:
-            raise UnsupportedRootSystemError("family D needs rank >= 2")
-        roots = [Weight.basis(rank, i) - Weight.basis(rank, j)
-                 for i in range(rank) for j in range(i + 1, rank)]
-        roots += [Weight.basis(rank, i) + Weight.basis(rank, j)
-                  for i in range(rank) for j in range(i + 1, rank)]
-        return RootSystem(rank, roots, name=f"D{rank}")
-    raise UnsupportedRootSystemError(f"unknown family {family!r}")
+        roots += e
+    elif family == "C":
+        roots += [v * 2 for v in e]
+    return RootSystem(n, roots, name=f"{family}{rank}")
 
 
 def orbit(rs: RootSystem, v: Weight, limit: int = 10 ** 6) -> dict:

@@ -6,6 +6,8 @@ the common maximal torus of G/H and F1 for the covers on which the spinor
 representation exists.  A pair is validated when it is constructed, so an
 invalid one never exists; everything downstream (spinor weights, the
 kernel classification, the trace oracle) consumes it without re-checking.
+The built-in pairs come from one rule, Borel-de Siebenthal's: mark a node
+of the Dynkin diagram (``marked_node_pair``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError, DimensionError, InvalidPairError
-from .lattice import HALF, LatticeSpec, Weight, is_dominant
+from .lattice import HALF, LatticeSpec, Weight
 from .roots import RootSystem, WeylElement, build_classical, weyl_group
 
 
@@ -177,42 +179,28 @@ def validate_pair(pair: SymmetricPair) -> PairReport:
         "" if p_set else "Delta_p^+ is empty (h equals the full algebra)"))
 
     # Bracket grading, restated on root sums: h+h->h, p+p->h, h+p->p.
-    pos = set(rs.positive_roots)
-    grading_ok, grading_detail = True, ""
-    roots = list(rs.positive_roots)
+    roots = rs.positive_roots
+    pos = set(roots)
+    grading_detail = ""  # the first violation found
     for i, a in enumerate(roots):
         for b in roots[i:]:
             s = a + b
-            if s not in pos:
-                continue
-            in_h = (a in h_set, b in h_set)
-            expected_h = in_h[0] == in_h[1]
-            if (s in h_set) != expected_h:
-                grading_ok = False
+            expected_h = (a in h_set) == (b in h_set)
+            if s in pos and (s in h_set) != expected_h and not grading_detail:
                 side = "h" if expected_h else "p"
                 grading_detail = f"{a} + {b} = {s} should lie in Delta_{side}^+"
-                break
-        if not grading_ok:
-            break
-    checks.append(PairCheck("bracket_grading", grading_ok, grading_detail))
+    checks.append(PairCheck("bracket_grading", not grading_detail,
+                            grading_detail))
 
     # Parity of the p-part of the level of each root.
-    parity_ok, parity_detail = True, ""
-    try:
-        simples = rs.simple_roots
-        p_idx = [i for i, b in enumerate(simples) if b in p_set]
-        for alpha in rs.positive_roots:
-            coeffs = rs.simple_coefficients(alpha)
-            n_p = sum(coeffs[i] for i in p_idx)
-            want_odd = alpha in p_set
-            if (n_p % 2 == 1) != want_odd:
-                parity_ok = False
-                parity_detail = (f"root {alpha} has p-level {n_p}, expected "
-                                 f"{'odd' if want_odd else 'even'}")
-                break
-    except ValueError as exc:
-        parity_ok, parity_detail = False, str(exc)
-    checks.append(PairCheck("p_level_parity", parity_ok, parity_detail))
+    p_idx = [i for i, b in enumerate(rs.simple_roots) if b in p_set]
+    levels = {alpha: sum(coeffs[i] for i in p_idx)
+              for alpha, coeffs in rs.coefficients.items()}
+    wrong = [a for a, n_p in levels.items() if n_p % 2 != (a in p_set)]
+    parity_detail = "" if not wrong else (
+        f"root {wrong[0]} has p-level {levels[wrong[0]]}, expected "
+        f"{'odd' if wrong[0] in p_set else 'even'}")
+    checks.append(PairCheck("p_level_parity", not wrong, parity_detail))
 
     lat_ok = pair.lattice_F.is_sublattice_of(pair.lattice_F1)
     checks.append(PairCheck(
@@ -244,7 +232,7 @@ def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     failures = []
     if mu not in pair.lattice_F1:
         failures.append("mu not in F1")
-    if not is_dominant(mu, pair.h_system.simple_roots):
+    if not pair.h_system.is_dominant(mu):
         failures.append("mu not dominant for Delta_h+")
     if (mu - pair.delta_p) not in pair.lattice_F:
         failures.append("mu - delta_p not in F")
@@ -256,46 +244,35 @@ def admissible_mu(pair: SymmetricPair, mu: Weight) -> bool:
     return not admissibility_failures(pair, mu)
 
 
-# -- built-in pair registry -----------------------------------------------
+# -- built-in pairs --------------------------------------------------------
 
-def _bd_pair(m: int) -> SymmetricPair:
-    rs = build_classical("B", m)
+def marked_node_pair(rs: RootSystem, node: int, name: str) -> SymmetricPair:
+    """The pair of Borel-de Siebenthal's rule for the simple root ``node``
+    (indexed in ``rs.simple_roots`` order).
+
+    h is spanned by the roots with an even coefficient at that node: a
+    Z/2-grading, so it defines an involution.  Delta_h^+ keeps the order of
+    ``rs.positive_roots``, F is Z^rank, and F1 = F u (F + (delta_p mod 1)).
+    """
+    if not 0 <= node < len(rs.simple_roots):
+        raise ValueError(f"node {node} is not a simple root index of {rs}")
     h_roots = tuple(a for a in rs.positive_roots
-                    if sum(1 for c in a if c != 0) == 2)
+                    if rs.coefficients[a][node] % 2 == 0)
+    delta_p = rs.delta - sum(h_roots, Weight.zero(rs.rank)) * HALF
+    shift = Weight(c % 1 for c in delta_p)
     return SymmetricPair(
-        rs, h_roots,
-        lattice_F=LatticeSpec.integers(m),
-        lattice_F1=LatticeSpec.integers_and_half_integers(m),
-        name=f"so{2 * m + 1}_so{2 * m}")
+        rs, h_roots, lattice_F=LatticeSpec.integers(rs.rank),
+        lattice_F1=LatticeSpec(rs.rank, [Weight.zero(rs.rank), shift]),
+        name=name)
 
 
-def _so3_so2() -> SymmetricPair:
-    rs = build_classical("B", 1)
-    return SymmetricPair(
-        rs, (),
-        lattice_F=LatticeSpec.integers(1),
-        lattice_F1=LatticeSpec.integers_and_half_integers(1),
-        name="so3_so2")
-
-
-def _so5_so2xso3() -> SymmetricPair:
-    rs = build_classical("B", 2)
-    h_roots = (Weight((0, 1)),)
-    # F1 is generated by Z^2 and the spinor weights, whose half-integral
-    # part sits in the first coordinate only (delta_p = (3/2, 0)).
-    return SymmetricPair(
-        rs, h_roots,
-        lattice_F=LatticeSpec.integers(2),
-        lattice_F1=LatticeSpec(2, [Weight((0, 0)), Weight((HALF, 0))]),
-        name="so5_so2xso3")
-
-
+# name -> (family, rank, marked node)
 _REGISTRY = {
-    "so3_so2": _so3_so2,
-    "so5_so4": lambda: _bd_pair(2),
-    "so7_so6": lambda: _bd_pair(3),
-    "so9_so8": lambda: _bd_pair(4),
-    "so5_so2xso3": _so5_so2xso3,
+    "so3_so2": ("B", 1, 0),
+    "so5_so4": ("B", 2, 1),
+    "so7_so6": ("B", 3, 2),
+    "so9_so8": ("B", 4, 3),
+    "so5_so2xso3": ("B", 2, 0),
 }
 
 
@@ -306,8 +283,8 @@ def builtin_pair_names() -> list:
 @lru_cache(maxsize=None)
 def builtin_pair(name: str) -> SymmetricPair:
     try:
-        factory = _REGISTRY[name]
+        family, rank, node = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown pair {name!r}; known: "
                        f"{', '.join(_REGISTRY)}") from None
-    return factory()
+    return marked_node_pair(build_classical(family, rank), node, name)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirackernel import cli
 from dirackernel.cli import run
 
 
@@ -240,8 +241,9 @@ class TestPairCommands:
     @pytest.mark.parametrize("argv", [
         ["pair", "show"], ["spinor"], ["verify", "chi"]])
     def test_pair_file_failing_w1_count(self, tmp_path, argv):
-        # passes every validate_pair check, but the reflections in the
-        # orthogonal simple roots give |W| = 4 while |W_H| * |W_1| = 2 * 1
+        # passes every validate_pair check, and the reflections in the
+        # orthogonal simple roots would give |W| = 4 against |W_H| * |W_1|
+        # = 2 * 1, but the roots are not closed under those reflections
         data = {"name": "w1_count", "rank": 2,
                 "positive_roots": ["1,0", "0,1", "1,1"],
                 "h_positive_indices": [2], "lattice_F_shifts": ["0,0"],
@@ -250,9 +252,22 @@ class TestPairCommands:
         path.write_text(json.dumps(data), encoding="utf-8")
         code, out, err = invoke([*argv, str(path)])
         assert (code, out) == (2, "")
-        assert err.startswith("error: ")
-        assert "|W| = 4" in err
-        assert err.count("\n") == 1
+        assert err == (f"error: bad pair file {path}: reflecting 1,1 in the "
+                       "simple root 1,0 gives -1,1, which is not a root\n")
+
+    @pytest.mark.parametrize("command", [["kernel"], ["verify", "euler"]])
+    def test_pair_file_infinite_weyl_group(self, tmp_path, command):
+        # 1,0 and 2,1 meet at an angle that is no rational multiple of pi
+        data = {"name": "infinite", "rank": 2,
+                "positive_roots": ["1,0", "2,1"],
+                "h_positive_indices": [], "lattice_F_shifts": ["0,0"],
+                "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke([*command, str(path), "--mu", "1/2,1/2"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: reflecting 2,1 in the "
+                       "simple root 1,0 gives -2,1, which is not a root\n")
 
     def test_pair_file_huge_rank(self, tmp_path):
         # the zero-shift check must not build a weight of this length
@@ -311,6 +326,20 @@ class TestOtherCommands:
         code, out, err = invoke(["dim", "A9999999999999999999", "--nu", "1"])
         assert (code, out) == (2, "")
         assert err == "error: rank 9999999999999999999 is too large\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["dim", "A40", "--nu", "1"],
+         "weight '1' has 1 coordinates, expected 41"),
+        (["tensor", "A40", "--nu1", "1", "--nu2", "1"],
+         "weight '1' has 1 coordinates, expected 41"),
+        (["tensor", "D40", "--nu1", "1,0", "--nu2", "1"],
+         "weight '1,0' has 2 coordinates, expected 40")])
+    def test_weight_length_checked_before_build(self, monkeypatch, argv,
+                                                message):
+        def build_classical(family, rank):
+            raise AssertionError("the root system was built")
+        monkeypatch.setattr(cli, "build_classical", build_classical)
+        assert invoke(argv) == (2, "", f"error: {message}\n")
 
     def test_non_dominant_weight_rejected(self):
         code, _, err = invoke(["dim", "B2", "--nu", "0,1"])
@@ -387,10 +416,11 @@ BASE_PAIR = {"name": "fuzz", "rank": 2,
 JUNK = [None, True, 0, 1, -1, 2.5, "", "x", "1,0", "1/2,1/2", [], {}, [0],
         ["0,0"], [1, 2], {"a": 1}]
 junk = st.sampled_from(JUNK).map(copy.deepcopy)  # mutated in place later
-# pairwise angles are multiples of 45 degrees, so every reflection group
-# generated by a subset is finite
+# "2,1" meets each other root at an angle that is no rational multiple of
+# pi, so together with one it would generate an infinite reflection group;
+# RootSystem rejects such a set as not closed under its reflections
 ROOT_POOL = ["1,0", "0,1", "1,1", "1,-1", "2,0", "0,2", "1/2,1/2",
-             "1/2,-1/2"]
+             "1/2,-1/2", "2,1"]
 SHIFT_POOL = ["0,0", "1/2,1/2", "1/2,0", "0,1/2", "1,0", "0"]
 WEIGHTS = ["1/2", "3/2", "2", "-3/2", "1/2,1/2", "3/2,-1/2", "3/2,1/2",
            "1,0", "0,1", "0,0", "1/3,0", "x", "", "1/0", "1,2,3"]

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirackernel.errors import DimensionError
-from dirackernel.lattice import LatticeSpec, Weight, inner_product, is_dominant
+from dirackernel.lattice import LatticeSpec, Weight, inner_product
+from dirackernel.roots import build_classical
 
 HALF = Fraction(1, 2)
 
@@ -94,21 +95,25 @@ class TestMembership:
 
 
 class TestDominance:
-    B2_SIMPLES = [W("1,-1"), W("0,1")]
+    B2 = build_classical("B", 2)  # simple roots 1,-1 and 0,1
 
     def test_decreasing_nonnegative(self):
-        assert is_dominant(W("2,1"), self.B2_SIMPLES, strict=False)
+        assert self.B2.is_dominant(W("2,1"), strict=False)
 
     def test_wall_weight_not_strict(self):
-        assert not is_dominant(W("1,1"), self.B2_SIMPLES, strict=True)
-        assert is_dominant(W("1,1"), self.B2_SIMPLES, strict=False)
+        assert not self.B2.is_dominant(W("1,1"), strict=True)
+        assert self.B2.is_dominant(W("1,1"), strict=False)
 
     def test_strictly_dominant_half_integral(self):
-        assert is_dominant(W("3/2,1/2"), self.B2_SIMPLES, strict=True)
+        assert self.B2.is_dominant(W("3/2,1/2"), strict=True)
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(DimensionError):
+            self.B2.is_dominant(W("1,0,0"))
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_strict_implies_non_strict(self, a, b):
         w = Weight((a, b))
-        if is_dominant(w, self.B2_SIMPLES, strict=True):
-            assert is_dominant(w, self.B2_SIMPLES, strict=False)
+        if self.B2.is_dominant(w, strict=True):
+            assert self.B2.is_dominant(w, strict=False)

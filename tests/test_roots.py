@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -6,7 +7,8 @@ from dirackernel.errors import (GroupOrderLimitError,
                                 UnsupportedRootSystemError)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, build_classical,
-                               dominant_representative, orbit, weyl_group)
+                               classical_dimension, dominant_representative,
+                               orbit, weyl_group)
 
 
 def W(text):
@@ -61,6 +63,40 @@ class TestBuildClassical:
     def test_rejects_root_outside_half_integers(self):
         with pytest.raises(ValueError, match="outside 1/2 Z"):
             RootSystem(1, [W("1/3")])
+
+    @pytest.mark.parametrize("roots,message", [
+        # an angle that is no rational multiple of pi: W would be infinite
+        (["1,0", "2,1"], "reflecting 2,1 in the simple root 1,0 gives -2,1"),
+        (["1,0", "0,1", "1,1"],
+         "reflecting 1,1 in the simple root 1,0 gives -1,1"),
+    ])
+    def test_rejects_roots_not_closed_under_reflections(self, roots,
+                                                        message):
+        with pytest.raises(ValueError, match=f"{message}, which is not a root"):
+            RootSystem(2, [W(r) for r in roots])
+
+    def test_coefficient_table(self):
+        for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
+            rs = build_classical(family, rank)
+            assert list(rs.coefficients) == list(rs.positive_roots)
+            for alpha, coeffs in rs.coefficients.items():
+                assert coeffs == rs.simple_coefficients(alpha)
+
+    @pytest.mark.parametrize("family,rank", [
+        ("A", 1), ("a", 4), ("B", 1), ("C", 3), ("D", 2), ("D", 5)])
+    def test_classical_dimension(self, family, rank):
+        assert (classical_dimension(family, rank)
+                == build_classical(family, rank).rank)
+
+    @pytest.mark.parametrize("family,rank", [
+        ("E", 8), ("D", 1), ("B", 0), ("A", sys.maxsize)])
+    def test_classical_dimension_rejects_what_build_rejects(self, family,
+                                                            rank):
+        with pytest.raises(UnsupportedRootSystemError) as built:
+            build_classical(family, rank)
+        with pytest.raises(UnsupportedRootSystemError,
+                           match=str(built.value)):
+            classical_dimension(family, rank)
 
 
 class TestHalfSum:

@@ -1,13 +1,18 @@
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from dirackernel.dirac import chi_casimir_check, euler_verify
 from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import build_classical, weyl_group
+from dirackernel.spin import chi_decompose, chi_trace_difference
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
-                                 builtin_pair_names, deltas, validate_pair,
+                                 builtin_pair_names, deltas,
+                                 marked_node_pair, validate_pair,
                                  w1_enumerate)
 
 
@@ -213,3 +218,65 @@ class TestRegistry:
     def test_all_builtins_validate(self):
         for name in builtin_pair_names():
             assert validate_pair(builtin_pair(name)).ok
+
+
+# every node of A2-A3, B2-B4, C2-C4 and D4, in simple_roots order
+CORPUS = [(family, rank, node)
+          for family, ranks in [("A", (2, 3)), ("B", (2, 3, 4)),
+                                ("C", (2, 3, 4)), ("D", (4,))]
+          for rank in ranks for node in range(rank)]
+
+
+@lru_cache(maxsize=None)
+def corpus_pair(family, rank, node):
+    return marked_node_pair(build_classical(family, rank), node,
+                            f"{family}{rank}_node{node}")
+
+
+class TestMarkedNodeRule:
+    @pytest.mark.parametrize("name,h_positive,f1_shifts", [
+        ("so3_so2", [], ["0", "1/2"]),
+        ("so5_so4", ["1,-1", "1,1"], ["0,0", "1/2,1/2"]),
+        ("so7_so6", ["1,-1,0", "1,0,-1", "0,1,-1", "1,1,0", "1,0,1",
+                     "0,1,1"], ["0,0,0", "1/2,1/2,1/2"]),
+        ("so9_so8", ["1,-1,0,0", "1,0,-1,0", "1,0,0,-1", "0,1,-1,0",
+                     "0,1,0,-1", "0,0,1,-1", "1,1,0,0", "1,0,1,0",
+                     "1,0,0,1", "0,1,1,0", "0,1,0,1", "0,0,1,1"],
+         ["0,0,0,0", "1/2,1/2,1/2,1/2"]),
+        ("so5_so2xso3", ["0,1"], ["0,0", "1/2,0"]),
+    ])
+    def test_builtin_pairs(self, name, h_positive, f1_shifts):
+        pair = builtin_pair(name)
+        assert [str(a) for a in pair.h_positive] == h_positive
+        assert pair.lattice_F == LatticeSpec.integers(pair.rank)
+        assert [str(s) for s in pair.lattice_F1.sorted_shifts()] == f1_shifts
+
+    def test_node_out_of_range(self):
+        with pytest.raises(ValueError, match="node 2"):
+            marked_node_pair(build_classical("B", 2), 2, "b2")
+
+    def test_corpus_size(self):
+        assert len(CORPUS) == 27
+        assert sum(corpus_pair(*c).m <= 8 for c in CORPUS) == 24
+
+    @pytest.mark.parametrize("family,rank,node", CORPUS)
+    def test_pair_w1_and_chi(self, family, rank, node):
+        pair = corpus_pair(family, rank, node)
+        w1 = w1_enumerate(pair)  # raises InvalidPairError on a failed check
+        assert len(weyl_group(pair.root_system)) == len(pair.weyl_h) * len(w1)
+        if pair.m <= 8:
+            chi_decompose(pair)
+            chi_trace_difference(pair)
+            chi_casimir_check(pair)
+
+    @pytest.mark.parametrize("family,rank,node", CORPUS)
+    def test_euler_on_a_box(self, family, rank, node):
+        # the first six admissible mu with lambda = mu - delta_p in {-1,0,1}^r
+        pair = corpus_pair(family, rank, node)
+        box = (Weight(lam) + pair.delta_p
+               for lam in itertools.product((-1, 0, 1), repeat=pair.rank))
+        mus = [mu for mu in box if admissible_mu(pair, mu)][:6]
+        assert len(mus) == (5 if (family, rank, node) == ("B", 2, 1) else 6)
+        for mu in mus:
+            report = euler_verify(pair, mu)
+            assert report.passed, (str(mu), report.failures)

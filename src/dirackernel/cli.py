@@ -283,7 +283,7 @@ def cmd_verify(args, out) -> int:
     except ConsistencyError as exc:
         failures.append(f"Casimir scalar: {exc}")
     sw = spinor_weights(pair)
-    overlap = set(sw.plus_weights()) & set(sw.minus_weights())
+    overlap = sw.side_character(1).terms.keys() & sw.side_character(-1).terms
     if overlap:
         failures.append(f"E+ and E- share weights: {sorted(overlap)}")
     else:

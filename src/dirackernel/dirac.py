@@ -164,19 +164,19 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
 
     Multiplying chi^s * pi_nu = sum m_mu' ch_h(mu') by the Weyl denominator
     of Delta_h and reading off the coefficient of e^(mu + delta_h) gives
-    m_mu = sum over w in W_H, e in E^s of sgn(w) mult_nu(mu + delta_h -
-    w delta_h - e).  The shifts delta_h - w delta_h - e are collected here
-    with their signs summed, and those whose signs cancel are dropped.
+    m_mu = sum over w in W_H and the weights e of chi^s, each with its
+    count n_e, of sgn(w) n_e mult_nu(mu + delta_h - w delta_h - e).  The
+    shifts delta_h - w delta_h - e are collected here with their signed
+    counts summed, and those that cancel are dropped.
     """
     dh = pair.delta_h
-    spinors = [e.weight for e in spinor_weights(pair).entries
-               if e.parity == s]
+    chi = spinor_weights(pair).side_character(s).terms
     coeffs: Dict[Weight, int] = {}
     for w in pair.weyl_h:
         base = dh - w.image
-        for e in spinors:
+        for e, count in chi.items():
             k = base - e
-            coeffs[k] = coeffs.get(k, 0) + w.sign
+            coeffs[k] = coeffs.get(k, 0) + w.sign * count
     return tuple((k, c) for k, c in coeffs.items() if c)
 
 

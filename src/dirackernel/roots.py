@@ -130,6 +130,14 @@ class RootSystem:
                     raise ValueError(
                         f"reflecting {alpha} in the simple root {simple} "
                         f"gives {image}, which is not a root")
+        simples = self.simple_roots
+        for i, simple in enumerate(simples):
+            unit = tuple(int(j == i) for j in range(len(simples)))
+            if coefficients[simple] != unit:
+                raise ValueError(
+                    f"the simple roots {'; '.join(map(str, simples))} are "
+                    f"linearly dependent: {simple} has coefficients "
+                    f"{coefficients[simple]}")
 
     def __hash__(self) -> int:
         return self._hash

@@ -1,15 +1,16 @@
 """Spinor representation data, by a combinatorial route from the pair
 structure: sign vectors over an enumeration of Delta_p^+, split E+/E- by
-the parity of minus signs, and the decomposition of the half-spinor
-characters over W_1.  The explicit Clifford matrices that cross-check these
-weights live with the tests (``tests/clifford_model.py``).
+the parity of minus signs and counted into the half-spin characters chi^+
+and chi^- ({weight: count}), which the oracle, the chi checks and the CLI
+read, and the decomposition of chi^+ and chi^- over W_1.  The explicit
+Clifford matrices that cross-check these weights live with the tests
+(``tests/clifford_model.py``).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence
 
@@ -32,31 +33,23 @@ class SpinorWeightEntry:
 class SpinorWeights:
     entries: tuple
 
-    def plus_weights(self) -> list:
-        return [e.weight for e in self.entries if e.parity == 1]
-
-    def minus_weights(self) -> list:
-        return [e.weight for e in self.entries if e.parity == -1]
-
     def side_character(self, side: int) -> FormalCharacter:
-        """Character of the half-spinor representation chi^side."""
+        """chi^side: each weight of E^side, with its number of rows."""
         rank = len(self.entries[0].weight)
-        ch = FormalCharacter.zero(rank)
-        for e in self.entries:
-            if e.parity == side:
-                ch = ch + FormalCharacter.monomial(e.weight)
-        return ch
+        return FormalCharacter(rank, Counter(
+            e.weight for e in self.entries if e.parity == side))
 
 
 def _entries_from_roots(roots: Sequence[Weight], rank: int) -> tuple:
-    entries = []
-    for eps in itertools.product((1, -1), repeat=len(roots)):
-        weight = Weight.zero(rank)
-        for e, alpha in zip(eps, roots):
-            weight = weight + alpha * Fraction(e, 2)
-        parity = 1 if sum(1 for e in eps if e == -1) % 2 == 0 else -1
-        entries.append(SpinorWeightEntry(eps, weight, parity))
-    return tuple(entries)
+    """The rows in ``itertools.product((1, -1), repeat=m)`` order: each row
+    over the first k roots is extended by +alpha/2, then by -alpha/2."""
+    rows = [((), Weight.zero(rank), 1)]
+    for alpha in roots:
+        half = alpha * HALF
+        rows = [row for eps, weight, parity in rows
+                for row in ((eps + (1,), weight + half, parity),
+                            (eps + (-1,), weight - half, -parity))]
+    return tuple(SpinorWeightEntry(*row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -69,21 +62,16 @@ def spinor_weights(pair: SymmetricPair) -> SpinorWeights:
 def chi_trace_difference(pair: SymmetricPair) -> FormalCharacter:
     """The product over Delta_p^+ of (e^{a/2} - e^{-a/2}), expanded.
 
-    Equals the parity-signed sum of the spinor weights; the identity is
-    asserted here since both sides are cheap.
+    Equals chi^+ - chi^-, which is asserted here since both are cheap.
     """
-    rank = pair.rank
-    product = FormalCharacter.monomial(Weight.zero(rank))
+    product = FormalCharacter.monomial(Weight.zero(pair.rank))
     for alpha in pair.p_positive:
         half = alpha * HALF
         factor = (FormalCharacter.monomial(half)
                   - FormalCharacter.monomial(-half))
         product = product * factor
     sw = spinor_weights(pair)
-    signed = FormalCharacter.zero(rank)
-    for e in sw.entries:
-        signed = signed + FormalCharacter.monomial(e.weight, e.parity)
-    if product != signed:
+    if product != sw.side_character(1) - sw.side_character(-1):
         raise ConsistencyError(
             "trace difference does not match the signed spinor-weight sum")
     return product
@@ -94,8 +82,8 @@ def chi_decompose(pair: SymmetricPair):
 
     Returns (plus, minus): maps delta_p^sigma -> 1 over the sign classes of
     W_1.  Verification: on each side, the sum of the corresponding
-    irreducible characters of the subgroup equals the E+/E- spinor weight
-    multiset exactly; failure raises, since it indicates a bad pair or bug.
+    irreducible characters of the subgroup equals the half-spin character
+    exactly; failure raises, since it indicates a bad pair or bug.
     """
     plus: Dict[Weight, int] = {}
     minus: Dict[Weight, int] = {}

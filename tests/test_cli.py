@@ -269,6 +269,21 @@ class TestPairCommands:
         assert err == (f"error: bad pair file {path}: reflecting 2,1 in the "
                        "simple root 1,0 gives -2,1, which is not a root\n")
 
+    @pytest.mark.parametrize("command", [
+        ["pair", "show"], ["kernel", "--mu", "1/4"]])
+    def test_pair_file_dependent_simple_roots(self, tmp_path, command):
+        # every check passes on 1/2 and 2 except independence: 2 = 4 * (1/2)
+        data = {"name": "dependent", "rank": 1,
+                "positive_roots": ["1/2", "2"], "h_positive_indices": [1],
+                "lattice_F_shifts": ["0"], "lattice_F1_shifts": ["0", "1/2"]}
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke([*command, str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: the simple roots 1/2; "
+                       "2 are linearly dependent: 2 has coefficients "
+                       "(4, 0)\n")
+
     def test_pair_file_huge_rank(self, tmp_path):
         # the zero-shift check must not build a weight of this length
         data = {"name": "huge", "rank": 10 ** 20, "positive_roots": [],

@@ -14,6 +14,7 @@ from dirackernel.roots import RootSystem, WeylElement
 from dirackernel.spin import spinor_weights
 from dirackernel.sympair import (SymmetricPair, admissible_mu, builtin_pair,
                                  builtin_pair_names)
+from corpus import CORPUS, corpus_pair
 from peel_reference import peel
 
 
@@ -248,6 +249,22 @@ class TestExtractionKernel:
                  + len(dirac._extraction_kernel(pair, -1)))
         assert terms == len(pair.weyl_h) * len(pair.w1)
 
+    @pytest.mark.parametrize("family,rank,node", CORPUS)
+    def test_counts_match_a_walk_over_the_rows(self, family, rank, node):
+        # one term per (w, row) pair, so a weight that several sign vectors
+        # give is counted that many times
+        pair = corpus_pair(family, rank, node)
+        for s in (1, -1):
+            rows = [e for e in spinor_weights(pair).entries if e.parity == s]
+            walked = {}
+            for w in pair.weyl_h:
+                base = pair.delta_h - w.image
+                for e in rows:
+                    k = base - e.weight
+                    walked[k] = walked.get(k, 0) + w.sign
+            assert dict(dirac._extraction_kernel(pair, s)) == {
+                k: c for k, c in walked.items() if c}
+
 
 class TestFrobeniusDifferential:
     def assert_agree(self, pair, nu, mu):
@@ -272,10 +289,13 @@ class TestFrobeniusDifferential:
         # wrong sign there passes the test before; nu off the shell of mu
         # exercises the alternating sum over W_H.
         # pair -> (box on |lambda_i|, bound on the coordinates of nu)
-        boxes = {"so3_so2": (3, 4), "so5_so4": (2, 3),
-                 "so5_so2xso3": (2, 2), "so7_so6": (1, 1)}
-        for name, (box, top) in boxes.items():
-            pair = builtin_pair(name)
+        # C3 node 0 has a half-spin weight that two sign vectors give.
+        boxes = {builtin_pair("so3_so2"): (3, 4),
+                 builtin_pair("so5_so4"): (2, 3),
+                 builtin_pair("so5_so2xso3"): (2, 2),
+                 builtin_pair("so7_so6"): (1, 1),
+                 corpus_pair("C", 3, 0): (1, 1)}
+        for pair, (box, top) in boxes.items():
             nus = [Weight(c) for c in
                    itertools.product(range(top + 1), repeat=pair.rank)]
             nus = [nu for nu in nus if nu in pair.lattice_F

@@ -75,6 +75,20 @@ class TestBuildClassical:
         with pytest.raises(ValueError, match=f"{message}, which is not a root"):
             RootSystem(2, [W(r) for r in roots])
 
+    @pytest.mark.parametrize("rank,roots,message", [
+        # closed under the reflections, but 2 = 4 * (1/2)
+        (1, ["1/2", "2"],
+         r"the simple roots 1/2; 2 are linearly dependent: 2 has "
+         r"coefficients \(4, 0\)"),
+        (2, ["1/2,0", "2,0", "0,1"],
+         r"the simple roots 1/2,0; 2,0; 0,1 are linearly dependent: 2,0 "
+         r"has coefficients \(4, 0, 0\)"),
+    ])
+    def test_rejects_linearly_dependent_simple_roots(self, rank, roots,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
+            RootSystem(rank, [W(r) for r in roots])
+
     def test_coefficient_table(self):
         for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
             rs = build_classical(family, rank)

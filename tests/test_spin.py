@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             _m_scale, build_clifford, pair_operators,
                             simultaneous_spin_weights)
+from corpus import corpus_pair
 from dirackernel.lattice import Weight
 from dirackernel.spin import (_entries_from_roots, chi_decompose,
                               chi_trace_difference, spinor_weights)
@@ -15,6 +17,12 @@ from dirackernel.sympair import builtin_pair, builtin_pair_names
 
 def W(text):
     return Weight.parse(text)
+
+
+# the built-ins, and two marked-node pairs whose half-spin weights repeat
+# (the 8 rows of E+ of C3 node 0 give 7 weights, the 32 of B3 node 1 24)
+SPIN_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
+              + [corpus_pair("C", 3, 0), corpus_pair("B", 3, 1)])
 
 
 class TestCliffordModel:
@@ -103,13 +111,15 @@ class TestSimultaneousSpinWeights:
 class TestSpinorWeights:
     def test_so3_so2(self):
         sw = spinor_weights(builtin_pair("so3_so2"))
-        assert sw.plus_weights() == [W("1/2")]
-        assert sw.minus_weights() == [W("-1/2")]
+        assert sw.side_character(1).terms == {W("1/2"): 1}
+        assert sw.side_character(-1).terms == {W("-1/2"): 1}
 
     def test_so5_so4_parity_split(self):
         sw = spinor_weights(builtin_pair("so5_so4"))
-        assert sorted(sw.plus_weights()) == [W("-1/2,-1/2"), W("1/2,1/2")]
-        assert sorted(sw.minus_weights()) == [W("-1/2,1/2"), W("1/2,-1/2")]
+        assert sw.side_character(1).terms == {W("-1/2,-1/2"): 1,
+                                              W("1/2,1/2"): 1}
+        assert sw.side_character(-1).terms == {W("-1/2,1/2"): 1,
+                                               W("1/2,-1/2"): 1}
 
     def test_so5_so2xso3_eight_weights(self):
         sw = spinor_weights(builtin_pair("so5_so2xso3"))
@@ -139,7 +149,27 @@ class TestSpinorWeights:
     def test_weight_disjointness(self):
         for name in builtin_pair_names():
             sw = spinor_weights(builtin_pair(name))
-            assert not set(sw.plus_weights()) & set(sw.minus_weights())
+            assert not (sw.side_character(1).terms.keys()
+                        & sw.side_character(-1).terms.keys())
+
+    @pytest.mark.parametrize("pair", SPIN_PAIRS, ids=lambda p: p.name)
+    def test_side_character_counts_the_rows(self, pair):
+        sw = spinor_weights(pair)
+        for side in (1, -1):
+            rows = Counter(e.weight for e in sw.entries if e.parity == side)
+            assert sw.side_character(side).terms == dict(rows)
+
+    @pytest.mark.parametrize("pair", SPIN_PAIRS, ids=lambda p: p.name)
+    def test_rows_in_product_order(self, pair):
+        # row k is the k-th sign vector of itertools.product((1, -1), ...)
+        sw = spinor_weights(pair)
+        signs = itertools.product((1, -1), repeat=pair.m)
+        for e, eps in zip(sw.entries, signs, strict=True):
+            assert e.epsilon == eps
+            assert e.weight == sum((a * Fraction(x, 2) for x, a in
+                                    zip(eps, pair.p_positive)),
+                                   Weight.zero(pair.rank))
+            assert e.parity == (-1) ** eps.count(-1)
 
     def test_half_spinor_characters_have_equal_mass(self):
         for name in builtin_pair_names():

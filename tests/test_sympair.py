@@ -1,14 +1,17 @@
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from corpus import CORPUS, corpus_pair
 from dirackernel.dirac import chi_casimir_check, euler_verify
 from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import build_classical, weyl_group
-from dirackernel.spin import chi_decompose, chi_trace_difference
+from dirackernel.spin import (chi_decompose, chi_trace_difference,
+                              spinor_weights)
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
                                  builtin_pair_names, deltas,
@@ -220,19 +223,6 @@ class TestRegistry:
             assert validate_pair(builtin_pair(name)).ok
 
 
-# every node of A2-A3, B2-B4, C2-C4 and D4, in simple_roots order
-CORPUS = [(family, rank, node)
-          for family, ranks in [("A", (2, 3)), ("B", (2, 3, 4)),
-                                ("C", (2, 3, 4)), ("D", (4,))]
-          for rank in ranks for node in range(rank)]
-
-
-@lru_cache(maxsize=None)
-def corpus_pair(family, rank, node):
-    return marked_node_pair(build_classical(family, rank), node,
-                            f"{family}{rank}_node{node}")
-
-
 class TestMarkedNodeRule:
     @pytest.mark.parametrize("name,h_positive,f1_shifts", [
         ("so3_so2", [], ["0", "1/2"]),
@@ -257,17 +247,31 @@ class TestMarkedNodeRule:
 
     def test_corpus_size(self):
         assert len(CORPUS) == 27
-        assert sum(corpus_pair(*c).m <= 8 for c in CORPUS) == 24
+        # pairs with a half-spin weight that more than one sign vector gives
+        repeats = [c for c in CORPUS if sum(
+            len(spinor_weights(corpus_pair(*c)).side_character(s).terms)
+            for s in (1, -1)) < 2 ** corpus_pair(*c).m]
+        assert len(repeats) == 17
 
     @pytest.mark.parametrize("family,rank,node", CORPUS)
     def test_pair_w1_and_chi(self, family, rank, node):
         pair = corpus_pair(family, rank, node)
         w1 = w1_enumerate(pair)  # raises InvalidPairError on a failed check
         assert len(weyl_group(pair.root_system)) == len(pair.weyl_h) * len(w1)
-        if pair.m <= 8:
-            chi_decompose(pair)
-            chi_trace_difference(pair)
-            chi_casimir_check(pair)
+        chi_decompose(pair)
+        chi_trace_difference(pair)
+        chi_casimir_check(pair)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_theorem_agrees_with_oracle_on_random_mu(self, data):
+        pair = corpus_pair(*data.draw(st.sampled_from(CORPUS)))
+        lam = data.draw(st.lists(st.integers(-2, 2), min_size=pair.rank,
+                                 max_size=pair.rank))
+        mu = Weight(lam) + pair.delta_p
+        assume(admissible_mu(pair, mu))
+        report = euler_verify(pair, mu)
+        assert report.passed, (pair.name, str(mu), report.failures)
 
     @pytest.mark.parametrize("family,rank,node", CORPUS)
     def test_euler_on_a_box(self, family, rank, node):

@@ -3,9 +3,12 @@
 A formal character is a finitely supported integer-valued function on the
 weight lattice, stored sparsely.  Irreducible characters come from the
 Freudenthal multiplicity recursion evaluated on the dominant weights only,
-each value copied over the Weyl orbit of its weight; dimensions come from
-the closed product formula and are cross-checked against the multiplicity
-mass in the tests.
+each value copied over the Weyl orbit of its weight, all of it on int
+tuples D w scaled by a factor D fixed per root system (``Grid``): one
+cached ``weight_table`` per (root system, nu), of which
+``irreducible_character`` is the ``Weight``-keyed view.  Dimensions come
+from the closed product formula and are cross-checked against the
+multiplicity mass in the tests.
 Decomposition of an invariant character is straightening: each support
 weight w is walked from w + delta into the dominant chamber, as the theorem
 path walks lambda + delta.  Half-integral highest weights are first-class;
@@ -14,13 +17,15 @@ lattice membership is only ever enforced against an explicit LatticeSpec.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping
+from operator import add, mul, sub
+from typing import Dict, Mapping, NamedTuple, Optional
 
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError)
-from .lattice import Weight, inner_product
+from .lattice import HALF, Weight, inner_product
 from .roots import RootSystem, WeylElement, dominant_walk, orbit
 from .sympair import SymmetricPair
 
@@ -128,6 +133,73 @@ class FormalCharacter:
         return "FormalCharacter(" + " + ".join(parts) + ")"
 
 
+# -- scaled-integer weights -------------------------------------------------
+
+class Grid:
+    """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
+
+    Keeps D alpha for the positive roots, D delta, and per simple root a
+    the nonzero coordinates of D a with <D a, D a>, so that pairings,
+    dominance and reflections are integer arithmetic.  A conversion or a
+    coroot pairing that is not exact raises ConsistencyError.
+    """
+
+    def __init__(self, rs: RootSystem, scale: int) -> None:
+        self.rs = rs
+        self.scale = scale
+        self.positive = tuple(self.point(a) for a in rs.positive_roots)
+        self.delta = self.point(rs.delta)
+        simples = (self.point(a) for a in rs.simple_roots)
+        self._supports = tuple(
+            (tuple((k, c) for k, c in enumerate(a) if c), sum(c * c for c in a))
+            for a in simples)
+
+    def point(self, w: Weight) -> tuple:
+        """D w, which must be integral."""
+        x = tuple(c * self.scale for c in w)
+        if any(c.denominator != 1 for c in x):
+            raise ConsistencyError(f"{w} is not on the grid 1/{self.scale} Z")
+        return tuple(c.numerator for c in x)
+
+    def weight(self, x: tuple) -> Weight:
+        return Weight(Fraction(c, self.scale) for c in x)
+
+    def is_dominant(self, x: tuple) -> bool:
+        return all(sum(x[k] * c for k, c in support) >= 0
+                   for support, _ in self._supports)
+
+    def reflect(self, x: tuple, i: int) -> tuple:
+        """s_a(x) = x - <x, a^> D a for the i-th simple root a."""
+        support, norm = self._supports[i]
+        twice = 0
+        for k, c in support:
+            twice += x[k] * c
+        if not twice:
+            return x
+        twice *= 2
+        if twice % norm:
+            raise ConsistencyError(
+                f"{self.weight(x)} pairs to {Fraction(twice, norm)} with "
+                f"the coroot of {self.rs.simple_roots[i]}")
+        pairing = twice // norm
+        y = list(x)
+        for k, c in support:
+            y[k] -= pairing * c
+        return tuple(y)
+
+
+@lru_cache(maxsize=None)
+def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
+    """The grid of ``rs`` at ``scale``, by default D = lcm(2, the
+    denominators of alpha/2 over Delta^+).  With that D, D alpha, D delta
+    and D times any half-sum of roots (a spinor weight) are integral, and
+    so are D times the coset shifts of a lattice, which lie in {0, 1/2}."""
+    if scale is None:
+        scale = math.lcm(2, *(c.denominator for a in rs.positive_roots
+                              for c in a * HALF))
+    return Grid(rs, scale)
+
+
 # -- irreducible characters (Freudenthal) ----------------------------------
 
 def _check_highest_weight(rs: RootSystem, nu: Weight) -> None:
@@ -138,30 +210,36 @@ def _check_highest_weight(rs: RootSystem, nu: Weight) -> None:
         raise NonDominantError(f"{nu} is not algebraically integral for {rs}")
 
 
-def _dominant_weights(rs: RootSystem, nu: Weight) -> list:
-    """The dominant weights of pi_nu, by descending <., delta>.
+def _dominant_weights(g: Grid, top: tuple) -> list:
+    """The dominant weights of pi_nu on the grid g (top = D nu), by
+    descending <., delta>.
 
     They are the dominant weights below nu (Humphreys, 21.3), and each is
     reached from nu through dominant weights one positive root at a time
     (Stembridge, "The partial order of dominant weights", Adv. Math. 136
     (1998), Cor. 2.7).  Ties keep the order of discovery.
     """
-    _check_highest_weight(rs, nu)
-    found = [nu]
-    seen = {nu}
-    for w in found:
-        for alpha in rs.positive_roots:
-            lower = w - alpha
-            if lower not in seen and rs.is_dominant(lower):
+    found = [top]
+    seen = {top}
+    for x in found:
+        for alpha in g.positive:
+            lower = tuple(map(sub, x, alpha))
+            if lower not in seen and g.is_dominant(lower):
                 seen.add(lower)
                 found.append(lower)
-    delta = rs.delta
-    return sorted(found, key=lambda w: inner_product(w, delta), reverse=True)
+    delta = g.delta
+    return sorted(found, key=lambda x: sum(map(mul, x, delta)), reverse=True)
+
+
+class WeightTable(NamedTuple):
+    grid: Grid  # a key x is the weight x / grid.scale
+    terms: Dict[tuple, int]  # {D w: multiplicity of w}, zeros absent
 
 
 @lru_cache(maxsize=None)
-def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
-    """Character of the irreducible highest-weight representation pi_nu.
+def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
+    """The weight multiplicities of pi_nu on the grid of rs, refined by the
+    denominators of nu (an A-family nu such as 2/3,-1/3,-1/3 needs 3).
 
     nu must be dominant; integrality against any particular lattice is
     deliberately not required (spin representations are half-integral).
@@ -170,35 +248,60 @@ def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
     Every w + k alpha the recursion reads has a dominant representative
     strictly higher in <., delta>, so it is already in the table, and
     alpha-strings of weights are unbroken, so each string ends at the first
-    point outside the table.  Works verbatim for reducible systems, systems
-    with free torus directions, and empty systems (character = e^nu).
+    point outside the table.  All of it is integer arithmetic: scaling by D
+    multiplies both sides of the Freudenthal quotient by D^2, and a
+    quotient that is not a positive integer raises ConsistencyError.
+    Works verbatim for reducible systems, systems with free torus
+    directions, and empty systems (character = e^nu).
     """
     nu = Weight(nu)
-    delta = rs.delta
-    target = inner_product(nu + delta, nu + delta)
-    table: Dict[Weight, int] = {}
-    for w in _dominant_weights(rs, nu):
+    _check_highest_weight(rs, nu)
+    g = grid(rs, math.lcm(grid(rs).scale, *(c.denominator for c in nu)))
+    top = g.point(nu)
+    delta = g.delta
+
+    def norm_shifted(x: tuple) -> int:
+        return sum((a + d) ** 2 for a, d in zip(x, delta))
+
+    target = norm_shifted(top)
+    table: Dict[tuple, int] = {}
+    for x in _dominant_weights(g, top):
         value = 1
-        if w != nu:
-            acc = Fraction(0)
-            for alpha in rs.positive_roots:
-                cur = w + alpha
+        if x != top:
+            acc = 0
+            for alpha in g.positive:
+                cur = tuple(map(add, x, alpha))
                 while cur in table:
-                    acc += table[cur] * inner_product(cur, alpha)
-                    cur = cur + alpha
-            value = 2 * acc / (target - inner_product(w + delta, w + delta))
-            if value.denominator != 1 or value <= 0:
-                raise ConsistencyError(f"Freudenthal produced {value} at {w}")
-        for image in orbit(rs, w):
-            table[image] = int(value)
+                    acc += table[cur] * sum(map(mul, cur, alpha))
+                    cur = tuple(map(add, cur, alpha))
+            gap = target - norm_shifted(x)
+            if gap <= 0 or acc <= 0 or 2 * acc % gap:
+                raise ConsistencyError(
+                    f"Freudenthal produced {2 * acc}/{gap} at {g.weight(x)}")
+            value = 2 * acc // gap
+        for image in orbit(rs, x, reflect=g.reflect):
+            table[image] = value
+    return WeightTable(g, table)
+
+
+@lru_cache(maxsize=None)
+def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
+    """Character of the irreducible highest-weight representation pi_nu:
+    the ``Weight``-keyed view of ``weight_table(rs, nu)``."""
+    g, table = weight_table(rs, Weight(nu))
     character = FormalCharacter(rs.rank)
-    character.terms = table  # already canonical: no zeros, exact weights
+    # already canonical: no zeros, exact weights
+    character.terms = {g.weight(x): m for x, m in table.items()}
     return character
 
 
 def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
     """Multiplicity of the weight w in pi_nu (0 when w is not a weight)."""
-    return irreducible_character(rs, nu).terms.get(w, 0)
+    g, table = weight_table(rs, Weight(nu))
+    try:
+        return table.get(g.point(Weight(w)), 0)
+    except ConsistencyError:  # off the grid of pi_nu, so not a weight
+        return 0
 
 
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:

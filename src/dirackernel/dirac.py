@@ -9,9 +9,12 @@ decided by sgn(sigma) * (-1)^m.
 The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda, computes Frobenius
 multiplicities on both sides by Brauer-Klimyk coefficient extraction (the
-weight multiplicities of pi_nu summed against signed shifts built from
-W_H and the half-spinor weights), and checks that the alternating sum
-collapses to the predicted signed irreducible (or to zero).
+weight multiplicities of pi_nu summed against signed shifts, the product
+of binomials prod (1 - e^alpha) over Delta_h^+ times the negated
+half-spin character), and checks that the alternating sum collapses to
+the predicted signed irreducible (or to zero).  Its three hot loops (the
+shell, the shifts and the weight tables) run on int tuples D w on the
+grid of ``characters.grid``; ``Weight`` appears only at the edges.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Dict, List, Optional
 
-from .characters import irreducible_character, weyl_dim
+from .characters import grid, weight_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
-from .lattice import Weight, inner_product
+from .lattice import HALF, Weight, inner_product
 from .roots import WeylElement, dominant_representative
-from .spin import spinor_weights
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -114,12 +117,14 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
 
 def _squares_summing_to(offsets: tuple, step: int, total: int):
     """Integer vectors x with sum x_k^2 = total and x_k = offsets[k] mod
-    step, in lex order."""
-    if not offsets:
-        if total == 0:
-            yield ()
-        return
+    step, in lex order; the last coordinate is solved for, not searched."""
     bound = math.isqrt(total)
+    if len(offsets) == 1:
+        if bound * bound == total:
+            for x in ((-bound, bound) if bound else (0,)):
+                if (x - offsets[0]) % step == 0:
+                    yield (x,)
+        return
     first = -bound + (offsets[0] + bound) % step
     for x in range(first, bound + 1, step):
         for rest in _squares_summing_to(offsets[1:], step, total - x * x):
@@ -130,54 +135,78 @@ def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
     """All dominant lattice points nu with the same Casimir scalar as lambda.
 
     Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
-    |nu + delta| = |lambda + delta|.  Per coset shift s of F, with D the
-    lcm of the denominators of s + delta, the points x = D (nu + delta) are
-    the integer vectors with x = D (s + delta) mod D and sum x_k^2 =
-    D^2 |lambda + delta|^2; each coordinate steps by D up to the integer
-    square root of what remains.
+    |nu + delta| = |lambda + delta|.  On the grid of the root system (D
+    from ``characters.grid``), per coset shift s of F the points
+    x = D (nu + delta) are the integer vectors with x = D (s + delta)
+    mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate steps
+    by D up to the integer square root of what remains.  Dominance of
+    nu is tested on the integer point x - D delta, and a ``Weight`` is
+    built only for members.
     """
     lam = Weight(lam)
     if lam not in pair.lattice_F:
         raise ValueError(f"lambda={lam} is not in F for pair {pair.name}")
-    delta = pair.delta
-    radius_sq = inner_product(lam + delta, lam + delta)
-    rs = pair.root_system
+    g = grid(pair.root_system)
+    delta = g.delta
+    total = sum((a + d) ** 2 for a, d in zip(g.point(lam), delta))
 
-    found: List[Weight] = []
+    found = []
     for shift in pair.lattice_F.coset_shifts:
-        start = shift + delta
-        scale = math.lcm(*(c.denominator for c in start))
-        total = radius_sq * scale * scale
-        if total.denominator != 1:
-            continue
-        offsets = tuple(int(c * scale) for c in start)
-        for x in _squares_summing_to(offsets, scale, int(total)):
-            nu = Weight(Fraction(xk, scale) - dk for xk, dk in zip(x, delta))
-            if rs.is_dominant(nu):
+        offsets = tuple(map(add, g.point(shift), delta))
+        for x in _squares_summing_to(offsets, g.scale, total):
+            nu = tuple(map(sub, x, delta))
+            if g.is_dominant(nu):
                 found.append(nu)
-    return sorted(found)
+    return [g.weight(nu) for nu in sorted(found)]
+
+
+def _times_binomial(poly: dict, x: tuple, y: tuple, c: int) -> dict:
+    """poly * (e^x + c e^y) on grid points, equal keys merged and zeros
+    dropped."""
+    out: Dict[tuple, int] = {}
+    for k, v in poly.items():
+        kx = tuple(map(add, k, x))
+        out[kx] = out.get(kx, 0) + v
+        ky = tuple(map(add, k, y))
+        out[ky] = out.get(ky, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
-    """Signed shifts (k, c) with m_mu = sum c * mult_nu(mu + k).
+    """Signed shifts (k, c), k on ``grid(pair.root_system)``, with
+    m_mu = sum c * mult_nu(mu + k).
 
     Multiplying chi^s * pi_nu = sum m_mu' ch_h(mu') by the Weyl denominator
     of Delta_h and reading off the coefficient of e^(mu + delta_h) gives
-    m_mu = sum over w in W_H and the weights e of chi^s, each with its
-    count n_e, of sgn(w) n_e mult_nu(mu + delta_h - w delta_h - e).  The
-    shifts delta_h - w delta_h - e are collected here with their signed
-    counts summed, and those that cancel are dropped.
+    m_mu = sum over w in W_H and the weights e of chi^s of
+    sgn(w) n_e mult_nu(mu + delta_h - w delta_h - e).  By Weyl's
+    denominator formula the shifts with their signed counts are the
+    product K_s = prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s,
+    where chi^s = (P_+ + s P_-) / 2 with
+    P_+- = prod_{alpha in Delta_p^+} (e^(alpha/2) +- e^(-alpha/2)), and
+    the bar negates every weight.  It is built one binomial at a time and
+    reads only Delta_h^+ and Delta_p^+: neither W_H nor W_1.
     """
-    dh = pair.delta_h
-    chi = spinor_weights(pair).side_character(s).terms
-    coeffs: Dict[Weight, int] = {}
-    for w in pair.weyl_h:
-        base = dh - w.image
-        for e, count in chi.items():
-            k = base - e
-            coeffs[k] = coeffs.get(k, 0) + w.sign * count
-    return tuple((k, c) for k, c in coeffs.items() if c)
+    g = grid(pair.root_system)
+    zero = (0,) * pair.rank
+    plus = minus = {zero: 1}
+    for alpha in pair.p_positive:
+        half = g.point(alpha * HALF)
+        down = tuple(-c for c in half)
+        plus = _times_binomial(plus, down, half, 1)
+        minus = _times_binomial(minus, down, half, -1)
+    kernel = {}
+    for k in plus.keys() | minus.keys():
+        twice = plus.get(k, 0) + s * minus.get(k, 0)
+        if twice % 2:
+            raise ConsistencyError(
+                f"half-spin character has count {twice}/2 at {g.weight(k)}")
+        if twice:
+            kernel[k] = twice // 2
+    for alpha in pair.h_positive:
+        kernel = _times_binomial(kernel, zero, g.point(alpha), -1)
+    return tuple(kernel.items())
 
 
 def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
@@ -187,8 +216,9 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
     for m odd (the duality twist of the half-spinor modules).
 
     Computed purely by character arithmetic, by Brauer-Klimyk coefficient
-    extraction: the alternating sum over W_H and the half-spinor weights
-    of the weight multiplicities of pi_nu at mu + delta_h - w delta_h - e.
+    extraction: the weight multiplicities of pi_nu at D mu + k, read from
+    its integer ``weight_table``, summed against the signed shifts (k, c)
+    of ``_extraction_kernel``.
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
@@ -198,8 +228,15 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
         raise ValueError(f"nu={nu} is not a dominant lattice point")
     _require_admissible(pair, mu)
     s = side if pair.m % 2 == 0 else -side
-    mult = irreducible_character(rs, nu).terms
-    return sum(c * mult.get(mu + k, 0) for k, c in _extraction_kernel(pair, s))
+    g = grid(rs)
+    table_grid, table = weight_table(rs, nu)
+    if table_grid.scale != g.scale:
+        raise ConsistencyError(
+            f"nu={nu} is not on the grid 1/{g.scale} Z of the kernel")
+    x = g.point(mu)
+    get = table.get
+    return sum(c * get(tuple(map(add, x, k)), 0)
+               for k, c in _extraction_kernel(pair, s))
 
 
 @dataclass(frozen=True)
@@ -244,8 +281,8 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     for nu in shell:
         m_plus = frobenius_multiplicity(pair, nu, mu, +1)
         m_minus = frobenius_multiplicity(pair, nu, mu, -1)
-        rows.append(ShellRow(nu, weyl_dim(pair.root_system, nu),
-                             m_plus, m_minus))
+        dimension = sum(weight_table(pair.root_system, nu).terms.values())
+        rows.append(ShellRow(nu, dimension, m_plus, m_minus))
         if m_plus + m_minus > 1:
             failures.append(
                 f"multiplicity bound violated at nu={nu}: "

@@ -277,14 +277,18 @@ def build_classical(family: str, rank: int) -> RootSystem:
     return RootSystem(n, roots, name=f"{family}{rank}")
 
 
-def orbit(rs: RootSystem, v: Weight, limit: int = 10 ** 6) -> dict:
+def orbit(rs: RootSystem, v, limit: int = 10 ** 6, reflect=None) -> dict:
     """The W-orbit of v as {image: word}, with s_word[0] ... s_word[-1] v
     = image.
 
     Breadth-first from v, generators in index order, a new image's word
     being the generator prepended to its parent's, so every word is of
     minimal length.  Raises GroupOrderLimitError past ``limit`` images.
+    ``reflect(u, i)`` applies the i-th simple reflection; it defaults to
+    ``rs.reflect``, and a caller that keeps weights in another encoding
+    (scaled integers, say) passes its own.
     """
+    reflect = reflect or rs.reflect
     seen = {v: ()}
     frontier = [v]
     while frontier:
@@ -292,7 +296,7 @@ def orbit(rs: RootSystem, v: Weight, limit: int = 10 ** 6) -> dict:
         for u in frontier:
             word = seen[u]
             for i in range(len(rs.simple_roots)):
-                image = rs.reflect(u, i)
+                image = reflect(u, i)
                 if image not in seen:
                     seen[image] = (i,) + word
                     new_frontier.append(image)

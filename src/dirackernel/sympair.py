@@ -67,9 +67,7 @@ class SymmetricPair:
             raise ValueError("h_positive roots must be distinct")
         if lattice_F.rank != root_system.rank or lattice_F1.rank != root_system.rank:
             raise DimensionError("lattice rank differs from root-system rank")
-        for s in lattice_F.coset_shifts:  # F: characters of the torus of G
-            if not root_system.is_integral(s):
-                raise ValueError(f"F shift {s} is not integral for {root_system}")
+        _check_torus_lattice(root_system, lattice_F)
         object.__setattr__(self, "root_system", root_system)
         object.__setattr__(self, "h_positive", h_roots)
         object.__setattr__(self, "lattice_F", lattice_F)
@@ -163,6 +161,33 @@ class SymmetricPair:
     def __repr__(self) -> str:
         return (f"SymmetricPair({self.name}, rank={self.rank}, "
                 f"|h+|={len(self.h_positive)}, m={self.m})")
+
+
+def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
+    """F must be a W-stable group of G-integral weights, the characters of
+    the torus of G: raise ValueError unless its generators (each e_k and
+    each coset shift) are integral with every simple reflection of a
+    generator in F, and the shifts are closed under addition mod Z^rank."""
+    shifts = lattice.sorted_shifts()
+    for s in shifts:
+        if not rs.is_integral(s):
+            raise ValueError(f"F shift {s} is not integral for {rs}")
+    basis = [Weight.basis(rs.rank, k) for k in range(rs.rank)]
+    for e in basis:
+        if not rs.is_integral(e):
+            raise ValueError(f"F contains {e}, which is not integral for {rs}")
+    for g in shifts + basis:
+        for i, simple in enumerate(rs.simple_roots):
+            image = rs.reflect(g, i)
+            if image not in lattice:
+                raise ValueError(
+                    f"F is not W-stable: reflecting {g} in the simple root "
+                    f"{simple} gives {image}, which is not in F")
+    for i, s in enumerate(shifts):
+        for t in shifts[i:]:
+            if s + t not in lattice:
+                raise ValueError(
+                    f"F is not a group: {s} + {t} is not in F")
 
 
 def validate_pair(pair: SymmetricPair) -> PairReport:

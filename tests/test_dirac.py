@@ -4,17 +4,18 @@ from fractions import Fraction
 import pytest
 
 import dirackernel.dirac as dirac
-from dirackernel.characters import irreducible_character
+from dirackernel.characters import Grid, grid, irreducible_character
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                casimir_shell, chi_casimir_check, dirac_kernel,
-                               euler_verify, frobenius_multiplicity)
-from dirackernel.errors import AdmissibilityError
+                               frobenius_multiplicity)
+from dirackernel.errors import AdmissibilityError, ConsistencyError
 from dirackernel.lattice import LatticeSpec, Weight, inner_product
 from dirackernel.roots import RootSystem, WeylElement
 from dirackernel.spin import spinor_weights
 from dirackernel.sympair import (SymmetricPair, admissible_mu, builtin_pair,
                                  builtin_pair_names)
 from corpus import CORPUS, corpus_pair
+from oracle_reference import checked_euler, reference_kernel
 from peel_reference import peel
 
 
@@ -177,13 +178,10 @@ class TestCasimirShell:
                 assert brute_force_shell(pair, lam, scale=factor) == reference
 
     def test_quarter_delta_matches_brute_force(self):
-        # B2 scaled by 1/2 with h = {(0, 1/2)} has delta = (3/4, 1/4), so
-        # D (nu + delta) is integral for D = 4 and not for D = 2
-        half = Fraction(1, 2)
-        rs = RootSystem(2, [(half, -half), (half, half), (half, 0), (0, half)])
-        both = LatticeSpec.integers_and_half_integers(2)
-        pair = SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
+        pair = quarter_delta_pair()
+        both = pair.lattice_F
         assert pair.delta == W("3/4,1/4")
+        assert grid(pair.root_system).scale == 4
         assert casimir_shell(pair, W("4,3")) == [W("4,3"), W("5,0")]
         for coords in itertools.product(range(-1, 4), repeat=2):
             for shift in both.coset_shifts:
@@ -237,6 +235,26 @@ def admissible_box(pair, box):
             yield Weight(lam), mu
 
 
+def quarter_delta_pair():
+    # B2 scaled by 1/2 with h = {(0, 1/2)} has delta = (3/4, 1/4), so
+    # D (nu + delta) is integral for D = 4 and not for D = 2
+    half = Fraction(1, 2)
+    rs = RootSystem(2, [(half, -half), (half, half), (half, 0), (0, half)])
+    both = LatticeSpec.integers_and_half_integers(2)
+    return SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
+
+
+KERNEL_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
+                + [corpus_pair(*node) for node in CORPUS]
+                + [quarter_delta_pair()])
+
+
+def kernel_weights(pair, s):
+    """``_extraction_kernel(pair, s)`` read back as {Weight: c}."""
+    g = grid(pair.root_system)
+    return {g.weight(k): c for k, c in dirac._extraction_kernel(pair, s)}
+
+
 class TestExtractionKernel:
     @pytest.mark.parametrize("name", builtin_pair_names())
     def test_shifts_cancel_to_one_orbit_per_component(self, name):
@@ -262,8 +280,22 @@ class TestExtractionKernel:
                 for e in rows:
                     k = base - e.weight
                     walked[k] = walked.get(k, 0) + w.sign
-            assert dict(dirac._extraction_kernel(pair, s)) == {
+            assert kernel_weights(pair, s) == {
                 k: c for k, c in walked.items() if c}
+
+    @pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=lambda p: p.name)
+    def test_product_matches_the_sum_over_W_H(self, pair):
+        for s in (1, -1):
+            assert kernel_weights(pair, s) == reference_kernel(pair, s)
+
+    def test_off_grid_coordinate(self, monkeypatch):
+        # delta = 3/2,1/2 of so5_so4 is not on the grid Z
+        pair = builtin_pair("so5_so4")
+        monkeypatch.setattr(dirac, "grid", lambda rs: Grid(rs, 1))
+        with pytest.raises(ConsistencyError, match="not on the grid"):
+            dirac._extraction_kernel.__wrapped__(pair, 1)
+        with pytest.raises(ConsistencyError, match="not on the grid"):
+            casimir_shell(pair, W("1,0"))
 
 
 class TestFrobeniusDifferential:
@@ -307,7 +339,7 @@ class TestFrobeniusDifferential:
 
 class TestEulerVerify:
     def test_so3_example(self):
-        report = euler_verify(builtin_pair("so3_so2"), W("5/2"))
+        report = checked_euler(builtin_pair("so3_so2"), W("5/2"))
         assert report.passed
         assert [r.nu for r in report.rows] == [W("2")]
         assert report.rows[0].mult_plus == 0
@@ -315,12 +347,12 @@ class TestEulerVerify:
         assert report.signed_sum == ((W("2"), -1),)
 
     def test_so5_example(self):
-        report = euler_verify(builtin_pair("so5_so4"), W("5/2,3/2"))
+        report = checked_euler(builtin_pair("so5_so4"), W("5/2,3/2"))
         assert report.passed
         assert report.signed_sum == ((W("2,1"), 1),)
 
     def test_both_zero_empty_shell(self):
-        report = euler_verify(builtin_pair("so5_so2xso3"), W("3/2,1"))
+        report = checked_euler(builtin_pair("so5_so2xso3"), W("3/2,1"))
         assert report.passed
         assert report.kernel.status is KernelStatus.BOTH_ZERO
         assert report.signed_sum == ()
@@ -328,7 +360,7 @@ class TestEulerVerify:
     def test_both_zero_nonempty_shell(self):
         # lambda = (1,2): lambda + delta is singular but the shell contains
         # (2,0); both multiplicities must vanish there.
-        report = euler_verify(builtin_pair("so5_so2xso3"), W("5/2,2"))
+        report = checked_euler(builtin_pair("so5_so2xso3"), W("5/2,2"))
         assert report.passed
         assert report.kernel.status is KernelStatus.BOTH_ZERO
         assert [r.nu for r in report.rows] == [W("2,0")]
@@ -344,7 +376,7 @@ class TestEulerVerify:
                 mu = Weight(coords) + pair.delta_p
                 if not admissible_mu(pair, mu):
                     continue
-                report = euler_verify(pair, mu)
+                report = checked_euler(pair, mu)
                 assert report.passed, (name, mu, report.failures)
                 for row in report.rows:
                     assert row.mult_plus + row.mult_minus <= 1
@@ -355,12 +387,12 @@ class TestEulerVerify:
             mu = W(lam_text) + pair.delta_p
             if not admissible_mu(pair, mu):
                 continue
-            report = euler_verify(pair, mu)
+            report = checked_euler(pair, mu)
             assert report.passed, (lam_text, report.failures)
 
     def test_so9_sample(self):
         pair = builtin_pair("so9_so8")
         for lam_text in ["0,0,0,0", "1,0,0,0", "1,1,1,-1"]:
             mu = W(lam_text) + pair.delta_p
-            report = euler_verify(pair, mu)
+            report = checked_euler(pair, mu)
             assert report.passed, (lam_text, report.failures)

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import CORPUS, corpus_pair
-from dirackernel.dirac import chi_casimir_check, euler_verify
+from oracle_reference import checked_euler
+from dirackernel.dirac import chi_casimir_check
 from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
-from dirackernel.roots import build_classical, weyl_group
+from dirackernel.roots import RootSystem, build_classical, weyl_group
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
@@ -87,6 +88,35 @@ class TestValidate:
         half = LatticeSpec.integers_and_half_integers(2)
         with pytest.raises(ValueError, match="F shift 1/2,1/2 is not integral"):
             SymmetricPair(rs, (W("1,-1"),), half, half, name="c2_half")
+
+
+    def test_F_must_be_W_stable(self):
+        # F4: every e_k is integral, but the reflection in the simple root
+        # (1/2)(1,-1,-1,-1) moves e_1 into (Z + 1/2)^4, outside F = Z^4
+        half = Fraction(1, 2)
+        e = [Weight.basis(4, k) for k in range(4)]
+        roots = ([e[i] - e[j] for i in range(4) for j in range(i + 1, 4)]
+                 + [e[i] + e[j] for i in range(4) for j in range(i + 1, 4)]
+                 + e + [Weight([half, *signs]) for signs in
+                        itertools.product((half, -half), repeat=3)])
+        rs = RootSystem(4, roots, name="F4")
+        with pytest.raises(ValueError, match="F is not W-stable: reflecting "
+                                             "1,0,0,0 in the simple root"):
+            marked_node_pair(rs, 3, "f4_spin9")
+
+    def test_F_must_be_a_group(self):
+        # A1 x A1: both half-shifts are integral and W-stable, their sum
+        # 1/2,1/2 is not in F
+        rs = RootSystem(2, [W("1,0"), W("0,1")])
+        F = LatticeSpec(2, [W("0,0"), W("1/2,0"), W("0,1/2")])
+        F1 = LatticeSpec(2, [W("0,0"), W("1/2,0"), W("0,1/2"),
+                             W("1/2,1/2")])
+        with pytest.raises(ValueError, match="F is not a group: "
+                                             "0,1/2 \\+ 1/2,0"):
+            SymmetricPair(rs, (W("1,0"),), F, F1, name="a1a1")
+        both = LatticeSpec(2, [W("0,0"), W("1/2,0"), W("0,1/2"),
+                               W("1/2,1/2")])
+        assert SymmetricPair(rs, (W("1,0"),), both, both).m == 1
 
 
 class TestW1:
@@ -270,7 +300,7 @@ class TestMarkedNodeRule:
                                  max_size=pair.rank))
         mu = Weight(lam) + pair.delta_p
         assume(admissible_mu(pair, mu))
-        report = euler_verify(pair, mu)
+        report = checked_euler(pair, mu)
         assert report.passed, (pair.name, str(mu), report.failures)
 
     @pytest.mark.parametrize("family,rank,node", CORPUS)
@@ -282,5 +312,5 @@ class TestMarkedNodeRule:
         mus = [mu for mu in box if admissible_mu(pair, mu)][:6]
         assert len(mus) == (5 if (family, rank, node) == ("B", 2, 1) else 6)
         for mu in mus:
-            report = euler_verify(pair, mu)
+            report = checked_euler(pair, mu)
             assert report.passed, (str(mu), report.failures)

@@ -3,9 +3,8 @@ compact symmetric spaces: root systems and Weyl groups over rationals,
 formal character arithmetic, spinor weights, the kernel classification,
 and an independent character-theoretic verifier."""
 
-from .characters import (FormalCharacter, branch_equal_rank,
-                         branch_interleave_BD, decompose,
-                         irreducible_character, weight_multiplicity,
+from .characters import (FormalCharacter, branch_equal_rank, decompose,
+                         irreducible_character, tensor, weight_multiplicity,
                          weyl_dim)
 from .dirac import (EulerReport, KernelResult, KernelStatus,
                     casimir_eigenvalue, casimir_shell, chi_casimir_check,
@@ -17,14 +16,13 @@ from .spin import (SpinorWeights, chi_decompose, chi_trace_difference,
                    spinor_weights)
 from .sympair import (PairReport, SymmetricPair, W1Element, admissible_mu,
                       admissibility_failures, builtin_pair,
-                      builtin_pair_names, deltas, validate_pair,
-                      w1_enumerate)
+                      builtin_pair_names, validate_pair, w1_enumerate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormalCharacter", "branch_equal_rank", "branch_interleave_BD",
-    "decompose", "irreducible_character", "weight_multiplicity", "weyl_dim",
+    "FormalCharacter", "branch_equal_rank", "decompose",
+    "irreducible_character", "tensor", "weight_multiplicity", "weyl_dim",
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
     "casimir_shell", "chi_casimir_check", "dirac_kernel", "euler_verify",
     "frobenius_multiplicity",
@@ -35,6 +33,6 @@ __all__ = [
     "spinor_weights",
     "PairReport", "SymmetricPair", "W1Element", "admissible_mu",
     "admissibility_failures", "builtin_pair", "builtin_pair_names",
-    "deltas", "validate_pair", "w1_enumerate",
+    "validate_pair", "w1_enumerate",
     "__version__",
 ]

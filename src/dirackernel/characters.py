@@ -4,15 +4,17 @@ A formal character is a finitely supported integer-valued function on the
 weight lattice, stored sparsely.  Irreducible characters come from the
 Freudenthal multiplicity recursion evaluated on the dominant weights only,
 each value copied over the Weyl orbit of its weight, all of it on int
-tuples D w scaled by a factor D fixed per root system (``Grid``): one
-cached ``weight_table`` per (root system, nu), of which
+tuples D w scaled by a factor D fixed per root system (``roots.Grid``):
+one cached ``weight_table`` per (root system, nu), of which
 ``irreducible_character`` is the ``Weight``-keyed view.  Dimensions come
 from the closed product formula and are cross-checked against the
 multiplicity mass in the tests.
 Decomposition of an invariant character is straightening: each support
 weight w is walked from w + delta into the dominant chamber, as the theorem
-path walks lambda + delta.  Half-integral highest weights are first-class;
-lattice membership is only ever enforced against an explicit LatticeSpec.
+path walks lambda + delta, on the same grid; branching and tensor products
+straighten the integer tables directly.  Half-integral highest weights are
+first-class; lattice membership is only ever enforced against an explicit
+LatticeSpec.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, Mapping, NamedTuple, Optional
+from typing import Dict, Mapping, NamedTuple
 
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError)
-from .lattice import HALF, Weight, inner_product
-from .roots import RootSystem, WeylElement, dominant_walk, orbit
+from .lattice import Weight, inner_product
+from .roots import Grid, RootSystem, WeylElement, dominant_walk, grid, orbit
 from .sympair import SymmetricPair
 
 
@@ -108,10 +110,6 @@ class FormalCharacter:
         return FormalCharacter(
             self.rank, {element.apply(w): c for w, c in self.terms.items()})
 
-    def mass(self) -> int:
-        """Sum of multiplicities (the dimension, for a true character)."""
-        return sum(self.terms.values())
-
     def support(self) -> list:
         return sorted(self.terms)
 
@@ -131,73 +129,6 @@ class FormalCharacter:
             return "FormalCharacter(0)"
         parts = [f"{c}*e[{w}]" for w, c in self.items_sorted()]
         return "FormalCharacter(" + " + ".join(parts) + ")"
-
-
-# -- scaled-integer weights -------------------------------------------------
-
-class Grid:
-    """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
-
-    Keeps D alpha for the positive roots, D delta, and per simple root a
-    the nonzero coordinates of D a with <D a, D a>, so that pairings,
-    dominance and reflections are integer arithmetic.  A conversion or a
-    coroot pairing that is not exact raises ConsistencyError.
-    """
-
-    def __init__(self, rs: RootSystem, scale: int) -> None:
-        self.rs = rs
-        self.scale = scale
-        self.positive = tuple(self.point(a) for a in rs.positive_roots)
-        self.delta = self.point(rs.delta)
-        simples = (self.point(a) for a in rs.simple_roots)
-        self._supports = tuple(
-            (tuple((k, c) for k, c in enumerate(a) if c), sum(c * c for c in a))
-            for a in simples)
-
-    def point(self, w: Weight) -> tuple:
-        """D w, which must be integral."""
-        x = tuple(c * self.scale for c in w)
-        if any(c.denominator != 1 for c in x):
-            raise ConsistencyError(f"{w} is not on the grid 1/{self.scale} Z")
-        return tuple(c.numerator for c in x)
-
-    def weight(self, x: tuple) -> Weight:
-        return Weight(Fraction(c, self.scale) for c in x)
-
-    def is_dominant(self, x: tuple) -> bool:
-        return all(sum(x[k] * c for k, c in support) >= 0
-                   for support, _ in self._supports)
-
-    def reflect(self, x: tuple, i: int) -> tuple:
-        """s_a(x) = x - <x, a^> D a for the i-th simple root a."""
-        support, norm = self._supports[i]
-        twice = 0
-        for k, c in support:
-            twice += x[k] * c
-        if not twice:
-            return x
-        twice *= 2
-        if twice % norm:
-            raise ConsistencyError(
-                f"{self.weight(x)} pairs to {Fraction(twice, norm)} with "
-                f"the coroot of {self.rs.simple_roots[i]}")
-        pairing = twice // norm
-        y = list(x)
-        for k, c in support:
-            y[k] -= pairing * c
-        return tuple(y)
-
-
-@lru_cache(maxsize=None)
-def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
-    """The grid of ``rs`` at ``scale``, by default D = lcm(2, the
-    denominators of alpha/2 over Delta^+).  With that D, D alpha, D delta
-    and D times any half-sum of roots (a spinor weight) are integral, and
-    so are D times the coset shifts of a lattice, which lie in {0, 1/2}."""
-    if scale is None:
-        scale = math.lcm(2, *(c.denominator for a in rs.positive_roots
-                              for c in a * HALF))
-    return Grid(rs, scale)
 
 
 # -- irreducible characters (Freudenthal) ----------------------------------
@@ -279,7 +210,7 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
                 raise ConsistencyError(
                     f"Freudenthal produced {2 * acc}/{gap} at {g.weight(x)}")
             value = 2 * acc // gap
-        for image in orbit(rs, x, reflect=g.reflect):
+        for image in orbit(g, x):
             table[image] = value
     return WeightTable(g, table)
 
@@ -321,42 +252,76 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
 
 # -- decomposition by straightening ----------------------------------------
 
-def _check_invariance(ch: FormalCharacter, rs: RootSystem) -> None:
+def _straighten(terms: Dict[tuple, int], g: Grid) -> Dict[Weight, int]:
+    """Multiplicities m_nu with sum_x terms[x] e^(x / D) = sum m_nu *
+    irreducible_character(g.rs, nu), for a character on the grid g.
+
+    Straightening (Racah-Speiser): by W-invariance, ch times the Weyl
+    denominator alternates sum_w ch[w] e^(w + delta), so each w + delta is
+    walked into the dominant chamber; a strictly dominant end point p adds
+    (-1)^steps * ch[w] to m at p - delta, a singular one nothing.  A
+    non-integral support weight raises NonDominantError before any
+    reflection, a non-invariant ch SymmetryError, a negative m
+    DecompositionError.  Only the nu of the result become ``Weight``s.
+    """
+    rs = g.rs
+    for x in terms:
+        if not g.is_integral(x):
+            raise NonDominantError(
+                f"{g.weight(x)} is not algebraically integral for {rs}")
     for i, a in enumerate(rs.simple_roots):
-        for w, c in ch.terms.items():
-            if ch.terms.get(rs.reflect(w, i)) != c:
+        for x, c in terms.items():
+            if terms.get(g.reflect(x, i)) != c:
                 raise SymmetryError(
                     f"character is not invariant under reflection in {a}")
-
-
-def decompose(ch: FormalCharacter, rs: RootSystem) -> Dict[Weight, int]:
-    """Multiplicities m_nu with ch = sum m_nu * irreducible_character(nu).
-
-    The input must be W(rs)-invariant.  Straightening (Racah-Speiser): by
-    invariance, ch times the Weyl denominator alternates sum_w ch[w]
-    e^(w + delta), so each w + delta is walked into the dominant chamber; a
-    strictly dominant end point p adds (-1)^steps * ch[w] to m at
-    p - delta, a singular one nothing.  A negative m raises
-    DecompositionError, a non-integral nu NonDominantError.
-    """
-    if ch.rank != rs.rank:
-        raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
-    _check_invariance(ch, rs)
-    delta = rs.delta
-    sums: Dict[Weight, int] = {}
-    for w, c in ch.terms.items():
-        steps, p = dominant_walk(w + delta, rs)
-        if rs.is_dominant(p, strict=True):
-            nu = p - delta
+    delta = g.delta
+    sums: Dict[tuple, int] = {}
+    for x, c in terms.items():
+        steps, p = dominant_walk(tuple(map(add, x, delta)), g)
+        if g.is_dominant(p, strict=True):
+            nu = tuple(map(sub, p, delta))
             sums[nu] = sums.get(nu, 0) + (-1) ** len(steps) * c
-    result = {nu: m for nu, m in sums.items() if m}
-    for nu, m in result.items():
+    result = {}
+    for x, m in sums.items():
+        if not m:
+            continue
+        nu = g.weight(x)
         if m < 0:
             raise DecompositionError(
                 f"negative multiplicity {m} at {nu}: character is not "
                 f"a nonnegative combination of irreducibles")
         _check_highest_weight(rs, nu)
+        result[nu] = m
     return result
+
+
+def decompose(ch: FormalCharacter, rs: RootSystem) -> Dict[Weight, int]:
+    """Multiplicities m_nu with ch = sum m_nu * irreducible_character(nu).
+
+    ``ch`` is put once on the grid of rs, refined by the denominators of
+    its weights, and straightened there (``_straighten``).
+    """
+    if ch.rank != rs.rank:
+        raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
+    g = grid(rs, math.lcm(grid(rs).scale, *(c.denominator for w in ch.terms
+                                             for c in w)))
+    return _straighten({g.point(w): c for w, c in ch.terms.items()}, g)
+
+
+def tensor(rs: RootSystem, nu1: Weight, nu2: Weight) -> Dict[Weight, int]:
+    """pi_nu1 (x) pi_nu2 decomposed into irreducibles: the product of the
+    two integer weight tables, rescaled to a common grid, straightened."""
+    t1, t2 = weight_table(rs, Weight(nu1)), weight_table(rs, Weight(nu2))
+    scale = math.lcm(t1.grid.scale, t2.grid.scale)
+    f1, f2 = scale // t1.grid.scale, scale // t2.grid.scale
+    second = [(tuple(f2 * c for c in y), n) for y, n in t2.terms.items()]
+    product: Dict[tuple, int] = {}
+    for x, m in t1.terms.items():
+        x = tuple(f1 * c for c in x)
+        for y, n in second:
+            key = tuple(map(add, x, y))
+            product[key] = product.get(key, 0) + m * n
+    return _straighten(product, grid(rs, scale))
 
 
 # -- branching ---------------------------------------------------------------
@@ -365,7 +330,7 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
     """Restrict pi_nu to the subgroup side of an equal-rank pair.
 
     The maximal torus is shared, so restriction is reinterpretation of the
-    same formal character, followed by decomposition against Delta_h.
+    same weight table, straightened against Delta_h on the same grid.
     """
     nu = Weight(nu)
     rs = pair.root_system
@@ -373,47 +338,10 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
         raise NonDominantError(f"{nu} is not dominant for {rs}")
     if nu not in pair.lattice_F1:
         raise ValueError(f"{nu} is not in F1 for pair {pair.name}")
-    ch = irreducible_character(rs, nu)
-    result = decompose(ch, pair.h_system)
+    table = weight_table(rs, nu)
+    result = _straighten(table.terms, grid(pair.h_system, table.grid.scale))
     total = sum(mult * weyl_dim(pair.h_system, w) for w, mult in result.items())
     if total != weyl_dim(rs, nu):
         raise ConsistencyError(
             f"branching of {nu} lost dimensions: {total} != {weyl_dim(rs, nu)}")
-    return result
-
-
-def branch_interleave_BD(m: int, nu: Weight) -> Dict[Weight, int]:
-    """Branching multiplicities for the odd/even orthogonal chain by the
-    interleaving condition nu_1 >= a_1 >= nu_2 >= ... >= nu_m >= |a_m|.
-
-    Components a run over the same integrality class as nu (all integers
-    or all half-odd-integers), each with multiplicity one.  Independent of
-    the character machinery; used as its cross-check.
-    """
-    nu = Weight(nu)
-    if len(nu) != m:
-        raise DimensionError(f"nu has length {len(nu)}, expected {m}")
-    if not all(nu[i] >= nu[i + 1] for i in range(m - 1)) or nu[-1] < 0:
-        raise NonDominantError(f"{nu} is not dominant for B{m}")
-    frac = nu[0] - int(nu[0])
-    if any(c - int(c) != frac for c in nu):
-        raise ValueError(f"{nu} is not in a single integrality class")
-
-    result: Dict[Weight, int] = {}
-
-    def extend(k: int, prefix: tuple) -> None:
-        if k == m - 1:
-            upper = nu[m - 1]
-            a = -upper
-            while a <= upper:
-                result[Weight(prefix + (a,))] = 1
-                a += 1
-            return
-        lower, upper = nu[k + 1], nu[k]
-        a = lower
-        while a <= upper:
-            extend(k + 1, prefix + (a,))
-            a += 1
-
-    extend(0, ())
     return result

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Optional
 
-from .characters import branch_equal_rank, decompose, irreducible_character, weyl_dim
+from .characters import branch_equal_rank, tensor, weyl_dim
 from .dirac import KernelStatus, chi_casimir_check, dirac_kernel, euler_verify
 from .errors import ConsistencyError, GroupOrderLimitError
 from .lattice import LatticeSpec, Weight
@@ -319,8 +319,7 @@ def cmd_branch(args, out) -> int:
 
 def cmd_tensor(args, out) -> int:
     rs, nu1, nu2 = resolve_classical(args.system, args.nu1, args.nu2)
-    product = irreducible_character(rs, nu1) * irreducible_character(rs, nu2)
-    result = decompose(product, rs)
+    result = tensor(rs, nu1, nu2)
     doc = {
         "system": rs.name,
         "nu1": str(nu1),

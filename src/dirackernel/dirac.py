@@ -14,7 +14,7 @@ of binomials prod (1 - e^alpha) over Delta_h^+ times the negated
 half-spin character), and checks that the alternating sum collapses to
 the predicted signed irreducible (or to zero).  Its three hot loops (the
 shell, the shifts and the weight tables) run on int tuples D w on the
-grid of ``characters.grid``; ``Weight`` appears only at the edges.
+grid of ``roots.grid``; ``Weight`` appears only at the edges.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Dict, List, Optional
 
-from .characters import grid, weight_table, weyl_dim
+from .characters import weight_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import HALF, Weight, inner_product
-from .roots import WeylElement, dominant_representative
+from .roots import WeylElement, dominant_representative, grid
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -136,7 +136,7 @@ def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
 
     Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
     |nu + delta| = |lambda + delta|.  On the grid of the root system (D
-    from ``characters.grid``), per coset shift s of F the points
+    from ``roots.grid``), per coset shift s of F the points
     x = D (nu + delta) are the integer vectors with x = D (s + delta)
     mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate steps
     by D up to the integer square root of what remains.  Dominance of

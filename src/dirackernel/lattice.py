@@ -137,11 +137,6 @@ class LatticeSpec:
         """Z^m."""
         return cls(rank, [Weight.zero(rank)])
 
-    @classmethod
-    def integers_and_half_integers(cls, rank: int) -> "LatticeSpec":
-        """Z^m union (Z + 1/2)^m."""
-        return cls(rank, [Weight.zero(rank), Weight([HALF] * rank)])
-
     def contains(self, w: Weight) -> bool:
         if len(w) != self.rank:
             raise DimensionError(

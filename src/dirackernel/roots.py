@@ -9,19 +9,23 @@ Reflections act on weight vectors directly, so a user-supplied list of
 positive roots works just as well as a built-in family.  A, B, C, D are
 realized in the standard e-basis, which for the A family means an ambient
 space of dimension rank + 1.
+
+``orbit`` and ``dominant_walk`` also run on int tuples D w on the grid
+(1/D) Z^rank of a root system (``Grid``), where W is the orbit of D delta.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import (DimensionError, GroupOrderLimitError,
+from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
                      UnsupportedRootSystemError)
-from .lattice import Weight, inner_product
+from .lattice import HALF, Weight, inner_product
 
 
 def _apply_word(rs: "RootSystem", word: tuple, v: Weight) -> Weight:
@@ -55,11 +59,6 @@ class WeylElement:
             raise DimensionError(
                 f"weight length {len(w)} vs rank {self.rs.rank}")
         return _apply_word(self.rs, self.word, w)
-
-    def __matmul__(self, other: "WeylElement") -> "WeylElement":
-        """self after other, with a reduced word read off its image."""
-        image = self.apply(other.image)
-        return WeylElement(self.rs, dominant_walk(image, self.rs)[0], image)
 
     def inverse(self) -> "WeylElement":
         return WeylElement.from_word(self.rs, reversed(self.word))
@@ -233,9 +232,6 @@ class RootSystem:
         return all(self.coroot_pairing(v, i).denominator == 1
                    for i in range(len(self.simple_roots)))
 
-    def all_roots(self) -> tuple:
-        return self.positive_roots + tuple(-a for a in self.positive_roots)
-
     def __repr__(self) -> str:
         label = self.name or f"rank{self.rank}"
         return f"RootSystem({label}, {len(self.positive_roots)} positive roots)"
@@ -277,25 +273,101 @@ def build_classical(family: str, rank: int) -> RootSystem:
     return RootSystem(n, roots, name=f"{family}{rank}")
 
 
-def orbit(rs: RootSystem, v, limit: int = 10 ** 6, reflect=None) -> dict:
+class Grid:
+    """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
+
+    Keeps D alpha for the positive roots, D delta, and per simple root a
+    the nonzero coordinates of D a with <D a, D a>, so that pairings,
+    dominance and reflections are integer arithmetic.  A conversion or a
+    coroot pairing that is not exact raises ConsistencyError.
+    """
+
+    def __init__(self, rs: RootSystem, scale: int) -> None:
+        self.rs = rs
+        self.scale = scale
+        self.simple_roots = rs.simple_roots
+        self.positive = tuple(self.point(a) for a in rs.positive_roots)
+        self.delta = self.point(rs.delta)
+        simples = (self.point(a) for a in rs.simple_roots)
+        self._supports = tuple(
+            (tuple((k, c) for k, c in enumerate(a) if c), sum(c * c for c in a))
+            for a in simples)
+
+    def point(self, w: Weight) -> tuple:
+        """D w, which must be integral."""
+        x = tuple(c * self.scale for c in w)
+        if any(c.denominator != 1 for c in x):
+            raise ConsistencyError(f"{w} is not on the grid 1/{self.scale} Z")
+        return tuple(c.numerator for c in x)
+
+    def weight(self, x: tuple) -> Weight:
+        return Weight(Fraction(c, self.scale) for c in x)
+
+    def is_dominant(self, x: tuple, strict: bool = False) -> bool:
+        """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
+        least = 1 if strict else 0  # <x, D a> is an integer
+        return all(sum(x[k] * c for k, c in support) >= least
+                   for support, _ in self._supports)
+
+    def is_integral(self, x: tuple) -> bool:
+        """<w, a^> is an integer for every simple root a."""
+        return all(2 * sum(x[k] * c for k, c in support) % norm == 0
+                   for support, norm in self._supports)
+
+    def coroot_pairing(self, x: tuple, i: int) -> int:
+        """<w, a^> for the i-th simple root a, which must be an integer."""
+        support, norm = self._supports[i]
+        twice = 0
+        for k, c in support:
+            twice += x[k] * c
+        twice *= 2
+        if twice % norm:
+            raise ConsistencyError(
+                f"{self.weight(x)} pairs to {Fraction(twice, norm)} with "
+                f"the coroot of {self.rs.simple_roots[i]}")
+        return twice // norm
+
+    def reflect(self, x: tuple, i: int) -> tuple:
+        """s_a(x) = x - <w, a^> D a for the i-th simple root a."""
+        pairing = self.coroot_pairing(x, i)
+        if not pairing:
+            return x
+        y = list(x)
+        for k, c in self._supports[i][0]:
+            y[k] -= pairing * c
+        return tuple(y)
+
+
+@lru_cache(maxsize=None)
+def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
+    """The grid of ``rs`` at ``scale``, by default D = lcm(2, the
+    denominators of alpha/2 over Delta^+).  With that D, D alpha, D delta
+    and D times any half-sum of roots (a spinor weight) are integral, and
+    so are D times the coset shifts of a lattice, which lie in {0, 1/2}."""
+    if scale is None:
+        scale = math.lcm(2, *(c.denominator for a in rs.positive_roots
+                              for c in a * HALF))
+    return Grid(rs, scale)
+
+
+def orbit(space, v, limit: int = 10 ** 6) -> dict:
     """The W-orbit of v as {image: word}, with s_word[0] ... s_word[-1] v
     = image.
 
-    Breadth-first from v, generators in index order, a new image's word
-    being the generator prepended to its parent's, so every word is of
-    minimal length.  Raises GroupOrderLimitError past ``limit`` images.
-    ``reflect(u, i)`` applies the i-th simple reflection; it defaults to
-    ``rs.reflect``, and a caller that keeps weights in another encoding
-    (scaled integers, say) passes its own.
+    ``space`` is a ``RootSystem`` with v a ``Weight``, or a ``Grid`` with v
+    an int tuple.  Breadth-first from v, generators in index order, a new
+    image's word being the generator prepended to its parent's, so every
+    word is of minimal length.  Raises GroupOrderLimitError past ``limit``
+    images.
     """
-    reflect = reflect or rs.reflect
+    reflect = space.reflect
     seen = {v: ()}
     frontier = [v]
     while frontier:
         new_frontier = []
         for u in frontier:
             word = seen[u]
-            for i in range(len(rs.simple_roots)):
+            for i in range(len(space.simple_roots)):
                 image = reflect(u, i)
                 if image not in seen:
                     seen[image] = (i,) + word
@@ -312,22 +384,25 @@ def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
     """The Weyl group as the orbit of the regular weight delta, each
     element carrying its orbit word (reduced, since the stabilizer of delta
     is trivial).  Elements are returned sorted by their image of delta.
+    The orbit runs on the grid, and each image becomes a ``Weight`` once.
     """
-    seen = orbit(rs, rs.delta, limit)
-    return tuple(WeylElement(rs, seen[v], v) for v in sorted(seen))
+    g = grid(rs)
+    seen = orbit(g, g.delta, limit)
+    return tuple(WeylElement(rs, seen[x], g.weight(x)) for x in sorted(seen))
 
 
-def dominant_walk(w: Weight, rs: RootSystem) -> tuple:
+def dominant_walk(w, space) -> tuple:
     """(steps, dominant): reflect w in the first simple root that pairs
     negatively with it, rescanning from the first root after each step,
     until none does.  The walk terminates because <. , delta> strictly
-    increases, and s_steps[-1] ... s_steps[0] w = dominant.
+    increases, and s_steps[-1] ... s_steps[0] w = dominant.  ``space`` is a
+    ``RootSystem`` with w a ``Weight``, or a ``Grid`` with w an int tuple.
     """
     steps = []
     i = 0
-    while i < len(rs.simple_roots):
-        if rs.coroot_pairing(w, i) < 0:
-            w = rs.reflect(w, i)
+    while i < len(space.simple_roots):
+        if space.coroot_pairing(w, i) < 0:
+            w = space.reflect(w, i)
             steps.append(i)
             i = 0
         else:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import sub
 
-from .errors import ConsistencyError, DimensionError, InvalidPairError
+from .errors import DimensionError, InvalidPairError
 from .lattice import HALF, LatticeSpec, Weight
-from .roots import RootSystem, WeylElement, build_classical, weyl_group
+from .roots import (RootSystem, WeylElement, build_classical, grid, orbit,
+                    weyl_group)
 
 
 @dataclass(frozen=True)
@@ -132,31 +134,36 @@ class SymmetricPair:
     @cached_property
     def w1(self) -> tuple:
         """W_1: each sigma with its sign and delta_p^sigma = sigma(delta) -
-        delta_h.  The bijection count |W| = |W_H| * |W_1| and the dominance
-        plus distinctness of the delta_p^sigma are verified on the way.
+        delta_h, in the order of the images sigma(delta).  The bijection
+        count |W| = |W_H| * |W_1| and the dominance plus distinctness of
+        the delta_p^sigma are verified on the way.  Delta_h^+ lies in
+        sigma(Delta^+) iff sigma(delta) is strictly Delta_h-dominant, so the
+        orbit of D delta on the grid is filtered by that; only members
+        become ``Weight``s.
         """
-        full = weyl_group(self.root_system)
-        h_system = self.h_system
-        # Delta_h^+ lies in sigma(Delta^+) iff sigma(delta) is strictly
-        # Delta_h-dominant.
-        result = tuple(
-            W1Element(sigma, sigma.sign, sigma.image - self.delta_h)
-            for sigma in full if h_system.is_dominant(sigma.image, strict=True))
-        if len(full) != len(self.weyl_h) * len(result):
+        g = grid(self.root_system)
+        h = grid(self.h_system, g.scale)
+        full = orbit(g, g.delta)
+        members = sorted(x for x in full if h.is_dominant(x, strict=True))
+        if len(full) != len(self.weyl_h) * len(members):
             raise InvalidPairError(
                 f"|W| = {len(full)} != |W_H| * |W_1| = "
-                f"{len(self.weyl_h)} * {len(result)}")
+                f"{len(self.weyl_h)} * {len(members)}")
         seen = set()
-        for w1 in result:
-            if not h_system.is_dominant(w1.delta_p_sigma):
+        result = []
+        for x in members:
+            shifted = tuple(map(sub, x, h.delta))
+            delta_p_sigma = g.weight(shifted)
+            if not h.is_dominant(shifted):
                 raise InvalidPairError(
-                    f"delta_p^sigma = {w1.delta_p_sigma} is not dominant "
-                    f"for h")
-            if w1.delta_p_sigma in seen:
+                    f"delta_p^sigma = {delta_p_sigma} is not dominant for h")
+            if shifted in seen:
                 raise InvalidPairError(
-                    f"duplicate delta_p^sigma = {w1.delta_p_sigma}")
-            seen.add(w1.delta_p_sigma)
-        return result
+                    f"duplicate delta_p^sigma = {delta_p_sigma}")
+            seen.add(shifted)
+            element = WeylElement(self.root_system, full[x], g.weight(x))
+            result.append(W1Element(element, element.sign, delta_p_sigma))
+        return tuple(result)
 
     def __repr__(self) -> str:
         return (f"SymmetricPair({self.name}, rank={self.rank}, "
@@ -239,15 +246,6 @@ def w1_enumerate(pair: SymmetricPair) -> list:
     """All sigma in W with Delta_h^+ contained in sigma(Delta^+), as a list
     copy of ``pair.w1``."""
     return list(pair.w1)
-
-
-def deltas(pair: SymmetricPair):
-    """(delta, delta_h, delta_p); checks delta = delta_h + delta_p."""
-    d, dh, dp = pair.delta, pair.delta_h, pair.delta_p
-    if d != dh + dp:
-        raise ConsistencyError(
-            f"delta = {d} differs from delta_h + delta_p = {dh + dp}")
-    return d, dh, dp
 
 
 def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:

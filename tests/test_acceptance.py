@@ -12,7 +12,6 @@ from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             _m_scale, build_clifford,
                             simultaneous_spin_weights)
 from dirackernel.characters import (FormalCharacter, branch_equal_rank,
-                                    branch_interleave_BD,
                                     irreducible_character, weyl_dim)
 from dirackernel.dirac import KernelStatus, chi_casimir_check, dirac_kernel
 from dirackernel.lattice import Weight, inner_product
@@ -22,6 +21,7 @@ from dirackernel.spin import (chi_decompose, chi_trace_difference,
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names, w1_enumerate)
 from oracle_reference import checked_euler
+from support import branch_interleave_BD
 
 
 def W(text):

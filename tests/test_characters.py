@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import dirackernel.characters as characters
 from dirackernel.characters import (FormalCharacter, branch_equal_rank,
-                                    branch_interleave_BD, decompose,
-                                    irreducible_character,
+                                    decompose, irreducible_character,
                                     weight_multiplicity, weyl_dim)
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 NonDominantError, SymmetryError)
@@ -18,6 +17,7 @@ from dirackernel.roots import WeylElement, build_classical, weyl_group
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from oracle_reference import reference_character
 from peel_reference import peel
+from support import branch_interleave_BD, mass, quarter_delta_pair
 
 
 def W(text):
@@ -147,7 +147,7 @@ class TestWeylDim:
                 if not rs.is_dominant(nu):
                     continue
                 ch = irreducible_character(rs, nu)
-                assert ch.mass() == weyl_dim(rs, nu), (family, rank, coords)
+                assert mass(ch) == weyl_dim(rs, nu), (family, rank, coords)
 
     @pytest.mark.parametrize("family,rank,nu", [
         ("B", 2, "5/2,0"), ("B", 3, "7/2,1/2,0"), ("B", 2, "1/3,0")])
@@ -166,7 +166,7 @@ class TestWeylDim:
         for family, rank, nus in cases:
             rs = build_classical(family, rank)
             for nu in map(W, nus):
-                assert irreducible_character(rs, nu).mass() == \
+                assert mass(irreducible_character(rs, nu)) == \
                     weyl_dim(rs, nu), (family, rank, nu)
 
 
@@ -472,6 +472,51 @@ class TestIntegerTable:
         assert sum(table.terms.values()) == weyl_dim(rs, nu) == 3
 
 
+class TestGridStraightening:
+    """``tensor`` and ``branch_equal_rank`` straighten the integer weight
+    tables on the grid; the peel on ``Fraction`` characters is the
+    reference."""
+
+    @pytest.mark.parametrize("family,rank,nu1,nu2,scales", [
+        ("A", 2, "2/3,-1/3,-1/3", "1/3,1/3,-2/3", (6, 6)),
+        ("A", 2, "2/3,-1/3,-1/3", "1,0,-1", (6, 2)),
+        ("B", 2, "1/2,1/2", "1,0", (2, 2)),
+        ("B", 3, "1/2,1/2,1/2", "3/2,1/2,1/2", (2, 2)),
+        ("C", 2, "1,1", "2,0", (2, 2))])
+    def test_tensor_matches_peel(self, family, rank, nu1, nu2, scales):
+        rs = build_classical(family, rank)
+        nu1, nu2 = W(nu1), W(nu2)
+        assert tuple(characters.weight_table(rs, nu).grid.scale
+                     for nu in (nu1, nu2)) == scales
+        product = (irreducible_character(rs, nu1)
+                   * irreducible_character(rs, nu2))
+        expected = peel(product, rs)
+        assert characters.tensor(rs, nu1, nu2) == expected
+        assert decompose(product, rs) == expected
+        assert sum(m * weyl_dim(rs, w) for w, m in expected.items()) == \
+            weyl_dim(rs, nu1) * weyl_dim(rs, nu2)
+
+    @pytest.mark.parametrize("nu", ["1/2,1/2,1/2,1/2", "5/2,3/2,1/2,1/2"])
+    def test_branch_half_integral_nu(self, nu):
+        pair = builtin_pair("so9_so8")
+        nu = W(nu)
+        expected = peel(irreducible_character(pair.root_system, nu),
+                        pair.h_system)
+        assert branch_equal_rank(pair, nu) == expected
+        assert expected == branch_interleave_BD(4, nu)
+
+    def test_branch_quarter_delta(self):
+        pair = quarter_delta_pair()
+        rs = pair.root_system
+        assert characters.grid(rs).scale == 4
+        nus = [nu for nu in dominant_grid(rs, 1, half=True)
+               if nu in pair.lattice_F1]
+        assert len(nus) == 6
+        for nu in nus:
+            assert branch_equal_rank(pair, nu) == peel(
+                irreducible_character(rs, nu), pair.h_system), nu
+
+
 class TestInvariantsRaise:
     """Broken invariants raise ConsistencyError, also under python -O."""
 
@@ -510,7 +555,7 @@ class TestInvariantsRaise:
 
     def test_branching_dimension_balance(self, monkeypatch):
         pair = builtin_pair("so5_so4")
-        monkeypatch.setattr(characters, "decompose",
-                            lambda ch, rs: {W("1,0"): 1})
+        monkeypatch.setattr(characters, "_straighten",
+                            lambda terms, g: {W("1,0"): 1})
         with pytest.raises(ConsistencyError, match="lost dimensions"):
             branch_equal_rank(pair, W("1,0"))

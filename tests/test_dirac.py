@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 
 import dirackernel.dirac as dirac
-from dirackernel.characters import Grid, grid, irreducible_character
+from dirackernel.characters import irreducible_character
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                casimir_shell, chi_casimir_check, dirac_kernel,
                                frobenius_multiplicity)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
-from dirackernel.lattice import LatticeSpec, Weight, inner_product
-from dirackernel.roots import RootSystem, WeylElement
+from dirackernel.lattice import Weight, inner_product
+from dirackernel.roots import Grid, WeylElement, grid
 from dirackernel.spin import spinor_weights
-from dirackernel.sympair import (SymmetricPair, admissible_mu, builtin_pair,
-                                 builtin_pair_names)
+from dirackernel.sympair import admissible_mu, builtin_pair, builtin_pair_names
 from corpus import CORPUS, corpus_pair
 from oracle_reference import checked_euler, reference_kernel
 from peel_reference import peel
+from support import quarter_delta_pair
 
 
 def W(text):
@@ -233,15 +233,6 @@ def admissible_box(pair, box):
         mu = Weight(lam) + pair.delta_p
         if admissible_mu(pair, mu):
             yield Weight(lam), mu
-
-
-def quarter_delta_pair():
-    # B2 scaled by 1/2 with h = {(0, 1/2)} has delta = (3/4, 1/4), so
-    # D (nu + delta) is integral for D = 4 and not for D = 2
-    half = Fraction(1, 2)
-    rs = RootSystem(2, [(half, -half), (half, half), (half, 0), (0, half)])
-    both = LatticeSpec.integers_and_half_integers(2)
-    return SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
 
 
 KERNEL_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]

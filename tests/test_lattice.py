@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dirackernel.errors import DimensionError
 from dirackernel.lattice import LatticeSpec, Weight, inner_product
 from dirackernel.roots import build_classical
+from support import integers_and_half_integers
 
 HALF = Fraction(1, 2)
 
@@ -69,14 +70,14 @@ class TestMembership:
         assert W("3/2,1/2") not in F
 
     def test_spin5_integral_forms(self):
-        F1 = LatticeSpec.integers_and_half_integers(2)
+        F1 = integers_and_half_integers(2)
         assert W("3/2,1/2") in F1
         assert W("3/2,1") not in F1
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_integer_translation(self, a, b, half):
-        F1 = LatticeSpec.integers_and_half_integers(2)
+        F1 = integers_and_half_integers(2)
         w = W("1/2,1/2") if half else W("0,1")
         shifted = w + Weight((a, b))
         assert (w in F1) == (shifted in F1)
@@ -89,7 +90,7 @@ class TestMembership:
 
     def test_sublattice_containment(self):
         F = LatticeSpec.integers(2)
-        F1 = LatticeSpec.integers_and_half_integers(2)
+        F1 = integers_and_half_integers(2)
         assert F.is_sublattice_of(F1)
         assert not F1.is_sublattice_of(F)
 

@@ -9,6 +9,7 @@ from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, build_classical,
                                classical_dimension, dominant_representative,
                                orbit, weyl_group)
+from support import all_roots, compose
 
 
 def W(text):
@@ -149,16 +150,16 @@ class TestWeylGroup:
     def test_elements_permute_roots(self):
         for family, rank in [("B", 2), ("D", 3), ("A", 2), ("B", 4)]:
             rs = build_classical(family, rank)
-            all_roots = set(rs.all_roots())
+            roots = set(all_roots(rs))
             for w in weyl_group(rs):
-                assert {w.apply(a) for a in all_roots} == all_roots
+                assert {w.apply(a) for a in roots} == roots
 
     def test_sign_is_homomorphism(self):
         for family, rank in [("B", 2), ("A", 2), ("B", 3)]:
             group = weyl_group(build_classical(family, rank))
             for w1 in group:
                 for w2 in group:
-                    assert (w1 @ w2).sign == w1.sign * w2.sign
+                    assert compose(w1, w2).sign == w1.sign * w2.sign
 
     def test_words_are_reduced_and_match_sign(self):
         # len(word) equals the number of positive roots sent to negative
@@ -176,6 +177,21 @@ class TestWeylGroup:
                 for i, j in itertools.product(range(rs.rank), repeat=2):
                     assert (inner_product(images[i], images[j])
                             == inner_product(basis[i], basis[j]))
+
+    @pytest.mark.parametrize("rs", [
+        build_classical("B", 3), build_classical("A", 3),
+        build_classical("D", 4),
+        # B2 scaled by 1/2: delta = 3/4,1/4 sits on the grid with D = 4
+        RootSystem(2, [W("1/2,-1/2"), W("1/2,1/2"), W("1/2,0"),
+                       W("0,1/2")])], ids=lambda rs: repr(rs))
+    def test_grid_orbit_matches_fraction_orbit(self, rs):
+        # weyl_group walks D delta on ints; orbit on Fraction weights is
+        # the reference for images, words and order
+        reference = orbit(rs, rs.delta)
+        group = weyl_group(rs)
+        assert [(w.image, w.word) for w in group] == sorted(reference.items())
+        for w in group:
+            assert WeylElement.from_word(rs, w.word).image == w.image
 
     def test_order_limit(self):
         with pytest.raises(GroupOrderLimitError):
@@ -249,12 +265,12 @@ class TestWeylElement:
     def test_inverse_is_transpose(self):
         rs = build_classical("B", 3)
         for w in weyl_group(rs)[:10]:
-            assert (w @ w.inverse()) == WeylElement.identity(rs)
-            assert (w.inverse() @ w) == WeylElement.identity(rs)
+            assert compose(w, w.inverse()) == WeylElement.identity(rs)
+            assert compose(w.inverse(), w) == WeylElement.identity(rs)
 
     def test_reflection_is_involution(self):
         rs = build_classical("B", 2)
         refl = WeylElement.from_word(rs, (0,))
         assert rs.simple_roots[0] == W("1,-1")
-        assert refl @ refl == WeylElement.identity(rs)
+        assert compose(refl, refl) == WeylElement.identity(rs)
         assert refl.apply(W("2,5")) == W("5,2")

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS, corpus_pair
 from oracle_reference import checked_euler
+from support import (deltas, integers_and_half_integers, quarter_delta_pair,
+                     reference_w1)
 from dirackernel.dirac import chi_casimir_check
 from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
@@ -15,7 +17,7 @@ from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
-                                 builtin_pair_names, deltas,
+                                 builtin_pair_names,
                                  marked_node_pair, validate_pair,
                                  w1_enumerate)
 
@@ -24,12 +26,18 @@ def W(text):
     return Weight.parse(text)
 
 
+# the built-ins, the marked-node corpus and a pair whose grid needs D = 4
+W1_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
+            + [corpus_pair(*node) for node in CORPUS]
+            + [quarter_delta_pair()])
+
+
 def b2_pair(h_roots, name="test"):
     rs = build_classical("B", 2)
     return SymmetricPair(
         rs, tuple(W(r) for r in h_roots),
         lattice_F=LatticeSpec.integers(2),
-        lattice_F1=LatticeSpec.integers_and_half_integers(2),
+        lattice_F1=integers_and_half_integers(2),
         name=name)
 
 
@@ -52,7 +60,7 @@ class TestValidate:
         rs = build_classical("B", 1)
         pair = SymmetricPair(
             rs, (), LatticeSpec.integers(1),
-            LatticeSpec.integers_and_half_integers(1), name="b1")
+            integers_and_half_integers(1), name="b1")
         assert validate_pair(pair).ok
 
     def test_h_equal_g_is_rejected(self):
@@ -70,7 +78,7 @@ class TestValidate:
         with pytest.raises(InvalidPairError, match="lattice_containment"):
             SymmetricPair(
                 rs, (W("1,-1"), W("1,1")),
-                lattice_F=LatticeSpec.integers_and_half_integers(2),
+                lattice_F=integers_and_half_integers(2),
                 lattice_F1=LatticeSpec.integers(2),
                 name="bad_lattices")
 
@@ -85,7 +93,7 @@ class TestValidate:
         # (1/2,1/2) is integral for B2 (above) but pairs to 1/2 with the
         # coroot (0,1) of the C2 simple root (0,2)
         rs = build_classical("C", 2)
-        half = LatticeSpec.integers_and_half_integers(2)
+        half = integers_and_half_integers(2)
         with pytest.raises(ValueError, match="F shift 1/2,1/2 is not integral"):
             SymmetricPair(rs, (W("1,-1"),), half, half, name="c2_half")
 
@@ -155,6 +163,19 @@ class TestW1:
         assert len(pair.weyl_h) == h_order
         assert len(w1_enumerate(pair)) == w1_order
         assert total == h_order * w1_order
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_grid_filter_matches_fraction_reference(self, pair):
+        # the orbit of D delta on the grid, filtered by strict
+        # Delta_h-dominance, against the Fraction filter of weyl_group:
+        # the same elements with the same words, in the same order
+        def rows(w1):
+            return [(x.element.word, x.element.image, x.sign,
+                     x.delta_p_sigma) for x in w1]
+
+        assert rows(pair.w1) == rows(reference_w1(pair))
+        assert len(pair.w1) * len(pair.weyl_h) == len(
+            weyl_group(pair.root_system))
 
     def test_sigma_image_of_positive_roots(self):
         # sigma(Delta+) = Delta_h+ together with Delta_p+ up to signs, and

@@ -14,7 +14,7 @@ from .roots import (RootSystem, WeylElement, build_classical,
                     dominant_representative, weyl_group)
 from .spin import (SpinorWeights, chi_decompose, chi_trace_difference,
                    spinor_weights)
-from .sympair import (PairReport, SymmetricPair, W1Element, admissible_mu,
+from .sympair import (SymmetricPair, W1Element, admissible_mu,
                       admissibility_failures, builtin_pair,
                       builtin_pair_names, validate_pair, w1_enumerate)
 
@@ -31,7 +31,7 @@ __all__ = [
     "dominant_representative", "weyl_group",
     "SpinorWeights", "chi_decompose", "chi_trace_difference",
     "spinor_weights",
-    "PairReport", "SymmetricPair", "W1Element", "admissible_mu",
+    "SymmetricPair", "W1Element", "admissible_mu",
     "admissibility_failures", "builtin_pair", "builtin_pair_names",
     "validate_pair", "w1_enumerate",
     "__version__",

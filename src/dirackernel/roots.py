@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
@@ -69,16 +70,17 @@ class WeylElement:
 
 
 def _derive_simple_roots(positive_roots: Sequence[Weight]) -> tuple:
-    """Positive roots that are not a sum of two positive roots."""
-    pos = set(positive_roots)
+    """Positive roots that are not a sum of two positive roots, summed as
+    the int tuples 2a (exact, since roots lie in 1/2 Z)."""
+    twice = [tuple(int(2 * c) for c in a) for a in positive_roots]
+    pos = set(twice)
     sums = set()
-    roots = list(positive_roots)
-    for i, a in enumerate(roots):
-        for b in roots[i:]:
-            s = a + b
+    for i, a in enumerate(twice):
+        for b in twice[i:]:
+            s = tuple(map(add, a, b))
             if s in pos:
                 sums.add(s)
-    return tuple(a for a in positive_roots if a not in sums)
+    return tuple(a for a, t in zip(positive_roots, twice) if t not in sums)
 
 
 @dataclass(frozen=True, eq=True)
@@ -112,8 +114,9 @@ class RootSystem:
         object.__setattr__(self, "positive_roots", roots)
         object.__setattr__(self, "name", name)
         coefficients = {}
-        for alpha in roots:
-            coeffs = self.simple_coefficients(alpha)
+        for alpha, coeffs in zip(roots, self._solve(roots)):
+            if coeffs is None:
+                raise self._outside_span(alpha)
             if any(c.denominator != 1 or c < 0 for c in coeffs):
                 raise ValueError(
                     f"{alpha} is not a nonnegative integer combination "
@@ -186,14 +189,24 @@ class RootSystem:
 
         Raises ValueError when the vector is outside the span.
         """
+        (coeffs,) = self._solve([vector])
+        if coeffs is None:
+            raise self._outside_span(vector)
+        return coeffs
+
+    def _outside_span(self, vector: Weight) -> ValueError:
+        empty = "" if self.simple_roots else "(empty) "
+        return ValueError(f"{vector} outside the {empty}root span")
+
+    def _solve(self, vectors: Sequence[Weight]) -> list:
+        """The coordinates of each vector in the simple-root basis, or None
+        for one outside the span: one Gauss-Jordan elimination of the
+        simple roots 2a, with the vectors 2v as right-hand sides."""
         simples = self.simple_roots
-        if not simples:
-            if any(c != 0 for c in vector):
-                raise ValueError(f"{vector} outside the (empty) root span")
-            return ()
-        # Gaussian elimination on the rank x len(simples) system.
+        if not simples:  # builds no rows: the rank may be huge
+            return [None if any(v) else () for v in vectors]
         ncols = len(simples)
-        rows = [[simples[j][i] for j in range(ncols)] + [vector[i]]
+        rows = [[int(2 * a[i]) for a in simples] + [2 * v[i] for v in vectors]
                 for i in range(self.rank)]
         pivots = []
         r = 0
@@ -202,20 +215,21 @@ class RootSystem:
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = 1 / rows[r][c]
+            inv = Fraction(1, rows[r][c])
             rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            for i, row in enumerate(rows):
+                if i != r and row[c]:
+                    rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
             pivots.append(c)
             r += 1
-        if any(row[-1] != 0 for row in rows[r:]):
-            raise ValueError(f"{vector} outside the root span")
-        coeffs = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            coeffs[c] = rows[i][-1]
-        return tuple(coeffs)
+        result = []
+        for j in range(ncols, ncols + len(vectors)):
+            coeffs = [Fraction(0)] * ncols
+            for i, c in enumerate(pivots):
+                coeffs[c] = rows[i][j]
+            outside = any(row[j] for row in rows[r:])
+            result.append(None if outside else tuple(coeffs))
+        return result
 
     def is_dominant(self, w: Weight, strict: bool = False) -> bool:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""

@@ -18,27 +18,12 @@ from operator import sub
 
 from .errors import DimensionError, InvalidPairError
 from .lattice import HALF, LatticeSpec, Weight
-from .roots import (RootSystem, WeylElement, build_classical, grid, orbit,
-                    weyl_group)
+from .roots import RootSystem, WeylElement, build_classical, grid, orbit
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class PairReport:
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
+# the checks of ``validate_pair``, in the order it runs them
+PAIR_CHECKS = ("p_nonempty", "bracket_grading", "p_level_parity",
+               "lattice_containment")
 
 
 @dataclass(frozen=True)
@@ -75,11 +60,7 @@ class SymmetricPair:
         object.__setattr__(self, "lattice_F", lattice_F)
         object.__setattr__(self, "lattice_F1", lattice_F1)
         object.__setattr__(self, "name", name)
-        report = validate_pair(self)
-        if not report.ok:
-            bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-            raise InvalidPairError(f"pair {name!r} fails validation: {bad}")
-        object.__setattr__(self, "validation", report)
+        validate_pair(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -126,10 +107,12 @@ class SymmetricPair:
         return RootSystem(self.rank, self.h_positive,
                           name=f"{self.name}:h")
 
-    @property
-    def weyl_h(self) -> tuple:
-        """W_H, as the orbit of the Delta_h-regular weight delta_h."""
-        return weyl_group(self.h_system)
+    @cached_property
+    def weyl_h_order(self) -> int:
+        """|W_H|, the size of the orbit of the Delta_h-regular weight
+        D delta_h on the grid that ``w1`` filters with."""
+        h = grid(self.h_system, grid(self.root_system).scale)
+        return len(orbit(h, h.delta))
 
     @cached_property
     def w1(self) -> tuple:
@@ -145,10 +128,10 @@ class SymmetricPair:
         h = grid(self.h_system, g.scale)
         full = orbit(g, g.delta)
         members = sorted(x for x in full if h.is_dominant(x, strict=True))
-        if len(full) != len(self.weyl_h) * len(members):
+        if len(full) != self.weyl_h_order * len(members):
             raise InvalidPairError(
                 f"|W| = {len(full)} != |W_H| * |W_1| = "
-                f"{len(self.weyl_h)} * {len(members)}")
+                f"{self.weyl_h_order} * {len(members)}")
         seen = set()
         result = []
         for x in members:
@@ -197,18 +180,18 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
                     f"F is not a group: {s} + {t} is not in F")
 
 
-def validate_pair(pair: SymmetricPair) -> PairReport:
-    """The structural checks of ``pair``.  ``SymmetricPair`` runs them on
-    construction, raises ``InvalidPairError`` if one fails and keeps the
-    report as ``pair.validation``."""
+def validate_pair(pair: SymmetricPair) -> None:
+    """Run the checks of ``PAIR_CHECKS`` on ``pair`` and raise
+    ``InvalidPairError`` naming every one that fails.  ``SymmetricPair``
+    runs them on construction, so a pair that exists has passed them."""
     rs = pair.root_system
-    checks = []
+    failures = []  # "check: detail", in the order of PAIR_CHECKS
 
     p_set = set(pair.p_positive)
     h_set = set(pair.h_positive)
-    checks.append(PairCheck(
-        "p_nonempty", len(p_set) > 0,
-        "" if p_set else "Delta_p^+ is empty (h equals the full algebra)"))
+    if not p_set:
+        failures.append(
+            "p_nonempty: Delta_p^+ is empty (h equals the full algebra)")
 
     # Bracket grading, restated on root sums: h+h->h, p+p->h, h+p->p.
     roots = rs.positive_roots
@@ -221,25 +204,26 @@ def validate_pair(pair: SymmetricPair) -> PairReport:
             if s in pos and (s in h_set) != expected_h and not grading_detail:
                 side = "h" if expected_h else "p"
                 grading_detail = f"{a} + {b} = {s} should lie in Delta_{side}^+"
-    checks.append(PairCheck("bracket_grading", not grading_detail,
-                            grading_detail))
+    if grading_detail:
+        failures.append(f"bracket_grading: {grading_detail}")
 
     # Parity of the p-part of the level of each root.
     p_idx = [i for i, b in enumerate(rs.simple_roots) if b in p_set]
     levels = {alpha: sum(coeffs[i] for i in p_idx)
               for alpha, coeffs in rs.coefficients.items()}
     wrong = [a for a, n_p in levels.items() if n_p % 2 != (a in p_set)]
-    parity_detail = "" if not wrong else (
-        f"root {wrong[0]} has p-level {levels[wrong[0]]}, expected "
-        f"{'odd' if wrong[0] in p_set else 'even'}")
-    checks.append(PairCheck("p_level_parity", not wrong, parity_detail))
+    if wrong:
+        failures.append(
+            f"p_level_parity: root {wrong[0]} has p-level "
+            f"{levels[wrong[0]]}, expected "
+            f"{'odd' if wrong[0] in p_set else 'even'}")
 
-    lat_ok = pair.lattice_F.is_sublattice_of(pair.lattice_F1)
-    checks.append(PairCheck(
-        "lattice_containment", lat_ok,
-        "" if lat_ok else "F is not contained in F1"))
+    if not pair.lattice_F.is_sublattice_of(pair.lattice_F1):
+        failures.append("lattice_containment: F is not contained in F1")
 
-    return PairReport(tuple(checks))
+    if failures:
+        raise InvalidPairError(f"pair {pair.name!r} fails validation: "
+                               + "; ".join(failures))
 
 
 def w1_enumerate(pair: SymmetricPair) -> list:

@@ -13,7 +13,7 @@ from dirackernel.characters import weyl_dim
 from dirackernel.dirac import euler_verify
 from dirackernel.errors import ConsistencyError
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import orbit
+from dirackernel.roots import orbit, weyl_group
 from dirackernel.spin import spinor_weights
 
 
@@ -25,7 +25,7 @@ def reference_kernel(pair, s):
     dh = pair.delta_h
     chi = spinor_weights(pair).side_character(s).terms
     coeffs = {}
-    for w in pair.weyl_h:
+    for w in weyl_group(pair.h_system):
         base = dh - w.image
         for e, count in chi.items():
             k = base - e

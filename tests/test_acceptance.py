@@ -159,7 +159,7 @@ def test_criterion_06_bijection_counts():
     failures = []
     for name, (total, h_order, w1_order) in expected.items():
         pair = builtin_pair(name)
-        got = (len(weyl_group(pair.root_system)), len(pair.weyl_h),
+        got = (len(weyl_group(pair.root_system)), pair.weyl_h_order,
                len(w1_enumerate(pair)))
         if got != (total, h_order, w1_order) or total != h_order * w1_order:
             failures.append((name, got))

@@ -1,12 +1,14 @@
 import copy
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dirackernel
 from dirackernel import cli
 from dirackernel.cli import run
 
@@ -18,6 +20,14 @@ G2_PAIR = {"name": "g2", "rank": 3,
                               "1,-2,1", "-1,-1,2"],
            "h_positive_indices": [1, 3], "lattice_F_shifts": ["0,0,0"],
            "lattice_F1_shifts": ["0,0,0"]}
+
+
+# the pair file of the README
+README_PAIR = {"name": "custom_so5_so4", "rank": 2,
+               "positive_roots": ["1,-1", "1,1", "1,0", "0,1"],
+               "h_positive_indices": [0, 1],
+               "lattice_F_shifts": ["0,0"],
+               "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
 
 
 def invoke(argv):
@@ -122,16 +132,8 @@ class TestPairCommands:
         assert doc["lattice_F1_shifts"] == ["0,0", "1/2,0"]
 
     def test_pair_file(self, tmp_path):
-        data = {
-            "name": "custom_so5_so4",
-            "rank": 2,
-            "positive_roots": ["1,-1", "1,1", "1,0", "0,1"],
-            "h_positive_indices": [0, 1],
-            "lattice_F_shifts": ["0,0"],
-            "lattice_F1_shifts": ["0,0", "1/2,1/2"],
-        }
         path = tmp_path / "pair.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
+        path.write_text(json.dumps(README_PAIR), encoding="utf-8")
         code, out, _ = invoke(["pair", "show", str(path)])
         assert code == 0
         assert "custom_so5_so4" in out
@@ -153,6 +155,44 @@ class TestPairCommands:
         code, _, err = invoke(["pair", "show", str(path)])
         assert code == 2
         assert "fails validation" in err
+
+    def test_pair_file_two_failed_checks(self, tmp_path):
+        # the README's pair file with h = {1,-1}: one error names both
+        # failed checks, in the order validate_pair runs them
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(dict(README_PAIR, h_positive_indices=[0])),
+                        encoding="utf-8")
+        code, out, err = invoke(["pair", "show", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad pair file {path}: pair 'custom_so5_so4' fails "
+            "validation: bracket_grading: 1,0 + 0,1 = 1,1 should lie in "
+            "Delta_h^+; p_level_parity: root 1,1 has p-level 2, expected "
+            "odd\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_pair_show_lists_no_weyl_group(self, tmp_path, monkeypatch, fmt):
+        # |W| and |W_H| are counted from orbits of D delta and D delta_h,
+        # so pair show runs with weyl_group and w1_enumerate unusable
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(README_PAIR), encoding="utf-8")
+        argv = ["--format", fmt, "pair", "show", str(path)]
+        expected = invoke(argv)
+
+        def unusable(*_args, **_kwargs):
+            raise AssertionError("pair show listed a group")
+
+        stubbed = 0
+        for name in ("weyl_group", "w1_enumerate"):
+            original = getattr(dirackernel, name)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("dirackernel")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, unusable)
+                    stubbed += 1
+        assert stubbed >= 4  # each defining module and the package
+        assert invoke(argv) == expected
+        assert expected[0] == 0
 
     def test_pair_file_bad_indices(self, tmp_path):
         data = {
@@ -419,13 +459,14 @@ class TestExitCodes:
         assert "result: FAIL" in out
 
     def test_group_order_limit_exits_two(self, monkeypatch):
-        import dirackernel.cli as cli
         from dirackernel.errors import GroupOrderLimitError
+        from dirackernel.sympair import SymmetricPair
 
         def too_large(pair):
             raise GroupOrderLimitError("group closure exceeded limit 10")
 
-        monkeypatch.setattr(cli, "w1_enumerate", too_large)
+        # a property is a data descriptor, so it wins over a cached w1
+        monkeypatch.setattr(SymmetricPair, "w1", property(too_large))
         code, out, err = invoke(["pair", "show", "so5_so4"])
         assert (code, out) == (2, "")
         assert err == "error: group closure exceeded limit 10\n"

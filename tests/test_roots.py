@@ -90,12 +90,40 @@ class TestBuildClassical:
         with pytest.raises(ValueError, match=message):
             RootSystem(rank, [W(r) for r in roots])
 
+    def test_root_outside_the_span_of_the_simple_roots(self):
+        # the simple roots are 1,0 and -1,0; 0,1 = (-1,1) + (1,0) is first
+        with pytest.raises(ValueError, match="^0,1 outside the root span$"):
+            RootSystem(2, [W("0,1"), W("-1,1"), W("1,0"), W("-1,0")])
+
+    @pytest.mark.parametrize("rs,vector,message", [
+        (build_classical("A", 2), "1,0,0", "1,0,0 outside the root span"),
+        (RootSystem(3, [W("1,0,0")]), "1/2,1,0",
+         "1/2,1,0 outside the root span"),
+        (RootSystem(2, []), "0,1", "0,1 outside the \\(empty\\) root span"),
+    ])
+    def test_simple_coefficients_outside_the_span(self, rs, vector, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rs.simple_coefficients(W(vector))
+
     def test_coefficient_table(self):
         for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
             rs = build_classical(family, rank)
             assert list(rs.coefficients) == list(rs.positive_roots)
             for alpha, coeffs in rs.coefficients.items():
                 assert coeffs == rs.simple_coefficients(alpha)
+
+    @pytest.mark.parametrize("family,rank", [
+        (family, rank) for family in "ABCD"
+        for rank in range(2 if family == "D" else 1, 9)])
+    def test_coefficient_table_rebuilds_each_root(self, family, rank):
+        # the table and simple_coefficients share one solver, so check
+        # sum c_i alpha_i = alpha directly
+        rs = build_classical(family, rank)
+        for alpha, coeffs in rs.coefficients.items():
+            assert all(c >= 0 for c in coeffs)
+            rebuilt = sum((s * c for s, c in zip(rs.simple_roots, coeffs)),
+                          Weight.zero(rs.rank))
+            assert rebuilt == alpha
 
     @pytest.mark.parametrize("family,rank", [
         ("A", 1), ("a", 4), ("B", 1), ("C", 3), ("D", 2), ("D", 5)])

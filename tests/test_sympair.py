@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,9 +17,10 @@ from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import RootSystem, build_classical, weyl_group
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
-from dirackernel.sympair import (SymmetricPair, admissibility_failures,
-                                 admissible_mu, builtin_pair,
-                                 builtin_pair_names,
+from dirackernel.cli import run
+from dirackernel.sympair import (PAIR_CHECKS, SymmetricPair,
+                                 admissibility_failures, admissible_mu,
+                                 builtin_pair, builtin_pair_names,
                                  marked_node_pair, validate_pair,
                                  w1_enumerate)
 
@@ -44,12 +47,12 @@ def b2_pair(h_roots, name="test"):
 class TestValidate:
     def test_so5_so4_all_pass(self):
         pair = b2_pair(["1,-1", "1,1"])
-        assert validate_pair(pair).ok
+        assert validate_pair(pair) is None
         assert pair.m == 2
 
     def test_so5_so2xso3_all_pass(self):
         pair = b2_pair(["0,1"])
-        assert validate_pair(pair).ok
+        assert validate_pair(pair) is None
         assert pair.m == 3
 
     def test_bad_split_fails_closure(self):
@@ -61,7 +64,7 @@ class TestValidate:
         pair = SymmetricPair(
             rs, (), LatticeSpec.integers(1),
             integers_and_half_integers(1), name="b1")
-        assert validate_pair(pair).ok
+        assert validate_pair(pair) is None
 
     def test_h_equal_g_is_rejected(self):
         with pytest.raises(InvalidPairError, match="p_nonempty"):
@@ -82,12 +85,36 @@ class TestValidate:
                 lattice_F1=LatticeSpec.integers(2),
                 name="bad_lattices")
 
-    def test_report_kept_on_the_pair(self):
-        pair = b2_pair(["1,-1", "1,1"])
-        assert pair.validation == validate_pair(pair)
-        assert [c.name for c in pair.validation.checks] == [
-            "p_nonempty", "bracket_grading", "p_level_parity",
-            "lattice_containment"]
+    def test_one_error_names_every_failed_check_in_order(self):
+        # h = all of B2 leaves p empty, and F = Z^2 u (Z + 1/2)^2 is not
+        # inside F1 = Z^2
+        rs = build_classical("B", 2)
+        with pytest.raises(InvalidPairError) as raised:
+            SymmetricPair(rs, rs.positive_roots,
+                          lattice_F=integers_and_half_integers(2),
+                          lattice_F1=LatticeSpec.integers(2), name="b2_all")
+        assert str(raised.value) == (
+            "pair 'b2_all' fails validation: p_nonempty: Delta_p^+ is empty "
+            "(h equals the full algebra); lattice_containment: F is not "
+            "contained in F1")
+
+    def test_pair_show_prints_the_checks(self):
+        # a pair that exists has passed every check, and pair show lists
+        # them all, in the order validate_pair runs them
+        assert PAIR_CHECKS == ("p_nonempty", "bracket_grading",
+                               "p_level_parity", "lattice_containment")
+        text, machine = io.StringIO(), io.StringIO()
+        assert run(["pair", "show", "so5_so4"], text) == 0
+        assert run(["--format", "machine", "pair", "show", "so5_so4"],
+                   machine) == 0
+        checks = [line for line in text.getvalue().splitlines()
+                  if line.startswith("check ")]
+        assert checks == [f"check {name}: pass" for name in PAIR_CHECKS]
+        doc = json.loads(machine.getvalue())
+        assert doc["validation"] == [
+            {"check": name, "passed": True, "detail": ""}
+            for name in PAIR_CHECKS]
+        assert doc["valid"] is True
 
     def test_F_must_be_integral_for_G(self):
         # (1/2,1/2) is integral for B2 (above) but pairs to 1/2 with the
@@ -160,7 +187,7 @@ class TestW1:
     def test_bijection_counts(self, name, total, h_order, w1_order):
         pair = builtin_pair(name)
         assert len(weyl_group(pair.root_system)) == total
-        assert len(pair.weyl_h) == h_order
+        assert pair.weyl_h_order == h_order
         assert len(w1_enumerate(pair)) == w1_order
         assert total == h_order * w1_order
 
@@ -174,8 +201,14 @@ class TestW1:
                      x.delta_p_sigma) for x in w1]
 
         assert rows(pair.w1) == rows(reference_w1(pair))
-        assert len(pair.w1) * len(pair.weyl_h) == len(
-            weyl_group(pair.root_system))
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_weyl_h_order_counts_the_listed_group(self, pair):
+        # the orbit of D delta_h on the grid against W_H listed as a group,
+        # and the product of the two counts against W listed as a group
+        assert pair.weyl_h_order == len(weyl_group(pair.h_system))
+        assert len(weyl_group(pair.root_system)) == (
+            pair.weyl_h_order * len(pair.w1))
 
     def test_sigma_image_of_positive_roots(self):
         # sigma(Delta+) = Delta_h+ together with Delta_p+ up to signs, and
@@ -271,7 +304,7 @@ class TestRegistry:
 
     def test_all_builtins_validate(self):
         for name in builtin_pair_names():
-            assert validate_pair(builtin_pair(name)).ok
+            assert validate_pair(builtin_pair(name)) is None
 
 
 class TestMarkedNodeRule:
@@ -308,7 +341,7 @@ class TestMarkedNodeRule:
     def test_pair_w1_and_chi(self, family, rank, node):
         pair = corpus_pair(family, rank, node)
         w1 = w1_enumerate(pair)  # raises InvalidPairError on a failed check
-        assert len(weyl_group(pair.root_system)) == len(pair.weyl_h) * len(w1)
+        assert len(weyl_group(pair.root_system)) == pair.weyl_h_order * len(w1)
         chi_decompose(pair)
         chi_trace_difference(pair)
         chi_casimir_check(pair)

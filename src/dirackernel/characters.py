@@ -7,8 +7,8 @@ each value copied over the Weyl orbit of its weight, all of it on int
 tuples D w scaled by a factor D fixed per root system (``roots.Grid``):
 one cached ``weight_table`` per (root system, nu), of which
 ``irreducible_character`` is the ``Weight``-keyed view.  Dimensions come
-from the closed product formula and are cross-checked against the
-multiplicity mass in the tests.
+from Weyl's product formula as a quotient of two integer products on the
+same grid, cross-checked against the multiplicity mass in the tests.
 Decomposition of an invariant character is straightening: each support
 weight w is walked from w + delta into the dominant chamber, as the theorem
 path walks lambda + delta, on the same grid; branching and tensor products
@@ -20,15 +20,14 @@ LatticeSpec.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, Mapping, NamedTuple
 
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError)
-from .lattice import Weight, inner_product
-from .roots import Grid, RootSystem, WeylElement, dominant_walk, grid, orbit
+from .lattice import Weight
+from .roots import Grid, RootSystem, dominant_walk, grid, orbit
 from .sympair import SymmetricPair
 
 
@@ -36,8 +35,8 @@ class FormalCharacter:
     """Sparse integer combination of lattice points e^w.
 
     The canonical form never stores zero multiplicities.  Addition,
-    subtraction, integer scaling, product (Minkowski convolution of
-    supports) and the Weyl action are all exact.
+    subtraction, integer scaling and product (Minkowski convolution of
+    supports) are all exact.
     """
 
     __slots__ = ("rank", "terms")
@@ -105,14 +104,6 @@ class FormalCharacter:
 
     __rmul__ = __mul__
 
-    def apply(self, element: WeylElement) -> "FormalCharacter":
-        """Weyl action: permutes the support, preserves multiplicities."""
-        return FormalCharacter(
-            self.rank, {element.apply(w): c for w, c in self.terms.items()})
-
-    def support(self) -> list:
-        return sorted(self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalCharacter):
             return NotImplemented
@@ -121,13 +112,10 @@ class FormalCharacter:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def items_sorted(self) -> list:
-        return sorted(self.terms.items())
-
     def __repr__(self) -> str:
         if not self.terms:
             return "FormalCharacter(0)"
-        parts = [f"{c}*e[{w}]" for w, c in self.items_sorted()]
+        parts = [f"{c}*e[{w}]" for w, c in sorted(self.terms.items())]
         return "FormalCharacter(" + " + ".join(parts) + ")"
 
 
@@ -162,6 +150,12 @@ def _dominant_weights(g: Grid, top: tuple) -> list:
     return sorted(found, key=lambda x: sum(map(mul, x, delta)), reverse=True)
 
 
+def _refined_grid(rs: RootSystem, weights) -> Grid:
+    """The grid of rs, refined by the denominators of the weights."""
+    return grid(rs, math.lcm(grid(rs).scale,
+                             *(c.denominator for w in weights for c in w)))
+
+
 class WeightTable(NamedTuple):
     grid: Grid  # a key x is the weight x / grid.scale
     terms: Dict[tuple, int]  # {D w: multiplicity of w}, zeros absent
@@ -187,7 +181,7 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
     """
     nu = Weight(nu)
     _check_highest_weight(rs, nu)
-    g = grid(rs, math.lcm(grid(rs).scale, *(c.denominator for c in nu)))
+    g = _refined_grid(rs, [nu])
     top = g.point(nu)
     delta = g.delta
 
@@ -236,18 +230,22 @@ def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
 
 
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:
-    """Dimension of pi_nu by the product formula over positive roots."""
+    """Dimension of pi_nu by Weyl's product formula (Humphreys, 24.3) on
+    the grid of ``weight_table``: prod <D (nu + delta), D alpha> over
+    Delta^+ divided exactly by prod <D delta, D alpha>.  A remainder or a
+    quotient that is not positive raises ConsistencyError."""
     nu = Weight(nu)
     _check_highest_weight(rs, nu)
-    delta = rs.delta
-    result = Fraction(1)
-    shifted = nu + delta
-    for alpha in rs.positive_roots:
-        result *= inner_product(shifted, alpha) / inner_product(delta, alpha)
-    if result.denominator != 1 or result <= 0:
+    g = _refined_grid(rs, [nu])
+    shifted = tuple(map(add, g.point(nu), g.delta))
+    top = bottom = 1
+    for alpha in g.positive:
+        top *= sum(map(mul, shifted, alpha))
+        bottom *= sum(map(mul, g.delta, alpha))
+    if top % bottom or top // bottom <= 0:
         raise ConsistencyError(
-            f"Weyl dimension formula gave {result} for {nu} in {rs}")
-    return int(result)
+            f"Weyl dimension formula gave {top}/{bottom} for {nu} in {rs}")
+    return top // bottom
 
 
 # -- decomposition by straightening ----------------------------------------
@@ -303,8 +301,7 @@ def decompose(ch: FormalCharacter, rs: RootSystem) -> Dict[Weight, int]:
     """
     if ch.rank != rs.rank:
         raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
-    g = grid(rs, math.lcm(grid(rs).scale, *(c.denominator for w in ch.terms
-                                             for c in w)))
+    g = _refined_grid(rs, ch.terms)
     return _straighten({g.point(w): c for w, c in ch.terms.items()}, g)
 
 

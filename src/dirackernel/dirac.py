@@ -12,9 +12,9 @@ multiplicities on both sides by Brauer-Klimyk coefficient extraction (the
 weight multiplicities of pi_nu summed against signed shifts, the product
 of binomials prod (1 - e^alpha) over Delta_h^+ times the negated
 half-spin character), and checks that the alternating sum collapses to
-the predicted signed irreducible (or to zero).  Its three hot loops (the
-shell, the shifts and the weight tables) run on int tuples D w on the
-grid of ``roots.grid``; ``Weight`` appears only at the edges.
+the predicted signed irreducible (or to zero).  It runs on int tuples D w
+on the grid of ``roots.grid`` end to end; ``Weight`` appears only at its
+inputs and in its report.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from .characters import weight_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import HALF, Weight, inner_product
-from .roots import WeylElement, dominant_representative, grid
+from .roots import Grid, WeylElement, dominant_representative, grid
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -115,49 +115,68 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
                         sigma_sign=sign, dimension=weyl_dim(rs, nu))
 
 
-def _squares_summing_to(offsets: tuple, step: int, total: int):
-    """Integer vectors x with sum x_k^2 = total and x_k = offsets[k] mod
-    step, in lex order; the last coordinate is solved for, not searched."""
+def _squares_summing_to(offsets: tuple, step: int, total: int,
+                        checks: list, prefix: tuple = ()):
+    """Integer vectors x after prefix with sum x_k^2 = total and x_k =
+    offsets[k] mod step, in lex order; the last coordinate is solved for,
+    not searched.  x[:k+1] is extended only if <x, a> >= least for each
+    (support of a, least) in checks[k]."""
+    k = len(prefix)
     bound = math.isqrt(total)
-    if len(offsets) == 1:
-        if bound * bound == total:
-            for x in ((-bound, bound) if bound else (0,)):
-                if (x - offsets[0]) % step == 0:
-                    yield (x,)
-        return
-    first = -bound + (offsets[0] + bound) % step
-    for x in range(first, bound + 1, step):
-        for rest in _squares_summing_to(offsets[1:], step, total - x * x):
-            yield (x,) + rest
+    if k + 1 < len(offsets):
+        values = range(-bound + (offsets[k] + bound) % step, bound + 1, step)
+    else:
+        values = sorted({-bound, bound}) if bound * bound == total else ()
+    for x in values:
+        point = prefix + (x,)
+        if (x - offsets[k]) % step or any(
+                sum(point[j] * c for j, c in support) < least
+                for support, least in checks[k]):
+            continue
+        if len(point) == len(offsets):
+            yield point
+        else:
+            yield from _squares_summing_to(offsets, step, total - x * x,
+                                           checks, point)
+
+
+def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
+    """The Casimir shell of lambda as the sorted grid points D nu, for
+    lam = D lambda on ``g = grid(pair.root_system)``.
+
+    Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
+    |nu + delta| = |lambda + delta|.  Per coset shift s of F the points
+    x = D (nu + delta) are the integer vectors with x = D (s + delta)
+    mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate steps
+    by D up to the integer square root of what remains.  nu is dominant
+    iff <x, D a> >= <D delta, D a> for each simple root a, tested as soon
+    as the chosen coordinates of x cover the support of a, and again on
+    the end point.
+    """
+    delta = g.delta
+    total = sum((a + d) ** 2 for a, d in zip(lam, delta))
+    checks = [[] for _ in delta]
+    for support, _ in g.supports:
+        checks[support[-1][0]].append(
+            (support, sum(delta[k] * c for k, c in support)))
+    found = []
+    for shift in pair.lattice_F.coset_shifts:
+        offsets = tuple(map(add, g.point(shift), delta))
+        for x in _squares_summing_to(offsets, g.scale, total, checks):
+            nu = tuple(map(sub, x, delta))
+            if g.is_dominant(nu):
+                found.append(nu)
+    return sorted(found)
 
 
 def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
-    """All dominant lattice points nu with the same Casimir scalar as lambda.
-
-    Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
-    |nu + delta| = |lambda + delta|.  On the grid of the root system (D
-    from ``roots.grid``), per coset shift s of F the points
-    x = D (nu + delta) are the integer vectors with x = D (s + delta)
-    mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate steps
-    by D up to the integer square root of what remains.  Dominance of
-    nu is tested on the integer point x - D delta, and a ``Weight`` is
-    built only for members.
-    """
+    """All dominant lattice points nu with the same Casimir scalar as
+    lambda: the ``Weight`` view of ``_shell_points``."""
     lam = Weight(lam)
     if lam not in pair.lattice_F:
         raise ValueError(f"lambda={lam} is not in F for pair {pair.name}")
     g = grid(pair.root_system)
-    delta = g.delta
-    total = sum((a + d) ** 2 for a, d in zip(g.point(lam), delta))
-
-    found = []
-    for shift in pair.lattice_F.coset_shifts:
-        offsets = tuple(map(add, g.point(shift), delta))
-        for x in _squares_summing_to(offsets, g.scale, total):
-            nu = tuple(map(sub, x, delta))
-            if g.is_dominant(nu):
-                found.append(nu)
-    return [g.weight(nu) for nu in sorted(found)]
+    return [g.weight(nu) for nu in _shell_points(pair, g, g.point(lam))]
 
 
 def _times_binomial(poly: dict, x: tuple, y: tuple, c: int) -> dict:
@@ -209,6 +228,15 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
     return tuple(kernel.items())
 
 
+def _extract(pair: SymmetricPair, table: dict, x: tuple, side: int) -> int:
+    """sum c * table[x + k] over the signed shifts (k, c) of the kernel of
+    ``side``, for the weight table of pi_nu and x = D mu."""
+    s = side if pair.m % 2 == 0 else -side
+    get = table.get
+    return sum(c * get(tuple(map(add, x, k)), 0)
+               for k, c in _extraction_kernel(pair, s))
+
+
 def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
                            side: int) -> int:
     """Multiplicity of the mu-irreducible of the subgroup cover inside
@@ -216,9 +244,9 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
     for m odd (the duality twist of the half-spinor modules).
 
     Computed purely by character arithmetic, by Brauer-Klimyk coefficient
-    extraction: the weight multiplicities of pi_nu at D mu + k, read from
-    its integer ``weight_table``, summed against the signed shifts (k, c)
-    of ``_extraction_kernel``.
+    extraction (``_extract``): the weight multiplicities of pi_nu at
+    D mu + k, read from its integer ``weight_table``, summed against the
+    signed shifts (k, c) of ``_extraction_kernel``.
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
@@ -227,16 +255,12 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
     if nu not in pair.lattice_F or not rs.is_dominant(nu):
         raise ValueError(f"nu={nu} is not a dominant lattice point")
     _require_admissible(pair, mu)
-    s = side if pair.m % 2 == 0 else -side
     g = grid(rs)
     table_grid, table = weight_table(rs, nu)
     if table_grid.scale != g.scale:
         raise ConsistencyError(
             f"nu={nu} is not on the grid 1/{g.scale} Z of the kernel")
-    x = g.point(mu)
-    get = table.get
-    return sum(c * get(tuple(map(add, x, k)), 0)
-               for k, c in _extraction_kernel(pair, s))
+    return _extract(pair, table, g.point(mu), side)
 
 
 @dataclass(frozen=True)
@@ -269,27 +293,29 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     Over every shell member nu: (a) the two Frobenius multiplicities never
     exceed one in total, and (b) the signed sum of multiplicities equals
     +[nu0], -[nu0] or 0 according to the kernel result.  Failures are
-    reported, not raised.
+    reported, not raised.  mu is checked once, by ``dirac_kernel``; the
+    shell members are built on the grid, so they need no further checks.
     """
     mu = Weight(mu)
-    _require_admissible(pair, mu)
+    kernel = dirac_kernel(pair, mu)
+    g = grid(pair.root_system)
     lam = mu - pair.delta_p
-    shell = casimir_shell(pair, lam)
+    x = g.point(mu)
     rows = []
     failures = []
     signed: Dict[Weight, int] = {}
-    for nu in shell:
-        m_plus = frobenius_multiplicity(pair, nu, mu, +1)
-        m_minus = frobenius_multiplicity(pair, nu, mu, -1)
-        dimension = sum(weight_table(pair.root_system, nu).terms.values())
-        rows.append(ShellRow(nu, dimension, m_plus, m_minus))
+    for point in _shell_points(pair, g, g.point(lam)):
+        nu = g.weight(point)
+        table = weight_table(g.rs, nu).terms
+        m_plus = _extract(pair, table, x, +1)
+        m_minus = _extract(pair, table, x, -1)
+        rows.append(ShellRow(nu, sum(table.values()), m_plus, m_minus))
         if m_plus + m_minus > 1:
             failures.append(
                 f"multiplicity bound violated at nu={nu}: "
                 f"m+={m_plus}, m-={m_minus}")
         if m_plus != m_minus:
             signed[nu] = m_plus - m_minus
-    kernel = dirac_kernel(pair, mu)
     if kernel.status is KernelStatus.PLUS:
         expected = {kernel.nu: 1}
     elif kernel.status is KernelStatus.MINUS:

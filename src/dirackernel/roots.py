@@ -29,13 +29,6 @@ from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
 from .lattice import HALF, Weight, inner_product
 
 
-def _apply_word(rs: "RootSystem", word: tuple, v: Weight) -> Weight:
-    """s_word[0] ... s_word[-1] applied to v (rightmost reflection first)."""
-    for i in reversed(word):
-        v = rs.reflect(v, i)
-    return v
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """w = s_word[0] ... s_word[-1] in the Weyl group of ``rs``, with its
@@ -49,17 +42,10 @@ class WeylElement:
     @classmethod
     def from_word(cls, rs: "RootSystem", word: Iterable) -> "WeylElement":
         word = tuple(word)
-        return cls(rs, word, _apply_word(rs, word, rs.delta))
-
-    @classmethod
-    def identity(cls, rs: "RootSystem") -> "WeylElement":
-        return cls(rs, (), rs.delta)
-
-    def apply(self, w: Weight) -> Weight:
-        if len(w) != self.rs.rank:
-            raise DimensionError(
-                f"weight length {len(w)} vs rank {self.rs.rank}")
-        return _apply_word(self.rs, self.word, w)
+        image = rs.delta
+        for i in reversed(word):  # the rightmost reflection first
+            image = rs.reflect(image, i)
+        return cls(rs, word, image)
 
     def inverse(self) -> "WeylElement":
         return WeylElement.from_word(self.rs, reversed(self.word))
@@ -179,20 +165,7 @@ class RootSystem:
     @cached_property
     def delta(self) -> Weight:
         """Half the sum of the positive roots."""
-        total = Weight.zero(self.rank)
-        for alpha in self.positive_roots:
-            total = total + alpha
-        return total * Fraction(1, 2)
-
-    def simple_coefficients(self, vector: Weight) -> tuple:
-        """Coordinates of ``vector`` in the simple-root basis (exact solve).
-
-        Raises ValueError when the vector is outside the span.
-        """
-        (coeffs,) = self._solve([vector])
-        if coeffs is None:
-            raise self._outside_span(vector)
-        return coeffs
+        return sum(self.positive_roots, Weight.zero(self.rank)) * HALF
 
     def _outside_span(self, vector: Weight) -> ValueError:
         empty = "" if self.simple_roots else "(empty) "
@@ -291,9 +264,9 @@ class Grid:
     """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
 
     Keeps D alpha for the positive roots, D delta, and per simple root a
-    the nonzero coordinates of D a with <D a, D a>, so that pairings,
-    dominance and reflections are integer arithmetic.  A conversion or a
-    coroot pairing that is not exact raises ConsistencyError.
+    the nonzero coordinates (k, c) of D a with <D a, D a> (``supports``):
+    pairings, dominance and reflections are integer arithmetic.  A
+    conversion or a coroot pairing that is not exact raises ConsistencyError.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -303,7 +276,7 @@ class Grid:
         self.positive = tuple(self.point(a) for a in rs.positive_roots)
         self.delta = self.point(rs.delta)
         simples = (self.point(a) for a in rs.simple_roots)
-        self._supports = tuple(
+        self.supports = tuple(
             (tuple((k, c) for k, c in enumerate(a) if c), sum(c * c for c in a))
             for a in simples)
 
@@ -321,16 +294,16 @@ class Grid:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
         least = 1 if strict else 0  # <x, D a> is an integer
         return all(sum(x[k] * c for k, c in support) >= least
-                   for support, _ in self._supports)
+                   for support, _ in self.supports)
 
     def is_integral(self, x: tuple) -> bool:
         """<w, a^> is an integer for every simple root a."""
         return all(2 * sum(x[k] * c for k, c in support) % norm == 0
-                   for support, norm in self._supports)
+                   for support, norm in self.supports)
 
     def coroot_pairing(self, x: tuple, i: int) -> int:
         """<w, a^> for the i-th simple root a, which must be an integer."""
-        support, norm = self._supports[i]
+        support, norm = self.supports[i]
         twice = 0
         for k, c in support:
             twice += x[k] * c
@@ -347,7 +320,7 @@ class Grid:
         if not pairing:
             return x
         y = list(x)
-        for k, c in self._supports[i][0]:
+        for k, c in self.supports[i][0]:
             y[k] -= pairing * c
         return tuple(y)
 

@@ -12,6 +12,7 @@ from dirackernel.errors import (DecompositionError, DimensionError,
                                 SymmetryError)
 from dirackernel.lattice import inner_product
 from dirackernel.roots import WeylElement
+from support import apply
 
 
 def peel(ch, rs):
@@ -19,7 +20,7 @@ def peel(ch, rs):
     if ch.rank != rs.rank:
         raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
     for i, a in enumerate(rs.simple_roots):
-        if ch.apply(WeylElement.from_word(rs, (i,))) != ch:
+        if apply(ch, WeylElement.from_word(rs, (i,))) != ch:
             raise SymmetryError(
                 f"character is not invariant under reflection in {a}")
     delta = rs.delta

@@ -1,16 +1,18 @@
 """Helpers that only the tests call, kept as test support: small
 conveniences over the library types, the interleaving branching rule that
 cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
-the whole Weyl group that the library now runs on the integer grid, and
-the quarter-delta pair, whose grid needs D = 4.
+the whole Weyl group and the ``Fraction`` product of Weyl's dimension
+formula, both of which the library now runs on the integer grid, and the
+quarter-delta pair, whose grid needs D = 4.
 """
 
 from fractions import Fraction
 from typing import Dict
 
+from dirackernel.characters import FormalCharacter
 from dirackernel.errors import (ConsistencyError, DimensionError,
                                 NonDominantError)
-from dirackernel.lattice import HALF, LatticeSpec, Weight
+from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, dominant_walk,
                                weyl_group)
 from dirackernel.sympair import SymmetricPair, W1Element
@@ -21,6 +23,58 @@ def mass(ch) -> int:
     return sum(ch.terms.values())
 
 
+def support(ch) -> list:
+    """The weights of ch with a nonzero coefficient, sorted."""
+    return sorted(ch.terms)
+
+
+def act(element: WeylElement, v: Weight) -> Weight:
+    """s_word[0] ... s_word[-1] v for the word of the element (the
+    rightmost reflection first)."""
+    if len(v) != element.rs.rank:
+        raise DimensionError(
+            f"weight length {len(v)} vs rank {element.rs.rank}")
+    for i in reversed(element.word):
+        v = element.rs.reflect(v, i)
+    return v
+
+
+def apply(ch, element: WeylElement) -> FormalCharacter:
+    """The Weyl action on a character: permutes the support, preserves the
+    multiplicities."""
+    return FormalCharacter(
+        ch.rank, {act(element, w): c for w, c in ch.terms.items()})
+
+
+def identity(rs: RootSystem) -> WeylElement:
+    """The identity of the Weyl group of rs: the empty word, image delta."""
+    return WeylElement(rs, (), rs.delta)
+
+
+def simple_coefficients(rs: RootSystem, vector: Weight) -> tuple:
+    """Coordinates of ``vector`` in the simple-root basis, by the solver
+    that ``RootSystem`` runs on its positive roots; ValueError when the
+    vector is outside the span."""
+    (coeffs,) = rs._solve([vector])
+    if coeffs is None:
+        raise rs._outside_span(vector)
+    return coeffs
+
+
+def reference_weyl_dim(rs: RootSystem, nu: Weight) -> int:
+    """Weyl's product formula on ``Fraction`` weights: the product over
+    Delta^+ of <nu + delta, alpha> / <delta, alpha>."""
+    delta = rs.delta
+    result = Fraction(1)
+    shifted = Weight(nu) + delta
+    for alpha in rs.positive_roots:
+        result *= inner_product(shifted, alpha) / inner_product(delta, alpha)
+    if result.denominator != 1 or result <= 0:
+        raise ConsistencyError(
+            f"Weyl dimension formula gave {result} for {nu} in {rs}")
+    return int(result)
+
+
 def all_roots(rs: RootSystem) -> tuple:
     """The positive roots, then their negatives."""
     return rs.positive_roots + tuple(-a for a in rs.positive_roots)
@@ -28,7 +82,7 @@ def all_roots(rs: RootSystem) -> tuple:
 
 def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """w1 after w2, with a reduced word read off its image."""
-    image = w1.apply(w2.image)
+    image = act(w1, w2.image)
     return WeylElement(w1.rs, dominant_walk(image, w1.rs)[0], image)
 
 

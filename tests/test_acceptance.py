@@ -15,13 +15,13 @@ from dirackernel.characters import (FormalCharacter, branch_equal_rank,
                                     irreducible_character, weyl_dim)
 from dirackernel.dirac import KernelStatus, chi_casimir_check, dirac_kernel
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import WeylElement, build_classical, weyl_group
+from dirackernel.roots import build_classical, weyl_group
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names, w1_enumerate)
 from oracle_reference import checked_euler
-from support import branch_interleave_BD
+from support import act, branch_interleave_BD, identity, support
 
 
 def W(text):
@@ -261,10 +261,10 @@ def test_criterion_10_kostant_lemmas():
     chars = {nu: irreducible_character(rs, nu) for nu in reps}
     for nu1, nu2 in itertools.product(reps, repeat=2):
         lhs = inner_product(nu1 + nu2, nu1 + nu2)
-        for xi1 in chars[nu1].support():
-            for xi2 in chars[nu2].support():
+        for xi1 in support(chars[nu1]):
+            for xi2 in support(chars[nu2]):
                 rhs = inner_product(xi1 + xi2, xi1 + xi2)
-                aligned = any(w.apply(xi1) == nu1 and w.apply(xi2) == nu2
+                aligned = any(act(w, xi1) == nu1 and act(w, xi2) == nu2
                               for w in group)
                 if lhs < rhs or (lhs == rhs) != aligned:
                     failures.append((nu1, nu2, xi1, xi2))
@@ -275,7 +275,7 @@ def test_criterion_11_completeness():
     failures = []
     for name in builtin_pair_names():
         pair = builtin_pair(name)
-        identity = WeylElement.identity(pair.root_system)
+        ident = identity(pair.root_system)
         for coords in itertools.product(range(3), repeat=pair.rank):
             nu = Weight(coords)
             if not pair.root_system.is_dominant(nu):
@@ -285,6 +285,6 @@ def test_criterion_11_completeness():
                 continue
             result = dirac_kernel(pair, nu + pair.delta_p)
             if (result.status is KernelStatus.BOTH_ZERO
-                    or result.nu != nu or result.sigma != identity):
+                    or result.nu != nu or result.sigma != ident):
                 failures.append((name, nu, result.status, result.nu))
     report(11, "every irreducible is recovered from nu + delta_p", failures)

@@ -17,7 +17,9 @@ from dirackernel.roots import WeylElement, build_classical, weyl_group
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from oracle_reference import reference_character
 from peel_reference import peel
-from support import branch_interleave_BD, mass, quarter_delta_pair
+from support import (act, apply, branch_interleave_BD, mass,
+                     quarter_delta_pair, reference_weyl_dim,
+                     simple_coefficients, support)
 
 
 def W(text):
@@ -37,7 +39,7 @@ class TestRingOps:
     def test_weyl_action_permutes_support(self):
         rs = build_classical("B", 1)
         refl = WeylElement.from_word(rs, (0,))
-        assert mono("1/2").apply(refl) == mono("-1/2")
+        assert apply(mono("1/2"), refl) == mono("-1/2")
 
     def test_cancellation_removes_zero_terms(self):
         ch = (mono("1,0") + mono("0,1")) + mono("0,1", -1)
@@ -71,15 +73,15 @@ class TestIrreducibleCharacter:
     def test_support_lies_below_highest_weight(self):
         rs = build_classical("B", 2)
         nu = W("2,1")
-        for w in irreducible_character(rs, nu).support():
-            coeffs = rs.simple_coefficients(nu - w)
+        for w in support(irreducible_character(rs, nu)):
+            coeffs = simple_coefficients(rs, nu - w)
             assert all(c.denominator == 1 and c >= 0 for c in coeffs)
 
     def test_weyl_invariance(self):
         rs = build_classical("B", 2)
         ch = irreducible_character(rs, W("2,1"))
         for w in weyl_group(rs):
-            assert ch.apply(w) == ch
+            assert apply(ch, w) == ch
 
     def test_non_dominant_rejected(self):
         rs = build_classical("B", 2)
@@ -115,13 +117,13 @@ class TestIrreducibleCharacter:
             delta = rs.delta
             denom = FormalCharacter.zero(rs.rank)
             for w in group:
-                denom += FormalCharacter.monomial(w.apply(delta), w.sign)
+                denom += FormalCharacter.monomial(act(w, delta), w.sign)
             for nu_text in nus:
                 nu = W(nu_text)
                 numer = FormalCharacter.zero(rs.rank)
                 for w in group:
                     numer += FormalCharacter.monomial(
-                        w.apply(nu + delta), w.sign)
+                        act(w, nu + delta), w.sign)
                 ch = irreducible_character(rs, nu)
                 assert ch * denom == numer, (family, rank, nu_text)
 
@@ -154,6 +156,37 @@ class TestWeylDim:
     def test_non_integral_rejected(self, family, rank, nu):
         with pytest.raises(NonDominantError, match="not algebraically integral"):
             weyl_dim(build_classical(family, rank), W(nu))
+
+    @pytest.mark.parametrize("family,ranks", [
+        ("A", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)),
+        ("D", range(2, 7))])
+    def test_matches_fraction_product(self, family, ranks):
+        # every dominant nu with coordinates in {0, 1, 2}, and on B and D
+        # the spin weights with coordinates in {1/2, 3/2}, the last one of
+        # either sign on D
+        for rank in ranks:
+            rs = build_classical(family, rank)
+            values = [range(3)]
+            if family in "BD":
+                half = [Fraction(1, 2), Fraction(3, 2)]
+                values.append(half + [-c for c in half] if family == "D"
+                              else half)
+            count = 0
+            for coords in values:
+                for nu in map(Weight, itertools.product(coords,
+                                                        repeat=rs.rank)):
+                    if rs.is_dominant(nu):
+                        assert weyl_dim(rs, nu) == \
+                            reference_weyl_dim(rs, nu), (family, rank, nu)
+                        count += 1
+            assert count >= rank + 1
+
+    def test_refined_grid_matches_fraction_product(self):
+        rs = build_classical("A", 2)
+        for text in ("2/3,-1/3,-1/3", "1/3,1/3,-2/3", "4/3,1/3,-5/3"):
+            nu = W(text)
+            assert weyl_dim(rs, nu) == reference_weyl_dim(rs, nu), nu
+        assert weyl_dim(rs, W("2/3,-1/3,-1/3")) == 3
 
     def test_half_integral_mass(self):
         cases = [
@@ -355,12 +388,12 @@ class TestKostantNormInequality:
         chars = {nu: irreducible_character(rs, nu) for nu in reps}
         for nu1, nu2 in itertools.product(reps, repeat=2):
             lhs = inner_product(nu1 + nu2, nu1 + nu2)
-            for xi1 in chars[nu1].support():
-                for xi2 in chars[nu2].support():
+            for xi1 in support(chars[nu1]):
+                for xi2 in support(chars[nu2]):
                     rhs = inner_product(xi1 + xi2, xi1 + xi2)
                     assert lhs >= rhs, (nu1, nu2, xi1, xi2)
                     aligned = any(
-                        w.apply(xi1) == nu1 and w.apply(xi2) == nu2
+                        act(w, xi1) == nu1 and act(w, xi2) == nu2
                         for w in group)
                     assert (lhs == rhs) == aligned, (nu1, nu2, xi1, xi2)
 
@@ -548,8 +581,13 @@ class TestInvariantsRaise:
             g.reflect(g.point(W("0,1/4")), 1)
 
     def test_weyl_dim_integrality(self, monkeypatch):
+        # weyl_dim reads D delta off the grid; with delta = 3,1 in place of
+        # 3/2,1/2 the product formula gives 5/2 at nu = 1,0
         rs = build_classical("B", 2)
-        monkeypatch.setitem(vars(rs), "delta", W("3,1"))
+        broken = characters.Grid(rs, 2)
+        broken.delta = broken.point(W("3,1"))
+        monkeypatch.setattr(characters, "grid",
+                            lambda rs, scale=None: broken)
         with pytest.raises(ConsistencyError, match="Weyl dimension"):
             weyl_dim(rs, W("1,0"))
 

@@ -10,13 +10,15 @@ from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                frobenius_multiplicity)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import Grid, WeylElement, grid, weyl_group
+from dirackernel.roots import Grid, grid, weyl_group
 from dirackernel.spin import spinor_weights
-from dirackernel.sympair import admissible_mu, builtin_pair, builtin_pair_names
+from dirackernel.sympair import (SymmetricPair, admissibility_failures,
+                                 admissible_mu, builtin_pair,
+                                 builtin_pair_names)
 from corpus import CORPUS, corpus_pair
 from oracle_reference import checked_euler, reference_kernel
 from peel_reference import peel
-from support import quarter_delta_pair
+from support import act, identity, quarter_delta_pair
 
 
 def W(text):
@@ -101,14 +103,14 @@ class TestDiracKernel:
                 plus = result.sigma_sign * (-1) ** pair.m == 1
                 assert (result.status is KernelStatus.PLUS) == plus
                 assert casimir_eigenvalue(pair, result.nu) == result.casimir
-                assert result.sigma.apply(result.nu + pair.delta) == \
+                assert act(result.sigma, result.nu + pair.delta) == \
                     (mu - pair.delta_p) + pair.delta
 
     def test_completeness_recovers_every_irreducible(self):
         # nu + delta_p is admissible and comes back unchanged with sigma = 1.
         for name in builtin_pair_names():
             pair = builtin_pair(name)
-            identity = WeylElement.identity(pair.root_system)
+            ident = identity(pair.root_system)
             for coords in itertools.product(range(3), repeat=pair.rank):
                 nu = Weight(coords)
                 if not pair.root_system.is_dominant(nu):
@@ -117,7 +119,7 @@ class TestDiracKernel:
                 result = dirac_kernel(pair, nu + pair.delta_p)
                 assert result.status is not KernelStatus.BOTH_ZERO
                 assert result.nu == nu
-                assert result.sigma == identity
+                assert result.sigma == ident
 
 
 def brute_force_shell(pair, lam, scale=Fraction(1)):
@@ -380,6 +382,52 @@ class TestEulerVerify:
                 continue
             report = checked_euler(pair, mu)
             assert report.passed, (lam_text, report.failures)
+
+    def test_mu_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(pair, mu):
+            calls.append(mu)
+            return admissibility_failures(pair, mu)
+
+        monkeypatch.setattr(dirac, "admissibility_failures", counted)
+        mu = W("9/2,9/2,3/2")
+        report = dirac.euler_verify(builtin_pair("so7_so6"), mu)
+        assert report.passed and len(report.rows) == 4
+        assert calls == [mu]
+
+    @pytest.mark.parametrize("name,mu,message", [
+        ("so3_so2", "2", "mu=2 is not admissible for so3_so2: "
+                         "mu - delta_p not in F"),
+        ("so5_so4", "1/2,-3/2", "mu=1/2,-3/2 is not admissible for "
+                                "so5_so4: mu not dominant for Delta_h+")])
+    def test_inadmissible_mu_raises_before_the_shell(self, monkeypatch, name,
+                                                     mu, message):
+        searches = []
+        search = dirac._squares_summing_to
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(dirac, "_squares_summing_to", counted)
+        pair = builtin_pair(name)
+        with pytest.raises(AdmissibilityError) as raised:
+            dirac.euler_verify(pair, W(mu))
+        assert str(raised.value) == message
+        assert searches == []
+        dirac.euler_verify(pair, pair.delta_p)
+        assert searches
+
+    def test_reads_neither_W_H_nor_W1(self, monkeypatch):
+        def unusable(self):
+            raise AssertionError("the oracle read W_H or W_1")
+
+        for name in ("w1", "weyl_h_order"):
+            monkeypatch.setattr(SymmetricPair, name, property(unusable))
+        pair = builtin_pair("so7_so6")
+        report = dirac.euler_verify(pair, W("9/2,7/2,7/2"))
+        assert report.passed and len(report.rows) == 4
 
     def test_so9_sample(self):
         pair = builtin_pair("so9_so8")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS, corpus_pair
 from oracle_reference import checked_euler
-from support import (deltas, integers_and_half_integers, quarter_delta_pair,
-                     reference_w1)
+from support import (act, deltas, integers_and_half_integers,
+                     quarter_delta_pair, reference_w1)
 from dirackernel.dirac import chi_casimir_check
 from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
@@ -219,7 +219,7 @@ class TestW1:
             p_set = set(pair.p_positive)
             h_set = set(pair.h_positive)
             for x in w1_enumerate(pair):
-                image = [x.element.apply(a) for a in pos]
+                image = [act(x.element, a) for a in pos]
                 flipped = 0
                 for beta in image:
                     if beta in h_set:
@@ -236,7 +236,7 @@ class TestW1:
         for name in builtin_pair_names():
             pair = builtin_pair(name)
             for x in w1_enumerate(pair):
-                image = [x.element.apply(a)
+                image = [act(x.element, a)
                          for a in pair.root_system.positive_roots]
                 p_sigma = [b for b in image if b not in set(pair.h_positive)]
                 half = sum(p_sigma, Weight.zero(pair.rank)) * Fraction(1, 2)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .characters import weight_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
@@ -40,8 +39,7 @@ class KernelStatus(enum.Enum):
     BOTH_ZERO = "BOTH_ZERO"
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Which side of the kernel carries which irreducible, if any."""
 
     status: KernelStatus
@@ -263,16 +261,14 @@ def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
     return _extract(pair, table, g.point(mu), side)
 
 
-@dataclass(frozen=True)
-class ShellRow:
+class ShellRow(NamedTuple):
     nu: Weight
     dimension: int
     mult_plus: int
     mult_minus: int
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     pair_name: str
     mu: Weight
     lam: Weight

@@ -7,7 +7,6 @@ comma-separated rationals ("3/2,-1/2") and parse from the same grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -104,7 +103,6 @@ def inner_product(a: Weight, b: Weight) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-@dataclass(frozen=True)
 class LatticeSpec:
     """A weight lattice given as a finite union of coset shifts of Z^m.
 
@@ -112,9 +110,6 @@ class LatticeSpec:
     some shift s.  Shifts have coordinates in {0, 1/2} and always include
     the zero shift, which covers every integral-form lattice handled here.
     """
-
-    rank: int
-    coset_shifts: frozenset
 
     def __init__(self, rank: int, coset_shifts: Iterable) -> None:
         shifts = frozenset(Weight(s) for s in coset_shifts)
@@ -129,8 +124,17 @@ class LatticeSpec:
         # every shift has a nonzero coordinate; no rank-long zero is built
         if all(any(s) for s in shifts):
             raise ValueError("the zero shift must be present")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coset_shifts", shifts)
+        self.rank = rank
+        self.coset_shifts = shifts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank, self.coset_shifts)
+                == (other.rank, other.coset_shifts))
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.coset_shifts))
 
     @classmethod
     def integers(cls, rank: int) -> "LatticeSpec":

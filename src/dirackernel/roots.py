@@ -18,26 +18,33 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
                      UnsupportedRootSystemError)
-from .lattice import HALF, Weight, inner_product
+from .lattice import HALF, Weight
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """w = s_word[0] ... s_word[-1] in the Weyl group of ``rs``, with its
     image w(delta); the word is reduced, and equality and hashing use the
     image alone."""
 
-    rs: "RootSystem" = field(compare=False, repr=False)
-    word: tuple = field(compare=False)
-    image: Weight
+    def __init__(self, rs: "RootSystem", word: tuple, image: Weight) -> None:
+        self.rs = rs
+        self.word = word
+        self.image = image
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.image == other.image
+
+    def __hash__(self) -> int:
+        return hash(self.image)
 
     @classmethod
     def from_word(cls, rs: "RootSystem", word: Iterable) -> "WeylElement":
@@ -55,10 +62,10 @@ class WeylElement:
         return (-1) ** len(self.word)
 
 
-def _derive_simple_roots(positive_roots: Sequence[Weight]) -> tuple:
+def _derive_simple_roots(positive_roots: Sequence[Weight],
+                         twice: Sequence[tuple]) -> tuple:
     """Positive roots that are not a sum of two positive roots, summed as
-    the int tuples 2a (exact, since roots lie in 1/2 Z)."""
-    twice = [tuple(int(2 * c) for c in a) for a in positive_roots]
+    their int tuples 2a (``twice``)."""
     pos = set(twice)
     sums = set()
     for i, a in enumerate(twice):
@@ -69,18 +76,14 @@ def _derive_simple_roots(positive_roots: Sequence[Weight]) -> tuple:
     return tuple(a for a, t in zip(positive_roots, twice) if t not in sums)
 
 
-@dataclass(frozen=True, eq=True)
 class RootSystem:
     """Positive roots plus derived simple roots in a fixed ambient basis.
 
     ``rank`` is the dimension of the ambient coordinate space (for the A
     family this is one more than the Lie rank).  An empty set of positive
-    roots is allowed and models a torus factor only.
+    roots is allowed and models a torus factor only.  Equality and hashing
+    ignore ``name``.
     """
-
-    rank: int
-    positive_roots: tuple
-    name: Optional[str] = field(default=None, compare=False)
 
     def __init__(self, rank: int, positive_roots: Iterable,
                  name: Optional[str] = None) -> None:
@@ -96,9 +99,11 @@ class RootSystem:
                 raise ValueError(f"root {r} has a coordinate outside 1/2 Z")
         if len(set(roots)) != len(roots):
             raise ValueError("positive roots must be pairwise distinct")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "positive_roots", roots)
-        object.__setattr__(self, "name", name)
+        self.rank = rank
+        self.positive_roots = roots
+        self.name = name
+        twice = [tuple(int(2 * c) for c in a) for a in roots]  # exact in 1/2 Z
+        self.simple_roots = _derive_simple_roots(roots, twice)
         coefficients = {}
         for alpha, coeffs in zip(roots, self._solve(roots)):
             if coeffs is None:
@@ -109,15 +114,29 @@ class RootSystem:
                     f"of the simple roots {self.simple_roots}")
             coefficients[alpha] = tuple(int(c) for c in coeffs)
         # {positive root: its coefficients over simple_roots}
-        object.__setattr__(self, "coefficients", coefficients)
-        closed = set(roots) | {-a for a in roots}
-        for i, simple in enumerate(self.simple_roots):
-            for alpha in roots:
-                image = self.reflect(alpha, i)
+        self.coefficients = coefficients
+        # per simple root a: the int tuple 2a with <2a, 2a>, and the nonzero
+        # coordinates (k, a_k, 2 a_k / <a, a>), which pairings and
+        # reflections touch
+        doubled = [(u, sum(c * c for c in u)) for u in
+                   (tuple(int(2 * c) for c in a) for a in self.simple_roots)]
+        self._simple_supports = tuple(
+            tuple((k, c, Fraction(4 * x, norm))
+                  for k, (c, x) in enumerate(zip(a, u)) if x)
+            for a, (u, norm) in zip(self.simple_roots, doubled))
+        # closure on the int tuples: s_a(2b) = 2b - (2<2b, 2a> / <2a, 2a>) 2a
+        closed = set(twice) | {tuple(-c for c in t) for t in twice}
+        for i, (u, norm) in enumerate(doubled):
+            for alpha, t in zip(roots, twice):
+                pairing, rest = divmod(2 * sum(map(mul, t, u)), norm)
+                image = tuple(x - pairing * c for x, c in zip(t, u))
+                if rest:  # a fractional pairing: the image may still be a root
+                    image = tuple(2 * c for c in self.reflect(alpha, i))
                 if image not in closed:
                     raise ValueError(
-                        f"reflecting {alpha} in the simple root {simple} "
-                        f"gives {image}, which is not a root")
+                        f"reflecting {alpha} in the simple root "
+                        f"{self.simple_roots[i]} gives "
+                        f"{self.reflect(alpha, i)}, which is not a root")
         simples = self.simple_roots
         for i, simple in enumerate(simples):
             unit = tuple(int(j == i) for j in range(len(simples)))
@@ -127,6 +146,12 @@ class RootSystem:
                     f"linearly dependent: {simple} has coefficients "
                     f"{coefficients[simple]}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank, self.positive_roots)
+                == (other.rank, other.positive_roots))
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -134,21 +159,6 @@ class RootSystem:
     def _hash(self) -> int:
         # lru_cache keys: hashing every Fraction on each lookup is slow
         return hash((self.rank, self.positive_roots))
-
-    @cached_property
-    def simple_roots(self) -> tuple:
-        return _derive_simple_roots(self.positive_roots)
-
-    @cached_property
-    def _simple_supports(self) -> tuple:
-        """Per simple root a, (k, a_k, 2 a_k / <a, a>) over the nonzero
-        coordinates of a: pairings and reflections touch only those."""
-        supports = []
-        for a in self.simple_roots:
-            scale = 2 / inner_product(a, a)
-            supports.append(tuple((k, c, c * scale)
-                                  for k, c in enumerate(a) if c))
-        return tuple(supports)
 
     def coroot_pairing(self, v: Weight, i: int) -> Fraction:
         """<v, a^> for the i-th simple root a, where a^ = 2a / <a, a>."""

@@ -10,9 +10,8 @@ Clifford matrices that cross-check these weights live with the tests
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 from .characters import FormalCharacter, irreducible_character
 from .errors import ConsistencyError
@@ -22,15 +21,13 @@ from .sympair import SymmetricPair
 
 # -- combinatorial spinor weights -------------------------------------------
 
-@dataclass(frozen=True)
-class SpinorWeightEntry:
+class SpinorWeightEntry(NamedTuple):
     epsilon: tuple  # in {+1, -1}^m
     weight: Weight
     parity: int  # +1 for E+, -1 for E-
 
 
-@dataclass(frozen=True)
-class SpinorWeights:
+class SpinorWeights(NamedTuple):
     entries: tuple
 
     def side_character(self, side: int) -> FormalCharacter:

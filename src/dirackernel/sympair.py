@@ -12,9 +12,9 @@ of the Dynkin diagram (``marked_node_pair``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import sub
+from typing import NamedTuple
 
 from .errors import DimensionError, InvalidPairError
 from .lattice import HALF, LatticeSpec, Weight
@@ -26,8 +26,7 @@ PAIR_CHECKS = ("p_nonempty", "bracket_grading", "p_level_parity",
                "lattice_containment")
 
 
-@dataclass(frozen=True)
-class W1Element:
+class W1Element(NamedTuple):
     """A coset representative sigma with its sign and delta_p^sigma."""
 
     element: WeylElement
@@ -35,14 +34,7 @@ class W1Element:
     delta_p_sigma: Weight
 
 
-@dataclass(frozen=True, eq=True)
 class SymmetricPair:
-    root_system: RootSystem
-    h_positive: tuple
-    lattice_F: LatticeSpec
-    lattice_F1: LatticeSpec
-    name: str = field(default="pair", compare=False)
-
     def __init__(self, root_system: RootSystem, h_positive, lattice_F,
                  lattice_F1, name: str = "pair") -> None:
         h_roots = tuple(Weight(r) for r in h_positive)
@@ -55,12 +47,21 @@ class SymmetricPair:
         if lattice_F.rank != root_system.rank or lattice_F1.rank != root_system.rank:
             raise DimensionError("lattice rank differs from root-system rank")
         _check_torus_lattice(root_system, lattice_F)
-        object.__setattr__(self, "root_system", root_system)
-        object.__setattr__(self, "h_positive", h_roots)
-        object.__setattr__(self, "lattice_F", lattice_F)
-        object.__setattr__(self, "lattice_F1", lattice_F1)
-        object.__setattr__(self, "name", name)
+        self.root_system = root_system
+        self.h_positive = h_roots
+        self.lattice_F = lattice_F
+        self.lattice_F1 = lattice_F1
+        self.name = name
         validate_pair(self)
+
+    def _key(self) -> tuple:  # equality and hashing ignore the name
+        return (self.root_system, self.h_positive, self.lattice_F,
+                self.lattice_F1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         return self._hash
@@ -68,8 +69,7 @@ class SymmetricPair:
     @cached_property
     def _hash(self) -> int:
         # lru_cache keys: hashing every Fraction on each lookup is slow
-        return hash((self.root_system, self.h_positive, self.lattice_F,
-                     self.lattice_F1))
+        return hash(self._key())
 
     # -- derived structure ------------------------------------------------
 

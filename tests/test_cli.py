@@ -1,6 +1,8 @@
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -612,3 +614,16 @@ def test_golden_output(key):
     """Exit code and stdout match the committed CLI goldens byte for byte."""
     code, out, _ = invoke(key.split(" "))
     assert (code, out) == (GOLDENS[key]["code"], GOLDENS[key]["stdout"])
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every cold CLI process pays for what ``import dirackernel.cli``
+    loads, and ``dataclasses`` brings ``inspect``, ``ast`` and ``dis``."""
+    src = Path(dirackernel.__file__).resolve().parent.parent
+    code = ("import sys, dirackernel.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -66,16 +66,21 @@ class TestBuildClassical:
         with pytest.raises(ValueError, match="outside 1/2 Z"):
             RootSystem(1, [W("1/3")])
 
-    @pytest.mark.parametrize("roots,message", [
+    @pytest.mark.parametrize("roots,message,rank", [
         # an angle that is no rational multiple of pi: W would be infinite
-        (["1,0", "2,1"], "reflecting 2,1 in the simple root 1,0 gives -2,1"),
+        (["1,0", "2,1"],
+         "reflecting 2,1 in the simple root 1,0 gives -2,1", 2),
         (["1,0", "0,1", "1,1"],
-         "reflecting 1,1 in the simple root 1,0 gives -1,1"),
+         "reflecting 1,1 in the simple root 1,0 gives -1,1", 2),
+        # the pairing 2/3 is not an integer: a floor division would give 0
+        (["1,1,1", "1,0,0"],
+         "reflecting 1,0,0 in the simple root 1,1,1 gives 1/3,-2/3,-2/3",
+         3),
     ])
-    def test_rejects_roots_not_closed_under_reflections(self, roots,
-                                                        message):
+    def test_rejects_roots_not_closed_under_reflections(self, roots, message,
+                                                        rank):
         with pytest.raises(ValueError, match=f"{message}, which is not a root"):
-            RootSystem(2, [W(r) for r in roots])
+            RootSystem(rank, [W(r) for r in roots])
 
     @pytest.mark.parametrize("rank,roots,message", [
         # closed under the reflections, but 2 = 4 * (1/2)

@@ -14,7 +14,8 @@ from support import (act, deltas, integers_and_half_integers,
 from dirackernel.dirac import chi_casimir_check
 from dirackernel.errors import ConsistencyError, InvalidPairError
 from dirackernel.lattice import LatticeSpec, Weight
-from dirackernel.roots import RootSystem, build_classical, weyl_group
+from dirackernel.roots import (RootSystem, WeylElement, build_classical, grid,
+                               weyl_group)
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.cli import run
@@ -305,6 +306,33 @@ class TestRegistry:
     def test_all_builtins_validate(self):
         for name in builtin_pair_names():
             assert validate_pair(builtin_pair(name)) is None
+
+
+def test_cache_keys_compare_by_content():
+    """The equality and hashing that the caches of ``grid``,
+    ``weight_table`` and ``builtin_pair`` key on."""
+    b2 = build_classical("B", 2)
+    renamed = RootSystem(2, b2.positive_roots, name="other")
+    assert renamed == b2 and hash(renamed) == hash(b2)
+    assert renamed != RootSystem(2, b2.positive_roots[:2])
+    assert grid(renamed) is grid(b2)
+
+    pair = b2_pair(["1,-1", "1,1"])
+    other = b2_pair(["1,-1", "1,1"], name="other")
+    assert pair == other and hash(pair) == hash(other)
+    assert pair != builtin_pair("so5_so2xso3") and pair != b2
+
+    identity = WeylElement.from_word(b2, ())
+    twice = WeylElement.from_word(b2, (0, 0))
+    assert identity.word != twice.word
+    assert identity == twice and hash(identity) == hash(twice)
+    assert identity != WeylElement.from_word(b2, (0,))
+
+    shifts = [W("0,0"), W("1/2,1/2")]
+    lattice = LatticeSpec(2, shifts)
+    reordered = LatticeSpec(2, shifts[::-1])
+    assert lattice == reordered and hash(lattice) == hash(reordered)
+    assert lattice != LatticeSpec.integers(2)
 
 
 class TestMarkedNodeRule:

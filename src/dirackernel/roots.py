@@ -12,12 +12,15 @@ space of dimension rank + 1.
 
 ``orbit`` and ``dominant_walk`` also run on int tuples D w on the grid
 (1/D) Z^rank of a root system (``Grid``), where W is the orbit of D delta.
+``weyl_order`` counts W without listing it, as the product of m_i + 1 over
+the exponents m_i, which the heights of the positive roots give (Kostant).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul
@@ -347,7 +350,11 @@ def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
     return Grid(rs, scale)
 
 
-def orbit(space, v, limit: int = 10 ** 6) -> dict:
+# the most images ``orbit`` lists, and the most elements of W_1 a pair lists
+ORBIT_LIMIT = 10 ** 6
+
+
+def orbit(space, v, limit: int = ORBIT_LIMIT) -> dict:
     """The W-orbit of v as {image: word}, with s_word[0] ... s_word[-1] v
     = image.
 
@@ -374,6 +381,25 @@ def orbit(space, v, limit: int = 10 ** 6) -> dict:
                             f"group closure exceeded limit {limit}")
         frontier = new_frontier
     return seen
+
+
+def weyl_order(rs: RootSystem) -> int:
+    """|W| = prod (m_i + 1) over the exponents m_i of ``rs``, without an
+    orbit.  The exponents are the dual partition of the counts of positive
+    roots by height (Kostant 1959; Humphreys, Reflection Groups and Coxeter
+    Groups, 3.20): as many exponents are >= h as there are roots of height
+    h.  That holds for reducible systems and torus factors too.  A root
+    twice another (a BC system) has the reflection of its half and is
+    dropped first; a system with no roots has |W| = 1.
+    """
+    coefficients = set(rs.coefficients.values())
+    heights = Counter(
+        sum(c) for c in coefficients
+        if any(x % 2 for x in c) or tuple(x // 2 for x in c) not in coefficients)
+    order = 1
+    for height, count in heights.items():
+        order *= (height + 1) ** (count - heights[height + 1])
+    return order
 
 
 @lru_cache(maxsize=None)

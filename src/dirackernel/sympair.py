@@ -13,12 +13,14 @@ of the Dynkin diagram (``marked_node_pair``).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
-from .errors import DimensionError, InvalidPairError
-from .lattice import HALF, LatticeSpec, Weight
-from .roots import RootSystem, WeylElement, build_classical, grid, orbit
+from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
+                     InvalidPairError)
+from .lattice import LatticeSpec, Weight
+from .roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
+                    build_classical, dominant_walk, grid, weyl_order)
 
 
 # the checks of ``validate_pair``, in the order it runs them
@@ -38,17 +40,20 @@ class SymmetricPair:
     def __init__(self, root_system: RootSystem, h_positive, lattice_F,
                  lattice_F1, name: str = "pair") -> None:
         h_roots = tuple(Weight(r) for r in h_positive)
-        pos = set(root_system.positive_roots)
+        index = {a: k for k, a in enumerate(root_system.positive_roots)}
         for r in h_roots:
-            if r not in pos:
+            if r not in index:
                 raise ValueError(f"h-root {r} is not a positive root")
-        if len(set(h_roots)) != len(h_roots):
+        h_index = frozenset(index[r] for r in h_roots)
+        if len(h_index) != len(h_roots):
             raise ValueError("h_positive roots must be distinct")
         if lattice_F.rank != root_system.rank or lattice_F1.rank != root_system.rank:
             raise DimensionError("lattice rank differs from root-system rank")
         _check_torus_lattice(root_system, lattice_F)
         self.root_system = root_system
         self.h_positive = h_roots
+        # the positions of Delta_h^+ in root_system.positive_roots
+        self.h_index = h_index
         self.lattice_F = lattice_F
         self.lattice_F1 = lattice_F1
         self.name = name
@@ -80,8 +85,8 @@ class SymmetricPair:
     @cached_property
     def p_positive(self) -> tuple:
         """Delta_p^+ in the order inherited from the ambient system."""
-        h = set(self.h_positive)
-        return tuple(a for a in self.root_system.positive_roots if a not in h)
+        return tuple(a for k, a in enumerate(self.root_system.positive_roots)
+                     if k not in self.h_index)
 
     @property
     def m(self) -> int:
@@ -94,11 +99,12 @@ class SymmetricPair:
 
     @cached_property
     def delta_h(self) -> Weight:
-        return sum((a for a in self.h_positive), Weight.zero(self.rank)) * HALF
+        return _half_sum(self.root_system, self.h_index)
 
     @cached_property
     def delta_p(self) -> Weight:
-        return sum((a for a in self.p_positive), Weight.zero(self.rank)) * HALF
+        roots = range(len(self.root_system.positive_roots))
+        return _half_sum(self.root_system, set(roots) - self.h_index)
 
     @cached_property
     def h_system(self) -> RootSystem:
@@ -109,28 +115,34 @@ class SymmetricPair:
 
     @cached_property
     def weyl_h_order(self) -> int:
-        """|W_H|, the size of the orbit of the Delta_h-regular weight
-        D delta_h on the grid that ``w1`` filters with."""
-        h = grid(self.h_system, grid(self.root_system).scale)
-        return len(orbit(h, h.delta))
+        """|W_H|, from the exponents of Delta_h^+ (``roots.weyl_order``)."""
+        return weyl_order(self.h_system)
 
     @cached_property
     def w1(self) -> tuple:
         """W_1: each sigma with its sign and delta_p^sigma = sigma(delta) -
-        delta_h, in the order of the images sigma(delta).  The bijection
-        count |W| = |W_H| * |W_1| and the dominance plus distinctness of
-        the delta_p^sigma are verified on the way.  Delta_h^+ lies in
-        sigma(Delta^+) iff sigma(delta) is strictly Delta_h-dominant, so the
-        orbit of D delta on the grid is filtered by that; only members
-        become ``Weight``s.
+        delta_h, in the order of the images sigma(delta).
+
+        Delta_h^+ lies in sigma(Delta^+) iff sigma(delta) is strictly
+        Delta_h-dominant, so the images are the chambers of the
+        Delta_h-dominant cone, found on the grid without listing W
+        (``_cone_images``); only they become ``Weight``s.  Each word is the
+        one ``orbit`` gives (``_orbit_word``).  Before the search, |W_1| =
+        |W| / |W_H| from the exponents is held to ``ORBIT_LIMIT``; after
+        it, the count |W| = |W_H| * |W_1| and the dominance plus
+        distinctness of the delta_p^sigma are verified.
         """
+        order = weyl_order(self.root_system)
+        if order > ORBIT_LIMIT * self.weyl_h_order:
+            raise GroupOrderLimitError(
+                f"|W_1| = {order // self.weyl_h_order} exceeds limit "
+                f"{ORBIT_LIMIT}")
         g = grid(self.root_system)
         h = grid(self.h_system, g.scale)
-        full = orbit(g, g.delta)
-        members = sorted(x for x in full if h.is_dominant(x, strict=True))
-        if len(full) != self.weyl_h_order * len(members):
+        members = sorted(_cone_images(g, h))
+        if order != self.weyl_h_order * len(members):
             raise InvalidPairError(
-                f"|W| = {len(full)} != |W_H| * |W_1| = "
+                f"|W| = {order} != |W_H| * |W_1| = "
                 f"{self.weyl_h_order} * {len(members)}")
         seen = set()
         result = []
@@ -144,7 +156,8 @@ class SymmetricPair:
                 raise InvalidPairError(
                     f"duplicate delta_p^sigma = {delta_p_sigma}")
             seen.add(shifted)
-            element = WeylElement(self.root_system, full[x], g.weight(x))
+            element = WeylElement(self.root_system, _orbit_word(g, x),
+                                  g.weight(x))
             result.append(W1Element(element, element.sign, delta_p_sigma))
         return tuple(result)
 
@@ -153,70 +166,162 @@ class SymmetricPair:
                 f"|h+|={len(self.h_positive)}, m={self.m})")
 
 
+def _half_sum(rs: RootSystem, indices) -> Weight:
+    """Half the sum of the positive roots at ``indices``, added on the grid
+    of ``rs``, where every D alpha is even."""
+    g = grid(rs)
+    total = (0,) * rs.rank
+    for k in indices:
+        total = tuple(map(add, total, g.positive[k]))
+    return g.weight(tuple(c // 2 for c in total))
+
+
+def _cone_images(g: Grid, h: Grid) -> set:
+    """The images x = sigma(D delta) that are strictly Delta_h-dominant.
+
+    Their chambers fill the convex Delta_h-dominant cone, and neighbouring
+    chambers differ by a reflection s_beta (beta in Delta^+), so a
+    breadth-first search from D delta over those reflections, keeping only
+    strictly Delta_h-dominant images, reaches every one.  A root twice
+    another has the reflection of its half and is skipped.
+    """
+    points = set(g.positive)
+    mirrors = [(tuple((k, c) for k, c in enumerate(b) if c),
+                sum(c * c for c in b)) for b in g.positive
+               if any(c % 2 for c in b)
+               or tuple(c // 2 for c in b) not in points]
+    seen = {g.delta}
+    frontier = [g.delta]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for support, norm in mirrors:
+                twice = 0
+                for k, c in support:
+                    twice += x[k] * c
+                if not twice:
+                    continue
+                pairing, rest = divmod(2 * twice, norm)
+                if rest:
+                    raise ConsistencyError(
+                        f"{g.weight(x)} pairs to a non-integer with a coroot")
+                y = list(x)
+                for k, c in support:
+                    y[k] -= pairing * c
+                y = tuple(y)
+                if y not in seen and h.is_dominant(y, strict=True):
+                    seen.add(y)
+                    new_frontier.append(y)
+        frontier = new_frontier
+    return seen
+
+
+def _orbit_word(g: Grid, x: tuple) -> tuple:
+    """The word of the image x of D delta in ``orbit(g, g.delta)``, without
+    the orbit: the orbit gives each image the least reduced word read from
+    the right, which is reversed(dominant_walk(sigma^-1 delta).steps).
+    sigma^-1 delta is D delta reflected along the steps of
+    dominant_walk(x), in order."""
+    y = g.delta
+    for i in dominant_walk(x, g)[0]:
+        y = g.reflect(y, i)
+    return dominant_walk(y, g)[0][::-1]
+
+
 def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
     """F must be a W-stable group of G-integral weights, the characters of
     the torus of G: raise ValueError unless its generators (each e_k and
     each coset shift) are integral with every simple reflection of a
-    generator in F, and the shifts are closed under addition mod Z^rank."""
+    generator in F, and the shifts are closed under addition mod Z^rank.
+
+    Runs on the grid of ``rs``: D F is the set of int tuples x with
+    x mod D equal to D s for a coset shift s, whose coordinates are 0 or
+    D / 2.
+    """
+    g = grid(rs)
+    scale = g.scale
     shifts = lattice.sorted_shifts()
-    for s in shifts:
-        if not rs.is_integral(s):
+    points = [g.point(s) for s in shifts]
+    residues = set(points)
+
+    def in_lattice(x: tuple) -> bool:
+        return tuple(c % scale for c in x) in residues
+
+    for s, x in zip(shifts, points):
+        if not g.is_integral(x):
             raise ValueError(f"F shift {s} is not integral for {rs}")
-    basis = [Weight.basis(rs.rank, k) for k in range(rs.rank)]
-    for e in basis:
-        if not rs.is_integral(e):
-            raise ValueError(f"F contains {e}, which is not integral for {rs}")
-    for g in shifts + basis:
+    basis = [tuple(scale * (j == k) for j in range(rs.rank))
+             for k in range(rs.rank)]
+    for k, x in enumerate(basis):
+        if not g.is_integral(x):
+            raise ValueError(f"F contains {Weight.basis(rs.rank, k)}, "
+                             f"which is not integral for {rs}")
+    for x in points + basis:
         for i, simple in enumerate(rs.simple_roots):
-            image = rs.reflect(g, i)
-            if image not in lattice:
+            image = g.reflect(x, i)
+            if not in_lattice(image):
                 raise ValueError(
-                    f"F is not W-stable: reflecting {g} in the simple root "
-                    f"{simple} gives {image}, which is not in F")
-    for i, s in enumerate(shifts):
-        for t in shifts[i:]:
-            if s + t not in lattice:
+                    f"F is not W-stable: reflecting {g.weight(x)} in the "
+                    f"simple root {simple} gives {g.weight(image)}, which is "
+                    f"not in F")
+    for i, (s, x) in enumerate(zip(shifts, points)):
+        for t, y in zip(shifts[i:], points[i:]):
+            if not in_lattice(tuple(map(add, x, y))):
                 raise ValueError(
                     f"F is not a group: {s} + {t} is not in F")
+
+
+def _grading_clash(points: tuple, h_index: frozenset):
+    """The first (i, j, k) with i <= j and points[i] + points[j] =
+    points[k] where k lies on the wrong side: in h iff exactly one of i, j
+    does (h+h->h, p+p->h, h+p->p); None if there is none."""
+    index = {x: k for k, x in enumerate(points)}
+    for i, a in enumerate(points):
+        for j in range(i, len(points)):
+            k = index.get(tuple(map(add, a, points[j])))
+            if k is not None and (k in h_index) != (
+                    (i in h_index) == (j in h_index)):
+                return i, j, k
+    return None
 
 
 def validate_pair(pair: SymmetricPair) -> None:
     """Run the checks of ``PAIR_CHECKS`` on ``pair`` and raise
     ``InvalidPairError`` naming every one that fails.  ``SymmetricPair``
-    runs them on construction, so a pair that exists has passed them."""
+    runs them on construction, so a pair that exists has passed them.
+    Roots are taken by their positions in ``positive_roots``: the grading
+    adds their grid points D alpha, and the parity reads their simple
+    coefficients."""
     rs = pair.root_system
+    roots = rs.positive_roots
+    h_index = pair.h_index
     failures = []  # "check: detail", in the order of PAIR_CHECKS
 
-    p_set = set(pair.p_positive)
-    h_set = set(pair.h_positive)
-    if not p_set:
+    if not pair.p_positive:
         failures.append(
             "p_nonempty: Delta_p^+ is empty (h equals the full algebra)")
 
     # Bracket grading, restated on root sums: h+h->h, p+p->h, h+p->p.
-    roots = rs.positive_roots
-    pos = set(roots)
-    grading_detail = ""  # the first violation found
-    for i, a in enumerate(roots):
-        for b in roots[i:]:
-            s = a + b
-            expected_h = (a in h_set) == (b in h_set)
-            if s in pos and (s in h_set) != expected_h and not grading_detail:
-                side = "h" if expected_h else "p"
-                grading_detail = f"{a} + {b} = {s} should lie in Delta_{side}^+"
-    if grading_detail:
-        failures.append(f"bracket_grading: {grading_detail}")
+    clash = _grading_clash(grid(rs).positive, h_index)
+    if clash:
+        i, j, k = clash
+        side = "h" if (i in h_index) == (j in h_index) else "p"
+        failures.append(f"bracket_grading: {roots[i]} + {roots[j]} = "
+                        f"{roots[k]} should lie in Delta_{side}^+")
 
-    # Parity of the p-part of the level of each root.
-    p_idx = [i for i, b in enumerate(rs.simple_roots) if b in p_set]
-    levels = {alpha: sum(coeffs[i] for i in p_idx)
-              for alpha, coeffs in rs.coefficients.items()}
-    wrong = [a for a, n_p in levels.items() if n_p % 2 != (a in p_set)]
-    if wrong:
-        failures.append(
-            f"p_level_parity: root {wrong[0]} has p-level "
-            f"{levels[wrong[0]]}, expected "
-            f"{'odd' if wrong[0] in p_set else 'even'}")
+    # Parity of the p-part of the level of each root; the coefficients
+    # are listed in the order of positive_roots, and the roots of height
+    # one are the simple roots.
+    coefficients = list(rs.coefficients.values())
+    p_simple = [c.index(1) for k, c in enumerate(coefficients)
+                if sum(c) == 1 and k not in h_index]
+    for k, c in enumerate(coefficients):
+        level = sum(c[i] for i in p_simple)
+        if level % 2 != (k not in h_index):
+            failures.append(
+                f"p_level_parity: root {roots[k]} has p-level {level}, "
+                f"expected {'even' if k in h_index else 'odd'}")
+            break
 
     if not pair.lattice_F.is_sublattice_of(pair.lattice_F1):
         failures.append("lattice_containment: F is not contained in F1")
@@ -263,10 +368,12 @@ def marked_node_pair(rs: RootSystem, node: int, name: str) -> SymmetricPair:
     """
     if not 0 <= node < len(rs.simple_roots):
         raise ValueError(f"node {node} is not a simple root index of {rs}")
-    h_roots = tuple(a for a in rs.positive_roots
-                    if rs.coefficients[a][node] % 2 == 0)
-    delta_p = rs.delta - sum(h_roots, Weight.zero(rs.rank)) * HALF
-    shift = Weight(c % 1 for c in delta_p)
+    # the coefficients are listed in the order of positive_roots
+    p_index = {k for k, c in enumerate(rs.coefficients.values())
+               if c[node] % 2}
+    h_roots = tuple(a for k, a in enumerate(rs.positive_roots)
+                    if k not in p_index)
+    shift = Weight(c % 1 for c in _half_sum(rs, p_index))
     return SymmetricPair(
         rs, h_roots, lattice_F=LatticeSpec.integers(rs.rank),
         lattice_F1=LatticeSpec(rs.rank, [Weight.zero(rs.rank), shift]),

@@ -1,9 +1,10 @@
 """Helpers that only the tests call, kept as test support: small
 conveniences over the library types, the interleaving branching rule that
 cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
-the whole Weyl group and the ``Fraction`` product of Weyl's dimension
-formula, both of which the library now runs on the integer grid, and the
-quarter-delta pair, whose grid needs D = 4.
+the whole Weyl group, the ``Fraction`` checks of a pair's validation and
+the ``Fraction`` product of Weyl's dimension formula, all of which the
+library now runs on the integer grid, the quarter-delta pair, whose grid
+needs D = 4, and a pair on the non-reduced system BC1.
 """
 
 from fractions import Fraction
@@ -109,6 +110,14 @@ def quarter_delta_pair() -> SymmetricPair:
     return SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
 
 
+def bc1_pair() -> SymmetricPair:
+    # BC1, whose root 1 is twice the root 1/2, with h = {1}: W_1 is the
+    # identity alone, and the reflection in 1 is the one in 1/2
+    rs = RootSystem(1, [(HALF,), (1,)])
+    return SymmetricPair(rs, [(1,)], LatticeSpec.integers(1),
+                         integers_and_half_integers(1), name="bc1")
+
+
 def reference_w1(pair: SymmetricPair) -> tuple:
     """W_1 filtered out of ``weyl_group`` on ``Fraction`` weights: each sigma
     whose image sigma(delta) is strictly Delta_h-dominant, in image order,
@@ -118,6 +127,50 @@ def reference_w1(pair: SymmetricPair) -> tuple:
         W1Element(sigma, sigma.sign, sigma.image - pair.delta_h)
         for sigma in weyl_group(pair.root_system)
         if h_system.is_dominant(sigma.image, strict=True))
+
+
+def reference_pair_failures(rs: RootSystem, h_positive, lattice_F,
+                            lattice_F1) -> list:
+    """The checks of ``sympair.PAIR_CHECKS`` on ``Fraction`` weights, one
+    "check: detail" per failed check, in order: bracket grading adds the
+    roots as ``Weight``s and looks the sums up in sets of ``Weight``s, and
+    the level parity tests membership in those sets.  ``validate_pair``
+    runs the same checks on the grid, by the positions of the roots."""
+    h_set = set(h_positive)
+    p_set = {a for a in rs.positive_roots if a not in h_set}
+    failures = []
+    if not p_set:
+        failures.append(
+            "p_nonempty: Delta_p^+ is empty (h equals the full algebra)")
+
+    # Bracket grading, restated on root sums: h+h->h, p+p->h, h+p->p.
+    roots = rs.positive_roots
+    pos = set(roots)
+    grading_detail = ""  # the first violation found
+    for i, a in enumerate(roots):
+        for b in roots[i:]:
+            s = a + b
+            expected_h = (a in h_set) == (b in h_set)
+            if s in pos and (s in h_set) != expected_h and not grading_detail:
+                side = "h" if expected_h else "p"
+                grading_detail = f"{a} + {b} = {s} should lie in Delta_{side}^+"
+    if grading_detail:
+        failures.append(f"bracket_grading: {grading_detail}")
+
+    # Parity of the p-part of the level of each root.
+    p_idx = [i for i, b in enumerate(rs.simple_roots) if b in p_set]
+    levels = {alpha: sum(coeffs[i] for i in p_idx)
+              for alpha, coeffs in rs.coefficients.items()}
+    wrong = [a for a, n_p in levels.items() if n_p % 2 != (a in p_set)]
+    if wrong:
+        failures.append(
+            f"p_level_parity: root {wrong[0]} has p-level "
+            f"{levels[wrong[0]]}, expected "
+            f"{'odd' if wrong[0] in p_set else 'even'}")
+
+    if not lattice_F.is_sublattice_of(lattice_F1):
+        failures.append("lattice_containment: F is not contained in F1")
+    return failures
 
 
 def branch_interleave_BD(m: int, nu: Weight) -> Dict[Weight, int]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,8 +175,9 @@ class TestPairCommands:
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_pair_show_lists_no_weyl_group(self, tmp_path, monkeypatch, fmt):
-        # |W| and |W_H| are counted from orbits of D delta and D delta_h,
-        # so pair show runs with weyl_group and w1_enumerate unusable
+        # |W| and |W_H| come from the exponents and W_1 from the
+        # Delta_h-dominant cone, so pair show runs with weyl_group,
+        # w1_enumerate and every orbit unusable
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(README_PAIR), encoding="utf-8")
         argv = ["--format", fmt, "pair", "show", str(path)]
@@ -185,14 +187,15 @@ class TestPairCommands:
             raise AssertionError("pair show listed a group")
 
         stubbed = 0
-        for name in ("weyl_group", "w1_enumerate"):
-            original = getattr(dirackernel, name)
+        for name, original in [("weyl_group", dirackernel.weyl_group),
+                               ("w1_enumerate", dirackernel.w1_enumerate),
+                               ("orbit", dirackernel.roots.orbit)]:
             for module in list(sys.modules.values()):
                 if (getattr(module, "__name__", "").startswith("dirackernel")
                         and getattr(module, name, None) is original):
                     monkeypatch.setattr(module, name, unusable)
                     stubbed += 1
-        assert stubbed >= 4  # each defining module and the package
+        assert stubbed >= 6  # each defining or importing module
         assert invoke(argv) == expected
         assert expected[0] == 0
 
@@ -472,6 +475,29 @@ class TestExitCodes:
         code, out, err = invoke(["pair", "show", "so5_so4"])
         assert (code, out) == (2, "")
         assert err == "error: group closure exceeded limit 10\n"
+
+    def test_w1_over_the_limit_exits_two_at_once(self, tmp_path):
+        # A22 node 11 has |W_1| = C(23, 12) = 1,352,078, refused from the
+        # exponents before W_1 is searched
+        from dirackernel.roots import build_classical
+        from dirackernel.sympair import marked_node_pair
+
+        pair = marked_node_pair(build_classical("A", 22), 11, "a22_node11")
+        data = {"name": pair.name, "rank": pair.rank,
+                "positive_roots": [
+                    str(a) for a in pair.root_system.positive_roots],
+                "h_positive_indices": sorted(pair.h_index),
+                "lattice_F_shifts": [
+                    str(s) for s in pair.lattice_F.sorted_shifts()],
+                "lattice_F1_shifts": [
+                    str(s) for s in pair.lattice_F1.sorted_shifts()]}
+        path = tmp_path / "a22.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = invoke(["pair", "show", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: |W_1| = 1352078 exceeds limit 1000000\n"
+        assert time.perf_counter() - start < 5
 
 
 class TestDeterminism:

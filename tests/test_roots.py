@@ -8,7 +8,8 @@ from dirackernel.errors import (GroupOrderLimitError,
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, build_classical,
                                classical_dimension, dominant_representative,
-                               orbit, weyl_group)
+                               grid, orbit, weyl_group, weyl_order)
+from corpus import W1_PAIRS
 from support import (act, all_roots, compose, identity,
                      simple_coefficients)
 
@@ -238,6 +239,39 @@ class TestWeylGroup:
         weyl_group.cache_clear()
         second = [w.image for w in weyl_group(build_classical("B", 2))]
         assert first == second == sorted(first)
+
+
+def orbit_order(rs):
+    """|W| counted as the orbit of D delta on the grid."""
+    g = grid(rs)
+    return len(orbit(g, g.delta))
+
+
+class TestWeylOrder:
+    @pytest.mark.parametrize("family,rank", [
+        (family, rank) for family, ranks in [
+            ("A", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)),
+            ("D", range(2, 7))] for rank in ranks])
+    def test_classical(self, family, rank):
+        rs = build_classical(family, rank)
+        assert weyl_order(rs) == orbit_order(rs)
+
+    @pytest.mark.parametrize("roots,order", [
+        (["1/2", "1"], 2),  # BC1: 1 is twice the root 1/2
+        (["1,-1", "1,1", "1,0", "0,1", "2,0", "0,2"], 8),  # BC2
+    ])
+    def test_non_reduced(self, roots, order):
+        rs = RootSystem(len(W(roots[0])), [W(r) for r in roots])
+        assert weyl_order(rs) == orbit_order(rs) == order
+
+    def test_no_roots(self):
+        rs = RootSystem(3, [])
+        assert weyl_order(rs) == orbit_order(rs) == 1
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_h_systems(self, pair):
+        # reducible systems with torus directions, in the full ambient space
+        assert weyl_order(pair.h_system) == orbit_order(pair.h_system)
 
 
 class TestOrbit:

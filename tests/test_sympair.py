@@ -1,21 +1,26 @@
 import io
 import itertools
 import json
+import random
+import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, corpus_pair
+from corpus import CORPUS, W1_PAIRS, corpus_pair
 from oracle_reference import checked_euler
 from support import (act, deltas, integers_and_half_integers,
-                     quarter_delta_pair, reference_w1)
+                     reference_pair_failures, reference_w1)
 from dirackernel.dirac import chi_casimir_check
-from dirackernel.errors import ConsistencyError, InvalidPairError
+from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
+                                InvalidPairError)
 from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import (RootSystem, WeylElement, build_classical, grid,
-                               weyl_group)
+                               orbit, weyl_group, weyl_order)
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
                               spinor_weights)
 from dirackernel.cli import run
@@ -28,12 +33,6 @@ from dirackernel.sympair import (PAIR_CHECKS, SymmetricPair,
 
 def W(text):
     return Weight.parse(text)
-
-
-# the built-ins, the marked-node corpus and a pair whose grid needs D = 4
-W1_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
-            + [corpus_pair(*node) for node in CORPUS]
-            + [quarter_delta_pair()])
 
 
 def b2_pair(h_roots, name="test"):
@@ -116,6 +115,37 @@ class TestValidate:
             {"check": name, "passed": True, "detail": ""}
             for name in PAIR_CHECKS]
         assert doc["valid"] is True
+
+    @pytest.mark.parametrize("family,rank,draws", [
+        ("B", 2, None), ("C", 2, None), ("A", 3, None),
+        ("B", 3, 200), ("D", 4, 200)])
+    def test_validation_matches_fraction_reference(self, family, rank, draws):
+        # every subset of Delta^+ as h (draws=None), or seeded random ones:
+        # the grid checks raise the message of the Fraction checks, or none
+        rs = build_classical(family, rank)
+        roots = rs.positive_roots
+        if draws is None:
+            subsets = [[a for a, keep in zip(roots, mask) if keep] for mask
+                       in itertools.product((0, 1), repeat=len(roots))]
+        else:
+            rng = random.Random(f"{family}{rank}")
+            subsets = [[a for a in roots if rng.random() < 0.5]
+                       for _ in range(draws)]
+        F = LatticeSpec.integers(rs.rank)
+        F1 = integers_and_half_integers(rs.rank)
+        raised = 0
+        for h in subsets:
+            failures = reference_pair_failures(rs, h, F, F1)
+            expected = ("pair 'subset' fails validation: "
+                        + "; ".join(failures)) if failures else None
+            try:
+                SymmetricPair(rs, h, F, F1, name="subset")
+                got = None
+            except InvalidPairError as exc:
+                got = str(exc)
+            assert got == expected, [str(a) for a in h]
+            raised += got is not None
+        assert raised
 
     def test_F_must_be_integral_for_G(self):
         # (1/2,1/2) is integral for B2 (above) but pairs to 1/2 with the
@@ -202,6 +232,49 @@ class TestW1:
                      x.delta_p_sigma) for x in w1]
 
         assert rows(pair.w1) == rows(reference_w1(pair))
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_w1_lists_no_orbit(self, pair, monkeypatch):
+        # a fresh copy of the pair finds W_1 and |W_H| with every orbit
+        # unusable, and matches the Fraction filter of the listed group
+        def rows(w1):
+            return [(x.element.word, x.element.image, x.sign,
+                     x.delta_p_sigma) for x in w1]
+
+        reference = rows(reference_w1(pair))
+        h_order = len(weyl_group(pair.h_system))
+
+        def unusable(*_args, **_kwargs):
+            raise AssertionError("listed an orbit")
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("dirackernel")
+                    and getattr(module, "orbit", None) is orbit):
+                monkeypatch.setattr(module, "orbit", unusable)
+        fresh = SymmetricPair(pair.root_system, pair.h_positive,
+                              pair.lattice_F, pair.lattice_F1, pair.name)
+        assert rows(fresh.w1) == reference
+        assert fresh.weyl_h_order == h_order
+
+    def test_b7_node6_without_listing_w(self):
+        # so(15)/so(14): |W| = 645,120, but W_1 has two elements
+        start = time.perf_counter()
+        pair = marked_node_pair(build_classical("B", 7), 6, "so15_so14")
+        w1 = pair.w1
+        elapsed = time.perf_counter() - start
+        assert (pair.weyl_h_order, len(w1),
+                weyl_order(pair.root_system)) == (322560, 2, 645120)
+        assert elapsed < 1
+
+    def test_w1_over_the_limit_fails_before_listing(self):
+        # A22 node 11: |W_1| = C(23, 12) = 1,352,078 is refused from the
+        # exponents, before the search
+        pair = marked_node_pair(build_classical("A", 22), 11, "a22_node11")
+        start = time.perf_counter()
+        with pytest.raises(GroupOrderLimitError, match=re.escape(
+                "|W_1| = 1352078 exceeds limit 1000000")):
+            pair.w1
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_weyl_h_order_counts_the_listed_group(self, pair):

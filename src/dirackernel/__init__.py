@@ -1,14 +1,12 @@
 """Exact-arithmetic computations around the Dirac operator on equal-rank
 compact symmetric spaces: root systems and Weyl groups over rationals,
-formal character arithmetic, spinor weights, the kernel classification,
-and an independent character-theoretic verifier."""
+character arithmetic on the integer grid, spinor weights, the kernel
+classification, and an independent character-theoretic verifier."""
 
-from .characters import (FormalCharacter, branch_equal_rank, decompose,
-                         irreducible_character, tensor, weight_multiplicity,
-                         weyl_dim)
+from .characters import branch_equal_rank, tensor, weyl_dim
 from .dirac import (EulerReport, KernelResult, KernelStatus,
-                    casimir_eigenvalue, casimir_shell, chi_casimir_check,
-                    dirac_kernel, euler_verify, frobenius_multiplicity)
+                    casimir_eigenvalue, chi_casimir_check, dirac_kernel,
+                    euler_verify)
 from .lattice import LatticeSpec, Weight, inner_product
 from .roots import (RootSystem, WeylElement, build_classical,
                     dominant_representative, weyl_group)
@@ -21,11 +19,9 @@ from .sympair import (SymmetricPair, W1Element, admissible_mu,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormalCharacter", "branch_equal_rank", "decompose",
-    "irreducible_character", "tensor", "weight_multiplicity", "weyl_dim",
+    "branch_equal_rank", "tensor", "weyl_dim",
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
-    "casimir_shell", "chi_casimir_check", "dirac_kernel", "euler_verify",
-    "frobenius_multiplicity",
+    "chi_casimir_check", "dirac_kernel", "euler_verify",
     "LatticeSpec", "Weight", "inner_product",
     "RootSystem", "WeylElement", "build_classical",
     "dominant_representative", "weyl_group",

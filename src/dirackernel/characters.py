@@ -1,20 +1,18 @@
-"""Formal characters on the weight lattice and exact character arithmetic.
+"""Characters on the integer grid of ``roots.grid``: int tuples D w, with
+a factor D fixed per root system.
 
-A formal character is a finitely supported integer-valued function on the
-weight lattice, stored sparsely.  Irreducible characters come from the
-Freudenthal multiplicity recursion evaluated on the dominant weights only,
-each value copied over the Weyl orbit of its weight, all of it on int
-tuples D w scaled by a factor D fixed per root system (``roots.Grid``):
-one cached ``weight_table`` per (root system, nu), of which
-``irreducible_character`` is the ``Weight``-keyed view.  Dimensions come
-from Weyl's product formula as a quotient of two integer products on the
-same grid, cross-checked against the multiplicity mass in the tests.
-Decomposition of an invariant character is straightening: each support
-weight w is walked from w + delta into the dominant chamber, as the theorem
-path walks lambda + delta, on the same grid; branching and tensor products
-straighten the integer tables directly.  Half-integral highest weights are
-first-class; lattice membership is only ever enforced against an explicit
-LatticeSpec.
+The character of an irreducible pi_nu is one cached integer weight table
+per (root system, nu) (``weight_table``): the Freudenthal multiplicity
+recursion evaluated on the dominant weights only, each value copied over
+the Weyl orbit of its weight.  Dimensions come from Weyl's product formula
+as a quotient of two integer products on the same grid, cross-checked
+against the multiplicity mass in the tests.  Decomposition of an invariant
+character on the grid is straightening (``_straighten``): each support
+weight w is walked from w + delta into the dominant chamber, as the
+theorem path walks lambda + delta; branching and tensor products
+straighten the integer tables directly.  ``Weight``s appear only as
+highest weights.  Half-integral highest weights are first-class; lattice
+membership is only ever enforced against an explicit LatticeSpec.
 """
 
 from __future__ import annotations
@@ -22,101 +20,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, Mapping, NamedTuple
+from typing import Dict, NamedTuple
 
-from .errors import (ConsistencyError, DecompositionError, DimensionError,
-                     NonDominantError, SymmetryError)
+from .errors import (ConsistencyError, DecompositionError, NonDominantError,
+                     SymmetryError)
 from .lattice import Weight
 from .roots import Grid, RootSystem, dominant_walk, grid, orbit
 from .sympair import SymmetricPair
-
-
-class FormalCharacter:
-    """Sparse integer combination of lattice points e^w.
-
-    The canonical form never stores zero multiplicities.  Addition,
-    subtraction, integer scaling and product (Minkowski convolution of
-    supports) are all exact.
-    """
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms: Mapping[Weight, int] | None = None):
-        self.rank = rank
-        clean: Dict[Weight, int] = {}
-        if terms:
-            for w, c in terms.items():
-                if c == 0:
-                    continue
-                w = Weight(w)
-                if len(w) != rank:
-                    raise DimensionError(
-                        f"weight {w} has length {len(w)}, character rank {rank}")
-                clean[w] = clean.get(w, 0) + c
-        self.terms = {w: c for w, c in clean.items() if c != 0}
-
-    @classmethod
-    def zero(cls, rank: int) -> "FormalCharacter":
-        return cls(rank)
-
-    @classmethod
-    def monomial(cls, w: Weight, coeff: int = 1) -> "FormalCharacter":
-        return cls(len(w), {Weight(w): coeff})
-
-    def _check(self, other: "FormalCharacter") -> None:
-        if self.rank != other.rank:
-            raise DimensionError(
-                f"character ranks differ: {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return FormalCharacter(self.rank, terms)
-
-    def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) - c
-        return FormalCharacter(self.rank, terms)
-
-    def __neg__(self) -> "FormalCharacter":
-        return FormalCharacter(self.rank, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, k: int) -> "FormalCharacter":
-        return FormalCharacter(self.rank, {w: k * c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        prod: Dict[Weight, int] = {}
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        for w1, c1 in small.items():
-            for w2, c2 in big.items():
-                key = w1 + w2
-                prod[key] = prod.get(key, 0) + c1 * c2
-        return FormalCharacter(self.rank, prod)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "FormalCharacter(0)"
-        parts = [f"{c}*e[{w}]" for w, c in sorted(self.terms.items())]
-        return "FormalCharacter(" + " + ".join(parts) + ")"
 
 
 # -- irreducible characters (Freudenthal) ----------------------------------
@@ -209,26 +119,6 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
     return WeightTable(g, table)
 
 
-@lru_cache(maxsize=None)
-def irreducible_character(rs: RootSystem, nu: Weight) -> FormalCharacter:
-    """Character of the irreducible highest-weight representation pi_nu:
-    the ``Weight``-keyed view of ``weight_table(rs, nu)``."""
-    g, table = weight_table(rs, Weight(nu))
-    character = FormalCharacter(rs.rank)
-    # already canonical: no zeros, exact weights
-    character.terms = {g.weight(x): m for x, m in table.items()}
-    return character
-
-
-def weight_multiplicity(rs: RootSystem, nu: Weight, w: Weight) -> int:
-    """Multiplicity of the weight w in pi_nu (0 when w is not a weight)."""
-    g, table = weight_table(rs, Weight(nu))
-    try:
-        return table.get(g.point(Weight(w)), 0)
-    except ConsistencyError:  # off the grid of pi_nu, so not a weight
-        return 0
-
-
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:
     """Dimension of pi_nu by Weyl's product formula (Humphreys, 24.3) on
     the grid of ``weight_table``: prod <D (nu + delta), D alpha> over
@@ -251,8 +141,9 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
 # -- decomposition by straightening ----------------------------------------
 
 def _straighten(terms: Dict[tuple, int], g: Grid) -> Dict[Weight, int]:
-    """Multiplicities m_nu with sum_x terms[x] e^(x / D) = sum m_nu *
-    irreducible_character(g.rs, nu), for a character on the grid g.
+    """Multiplicities m_nu with sum_x terms[x] e^(x / D) = sum m_nu times
+    the character of pi_nu (``weight_table(g.rs, nu)``), for a character
+    on the grid g.
 
     Straightening (Racah-Speiser): by W-invariance, ch times the Weyl
     denominator alternates sum_w ch[w] e^(w + delta), so each w + delta is
@@ -291,18 +182,6 @@ def _straighten(terms: Dict[tuple, int], g: Grid) -> Dict[Weight, int]:
         _check_highest_weight(rs, nu)
         result[nu] = m
     return result
-
-
-def decompose(ch: FormalCharacter, rs: RootSystem) -> Dict[Weight, int]:
-    """Multiplicities m_nu with ch = sum m_nu * irreducible_character(nu).
-
-    ``ch`` is put once on the grid of rs, refined by the denominators of
-    its weights, and straightened there (``_straighten``).
-    """
-    if ch.rank != rs.rank:
-        raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
-    g = _refined_grid(rs, ch.terms)
-    return _straighten({g.point(w): c for w, c in ch.terms.items()}, g)
 
 
 def tensor(rs: RootSystem, nu1: Weight, nu2: Weight) -> Dict[Weight, int]:

@@ -30,13 +30,25 @@ from .dirac import KernelStatus, chi_casimir_check, dirac_kernel, euler_verify
 from .errors import ConsistencyError, GroupOrderLimitError
 from .lattice import LatticeSpec, Weight
 from .roots import RootSystem, build_classical, classical_dimension
-from .spin import chi_decompose, chi_trace_difference, spinor_weights
+from .spin import (chi_decompose, chi_disjointness_check, chi_trace_difference,
+                   spinor_weights)
 from .sympair import (PAIR_CHECKS, SymmetricPair, builtin_pair,
                       builtin_pair_names)
 
 
 class CliError(ValueError):
     """Usage-level error: message printed to stderr, exit code 2."""
+
+
+def _field(data: dict, key: str, kind: type):
+    """data[key], which must be a JSON value of the given kind: an int
+    (not a bool, which Python counts as one) or a list."""
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a JSON "
+                        f"{'integer' if kind is int else 'list'}, "
+                        f"got {value!r}")
+    return value
 
 
 def load_pair_file(path: str) -> SymmetricPair:
@@ -49,11 +61,13 @@ def load_pair_file(path: str) -> SymmetricPair:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot parse pair file {path}: {exc}") from None
     try:
-        rank = int(data["rank"])
-        roots = [Weight.parse(s) for s in data["positive_roots"]]
-        indices = list(data["h_positive_indices"])
-        f_shifts = [Weight.parse(s) for s in data["lattice_F_shifts"]]
-        f1_shifts = [Weight.parse(s) for s in data["lattice_F1_shifts"]]
+        rank = _field(data, "rank", int)
+        roots = [Weight.parse(s) for s in _field(data, "positive_roots", list)]
+        indices = _field(data, "h_positive_indices", list)
+        f_shifts = [Weight.parse(s)
+                    for s in _field(data, "lattice_F_shifts", list)]
+        f1_shifts = [Weight.parse(s)
+                     for s in _field(data, "lattice_F1_shifts", list)]
         name = data.get("name", os.path.basename(path))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad pair file {path}: {exc}") from None
@@ -111,7 +125,7 @@ def emit(doc: dict, machine: bool, lines: list, out) -> None:
 
 
 def _pair_doc(pair: SymmetricPair) -> dict:
-    w1 = pair.w1  # checks |W| = |W_H| * |W_1| on the orbit of D delta
+    w1 = pair.w1  # checks |W| = |W_H| * |W_1|, W_1 from the cone search
     return {
         "name": pair.name,
         "rank": pair.rank,
@@ -279,12 +293,11 @@ def cmd_verify(args, out) -> int:
         details.append(f"Casimir scalar identity: pass (scalar {scalar})")
     except ConsistencyError as exc:
         failures.append(f"Casimir scalar: {exc}")
-    sw = spinor_weights(pair)
-    overlap = sw.side_character(1).terms.keys() & sw.side_character(-1).terms
-    if overlap:
-        failures.append(f"E+ and E- share weights: {sorted(overlap)}")
-    else:
+    try:
+        chi_disjointness_check(pair)
         details.append("E+/E- weight disjointness: pass")
+    except ConsistencyError as exc:
+        failures.append(str(exc))
     passed = not failures
     doc = {"pair": pair.name, "checks": details, "failures": failures,
            "passed": passed}

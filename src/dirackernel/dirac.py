@@ -7,14 +7,15 @@ yields sigma = w^{-1}, nu = w(lambda + delta) - delta, and the side is
 decided by sgn(sigma) * (-1)^m.
 
 The oracle path shares only the lattice/roots primitives with the theorem
-path.  It enumerates the Casimir shell of lambda, computes Frobenius
-multiplicities on both sides by Brauer-Klimyk coefficient extraction (the
-weight multiplicities of pi_nu summed against signed shifts, the product
-of binomials prod (1 - e^alpha) over Delta_h^+ times the negated
-half-spin character), and checks that the alternating sum collapses to
-the predicted signed irreducible (or to zero).  It runs on int tuples D w
-on the grid of ``roots.grid`` end to end; ``Weight`` appears only at its
-inputs and in its report.
+path.  It enumerates the Casimir shell of lambda as integer points on a
+sphere (``_shell_points``), computes Frobenius multiplicities on both
+sides by Brauer-Klimyk coefficient extraction (``_extract``: the weight
+multiplicities of pi_nu summed against signed shifts, the product of
+binomials prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
+character, read from the binomial products P_+- of ``spin``), and checks
+that the alternating sum collapses to the predicted signed irreducible
+(or to zero).  It runs on int tuples D w on the grid of ``roots.grid`` end
+to end; ``Weight`` appears only at its inputs and in its report.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .characters import weight_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
-from .lattice import HALF, Weight, inner_product
+from .lattice import Weight, inner_product
 from .roots import Grid, WeylElement, dominant_representative, grid
+from .spin import binomial_products, times_binomial
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -167,28 +169,6 @@ def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
     return sorted(found)
 
 
-def casimir_shell(pair: SymmetricPair, lam: Weight) -> List[Weight]:
-    """All dominant lattice points nu with the same Casimir scalar as
-    lambda: the ``Weight`` view of ``_shell_points``."""
-    lam = Weight(lam)
-    if lam not in pair.lattice_F:
-        raise ValueError(f"lambda={lam} is not in F for pair {pair.name}")
-    g = grid(pair.root_system)
-    return [g.weight(nu) for nu in _shell_points(pair, g, g.point(lam))]
-
-
-def _times_binomial(poly: dict, x: tuple, y: tuple, c: int) -> dict:
-    """poly * (e^x + c e^y) on grid points, equal keys merged and zeros
-    dropped."""
-    out: Dict[tuple, int] = {}
-    for k, v in poly.items():
-        kx = tuple(map(add, k, x))
-        out[kx] = out.get(kx, 0) + v
-        ky = tuple(map(add, k, y))
-        out[ky] = out.get(ky, 0) + c * v
-    return {k: v for k, v in out.items() if v}
-
-
 @lru_cache(maxsize=None)
 def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
     """Signed shifts (k, c), k on ``grid(pair.root_system)``, with
@@ -202,27 +182,25 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
     product K_s = prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s,
     where chi^s = (P_+ + s P_-) / 2 with
     P_+- = prod_{alpha in Delta_p^+} (e^(alpha/2) +- e^(-alpha/2)), and
-    the bar negates every weight.  It is built one binomial at a time and
+    the bar negates every weight: it fixes P_+ and turns P_- into
+    (-1)^m P_-.  P_+- come from ``spin.binomial_products``, and the
+    Delta_h^+ binomials are multiplied in one at a time, so the kernel
     reads only Delta_h^+ and Delta_p^+: neither W_H nor W_1.
     """
     g = grid(pair.root_system)
-    zero = (0,) * pair.rank
-    plus = minus = {zero: 1}
-    for alpha in pair.p_positive:
-        half = g.point(alpha * HALF)
-        down = tuple(-c for c in half)
-        plus = _times_binomial(plus, down, half, 1)
-        minus = _times_binomial(minus, down, half, -1)
+    plus, minus = binomial_products(pair)
+    bar = s * (-1) ** pair.m
     kernel = {}
     for k in plus.keys() | minus.keys():
-        twice = plus.get(k, 0) + s * minus.get(k, 0)
+        twice = plus.get(k, 0) + bar * minus.get(k, 0)
         if twice % 2:
             raise ConsistencyError(
                 f"half-spin character has count {twice}/2 at {g.weight(k)}")
         if twice:
             kernel[k] = twice // 2
+    zero = (0,) * pair.rank
     for alpha in pair.h_positive:
-        kernel = _times_binomial(kernel, zero, g.point(alpha), -1)
+        kernel = times_binomial(kernel, zero, g.point(alpha), -1)
     return tuple(kernel.items())
 
 
@@ -233,32 +211,6 @@ def _extract(pair: SymmetricPair, table: dict, x: tuple, side: int) -> int:
     get = table.get
     return sum(c * get(tuple(map(add, x, k)), 0)
                for k, c in _extraction_kernel(pair, s))
-
-
-def frobenius_multiplicity(pair: SymmetricPair, nu: Weight, mu: Weight,
-                           side: int) -> int:
-    """Multiplicity of the mu-irreducible of the subgroup cover inside
-    chi^s tensor pi_nu restricted, where s = side for m even and -side
-    for m odd (the duality twist of the half-spinor modules).
-
-    Computed purely by character arithmetic, by Brauer-Klimyk coefficient
-    extraction (``_extract``): the weight multiplicities of pi_nu at
-    D mu + k, read from its integer ``weight_table``, summed against the
-    signed shifts (k, c) of ``_extraction_kernel``.
-    """
-    if side not in (1, -1):
-        raise ValueError(f"side must be +1 or -1, got {side}")
-    nu, mu = Weight(nu), Weight(mu)
-    rs = pair.root_system
-    if nu not in pair.lattice_F or not rs.is_dominant(nu):
-        raise ValueError(f"nu={nu} is not a dominant lattice point")
-    _require_admissible(pair, mu)
-    g = grid(rs)
-    table_grid, table = weight_table(rs, nu)
-    if table_grid.scale != g.scale:
-        raise ConsistencyError(
-            f"nu={nu} is not on the grid 1/{g.scale} Z of the kernel")
-    return _extract(pair, table, g.point(mu), side)
 
 
 class ShellRow(NamedTuple):

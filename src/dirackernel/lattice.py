@@ -79,8 +79,6 @@ class Weight(tuple):
         c = Fraction(scalar)
         return Weight(a * c for a in self)
 
-    __rmul__ = __mul__
-
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self)
 

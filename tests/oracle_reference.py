@@ -9,12 +9,12 @@ against the product formula.
 
 from fractions import Fraction
 
+from character_reference import side_character
 from dirackernel.characters import weyl_dim
 from dirackernel.dirac import euler_verify
 from dirackernel.errors import ConsistencyError
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import orbit, weyl_group
-from dirackernel.spin import spinor_weights
 
 
 def reference_kernel(pair, s):
@@ -23,7 +23,7 @@ def reference_kernel(pair, s):
     delta_h - w delta_h - e carries sgn(w) n_e; cancelled shifts are
     dropped."""
     dh = pair.delta_h
-    chi = spinor_weights(pair).side_character(s).terms
+    chi = side_character(pair, s).terms
     coeffs = {}
     for w in weyl_group(pair.h_system):
         base = dh - w.image

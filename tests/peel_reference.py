@@ -1,5 +1,6 @@
 """Highest-weight peeling, kept as test support: an independent reference
-for ``characters.decompose``, which straightens weights instead.
+for straightening (``character_reference.decompose``, a view over
+``characters._straighten``).
 
 Peeling repeatedly takes the highest dominant support weight (by pairing
 with delta, then lexicographically) and subtracts the dominant part of the
@@ -7,7 +8,7 @@ irreducible character with that highest weight; the dominant part of an
 invariant character determines it.
 """
 
-from dirackernel.characters import irreducible_character
+from character_reference import irreducible_character
 from dirackernel.errors import (DecompositionError, DimensionError,
                                 SymmetryError)
 from dirackernel.lattice import inner_product

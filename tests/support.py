@@ -4,13 +4,14 @@ cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
 the whole Weyl group, the ``Fraction`` checks of a pair's validation and
 the ``Fraction`` product of Weyl's dimension formula, all of which the
 library now runs on the integer grid, the quarter-delta pair, whose grid
-needs D = 4, and a pair on the non-reduced system BC1.
+needs D = 4, a half-scaled C2 pair whose subgroup's grid is coarser than
+G's, and a pair on the non-reduced system BC1.
 """
 
 from fractions import Fraction
 from typing import Dict
 
-from dirackernel.characters import FormalCharacter
+from character_reference import FormalCharacter
 from dirackernel.errors import (ConsistencyError, DimensionError,
                                 NonDominantError)
 from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
@@ -108,6 +109,16 @@ def quarter_delta_pair() -> SymmetricPair:
     rs = RootSystem(2, [(half, -half), (half, half), (half, 0), (0, half)])
     both = integers_and_half_integers(2)
     return SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
+
+
+def half_c2_pair() -> SymmetricPair:
+    # C2 scaled by 1/2 with h = the long roots 1,0 and 0,1: the grid of G
+    # needs D = 4 and that of Delta_h only 2, so the subgroup's weight
+    # tables in the chi split are rescaled onto the grid of G
+    half = Fraction(1, 2)
+    rs = RootSystem(2, [(half, -half), (half, half), (1, 0), (0, 1)])
+    return SymmetricPair(rs, [(1, 0), (0, 1)], LatticeSpec.integers(2),
+                         LatticeSpec(2, [(0, 0), (half, 0)]), name="c2_half")
 
 
 def bc1_pair() -> SymmetricPair:

@@ -11,13 +11,13 @@ from fractions import Fraction
 from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             _m_scale, build_clifford,
                             simultaneous_spin_weights)
-from dirackernel.characters import (FormalCharacter, branch_equal_rank,
-                                    irreducible_character, weyl_dim)
+from character_reference import (FormalCharacter, irreducible_character,
+                                 side_character)
+from dirackernel.characters import branch_equal_rank, weyl_dim
 from dirackernel.dirac import KernelStatus, chi_casimir_check, dirac_kernel
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import build_classical, weyl_group
-from dirackernel.spin import (chi_decompose, chi_trace_difference,
-                              spinor_weights)
+from dirackernel.spin import chi_decompose, chi_trace_difference
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names, w1_enumerate)
 from oracle_reference import checked_euler
@@ -127,12 +127,11 @@ def test_criterion_04_chi_decomposition():
         except Exception as exc:  # verification failure raises
             failures.append((name, exc))
             continue
-        sw = spinor_weights(pair)
         for side, mapping in ((1, plus), (-1, minus)):
             total = FormalCharacter.zero(pair.rank)
             for hw in mapping:
                 total += irreducible_character(pair.h_system, hw)
-            if total != sw.side_character(side):
+            if total != side_character(pair, side):
                 failures.append((name, side, "character sum mismatch"))
     report(4, "chi splits over W1 with exact character identity", failures)
 
@@ -140,9 +139,9 @@ def test_criterion_04_chi_decomposition():
 def test_criterion_05_weight_disjointness():
     failures = []
     for name in builtin_pair_names():
-        sw = spinor_weights(builtin_pair(name))
-        overlap = (sw.side_character(1).terms.keys()
-                   & sw.side_character(-1).terms.keys())
+        pair = builtin_pair(name)
+        overlap = (side_character(pair, 1).terms.keys()
+                   & side_character(pair, -1).terms.keys())
         if overlap:
             failures.append((name, sorted(overlap)))
     report(5, "E+ and E- weight multisets disjoint", failures)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirackernel.characters as characters
-from dirackernel.characters import (FormalCharacter, branch_equal_rank,
-                                    decompose, irreducible_character,
-                                    weight_multiplicity, weyl_dim)
+from character_reference import (FormalCharacter, decompose,
+                                 irreducible_character, weight_multiplicity)
+from dirackernel.characters import branch_equal_rank, weyl_dim
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 NonDominantError, SymmetryError)
 from dirackernel.lattice import Weight, inner_product

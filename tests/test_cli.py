@@ -111,6 +111,24 @@ class TestVerifyCommands:
             assert "result: PASS" in out
 
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_chi_builds_no_weight_rows(self, monkeypatch, fmt):
+        # verify chi reads the rows counted on the grid, never the
+        # Weight rows of the spinor table
+        import dirackernel.spin as spin
+
+        argv = ["--format", fmt, "verify", "chi", "so9_so8"]
+        expected = invoke(argv)
+
+        def unusable(*_args):
+            raise AssertionError("verify chi built the Weight rows")
+
+        monkeypatch.setattr(cli, "spinor_weights", unusable)
+        monkeypatch.setattr(spin, "spinor_weights", unusable)
+        assert invoke(argv) == expected
+        assert expected[0] == 0
+
+
 class TestPairCommands:
     def test_list(self):
         code, out, _ = invoke(["pair", "list"])
@@ -354,6 +372,47 @@ class TestPairCommands:
                        f"which is not integral for RootSystem(g2, 6 "
                        f"positive roots)\n")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("rank", 2.5, "rank must be a JSON integer, got 2.5"),
+        ("rank", 2.0, "rank must be a JSON integer, got 2.0"),
+        ("rank", "2", "rank must be a JSON integer, got '2'"),
+        ("rank", True, "rank must be a JSON integer, got True"),
+        ("positive_roots", "1,-1",
+         "positive_roots must be a JSON list, got '1,-1'"),
+        ("h_positive_indices", "0",
+         "h_positive_indices must be a JSON list, got '0'"),
+        ("lattice_F_shifts", "0,0",
+         "lattice_F_shifts must be a JSON list, got '0,0'"),
+        ("lattice_F1_shifts", {"0,0": 1},
+         "lattice_F1_shifts must be a JSON list, got {'0,0': 1}")],
+        ids=["rank_fraction", "rank_float", "rank_string", "rank_bool",
+             "roots_string", "indices_string", "F_string", "F1_object"])
+    @pytest.mark.parametrize("command", [["pair", "show"], ["spinor"]],
+                             ids=["pair_show", "spinor"])
+    def test_pair_file_field_of_the_wrong_kind(self, tmp_path, command, field,
+                                              value, message):
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(dict(README_PAIR, **{field: value})),
+                        encoding="utf-8")
+        code, out, err = invoke([*command, str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad pair file {path}: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("command", [["spinor"], ["verify", "chi"]],
+                             ids=["spinor", "verify_chi"])
+    def test_pair_file_bc1(self, tmp_path, fmt, command):
+        # BC1 with h = {1}: delta_p^sigma = 1/4 is not integral for Delta_h
+        data = {"name": "bc1", "rank": 1, "positive_roots": ["1/2", "1"],
+                "h_positive_indices": [1], "lattice_F_shifts": ["0"],
+                "lattice_F1_shifts": ["0", "1/2"]}
+        path = tmp_path / "bc1.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(["--format", fmt, *command, str(path)])
+        assert (code, out) == (2, "")
+        assert err == ("error: 1/4 is not algebraically integral for "
+                       "RootSystem(bc1:h, 1 positive roots)\n")
+
     def test_pair_file_huge_rank(self, tmp_path):
         # the zero-shift check must not build a weight of this length
         data = {"name": "huge", "rank": 10 ** 20, "positive_roots": [],
@@ -462,6 +521,19 @@ class TestExitCodes:
         code, out, _ = invoke(["verify", "euler", "so3_so2", "--mu", "5/2"])
         assert code == 1
         assert "result: FAIL" in out
+
+    def test_shared_spinor_weight_fails_verify_chi(self, monkeypatch):
+        import dirackernel.spin as spin
+
+        # E+ and E- of so3_so2 (grid D = 2) made to share the weight -1/2
+        monkeypatch.setattr(spin, "spinor_counts",
+                            lambda pair: {1: {(1,): 1, (-1,): 1},
+                                          -1: {(-1,): 1}})
+        code, out, _ = invoke(["verify", "chi", "so3_so2"])
+        assert code == 1
+        assert "  FAIL: E+ and E- share weights: [Weight(-1/2)]\n" in out
+        assert "disjointness: pass" not in out
+        assert out.endswith("result: FAIL\n")
 
     def test_group_order_limit_exits_two(self, monkeypatch):
         from dirackernel.errors import GroupOrderLimitError

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import dirackernel.dirac as dirac
-from dirackernel.characters import irreducible_character
+import dirackernel.spin as spin
+from character_reference import (casimir_shell, frobenius_multiplicity,
+                                 irreducible_character, side_character)
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
-                               casimir_shell, chi_casimir_check, dirac_kernel,
-                               frobenius_multiplicity)
+                               chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import Grid, grid, weyl_group
@@ -191,10 +192,6 @@ class TestCasimirShell:
                 assert casimir_shell(pair, lam) == \
                     brute_force_shell(pair, lam), lam
 
-    def test_requires_lattice_membership(self):
-        with pytest.raises(ValueError):
-            casimir_shell(builtin_pair("so3_so2"), W("1/2"))
-
 
 class TestFrobenius:
     def test_so5_shell_member_sides(self):
@@ -224,7 +221,7 @@ def reference_multiplicity(pair, nu, mu, side):
     """The product-and-peel route: chi^s * pi_nu peeled over Delta_h by the
     test reference ``peel_reference.peel``, not by the library."""
     s = side if pair.m % 2 == 0 else -side
-    product = (spinor_weights(pair).side_character(s)
+    product = (side_character(pair, s)
                * irreducible_character(pair.root_system, nu))
     return peel(product, pair.h_system).get(mu, 0)
 
@@ -284,11 +281,14 @@ class TestExtractionKernel:
     def test_off_grid_coordinate(self, monkeypatch):
         # delta = 3/2,1/2 of so5_so4 is not on the grid Z
         pair = builtin_pair("so5_so4")
+        monkeypatch.setattr(spin, "grid", lambda rs: Grid(rs, 1))
         monkeypatch.setattr(dirac, "grid", lambda rs: Grid(rs, 1))
+        with pytest.raises(ConsistencyError, match="not on the grid"):
+            spin.binomial_products.__wrapped__(pair)
         with pytest.raises(ConsistencyError, match="not on the grid"):
             dirac._extraction_kernel.__wrapped__(pair, 1)
         with pytest.raises(ConsistencyError, match="not on the grid"):
-            casimir_shell(pair, W("1,0"))
+            dirac.euler_verify(pair, W("5/2,3/2"))
 
 
 class TestFrobeniusDifferential:

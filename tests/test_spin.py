@@ -4,20 +4,37 @@ from fractions import Fraction
 
 import pytest
 
+import dirackernel.spin as spin
+from character_reference import (FormalCharacter, irreducible_character,
+                                 side_character)
 from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             _m_scale, build_clifford, pair_operators,
                             simultaneous_spin_weights)
-from corpus import corpus_pair
+from corpus import W1_PAIRS, corpus_pair
+from dirackernel.errors import ConsistencyError, NonDominantError
 from dirackernel.lattice import Weight
-from dirackernel.spin import (_entries_from_roots, chi_decompose,
-                              chi_trace_difference, spinor_weights)
-from dirackernel.characters import FormalCharacter, irreducible_character
+from dirackernel.roots import grid
+from dirackernel.spin import (chi_decompose, chi_disjointness_check,
+                              chi_trace_difference, spinor_counts,
+                              spinor_weights)
 from dirackernel.sympair import builtin_pair, builtin_pair_names
-from support import mass
+from peel_reference import peel
+from support import bc1_pair, half_c2_pair
 
 
 def W(text):
     return Weight.parse(text)
+
+
+def as_weights(pair, points: dict) -> dict:
+    """A dict on ``grid(pair.root_system)`` keyed by ``Weight``s."""
+    g = grid(pair.root_system)
+    return {g.weight(x): n for x, n in points.items()}
+
+
+def counted(pair, side) -> dict:
+    """chi^side from ``spinor_counts``, keyed by ``Weight``s."""
+    return as_weights(pair, spinor_counts(pair)[side])
 
 
 # the built-ins, and two marked-node pairs whose half-spin weights repeat
@@ -111,16 +128,14 @@ class TestSimultaneousSpinWeights:
 
 class TestSpinorWeights:
     def test_so3_so2(self):
-        sw = spinor_weights(builtin_pair("so3_so2"))
-        assert sw.side_character(1).terms == {W("1/2"): 1}
-        assert sw.side_character(-1).terms == {W("-1/2"): 1}
+        pair = builtin_pair("so3_so2")
+        assert counted(pair, 1) == {W("1/2"): 1}
+        assert counted(pair, -1) == {W("-1/2"): 1}
 
     def test_so5_so4_parity_split(self):
-        sw = spinor_weights(builtin_pair("so5_so4"))
-        assert sw.side_character(1).terms == {W("-1/2,-1/2"): 1,
-                                              W("1/2,1/2"): 1}
-        assert sw.side_character(-1).terms == {W("-1/2,1/2"): 1,
-                                               W("1/2,-1/2"): 1}
+        pair = builtin_pair("so5_so4")
+        assert counted(pair, 1) == {W("-1/2,-1/2"): 1, W("1/2,1/2"): 1}
+        assert counted(pair, -1) == {W("-1/2,1/2"): 1, W("1/2,-1/2"): 1}
 
     def test_so5_so2xso3_eight_weights(self):
         sw = spinor_weights(builtin_pair("so5_so2xso3"))
@@ -139,26 +154,27 @@ class TestSpinorWeights:
             assert len(spinor_weights(pair).entries) == 2 ** pair.m
 
     def test_parity_independent_of_enumeration_order(self):
-        roots = [W("1,-1"), W("1,1"), W("1,0")]
-        base = {(e.weight, e.parity)
-                for e in _entries_from_roots(tuple(roots), 2)}
-        for perm in itertools.permutations(roots):
-            shuffled = {(e.weight, e.parity)
-                        for e in _entries_from_roots(tuple(perm), 2)}
-            assert shuffled == base
+        # D alpha / 2 on the grid D = 2 of the roots 1,-1 and 1,1 and 1,0
+        halves = [(1, -1), (1, 1), (1, 0)]
+        base = set(spin._rows(halves, 2))
+        assert len(base) == 8
+        for perm in itertools.permutations(halves):
+            assert set(spin._rows(perm, 2)) == base
 
     def test_weight_disjointness(self):
         for name in builtin_pair_names():
-            sw = spinor_weights(builtin_pair(name))
-            assert not (sw.side_character(1).terms.keys()
-                        & sw.side_character(-1).terms.keys())
+            pair = builtin_pair(name)
+            counts = spinor_counts(pair)
+            assert not counts[1].keys() & counts[-1].keys()
+            chi_disjointness_check(pair)
 
     @pytest.mark.parametrize("pair", SPIN_PAIRS, ids=lambda p: p.name)
     def test_side_character_counts_the_rows(self, pair):
         sw = spinor_weights(pair)
         for side in (1, -1):
             rows = Counter(e.weight for e in sw.entries if e.parity == side)
-            assert sw.side_character(side).terms == dict(rows)
+            assert side_character(pair, side).terms == dict(rows)
+            assert counted(pair, side) == dict(rows)
 
     @pytest.mark.parametrize("pair", SPIN_PAIRS, ids=lambda p: p.name)
     def test_rows_in_product_order(self, pair):
@@ -175,21 +191,22 @@ class TestSpinorWeights:
     def test_half_spinor_characters_have_equal_mass(self):
         for name in builtin_pair_names():
             pair = builtin_pair(name)
-            sw = spinor_weights(pair)
             half = 2 ** (pair.m - 1)
-            assert mass(sw.side_character(1)) == half
-            assert mass(sw.side_character(-1)) == half
+            assert sum(spinor_counts(pair)[1].values()) == half
+            assert sum(spinor_counts(pair)[-1].values()) == half
 
 
 class TestTraceDifference:
     def test_so3_so2_single_factor(self):
-        ch = chi_trace_difference(builtin_pair("so3_so2"))
-        assert ch.terms == {W("1/2"): 1, W("-1/2"): -1}
+        pair = builtin_pair("so3_so2")
+        assert as_weights(pair, chi_trace_difference(pair)) == {
+            W("1/2"): 1, W("-1/2"): -1}
 
     def test_so5_so4_two_factors(self):
-        ch = chi_trace_difference(builtin_pair("so5_so4"))
-        assert ch.terms == {W("1/2,1/2"): 1, W("1/2,-1/2"): -1,
-                            W("-1/2,1/2"): -1, W("-1/2,-1/2"): 1}
+        pair = builtin_pair("so5_so4")
+        assert as_weights(pair, chi_trace_difference(pair)) == {
+            W("1/2,1/2"): 1, W("1/2,-1/2"): -1, W("-1/2,1/2"): -1,
+            W("-1/2,-1/2"): 1}
 
     def test_identity_for_all_builtins(self):
         # chi_trace_difference asserts the product equals the parity-signed
@@ -220,25 +237,103 @@ class TestChiDecompose:
             plus, minus = chi_decompose(pair)
             assert set(plus.values()) <= {1}
             assert set(minus.values()) <= {1}
-            sw = spinor_weights(pair)
             for side, mapping in ((1, plus), (-1, minus)):
                 total = FormalCharacter.zero(pair.rank)
                 for hw in mapping:
                     total += irreducible_character(pair.h_system, hw)
-                assert total == sw.side_character(side)
+                assert total == side_character(pair, side)
 
 
 class TestMergePath:
     def test_coinciding_sign_sums_merge_in_characters(self):
         # Synthetic root list where distinct sign vectors give one weight:
-        # with alpha_1 = alpha_2 = (1,0) the vectors (+,-) and (-,+) both
-        # produce (0,0); character-level bookkeeping must merge them.
-        entries = _entries_from_roots((W("1,0"), W("1,0")), 2)
-        zero_entries = [e for e in entries if e.weight == W("0,0")]
-        assert len(zero_entries) == 2
-        assert all(e.parity == -1 for e in zero_entries)
+        # with alpha_1 = alpha_2 = (1,0), D alpha / 2 = (1,0) on the grid
+        # D = 2, the vectors (+,-) and (-,+) both produce (0,0);
+        # character-level bookkeeping must merge them.
+        rows = spin._rows(((1, 0), (1, 0)), 2)
+        zero_rows = [row for row in rows if row[0] == (0, 0)]
+        assert zero_rows == [((0, 0), -1), ((0, 0), -1)]
         minus_char = FormalCharacter.zero(2)
-        for e in entries:
-            if e.parity == -1:
-                minus_char += FormalCharacter.monomial(e.weight)
+        for x, parity in rows:
+            if parity == -1:
+                minus_char += FormalCharacter.monomial(
+                    Weight(Fraction(c, 2) for c in x))
         assert minus_char.terms[W("0,0")] == 2
+        # C3 node 0: two of the 8 rows of E+ give one weight
+        counts = spinor_counts(corpus_pair("C", 3, 0))[1]
+        assert sorted(counts.values()) == [1] * 6 + [2]
+
+
+# every W_1 pair but BC1, whose delta_p^sigma = 1/4 is not integral for
+# Delta_h (pinned in TestBC1), and a pair whose subgroup grid is coarser
+CHI_PAIRS = [p for p in W1_PAIRS if p.name != "bc1"] + [half_c2_pair()]
+
+
+def binomial_reference(pair) -> FormalCharacter:
+    """prod over Delta_p^+ of (e^(a/2) - e^(-a/2)) on ``Weight``s."""
+    product = FormalCharacter.monomial(Weight.zero(pair.rank))
+    for alpha in pair.p_positive:
+        half = alpha * Fraction(1, 2)
+        product = product * (FormalCharacter.monomial(half)
+                             - FormalCharacter.monomial(-half))
+    return product
+
+
+class TestGridAgainstReference:
+    """The grid chi code against the ``Weight``-keyed reference."""
+
+    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    def test_split_matches_peel(self, pair):
+        plus, minus = chi_decompose(pair)
+        for side, mapping in ((1, plus), (-1, minus)):
+            assert peel(side_character(pair, side), pair.h_system) == mapping
+
+    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    def test_counts_are_the_rows(self, pair):
+        rows = spinor_weights(pair).entries
+        assert len(rows) == 2 ** pair.m
+        for side in (1, -1):
+            assert counted(pair, side) == Counter(
+                e.weight for e in rows if e.parity == side)
+
+    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    def test_trace_difference_is_the_binomial_product(self, pair):
+        assert as_weights(pair, chi_trace_difference(pair)) == \
+            binomial_reference(pair).terms
+
+    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    def test_flipped_row_parity_raises(self, pair, monkeypatch):
+        rows = spin._rows
+
+        def flipped(halves, rank):
+            out = rows(halves, rank)
+            x, parity = out[-1]
+            out[-1] = (x, -parity)
+            return out
+
+        monkeypatch.setattr(spin, "_rows", flipped)
+        monkeypatch.setattr(spin, "spinor_counts",
+                            spin.spinor_counts.__wrapped__)
+        with pytest.raises(ConsistencyError, match="trace difference"):
+            chi_trace_difference(pair)
+
+    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    def test_dropped_sigma_raises(self, pair, monkeypatch):
+        for k in range(len(pair.w1)):
+            kept = pair.w1[:k] + pair.w1[k + 1:]
+            side = "+" if pair.w1[k].sign == 1 else "-"
+            with monkeypatch.context() as patch:
+                patch.setattr(pair, "w1", kept)
+                with pytest.raises(ConsistencyError,
+                                   match=f"chi\\^\\{side} does not"):
+                    chi_decompose(pair)
+        chi_decompose(pair)
+
+
+class TestBC1:
+    def test_chi_decompose_refuses_a_quarter(self):
+        with pytest.raises(NonDominantError) as raised:
+            chi_decompose(bc1_pair())
+        assert str(raised.value) == (
+            "1/4 is not algebraically integral for "
+            "RootSystem(bc1:h, 1 positive roots)")

@@ -22,7 +22,7 @@ from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import (RootSystem, WeylElement, build_classical, grid,
                                orbit, weyl_group, weyl_order)
 from dirackernel.spin import (chi_decompose, chi_trace_difference,
-                              spinor_weights)
+                              spinor_counts)
 from dirackernel.cli import run
 from dirackernel.sympair import (PAIR_CHECKS, SymmetricPair,
                                  admissibility_failures, admissible_mu,
@@ -434,7 +434,7 @@ class TestMarkedNodeRule:
         assert len(CORPUS) == 27
         # pairs with a half-spin weight that more than one sign vector gives
         repeats = [c for c in CORPUS if sum(
-            len(spinor_weights(corpus_pair(*c)).side_character(s).terms)
+            len(spinor_counts(corpus_pair(*c))[s])
             for s in (1, -1)) < 2 ** corpus_pair(*c).m]
         assert len(repeats) == 17
 

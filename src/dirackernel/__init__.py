@@ -8,8 +8,7 @@ from .dirac import (EulerReport, KernelResult, KernelStatus,
                     casimir_eigenvalue, chi_casimir_check, dirac_kernel,
                     euler_verify)
 from .lattice import LatticeSpec, Weight, inner_product
-from .roots import (RootSystem, WeylElement, build_classical,
-                    dominant_representative, weyl_group)
+from .roots import RootSystem, WeylElement, build_classical, weyl_group
 from .spin import (SpinorWeights, chi_decompose, chi_trace_difference,
                    spinor_weights)
 from .sympair import (SymmetricPair, W1Element, admissible_mu,
@@ -23,8 +22,7 @@ __all__ = [
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
     "chi_casimir_check", "dirac_kernel", "euler_verify",
     "LatticeSpec", "Weight", "inner_product",
-    "RootSystem", "WeylElement", "build_classical",
-    "dominant_representative", "weyl_group",
+    "RootSystem", "WeylElement", "build_classical", "weyl_group",
     "SpinorWeights", "chi_decompose", "chi_trace_difference",
     "spinor_weights",
     "SymmetricPair", "W1Element", "admissible_mu",

@@ -61,6 +61,8 @@ def load_pair_file(path: str) -> SymmetricPair:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot parse pair file {path}: {exc}") from None
     try:
+        if not isinstance(data, dict):
+            raise TypeError("the top level must be a JSON object")
         rank = _field(data, "rank", int)
         roots = [Weight.parse(s) for s in _field(data, "positive_roots", list)]
         indices = _field(data, "h_positive_indices", list)
@@ -69,6 +71,8 @@ def load_pair_file(path: str) -> SymmetricPair:
         f1_shifts = [Weight.parse(s)
                      for s in _field(data, "lattice_F1_shifts", list)]
         name = data.get("name", os.path.basename(path))
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a JSON string, got {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad pair file {path}: {exc}") from None
     # bool is a subclass of int, so true would otherwise read as index 1

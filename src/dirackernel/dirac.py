@@ -3,8 +3,9 @@
 The theorem path: for admissible mu, set lambda = mu - delta_p; if
 lambda + delta is singular the kernel vanishes on both sides, otherwise
 the unique Weyl element w moving lambda + delta into the open chamber
-yields sigma = w^{-1}, nu = w(lambda + delta) - delta, and the side is
-decided by sgn(sigma) * (-1)^m.
+yields sigma = w^{-1} (the steps of ``dominant_walk``, read as a word),
+nu = w(lambda + delta) - delta, and the side is decided by
+sgn(sigma) * (-1)^m.
 
 The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda as integer points on a
@@ -30,7 +31,7 @@ from typing import Dict, NamedTuple, Optional
 from .characters import weight_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import Weight, inner_product
-from .roots import Grid, WeylElement, dominant_representative, grid
+from .roots import Grid, WeylElement, dominant_walk, grid
 from .spin import binomial_products, times_binomial
 from .sympair import SymmetricPair, admissibility_failures
 
@@ -64,13 +65,16 @@ def chi_casimir_check(pair: SymmetricPair) -> Fraction:
 
     Returns c = <delta, delta> - <delta_h, delta_h> after asserting the
     per-component identity <delta_p^sigma, delta_p^sigma + 2*delta_h> = c
-    for every sigma in W_1.
+    for every sigma in W_1, both as dot products of grid points over D^2.
     """
-    c = (inner_product(pair.delta, pair.delta)
-         - inner_product(pair.delta_h, pair.delta_h))
+    g = grid(pair.root_system)
+    square = g.scale ** 2
+    delta_h = g.half_sum(pair.h_index)
+    c = Fraction(sum(a * a - b * b for a, b in zip(g.delta, delta_h)), square)
     for w1 in pair.w1:
         dps = w1.delta_p_sigma
-        value = inner_product(dps, dps + pair.delta_h * 2)
+        value = Fraction(
+            sum(a * (a + 2 * b) for a, b in zip(g.point(dps), delta_h)), square)
         if value != c:
             raise ConsistencyError(
                 f"Casimir scalar mismatch at sigma with delta_p^sigma={dps}: "
@@ -93,10 +97,10 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     rs = pair.root_system
     lam = mu - pair.delta_p
     casimir = casimir_eigenvalue(pair, lam)
-    element, dominant, regular = dominant_representative(lam + pair.delta, rs)
-    if not regular:
+    steps, dominant = dominant_walk(lam + pair.delta, rs)
+    if not rs.is_dominant(dominant, strict=True):
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
-    sigma = element.inverse()
+    sigma = WeylElement.from_word(rs, steps)
     nu = dominant - pair.delta
     # Automatic consequences of admissibility; treated as runtime
     # assertions, not assumptions.
@@ -145,13 +149,13 @@ def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
     lam = D lambda on ``g = grid(pair.root_system)``.
 
     Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
-    |nu + delta| = |lambda + delta|.  Per coset shift s of F the points
-    x = D (nu + delta) are the integer vectors with x = D (s + delta)
-    mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate steps
-    by D up to the integer square root of what remains.  nu is dominant
-    iff <x, D a> >= <D delta, D a> for each simple root a, tested as soon
-    as the chosen coordinates of x cover the support of a, and again on
-    the end point.
+    |nu + delta| = |lambda + delta|.  Per residue r of F (``Grid.residues``)
+    the points x = D (nu + delta) are the integer vectors with x = r +
+    D delta mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate
+    steps by D up to the integer square root of what remains.  nu is
+    dominant iff <x, D a> >= <D delta, D a> for each simple root a, tested
+    as soon as the chosen coordinates of x cover the support of a, and
+    again on the end point.
     """
     delta = g.delta
     total = sum((a + d) ** 2 for a, d in zip(lam, delta))
@@ -160,8 +164,8 @@ def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
         checks[support[-1][0]].append(
             (support, sum(delta[k] * c for k, c in support)))
     found = []
-    for shift in pair.lattice_F.coset_shifts:
-        offsets = tuple(map(add, g.point(shift), delta))
+    for residue in g.residues(pair.lattice_F):
+        offsets = tuple(map(add, residue, delta))
         for x in _squares_summing_to(offsets, g.scale, total, checks):
             nu = tuple(map(sub, x, delta))
             if g.is_dominant(nu):
@@ -199,8 +203,8 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
         if twice:
             kernel[k] = twice // 2
     zero = (0,) * pair.rank
-    for alpha in pair.h_positive:
-        kernel = times_binomial(kernel, zero, g.point(alpha), -1)
+    for k in pair.h_index:
+        kernel = times_binomial(kernel, zero, g.positive[k], -1)
     return tuple(kernel.items())
 
 

@@ -148,11 +148,5 @@ class LatticeSpec:
     def __contains__(self, w: Weight) -> bool:
         return self.contains(w)
 
-    def is_sublattice_of(self, other: "LatticeSpec") -> bool:
-        """Point-set containment; reduces to checking each shift."""
-        if self.rank != other.rank:
-            raise DimensionError("lattice ranks differ")
-        return all(other.contains(s) for s in self.coset_shifts)
-
     def sorted_shifts(self) -> list:
         return sorted(self.coset_shifts)

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
                      UnsupportedRootSystemError)
-from .lattice import HALF, Weight
+from .lattice import HALF, LatticeSpec, Weight
 
 
 class WeylElement:
@@ -56,9 +56,6 @@ class WeylElement:
         for i in reversed(word):  # the rightmost reflection first
             image = rs.reflect(image, i)
         return cls(rs, word, image)
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement.from_word(self.rs, reversed(self.word))
 
     @property
     def sign(self) -> int:
@@ -177,8 +174,8 @@ class RootSystem:
 
     @cached_property
     def delta(self) -> Weight:
-        """Half the sum of the positive roots."""
-        return sum(self.positive_roots, Weight.zero(self.rank)) * HALF
+        """Half the sum of the positive roots, read off ``grid(self)``."""
+        return grid(self).weight(grid(self).delta)
 
     def _outside_span(self, vector: Weight) -> ValueError:
         empty = "" if self.simple_roots else "(empty) "
@@ -276,10 +273,12 @@ def build_classical(family: str, rank: int) -> RootSystem:
 class Grid:
     """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
 
-    Keeps D alpha for the positive roots, D delta, and per simple root a
-    the nonzero coordinates (k, c) of D a with <D a, D a> (``supports``):
+    Keeps D alpha for the positive roots, the positions of the reduced
+    ones (not twice another root), D delta, and per simple root a the
+    nonzero coordinates (k, c) of D a with <D a, D a> (``supports``):
     pairings, dominance and reflections are integer arithmetic.  A
-    conversion or a coroot pairing that is not exact raises ConsistencyError.
+    conversion, half-sum or coroot pairing that is not exact raises
+    ConsistencyError.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -287,7 +286,11 @@ class Grid:
         self.scale = scale
         self.simple_roots = rs.simple_roots
         self.positive = tuple(self.point(a) for a in rs.positive_roots)
-        self.delta = self.point(rs.delta)
+        points = set(self.positive)
+        self.reduced = tuple(
+            k for k, b in enumerate(self.positive)
+            if any(c % 2 for c in b) or tuple(c // 2 for c in b) not in points)
+        self.delta = self.half_sum(range(len(self.positive)))
         simples = (self.point(a) for a in rs.simple_roots)
         self.supports = tuple(
             (tuple((k, c) for k, c in enumerate(a) if c), sum(c * c for c in a))
@@ -302,6 +305,24 @@ class Grid:
 
     def weight(self, x: tuple) -> Weight:
         return Weight(Fraction(c, self.scale) for c in x)
+
+    def half_sum(self, indices: Iterable) -> tuple:
+        """D (1/2) sum alpha over the positive roots alpha at ``indices``
+        (positions in ``rs.positive_roots``), which must be integral."""
+        total = (0,) * self.rs.rank
+        for k in indices:
+            total = tuple(map(add, total, self.positive[k]))
+        if any(c % 2 for c in total):
+            raise ConsistencyError(f"{self.weight(total) * HALF} is not on "
+                                   f"the grid 1/{self.scale} Z")
+        return tuple(c // 2 for c in total)
+
+    @lru_cache(maxsize=None)
+    def residues(self, lattice: LatticeSpec) -> frozenset:
+        """D s over the coset shifts s of ``lattice``: they lie in
+        [0, D)^rank, so D F is the set of int tuples x with x mod D in it.
+        Cached per grid and lattice; ``grid`` keeps its grids anyway."""
+        return frozenset(map(self.point, lattice.coset_shifts))
 
     def is_dominant(self, x: tuple, strict: bool = False) -> bool:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
@@ -388,14 +409,12 @@ def weyl_order(rs: RootSystem) -> int:
     orbit.  The exponents are the dual partition of the counts of positive
     roots by height (Kostant 1959; Humphreys, Reflection Groups and Coxeter
     Groups, 3.20): as many exponents are >= h as there are roots of height
-    h.  That holds for reducible systems and torus factors too.  A root
-    twice another (a BC system) has the reflection of its half and is
-    dropped first; a system with no roots has |W| = 1.
+    h.  That holds for reducible systems and torus factors too.  Only the
+    reduced roots count (``Grid.reduced``): a root twice another has the
+    reflection of its half.  A system with no roots has |W| = 1.
     """
-    coefficients = set(rs.coefficients.values())
-    heights = Counter(
-        sum(c) for c in coefficients
-        if any(x % 2 for x in c) or tuple(x // 2 for x in c) not in coefficients)
+    coefficients = list(rs.coefficients.values())  # positive_roots order
+    heights = Counter(sum(coefficients[k]) for k in grid(rs).reduced)
     order = 1
     for height, count in heights.items():
         order *= (height + 1) ** (count - heights[height + 1])
@@ -403,7 +422,7 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem, limit: int = 10 ** 6) -> tuple:
+def weyl_group(rs: RootSystem, limit: int = ORBIT_LIMIT) -> tuple:
     """The Weyl group as the orbit of the regular weight delta, each
     element carrying its orbit word (reduced, since the stabilizer of delta
     is trivial).  Elements are returned sorted by their image of delta.
@@ -431,17 +450,3 @@ def dominant_walk(w, space) -> tuple:
         else:
             i += 1
     return tuple(steps), w
-
-
-def dominant_representative(w: Weight, rs: RootSystem):
-    """Return (element, dominant, regular) with element * w = dominant.
-
-    The element comes from ``dominant_walk``.  When the result is regular
-    (strictly dominant), it is the unique Weyl element moving w into the
-    open chamber.
-    """
-    if len(w) != rs.rank:
-        raise DimensionError(f"weight length {len(w)} vs rank {rs.rank}")
-    steps, dominant = dominant_walk(w, rs)
-    regular = rs.is_dominant(dominant, strict=True)
-    return WeylElement.from_word(rs, steps[::-1]), dominant, regular

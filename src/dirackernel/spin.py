@@ -22,7 +22,7 @@ from typing import Dict, NamedTuple, Sequence
 
 from .characters import weight_table
 from .errors import ConsistencyError
-from .lattice import HALF, Weight
+from .lattice import Weight
 from .roots import grid
 from .sympair import SymmetricPair
 
@@ -40,10 +40,9 @@ class SpinorWeights(NamedTuple):
 
 
 def _halves(pair: SymmetricPair) -> tuple:
-    """D alpha / 2 on ``grid(pair.root_system)`` for alpha in Delta_p^+, in
-    pair order."""
+    """D alpha / 2 for alpha in Delta_p^+, in pair order."""
     g = grid(pair.root_system)
-    return tuple(g.point(alpha * HALF) for alpha in pair.p_positive)
+    return tuple(g.half_sum((k,)) for k in pair.p_index)
 
 
 def _rows(halves: Sequence[tuple], rank: int) -> list:

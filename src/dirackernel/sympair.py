@@ -83,10 +83,15 @@ class SymmetricPair:
         return self.root_system.rank
 
     @cached_property
+    def p_index(self) -> tuple:
+        """The positions of Delta_p^+ in root_system.positive_roots."""
+        return tuple(k for k in range(len(self.root_system.positive_roots))
+                     if k not in self.h_index)
+
+    @cached_property
     def p_positive(self) -> tuple:
         """Delta_p^+ in the order inherited from the ambient system."""
-        return tuple(a for k, a in enumerate(self.root_system.positive_roots)
-                     if k not in self.h_index)
+        return tuple(self.root_system.positive_roots[k] for k in self.p_index)
 
     @property
     def m(self) -> int:
@@ -99,12 +104,13 @@ class SymmetricPair:
 
     @cached_property
     def delta_h(self) -> Weight:
-        return _half_sum(self.root_system, self.h_index)
+        g = grid(self.root_system)
+        return g.weight(g.half_sum(self.h_index))
 
     @cached_property
     def delta_p(self) -> Weight:
-        roots = range(len(self.root_system.positive_roots))
-        return _half_sum(self.root_system, set(roots) - self.h_index)
+        g = grid(self.root_system)
+        return g.weight(g.half_sum(self.p_index))
 
     @cached_property
     def h_system(self) -> RootSystem:
@@ -166,30 +172,19 @@ class SymmetricPair:
                 f"|h+|={len(self.h_positive)}, m={self.m})")
 
 
-def _half_sum(rs: RootSystem, indices) -> Weight:
-    """Half the sum of the positive roots at ``indices``, added on the grid
-    of ``rs``, where every D alpha is even."""
-    g = grid(rs)
-    total = (0,) * rs.rank
-    for k in indices:
-        total = tuple(map(add, total, g.positive[k]))
-    return g.weight(tuple(c // 2 for c in total))
-
-
 def _cone_images(g: Grid, h: Grid) -> set:
     """The images x = sigma(D delta) that are strictly Delta_h-dominant.
 
     Their chambers fill the convex Delta_h-dominant cone, and neighbouring
     chambers differ by a reflection s_beta (beta in Delta^+), so a
     breadth-first search from D delta over those reflections, keeping only
-    strictly Delta_h-dominant images, reaches every one.  A root twice
-    another has the reflection of its half and is skipped.
+    strictly Delta_h-dominant images, reaches every one.  Only the reduced
+    roots (``Grid.reduced``) are taken: a root twice another has the
+    reflection of its half.
     """
-    points = set(g.positive)
     mirrors = [(tuple((k, c) for k, c in enumerate(b) if c),
-                sum(c * c for c in b)) for b in g.positive
-               if any(c % 2 for c in b)
-               or tuple(c // 2 for c in b) not in points]
+                sum(c * c for c in b))
+               for b in (g.positive[k] for k in g.reduced)]
     seen = {g.delta}
     frontier = [g.delta]
     while frontier:
@@ -235,22 +230,20 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
     generator in F, and the shifts are closed under addition mod Z^rank.
 
     Runs on the grid of ``rs``: D F is the set of int tuples x with
-    x mod D equal to D s for a coset shift s, whose coordinates are 0 or
-    D / 2.
+    x mod D among the residues of F (``Grid.residues``), which are the
+    points D s of its coset shifts s.
     """
     g = grid(rs)
-    scale = g.scale
-    shifts = lattice.sorted_shifts()
-    points = [g.point(s) for s in shifts]
-    residues = set(points)
+    residues = g.residues(lattice)
+    points = sorted(residues)
 
     def in_lattice(x: tuple) -> bool:
-        return tuple(c % scale for c in x) in residues
+        return tuple(c % g.scale for c in x) in residues
 
-    for s, x in zip(shifts, points):
+    for x in points:
         if not g.is_integral(x):
-            raise ValueError(f"F shift {s} is not integral for {rs}")
-    basis = [tuple(scale * (j == k) for j in range(rs.rank))
+            raise ValueError(f"F shift {g.weight(x)} is not integral for {rs}")
+    basis = [tuple(g.scale * (j == k) for j in range(rs.rank))
              for k in range(rs.rank)]
     for k, x in enumerate(basis):
         if not g.is_integral(x):
@@ -264,11 +257,11 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
                     f"F is not W-stable: reflecting {g.weight(x)} in the "
                     f"simple root {simple} gives {g.weight(image)}, which is "
                     f"not in F")
-    for i, (s, x) in enumerate(zip(shifts, points)):
-        for t, y in zip(shifts[i:], points[i:]):
+    for i, x in enumerate(points):
+        for y in points[i:]:
             if not in_lattice(tuple(map(add, x, y))):
-                raise ValueError(
-                    f"F is not a group: {s} + {t} is not in F")
+                raise ValueError(f"F is not a group: {g.weight(x)} + "
+                                 f"{g.weight(y)} is not in F")
 
 
 def _grading_clash(points: tuple, h_index: frozenset):
@@ -290,9 +283,10 @@ def validate_pair(pair: SymmetricPair) -> None:
     ``InvalidPairError`` naming every one that fails.  ``SymmetricPair``
     runs them on construction, so a pair that exists has passed them.
     Roots are taken by their positions in ``positive_roots``: the grading
-    adds their grid points D alpha, and the parity reads their simple
-    coefficients."""
+    adds their grid points D alpha, the parity reads their simple
+    coefficients; the containment compares the residues of F and F1."""
     rs = pair.root_system
+    g = grid(rs)
     roots = rs.positive_roots
     h_index = pair.h_index
     failures = []  # "check: detail", in the order of PAIR_CHECKS
@@ -302,7 +296,7 @@ def validate_pair(pair: SymmetricPair) -> None:
             "p_nonempty: Delta_p^+ is empty (h equals the full algebra)")
 
     # Bracket grading, restated on root sums: h+h->h, p+p->h, h+p->p.
-    clash = _grading_clash(grid(rs).positive, h_index)
+    clash = _grading_clash(g.positive, h_index)
     if clash:
         i, j, k = clash
         side = "h" if (i in h_index) == (j in h_index) else "p"
@@ -323,7 +317,7 @@ def validate_pair(pair: SymmetricPair) -> None:
                 f"expected {'even' if k in h_index else 'odd'}")
             break
 
-    if not pair.lattice_F.is_sublattice_of(pair.lattice_F1):
+    if not g.residues(pair.lattice_F) <= g.residues(pair.lattice_F1):
         failures.append("lattice_containment: F is not contained in F1")
 
     if failures:
@@ -373,7 +367,8 @@ def marked_node_pair(rs: RootSystem, node: int, name: str) -> SymmetricPair:
                if c[node] % 2}
     h_roots = tuple(a for k, a in enumerate(rs.positive_roots)
                     if k not in p_index)
-    shift = Weight(c % 1 for c in _half_sum(rs, p_index))
+    g = grid(rs)
+    shift = g.weight(tuple(c % g.scale for c in g.half_sum(p_index)))
     return SymmetricPair(
         rs, h_roots, lattice_F=LatticeSpec.integers(rs.rank),
         lattice_F1=LatticeSpec(rs.rank, [Weight.zero(rs.rank), shift]),

@@ -1,11 +1,14 @@
 """Helpers that only the tests call, kept as test support: small
 conveniences over the library types, the interleaving branching rule that
 cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
-the whole Weyl group, the ``Fraction`` checks of a pair's validation and
-the ``Fraction`` product of Weyl's dimension formula, all of which the
-library now runs on the integer grid, the quarter-delta pair, whose grid
-needs D = 4, a half-scaled C2 pair whose subgroup's grid is coarser than
-G's, and a pair on the non-reduced system BC1.
+the whole Weyl group, the ``Fraction`` checks of a pair's validation, the
+``Fraction`` product of Weyl's dimension formula and the ``Fraction``
+half-sums, reduced roots, coset residues and lattice containment, all of
+which the library now runs on the integer grid (``roots.Grid``),
+``dominant_representative`` and ``inverse``, which the kernel
+classification once composed to find sigma, the quarter-delta pair, whose
+grid needs D = 4, a half-scaled C2 pair whose subgroup's grid is coarser
+than G's, and a pair on the non-reduced system BC1.
 """
 
 from fractions import Fraction
@@ -51,6 +54,52 @@ def apply(ch, element: WeylElement) -> FormalCharacter:
 def identity(rs: RootSystem) -> WeylElement:
     """The identity of the Weyl group of rs: the empty word, image delta."""
     return WeylElement(rs, (), rs.delta)
+
+
+def inverse(element: WeylElement) -> WeylElement:
+    """The inverse element: the reversed word."""
+    return WeylElement.from_word(element.rs, reversed(element.word))
+
+
+def dominant_representative(w: Weight, rs: RootSystem):
+    """Return (element, dominant, regular) with element * w = dominant.
+
+    The element comes from ``dominant_walk``.  When the result is regular
+    (strictly dominant), it is the unique Weyl element moving w into the
+    open chamber.
+    """
+    if len(w) != rs.rank:
+        raise DimensionError(f"weight length {len(w)} vs rank {rs.rank}")
+    steps, dominant = dominant_walk(w, rs)
+    regular = rs.is_dominant(dominant, strict=True)
+    return WeylElement.from_word(rs, steps[::-1]), dominant, regular
+
+
+def reference_half_sum(roots, rank: int) -> Weight:
+    """Half the sum of the roots, added as ``Fraction`` weights."""
+    return sum(roots, Weight.zero(rank)) * HALF
+
+
+def reference_reduced(rs: RootSystem) -> tuple:
+    """The positions of the positive roots that are not twice another
+    root, tested on ``Fraction`` weights."""
+    roots = set(rs.positive_roots)
+    return tuple(k for k, a in enumerate(rs.positive_roots)
+                 if a * HALF not in roots)
+
+
+def is_sublattice(a: LatticeSpec, b: LatticeSpec) -> bool:
+    """Point-set containment of a in b on ``Fraction`` weights: each coset
+    shift of a lies in b."""
+    if a.rank != b.rank:
+        raise DimensionError("lattice ranks differ")
+    return all(b.contains(s) for s in a.coset_shifts)
+
+
+def reference_residues(lattice: LatticeSpec) -> set:
+    """The coset shifts of the lattice reduced mod Z^rank, as ``Fraction``
+    weights."""
+    return {Weight(c % 1 for c in s) for s in lattice.coset_shifts}
 
 
 def simple_coefficients(rs: RootSystem, vector: Weight) -> tuple:
@@ -179,7 +228,7 @@ def reference_pair_failures(rs: RootSystem, h_positive, lattice_F,
             f"{levels[wrong[0]]}, expected "
             f"{'odd' if wrong[0] in p_set else 'even'}")
 
-    if not lattice_F.is_sublattice_of(lattice_F1):
+    if not is_sublattice(lattice_F, lattice_F1):
         failures.append("lattice_containment: F is not contained in F1")
     return failures
 

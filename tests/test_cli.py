@@ -398,6 +398,30 @@ class TestPairCommands:
         assert (code, out) == (2, "")
         assert err == f"error: bad pair file {path}: {message}\n"
 
+    @pytest.mark.parametrize("name", [["x", 1], {"a": 1}, 7, None],
+                             ids=["list", "object", "number", "null"])
+    @pytest.mark.parametrize("command", [["pair", "show"], ["spinor"]],
+                             ids=["pair_show", "spinor"])
+    def test_pair_file_name_not_a_string(self, tmp_path, command, name):
+        # a name that is no string once reached the output as a JSON list
+        path = tmp_path / "name.json"
+        path.write_text(json.dumps(dict(README_PAIR, name=name)),
+                        encoding="utf-8")
+        code, out, err = invoke([*command, str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: name must be a JSON "
+                       f"string, got {name!r}\n")
+
+    @pytest.mark.parametrize("data", [[README_PAIR], "pair", 2, None],
+                             ids=["list", "string", "number", "null"])
+    def test_pair_file_top_level_not_an_object(self, tmp_path, data):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(["pair", "show", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: the top level must be "
+                       f"a JSON object\n")
+
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     @pytest.mark.parametrize("command", [["spinor"], ["verify", "chi"]],
                              ids=["spinor", "verify_chi"])

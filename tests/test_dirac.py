@@ -19,7 +19,8 @@ from dirackernel.sympair import (SymmetricPair, admissibility_failures,
 from corpus import CORPUS, corpus_pair
 from oracle_reference import checked_euler, reference_kernel
 from peel_reference import peel
-from support import act, identity, quarter_delta_pair
+from support import (act, dominant_representative, identity, inverse,
+                     quarter_delta_pair)
 
 
 def W(text):
@@ -106,6 +107,26 @@ class TestDiracKernel:
                 assert casimir_eigenvalue(pair, result.nu) == result.casimir
                 assert act(result.sigma, result.nu + pair.delta) == \
                     (mu - pair.delta_p) + pair.delta
+
+    @pytest.mark.parametrize("name", builtin_pair_names())
+    def test_sigma_is_the_inverse_of_the_dominant_representative(self, name):
+        # sigma is read straight off the walk of lambda + delta; the
+        # reference builds w with w(lambda + delta) dominant and inverts it
+        pair = builtin_pair(name)
+        rs = pair.root_system
+        regular = 0
+        for lam, mu in admissible_box(pair, 2):
+            result = dirac_kernel(pair, mu)
+            element, _, is_regular = dominant_representative(
+                lam + pair.delta, rs)
+            if not is_regular:
+                assert result.sigma is None
+                continue
+            regular += 1
+            sigma = inverse(element)
+            assert (result.sigma.word, result.sigma.image, result.sigma_sign
+                    ) == (sigma.word, sigma.image, sigma.sign)
+        assert regular
 
     def test_completeness_recovers_every_irreducible(self):
         # nu + delta_p is admissible and comes back unchanged with sigma = 1.

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from dirackernel.errors import DimensionError
 from dirackernel.lattice import LatticeSpec, Weight, inner_product
-from dirackernel.roots import build_classical
-from support import integers_and_half_integers
+from dirackernel.roots import build_classical, grid
+from support import integers_and_half_integers, is_sublattice
 
 HALF = Fraction(1, 2)
 
@@ -91,8 +91,12 @@ class TestMembership:
     def test_sublattice_containment(self):
         F = LatticeSpec.integers(2)
         F1 = integers_and_half_integers(2)
-        assert F.is_sublattice_of(F1)
-        assert not F1.is_sublattice_of(F)
+        assert is_sublattice(F, F1)
+        assert not is_sublattice(F1, F)
+        # validate_pair compares the residues of the two on the grid
+        g = grid(build_classical("B", 2))
+        assert g.residues(F) <= g.residues(F1)
+        assert not g.residues(F1) <= g.residues(F)
 
 
 class TestDominance:

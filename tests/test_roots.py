@@ -5,17 +5,26 @@ import pytest
 
 from dirackernel.errors import (GroupOrderLimitError,
                                 UnsupportedRootSystemError)
-from dirackernel.lattice import Weight, inner_product
+from dirackernel.lattice import HALF, Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, build_classical,
-                               classical_dimension, dominant_representative,
-                               grid, orbit, weyl_group, weyl_order)
-from corpus import W1_PAIRS
-from support import (act, all_roots, compose, identity,
-                     simple_coefficients)
+                               classical_dimension, grid, orbit, weyl_group,
+                               weyl_order)
+from dirackernel.sympair import builtin_pair, builtin_pair_names
+from corpus import CORPUS, W1_PAIRS, corpus_pair
+from support import (act, all_roots, bc1_pair, compose,
+                     dominant_representative, half_c2_pair, identity,
+                     inverse, is_sublattice, quarter_delta_pair,
+                     reference_half_sum, reference_reduced,
+                     reference_residues, simple_coefficients)
 
 
 def W(text):
     return Weight.parse(text)
+
+
+# the pairs of the Borel-de Siebenthal rule: the built-ins and the corpus
+MARKED_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
+                + [corpus_pair(*node) for node in CORPUS])
 
 
 class TestBuildClassical:
@@ -159,6 +168,36 @@ class TestHalfSum:
 
     def test_d2(self):
         assert build_classical("D", 2).delta == W("1,0")
+
+    @pytest.mark.parametrize("pair,marked", [
+        pytest.param(p, p in MARKED_PAIRS, id=p.name)
+        for p in MARKED_PAIRS + [quarter_delta_pair(), half_c2_pair(),
+                                 bc1_pair()]])
+    def test_grid_data_match_fraction_references(self, pair, marked):
+        # the half-sums, reduced roots and residues Grid derives once
+        # against their Fraction references
+        rs = pair.root_system
+        g = grid(rs)
+        half = reference_half_sum(rs.positive_roots, rs.rank)
+        assert g.weight(g.delta) == rs.delta == pair.delta == half
+        assert pair.delta_h == reference_half_sum(pair.h_positive, rs.rank)
+        delta_p = reference_half_sum(pair.p_positive, rs.rank)
+        assert pair.delta_p == delta_p
+        h = grid(pair.h_system, g.scale)
+        assert h.weight(h.delta) == pair.delta_h
+        for k, alpha in enumerate(rs.positive_roots):
+            assert g.weight(g.half_sum((k,))) == alpha * HALF
+        if marked:  # F1 = F u (F + (delta_p mod 1))
+            shift = Weight(c % 1 for c in delta_p)
+            assert pair.lattice_F1.coset_shifts == {Weight.zero(rs.rank),
+                                                    shift}
+        assert g.reduced == reference_reduced(rs)
+        F, F1 = pair.lattice_F, pair.lattice_F1
+        for lattice in (F, F1):
+            assert set(map(g.weight, g.residues(lattice))) == \
+                reference_residues(lattice)
+        assert g.residues(F) <= g.residues(F1)
+        assert (g.residues(F1) <= g.residues(F)) == is_sublattice(F1, F)
 
 
 class TestWeylGroup:
@@ -326,15 +365,15 @@ class TestDominantRepresentative:
                     act(w, delta), rs)
                 assert regular
                 assert dom == delta
-                assert element == w.inverse()
+                assert element == inverse(w)
 
 
 class TestWeylElement:
     def test_inverse_is_transpose(self):
         rs = build_classical("B", 3)
         for w in weyl_group(rs)[:10]:
-            assert compose(w, w.inverse()) == identity(rs)
-            assert compose(w.inverse(), w) == identity(rs)
+            assert compose(w, inverse(w)) == identity(rs)
+            assert compose(inverse(w), w) == identity(rs)
 
     def test_reflection_is_involution(self):
         rs = build_classical("B", 2)

@@ -22,8 +22,8 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, NamedTuple
 
-from .errors import (ConsistencyError, DecompositionError, NonDominantError,
-                     SymmetryError)
+from .errors import (ConsistencyError, DecompositionError, DimensionError,
+                     NonDominantError, SymmetryError)
 from .lattice import Weight
 from .roots import Grid, RootSystem, dominant_walk, grid, orbit
 from .sympair import SymmetricPair
@@ -31,12 +31,15 @@ from .sympair import SymmetricPair
 
 # -- irreducible characters (Freudenthal) ----------------------------------
 
-def _check_highest_weight(rs: RootSystem, nu: Weight) -> None:
-    """Raise NonDominantError unless nu is dominant and integral."""
-    if not rs.is_dominant(nu):
-        raise NonDominantError(f"{nu} is not dominant for {rs}")
-    if not rs.is_integral(nu):
-        raise NonDominantError(f"{nu} is not algebraically integral for {rs}")
+def _check_highest_weight(rs: RootSystem, g: Grid, x: tuple) -> None:
+    """Raise NonDominantError unless x = D nu on g, a grid of rs, is
+    dominant and integral.  rs names the system in the message: ``grid``
+    returns the grid of an equal system of another name."""
+    if not g.is_dominant(x):
+        raise NonDominantError(f"{g.weight(x)} is not dominant for {rs}")
+    if not g.is_integral(x):
+        raise NonDominantError(
+            f"{g.weight(x)} is not algebraically integral for {rs}")
 
 
 def _dominant_weights(g: Grid, top: tuple) -> list:
@@ -66,6 +69,18 @@ def _refined_grid(rs: RootSystem, weights) -> Grid:
                              *(c.denominator for w in weights for c in w)))
 
 
+def _highest_weight_point(rs: RootSystem, nu: Weight) -> tuple:
+    """(g, D nu) on the grid g of rs refined by the denominators of nu,
+    checked by ``_check_highest_weight``; a nu whose length is not the
+    rank raises DimensionError first."""
+    if len(nu) != rs.rank:
+        raise DimensionError(f"weight length {len(nu)} vs rank {rs.rank}")
+    g = _refined_grid(rs, [nu])
+    x = g.point(nu)
+    _check_highest_weight(rs, g, x)
+    return g, x
+
+
 class WeightTable(NamedTuple):
     grid: Grid  # a key x is the weight x / grid.scale
     terms: Dict[tuple, int]  # {D w: multiplicity of w}, zeros absent
@@ -89,10 +104,7 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
     Works verbatim for reducible systems, systems with free torus
     directions, and empty systems (character = e^nu).
     """
-    nu = Weight(nu)
-    _check_highest_weight(rs, nu)
-    g = _refined_grid(rs, [nu])
-    top = g.point(nu)
+    g, top = _highest_weight_point(rs, Weight(nu))
     delta = g.delta
 
     def norm_shifted(x: tuple) -> int:
@@ -125,9 +137,8 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
     Delta^+ divided exactly by prod <D delta, D alpha>.  A remainder or a
     quotient that is not positive raises ConsistencyError."""
     nu = Weight(nu)
-    _check_highest_weight(rs, nu)
-    g = _refined_grid(rs, [nu])
-    shifted = tuple(map(add, g.point(nu), g.delta))
+    g, x = _highest_weight_point(rs, nu)
+    shifted = tuple(map(add, x, g.delta))
     top = bottom = 1
     for alpha in g.positive:
         top *= sum(map(mul, shifted, alpha))
@@ -179,7 +190,7 @@ def _straighten(terms: Dict[tuple, int], g: Grid) -> Dict[Weight, int]:
             raise DecompositionError(
                 f"negative multiplicity {m} at {nu}: character is not "
                 f"a nonnegative combination of irreducibles")
-        _check_highest_weight(rs, nu)
+        _check_highest_weight(rs, g, x)
         result[nu] = m
     return result
 
@@ -212,7 +223,7 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
     rs = pair.root_system
     if not rs.is_dominant(nu):
         raise NonDominantError(f"{nu} is not dominant for {rs}")
-    if nu not in pair.lattice_F1:
+    if not grid(rs).contains(pair.lattice_F1, nu):
         raise ValueError(f"{nu} is not in F1 for pair {pair.name}")
     table = weight_table(rs, nu)
     result = _straighten(table.terms, grid(pair.h_system, table.grid.scale))

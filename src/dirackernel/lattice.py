@@ -3,6 +3,8 @@
 All coordinates are `fractions.Fraction` in the orthonormal e-basis of the
 Cartan dual; no floating point is ever introduced.  Weights render as
 comma-separated rationals ("3/2,-1/2") and parse from the same grammar.
+A lattice here is only its description; membership is tested on the
+integer grid of a root system (``roots.Grid.contains``).
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class Weight(tuple):
         c = Fraction(scalar)
         return Weight(a * c for a in self)
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self)
-
     def __str__(self) -> str:
         return ",".join(str(a) for a in self)
 
@@ -104,9 +103,10 @@ def inner_product(a: Weight, b: Weight) -> Fraction:
 class LatticeSpec:
     """A weight lattice given as a finite union of coset shifts of Z^m.
 
-    Membership is exact: w lies in the lattice iff w - s is all-integer for
-    some shift s.  Shifts have coordinates in {0, 1/2} and always include
-    the zero shift, which covers every integral-form lattice handled here.
+    w lies in the lattice iff w - s is all-integer for some shift s;
+    ``roots.Grid.contains`` tests that exactly, on int tuples.  Shifts
+    have coordinates in {0, 1/2} and always include the zero shift, which
+    covers every integral-form lattice handled here.
     """
 
     def __init__(self, rank: int, coset_shifts: Iterable) -> None:
@@ -138,15 +138,6 @@ class LatticeSpec:
     def integers(cls, rank: int) -> "LatticeSpec":
         """Z^m."""
         return cls(rank, [Weight.zero(rank)])
-
-    def contains(self, w: Weight) -> bool:
-        if len(w) != self.rank:
-            raise DimensionError(
-                f"weight length {len(w)} vs lattice rank {self.rank}")
-        return any((w - s).is_integral() for s in self.coset_shifts)
-
-    def __contains__(self, w: Weight) -> bool:
-        return self.contains(w)
 
     def sorted_shifts(self) -> list:
         return sorted(self.coset_shifts)

@@ -62,18 +62,23 @@ class WeylElement:
         return (-1) ** len(self.word)
 
 
-def _derive_simple_roots(positive_roots: Sequence[Weight],
-                         twice: Sequence[tuple]) -> tuple:
-    """Positive roots that are not a sum of two positive roots, summed as
-    their int tuples 2a (``twice``)."""
-    pos = set(twice)
-    sums = set()
-    for i, a in enumerate(twice):
-        for b in twice[i:]:
-            s = tuple(map(add, a, b))
-            if s in pos:
-                sums.add(s)
-    return tuple(a for a, t in zip(positive_roots, twice) if t not in sums)
+def root_sums(points: Sequence[tuple]):
+    """Each (i, j, k) with i <= j and points[i] + points[j] = points[k], by
+    i, then j: the pairs of positive roots whose sum is a root, for their
+    int tuples (2 alpha, or D alpha on a grid)."""
+    index = {x: k for k, x in enumerate(points)}
+    for i, a in enumerate(points):
+        for j in range(i, len(points)):
+            k = index.get(tuple(map(add, a, points[j])))
+            if k is not None:
+                yield i, j, k
+
+
+def _derive_simple_roots(twice: Sequence[tuple]) -> tuple:
+    """The positions of the positive roots that are not a sum of two
+    positive roots, summed as their int tuples 2a (``twice``)."""
+    sums = {k for _, _, k in root_sums(twice)}
+    return tuple(k for k in range(len(twice)) if k not in sums)
 
 
 class RootSystem:
@@ -103,8 +108,10 @@ class RootSystem:
         self.positive_roots = roots
         self.name = name
         twice = [tuple(int(2 * c) for c in a) for a in roots]  # exact in 1/2 Z
-        self.simple_roots = _derive_simple_roots(roots, twice)
-        coefficients = {}
+        # the positions of the simple roots in positive_roots
+        self.simple_index = _derive_simple_roots(twice)
+        self.simple_roots = tuple(roots[k] for k in self.simple_index)
+        coefficients = []
         for alpha, coeffs in zip(roots, self._solve(roots)):
             if coeffs is None:
                 raise self._outside_span(alpha)
@@ -112,14 +119,15 @@ class RootSystem:
                 raise ValueError(
                     f"{alpha} is not a nonnegative integer combination "
                     f"of the simple roots {self.simple_roots}")
-            coefficients[alpha] = tuple(int(c) for c in coeffs)
-        # {positive root: its coefficients over simple_roots}
-        self.coefficients = coefficients
+            coefficients.append(tuple(int(c) for c in coeffs))
+        # the coefficients of each positive root over simple_roots, in the
+        # order of positive_roots
+        self.coefficients = tuple(coefficients)
         # per simple root a: the int tuple 2a with <2a, 2a>, and the nonzero
         # coordinates (k, a_k, 2 a_k / <a, a>), which pairings and
         # reflections touch
-        doubled = [(u, sum(c * c for c in u)) for u in
-                   (tuple(int(2 * c) for c in a) for a in self.simple_roots)]
+        doubled = [(twice[k], sum(c * c for c in twice[k]))
+                   for k in self.simple_index]
         self._simple_supports = tuple(
             tuple((k, c, Fraction(4 * x, norm))
                   for k, (c, x) in enumerate(zip(a, u)) if x)
@@ -138,13 +146,13 @@ class RootSystem:
                         f"{self.simple_roots[i]} gives "
                         f"{self.reflect(alpha, i)}, which is not a root")
         simples = self.simple_roots
-        for i, simple in enumerate(simples):
+        for i, k in enumerate(self.simple_index):
             unit = tuple(int(j == i) for j in range(len(simples)))
-            if coefficients[simple] != unit:
+            if coefficients[k] != unit:
                 raise ValueError(
                     f"the simple roots {'; '.join(map(str, simples))} are "
-                    f"linearly dependent: {simple} has coefficients "
-                    f"{coefficients[simple]}")
+                    f"linearly dependent: {simples[i]} has coefficients "
+                    f"{coefficients[k]}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -224,11 +232,6 @@ class RootSystem:
             return all(p > 0 for p in pairings)
         return all(p >= 0 for p in pairings)
 
-    def is_integral(self, v: Weight) -> bool:
-        """<v, a^> is an integer for every simple root a."""
-        return all(self.coroot_pairing(v, i).denominator == 1
-                   for i in range(len(self.simple_roots)))
-
     def __repr__(self) -> str:
         label = self.name or f"rank{self.rank}"
         return f"RootSystem({label}, {len(self.positive_roots)} positive roots)"
@@ -274,11 +277,12 @@ class Grid:
     """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
 
     Keeps D alpha for the positive roots, the positions of the reduced
-    ones (not twice another root), D delta, and per simple root a the
-    nonzero coordinates (k, c) of D a with <D a, D a> (``supports``):
-    pairings, dominance and reflections are integer arithmetic.  A
-    conversion, half-sum or coroot pairing that is not exact raises
-    ConsistencyError.
+    ones (not twice another root), D delta, and per reduced root b, the
+    simple roots first, the nonzero coordinates (k, c) of D b with
+    <D b, D b> (``mirrors``; the simple roots' are the ``supports``):
+    membership, pairings, dominance and reflections are integer
+    arithmetic.  A conversion, half-sum or coroot pairing that is not exact
+    raises ConsistencyError.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -291,10 +295,14 @@ class Grid:
             k for k, b in enumerate(self.positive)
             if any(c % 2 for c in b) or tuple(c // 2 for c in b) not in points)
         self.delta = self.half_sum(range(len(self.positive)))
-        simples = (self.point(a) for a in rs.simple_roots)
-        self.supports = tuple(
-            (tuple((k, c) for k, c in enumerate(a) if c), sum(c * c for c in a))
-            for a in simples)
+        # no simple root is twice another root, so all are reduced
+        simple = rs.simple_index
+        self.mirror_index = simple + tuple(k for k in self.reduced
+                                           if k not in simple)
+        self.mirrors = tuple(
+            (tuple((j, c) for j, c in enumerate(b) if c), sum(c * c for c in b))
+            for b in (self.positive[k] for k in self.mirror_index))
+        self.supports = self.mirrors[:len(simple)]
 
     def point(self, w: Weight) -> tuple:
         """D w, which must be integral."""
@@ -324,6 +332,19 @@ class Grid:
         Cached per grid and lattice; ``grid`` keeps its grids anyway."""
         return frozenset(map(self.point, lattice.coset_shifts))
 
+    def contains(self, lattice: LatticeSpec, w) -> bool:
+        """w in ``lattice``: D w is integral and D w mod D is one of its
+        ``residues``.  A lattice lies in (1/2) Z^rank and D is even, so a w
+        off the grid is in none."""
+        if len(w) != lattice.rank:
+            raise DimensionError(
+                f"weight length {len(w)} vs lattice rank {lattice.rank}")
+        scale = self.scale
+        if any(scale % c.denominator for c in w):
+            return False
+        return tuple(c.numerator * (scale // c.denominator) % scale
+                     for c in w) in self.residues(lattice)
+
     def is_dominant(self, x: tuple, strict: bool = False) -> bool:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
         least = 1 if strict else 0  # <x, D a> is an integer
@@ -336,25 +357,27 @@ class Grid:
                    for support, norm in self.supports)
 
     def coroot_pairing(self, x: tuple, i: int) -> int:
-        """<w, a^> for the i-th simple root a, which must be an integer."""
-        support, norm = self.supports[i]
+        """<w, b^> for the i-th mirror b (for i below the number of simple
+        roots, the i-th simple root), which must be an integer."""
+        support, norm = self.mirrors[i]
         twice = 0
         for k, c in support:
             twice += x[k] * c
         twice *= 2
         if twice % norm:
+            root = self.rs.positive_roots[self.mirror_index[i]]
             raise ConsistencyError(
                 f"{self.weight(x)} pairs to {Fraction(twice, norm)} with "
-                f"the coroot of {self.rs.simple_roots[i]}")
+                f"the coroot of {root}")
         return twice // norm
 
     def reflect(self, x: tuple, i: int) -> tuple:
-        """s_a(x) = x - <w, a^> D a for the i-th simple root a."""
+        """s_b(x) = x - <w, b^> D b for the i-th mirror b."""
         pairing = self.coroot_pairing(x, i)
         if not pairing:
             return x
         y = list(x)
-        for k, c in self.supports[i][0]:
+        for k, c in self.mirrors[i][0]:
             y[k] -= pairing * c
         return tuple(y)
 
@@ -413,15 +436,13 @@ def weyl_order(rs: RootSystem) -> int:
     reduced roots count (``Grid.reduced``): a root twice another has the
     reflection of its half.  A system with no roots has |W| = 1.
     """
-    coefficients = list(rs.coefficients.values())  # positive_roots order
-    heights = Counter(sum(coefficients[k]) for k in grid(rs).reduced)
+    heights = Counter(sum(rs.coefficients[k]) for k in grid(rs).reduced)
     order = 1
     for height, count in heights.items():
         order *= (height + 1) ** (count - heights[height + 1])
     return order
 
 
-@lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem, limit: int = ORBIT_LIMIT) -> tuple:
     """The Weyl group as the orbit of the regular weight delta, each
     element carrying its orbit word (reduced, since the stabilizer of delta

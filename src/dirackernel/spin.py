@@ -57,7 +57,6 @@ def _rows(halves: Sequence[tuple], rank: int) -> list:
     return rows
 
 
-@lru_cache(maxsize=None)
 def spinor_weights(pair: SymmetricPair) -> SpinorWeights:
     """One entry per sign vector over Delta_p^+ (in pair order): the weight
     (1/2) sum eps_k alpha_k, tagged with its E+/E- parity."""

@@ -16,11 +16,11 @@ from functools import cached_property, lru_cache
 from operator import add, sub
 from typing import NamedTuple
 
-from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
-                     InvalidPairError)
+from .errors import DimensionError, GroupOrderLimitError, InvalidPairError
 from .lattice import LatticeSpec, Weight
 from .roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
-                    build_classical, dominant_walk, grid, weyl_order)
+                    build_classical, dominant_walk, grid, root_sums,
+                    weyl_order)
 
 
 # the checks of ``validate_pair``, in the order it runs them
@@ -179,31 +179,16 @@ def _cone_images(g: Grid, h: Grid) -> set:
     chambers differ by a reflection s_beta (beta in Delta^+), so a
     breadth-first search from D delta over those reflections, keeping only
     strictly Delta_h-dominant images, reaches every one.  Only the reduced
-    roots (``Grid.reduced``) are taken: a root twice another has the
+    roots are taken (``Grid.mirrors``): a root twice another has the
     reflection of its half.
     """
-    mirrors = [(tuple((k, c) for k, c in enumerate(b) if c),
-                sum(c * c for c in b))
-               for b in (g.positive[k] for k in g.reduced)]
     seen = {g.delta}
     frontier = [g.delta]
     while frontier:
         new_frontier = []
         for x in frontier:
-            for support, norm in mirrors:
-                twice = 0
-                for k, c in support:
-                    twice += x[k] * c
-                if not twice:
-                    continue
-                pairing, rest = divmod(2 * twice, norm)
-                if rest:
-                    raise ConsistencyError(
-                        f"{g.weight(x)} pairs to a non-integer with a coroot")
-                y = list(x)
-                for k, c in support:
-                    y[k] -= pairing * c
-                y = tuple(y)
+            for i in range(len(g.mirrors)):
+                y = g.reflect(x, i)
                 if y not in seen and h.is_dominant(y, strict=True):
                     seen.add(y)
                     new_frontier.append(y)
@@ -229,17 +214,11 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
     each coset shift) are integral with every simple reflection of a
     generator in F, and the shifts are closed under addition mod Z^rank.
 
-    Runs on the grid of ``rs``: D F is the set of int tuples x with
-    x mod D among the residues of F (``Grid.residues``), which are the
-    points D s of its coset shifts s.
+    Runs on the grid of ``rs``: the shifts are the points D s of the
+    residues of F (``Grid.residues``), and membership is ``Grid.contains``.
     """
     g = grid(rs)
-    residues = g.residues(lattice)
-    points = sorted(residues)
-
-    def in_lattice(x: tuple) -> bool:
-        return tuple(c % g.scale for c in x) in residues
-
+    points = sorted(g.residues(lattice))
     for x in points:
         if not g.is_integral(x):
             raise ValueError(f"F shift {g.weight(x)} is not integral for {rs}")
@@ -251,31 +230,25 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
                              f"which is not integral for {rs}")
     for x in points + basis:
         for i, simple in enumerate(rs.simple_roots):
-            image = g.reflect(x, i)
-            if not in_lattice(image):
+            image = g.weight(g.reflect(x, i))
+            if not g.contains(lattice, image):
                 raise ValueError(
                     f"F is not W-stable: reflecting {g.weight(x)} in the "
-                    f"simple root {simple} gives {g.weight(image)}, which is "
-                    f"not in F")
+                    f"simple root {simple} gives {image}, which is not in F")
     for i, x in enumerate(points):
         for y in points[i:]:
-            if not in_lattice(tuple(map(add, x, y))):
+            if not g.contains(lattice, g.weight(tuple(map(add, x, y)))):
                 raise ValueError(f"F is not a group: {g.weight(x)} + "
                                  f"{g.weight(y)} is not in F")
 
 
 def _grading_clash(points: tuple, h_index: frozenset):
-    """The first (i, j, k) with i <= j and points[i] + points[j] =
-    points[k] where k lies on the wrong side: in h iff exactly one of i, j
-    does (h+h->h, p+p->h, h+p->p); None if there is none."""
-    index = {x: k for k, x in enumerate(points)}
-    for i, a in enumerate(points):
-        for j in range(i, len(points)):
-            k = index.get(tuple(map(add, a, points[j])))
-            if k is not None and (k in h_index) != (
-                    (i in h_index) == (j in h_index)):
-                return i, j, k
-    return None
+    """The first (i, j, k) of ``root_sums(points)`` where k lies on the
+    wrong side: in h iff exactly one of i, j does (h+h->h, p+p->h,
+    h+p->p); None if there is none."""
+    return next(((i, j, k) for i, j, k in root_sums(points)
+                 if (k in h_index) != ((i in h_index) == (j in h_index))),
+                None)
 
 
 def validate_pair(pair: SymmetricPair) -> None:
@@ -303,13 +276,9 @@ def validate_pair(pair: SymmetricPair) -> None:
         failures.append(f"bracket_grading: {roots[i]} + {roots[j]} = "
                         f"{roots[k]} should lie in Delta_{side}^+")
 
-    # Parity of the p-part of the level of each root; the coefficients
-    # are listed in the order of positive_roots, and the roots of height
-    # one are the simple roots.
-    coefficients = list(rs.coefficients.values())
-    p_simple = [c.index(1) for k, c in enumerate(coefficients)
-                if sum(c) == 1 and k not in h_index]
-    for k, c in enumerate(coefficients):
+    # Parity of the p-part of the level of each root.
+    p_simple = [i for i, k in enumerate(rs.simple_index) if k not in h_index]
+    for k, c in enumerate(rs.coefficients):
         level = sum(c[i] for i in p_simple)
         if level % 2 != (k not in h_index):
             failures.append(
@@ -335,12 +304,13 @@ def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     """The admissibility clauses mu violates, by name (empty = admissible)."""
     if len(mu) != pair.rank:
         raise DimensionError(f"mu length {len(mu)} vs rank {pair.rank}")
+    g = grid(pair.root_system)
     failures = []
-    if mu not in pair.lattice_F1:
+    if not g.contains(pair.lattice_F1, mu):
         failures.append("mu not in F1")
     if not pair.h_system.is_dominant(mu):
         failures.append("mu not dominant for Delta_h+")
-    if (mu - pair.delta_p) not in pair.lattice_F:
+    if not g.contains(pair.lattice_F, mu - pair.delta_p):
         failures.append("mu - delta_p not in F")
     return failures
 
@@ -362,9 +332,7 @@ def marked_node_pair(rs: RootSystem, node: int, name: str) -> SymmetricPair:
     """
     if not 0 <= node < len(rs.simple_roots):
         raise ValueError(f"node {node} is not a simple root index of {rs}")
-    # the coefficients are listed in the order of positive_roots
-    p_index = {k for k, c in enumerate(rs.coefficients.values())
-               if c[node] % 2}
+    p_index = {k for k, c in enumerate(rs.coefficients) if c[node] % 2}
     h_roots = tuple(a for k, a in enumerate(rs.positive_roots)
                     if k not in p_index)
     g = grid(rs)

@@ -3,8 +3,9 @@ conveniences over the library types, the interleaving branching rule that
 cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
 the whole Weyl group, the ``Fraction`` checks of a pair's validation, the
 ``Fraction`` product of Weyl's dimension formula and the ``Fraction``
-half-sums, reduced roots, coset residues and lattice containment, all of
-which the library now runs on the integer grid (``roots.Grid``),
+half-sums, reduced roots, coset residues, lattice membership and
+containment and the integrality of a weight, all of which the library now
+runs on the integer grid (``roots.Grid``),
 ``dominant_representative`` and ``inverse``, which the kernel
 classification once composed to find sigma, the quarter-delta pair, whose
 grid needs D = 4, a half-scaled C2 pair whose subgroup's grid is coarser
@@ -88,12 +89,33 @@ def reference_reduced(rs: RootSystem) -> tuple:
                  if a * HALF not in roots)
 
 
+def is_integer_vector(w: Weight) -> bool:
+    """Every coordinate of w is an integer."""
+    return all(c.denominator == 1 for c in w)
+
+
+def reference_contains(lattice: LatticeSpec, w: Weight) -> bool:
+    """w in the lattice on ``Fraction`` weights: w - s is an integer vector
+    for some coset shift s.  ``Grid.contains`` is the library's test."""
+    if len(w) != lattice.rank:
+        raise DimensionError(
+            f"weight length {len(w)} vs lattice rank {lattice.rank}")
+    return any(is_integer_vector(w - s) for s in lattice.coset_shifts)
+
+
+def reference_is_integral(rs: RootSystem, v: Weight) -> bool:
+    """<v, a^> is an integer for every simple root a, on ``Fraction``
+    weights.  ``Grid.is_integral`` is the library's test."""
+    return all(rs.coroot_pairing(v, i).denominator == 1
+               for i in range(len(rs.simple_roots)))
+
+
 def is_sublattice(a: LatticeSpec, b: LatticeSpec) -> bool:
     """Point-set containment of a in b on ``Fraction`` weights: each coset
     shift of a lies in b."""
     if a.rank != b.rank:
         raise DimensionError("lattice ranks differ")
-    return all(b.contains(s) for s in a.coset_shifts)
+    return all(reference_contains(b, s) for s in a.coset_shifts)
 
 
 def reference_residues(lattice: LatticeSpec) -> set:
@@ -220,7 +242,7 @@ def reference_pair_failures(rs: RootSystem, h_positive, lattice_F,
     # Parity of the p-part of the level of each root.
     p_idx = [i for i, b in enumerate(rs.simple_roots) if b in p_set]
     levels = {alpha: sum(coeffs[i] for i in p_idx)
-              for alpha, coeffs in rs.coefficients.items()}
+              for alpha, coeffs in zip(rs.positive_roots, rs.coefficients)}
     wrong = [a for a, n_p in levels.items() if n_p % 2 != (a in p_set)]
     if wrong:
         failures.append(

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 import dirackernel.characters as characters
 from character_reference import (FormalCharacter, decompose,
                                  irreducible_character, weight_multiplicity)
-from dirackernel.characters import branch_equal_rank, weyl_dim
+from dirackernel.characters import (branch_equal_rank, tensor, weight_table,
+                                   weyl_dim)
 from dirackernel.errors import (ConsistencyError, DecompositionError,
-                                NonDominantError, SymmetryError)
+                                DimensionError, NonDominantError,
+                                SymmetryError)
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import WeylElement, build_classical, weyl_group
+from dirackernel.roots import (RootSystem, WeylElement, build_classical,
+                               weyl_group)
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from oracle_reference import reference_character
 from peel_reference import peel
-from support import (act, apply, branch_interleave_BD, mass,
-                     quarter_delta_pair, reference_weyl_dim,
+from support import (act, apply, branch_interleave_BD, is_integer_vector,
+                     mass, quarter_delta_pair, reference_contains,
+                     reference_is_integral, reference_weyl_dim,
                      simple_coefficients, support)
 
 
@@ -203,6 +207,73 @@ class TestWeylDim:
                     weyl_dim(rs, nu), (family, rank, nu)
 
 
+class TestHighestWeightCheck:
+    """``_check_highest_weight`` on the grid point of nu against the
+    ``Fraction`` checks: ``RootSystem.is_dominant``, then integrality
+    (``support.reference_is_integral``), with the same messages."""
+
+    # A-D, a subgroup with a torus direction (so5_so2xso3: h = {0,1} in
+    # rank 2), an A1 in three coordinates and a torus of rank 2
+    SYSTEMS = ([build_classical(family, rank) for family, rank in
+                [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                 ("D", 4)]]
+               + [builtin_pair("so5_so2xso3").h_system,
+                  RootSystem(3, [(1, -1, 0)]), RootSystem(2, [])])
+    COORDS = tuple(Fraction(n, d) for n, d in [
+        (-1, 2), (-1, 3), (0, 1), (1, 3), (1, 2), (2, 3), (1, 1)])
+
+    @pytest.mark.parametrize("rs", SYSTEMS, ids=repr)
+    def test_matches_fraction_checks(self, rs):
+        outcomes = set()
+        for nu in map(Weight, itertools.product(self.COORDS,
+                                                repeat=rs.rank)):
+            if not rs.is_dominant(nu):
+                expected = f"{nu} is not dominant for {rs}"
+            elif not reference_is_integral(rs, nu):
+                expected = f"{nu} is not algebraically integral for {rs}"
+            else:
+                expected = None
+            try:
+                g, x = characters._highest_weight_point(rs, nu)
+            except NonDominantError as exc:
+                assert str(exc) == expected, nu
+            else:
+                assert expected is None and g.weight(x) == nu, nu
+            outcomes.add(expected is None)
+        # a torus has only dominant integral weights
+        assert outcomes == {True, not rs.simple_roots}
+
+    def test_a2_third_weights(self):
+        rs = build_classical("A", 2)
+        g, x = characters._highest_weight_point(rs, W("2/3,-1/3,-1/3"))
+        assert (g.scale, x) == (6, (4, -2, -2))
+        assert weyl_dim(rs, W("2/3,-1/3,-1/3")) == 3
+        with pytest.raises(NonDominantError,
+                           match="^-1/3,2/3,-1/3 is not dominant for "):
+            weyl_dim(rs, W("-1/3,2/3,-1/3"))
+
+
+class TestWrongLengthNu:
+    """A nu whose length is not the rank raises DimensionError before any
+    grid point is taken."""
+
+    B2 = build_classical("B", 2)
+    CALLS = {
+        "weight_table": lambda rs, nu: weight_table(rs, nu),
+        "weyl_dim": lambda rs, nu: weyl_dim(rs, nu),
+        "tensor-first": lambda rs, nu: tensor(rs, nu, W("1,0")),
+        "tensor-second": lambda rs, nu: tensor(rs, W("1,0"), nu),
+        "branch_equal_rank": lambda rs, nu: branch_equal_rank(
+            builtin_pair("so5_so4"), nu)}
+
+    @pytest.mark.parametrize("text", ["2,1,0", "1,0,0", "1"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_raises_dimension_error(self, name, text):
+        message = f"^weight length {len(W(text))} vs rank 2$"
+        with pytest.raises(DimensionError, match=message):
+            self.CALLS[name](self.B2, W(text))
+
+
 class TestDecompose:
     def test_roundtrip_single(self):
         rs = build_classical("B", 2)
@@ -301,7 +372,8 @@ class TestDecomposeMatchesPeel:
                 assert sum(m * weyl_dim(rs, w)
                            for w, m in parts.items()) == dim
                 cases += 1
-                spin += not (nu1.is_integral() and nu2.is_integral())
+                spin += not (is_integer_vector(nu1)
+                             and is_integer_vector(nu2))
         assert (cases, spin) == (182, 48)
 
     def test_random_signed_combinations(self):
@@ -332,7 +404,7 @@ class TestDecomposeMatchesPeel:
         rs = pair.root_system
         top = {"so3_so2": 4, "so5_so4": 2, "so5_so2xso3": 2}.get(name, 1)
         nus = [nu for nu in dominant_grid(rs, top, half=True)
-               if nu in pair.lattice_F1]
+               if reference_contains(pair.lattice_F1, nu)]
         assert len(nus) >= 4
         for nu in nus:
             assert branch_equal_rank(pair, nu) == peel(
@@ -475,7 +547,7 @@ def small_highest_weights(rs):
     coords = [Fraction(k, 2) for k in range(-4, 5)]
     for nu in itertools.product(coords, repeat=rs.rank):
         nu = Weight(nu)
-        if rs.is_dominant(nu) and rs.is_integral(nu):
+        if rs.is_dominant(nu) and reference_is_integral(rs, nu):
             yield nu
 
 
@@ -543,7 +615,7 @@ class TestGridStraightening:
         rs = pair.root_system
         assert characters.grid(rs).scale == 4
         nus = [nu for nu in dominant_grid(rs, 1, half=True)
-               if nu in pair.lattice_F1]
+               if reference_contains(pair.lattice_F1, nu)]
         assert len(nus) == 6
         for nu in nus:
             assert branch_equal_rank(pair, nu) == peel(

@@ -513,6 +513,20 @@ class TestOtherCommands:
         code, _, err = invoke(["dim", "B2", "--nu", "0,1"])
         assert code == 2
 
+    # weights off the integer grid of the root system: membership and the
+    # highest-weight check run on the grid, with the Fraction-era messages
+    @pytest.mark.parametrize("argv,message", [
+        (["kernel", "so7_so6", "--mu=-1/3,0,0"],
+         "mu=-1/3,0,0 is not admissible for so7_so6: mu not in F1; "
+         "mu not dominant for Delta_h+; mu - delta_p not in F"),
+        (["branch", "so9_so8", "--nu", "1/3,0,0,0"],
+         "1/3,0,0,0 is not in F1 for pair so9_so8"),
+        (["dim", "B2", "--nu", "1/3,0"],
+         "1/3,0 is not algebraically integral for "
+         "RootSystem(B2, 4 positive roots)")])
+    def test_off_grid_weight_stderr(self, argv, message):
+        assert invoke(argv) == (2, "", f"error: {message}\n")
+
     def test_wrong_weight_length(self):
         code, _, err = invoke(["kernel", "so5_so4", "--mu", "1/2"])
         assert code == 2

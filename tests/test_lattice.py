@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from dirackernel.errors import DimensionError
 from dirackernel.lattice import LatticeSpec, Weight, inner_product
 from dirackernel.roots import build_classical, grid
-from support import integers_and_half_integers, is_sublattice
+from support import (integers_and_half_integers, is_sublattice,
+                     reference_contains)
 
 HALF = Fraction(1, 2)
 
@@ -64,15 +65,18 @@ class TestInnerProduct:
 
 
 class TestMembership:
+    # membership is a residue test on the integer grid of a root system
+    B2 = grid(build_classical("B", 2))
+
     def test_so5_integral_forms(self):
         F = LatticeSpec.integers(2)
-        assert W("2,-1") in F
-        assert W("3/2,1/2") not in F
+        assert self.B2.contains(F, W("2,-1"))
+        assert not self.B2.contains(F, W("3/2,1/2"))
 
     def test_spin5_integral_forms(self):
         F1 = integers_and_half_integers(2)
-        assert W("3/2,1/2") in F1
-        assert W("3/2,1") not in F1
+        assert self.B2.contains(F1, W("3/2,1/2"))
+        assert not self.B2.contains(F1, W("3/2,1"))
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -80,7 +84,14 @@ class TestMembership:
         F1 = integers_and_half_integers(2)
         w = W("1/2,1/2") if half else W("0,1")
         shifted = w + Weight((a, b))
-        assert (w in F1) == (shifted in F1)
+        assert self.B2.contains(F1, w) == self.B2.contains(F1, shifted)
+
+    @pytest.mark.parametrize("text", ["1,0,0", "1"])
+    def test_wrong_length_raises(self, text):
+        message = f"^weight length {len(W(text))} vs lattice rank 2$"
+        for contains in (self.B2.contains, reference_contains):
+            with pytest.raises(DimensionError, match=message):
+                contains(LatticeSpec.integers(2), W(text))
 
     def test_shift_constraints(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -7,15 +8,16 @@ from dirackernel.errors import (GroupOrderLimitError,
                                 UnsupportedRootSystemError)
 from dirackernel.lattice import HALF, Weight, inner_product
 from dirackernel.roots import (RootSystem, WeylElement, build_classical,
-                               classical_dimension, grid, orbit, weyl_group,
-                               weyl_order)
+                               classical_dimension, grid, orbit, root_sums,
+                               weyl_group, weyl_order)
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from corpus import CORPUS, W1_PAIRS, corpus_pair
 from support import (act, all_roots, bc1_pair, compose,
                      dominant_representative, half_c2_pair, identity,
                      inverse, is_sublattice, quarter_delta_pair,
-                     reference_half_sum, reference_reduced,
-                     reference_residues, simple_coefficients)
+                     reference_contains, reference_half_sum,
+                     reference_reduced, reference_residues,
+                     simple_coefficients)
 
 
 def W(text):
@@ -124,8 +126,8 @@ class TestBuildClassical:
     def test_coefficient_table(self):
         for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
             rs = build_classical(family, rank)
-            assert list(rs.coefficients) == list(rs.positive_roots)
-            for alpha, coeffs in rs.coefficients.items():
+            assert len(rs.coefficients) == len(rs.positive_roots)
+            for alpha, coeffs in zip(rs.positive_roots, rs.coefficients):
                 assert coeffs == simple_coefficients(rs, alpha)
 
     @pytest.mark.parametrize("family,rank", [
@@ -135,7 +137,7 @@ class TestBuildClassical:
         # the table and simple_coefficients share one solver, so check
         # sum c_i alpha_i = alpha directly
         rs = build_classical(family, rank)
-        for alpha, coeffs in rs.coefficients.items():
+        for alpha, coeffs in zip(rs.positive_roots, rs.coefficients):
             assert all(c >= 0 for c in coeffs)
             rebuilt = sum((s * c for s, c in zip(rs.simple_roots, coeffs)),
                           Weight.zero(rs.rank))
@@ -198,6 +200,61 @@ class TestHalfSum:
                 reference_residues(lattice)
         assert g.residues(F) <= g.residues(F1)
         assert (g.residues(F1) <= g.residues(F)) == is_sublattice(F1, F)
+
+
+# grid primitives against their Fraction forms: a box of weights with
+# thirds and quarters, which lie off every grid of these pairs
+OFF_GRID_BOX = tuple(Fraction(n, d) for n, d in [
+    (-1, 1), (-1, 2), (-1, 3), (0, 1), (1, 4), (1, 2), (2, 3), (3, 2)])
+
+
+class TestGridPrimitives:
+    PAIRS = MARKED_PAIRS + [quarter_delta_pair(), half_c2_pair(), bc1_pair()]
+
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in PAIRS])
+    def test_contains_matches_fraction_reference(self, pair):
+        g = grid(pair.root_system)
+        coords = OFF_GRID_BOX if pair.rank < 4 else OFF_GRID_BOX[1:-1]
+        for w in itertools.product(coords, repeat=pair.rank):
+            w = Weight(w)
+            for lattice in (pair.lattice_F, pair.lattice_F1):
+                assert g.contains(lattice, w) == reference_contains(
+                    lattice, w), (lattice.sorted_shifts(), w)
+
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in PAIRS])
+    def test_mirrors_reflect_in_every_reduced_root(self, pair):
+        # the simple roots first, then the other reduced roots; each
+        # reflection against s_b(w) = w - (2 <w, b> / <b, b>) b
+        rs = pair.root_system
+        g = grid(rs)
+        simple = len(rs.simple_roots)
+        assert g.mirror_index[:simple] == rs.simple_index
+        assert sorted(g.mirror_index) == list(g.reduced)
+        assert g.supports == g.mirrors[:simple]
+        weights = [pair.delta] + [
+            Weight(c) for c in itertools.product(range(-1, 2),
+                                                 repeat=pair.rank)]
+        for i, k in enumerate(g.mirror_index):
+            b = rs.positive_roots[k]
+            for w in weights:
+                image = w - b * (2 * inner_product(w, b) / inner_product(b, b))
+                assert g.weight(g.reflect(g.point(w), i)) == image
+
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in PAIRS])
+    def test_root_sums_match_fraction_sums(self, pair):
+        rs = pair.root_system
+        roots = rs.positive_roots
+        expected = [(i, j, roots.index(roots[i] + roots[j]))
+                    for i in range(len(roots)) for j in range(i, len(roots))
+                    if roots[i] + roots[j] in roots]
+        assert list(root_sums(grid(rs).positive)) == expected
+        sums = {k for _, _, k in expected}
+        assert rs.simple_index == tuple(
+            k for k in range(len(roots)) if k not in sums)
+        assert rs.simple_roots == tuple(roots[k] for k in rs.simple_index)
 
 
 class TestWeylGroup:
@@ -273,9 +330,7 @@ class TestWeylGroup:
 
     def test_deterministic_order(self):
         rs = build_classical("B", 2)
-        weyl_group.cache_clear()
         first = [w.image for w in weyl_group(rs)]
-        weyl_group.cache_clear()
         second = [w.image for w in weyl_group(build_classical("B", 2))]
         assert first == second == sorted(first)
 

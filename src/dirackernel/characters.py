@@ -151,10 +151,11 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
 
 # -- decomposition by straightening ----------------------------------------
 
-def _straighten(terms: Dict[tuple, int], g: Grid) -> Dict[Weight, int]:
+def _straighten(rs: RootSystem, g: Grid,
+                terms: Dict[tuple, int]) -> Dict[Weight, int]:
     """Multiplicities m_nu with sum_x terms[x] e^(x / D) = sum m_nu times
-    the character of pi_nu (``weight_table(g.rs, nu)``), for a character
-    on the grid g.
+    the character of pi_nu (``weight_table(rs, nu)``), for a character
+    on g, a grid of rs; messages name rs, not an equal ``g.rs``.
 
     Straightening (Racah-Speiser): by W-invariance, ch times the Weyl
     denominator alternates sum_w ch[w] e^(w + delta), so each w + delta is
@@ -164,7 +165,6 @@ def _straighten(terms: Dict[tuple, int], g: Grid) -> Dict[Weight, int]:
     reflection, a non-invariant ch SymmetryError, a negative m
     DecompositionError.  Only the nu of the result become ``Weight``s.
     """
-    rs = g.rs
     for x in terms:
         if not g.is_integral(x):
             raise NonDominantError(
@@ -208,7 +208,7 @@ def tensor(rs: RootSystem, nu1: Weight, nu2: Weight) -> Dict[Weight, int]:
         for y, n in second:
             key = tuple(map(add, x, y))
             product[key] = product.get(key, 0) + m * n
-    return _straighten(product, grid(rs, scale))
+    return _straighten(rs, grid(rs, scale), product)
 
 
 # -- branching ---------------------------------------------------------------
@@ -223,10 +223,12 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
     rs = pair.root_system
     if not rs.is_dominant(nu):
         raise NonDominantError(f"{nu} is not dominant for {rs}")
-    if not grid(rs).contains(pair.lattice_F1, nu):
+    g = grid(rs)
+    if not g.contains(pair.lattice_F1, g.locate(nu)):
         raise ValueError(f"{nu} is not in F1 for pair {pair.name}")
     table = weight_table(rs, nu)
-    result = _straighten(table.terms, grid(pair.h_system, table.grid.scale))
+    result = _straighten(pair.h_system, grid(pair.h_system, table.grid.scale),
+                         table.terms)
     total = sum(mult * weyl_dim(pair.h_system, w) for w, mult in result.items())
     if total != weyl_dim(rs, nu):
         raise ConsistencyError(

@@ -107,7 +107,8 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     if not pair.h_system.is_dominant(sigma.image, strict=True):
         raise ConsistencyError(
             f"computed sigma is not in W_1 for mu={mu} (lambda={lam})")
-    if not grid(rs).contains(pair.lattice_F, nu) or not rs.is_dominant(nu):
+    g = grid(rs)
+    if not g.contains(pair.lattice_F, g.locate(nu)) or not rs.is_dominant(nu):
         raise ConsistencyError(
             f"computed nu={nu} is not a dominant lattice point for mu={mu}")
     if casimir_eigenvalue(pair, nu) != casimir:

@@ -1,4 +1,7 @@
-"""Classical root systems and Weyl groups over exact rationals.
+"""Classical root systems and Weyl groups, set up on the int tuples 2a of
+the positive roots (simple roots, their coefficients by a fraction-free
+elimination, the reflection closure): ``Fraction``s are made only where a
+``Weight`` is handed out.
 
 A Weyl element is a reduced word in the simple reflections together with
 its image w(delta).  W acts simply transitively on the orbit of the regular
@@ -18,17 +21,16 @@ the exponents m_i, which the heights of the positive roots give (Kostant).
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import add, mul
+from functools import cached_property, lru_cache, partial
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
                      UnsupportedRootSystemError)
-from .lattice import HALF, LatticeSpec, Weight
+from .lattice import LatticeSpec, Weight
 
 
 class WeylElement:
@@ -74,11 +76,33 @@ def root_sums(points: Sequence[tuple]):
                 yield i, j, k
 
 
-def _derive_simple_roots(twice: Sequence[tuple]) -> tuple:
-    """The positions of the positive roots that are not a sum of two
-    positive roots, summed as their int tuples 2a (``twice``)."""
-    sums = {k for _, _, k in root_sums(twice)}
-    return tuple(k for k in range(len(twice)) if k not in sums)
+def _solve(basis: Sequence[tuple], vectors: Sequence[tuple]) -> tuple:
+    """(d, numerators): the coordinates of each int vector over the int
+    vectors ``basis``, as numerators over d, or None outside their span; a
+    basis vector that depends on earlier ones gets 0.  One fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): each step
+    divides exactly by the previous pivot, so entries stay minors, and the
+    pivot rows end as d times the reduced echelon form, d the last pivot.
+    All-zero rows are dropped: with no roots, no row is built."""
+    ncols = len(basis)
+    rows = [list(row) for row in zip(*basis, *vectors) if any(row)]
+    pivots = []  # the pivot column of each of the first len(pivots) rows
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top, prev, d = rows[r], d, rows[r][c]
+        rows = [row if i == r else [(d * x - row[c] * y) // prev
+                                    for x, y in zip(row, top)]
+                for i, row in enumerate(rows)]
+        pivots.append(c)
+    row_of = dict(zip(pivots, rows))
+    return d, [None if any(row[j] for row in rows[len(pivots):]) else
+               tuple(row_of[c][j] if c in row_of else 0 for c in range(ncols))
+               for j in range(ncols, ncols + len(vectors))]
 
 
 class RootSystem:
@@ -95,56 +119,61 @@ class RootSystem:
         roots = tuple(Weight(r) for r in positive_roots)
         if rank < 1:
             raise ValueError("rank must be positive")
+        twice = []  # the int tuples 2a, exact in 1/2 Z
         for r in roots:
             if len(r) != rank:
                 raise DimensionError(f"root {r} has length {len(r)}, rank {rank}")
-            if all(c == 0 for c in r):
+            if not any(r):
                 raise ValueError("positive roots must be nonzero")
-            if any((2 * c).denominator != 1 for c in r):
+            if any(c.denominator > 2 for c in r):
                 raise ValueError(f"root {r} has a coordinate outside 1/2 Z")
-        if len(set(roots)) != len(roots):
+            twice.append(tuple(c.numerator * (2 // c.denominator) for c in r))
+        if len(set(twice)) != len(twice):
             raise ValueError("positive roots must be pairwise distinct")
         self.rank = rank
         self.positive_roots = roots
         self.name = name
-        twice = [tuple(int(2 * c) for c in a) for a in roots]  # exact in 1/2 Z
-        # the positions of the simple roots in positive_roots
-        self.simple_index = _derive_simple_roots(twice)
+        # the positions of the simple roots, the roots that are no sum of two
+        sums = {k for _, _, k in root_sums(twice)}
+        self.simple_index = tuple(k for k in range(len(twice)) if k not in sums)
         self.simple_roots = tuple(roots[k] for k in self.simple_index)
+        simple_twice = [twice[k] for k in self.simple_index]
         coefficients = []
-        for alpha, coeffs in zip(roots, self._solve(roots)):
-            if coeffs is None:
+        d, solved = _solve(simple_twice, twice)
+        for alpha, numerators in zip(roots, solved):
+            if numerators is None:
                 raise self._outside_span(alpha)
-            if any(c.denominator != 1 or c < 0 for c in coeffs):
+            if any(n % d or n // d < 0 for n in numerators):
                 raise ValueError(
                     f"{alpha} is not a nonnegative integer combination "
                     f"of the simple roots {self.simple_roots}")
-            coefficients.append(tuple(int(c) for c in coeffs))
+            coefficients.append(tuple(n // d for n in numerators))
         # the coefficients of each positive root over simple_roots, in the
         # order of positive_roots
         self.coefficients = tuple(coefficients)
         # per simple root a: the int tuple 2a with <2a, 2a>, and the nonzero
         # coordinates (k, a_k, 2 a_k / <a, a>), which pairings and
         # reflections touch
-        doubled = [(twice[k], sum(c * c for c in twice[k]))
-                   for k in self.simple_index]
+        doubled = [(u, sum(c * c for c in u)) for u in simple_twice]
         self._simple_supports = tuple(
             tuple((k, c, Fraction(4 * x, norm))
                   for k, (c, x) in enumerate(zip(a, u)) if x)
             for a, (u, norm) in zip(self.simple_roots, doubled))
-        # closure on the int tuples: s_a(2b) = 2b - (2<2b, 2a> / <2a, 2a>) 2a
+        # closure: s_a(2b) = scaled / norm, as pairing / norm = <b, a^>
         closed = set(twice) | {tuple(-c for c in t) for t in twice}
         for i, (u, norm) in enumerate(doubled):
             for alpha, t in zip(roots, twice):
-                pairing, rest = divmod(2 * sum(map(mul, t, u)), norm)
-                image = tuple(x - pairing * c for x, c in zip(t, u))
-                if rest:  # a fractional pairing: the image may still be a root
-                    image = tuple(2 * c for c in self.reflect(alpha, i))
-                if image not in closed:
+                pairing = 2 * sum(map(mul, t, u))
+                if not pairing:  # s_a fixes b
+                    continue
+                scaled = [x * norm - pairing * c for x, c in zip(t, u)]
+                if any(c % norm for c in scaled) or tuple(
+                        c // norm for c in scaled) not in closed:
+                    image = Weight(Fraction(c, 2 * norm) for c in scaled)
                     raise ValueError(
                         f"reflecting {alpha} in the simple root "
-                        f"{self.simple_roots[i]} gives "
-                        f"{self.reflect(alpha, i)}, which is not a root")
+                        f"{self.simple_roots[i]} gives {image}, which is "
+                        f"not a root")
         simples = self.simple_roots
         for i, k in enumerate(self.simple_index):
             unit = tuple(int(j == i) for j in range(len(simples)))
@@ -189,39 +218,6 @@ class RootSystem:
         empty = "" if self.simple_roots else "(empty) "
         return ValueError(f"{vector} outside the {empty}root span")
 
-    def _solve(self, vectors: Sequence[Weight]) -> list:
-        """The coordinates of each vector in the simple-root basis, or None
-        for one outside the span: one Gauss-Jordan elimination of the
-        simple roots 2a, with the vectors 2v as right-hand sides."""
-        simples = self.simple_roots
-        if not simples:  # builds no rows: the rank may be huge
-            return [None if any(v) else () for v in vectors]
-        ncols = len(simples)
-        rows = [[int(2 * a[i]) for a in simples] + [2 * v[i] for v in vectors]
-                for i in range(self.rank)]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = Fraction(1, rows[r][c])
-            rows[r] = [x * inv for x in rows[r]]
-            for i, row in enumerate(rows):
-                if i != r and row[c]:
-                    rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
-            pivots.append(c)
-            r += 1
-        result = []
-        for j in range(ncols, ncols + len(vectors)):
-            coeffs = [Fraction(0)] * ncols
-            for i, c in enumerate(pivots):
-                coeffs[c] = rows[i][j]
-            outside = any(row[j] for row in rows[r:])
-            result.append(None if outside else tuple(coeffs))
-        return result
-
     def is_dominant(self, w: Weight, strict: bool = False) -> bool:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
         if len(w) != self.rank:
@@ -261,15 +257,15 @@ def build_classical(family: str, rank: int) -> RootSystem:
     e_i + e_j (B, C, D), then e_k (B) or 2 e_k (C), for i < j."""
     n = classical_dimension(family, rank)
     family = family.upper()
-    e = [Weight.basis(n, k) for k in range(n)]
+    e = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]  # as ints
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    roots = [e[i] - e[j] for i, j in pairs]
+    roots = [tuple(map(sub, e[i], e[j])) for i, j in pairs]
     if family != "A":
-        roots += [e[i] + e[j] for i, j in pairs]
+        roots += [tuple(map(add, e[i], e[j])) for i, j in pairs]
     if family == "B":
         roots += e
     elif family == "C":
-        roots += [v * 2 for v in e]
+        roots += [tuple(2 * c for c in v) for v in e]
     return RootSystem(n, roots, name=f"{family}{rank}")
 
 
@@ -282,12 +278,14 @@ class Grid:
     <D b, D b> (``mirrors``; the simple roots' are the ``supports``):
     membership, pairings, dominance and reflections are integer
     arithmetic.  A conversion, half-sum or coroot pairing that is not exact
-    raises ConsistencyError.
+    raises ConsistencyError (``locate`` gives None off the grid); only
+    ``weight`` makes ``Fraction``s, one per coordinate value.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
         self.rs = rs
         self.scale = scale
+        self._quotient = lru_cache(None)(partial(Fraction, denominator=scale))
         self.simple_roots = rs.simple_roots
         self.positive = tuple(self.point(a) for a in rs.positive_roots)
         points = set(self.positive)
@@ -304,15 +302,23 @@ class Grid:
             for b in (self.positive[k] for k in self.mirror_index))
         self.supports = self.mirrors[:len(simple)]
 
+    def locate(self, w: Weight) -> Optional[tuple]:
+        """D w, or None when w is off the grid."""
+        scale = self.scale
+        if any(scale % c.denominator for c in w):
+            return None
+        return tuple(c.numerator * (scale // c.denominator) for c in w)
+
     def point(self, w: Weight) -> tuple:
         """D w, which must be integral."""
-        x = tuple(c * self.scale for c in w)
-        if any(c.denominator != 1 for c in x):
+        x = self.locate(w)
+        if x is None:
             raise ConsistencyError(f"{w} is not on the grid 1/{self.scale} Z")
-        return tuple(c.numerator for c in x)
+        return x
 
     def weight(self, x: tuple) -> Weight:
-        return Weight(Fraction(c, self.scale) for c in x)
+        """The weight x / D, with one ``Fraction`` per coordinate value."""
+        return Weight(map(self._quotient, x))
 
     def half_sum(self, indices: Iterable) -> tuple:
         """D (1/2) sum alpha over the positive roots alpha at ``indices``
@@ -321,8 +327,8 @@ class Grid:
         for k in indices:
             total = tuple(map(add, total, self.positive[k]))
         if any(c % 2 for c in total):
-            raise ConsistencyError(f"{self.weight(total) * HALF} is not on "
-                                   f"the grid 1/{self.scale} Z")
+            half = Weight(Fraction(c, 2 * self.scale) for c in total)
+            raise ConsistencyError(f"{half} is not on the grid 1/{self.scale} Z")
         return tuple(c // 2 for c in total)
 
     @lru_cache(maxsize=None)
@@ -332,18 +338,17 @@ class Grid:
         Cached per grid and lattice; ``grid`` keeps its grids anyway."""
         return frozenset(map(self.point, lattice.coset_shifts))
 
-    def contains(self, lattice: LatticeSpec, w) -> bool:
-        """w in ``lattice``: D w is integral and D w mod D is one of its
-        ``residues``.  A lattice lies in (1/2) Z^rank and D is even, so a w
-        off the grid is in none."""
-        if len(w) != lattice.rank:
-            raise DimensionError(
-                f"weight length {len(w)} vs lattice rank {lattice.rank}")
-        scale = self.scale
-        if any(scale % c.denominator for c in w):
+    def contains(self, lattice: LatticeSpec, x: Optional[tuple]) -> bool:
+        """w in ``lattice``, for x = D w as ``locate`` gives it: x mod D is
+        one of its ``residues``.  A lattice lies in (1/2) Z^rank and D is
+        even, so a w off the grid (x None) is in none."""
+        if x is None:
             return False
-        return tuple(c.numerator * (scale // c.denominator) % scale
-                     for c in w) in self.residues(lattice)
+        if len(x) != lattice.rank:
+            raise DimensionError(
+                f"weight length {len(x)} vs lattice rank {lattice.rank}")
+        scale = self.scale
+        return tuple(c % scale for c in x) in self.residues(lattice)
 
     def is_dominant(self, x: tuple, strict: bool = False) -> bool:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
@@ -385,12 +390,13 @@ class Grid:
 @lru_cache(maxsize=None)
 def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
     """The grid of ``rs`` at ``scale``, by default D = lcm(2, the
-    denominators of alpha/2 over Delta^+).  With that D, D alpha, D delta
-    and D times any half-sum of roots (a spinor weight) are integral, and
-    so are D times the coset shifts of a lattice, which lie in {0, 1/2}."""
+    denominators of alpha/2 over Delta^+): 4 if a root has a coordinate in
+    Z + 1/2, else 2.  With that D, D alpha, D delta and D times any
+    half-sum of roots (a spinor weight) are integral, and so are D times
+    the coset shifts of a lattice, which lie in {0, 1/2}."""
     if scale is None:
-        scale = math.lcm(2, *(c.denominator for a in rs.positive_roots
-                              for c in a * HALF))
+        scale = 4 if any(c.denominator == 2 for a in rs.positive_roots
+                         for c in a) else 2
     return Grid(rs, scale)
 
 

@@ -40,11 +40,12 @@ class SymmetricPair:
     def __init__(self, root_system: RootSystem, h_positive, lattice_F,
                  lattice_F1, name: str = "pair") -> None:
         h_roots = tuple(Weight(r) for r in h_positive)
-        index = {a: k for k, a in enumerate(root_system.positive_roots)}
+        g = grid(root_system)  # Delta_h^+ by position, found by grid point
+        index = {x: k for k, x in enumerate(g.positive)}
         for r in h_roots:
-            if r not in index:
+            if g.locate(r) not in index:
                 raise ValueError(f"h-root {r} is not a positive root")
-        h_index = frozenset(index[r] for r in h_roots)
+        h_index = frozenset(index[g.locate(r)] for r in h_roots)
         if len(h_index) != len(h_roots):
             raise ValueError("h_positive roots must be distinct")
         if lattice_F.rank != root_system.rank or lattice_F1.rank != root_system.rank:
@@ -230,14 +231,15 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
                              f"which is not integral for {rs}")
     for x in points + basis:
         for i, simple in enumerate(rs.simple_roots):
-            image = g.weight(g.reflect(x, i))
+            image = g.reflect(x, i)
             if not g.contains(lattice, image):
                 raise ValueError(
                     f"F is not W-stable: reflecting {g.weight(x)} in the "
-                    f"simple root {simple} gives {image}, which is not in F")
+                    f"simple root {simple} gives {g.weight(image)}, which "
+                    f"is not in F")
     for i, x in enumerate(points):
         for y in points[i:]:
-            if not g.contains(lattice, g.weight(tuple(map(add, x, y)))):
+            if not g.contains(lattice, tuple(map(add, x, y))):
                 raise ValueError(f"F is not a group: {g.weight(x)} + "
                                  f"{g.weight(y)} is not in F")
 
@@ -306,11 +308,11 @@ def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
         raise DimensionError(f"mu length {len(mu)} vs rank {pair.rank}")
     g = grid(pair.root_system)
     failures = []
-    if not g.contains(pair.lattice_F1, mu):
+    if not g.contains(pair.lattice_F1, g.locate(mu)):
         failures.append("mu not in F1")
     if not pair.h_system.is_dominant(mu):
         failures.append("mu not dominant for Delta_h+")
-    if not g.contains(pair.lattice_F, mu - pair.delta_p):
+    if not g.contains(pair.lattice_F, g.locate(mu - pair.delta_p)):
         failures.append("mu - delta_p not in F")
     return failures
 

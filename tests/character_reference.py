@@ -128,7 +128,7 @@ def decompose(ch: FormalCharacter, rs) -> Dict[Weight, int]:
     if ch.rank != rs.rank:
         raise DimensionError(f"rank mismatch: {ch.rank} vs {rs.rank}")
     g = _refined_grid(rs, ch.terms)
-    return _straighten({g.point(w): c for w, c in ch.terms.items()}, g)
+    return _straighten(rs, g, {g.point(w): c for w, c in ch.terms.items()})
 
 
 def casimir_shell(pair, lam) -> list:

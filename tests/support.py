@@ -2,7 +2,8 @@
 conveniences over the library types, the interleaving branching rule that
 cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
 the whole Weyl group, the ``Fraction`` checks of a pair's validation, the
-``Fraction`` product of Weyl's dimension formula and the ``Fraction``
+``Fraction`` product of Weyl's dimension formula, the ``Fraction``
+elimination behind a root system's simple coefficients, the ``Fraction``
 half-sums, reduced roots, coset residues, lattice membership and
 containment and the integrality of a weight, all of which the library now
 runs on the integer grid (``roots.Grid``),
@@ -124,11 +125,46 @@ def reference_residues(lattice: LatticeSpec) -> set:
     return {Weight(c % 1 for c in s) for s in lattice.coset_shifts}
 
 
+def reference_solve(basis, vectors) -> list:
+    """The coordinates of each vector over the vectors ``basis``, or None
+    for one outside their span: one ``Fraction`` Gauss-Jordan elimination
+    of the basis, with the vectors as right-hand sides, a basis vector
+    that depends on earlier ones getting coordinate 0.  ``RootSystem``
+    runs a fraction-free integer elimination instead (``roots._solve``)."""
+    if not basis:  # builds no rows: the rank may be huge
+        return [None if any(v) else () for v in vectors]
+    ncols = len(basis)
+    rows = [[Fraction(a[i]) for a in basis] + [Fraction(v[i]) for v in vectors]
+            for i in range(len(basis[0]))]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        r += 1
+    result = []
+    for j in range(ncols, ncols + len(vectors)):
+        coeffs = [Fraction(0)] * ncols
+        for i, c in enumerate(pivots):
+            coeffs[c] = rows[i][j]
+        outside = any(row[j] for row in rows[r:])
+        result.append(None if outside else tuple(coeffs))
+    return result
+
+
 def simple_coefficients(rs: RootSystem, vector: Weight) -> tuple:
-    """Coordinates of ``vector`` in the simple-root basis, by the solver
-    that ``RootSystem`` runs on its positive roots; ValueError when the
-    vector is outside the span."""
-    (coeffs,) = rs._solve([vector])
+    """Coordinates of ``vector`` in the simple-root basis, by the
+    ``Fraction`` reference solver; ValueError when the vector is outside
+    the span."""
+    (coeffs,) = reference_solve(rs.simple_roots, [vector])
     if coeffs is None:
         raise rs._outside_span(vector)
     return coeffs

@@ -621,6 +621,23 @@ class TestGridStraightening:
             assert branch_equal_rank(pair, nu) == peel(
                 irreducible_character(rs, nu), pair.h_system), nu
 
+    @pytest.mark.parametrize("scale", [None, 6])
+    def test_messages_name_the_callers_system(self, scale):
+        # grid is cached by RootSystem equality, which ignores the name, so
+        # the grid of D4 may belong to so9_so8's Delta_h (equal to D4) or to
+        # the decoy built first; the message names the system passed in
+        d4 = build_classical("D", 4)
+        characters.grid(builtin_pair("so9_so8").h_system)
+        decoy = RootSystem(4, d4.positive_roots, name="decoy")
+        characters.grid(decoy, 6)
+        g = characters.grid(d4, scale)
+        w = Weight((Fraction(1, g.scale), 0, 0, 0))
+        with pytest.raises(NonDominantError, match=(
+                rf"^{w} is not algebraically integral for "
+                rf"RootSystem\(D4, 12 positive roots\)$")):
+            characters._straighten(d4, g, {(1, 0, 0, 0): 1,
+                                           (-1, 0, 0, 0): 1})
+
 
 class TestInvariantsRaise:
     """Broken invariants raise ConsistencyError, also under python -O."""
@@ -666,6 +683,6 @@ class TestInvariantsRaise:
     def test_branching_dimension_balance(self, monkeypatch):
         pair = builtin_pair("so5_so4")
         monkeypatch.setattr(characters, "_straighten",
-                            lambda terms, g: {W("1,0"): 1})
+                            lambda rs, g, terms: {W("1,0"): 1})
         with pytest.raises(ConsistencyError, match="lost dimensions"):
             branch_equal_rank(pair, W("1,0"))

@@ -1,15 +1,17 @@
 import itertools
+import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from dirackernel.errors import (GroupOrderLimitError,
+from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
                                 UnsupportedRootSystemError)
 from dirackernel.lattice import HALF, Weight, inner_product
-from dirackernel.roots import (RootSystem, WeylElement, build_classical,
-                               classical_dimension, grid, orbit, root_sums,
-                               weyl_group, weyl_order)
+from dirackernel.roots import (Grid, RootSystem, WeylElement, _solve,
+                               build_classical, classical_dimension, grid,
+                               orbit, root_sums, weyl_group, weyl_order)
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from corpus import CORPUS, W1_PAIRS, corpus_pair
 from support import (act, all_roots, bc1_pair, compose,
@@ -17,7 +19,7 @@ from support import (act, all_roots, bc1_pair, compose,
                      inverse, is_sublattice, quarter_delta_pair,
                      reference_contains, reference_half_sum,
                      reference_reduced, reference_residues,
-                     simple_coefficients)
+                     reference_solve, simple_coefficients)
 
 
 def W(text):
@@ -108,6 +110,19 @@ class TestBuildClassical:
         with pytest.raises(ValueError, match=message):
             RootSystem(rank, [W(r) for r in roots])
 
+    @pytest.mark.parametrize("roots,bad", [
+        # 1/2,1/2 = (1,0 + 0,1) / 2: a fractional coefficient
+        (["1,0", "0,1", "1/2,1/2"], "1/2,1/2"),
+        # -1,1 = 2 (-1,0) - (-1,-1): a negative one
+        (["-1,-1", "-1,0", "-1,1"], "-1,1")])
+    def test_rejects_coefficients_outside_nonnegative_integers(self, roots,
+                                                               bad):
+        simples = ", ".join(f"Weight({r})" for r in roots)
+        message = (f"{bad} is not a nonnegative integer combination of the "
+                   f"simple roots ({simples})")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RootSystem(2, [W(r) for r in roots])
+
     def test_root_outside_the_span_of_the_simple_roots(self):
         # the simple roots are 1,0 and -1,0; 0,1 = (-1,1) + (1,0) is first
         with pytest.raises(ValueError, match="^0,1 outside the root span$"):
@@ -158,6 +173,57 @@ class TestBuildClassical:
         with pytest.raises(UnsupportedRootSystemError,
                            match=str(built.value)):
             classical_dimension(family, rank)
+
+
+def reference_simple_data(rs: RootSystem) -> tuple:
+    """(simple_index, coefficients) on ``Fraction`` weights: the positive
+    roots that are no sum of two, found by adding ``Weight``s, and the
+    coefficients of every positive root from the ``Fraction`` solver."""
+    roots = rs.positive_roots
+    sums = {roots.index(a + b) for i, a in enumerate(roots)
+            for b in roots[i:] if a + b in roots}
+    simple_index = tuple(k for k in range(len(roots)) if k not in sums)
+    solved = reference_solve([roots[k] for k in simple_index], roots)
+    assert all(c.denominator == 1 and c >= 0 for cs in solved for c in cs)
+    return simple_index, tuple(tuple(map(int, cs)) for cs in solved)
+
+
+# every h_system of the W_1 corpus, then classical and non-reduced
+# systems and one with a torus factor (the third coordinate)
+ELIMINATION_SYSTEMS = (
+    [pytest.param(p.h_system, id=f"{p.name}:h") for p in W1_PAIRS]
+    + [pytest.param(build_classical(family, rank), id=f"{family}{rank}")
+       for family in "ABCD" for rank in range(2 if family == "D" else 1, 9)]
+    + [pytest.param(RootSystem(1, [W("1/2"), W("1")]), id="BC1"),
+       pytest.param(RootSystem(2, [W(r) for r in [
+           "1,-1", "1,1", "1,0", "0,1", "2,0", "0,2"]]), id="BC2"),
+       pytest.param(RootSystem(3, [W("1,-1,0"), W("1,1,0"), W("1,0,0"),
+                                   W("0,1,0")]), id="B2+torus")])
+
+
+class TestIntegerElimination:
+    @pytest.mark.parametrize("rs", ELIMINATION_SYSTEMS)
+    def test_matches_fraction_reference(self, rs):
+        assert (rs.simple_index, rs.coefficients) == reference_simple_data(rs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_matrices_match_fraction_reference(self, seed):
+        # dependent basis vectors, vectors outside the span and fractional
+        # coordinates, which a valid root system does not reach
+        rng = random.Random(seed)
+        rank, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        entries = range(-3, 4) if seed % 2 else (0, 0, 1, -2, 6)
+        basis = [tuple(rng.choice(entries) for _ in range(rank))
+                 for _ in range(ncols)]
+        if seed % 3 == 0 and ncols > 1:  # a column that depends on others
+            basis[-1] = tuple(2 * x - y for x, y in zip(basis[0], basis[1]))
+        vectors = basis + [tuple(rng.choice(entries) for _ in range(rank))
+                           for _ in range(6)]
+        expected = reference_solve(basis, vectors)
+        d, solved = _solve(basis, vectors)
+        got = [None if s is None else tuple(Fraction(n, d) for n in s)
+               for s in solved]
+        assert got == expected
 
 
 class TestHalfSum:
@@ -214,13 +280,34 @@ class TestGridPrimitives:
     @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
                                       for p in PAIRS])
     def test_contains_matches_fraction_reference(self, pair):
+        # a weight reaches the residue test as its grid point, None when
+        # it is off the grid
         g = grid(pair.root_system)
         coords = OFF_GRID_BOX if pair.rank < 4 else OFF_GRID_BOX[1:-1]
         for w in itertools.product(coords, repeat=pair.rank):
             w = Weight(w)
             for lattice in (pair.lattice_F, pair.lattice_F1):
-                assert g.contains(lattice, w) == reference_contains(
+                assert g.contains(lattice, g.locate(w)) == reference_contains(
                     lattice, w), (lattice.sorted_shifts(), w)
+
+    @pytest.mark.parametrize("scale", [2, 3, 4, 6])
+    def test_point_and_weight_match_fraction_construction(self, scale):
+        # D3 has an integral delta, so it has a grid at every scale
+        g = Grid(build_classical("D", 3), scale)
+        rng = random.Random(scale)
+        points = [(0, 0, 0), (-1, 0, scale)] + [
+            tuple(rng.randint(-3 * scale, 3 * scale) for _ in range(3))
+            for _ in range(200)]
+        for x in points:
+            w = g.weight(x)
+            expected = Weight(Fraction(c, scale) for c in x)
+            assert w == expected and hash(w) == hash(expected)
+            assert g.point(expected) == g.locate(expected) == x
+        for text in ["1/5,0,0", f"0,-1/{2 * scale},1", "1,2/7,-3"]:
+            assert g.locate(W(text)) is None
+            with pytest.raises(ConsistencyError,
+                               match=f"^{text} is not on the grid 1/{scale} Z$"):
+                g.point(W(text))
 
     @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
                                       for p in PAIRS])

@@ -49,16 +49,23 @@ def _dominant_weights(g: Grid, top: tuple) -> list:
     They are the dominant weights below nu (Humphreys, 21.3), and each is
     reached from nu through dominant weights one positive root at a time
     (Stembridge, "The partial order of dominant weights", Adv. Math. 136
-    (1998), Cor. 2.7).  Ties keep the order of discovery.
+    (1998), Cor. 2.7).  Ties keep the order of discovery.  x - alpha is
+    dominant iff no pairing of x with a simple root, less alpha's, is < 0.
     """
-    found = [top]
-    seen = {top}
+    def pairings(x: tuple) -> tuple:
+        return tuple(sum(x[k] * c for k, c in support)
+                     for support, _ in g.supports)
+
+    steps = [(alpha, pairings(alpha)) for alpha in g.positive]
+    found, seen = [top], {top: pairings(top)}  # seen: weight -> pairings
     for x in found:
-        for alpha in g.positive:
-            lower = tuple(map(sub, x, alpha))
-            if lower not in seen and g.is_dominant(lower):
-                seen.add(lower)
-                found.append(lower)
+        for alpha, drop in steps:
+            lower = tuple(map(sub, seen[x], drop))
+            if min(lower, default=0) >= 0:
+                y = tuple(map(sub, x, alpha))
+                if y not in seen:
+                    seen[y] = lower
+                    found.append(y)
     delta = g.delta
     return sorted(found, key=lambda x: sum(map(mul, x, delta)), reverse=True)
 
@@ -112,14 +119,17 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
 
     target = norm_shifted(top)
     table: Dict[tuple, int] = {}
+    norms = [(alpha, sum(c * c for c in alpha)) for alpha in g.positive]
     for x in _dominant_weights(g, top):
         value = 1
         if x != top:
             acc = 0
-            for alpha in g.positive:
+            for alpha, norm in norms:
                 cur = tuple(map(add, x, alpha))
+                pairing = sum(map(mul, cur, alpha))  # grows by norm a step
                 while cur in table:
-                    acc += table[cur] * sum(map(mul, cur, alpha))
+                    acc += table[cur] * pairing
+                    pairing += norm
                     cur = tuple(map(add, cur, alpha))
             gap = target - norm_shifted(x)
             if gap <= 0 or acc <= 0 or 2 * acc % gap:

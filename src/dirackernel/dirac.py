@@ -9,11 +9,12 @@ sgn(sigma) * (-1)^m.
 
 The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda as integer points on a
-sphere (``_shell_points``), computes Frobenius multiplicities on both
-sides by Brauer-Klimyk coefficient extraction (``_extract``: the weight
-multiplicities of pi_nu summed against signed shifts, the product of
-binomials prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
-character, read from the binomial products P_+- of ``spin``), and checks
+sphere (``_shell_points``, bounded by the simple-root inequalities),
+computes Frobenius multiplicities on both sides by Brauer-Klimyk
+extraction (``_extract``: the weight multiplicities of pi_nu summed
+against signed shifts, the product of binomials prod (1 - e^alpha) over
+Delta_h^+ times the negated half-spin character, read from the binomial
+products P_+- of ``spin``, over the smaller of the two sides), and checks
 that the alternating sum collapses to the predicted signed irreducible
 (or to zero).  It runs on int tuples D w on the grid of ``roots.grid`` end
 to end; ``Weight`` appears only at its inputs and in its report.
@@ -124,25 +125,28 @@ def _squares_summing_to(offsets: tuple, step: int, total: int,
                         checks: list, prefix: tuple = ()):
     """Integer vectors x after prefix with sum x_k^2 = total and x_k =
     offsets[k] mod step, in lex order; the last coordinate is solved for,
-    not searched.  x[:k+1] is extended only if <x, a> >= least for each
-    (support of a, least) in checks[k]."""
+    not searched.  Each (support of a, least) in checks[k], a's coefficient
+    c at k, bounds x_k by <x, a> >= least: from below if c > 0, else above."""
     k = len(prefix)
     bound = math.isqrt(total)
-    if k + 1 < len(offsets):
-        values = range(-bound + (offsets[k] + bound) % step, bound + 1, step)
-    else:
-        values = sorted({-bound, bound}) if bound * bound == total else ()
-    for x in values:
-        point = prefix + (x,)
-        if (x - offsets[k]) % step or any(
-                sum(point[j] * c for j, c in support) < least
-                for support, least in checks[k]):
-            continue
-        if len(point) == len(offsets):
-            yield point
+    low, high = -bound, bound
+    for support, least in checks[k]:
+        *earlier, (_, c) = support
+        rest = least - sum(prefix[j] * b for j, b in earlier)
+        if c > 0:
+            low = max(low, -(-rest // c))
         else:
-            yield from _squares_summing_to(offsets, step, total - x * x,
-                                           checks, point)
+            high = min(high, rest // c)
+    if k + 1 < len(offsets):
+        for x in range(low + (offsets[k] - low) % step, high + 1, step):
+            left = total - x * x  # the last coordinate needs a square
+            if k + 2 < len(offsets) or math.isqrt(left) ** 2 == left:
+                yield from _squares_summing_to(offsets, step, left, checks,
+                                               prefix + (x,))
+    elif bound * bound == total:  # the last one: +-bound, in the range
+        for x in sorted({-bound, bound}):
+            if low <= x <= high and not (x - offsets[k]) % step:
+                yield prefix + (x,)
 
 
 def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
@@ -152,11 +156,10 @@ def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
     Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
     |nu + delta| = |lambda + delta|.  Per residue r of F (``Grid.residues``)
     the points x = D (nu + delta) are the integer vectors with x = r +
-    D delta mod D and sum x_k^2 = |D (lambda + delta)|^2; each coordinate
-    steps by D up to the integer square root of what remains.  nu is
-    dominant iff <x, D a> >= <D delta, D a> for each simple root a, tested
-    as soon as the chosen coordinates of x cover the support of a, and
-    again on the end point.
+    D delta mod D and sum x_k^2 = |D (lambda + delta)|^2.  nu is dominant
+    iff <x, D a> >= <D delta, D a> for each simple root a: each coordinate
+    steps by D within the integer square root of what remains and the
+    bounds of the a whose support it completes; the end point is tested.
     """
     delta = g.delta
     total = sum((a + d) ** 2 for a, d in zip(lam, delta))
@@ -175,9 +178,9 @@ def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
-    """Signed shifts (k, c), k on ``grid(pair.root_system)``, with
-    m_mu = sum c * mult_nu(mu + k).
+def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
+    """The signed shifts {k: c}, k on ``grid(pair.root_system)``, with
+    m_mu = sum c * mult_nu(mu + k); cached, so not to be changed.
 
     Multiplying chi^s * pi_nu = sum m_mu' ch_h(mu') by the Weyl denominator
     of Delta_h and reading off the coefficient of e^(mu + delta_h) gives
@@ -206,16 +209,20 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> tuple:
     zero = (0,) * pair.rank
     for k in pair.h_index:
         kernel = times_binomial(kernel, zero, g.positive[k], -1)
-    return tuple(kernel.items())
+    return kernel
 
 
 def _extract(pair: SymmetricPair, table: dict, x: tuple, side: int) -> int:
     """sum c * table[x + k] over the signed shifts (k, c) of the kernel of
-    ``side``, for the weight table of pi_nu and x = D mu."""
+    ``side``, for the weight table of pi_nu and x = D mu; when the table is
+    the smaller side, as sum table[y] * kernel[y - x]."""
     s = side if pair.m % 2 == 0 else -side
-    get = table.get
-    return sum(c * get(tuple(map(add, x, k)), 0)
-               for k, c in _extraction_kernel(pair, s))
+    kernel = _extraction_kernel(pair, s)
+    if len(table) < len(kernel):
+        return sum(m * kernel.get(tuple(map(sub, y, x)), 0)
+                   for y, m in table.items())
+    return sum(c * table.get(tuple(map(add, x, k)), 0)
+               for k, c in kernel.items())
 
 
 class ShellRow(NamedTuple):

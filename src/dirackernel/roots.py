@@ -13,8 +13,8 @@ positive roots works just as well as a built-in family.  A, B, C, D are
 realized in the standard e-basis, which for the A family means an ambient
 space of dimension rank + 1.
 
-``orbit`` and ``dominant_walk`` also run on int tuples D w on the grid
-(1/D) Z^rank of a root system (``Grid``), where W is the orbit of D delta.
+``orbit`` walks down from a dominant int tuple D w on the grid (1/D)
+Z^rank of a root system (``Grid``), where W is the orbit of D delta.
 ``weyl_order`` counts W without listing it, as the product of m_i + 1 over
 the exponents m_i, which the heights of the positive roots give (Kostant).
 """
@@ -29,7 +29,7 @@ from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
-                     UnsupportedRootSystemError)
+                     NonDominantError, UnsupportedRootSystemError)
 from .lattice import LatticeSpec, Weight
 
 
@@ -132,6 +132,7 @@ class RootSystem:
             raise ValueError("positive roots must be pairwise distinct")
         self.rank = rank
         self.positive_roots = roots
+        self._twice = tuple(twice)  # compared by __eq__
         self.name = name
         # the positions of the simple roots, the roots that are no sum of two
         sums = {k for _, _, k in root_sums(twice)}
@@ -186,8 +187,8 @@ class RootSystem:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.rank, self.positive_roots)
-                == (other.rank, other.positive_roots))
+        return self is other or ((self.rank, self._twice)
+                                 == (other.rank, other._twice))
 
     def __hash__(self) -> int:
         return self._hash
@@ -404,25 +405,37 @@ def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
 ORBIT_LIMIT = 10 ** 6
 
 
-def orbit(space, v, limit: int = ORBIT_LIMIT) -> dict:
-    """The W-orbit of v as {image: word}, with s_word[0] ... s_word[-1] v
-    = image.
+def orbit(g: Grid, v: tuple, limit: int = ORBIT_LIMIT) -> dict:
+    """The W-orbit of a dominant v = D w on the grid g as {image: word},
+    with s_word[0] ... s_word[-1] v = image; NonDominantError otherwise.
 
-    ``space`` is a ``RootSystem`` with v a ``Weight``, or a ``Grid`` with v
-    an int tuple.  Breadth-first from v, generators in index order, a new
-    image's word being the generator prepended to its parent's, so every
-    word is of minimal length.  Raises GroupOrderLimitError past ``limit``
-    images.
+    Breadth-first from v, generators in index order, a new image's word
+    being the generator prepended to its parent's, so every word is of
+    minimal length.  s_a u is one level down if <u, a> > 0, u if it is 0,
+    and one level up, already seen, if it is negative (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10): only the first kind is
+    reflected.  Raises GroupOrderLimitError past ``limit`` images.
     """
-    reflect = space.reflect
-    seen = {v: ()}
-    frontier = [v]
+    if not g.is_dominant(v):
+        raise NonDominantError(f"orbit start {g.weight(v)} is not dominant")
+    seen, frontier = {v: ()}, [v]
     while frontier:
         new_frontier = []
         for u in frontier:
             word = seen[u]
-            for i in range(len(space.simple_roots)):
-                image = reflect(u, i)
+            for i, (support, norm) in enumerate(g.supports):
+                dot = 0
+                for k, c in support:
+                    dot += u[k] * c
+                if dot <= 0:
+                    continue
+                pairing, rest = divmod(2 * dot, norm)
+                if rest:
+                    g.coroot_pairing(u, i)  # raises ConsistencyError
+                y = list(u)
+                for k, c in support:
+                    y[k] -= pairing * c
+                image = tuple(y)
                 if image not in seen:
                     seen[image] = (i,) + word
                     new_frontier.append(image)

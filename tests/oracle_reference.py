@@ -14,7 +14,8 @@ from dirackernel.characters import weyl_dim
 from dirackernel.dirac import euler_verify
 from dirackernel.errors import ConsistencyError
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import orbit, weyl_group
+from dirackernel.roots import weyl_group
+from support import reference_orbit
 
 
 def reference_kernel(pair, s):
@@ -61,7 +62,7 @@ def reference_character(rs, nu):
             value = 2 * acc / (target - inner_product(w + delta, w + delta))
             if value.denominator != 1 or value <= 0:
                 raise ConsistencyError(f"Freudenthal produced {value} at {w}")
-        for image in orbit(rs, w):
+        for image in reference_orbit(rs, w):
             table[image] = int(value)
     return table
 

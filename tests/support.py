@@ -7,6 +7,7 @@ elimination behind a root system's simple coefficients, the ``Fraction``
 half-sums, reduced roots, coset residues, lattice membership and
 containment and the integrality of a weight, all of which the library now
 runs on the integer grid (``roots.Grid``),
+the breadth-first ``Weight`` orbit that ``roots.orbit`` replaced,
 ``dominant_representative`` and ``inverse``, which the kernel
 classification once composed to find sigma, the quarter-delta pair, whose
 grid needs D = 4, a half-scaled C2 pair whose subgroup's grid is coarser
@@ -18,10 +19,10 @@ from typing import Dict
 
 from character_reference import FormalCharacter
 from dirackernel.errors import (ConsistencyError, DimensionError,
-                                NonDominantError)
+                                GroupOrderLimitError, NonDominantError)
 from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
-from dirackernel.roots import (RootSystem, WeylElement, dominant_walk,
-                               weyl_group)
+from dirackernel.roots import (ORBIT_LIMIT, RootSystem, WeylElement,
+                               dominant_walk, weyl_group)
 from dirackernel.sympair import SymmetricPair, W1Element
 
 
@@ -75,6 +76,32 @@ def dominant_representative(w: Weight, rs: RootSystem):
     steps, dominant = dominant_walk(w, rs)
     regular = rs.is_dominant(dominant, strict=True)
     return WeylElement.from_word(rs, steps[::-1]), dominant, regular
+
+
+def reference_orbit(rs: RootSystem, v: Weight,
+                    limit: int = ORBIT_LIMIT) -> dict:
+    """The W-orbit of the weight v as {image: word}, with s_word[0] ...
+    s_word[-1] v = image, on ``Fraction``s: breadth-first from any v,
+    every image reflected in every simple root, generators in index order,
+    a new image's word being the generator prepended to its parent's.  The
+    reference for ``roots.orbit``, which walks down from a dominant start
+    on the grid."""
+    seen = {v: ()}
+    frontier = [v]
+    while frontier:
+        new_frontier = []
+        for u in frontier:
+            word = seen[u]
+            for i in range(len(rs.simple_roots)):
+                image = rs.reflect(u, i)
+                if image not in seen:
+                    seen[image] = (i,) + word
+                    new_frontier.append(image)
+                    if len(seen) > limit:
+                        raise GroupOrderLimitError(
+                            f"group closure exceeded limit {limit}")
+        frontier = new_frontier
+    return seen
 
 
 def reference_half_sum(roots, rank: int) -> Weight:

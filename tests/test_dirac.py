@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -17,7 +19,8 @@ from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
                                  builtin_pair_names)
 from corpus import CORPUS, corpus_pair
-from oracle_reference import checked_euler, reference_kernel
+from oracle_reference import (checked_euler, reference_character,
+                              reference_kernel)
 from peel_reference import peel
 from support import (act, dominant_representative, identity, inverse,
                      quarter_delta_pair, reference_contains)
@@ -171,7 +174,47 @@ def brute_force_shell(pair, lam, scale=Fraction(1)):
     return sorted(found)
 
 
+def integer_brute_force_shell(pair, lam):
+    """The shell of lambda (lam = D lambda) on ``grid(pair.root_system)``
+    by a scan of the whole box |x_k| <= |x| for x = D (nu + delta), the
+    last coordinate looked up among the squares: every dominant D nu in
+    D F with |nu + delta| = |lambda + delta|, sorted.  No bound from a
+    simple-root inequality and no step by residue."""
+    g = grid(pair.root_system)
+    total = sum((a + d) ** 2 for a, d in zip(lam, g.delta))
+    bound = math.isqrt(total)
+    roots_of = {}
+    for c in range(-bound, bound + 1):
+        roots_of.setdefault(c * c, []).append(c)
+    found = []
+    for head in itertools.product(range(-bound, bound + 1),
+                                  repeat=pair.rank - 1):
+        for last in roots_of.get(total - sum(c * c for c in head), ()):
+            nu = tuple(map(sub, head + (last,), g.delta))
+            if g.contains(pair.lattice_F, nu) and g.is_dominant(nu):
+                found.append(nu)
+    return sorted(found)
+
+
 class TestCasimirShell:
+    @pytest.mark.parametrize("family,rank,node", [
+        (family, rank, node) for family, rank in [("A", 3), ("C", 3), ("D", 4)]
+        for node in range(rank)] + [("B", 3, 0)])
+    def test_bounded_search_matches_integer_brute_force(self, family, rank,
+                                                        node):
+        # simple roots e_i - e_(i+1) have a negative coefficient, which
+        # bounds a coordinate from above; every coset residue of F
+        pair = corpus_pair(family, rank, node)
+        g = grid(pair.root_system)
+        nonempty = 0
+        for residue in sorted(g.residues(pair.lattice_F)):
+            for t in itertools.product(range(-1, 2), repeat=pair.rank):
+                lam = tuple(map(add, residue, (g.scale * c for c in t)))
+                shell = dirac._shell_points(pair, g, lam)
+                assert shell == integer_brute_force_shell(pair, lam), lam
+                nonempty += bool(shell)
+        assert nonempty
+
     def test_so3_lambda_two(self):
         assert casimir_shell(builtin_pair("so3_so2"), W("2")) == [W("2")]
 
@@ -263,7 +306,8 @@ KERNEL_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
 def kernel_weights(pair, s):
     """``_extraction_kernel(pair, s)`` read back as {Weight: c}."""
     g = grid(pair.root_system)
-    return {g.weight(k): c for k, c in dirac._extraction_kernel(pair, s)}
+    return {g.weight(k): c
+            for k, c in dirac._extraction_kernel(pair, s).items()}
 
 
 class TestExtractionKernel:
@@ -310,6 +354,27 @@ class TestExtractionKernel:
             dirac._extraction_kernel.__wrapped__(pair, 1)
         with pytest.raises(ConsistencyError, match="not on the grid"):
             dirac.euler_verify(pair, W("5/2,3/2"))
+
+
+class TestOracleSampleTables:
+    def test_weight_tables_match_fraction_freudenthal(self):
+        # every nu on the shells of the benchmark's oracle sample, the 103
+        # admissible mu with lambda in these boxes: the integer table
+        # against Freudenthal on Fraction weights
+        boxes = {"so3_so2": 10, "so5_so4": 4, "so5_so2xso3": 4,
+                 "so7_so6": 1, "so9_so8": 0}
+        sample = 0
+        for name, box in boxes.items():
+            pair = builtin_pair(name)
+            rs = pair.root_system
+            shells = set()
+            for lam, _mu in admissible_box(pair, box):
+                sample += 1
+                shells.update(casimir_shell(pair, lam))
+            for nu in sorted(shells):
+                assert irreducible_character(rs, nu).terms == \
+                    reference_character(rs, nu), (name, nu)
+        assert sample == 103
 
 
 class TestFrobeniusDifferential:

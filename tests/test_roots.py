@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
-                                UnsupportedRootSystemError)
+                                NonDominantError, UnsupportedRootSystemError)
 from dirackernel.lattice import HALF, Weight, inner_product
 from dirackernel.roots import (Grid, RootSystem, WeylElement, _solve,
                                build_classical, classical_dimension, grid,
@@ -18,7 +18,7 @@ from support import (act, all_roots, bc1_pair, compose,
                      dominant_representative, half_c2_pair, identity,
                      inverse, is_sublattice, quarter_delta_pair,
                      reference_contains, reference_half_sum,
-                     reference_reduced, reference_residues,
+                     reference_orbit, reference_reduced, reference_residues,
                      reference_solve, simple_coefficients)
 
 
@@ -173,6 +173,36 @@ class TestBuildClassical:
         with pytest.raises(UnsupportedRootSystemError,
                            match=str(built.value)):
             classical_dimension(family, rank)
+
+
+class TestEquality:
+    """Equality compares the rank and the int tuples 2 alpha, not names."""
+
+    def test_separately_built_systems_are_equal(self):
+        for family, rank in [("A", 3), ("B", 2), ("B", 4), ("C", 3),
+                             ("D", 4)]:
+            a, b = build_classical(family, rank), build_classical(family, rank)
+            assert a is not b and a == b and hash(a) == hash(b)
+        # so5_so2xso3 holds its own B2, equal to so5_so4's
+        a = builtin_pair("so5_so4").root_system
+        b = builtin_pair("so5_so2xso3").root_system
+        assert a is not b and a == b and hash(a) == hash(b)
+        named = RootSystem(2, a.positive_roots, name="renamed")
+        assert named == a and hash(named) == hash(a)
+
+    def test_root_order_and_rank_count(self):
+        rs = build_classical("B", 2)
+        reordered = RootSystem(2, rs.positive_roots[::-1])
+        assert reordered != rs and not reordered == rs
+        assert RootSystem(1, []) != RootSystem(2, [])
+        assert RootSystem(2, []) == RootSystem(2, [])
+
+    def test_matches_fraction_tuple_equality(self):
+        systems = ([p.h_system for p in W1_PAIRS]
+                   + [build_classical(f, r) for f in "ABCD" for r in (2, 3)])
+        for a, b in itertools.product(systems, repeat=2):
+            assert (a == b) == ((a.rank, a.positive_roots)
+                                == (b.rank, b.positive_roots)), (a, b)
 
 
 def reference_simple_data(rs: RootSystem) -> tuple:
@@ -401,11 +431,13 @@ class TestWeylGroup:
         build_classical("D", 4),
         # B2 scaled by 1/2: delta = 3/4,1/4 sits on the grid with D = 4
         RootSystem(2, [W("1/2,-1/2"), W("1/2,1/2"), W("1/2,0"),
-                       W("0,1/2")])], ids=lambda rs: repr(rs))
+                       W("0,1/2")]),
+        build_classical("C", 3), build_classical("B", 4),
+        build_classical("A", 4)], ids=lambda rs: repr(rs))
     def test_grid_orbit_matches_fraction_orbit(self, rs):
-        # weyl_group walks D delta on ints; orbit on Fraction weights is
-        # the reference for images, words and order
-        reference = orbit(rs, rs.delta)
+        # weyl_group walks D delta down on ints; the breadth-first orbit on
+        # Fraction weights is the reference for images, words and order
+        reference = reference_orbit(rs, rs.delta)
         group = weyl_group(rs)
         assert [(w.image, w.word) for w in group] == sorted(reference.items())
         for w in group:
@@ -458,19 +490,54 @@ class TestWeylOrder:
 class TestOrbit:
     def test_words_reach_every_image(self):
         rs = build_classical("B", 3)
+        g = grid(rs)
         group = weyl_group(rs)
         for v, size in [("1,0,0", 6), ("1,1,0", 12), ("1/2,1/2,1/2", 8),
                         ("2,1,0", 24), ("0,0,0", 1)]:
             v = W(v)
-            images = orbit(rs, v)
+            images = {g.weight(x): word
+                      for x, word in orbit(g, g.point(v)).items()}
             assert set(images) == {act(w, v) for w in group}
             assert len(images) == size
             for image, word in images.items():
                 assert act(WeylElement.from_word(rs, word), v) == image
 
+    @pytest.mark.parametrize("family,rank,weights", [
+        ("B", 3, ["1,0,0", "1,1,0", "1/2,1/2,1/2", "2,1,0", "0,0,0"]),
+        ("C", 3, ["1,0,0", "1,1,0", "2,1,1", "3,1,0"]),
+        ("A", 3, ["1,0,0,0", "1,1,0,0", "2,1,0,-1", "1,1,1,1"]),
+        ("D", 4, ["1,0,0,0", "1,1,0,0", "1/2,1/2,1/2,-1/2", "2,1,1,-1"]),
+        ("B", 4, ["1,1,0,0", "3/2,1/2,1/2,1/2", "3,2,1,0"])])
+    def test_matches_the_weight_reference(self, family, rank, weights):
+        # walking down from a dominant start keeps the images, words and
+        # order of the breadth-first orbit that reflects every image in
+        # every simple root
+        rs = build_classical(family, rank)
+        g = grid(rs)
+        for v in map(W, weights):
+            assert list(orbit(g, g.point(v)).items()) == [
+                (g.point(w), word)
+                for w, word in reference_orbit(rs, v).items()], v
+
+    @pytest.mark.parametrize("family,rank,v", [
+        ("B", 3, "1,-1,0"), ("A", 3, "0,1,0,0"), ("C", 3, "-1/2,0,0")])
+    def test_non_dominant_start_raises(self, family, rank, v):
+        g = grid(build_classical(family, rank), 4)
+        with pytest.raises(NonDominantError) as raised:
+            orbit(g, g.point(W(v)))
+        assert str(raised.value) == f"orbit start {v} is not dominant"
+
+    def test_non_integral_start_raises(self):
+        g = Grid(build_classical("B", 2), 4)
+        with pytest.raises(ConsistencyError, match="pairs to 1/2"):
+            orbit(g, g.point(W("1/4,1/4")))
+
     def test_limit(self):
+        g = grid(build_classical("B", 3))
         with pytest.raises(GroupOrderLimitError):
-            orbit(build_classical("B", 3), W("2,1,0"), limit=10)
+            orbit(g, g.point(W("2,1,0")), limit=10)
+        with pytest.raises(GroupOrderLimitError):
+            reference_orbit(build_classical("B", 3), W("2,1,0"), limit=10)
 
 
 class TestDominantRepresentative:

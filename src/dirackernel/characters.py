@@ -2,7 +2,8 @@
 a factor D fixed per root system.
 
 The character of an irreducible pi_nu is one cached integer weight table
-per (root system, nu) (``weight_table``): the Freudenthal multiplicity
+per grid point D nu (``grid_table``; ``weight_table`` converts and checks
+a (root system, nu) at the edge): the Freudenthal multiplicity
 recursion evaluated on the dominant weights only, each value copied over
 the Weyl orbit of its weight.  Dimensions come from Weyl's product formula
 as a quotient of two integer products on the same grid, cross-checked
@@ -71,9 +72,11 @@ def _dominant_weights(g: Grid, top: tuple) -> list:
 
 
 def _refined_grid(rs: RootSystem, weights) -> Grid:
-    """The grid of rs, refined by the denominators of the weights."""
-    return grid(rs, math.lcm(grid(rs).scale,
-                             *(c.denominator for w in weights for c in w)))
+    """The grid of rs refined by the denominators of the weights; grid(rs)
+    itself when they divide its scale, so that tables share one key."""
+    g = grid(rs)
+    scale = math.lcm(g.scale, *(c.denominator for w in weights for c in w))
+    return g if scale == g.scale else grid(rs, scale)
 
 
 def _highest_weight_point(rs: RootSystem, nu: Weight) -> tuple:
@@ -93,13 +96,20 @@ class WeightTable(NamedTuple):
     terms: Dict[tuple, int]  # {D w: multiplicity of w}, zeros absent
 
 
-@lru_cache(maxsize=None)
 def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
     """The weight multiplicities of pi_nu on the grid of rs, refined by the
     denominators of nu (an A-family nu such as 2/3,-1/3,-1/3 needs 3).
 
     nu must be dominant; integrality against any particular lattice is
-    deliberately not required (spin representations are half-integral).
+    deliberately not required (spin representations are half-integral)."""
+    return grid_table(*_highest_weight_point(rs, Weight(nu)))[0]
+
+
+@lru_cache(maxsize=None)
+def grid_table(g: Grid, top: tuple) -> tuple:
+    """(WeightTable, dimension) of pi_nu for a checked highest weight
+    top = D nu on g; cached per grid point.
+
     Freudenthal runs on the dominant weights by descending <., delta>, and
     each value is copied over the W-orbit of its weight before the next.
     Every w + k alpha the recursion reads has a dominant representative
@@ -111,7 +121,6 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
     Works verbatim for reducible systems, systems with free torus
     directions, and empty systems (character = e^nu).
     """
-    g, top = _highest_weight_point(rs, Weight(nu))
     delta = g.delta
 
     def norm_shifted(x: tuple) -> int:
@@ -138,7 +147,7 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
             value = 2 * acc // gap
         for image in orbit(g, x):
             table[image] = value
-    return WeightTable(g, table)
+    return WeightTable(g, table), sum(table.values())
 
 
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:

@@ -20,7 +20,6 @@ Custom pairs load from a JSON file of the shape::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -52,6 +51,7 @@ def _field(data: dict, key: str, kind: type):
 
 
 def load_pair_file(path: str) -> SymmetricPair:
+    import json  # only here and in ``emit``: not on the import path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -122,6 +122,7 @@ def resolve_classical(token: str, *weights: str) -> tuple:
 
 def emit(doc: dict, machine: bool, lines: list, out) -> None:
     if machine:
+        import json
         print(json.dumps(doc, indent=2, sort_keys=False), file=out)
     else:
         for line in lines:

@@ -9,8 +9,9 @@ sgn(sigma) * (-1)^m.
 
 The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda as integer points on a
-sphere (``_shell_points``, bounded by the simple-root inequalities),
-computes Frobenius multiplicities on both sides by Brauer-Klimyk
+sphere, once per sphere (``_sphere``, bounded by the simple-root
+inequalities), reads each member's weight table and dimension once per
+grid point, computes Frobenius multiplicities on both sides by Brauer-Klimyk
 extraction (``_extract``: the weight multiplicities of pi_nu summed
 against signed shifts, the product of binomials prod (1 - e^alpha) over
 Delta_h^+ times the negated half-spin character, read from the binomial
@@ -29,9 +30,9 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Dict, NamedTuple, Optional
 
-from .characters import weight_table, weyl_dim
+from .characters import grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
-from .lattice import Weight, inner_product
+from .lattice import LatticeSpec, Weight, inner_product
 from .roots import Grid, WeylElement, dominant_walk, grid
 from .spin import binomial_products, times_binomial
 from .sympair import SymmetricPair, admissibility_failures
@@ -149,32 +150,38 @@ def _squares_summing_to(offsets: tuple, step: int, total: int,
                 yield prefix + (x,)
 
 
-def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> list:
-    """The Casimir shell of lambda as the sorted grid points D nu, for
-    lam = D lambda on ``g = grid(pair.root_system)``.
+def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> tuple:
+    """The Casimir shell of lam = D lambda on g = grid(pair.root_system)."""
+    return _sphere(g, pair.lattice_F,
+                   sum((a + d) ** 2 for a, d in zip(lam, g.delta)))
 
-    Since <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2, members satisfy
-    |nu + delta| = |lambda + delta|.  Per residue r of F (``Grid.residues``)
-    the points x = D (nu + delta) are the integer vectors with x = r +
-    D delta mod D and sum x_k^2 = |D (lambda + delta)|^2.  nu is dominant
-    iff <x, D a> >= <D delta, D a> for each simple root a: each coordinate
-    steps by D within the integer square root of what remains and the
-    bounds of the a whose support it completes; the end point is tested.
+
+@lru_cache(maxsize=None)
+def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
+    """The dominant D nu in D F (F = ``lattice``) with |D (nu + delta)|^2 =
+    total, sorted; cached per sphere.  It is the shell of every lambda on
+    that sphere, as <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2.
+
+    Per residue r of F (``Grid.residues``) the points x = D (nu + delta)
+    are the integer vectors with x = r + D delta mod D and sum x_k^2 =
+    total.  nu is dominant iff <x, D a> >= <D delta, D a> for each simple
+    root a: each coordinate steps by D within the integer square root of
+    what remains and the bounds of the a whose support it completes; the
+    end point is tested.
     """
     delta = g.delta
-    total = sum((a + d) ** 2 for a, d in zip(lam, delta))
     checks = [[] for _ in delta]
     for support, _ in g.supports:
         checks[support[-1][0]].append(
             (support, sum(delta[k] * c for k, c in support)))
     found = []
-    for residue in g.residues(pair.lattice_F):
+    for residue in g.residues(lattice):
         offsets = tuple(map(add, residue, delta))
         for x in _squares_summing_to(offsets, g.scale, total, checks):
             nu = tuple(map(sub, x, delta))
             if g.is_dominant(nu):
                 found.append(nu)
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
@@ -253,23 +260,23 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     Over every shell member nu: (a) the two Frobenius multiplicities never
     exceed one in total, and (b) the signed sum of multiplicities equals
     +[nu0], -[nu0] or 0 according to the kernel result.  Failures are
-    reported, not raised.  mu is checked once, by ``dirac_kernel``; the
-    shell members are built on the grid, so they need no further checks.
+    reported, not raised.  mu is checked once, by ``dirac_kernel``, and
+    converted once; the shell members, dominant points of F, need no checks.
     """
     mu = Weight(mu)
     kernel = dirac_kernel(pair, mu)
     g = grid(pair.root_system)
-    lam = mu - pair.delta_p
     x = g.point(mu)
+    lam = tuple(map(sub, x, g.half_sum(pair.p_index)))
     rows = []
     failures = []
     signed: Dict[Weight, int] = {}
-    for point in _shell_points(pair, g, g.point(lam)):
+    for point in _shell_points(pair, g, lam):
+        table, dimension = grid_table(g, point)
+        m_plus = _extract(pair, table.terms, x, +1)
+        m_minus = _extract(pair, table.terms, x, -1)
         nu = g.weight(point)
-        table = weight_table(g.rs, nu).terms
-        m_plus = _extract(pair, table, x, +1)
-        m_minus = _extract(pair, table, x, -1)
-        rows.append(ShellRow(nu, sum(table.values()), m_plus, m_minus))
+        rows.append(ShellRow(nu, dimension, m_plus, m_minus))
         if m_plus + m_minus > 1:
             failures.append(
                 f"multiplicity bound violated at nu={nu}: "
@@ -287,7 +294,7 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
             f"signed sum {sorted(signed.items())} does not match "
             f"classification {sorted(expected.items())}")
     return EulerReport(
-        pair_name=pair.name, mu=mu, lam=lam, rows=tuple(rows),
+        pair_name=pair.name, mu=mu, lam=g.weight(lam), rows=tuple(rows),
         signed_sum=tuple(sorted(signed.items())),
         expected=tuple(sorted(expected.items())),
         kernel=kernel, failures=tuple(failures))

@@ -53,8 +53,11 @@ class Weight(tuple):
             raise ValueError(f"empty weight string: {text!r}")
         try:
             return cls(Fraction(p) for p in parts)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad weight string {text!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError(
+                f"bad weight string {text!r}: a denominator is zero") from None
 
     def _check_len(self, other: Sequence) -> None:
         if len(self) != len(other):

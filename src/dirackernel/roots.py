@@ -354,13 +354,23 @@ class Grid:
     def is_dominant(self, x: tuple, strict: bool = False) -> bool:
         """<w, a^> >= 0 (> 0 when strict) for every simple root a."""
         least = 1 if strict else 0  # <x, D a> is an integer
-        return all(sum(x[k] * c for k, c in support) >= least
-                   for support, _ in self.supports)
+        for support, _ in self.supports:
+            dot = 0
+            for k, c in support:
+                dot += x[k] * c
+            if dot < least:
+                return False
+        return True
 
     def is_integral(self, x: tuple) -> bool:
         """<w, a^> is an integer for every simple root a."""
-        return all(2 * sum(x[k] * c for k, c in support) % norm == 0
-                   for support, norm in self.supports)
+        for support, norm in self.supports:
+            dot = 0
+            for k, c in support:
+                dot += x[k] * c
+            if 2 * dot % norm:
+                return False
+        return True
 
     def coroot_pairing(self, x: tuple, i: int) -> int:
         """<w, b^> for the i-th mirror b (for i below the number of simple

@@ -654,7 +654,7 @@ class TestInvariantsRaise:
         monkeypatch.setattr(characters, "_dominant_weights",
                             lambda grid, top: broken)
         with pytest.raises(ConsistencyError, match="Freudenthal"):
-            characters.weight_table.__wrapped__(rs, nu)
+            characters.grid_table.__wrapped__(g, g.point(nu))
 
     def test_off_grid_coordinate(self, monkeypatch):
         # delta = 3/2,1/2 of B2 is not on the grid Z, so a grid of scale 1
@@ -664,7 +664,7 @@ class TestInvariantsRaise:
         monkeypatch.setattr(characters, "grid",
                             lambda rs, scale=None: characters.Grid(rs, 1))
         with pytest.raises(ConsistencyError, match="not on the grid"):
-            characters.weight_table.__wrapped__(rs, W("1,0"))
+            characters.weight_table(rs, W("1,0"))
         g = characters.Grid(rs, 4)
         with pytest.raises(ConsistencyError, match="pairs to 1/2"):
             g.reflect(g.point(W("0,1/4")), 1)

@@ -586,6 +586,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: group closure exceeded limit 10\n"
 
+    def test_zero_denominator_exits_two_with_one_line(self, tmp_path):
+        code, out, err = invoke(["verify", "euler", "so3_so2", "--mu", "1/0"])
+        assert (code, out) == (2, "")
+        assert err == "error: bad weight string '1/0': a denominator is zero\n"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(dict(README_PAIR, positive_roots=[
+            "1,-1", "1,1", "1/0,0", "0,1"])), encoding="utf-8")
+        code, out, err = invoke(["verify", "euler", str(path), "--mu", "1,0"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: bad weight string "
+                       "'1/0,0': a denominator is zero\n")
+
     def test_w1_over_the_limit_exits_two_at_once(self, tmp_path):
         # A22 node 11 has |W_1| = C(23, 12) = 1,352,078, refused from the
         # exponents before W_1 is searched
@@ -754,10 +766,12 @@ def test_golden_output(key):
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Every cold CLI process pays for what ``import dirackernel.cli``
-    loads, and ``dataclasses`` brings ``inspect``, ``ast`` and ``dis``."""
+    loads, and ``dataclasses`` brings ``inspect``, ``ast`` and ``dis``.
+    ``json`` is not loaded either: only a pair file and machine output
+    need it, and they import it where they read or write it."""
     src = Path(dirackernel.__file__).resolve().parent.parent
-    code = ("import sys, dirackernel.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, dirackernel.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)

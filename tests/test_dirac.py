@@ -5,6 +5,7 @@ from operator import add, sub
 
 import pytest
 
+import dirackernel.characters as characters
 import dirackernel.dirac as dirac
 import dirackernel.spin as spin
 from character_reference import (casimir_shell, frobenius_multiplicity,
@@ -12,7 +13,7 @@ from character_reference import (casimir_shell, frobenius_multiplicity,
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
-from dirackernel.lattice import Weight, inner_product
+from dirackernel.lattice import LatticeSpec, Weight, inner_product
 from dirackernel.roots import Grid, grid, weyl_group
 from dirackernel.spin import spinor_weights
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
@@ -211,9 +212,61 @@ class TestCasimirShell:
             for t in itertools.product(range(-1, 2), repeat=pair.rank):
                 lam = tuple(map(add, residue, (g.scale * c for c in t)))
                 shell = dirac._shell_points(pair, g, lam)
-                assert shell == integer_brute_force_shell(pair, lam), lam
+                assert shell == tuple(integer_brute_force_shell(pair, lam)), \
+                    lam
                 nonempty += bool(shell)
         assert nonempty
+
+    @pytest.mark.parametrize("family,rank,node", CORPUS)
+    def test_sphere_cache_matches_integer_brute_force(self, family, rank,
+                                                      node):
+        # lambda = D t and its reflections s_i(lambda + delta) - delta, on
+        # the same sphere: each read cold (cache cleared), then all warm
+        pair = corpus_pair(family, rank, node)
+        g = grid(pair.root_system)
+        lams = []
+        for t in [(0,) * pair.rank, (1, 1) + (0,) * (pair.rank - 2)]:
+            lam = tuple(g.scale * c for c in t)
+            shifted = tuple(map(add, lam, g.delta))
+            lams += [lam] + [tuple(map(sub, g.reflect(shifted, i), g.delta))
+                             for i in range(len(g.supports))]
+        expected = {lam: tuple(integer_brute_force_shell(pair, lam))
+                    for lam in lams}
+        for lam in lams:
+            dirac._sphere.cache_clear()
+            assert dirac._shell_points(pair, g, lam) == expected[lam], lam
+        dirac._sphere.cache_clear()
+        for lam in lams:
+            assert dirac._shell_points(pair, g, lam) == expected[lam], lam
+        assert dirac._sphere.cache_info().misses == 2
+        assert all(expected.values())
+
+    def test_equal_norms_share_one_tuple(self):
+        # |lambda + delta|^2 = 29/2 for all three, delta = 3/2,1/2
+        pair = builtin_pair("so5_so4")
+        g = grid(pair.root_system)
+        dirac._sphere.cache_clear()
+        first = dirac._shell_points(pair, g, g.point(W("2,1")))
+        assert first == (g.point(W("2,1")),)
+        for other in ("2,-2", "0,3"):
+            assert dirac._shell_points(pair, g, g.point(W(other))) is first
+        assert dirac._shell_points(pair, g, g.point(W("1,1"))) is not first
+
+    def test_pairs_on_one_grid_keep_their_own_F(self):
+        # the roots of so5_so4 with F = Z^2 u (Z + 1/2)^2 (Spin(5)): on the
+        # sphere of lambda = 3/2,1/2 only the second F has a member
+        base = builtin_pair("so5_so4")
+        halves = LatticeSpec(2, [W("0,0"), W("1/2,1/2")])
+        spin = SymmetricPair(base.root_system, base.h_positive,
+                             lattice_F=halves, lattice_F1=halves,
+                             name="spin5_spin4")
+        g = grid(base.root_system)
+        lam = g.point(W("3/2,1/2"))
+        dirac._sphere.cache_clear()
+        for pair in (base, spin, base, spin):
+            assert dirac._shell_points(pair, g, lam) == \
+                tuple(integer_brute_force_shell(pair, lam)), pair.name
+        assert dirac._shell_points(spin, g, lam) == (lam,)
 
     def test_so3_lambda_two(self):
         assert casimir_shell(builtin_pair("so3_so2"), W("2")) == [W("2")]
@@ -356,15 +409,21 @@ class TestExtractionKernel:
             dirac.euler_verify(pair, W("5/2,3/2"))
 
 
+# pair -> box on |lambda_i| of the benchmark's oracle sample (103 mu)
+ORACLE_SAMPLE_BOXES = {"so3_so2": 10, "so5_so4": 4, "so5_so2xso3": 4,
+                       "so7_so6": 1, "so9_so8": 0}
+# the ROADMAP's baseline rungs of the oracle
+ROADMAP_RUNGS = [("so7_so6", "5/2,3/2,1/2"), ("so7_so6", "9/2,5/2,1/2"),
+                 ("so7_so6", "13/2,7/2,3/2"), ("so9_so8", "7/2,5/2,3/2,1/2")]
+
+
 class TestOracleSampleTables:
     def test_weight_tables_match_fraction_freudenthal(self):
         # every nu on the shells of the benchmark's oracle sample, the 103
         # admissible mu with lambda in these boxes: the integer table
         # against Freudenthal on Fraction weights
-        boxes = {"so3_so2": 10, "so5_so4": 4, "so5_so2xso3": 4,
-                 "so7_so6": 1, "so9_so8": 0}
         sample = 0
-        for name, box in boxes.items():
+        for name, box in ORACLE_SAMPLE_BOXES.items():
             pair = builtin_pair(name)
             rs = pair.root_system
             shells = set()
@@ -490,6 +549,7 @@ class TestEulerVerify:
                                 "so5_so4: mu not dominant for Delta_h+")])
     def test_inadmissible_mu_raises_before_the_shell(self, monkeypatch, name,
                                                      mu, message):
+        dirac._sphere.cache_clear()  # else delta_p's shell may be cached
         searches = []
         search = dirac._squares_summing_to
 
@@ -505,6 +565,24 @@ class TestEulerVerify:
         assert searches == []
         dirac.euler_verify(pair, pair.delta_p)
         assert searches
+
+    def test_cold_caches_give_the_warm_reports(self):
+        # the oracle sample and the rungs with the shell and table caches
+        # cleared before every call, against a second warm pass
+        ops = [(builtin_pair(name), mu)
+               for name, box in ORACLE_SAMPLE_BOXES.items()
+               for _lam, mu in admissible_box(builtin_pair(name), box)]
+        ops += [(builtin_pair(name), W(mu)) for name, mu in ROADMAP_RUNGS]
+        assert len(ops) == 107
+        cold = []
+        for pair, mu in ops:
+            dirac._sphere.cache_clear()
+            characters.grid_table.cache_clear()
+            cold.append(dirac.euler_verify(pair, mu))
+        for pair, mu in ops:
+            dirac.euler_verify(pair, mu)
+        assert [dirac.euler_verify(pair, mu) for pair, mu in ops] == cold
+        assert all(report.passed for report in cold)
 
     def test_reads_neither_W_H_nor_W1(self, monkeypatch):
         def unusable(self):

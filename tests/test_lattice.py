@@ -27,8 +27,10 @@ class TestWeight:
             Weight.parse("")
         with pytest.raises(ValueError):
             Weight.parse("1,,2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             Weight.parse("1/0")
+        assert str(raised.value) == (
+            "bad weight string '1/0': a denominator is zero")
 
     def test_arithmetic_is_exact(self):
         a = W("1/3,1/3")

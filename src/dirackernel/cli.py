@@ -113,7 +113,9 @@ def resolve_classical(token: str, *weights: str) -> tuple:
     """The classical system a token such as B2 names, then the weights;
     their lengths are checked before the system is built."""
     family, digits = token[:1], token[1:]
-    if family.upper() not in "ABCD" or not digits.isdigit():
+    # str.isdigit also accepts superscripts and other scripts' digits
+    if (family.upper() not in "ABCD" or not digits.isascii()
+            or not digits.isdigit()):
         raise CliError(f"bad root-system token {token!r}; expected e.g. B2")
     n = classical_dimension(family, int(digits))
     parsed = [parse_weight(w, n) for w in weights]

@@ -6,10 +6,10 @@ pair by the Borel-de Siebenthal rule ``sympair.marked_node_pair``, and
 
 from functools import lru_cache
 
-from support import bc1_pair, quarter_delta_pair
 from dirackernel.roots import build_classical
 from dirackernel.sympair import (builtin_pair, builtin_pair_names,
                                  marked_node_pair)
+from reference_roots import bc1_pair, quarter_delta_pair
 
 CORPUS = [(family, rank, node)
           for family, ranks in [("A", (2, 3)), ("B", (2, 3, 4)),

@@ -1,0 +1,149 @@
+"""The references of the oracle layer: the extraction kernel as a sum over
+W_H, the product-and-peel multiplicity, the Casimir shell by a ``Fraction``
+and an integer brute-force scan, and ``checked_euler``; and ``Weight`` views
+of the library's shell and extraction.  The kernel per (pair, s), the
+product and peel per (pair, nu, s), which serves every mu, and each scan
+per sphere are computed once per session.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+from operator import sub
+from types import MappingProxyType
+from typing import Mapping
+
+from dirackernel.characters import weight_table, weyl_dim
+from dirackernel.dirac import (_extract, _extraction_kernel, _shell_points,
+                               euler_verify)
+from dirackernel.lattice import Weight, inner_product
+from dirackernel.roots import grid
+from reference_characters import irreducible_character, peel, side_character
+from reference_roots import listed_group, reference_contains
+
+
+@lru_cache(maxsize=None)
+def reference_kernel(pair, s) -> Mapping:
+    """{k: c} with m_mu = sum c * mult_nu(mu + k): over w in W_H and the
+    weights e of chi^s with their counts n_e (the rows of E^s that give e),
+    the shift delta_h - w delta_h - e carries sgn(w) n_e; cancelled shifts
+    are dropped."""
+    dh = pair.delta_h
+    chi = side_character(pair, s).terms
+    coeffs = {}
+    for w in listed_group(pair.h_system):
+        base = dh - w.image
+        for e, count in chi.items():
+            k = base - e
+            coeffs[k] = coeffs.get(k, 0) + w.sign * count
+    return MappingProxyType({k: c for k, c in coeffs.items() if c})
+
+
+def kernel_weights(pair, s) -> dict:
+    """``_extraction_kernel(pair, s)`` read back as {Weight: c}."""
+    g = grid(pair.root_system)
+    return {g.weight(k): c for k, c in _extraction_kernel(pair, s).items()}
+
+
+@lru_cache(maxsize=None)
+def _product_and_peel(pair, nu, s) -> dict:
+    product = (side_character(pair, s)
+               * irreducible_character(pair.root_system, nu))
+    return peel(product, pair.h_system)
+
+
+def reference_multiplicity(pair, nu, mu, side) -> int:
+    """The product-and-peel route: chi^s * pi_nu peeled over Delta_h by the
+    test reference ``peel``, not by the library, s = side for m even and
+    -side for m odd."""
+    s = side if pair.m % 2 == 0 else -side
+    return _product_and_peel(pair, nu, s).get(mu, 0)
+
+
+def frobenius_multiplicity(pair, nu, mu, side: int) -> int:
+    """The multiplicity of the mu-irreducible of the subgroup cover in
+    chi^s tensor pi_nu restricted, s = side for m even and -side for m
+    odd, for nu a dominant point of F and mu admissible."""
+    g = grid(pair.root_system)
+    table = weight_table(pair.root_system, Weight(nu)).terms
+    return _extract(pair, table, g.point(Weight(mu)), side)
+
+
+def casimir_shell(pair, lam) -> list:
+    """The dominant points nu of F with the Casimir scalar of lambda, for
+    lambda in F, sorted."""
+    g = grid(pair.root_system)
+    return [g.weight(nu)
+            for nu in _shell_points(pair, g, g.point(Weight(lam)))]
+
+
+def brute_force_shell(pair, lam, scale=Fraction(1)) -> list:
+    """Independent shell enumeration: scan the covering coordinate box and
+    keep dominant lattice points satisfying the scaled shell equation."""
+    shifted = lam + pair.delta
+    return list(_fraction_sphere(pair, inner_product(shifted, shifted),
+                                 scale))
+
+
+@lru_cache(maxsize=None)
+def _fraction_sphere(pair, radius_sq, scale) -> tuple:
+    # the shell of every lambda with |lambda + delta|^2 = radius_sq
+    delta = pair.delta
+    target = scale * (radius_sq - inner_product(delta, delta))
+    bound = 1
+    while bound * bound < radius_sq:
+        bound += 1
+    found = []
+    values = [Fraction(k, 2) for k in range(-2 * bound - 2, 2 * bound + 3)]
+    for coords in itertools.product(values, repeat=pair.rank):
+        nu = Weight(coords)
+        if not reference_contains(pair.lattice_F, nu):
+            continue
+        if not pair.root_system.is_dominant(nu):
+            continue
+        if scale * inner_product(nu + delta * 2, nu) == target:
+            found.append(nu)
+    return tuple(sorted(found))
+
+
+def integer_brute_force_shell(pair, lam) -> tuple:
+    """The shell of lambda (lam = D lambda) on ``grid(pair.root_system)``
+    by a scan of the whole box |x_k| <= |x| for x = D (nu + delta), the
+    last coordinate looked up among the squares: every dominant D nu in
+    D F with |nu + delta| = |lambda + delta|, sorted.  No bound from a
+    simple-root inequality and no step by residue."""
+    g = grid(pair.root_system)
+    return _integer_sphere(pair, sum((a + d) ** 2
+                                     for a, d in zip(lam, g.delta)))
+
+
+@lru_cache(maxsize=None)
+def _integer_sphere(pair, total) -> tuple:
+    # the shell of every lambda with |D (lambda + delta)|^2 = total
+    g = grid(pair.root_system)
+    bound = math.isqrt(total)
+    coords = range(-bound, bound + 1)
+    roots_of = {}
+    for c in coords:
+        roots_of.setdefault(c * c, []).append(c)
+    squares = [c * c for c in coords]
+    found = []
+    for head, head_squares in zip(
+            itertools.product(coords, repeat=pair.rank - 1),
+            itertools.product(squares, repeat=pair.rank - 1)):
+        for last in roots_of.get(total - sum(head_squares), ()):
+            nu = tuple(map(sub, head + (last,), g.delta))
+            if g.contains(pair.lattice_F, nu) and g.is_dominant(nu):
+                found.append(nu)
+    return tuple(sorted(found))
+
+
+def checked_euler(pair, mu):
+    """``euler_verify(pair, mu)``, after checking that every shell row's
+    dimension (the multiplicity mass of pi_nu) is ``weyl_dim``."""
+    report = euler_verify(pair, mu)
+    for row in report.rows:  # raised, not asserted: also under python -O
+        if row.dimension != weyl_dim(pair.root_system, row.nu):
+            raise AssertionError(f"{row} against weyl_dim")
+    return report

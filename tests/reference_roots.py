@@ -1,39 +1,33 @@
-"""Helpers that only the tests call, kept as test support: small
-conveniences over the library types, the interleaving branching rule that
-cross-checks ``branch_equal_rank``, the ``Fraction`` filter of W_1 out of
-the whole Weyl group, the ``Fraction`` checks of a pair's validation, the
-``Fraction`` product of Weyl's dimension formula, the ``Fraction``
-elimination behind a root system's simple coefficients, the ``Fraction``
-half-sums, reduced roots, coset residues, lattice membership and
-containment and the integrality of a weight, all of which the library now
-runs on the integer grid (``roots.Grid``),
-the breadth-first ``Weight`` orbit that ``roots.orbit`` replaced,
-``dominant_representative`` and ``inverse``, which the kernel
-classification once composed to find sigma, the quarter-delta pair, whose
-grid needs D = 4, a half-scaled C2 pair whose subgroup's grid is coarser
-than G's, and a pair on the non-reduced system BC1.
+"""The ``Fraction`` references of the root, lattice and pair layer, which
+the library runs on the integer grid (``roots.Grid``), and the helpers the
+tests share: the Weyl action by words, the breadth-first orbit, half-sums,
+reduced roots, residues, lattice membership and integrality, the solver
+behind the simple coefficients, Weyl's product formula, the W_1 filter, the
+pair checks, and three pairs no registry name reaches.  ``listed_group``
+lists ``roots.weyl_group`` once per session for each root system.
 """
 
+import itertools
 from fractions import Fraction
-from typing import Dict
+from functools import lru_cache
 
-from character_reference import FormalCharacter
 from dirackernel.errors import (ConsistencyError, DimensionError,
-                                GroupOrderLimitError, NonDominantError)
+                                GroupOrderLimitError)
 from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
 from dirackernel.roots import (ORBIT_LIMIT, RootSystem, WeylElement,
                                dominant_walk, weyl_group)
-from dirackernel.sympair import SymmetricPair, W1Element
+from dirackernel.sympair import SymmetricPair, W1Element, admissible_mu
 
 
-def mass(ch) -> int:
-    """Sum of multiplicities (the dimension, for a true character)."""
-    return sum(ch.terms.values())
+def W(text: str) -> Weight:
+    return Weight.parse(text)
 
 
-def support(ch) -> list:
-    """The weights of ch with a nonzero coefficient, sorted."""
-    return sorted(ch.terms)
+@lru_cache(maxsize=None)
+def listed_group(rs: RootSystem) -> tuple:
+    """``weyl_group(rs)``, listed once per session: equal root systems share
+    one listing."""
+    return weyl_group(rs)
 
 
 def act(element: WeylElement, v: Weight) -> Weight:
@@ -47,11 +41,20 @@ def act(element: WeylElement, v: Weight) -> Weight:
     return v
 
 
-def apply(ch, element: WeylElement) -> FormalCharacter:
-    """The Weyl action on a character: permutes the support, preserves the
-    multiplicities."""
-    return FormalCharacter(
-        ch.rank, {act(element, w): c for w, c in ch.terms.items()})
+def group_images(rs: RootSystem, weights) -> dict:
+    """{element: (its images of the weights)} over ``listed_group(rs)``: an
+    element's images are those of its parent, the element whose word drops
+    the first letter, reflected once.  The orbit words are suffix-closed, so
+    every parent comes first when the group is taken by word length."""
+    by_word = {(): tuple(weights)}
+    table = {}
+    for element in sorted(listed_group(rs), key=lambda w: len(w.word)):
+        word = element.word
+        if word:
+            by_word[word] = tuple(rs.reflect(v, word[0])
+                                  for v in by_word[word[1:]])
+        table[element] = by_word[word]
+    return table
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -62,6 +65,12 @@ def identity(rs: RootSystem) -> WeylElement:
 def inverse(element: WeylElement) -> WeylElement:
     """The inverse element: the reversed word."""
     return WeylElement.from_word(element.rs, reversed(element.word))
+
+
+def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
+    """w1 after w2, with a reduced word read off its image."""
+    image = act(w1, w2.image)
+    return WeylElement(w1.rs, dominant_walk(image, w1.rs)[0], image)
 
 
 def dominant_representative(w: Weight, rs: RootSystem):
@@ -152,6 +161,11 @@ def reference_residues(lattice: LatticeSpec) -> set:
     return {Weight(c % 1 for c in s) for s in lattice.coset_shifts}
 
 
+def integers_and_half_integers(rank: int) -> LatticeSpec:
+    """Z^m union (Z + 1/2)^m."""
+    return LatticeSpec(rank, [Weight.zero(rank), Weight([HALF] * rank)])
+
+
 def reference_solve(basis, vectors) -> list:
     """The coordinates of each vector over the vectors ``basis``, or None
     for one outside their span: one ``Fraction`` Gauss-Jordan elimination
@@ -197,6 +211,21 @@ def simple_coefficients(rs: RootSystem, vector: Weight) -> tuple:
     return coeffs
 
 
+def reference_simple_data(rs: RootSystem) -> tuple:
+    """(simple_index, coefficients) on ``Fraction`` weights: the positive
+    roots that are no sum of two, found by adding ``Weight``s, and the
+    coefficients of every positive root from the ``Fraction`` solver."""
+    roots = rs.positive_roots
+    index = {a: k for k, a in enumerate(roots)}
+    sums = {index[a + b] for i, a in enumerate(roots)
+            for b in roots[i:] if a + b in index}
+    simple_index = tuple(k for k in range(len(roots)) if k not in sums)
+    solved = reference_solve([roots[k] for k in simple_index], roots)
+    if not all(c.denominator == 1 and c >= 0 for cs in solved for c in cs):
+        raise ConsistencyError(f"{rs} has a root off the simple cone")
+    return simple_index, tuple(tuple(map(int, cs)) for cs in solved)
+
+
 def reference_weyl_dim(rs: RootSystem, nu: Weight) -> int:
     """Weyl's product formula on ``Fraction`` weights: the product over
     Delta^+ of <nu + delta, alpha> / <delta, alpha>."""
@@ -211,22 +240,6 @@ def reference_weyl_dim(rs: RootSystem, nu: Weight) -> int:
     return int(result)
 
 
-def all_roots(rs: RootSystem) -> tuple:
-    """The positive roots, then their negatives."""
-    return rs.positive_roots + tuple(-a for a in rs.positive_roots)
-
-
-def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """w1 after w2, with a reduced word read off its image."""
-    image = act(w1, w2.image)
-    return WeylElement(w1.rs, dominant_walk(image, w1.rs)[0], image)
-
-
-def integers_and_half_integers(rank: int) -> LatticeSpec:
-    """Z^m union (Z + 1/2)^m."""
-    return LatticeSpec(rank, [Weight.zero(rank), Weight([HALF] * rank)])
-
-
 def deltas(pair: SymmetricPair):
     """(delta, delta_h, delta_p); checks delta = delta_h + delta_p."""
     d, dh, dp = pair.delta, pair.delta_h, pair.delta_p
@@ -234,6 +247,16 @@ def deltas(pair: SymmetricPair):
         raise ConsistencyError(
             f"delta = {d} differs from delta_h + delta_p = {dh + dp}")
     return d, dh, dp
+
+
+def admissible_box(pair: SymmetricPair, box: int):
+    """(lambda, mu = lambda + delta_p) for every admissible mu with
+    |lambda_i| <= box, lambda in lex order."""
+    for coords in itertools.product(range(-box, box + 1), repeat=pair.rank):
+        lam = Weight(coords)
+        mu = lam + pair.delta_p
+        if admissible_mu(pair, mu):
+            yield lam, mu
 
 
 def quarter_delta_pair() -> SymmetricPair:
@@ -264,13 +287,13 @@ def bc1_pair() -> SymmetricPair:
 
 
 def reference_w1(pair: SymmetricPair) -> tuple:
-    """W_1 filtered out of ``weyl_group`` on ``Fraction`` weights: each sigma
-    whose image sigma(delta) is strictly Delta_h-dominant, in image order,
-    with its sign and delta_p^sigma = sigma(delta) - delta_h."""
+    """W_1 filtered out of the listed Weyl group on ``Fraction`` weights:
+    each sigma whose image sigma(delta) is strictly Delta_h-dominant, in
+    image order, with its sign and delta_p^sigma = sigma(delta) - delta_h."""
     h_system = pair.h_system
     return tuple(
         W1Element(sigma, sigma.sign, sigma.image - pair.delta_h)
-        for sigma in weyl_group(pair.root_system)
+        for sigma in listed_group(pair.root_system)
         if h_system.is_dominant(sigma.image, strict=True))
 
 
@@ -316,40 +339,3 @@ def reference_pair_failures(rs: RootSystem, h_positive, lattice_F,
     if not is_sublattice(lattice_F, lattice_F1):
         failures.append("lattice_containment: F is not contained in F1")
     return failures
-
-
-def branch_interleave_BD(m: int, nu: Weight) -> Dict[Weight, int]:
-    """Branching multiplicities for the odd/even orthogonal chain by the
-    interleaving condition nu_1 >= a_1 >= nu_2 >= ... >= nu_m >= |a_m|.
-
-    Components a run over the same integrality class as nu (all integers
-    or all half-odd-integers), each with multiplicity one.  Independent of
-    the character machinery; used as its cross-check.
-    """
-    nu = Weight(nu)
-    if len(nu) != m:
-        raise DimensionError(f"nu has length {len(nu)}, expected {m}")
-    if not all(nu[i] >= nu[i + 1] for i in range(m - 1)) or nu[-1] < 0:
-        raise NonDominantError(f"{nu} is not dominant for B{m}")
-    frac = nu[0] - int(nu[0])
-    if any(c - int(c) != frac for c in nu):
-        raise ValueError(f"{nu} is not in a single integrality class")
-
-    result: Dict[Weight, int] = {}
-
-    def extend(k: int, prefix: tuple) -> None:
-        if k == m - 1:
-            upper = nu[m - 1]
-            a = -upper
-            while a <= upper:
-                result[Weight(prefix + (a,))] = 1
-                a += 1
-            return
-        lower, upper = nu[k + 1], nu[k]
-        a = lower
-        while a <= upper:
-            extend(k + 1, prefix + (a,))
-            a += 1
-
-    extend(0, ())
-    return result

@@ -11,22 +11,19 @@ from fractions import Fraction
 from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             _m_scale, build_clifford,
                             simultaneous_spin_weights)
-from character_reference import (FormalCharacter, irreducible_character,
-                                 side_character)
 from dirackernel.characters import branch_equal_rank, weyl_dim
 from dirackernel.dirac import KernelStatus, chi_casimir_check, dirac_kernel
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import build_classical, weyl_group
 from dirackernel.spin import chi_decompose, chi_trace_difference
-from dirackernel.sympair import (admissible_mu, builtin_pair,
-                                 builtin_pair_names, w1_enumerate)
-from oracle_reference import checked_euler
-from support import (act, branch_interleave_BD, identity,
-                     reference_contains, support)
-
-
-def W(text):
-    return Weight.parse(text)
+from dirackernel.sympair import (builtin_pair, builtin_pair_names,
+                                 w1_enumerate)
+from reference_characters import (FormalCharacter, branch_interleave_BD,
+                                  irreducible_character, side_character,
+                                  subset_sum_weights, support)
+from reference_oracle import checked_euler
+from reference_roots import (W, admissible_box, group_images, identity,
+                             reference_contains)
 
 
 def report(number, label, failures):
@@ -45,18 +42,6 @@ def closed_form_bd(m, lam):
         nu = Weight(tuple(lam[:-1]) + (-(lam[-1] + 1),))
         plus = m % 2 == 1
     return (KernelStatus.PLUS if plus else KernelStatus.MINUS), nu
-
-
-def admissible_box(pair, bound):
-    """All lambda with coordinates in {-bound..bound} whose shifted weight
-    is admissible, in lex order."""
-    out = []
-    for coords in itertools.product(range(-bound, bound + 1),
-                                    repeat=pair.rank):
-        lam = Weight(coords)
-        if admissible_mu(pair, lam + pair.delta_p):
-            out.append(lam)
-    return out
 
 
 def test_criterion_01_so3_so2_closed_form():
@@ -85,9 +70,9 @@ def test_criterion_02_so2mp1_so2m_closed_form():
     cases = 0
     for m in (2, 3):
         pair = builtin_pair(f"so{2 * m + 1}_so{2 * m}")
-        for lam in admissible_box(pair, 3):
+        for lam, mu in admissible_box(pair, 3):
             expected_status, expected_nu = closed_form_bd(m, lam)
-            result = dirac_kernel(pair, lam + pair.delta_p)
+            result = dirac_kernel(pair, mu)
             if (result.status, result.nu) != (expected_status, expected_nu):
                 failures.append((m, lam, result.status, result.nu))
             cases += 1
@@ -106,8 +91,8 @@ def test_criterion_03_euler_oracle():
             failures.append(("so3_so2", lam1, rep.failures))
     for m in (2, 3):
         pair = builtin_pair(f"so{2 * m + 1}_so{2 * m}")
-        for lam in admissible_box(pair, 3):
-            rep = checked_euler(pair, lam + pair.delta_p)
+        for lam, mu in admissible_box(pair, 3):
+            rep = checked_euler(pair, mu)
             if not rep.passed:
                 failures.append((pair.name, lam, rep.failures))
     zero_case = checked_euler(builtin_pair("so5_so2xso3"), W("3/2,1"))
@@ -239,33 +224,28 @@ def test_criterion_09_branching_cross_check():
 def test_criterion_10_kostant_lemmas():
     failures = []
     # weight lemma: subset sums of positive roots reproduce pi_delta
-    for family, rank in [("B", 1), ("A", 2), ("B", 2), ("D", 2)]:
+    for family, rank in [("B", 1), ("A", 1), ("A", 2), ("B", 2), ("D", 2),
+                         ("C", 2)]:
         rs = build_classical(family, rank)
-        delta = rs.delta
-        counts = {}
-        n = len(rs.positive_roots)
-        for mask in range(2 ** n):
-            total = Weight.zero(rs.rank)
-            for i in range(n):
-                if mask >> i & 1:
-                    total = total + rs.positive_roots[i]
-            key = delta - total
-            counts[key] = counts.get(key, 0) + 1
-        if irreducible_character(rs, delta).terms != counts:
+        if irreducible_character(rs, rs.delta).terms != \
+                subset_sum_weights(rs):
             failures.append((family, rank, "weight lemma"))
-    # norm inequality with exact equality condition
+    # norm inequality with exact equality condition; xi1 and xi2 are
+    # aligned when one element of W takes them to nu1 and nu2
     rs = build_classical("B", 2)
-    group = weyl_group(rs)
     reps = [W("0,0"), W("1,0"), W("1,1"), W("2,0"), W("2,1"), W("2,2"),
             W("1/2,1/2"), W("3/2,1/2"), W("3/2,3/2")]
-    chars = {nu: irreducible_character(rs, nu) for nu in reps}
+    supports = {nu: support(irreducible_character(rs, nu)) for nu in reps}
+    weights = sorted(set().union(*supports.values()))
+    images = [dict(zip(weights, row))
+              for row in group_images(rs, weights).values()]
     for nu1, nu2 in itertools.product(reps, repeat=2):
         lhs = inner_product(nu1 + nu2, nu1 + nu2)
-        for xi1 in support(chars[nu1]):
-            for xi2 in support(chars[nu2]):
+        for xi1 in supports[nu1]:
+            for xi2 in supports[nu2]:
                 rhs = inner_product(xi1 + xi2, xi1 + xi2)
-                aligned = any(act(w, xi1) == nu1 and act(w, xi2) == nu2
-                              for w in group)
+                aligned = any(image[xi1] == nu1 and image[xi2] == nu2
+                              for image in images)
                 if lhs < rhs or (lhs == rhs) != aligned:
                     failures.append((nu1, nu2, xi1, xi2))
     report(10, "Kostant weight lemma and norm inequality", failures)

@@ -7,27 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirackernel.characters as characters
-from character_reference import (FormalCharacter, decompose,
-                                 irreducible_character, weight_multiplicity)
 from dirackernel.characters import (branch_equal_rank, tensor, weight_table,
                                    weyl_dim)
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 DimensionError, NonDominantError,
                                 SymmetryError)
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import (RootSystem, WeylElement, build_classical,
-                               weyl_group)
+from dirackernel.roots import RootSystem, WeylElement, build_classical
 from dirackernel.sympair import builtin_pair, builtin_pair_names
-from oracle_reference import reference_character
-from peel_reference import peel
-from support import (act, apply, branch_interleave_BD, is_integer_vector,
-                     mass, quarter_delta_pair, reference_contains,
-                     reference_is_integral, reference_weyl_dim,
-                     simple_coefficients, support)
-
-
-def W(text):
-    return Weight.parse(text)
+from reference_characters import (FormalCharacter, apply,
+                                  branch_interleave_BD, decompose,
+                                  irreducible_character, mass, peel,
+                                  reference_character, subset_sum_weights,
+                                  support, weight_multiplicity)
+from reference_roots import (W, act, is_integer_vector, listed_group,
+                             quarter_delta_pair, reference_contains,
+                             reference_is_integral, reference_weyl_dim,
+                             simple_coefficients)
 
 
 def mono(text, coeff=1):
@@ -84,7 +80,7 @@ class TestIrreducibleCharacter:
     def test_weyl_invariance(self):
         rs = build_classical("B", 2)
         ch = irreducible_character(rs, W("2,1"))
-        for w in weyl_group(rs):
+        for w in listed_group(rs):
             assert apply(ch, w) == ch
 
     def test_non_dominant_rejected(self):
@@ -117,7 +113,7 @@ class TestIrreducibleCharacter:
             ("D", 3, ["1,1,0", "1/2,1/2,-1/2"]),
         ]:
             rs = build_classical(family, rank)
-            group = weyl_group(rs)
+            group = listed_group(rs)
             delta = rs.delta
             denom = FormalCharacter.zero(rs.rank)
             for w in group:
@@ -210,7 +206,7 @@ class TestWeylDim:
 class TestHighestWeightCheck:
     """``_check_highest_weight`` on the grid point of nu against the
     ``Fraction`` checks: ``RootSystem.is_dominant``, then integrality
-    (``support.reference_is_integral``), with the same messages."""
+    (``reference_roots.reference_is_integral``), with the same messages."""
 
     # A-D, a subgroup with a torus direction (so5_so2xso3: h = {0,1} in
     # rank 2), an A1 in three coordinates and a torus of rank 2
@@ -438,36 +434,8 @@ class TestKostantWeightLemma:
     ])
     def test_subset_sums_match_character(self, family, rank):
         rs = build_classical(family, rank)
-        delta = rs.delta
-        counts = {}
-        n = len(rs.positive_roots)
-        for mask in range(2 ** n):
-            total = Weight.zero(rs.rank)
-            for i in range(n):
-                if mask >> i & 1:
-                    total = total + rs.positive_roots[i]
-            w = delta - total
-            counts[w] = counts.get(w, 0) + 1
-        assert irreducible_character(rs, delta).terms == counts
-
-
-class TestKostantNormInequality:
-    def test_exhaustive_rank_two(self):
-        rs = build_classical("B", 2)
-        group = weyl_group(rs)
-        reps = [W("0,0"), W("1,0"), W("1,1"), W("2,0"), W("2,1"),
-                W("1/2,1/2"), W("3/2,1/2")]
-        chars = {nu: irreducible_character(rs, nu) for nu in reps}
-        for nu1, nu2 in itertools.product(reps, repeat=2):
-            lhs = inner_product(nu1 + nu2, nu1 + nu2)
-            for xi1 in support(chars[nu1]):
-                for xi2 in support(chars[nu2]):
-                    rhs = inner_product(xi1 + xi2, xi1 + xi2)
-                    assert lhs >= rhs, (nu1, nu2, xi1, xi2)
-                    aligned = any(
-                        act(w, xi1) == nu1 and act(w, xi2) == nu2
-                        for w in group)
-                    assert (lhs == rhs) == aligned, (nu1, nu2, xi1, xi2)
+        assert irreducible_character(rs, rs.delta).terms == \
+            subset_sum_weights(rs)
 
 
 class TestBranching:
@@ -553,7 +521,7 @@ def small_highest_weights(rs):
 
 class TestIntegerTable:
     """The scaled-integer weight table against Freudenthal on Fraction
-    weights (``oracle_reference.reference_character``)."""
+    weights (``reference_characters.reference_character``)."""
 
     @pytest.mark.parametrize("family,rank", [
         ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 2),

@@ -598,6 +598,14 @@ class TestExitCodes:
         assert err == (f"error: bad pair file {path}: bad weight string "
                        "'1/0,0': a denominator is zero\n")
 
+    @pytest.mark.parametrize("token,nu", [("B\u00b2", "1"),
+                                          ("B\u0663", "1,0,0")])
+    def test_non_ascii_digits_in_system_token_exit_two(self, token, nu):
+        # a superscript two and an Arabic-Indic three are not a rank
+        assert invoke(["dim", token, "--nu", nu]) == (
+            2, "", f"error: bad root-system token {token!r}; "
+                   "expected e.g. B2\n")
+
     def test_w1_over_the_limit_exits_two_at_once(self, tmp_path):
         # A22 node 11 has |W_1| = C(23, 12) = 1,352,078, refused from the
         # exponents before W_1 is searched

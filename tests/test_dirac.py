@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 from operator import add, sub
 
@@ -8,27 +7,22 @@ import pytest
 import dirackernel.characters as characters
 import dirackernel.dirac as dirac
 import dirackernel.spin as spin
-from character_reference import (casimir_shell, frobenius_multiplicity,
-                                 irreducible_character, side_character)
+from corpus import CORPUS, corpus_pair
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
-from dirackernel.lattice import LatticeSpec, Weight, inner_product
-from dirackernel.roots import Grid, grid, weyl_group
-from dirackernel.spin import spinor_weights
+from dirackernel.lattice import LatticeSpec, Weight
+from dirackernel.roots import Grid, grid
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
                                  builtin_pair_names)
-from corpus import CORPUS, corpus_pair
-from oracle_reference import (checked_euler, reference_character,
-                              reference_kernel)
-from peel_reference import peel
-from support import (act, dominant_representative, identity, inverse,
-                     quarter_delta_pair, reference_contains)
-
-
-def W(text):
-    return Weight.parse(text)
+from reference_characters import irreducible_character, reference_character
+from reference_oracle import (brute_force_shell, casimir_shell,
+                              checked_euler, frobenius_multiplicity,
+                              integer_brute_force_shell, kernel_weights,
+                              reference_kernel, reference_multiplicity)
+from reference_roots import (W, act, admissible_box, dominant_representative,
+                             inverse, quarter_delta_pair, reference_contains)
 
 
 class TestCasimirEigenvalue:
@@ -52,13 +46,6 @@ class TestChiCasimir:
     ])
     def test_scalar_values(self, name, expected):
         assert chi_casimir_check(builtin_pair(name)) == expected
-
-    def test_all_builtins_consistent(self):
-        for name in builtin_pair_names():
-            pair = builtin_pair(name)
-            scalar = chi_casimir_check(pair)
-            assert scalar == (inner_product(pair.delta, pair.delta)
-                              - inner_product(pair.delta_h, pair.delta_h))
 
 
 class TestDiracKernel:
@@ -99,10 +86,7 @@ class TestDiracKernel:
     def test_status_matches_sign_rule(self):
         for name in builtin_pair_names():
             pair = builtin_pair(name)
-            for coords in itertools.product(range(-2, 3), repeat=pair.rank):
-                mu = Weight(coords) + pair.delta_p
-                if not admissible_mu(pair, mu):
-                    continue
+            for lam, mu in admissible_box(pair, 2):
                 result = dirac_kernel(pair, mu)
                 if result.status is KernelStatus.BOTH_ZERO:
                     continue
@@ -110,7 +94,7 @@ class TestDiracKernel:
                 assert (result.status is KernelStatus.PLUS) == plus
                 assert casimir_eigenvalue(pair, result.nu) == result.casimir
                 assert act(result.sigma, result.nu + pair.delta) == \
-                    (mu - pair.delta_p) + pair.delta
+                    lam + pair.delta
 
     @pytest.mark.parametrize("name", builtin_pair_names())
     def test_sigma_is_the_inverse_of_the_dominant_representative(self, name):
@@ -132,70 +116,6 @@ class TestDiracKernel:
                     ) == (sigma.word, sigma.image, sigma.sign)
         assert regular
 
-    def test_completeness_recovers_every_irreducible(self):
-        # nu + delta_p is admissible and comes back unchanged with sigma = 1.
-        for name in builtin_pair_names():
-            pair = builtin_pair(name)
-            ident = identity(pair.root_system)
-            for coords in itertools.product(range(3), repeat=pair.rank):
-                nu = Weight(coords)
-                if not pair.root_system.is_dominant(nu):
-                    continue
-                assert reference_contains(pair.lattice_F, nu)
-                result = dirac_kernel(pair, nu + pair.delta_p)
-                assert result.status is not KernelStatus.BOTH_ZERO
-                assert result.nu == nu
-                assert result.sigma == ident
-
-
-def brute_force_shell(pair, lam, scale=Fraction(1)):
-    """Independent shell enumeration: scan the covering coordinate box and
-    keep dominant lattice points satisfying the scaled shell equation."""
-    delta = pair.delta
-    target = scale * inner_product(lam + delta * 2, lam)
-    radius_sq = inner_product(lam + delta, lam + delta)
-    bound = 1
-    while bound * bound < radius_sq:
-        bound += 1
-    found = []
-    values = []
-    step = Fraction(1, 2)
-    v = -bound - 1
-    while v <= bound + 1:
-        values.append(v)
-        v += step
-    for coords in itertools.product(values, repeat=pair.rank):
-        nu = Weight(coords)
-        if not reference_contains(pair.lattice_F, nu):
-            continue
-        if not pair.root_system.is_dominant(nu):
-            continue
-        if scale * inner_product(nu + delta * 2, nu) == target:
-            found.append(nu)
-    return sorted(found)
-
-
-def integer_brute_force_shell(pair, lam):
-    """The shell of lambda (lam = D lambda) on ``grid(pair.root_system)``
-    by a scan of the whole box |x_k| <= |x| for x = D (nu + delta), the
-    last coordinate looked up among the squares: every dominant D nu in
-    D F with |nu + delta| = |lambda + delta|, sorted.  No bound from a
-    simple-root inequality and no step by residue."""
-    g = grid(pair.root_system)
-    total = sum((a + d) ** 2 for a, d in zip(lam, g.delta))
-    bound = math.isqrt(total)
-    roots_of = {}
-    for c in range(-bound, bound + 1):
-        roots_of.setdefault(c * c, []).append(c)
-    found = []
-    for head in itertools.product(range(-bound, bound + 1),
-                                  repeat=pair.rank - 1):
-        for last in roots_of.get(total - sum(c * c for c in head), ()):
-            nu = tuple(map(sub, head + (last,), g.delta))
-            if g.contains(pair.lattice_F, nu) and g.is_dominant(nu):
-                found.append(nu)
-    return sorted(found)
-
 
 class TestCasimirShell:
     @pytest.mark.parametrize("family,rank,node", [
@@ -212,8 +132,7 @@ class TestCasimirShell:
             for t in itertools.product(range(-1, 2), repeat=pair.rank):
                 lam = tuple(map(add, residue, (g.scale * c for c in t)))
                 shell = dirac._shell_points(pair, g, lam)
-                assert shell == tuple(integer_brute_force_shell(pair, lam)), \
-                    lam
+                assert shell == integer_brute_force_shell(pair, lam), lam
                 nonempty += bool(shell)
         assert nonempty
 
@@ -230,7 +149,7 @@ class TestCasimirShell:
             shifted = tuple(map(add, lam, g.delta))
             lams += [lam] + [tuple(map(sub, g.reflect(shifted, i), g.delta))
                              for i in range(len(g.supports))]
-        expected = {lam: tuple(integer_brute_force_shell(pair, lam))
+        expected = {lam: integer_brute_force_shell(pair, lam)
                     for lam in lams}
         for lam in lams:
             dirac._sphere.cache_clear()
@@ -265,7 +184,7 @@ class TestCasimirShell:
         dirac._sphere.cache_clear()
         for pair in (base, spin, base, spin):
             assert dirac._shell_points(pair, g, lam) == \
-                tuple(integer_brute_force_shell(pair, lam)), pair.name
+                integer_brute_force_shell(pair, lam), pair.name
         assert dirac._shell_points(spin, g, lam) == (lam,)
 
     def test_so3_lambda_two(self):
@@ -334,33 +253,9 @@ class TestFrobenius:
             assert frobenius_multiplicity(pair, zero, mu, -1) == 0
 
 
-def reference_multiplicity(pair, nu, mu, side):
-    """The product-and-peel route: chi^s * pi_nu peeled over Delta_h by the
-    test reference ``peel_reference.peel``, not by the library."""
-    s = side if pair.m % 2 == 0 else -side
-    product = (side_character(pair, s)
-               * irreducible_character(pair.root_system, nu))
-    return peel(product, pair.h_system).get(mu, 0)
-
-
-def admissible_box(pair, box):
-    """(lambda, mu) for every admissible mu with |lambda_i| <= box."""
-    for lam in itertools.product(range(-box, box + 1), repeat=pair.rank):
-        mu = Weight(lam) + pair.delta_p
-        if admissible_mu(pair, mu):
-            yield Weight(lam), mu
-
-
 KERNEL_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
                 + [corpus_pair(*node) for node in CORPUS]
                 + [quarter_delta_pair()])
-
-
-def kernel_weights(pair, s):
-    """``_extraction_kernel(pair, s)`` read back as {Weight: c}."""
-    g = grid(pair.root_system)
-    return {g.weight(k): c
-            for k, c in dirac._extraction_kernel(pair, s).items()}
 
 
 class TestExtractionKernel:
@@ -381,15 +276,7 @@ class TestExtractionKernel:
         # give is counted that many times
         pair = corpus_pair(family, rank, node)
         for s in (1, -1):
-            rows = [e for e in spinor_weights(pair).entries if e.parity == s]
-            walked = {}
-            for w in weyl_group(pair.h_system):
-                base = pair.delta_h - w.image
-                for e in rows:
-                    k = base - e.weight
-                    walked[k] = walked.get(k, 0) + w.sign
-            assert kernel_weights(pair, s) == {
-                k: c for k, c in walked.items() if c}
+            assert kernel_weights(pair, s) == reference_kernel(pair, s)
 
     @pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=lambda p: p.name)
     def test_product_matches_the_sum_over_W_H(self, pair):
@@ -511,10 +398,7 @@ class TestEulerVerify:
         # exercised by the acceptance suite and so9_so8 is sampled below
         for name in ("so3_so2", "so5_so4", "so5_so2xso3"):
             pair = builtin_pair(name)
-            for coords in itertools.product(range(-3, 4), repeat=pair.rank):
-                mu = Weight(coords) + pair.delta_p
-                if not admissible_mu(pair, mu):
-                    continue
+            for _lam, mu in admissible_box(pair, 3):
                 report = checked_euler(pair, mu)
                 assert report.passed, (name, mu, report.failures)
                 for row in report.rows:

@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 from dirackernel.errors import DimensionError
 from dirackernel.lattice import LatticeSpec, Weight, inner_product
 from dirackernel.roots import build_classical, grid
-from support import (integers_and_half_integers, is_sublattice,
-                     reference_contains)
-
-HALF = Fraction(1, 2)
-
-
-def W(text):
-    return Weight.parse(text)
+from reference_roots import (W, integers_and_half_integers, is_sublattice,
+                             reference_contains)
 
 
 class TestWeight:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import CORPUS, W1_PAIRS, corpus_pair
 from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
                                 NonDominantError, UnsupportedRootSystemError)
 from dirackernel.lattice import HALF, Weight, inner_product
@@ -13,17 +14,14 @@ from dirackernel.roots import (Grid, RootSystem, WeylElement, _solve,
                                build_classical, classical_dimension, grid,
                                orbit, root_sums, weyl_group, weyl_order)
 from dirackernel.sympair import builtin_pair, builtin_pair_names
-from corpus import CORPUS, W1_PAIRS, corpus_pair
-from support import (act, all_roots, bc1_pair, compose,
-                     dominant_representative, half_c2_pair, identity,
-                     inverse, is_sublattice, quarter_delta_pair,
-                     reference_contains, reference_half_sum,
-                     reference_orbit, reference_reduced, reference_residues,
-                     reference_solve, simple_coefficients)
-
-
-def W(text):
-    return Weight.parse(text)
+from reference_roots import (W, act, bc1_pair, compose,
+                             dominant_representative, group_images,
+                             half_c2_pair, identity, inverse, is_sublattice,
+                             quarter_delta_pair, reference_contains,
+                             reference_half_sum, reference_orbit,
+                             reference_reduced, reference_residues,
+                             reference_simple_data, reference_solve,
+                             simple_coefficients)
 
 
 # the pairs of the Borel-de Siebenthal rule: the built-ins and the corpus
@@ -203,19 +201,6 @@ class TestEquality:
         for a, b in itertools.product(systems, repeat=2):
             assert (a == b) == ((a.rank, a.positive_roots)
                                 == (b.rank, b.positive_roots)), (a, b)
-
-
-def reference_simple_data(rs: RootSystem) -> tuple:
-    """(simple_index, coefficients) on ``Fraction`` weights: the positive
-    roots that are no sum of two, found by adding ``Weight``s, and the
-    coefficients of every positive root from the ``Fraction`` solver."""
-    roots = rs.positive_roots
-    sums = {roots.index(a + b) for i, a in enumerate(roots)
-            for b in roots[i:] if a + b in roots}
-    simple_index = tuple(k for k in range(len(roots)) if k not in sums)
-    solved = reference_solve([roots[k] for k in simple_index], roots)
-    assert all(c.denominator == 1 and c >= 0 for cs in solved for c in cs)
-    return simple_index, tuple(tuple(map(int, cs)) for cs in solved)
 
 
 # every h_system of the W_1 corpus, then classical and non-reduced
@@ -398,16 +383,21 @@ class TestWeylGroup:
     def test_elements_permute_roots(self):
         for family, rank in [("B", 2), ("D", 3), ("A", 2), ("B", 4)]:
             rs = build_classical(family, rank)
-            roots = set(all_roots(rs))
-            for w in weyl_group(rs):
-                assert {act(w, a) for a in roots} == roots
+            roots = rs.positive_roots + tuple(-a for a in rs.positive_roots)
+            for images in group_images(rs, roots).values():
+                assert set(images) == set(roots)
 
     def test_sign_is_homomorphism(self):
+        # the image of delta under w1 w2 is w1 applied to w2(delta), and it
+        # names the element w1 w2 and so its sign
         for family, rank in [("B", 2), ("A", 2), ("B", 3)]:
-            group = weyl_group(build_classical(family, rank))
+            rs = build_classical(family, rank)
+            group = weyl_group(rs)
+            sign_of = {w.image: w.sign for w in group}
+            table = group_images(rs, [w.image for w in group])
             for w1 in group:
-                for w2 in group:
-                    assert compose(w1, w2).sign == w1.sign * w2.sign
+                for w2, image in zip(group, table[w1]):
+                    assert sign_of[image] == w1.sign * w2.sign
 
     def test_words_are_reduced_and_match_sign(self):
         # len(word) equals the number of positive roots sent to negative
@@ -415,13 +405,17 @@ class TestWeylGroup:
         # w also preserves the inner products of the basis vectors.
         for family, rank in [("B", 3), ("D", 4), ("A", 3)]:
             rs = build_classical(family, rank)
-            pos = set(rs.positive_roots)
+            pos = rs.positive_roots
+            positive = set(pos)
             basis = [Weight.basis(rs.rank, k) for k in range(rs.rank)]
+            table = group_images(rs, pos + tuple(basis))
             for w in weyl_group(rs):
-                inversions = sum(1 for a in pos if -act(w, a) in pos)
+                images = table[w]
+                inversions = sum(1 for b in images[:len(pos)]
+                                 if -b in positive)
                 assert len(w.word) == inversions
                 assert w.sign == (-1) ** inversions
-                images = [act(w, e) for e in basis]
+                images = images[len(pos):]
                 for i, j in itertools.product(range(rs.rank), repeat=2):
                     assert (inner_product(images[i], images[j])
                             == inner_product(basis[i], basis[j]))

@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 import dirackernel.spin as spin
-from character_reference import (FormalCharacter, irreducible_character,
-                                 side_character)
 from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             _m_scale, build_clifford, pair_operators,
                             simultaneous_spin_weights)
@@ -18,12 +16,10 @@ from dirackernel.spin import (chi_decompose, chi_disjointness_check,
                               chi_trace_difference, spinor_counts,
                               spinor_weights)
 from dirackernel.sympair import builtin_pair, builtin_pair_names
-from peel_reference import peel
-from support import bc1_pair, half_c2_pair
-
-
-def W(text):
-    return Weight.parse(text)
+from reference_characters import (FormalCharacter, binomial_reference,
+                                  irreducible_character, peel,
+                                  side_character)
+from reference_roots import W, bc1_pair, half_c2_pair
 
 
 def as_weights(pair, points: dict) -> dict:
@@ -267,16 +263,6 @@ class TestMergePath:
 # every W_1 pair but BC1, whose delta_p^sigma = 1/4 is not integral for
 # Delta_h (pinned in TestBC1), and a pair whose subgroup grid is coarser
 CHI_PAIRS = [p for p in W1_PAIRS if p.name != "bc1"] + [half_c2_pair()]
-
-
-def binomial_reference(pair) -> FormalCharacter:
-    """prod over Delta_p^+ of (e^(a/2) - e^(-a/2)) on ``Weight``s."""
-    product = FormalCharacter.monomial(Weight.zero(pair.rank))
-    for alpha in pair.p_positive:
-        half = alpha * Fraction(1, 2)
-        product = product * (FormalCharacter.monomial(half)
-                             - FormalCharacter.monomial(-half))
-    return product
 
 
 class TestGridAgainstReference:

@@ -170,19 +170,34 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
 
 # -- decomposition by straightening ----------------------------------------
 
+def alternant_sums(g: Grid, terms: Dict[tuple, int]) -> Dict[tuple, int]:
+    """{p: m} with sum_x terms[x] A_(x + delta) = sum_p m A_p on g, over
+    strictly dominant p = D (nu + delta), A_p = sum_w sgn(w) e^(w p): each
+    x + delta is walked into the dominant chamber, and the end point p
+    gets (-1)^steps * terms[x], a singular one nothing.  For a
+    W-invariant character the alternants sum to it times the Weyl
+    denominator, so m is the multiplicity of pi_nu (Racah-Speiser); m may
+    be 0 or negative, which the caller judges."""
+    delta = g.delta
+    sums: Dict[tuple, int] = {}
+    for x, c in terms.items():
+        steps, p = dominant_walk(tuple(map(add, x, delta)), g)
+        if g.is_dominant(p, strict=True):
+            sums[p] = sums.get(p, 0) + (-1) ** len(steps) * c
+    return sums
+
+
 def _straighten(rs: RootSystem, g: Grid,
                 terms: Dict[tuple, int]) -> Dict[Weight, int]:
     """Multiplicities m_nu with sum_x terms[x] e^(x / D) = sum m_nu times
     the character of pi_nu (``weight_table(rs, nu)``), for a character
     on g, a grid of rs; messages name rs, not an equal ``g.rs``.
 
-    Straightening (Racah-Speiser): by W-invariance, ch times the Weyl
-    denominator alternates sum_w ch[w] e^(w + delta), so each w + delta is
-    walked into the dominant chamber; a strictly dominant end point p adds
-    (-1)^steps * ch[w] to m at p - delta, a singular one nothing.  A
-    non-integral support weight raises NonDominantError before any
-    reflection, a non-invariant ch SymmetryError, a negative m
-    DecompositionError.  Only the nu of the result become ``Weight``s.
+    Straightening (``alternant_sums``): m at nu is the sum at
+    p = D (nu + delta).  A non-integral support weight raises
+    NonDominantError before any reflection, a non-invariant ch
+    SymmetryError, a negative m DecompositionError.  Only the nu of the
+    result become ``Weight``s.
     """
     for x in terms:
         if not g.is_integral(x):
@@ -193,17 +208,11 @@ def _straighten(rs: RootSystem, g: Grid,
             if terms.get(g.reflect(x, i)) != c:
                 raise SymmetryError(
                     f"character is not invariant under reflection in {a}")
-    delta = g.delta
-    sums: Dict[tuple, int] = {}
-    for x, c in terms.items():
-        steps, p = dominant_walk(tuple(map(add, x, delta)), g)
-        if g.is_dominant(p, strict=True):
-            nu = tuple(map(sub, p, delta))
-            sums[nu] = sums.get(nu, 0) + (-1) ** len(steps) * c
     result = {}
-    for x, m in sums.items():
+    for p, m in alternant_sums(g, terms).items():
         if not m:
             continue
+        x = tuple(map(sub, p, g.delta))
         nu = g.weight(x)
         if m < 0:
             raise DecompositionError(

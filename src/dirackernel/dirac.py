@@ -13,12 +13,16 @@ sphere, once per sphere (``_sphere``, bounded by the simple-root
 inequalities), reads each member's weight table and dimension once per
 grid point, computes Frobenius multiplicities on both sides by Brauer-Klimyk
 extraction (``_extract``: the weight multiplicities of pi_nu summed
-against signed shifts, the product of binomials prod (1 - e^alpha) over
-Delta_h^+ times the negated half-spin character, read from the binomial
-products P_+- of ``spin``, over the smaller of the two sides), and checks
+against signed shifts, over the smaller of the two sides), and checks
 that the alternating sum collapses to the predicted signed irreducible
 (or to zero).  It runs on int tuples D w on the grid of ``roots.grid`` end
-to end; ``Weight`` appears only at its inputs and in its report.
+to end; ``Weight`` appears only at its inputs and in its report.  The
+shifts are prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
+character, built by Weyl's character formula (``_extraction_kernel``): the
+character, read from the binomial products P_+- of ``spin``, is
+straightened against Delta_h, and each component contributes one signed
+W_H-orbit.  The kernel reads W_H only as orbits on the subgroup's grid;
+never W_1.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Dict, NamedTuple, Optional
 
-from .characters import grid_table, weyl_dim
+from .characters import alternant_sums, grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
-from .roots import Grid, WeylElement, dominant_walk, grid
-from .spin import binomial_products, times_binomial
+from .roots import Grid, WeylElement, dominant_walk, grid, orbit
+from .spin import binomial_products
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -196,26 +200,44 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
     denominator formula the shifts with their signed counts are the
     product K_s = prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s,
     where chi^s = (P_+ + s P_-) / 2 with
-    P_+- = prod_{alpha in Delta_p^+} (e^(alpha/2) +- e^(-alpha/2)), and
-    the bar negates every weight: it fixes P_+ and turns P_- into
-    (-1)^m P_-.  P_+- come from ``spin.binomial_products``, and the
-    Delta_h^+ binomials are multiplied in one at a time, so the kernel
-    reads only Delta_h^+ and Delta_p^+: neither W_H nor W_1.
+    P_+- = prod_{alpha in Delta_p^+} (e^(alpha/2) +- e^(-alpha/2)) from
+    ``spin.binomial_products``, and the bar negates every weight: it fixes
+    P_+ and turns P_- into (-1)^m P_-.
+
+    The product is built by Weyl's character formula on the subgroup's
+    grid h: prod (1 - e^alpha) = (-1)^|Delta_h^+| e^delta_h A_delta_h, and
+    chi-bar^s splits into h-irreducibles tau (Parthasarathy), each with
+    A_delta_h ch_h(tau) = A_(tau + delta_h), a signed W_H-orbit.  So
+    chi-bar^s is straightened against Delta_h (``alternant_sums``), and
+    each component p = D (tau + delta_h) with multiplicity n puts
+    (-1)^|Delta_h^+| sgn(w) n at D delta_h + w p over ``orbit(h, p)``.
+    The kernel reads W_H only as orbits on the subgroup's grid; never W_1.
     """
     g = grid(pair.root_system)
+    h = grid(pair.h_system, g.scale)
     plus, minus = binomial_products(pair)
     bar = s * (-1) ** pair.m
-    kernel = {}
+    chi = {}
     for k in plus.keys() | minus.keys():
         twice = plus.get(k, 0) + bar * minus.get(k, 0)
         if twice % 2:
             raise ConsistencyError(
                 f"half-spin character has count {twice}/2 at {g.weight(k)}")
         if twice:
-            kernel[k] = twice // 2
-    zero = (0,) * pair.rank
-    for k in pair.h_index:
-        kernel = times_binomial(kernel, zero, g.positive[k], -1)
+            chi[k] = twice // 2
+    sign = (-1) ** len(pair.h_index)
+    kernel = {}
+    for p, n in alternant_sums(h, chi).items():
+        if n < 0:
+            raise ConsistencyError(
+                f"half-spin character has multiplicity {n} at the "
+                f"subgroup irreducible {h.weight(tuple(map(sub, p, h.delta)))}")
+        if n:
+            # p is regular, so the orbit words are reduced: sgn(w) is the
+            # parity of the word; distinct orbits meet no shift twice
+            by_parity = (sign * n, -sign * n)
+            for y, word in orbit(h, p).items():
+                kernel[tuple(map(add, h.delta, y))] = by_parity[len(word) % 2]
     return kernel
 
 

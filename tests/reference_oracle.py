@@ -1,5 +1,6 @@
 """The references of the oracle layer: the extraction kernel as a sum over
-W_H, the product-and-peel multiplicity, the Casimir shell by a ``Fraction``
+W_H and as a product of binomials over Delta_h^+, the product-and-peel
+multiplicity, the Casimir shell by a ``Fraction``
 and an integer brute-force scan, and ``checked_euler``; and ``Weight`` views
 of the library's shell and extraction.  The kernel per (pair, s), the
 product and peel per (pair, nu, s), which serves every mu, and each scan
@@ -10,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import add, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -19,6 +20,7 @@ from dirackernel.dirac import (_extract, _extraction_kernel, _shell_points,
                                euler_verify)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import grid
+from dirackernel.spin import binomial_products
 from reference_characters import irreducible_character, peel, side_character
 from reference_roots import listed_group, reference_contains
 
@@ -38,6 +40,31 @@ def reference_kernel(pair, s) -> Mapping:
             k = base - e
             coeffs[k] = coeffs.get(k, 0) + w.sign * count
     return MappingProxyType({k: c for k, c in coeffs.items() if c})
+
+
+@lru_cache(maxsize=None)
+def binomial_kernel(pair, s) -> Mapping:
+    """{k: c} on ``grid(pair.root_system)`` as the product
+    prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s, expanded one
+    binomial at a time, with chi-bar^s = (P_+ + s (-1)^m P_-) / 2 read from
+    ``spin.binomial_products``: no straightening and no orbit."""
+    g = grid(pair.root_system)
+    plus, minus = binomial_products(pair)
+    bar = s * (-1) ** pair.m
+    kernel = {}
+    for k in plus.keys() | minus.keys():
+        twice = plus.get(k, 0) + bar * minus.get(k, 0)
+        if twice % 2:  # raised, not asserted: also under python -O
+            raise AssertionError(f"odd count {twice} at {g.weight(k)}")
+        if twice:
+            kernel[k] = twice // 2
+    for alpha in (g.positive[k] for k in sorted(pair.h_index)):
+        product = dict(kernel)
+        for k, c in kernel.items():
+            shifted = tuple(map(add, k, alpha))
+            product[shifted] = product.get(shifted, 0) - c
+        kernel = {k: c for k, c in product.items() if c}
+    return MappingProxyType(kernel)
 
 
 def kernel_weights(pair, s) -> dict:

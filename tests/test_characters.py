@@ -346,7 +346,7 @@ class TestDecomposeMatchesPeel:
     def assert_agree(self, ch, rs):
         try:
             expected = peel(ch, rs)
-        except (DecompositionError, NonDominantError) as exc:
+        except (DecompositionError, NonDominantError, SymmetryError) as exc:
             with pytest.raises(type(exc)):
                 decompose(ch, rs)
             return None
@@ -416,6 +416,16 @@ class TestDecomposeMatchesPeel:
             decompose(ch, rs)
         with pytest.raises(DecompositionError):
             peel(ch, rs)
+
+    def test_non_invariant_characters_raise(self):
+        # e^(1,0) has no image e^(0,-1) or e^(-1,0) beside it, and e^(1,1)
+        # added to the vector no orbit: both invariance checks must fire
+        rs = build_classical("B", 2)
+        for ch in (mono("1,0") + mono("0,1"),
+                   irreducible_character(rs, W("1,0")) + mono("1,1")):
+            with pytest.raises(SymmetryError, match="not invariant"):
+                peel(ch, rs)
+            assert self.assert_agree(ch, rs) is None
 
     def test_non_integral_support_raises(self):
         rs = build_classical("B", 1)

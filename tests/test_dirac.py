@@ -19,8 +19,9 @@ from dirackernel.sympair import (SymmetricPair, admissibility_failures,
 from reference_characters import irreducible_character, reference_character
 from reference_oracle import (brute_force_shell, casimir_shell,
                               checked_euler, frobenius_multiplicity,
-                              integer_brute_force_shell, kernel_weights,
-                              reference_kernel, reference_multiplicity)
+                              binomial_kernel, integer_brute_force_shell,
+                              kernel_weights, reference_kernel,
+                              reference_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
                              inverse, quarter_delta_pair, reference_contains)
 
@@ -272,16 +273,54 @@ class TestExtractionKernel:
 
     @pytest.mark.parametrize("family,rank,node", CORPUS)
     def test_counts_match_a_walk_over_the_rows(self, family, rank, node):
-        # one term per (w, row) pair, so a weight that several sign vectors
-        # give is counted that many times
+        # The walks of the rows of chi-bar^s leave one component per sigma
+        # in W_1 of sign s (Parthasarathy), the dual of delta_p^sigma: its
+        # tau + delta_h is the dominant representative of -sigma(delta).
+        # Each component's orbit in the kernel has one shift delta_h + p
+        # with p strictly dominant, carrying (-1)^|Delta_h^+| n.
         pair = corpus_pair(family, rank, node)
+        h = pair.h_system
+        sign = (-1) ** len(pair.h_positive)
         for s in (1, -1):
-            assert kernel_weights(pair, s) == reference_kernel(pair, s)
+            components = {}
+            for k, c in kernel_weights(pair, s).items():
+                p = k - pair.delta_h
+                if h.is_dominant(p, strict=True):
+                    components[p] = sign * c
+            expected = {
+                dominant_representative(-x.element.image, h)[1]: 1
+                for x in pair.w1 if x.sign == s}
+            assert components == expected
 
     @pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=lambda p: p.name)
     def test_product_matches_the_sum_over_W_H(self, pair):
+        # one term per (w, row) pair, so a weight that several sign vectors
+        # give is counted that many times; and the product of binomials
+        # over Delta_h^+, expanded term by term
         for s in (1, -1):
             assert kernel_weights(pair, s) == reference_kernel(pair, s)
+            assert dirac._extraction_kernel(pair, s) == binomial_kernel(pair, s)
+
+    def test_odd_count_raises(self, monkeypatch):
+        # chi-bar^s = (P_+ + s (-1)^m P_-) / 2 must have integer counts
+        pair = builtin_pair("so5_so4")
+        plus, minus = spin.binomial_products(pair)
+        k = next(iter(plus))
+        monkeypatch.setattr(dirac, "binomial_products",
+                            lambda p: ({**plus, k: plus[k] + 1}, minus))
+        with pytest.raises(ConsistencyError,
+                           match="half-spin character has count .*/2 at"):
+            dirac._extraction_kernel.__wrapped__(pair, 1)
+
+    def test_negative_component_raises(self, monkeypatch):
+        # -chi-bar^s straightens to components of multiplicity -1
+        pair = builtin_pair("so7_so6")
+        negated = tuple({k: -c for k, c in product.items()}
+                        for product in spin.binomial_products(pair))
+        monkeypatch.setattr(dirac, "binomial_products", lambda p: negated)
+        for s in (1, -1):
+            with pytest.raises(ConsistencyError, match="multiplicity -1 at"):
+                dirac._extraction_kernel.__wrapped__(pair, s)
 
     def test_off_grid_coordinate(self, monkeypatch):
         # delta = 3/2,1/2 of so5_so4 is not on the grid Z

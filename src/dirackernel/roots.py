@@ -14,7 +14,9 @@ realized in the standard e-basis, which for the A family means an ambient
 space of dimension rank + 1.
 
 ``orbit`` walks down from a dominant int tuple D w on the grid (1/D)
-Z^rank of a root system (``Grid``), where W is the orbit of D delta.
+Z^rank of a root system (``Grid``), where W is the orbit of D delta; the
+grid keeps one search tree per wall set of the start, which later starts
+with the same walls replay.
 ``weyl_order`` counts W without listing it, as the product of m_i + 1 over
 the exponents m_i, which the heights of the positive roots give (Kostant).
 """
@@ -280,7 +282,8 @@ class Grid:
     membership, pairings, dominance and reflections are integer
     arithmetic.  A conversion, half-sum or coroot pairing that is not exact
     raises ConsistencyError (``locate`` gives None off the grid); only
-    ``weight`` makes ``Fraction``s, one per coordinate value.
+    ``weight`` makes ``Fraction``s, one per coordinate value.  ``orbit``
+    keeps one breadth-first tree per wall set in ``orbit_trees``.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -302,6 +305,7 @@ class Grid:
             (tuple((j, c) for j, c in enumerate(b) if c), sum(c * c for c in b))
             for b in (self.positive[k] for k in self.mirror_index))
         self.supports = self.mirrors[:len(simple)]
+        self.orbit_trees = {}  # wall set -> (parents, generators): ``orbit``
 
     def locate(self, w: Weight) -> Optional[tuple]:
         """D w, or None when w is off the grid."""
@@ -424,36 +428,87 @@ def orbit(g: Grid, v: tuple, limit: int = ORBIT_LIMIT) -> dict:
     minimal length.  s_a u is one level down if <u, a> > 0, u if it is 0,
     and one level up, already seen, if it is negative (Humphreys,
     Reflection Groups and Coxeter Groups, 1.10): only the first kind is
-    reflected.  Raises GroupOrderLimitError past ``limit`` images.
+    reflected.  The stabilizer of v is the parabolic W_J of its walls
+    J = {i : <v, a_i> = 0} (ibid., 1.12), so which reflections the search
+    takes, and in which order, depends on J alone.  One search per wall
+    set: the first start with walls J records its tree, each image's
+    parent and generator, in ``g.orbit_trees[J]`` (two int lists, kept as
+    long as the grid: about 40 bytes per image on large trees); every
+    later start replays it, one reflection per image.  Raises
+    GroupOrderLimitError past ``limit`` images, and ConsistencyError on a
+    non-integral pairing, tested on every reflection, recorded or
+    replayed.
     """
-    if not g.is_dominant(v):
-        raise NonDominantError(f"orbit start {g.weight(v)} is not dominant")
-    seen, frontier = {v: ()}, [v]
-    while frontier:
-        new_frontier = []
-        for u in frontier:
-            word = seen[u]
-            for i, (support, norm) in enumerate(g.supports):
-                dot = 0
-                for k, c in support:
-                    dot += u[k] * c
-                if dot <= 0:
-                    continue
-                pairing, rest = divmod(2 * dot, norm)
-                if rest:
-                    g.coroot_pairing(u, i)  # raises ConsistencyError
-                y = list(u)
-                for k, c in support:
-                    y[k] -= pairing * c
-                image = tuple(y)
-                if image not in seen:
-                    seen[image] = (i,) + word
-                    new_frontier.append(image)
-                    if len(seen) > limit:
-                        raise GroupOrderLimitError(
-                            f"group closure exceeded limit {limit}")
-        frontier = new_frontier
+    walls = []
+    for i, (support, _) in enumerate(g.supports):
+        dot = 0
+        for k, c in support:
+            dot += v[k] * c
+        if dot < 0:
+            raise NonDominantError(
+                f"orbit start {g.weight(v)} is not dominant")
+        if not dot:
+            walls.append(i)
+    walls = tuple(walls)
+    tree = g.orbit_trees.get(walls)
+    if tree is None or len(tree[0]) >= limit:
+        # no tree yet, or more images than ``limit``: the search raises
+        return _record_orbit(g, v, walls, limit)
+    return _replay_orbit(g, v, tree)
+
+
+def _record_orbit(g: Grid, v: tuple, walls: tuple, limit: int) -> dict:
+    """The breadth-first search of ``orbit`` over one list of images,
+    storing its tree under ``walls`` once it completes."""
+    seen, images = {v: ()}, [v]
+    parents, generators = [], []
+    for p, u in enumerate(images):  # images grows while it is read
+        word = seen[u]
+        for i, (support, norm) in enumerate(g.supports):
+            dot = 0
+            for k, c in support:
+                dot += u[k] * c
+            if dot <= 0:
+                continue
+            pairing, rest = divmod(2 * dot, norm)
+            if rest:
+                g.coroot_pairing(u, i)  # raises ConsistencyError
+            y = list(u)
+            for k, c in support:
+                y[k] -= pairing * c
+            image = tuple(y)
+            if image not in seen:
+                seen[image] = (i,) + word
+                images.append(image)
+                parents.append(p)
+                generators.append(i)
+                if len(seen) > limit:
+                    raise GroupOrderLimitError(
+                        f"group closure exceeded limit {limit}")
+    g.orbit_trees[walls] = parents, generators
     return seen
+
+
+def _replay_orbit(g: Grid, v: tuple, tree: tuple) -> dict:
+    """``orbit`` from v along a recorded tree: image n + 1 is s_i applied
+    to image parents[n], with i = generators[n]."""
+    supports = g.supports
+    images, words = [v], [()]
+    for p, i in zip(*tree):
+        u = images[p]
+        support, norm = supports[i]
+        dot = 0
+        for k, c in support:
+            dot += u[k] * c
+        pairing, rest = divmod(2 * dot, norm)
+        if rest:
+            g.coroot_pairing(u, i)  # raises ConsistencyError
+        y = list(u)
+        for k, c in support:
+            y[k] -= pairing * c
+        images.append(tuple(y))
+        words.append((i,) + words[p])
+    return dict(zip(images, words))
 
 
 def weyl_order(rs: RootSystem) -> int:

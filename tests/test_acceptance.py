@@ -223,7 +223,8 @@ def test_criterion_09_branching_cross_check():
 
 def test_criterion_10_kostant_lemmas():
     failures = []
-    # weight lemma: subset sums of positive roots reproduce pi_delta
+    # weight lemma: brute-force subset sums of positive roots reproduce the
+    # weights of pi_delta, with multiplicities, on six systems
     for family, rank in [("B", 1), ("A", 1), ("A", 2), ("B", 2), ("D", 2),
                          ("C", 2)]:
         rs = build_classical(family, rank)

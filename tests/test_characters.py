@@ -18,8 +18,8 @@ from dirackernel.sympair import builtin_pair, builtin_pair_names
 from reference_characters import (FormalCharacter, apply,
                                   branch_interleave_BD, decompose,
                                   irreducible_character, mass, peel,
-                                  reference_character, subset_sum_weights,
-                                  support, weight_multiplicity)
+                                  reference_character, support,
+                                  weight_multiplicity)
 from reference_roots import (W, act, is_integer_vector, listed_group,
                              quarter_delta_pair, reference_contains,
                              reference_is_integral, reference_weyl_dim,
@@ -434,18 +434,6 @@ class TestDecomposeMatchesPeel:
             decompose(ch, rs)
         with pytest.raises(NonDominantError):
             peel(ch, rs)
-
-
-class TestKostantWeightLemma:
-    """Brute-force subset sums reproduce the weights of pi_delta."""
-
-    @pytest.mark.parametrize("family,rank", [
-        ("B", 1), ("A", 1), ("A", 2), ("B", 2), ("D", 2), ("C", 2),
-    ])
-    def test_subset_sums_match_character(self, family, rank):
-        rs = build_classical(family, rank)
-        assert irreducible_character(rs, rs.delta).terms == \
-            subset_sum_weights(rs)
 
 
 class TestBranching:

@@ -534,6 +534,97 @@ class TestOrbit:
             reference_orbit(build_classical("B", 3), W("2,1,0"), limit=10)
 
 
+def starts_by_walls(g: Grid) -> dict:
+    """{J: integral dominant starts with walls J} over the points D t / 2,
+    t in [-6, 6]^rank, at most two per wall set J."""
+    found = {}
+    for t in itertools.product(range(-6, 7), repeat=g.rs.rank):
+        x = tuple(c * g.scale // 2 for c in t)
+        if g.is_dominant(x) and g.is_integral(x):
+            walls = tuple(i for i in range(len(g.supports))
+                          if not g.coroot_pairing(x, i))
+            starts = found.setdefault(walls, [])
+            if len(starts) < 2:
+                starts.append(x)
+    return found
+
+
+def assert_reference_orbit(g: Grid, x: tuple) -> None:
+    """``orbit(g, x)`` has the images, words and order of the breadth-first
+    reference on ``Fraction`` weights."""
+    assert list(orbit(g, x).items()) == [
+        (g.point(w), word)
+        for w, word in reference_orbit(g.rs, g.weight(x)).items()], x
+
+
+class TestOrbitReplay:
+    """One search per wall set, replayed by every later start."""
+
+    @pytest.mark.parametrize("rs", [
+        build_classical("B", 2), build_classical("B", 3),
+        build_classical("C", 3), build_classical("D", 4),
+        build_classical("A", 3), builtin_pair("so5_so2xso3").h_system],
+        ids=lambda rs: repr(rs))
+    def test_every_wall_set_records_then_replays(self, rs):
+        # a fresh grid keeps no trees: the first start with walls J
+        # records one; once every tree is kept, a second start with walls
+        # J (the same start when 0 is the only one) replays J's tree, so a
+        # replay of another wall set's tree would list the wrong images
+        g = Grid(rs, grid(rs).scale)
+        starts = starts_by_walls(g)
+        assert len(starts) == 2 ** len(g.supports)
+        for walls, xs in starts.items():
+            assert walls not in g.orbit_trees
+            assert_reference_orbit(g, xs[0])
+            assert walls in g.orbit_trees
+        trees = dict(g.orbit_trees)
+        assert set(trees) == set(starts)
+        for walls, xs in starts.items():
+            assert_reference_orbit(g, xs[-1])
+        assert all(g.orbit_trees[walls] is trees[walls] for walls in trees)
+
+    def test_refined_grid_keeps_its_own_trees(self):
+        # A2 at nu = 2/3,-1/3,-1/3 lies on the grid 1/6 Z only; its trees
+        # are recorded and replayed there, apart from the default grid's
+        rs = build_classical("A", 2)
+        coarse, fine = Grid(rs, grid(rs).scale), Grid(rs, 6)
+        orbit(coarse, coarse.delta)
+        assert not fine.orbit_trees
+        for v in ["2/3,-1/3,-1/3", "4/3,-2/3,-2/3", "1/3,1/3,-2/3",
+                  "2/3,2/3,-4/3", "1,0,-1", "2,0,-2"]:
+            assert_reference_orbit(fine, fine.point(W(v)))
+        assert set(fine.orbit_trees) == {(1,), (0,), ()}
+        assert list(coarse.orbit_trees) == [()]
+
+    def test_cached_tree_keeps_the_limit(self):
+        # 24 images recorded at the default limit: with that tree kept, a
+        # lower limit still raises, with the search's message
+        g = Grid(build_classical("B", 3), 2)
+        orbit(g, g.point(W("2,1,0")))
+        for v in ["2,1,0", "3,1,0"]:
+            x = g.point(W(v))
+            with pytest.raises(GroupOrderLimitError) as raised:
+                orbit(g, x, limit=10)
+            assert str(raised.value) == "group closure exceeded limit 10"
+            with pytest.raises(GroupOrderLimitError):
+                orbit(g, x, limit=23)
+            assert len(orbit(g, x, limit=24)) == 24
+
+    def test_replay_tests_integrality(self):
+        # 1/4,1/4 has the walls of 1,1; with that tree and delta's cached
+        # the replay raises the search's ConsistencyError, also before a
+        # limit of one image is reached
+        g = Grid(build_classical("B", 2), 4)
+        orbit(g, g.delta)
+        orbit(g, g.point(W("1,1")))
+        x = g.point(W("1/4,1/4"))
+        for limit in [10, 1]:
+            with pytest.raises(ConsistencyError) as raised:
+                orbit(g, x, limit=limit)
+            assert str(raised.value) == (
+                "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
+
+
 class TestDominantRepresentative:
     def test_single_reflection(self):
         rs = build_classical("B", 1)

@@ -19,10 +19,10 @@ that the alternating sum collapses to the predicted signed irreducible
 to end; ``Weight`` appears only at its inputs and in its report.  The
 shifts are prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
 character, built by Weyl's character formula (``_extraction_kernel``): the
-character, read from the binomial products P_+- of ``spin``, is
-straightened against Delta_h, and each component contributes one signed
-W_H-orbit.  The kernel reads W_H only as orbits on the subgroup's grid;
-never W_1.
+character, read from ``spin.spinor_counts`` (negating every weight swaps
+the sides when m is odd), is straightened against Delta_h, and each
+component contributes one signed W_H-orbit.  The kernel reads W_H only as
+orbits on the subgroup's grid; never W_1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .characters import alternant_sums, grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
 from .roots import Grid, WeylElement, dominant_walk, grid, orbit
-from .spin import binomial_products
+from .spin import spinor_counts
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -199,10 +199,9 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
     sgn(w) n_e mult_nu(mu + delta_h - w delta_h - e).  By Weyl's
     denominator formula the shifts with their signed counts are the
     product K_s = prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s,
-    where chi^s = (P_+ + s P_-) / 2 with
-    P_+- = prod_{alpha in Delta_p^+} (e^(alpha/2) +- e^(-alpha/2)) from
-    ``spin.binomial_products``, and the bar negates every weight: it fixes
-    P_+ and turns P_- into (-1)^m P_-.
+    where the bar negates every weight.  Negating every sign of a row of
+    parity s gives a row of parity s (-1)^m, so chi-bar^s is
+    chi^(s (-1)^m), read from ``spin.spinor_counts``.
 
     The product is built by Weyl's character formula on the subgroup's
     grid h: prod (1 - e^alpha) = (-1)^|Delta_h^+| e^delta_h A_delta_h, and
@@ -215,16 +214,7 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
     """
     g = grid(pair.root_system)
     h = grid(pair.h_system, g.scale)
-    plus, minus = binomial_products(pair)
-    bar = s * (-1) ** pair.m
-    chi = {}
-    for k in plus.keys() | minus.keys():
-        twice = plus.get(k, 0) + bar * minus.get(k, 0)
-        if twice % 2:
-            raise ConsistencyError(
-                f"half-spin character has count {twice}/2 at {g.weight(k)}")
-        if twice:
-            chi[k] = twice // 2
+    chi = spinor_counts(pair)[s * (-1) ** pair.m]
     sign = (-1) ** len(pair.h_index)
     kernel = {}
     for p, n in alternant_sums(h, chi).items():

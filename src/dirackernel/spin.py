@@ -1,16 +1,17 @@
 """Spinor representation data, by a combinatorial route from the pair
-structure, on the integer grid of ``roots.grid``: the 2^m sign-vector rows
-over an enumeration of Delta_p^+, each the grid point D (1/2) sum eps_k
-alpha_k, split E+/E- by the parity of minus signs and counted into the
-half-spin characters chi^+ and chi^- ({D w: count}); the binomial products
-P_+- = prod_{alpha in Delta_p^+} (e^(alpha/2) +- e^(-alpha/2)), which the
-oracle's extraction kernel reads; and the checks of chi^+- against them:
-P_- = chi^+ - chi^-, the split of chi^+ and chi^- over W_1 into integer
-weight tables of the subgroup (Parthasarathy), and the disjointness of the
-weights of E+ and E-.  ``Weight``s appear only in the rows of the
-``spinor`` table and in the highest weights of the split.  The explicit
-Clifford matrices that cross-check these weights live with the tests
-(``tests/clifford_model.py``).
+structure, on the integer grid of ``roots.grid``: the half-spin characters
+chi^+ and chi^- ({D w: count}), multiplied out over Delta_p^+ one root at a
+time with one dict per parity and equal points merged after each root, the
+one source of chi^+- for the chi checks and the oracle's extraction
+kernel; the 2^m sign-vector rows, each the grid point D (1/2) sum eps_k
+alpha_k split E+/E- by the parity of minus signs, listed only for the
+``spinor`` table; and the checks of chi^+- against a second computation:
+P_- = prod_{alpha in Delta_p^+} (e^(alpha/2) - e^(-alpha/2)) = chi^+ -
+chi^-, the split of chi^+ and chi^- over W_1 into integer weight tables of
+the subgroup (Parthasarathy), and the disjointness of the weights of E+
+and E-.  ``Weight``s appear only in the rows of the ``spinor`` table and in
+the highest weights of the split.  The explicit Clifford matrices that
+cross-check these weights live with the tests (``tests/clifford_model.py``).
 """
 
 from __future__ import annotations
@@ -75,11 +76,21 @@ def spinor_weights(pair: SymmetricPair) -> SpinorWeights:
 @lru_cache(maxsize=None)
 def spinor_counts(pair: SymmetricPair) -> dict:
     """{side: chi^side} for side = +1, -1: each grid point of E^side with
-    its number of rows."""
-    counts: Dict[int, Dict[tuple, int]] = {1: {}, -1: {}}
-    for x, parity in _rows(_halves(pair), pair.rank):
-        side = counts[parity]
-        side[x] = side.get(x, 0) + 1
+    its number of rows, the sign vectors multiplied out one root at a time:
+    with h = D alpha / 2, a row of parity s extends by +h to parity s and
+    by -h to parity -s, and equal points merge after each root, so no 2^m
+    list is built."""
+    counts = {1: {(0,) * pair.rank: 1}, -1: {}}
+    for half in _halves(pair):
+        step: Dict[int, Dict[tuple, int]] = {1: {}, -1: {}}
+        for parity, side in counts.items():
+            same, flipped = step[parity], step[-parity]
+            for x, n in side.items():
+                y = tuple(map(add, x, half))
+                same[y] = same.get(y, 0) + n
+                y = tuple(map(sub, x, half))
+                flipped[y] = flipped.get(y, 0) + n
+        counts = step
     return counts
 
 
@@ -95,27 +106,17 @@ def times_binomial(poly: dict, x: tuple, y: tuple, c: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def binomial_products(pair: SymmetricPair) -> tuple:
-    """(P_+, P_-) on ``grid(pair.root_system)``, with P_+- = prod over
-    Delta_p^+ of (e^(alpha/2) +- e^(-alpha/2)), built one binomial at a
-    time from Delta_p^+ alone."""
-    zero = (0,) * pair.rank
-    plus = minus = {zero: 1}
-    for half in _halves(pair):
-        down = tuple(-c for c in half)
-        plus = times_binomial(plus, half, down, 1)
-        minus = times_binomial(minus, half, down, -1)
-    return plus, minus
-
-
 def chi_trace_difference(pair: SymmetricPair) -> dict:
     """P_-, the product over Delta_p^+ of (e^(a/2) - e^(-a/2)), expanded on
-    ``grid(pair.root_system)``.
+    ``grid(pair.root_system)`` one binomial at a time.
 
-    Equals chi^+ - chi^-, which is asserted here since both are cheap.
+    Equals chi^+ - chi^-, which is asserted here: the product is built
+    apart from ``spinor_counts``, so it cross-checks the chi^+- that the
+    other checks and the oracle's extraction kernel read.
     """
-    product = binomial_products(pair)[1]
+    product = {(0,) * pair.rank: 1}
+    for half in _halves(pair):
+        product = times_binomial(product, half, tuple(-c for c in half), -1)
     counts = spinor_counts(pair)
     difference = dict(counts[1])
     for x, n in counts[-1].items():

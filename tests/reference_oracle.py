@@ -20,7 +20,7 @@ from dirackernel.dirac import (_extract, _extraction_kernel, _shell_points,
                                euler_verify)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import grid
-from dirackernel.spin import binomial_products
+from dirackernel.spin import spinor_counts
 from reference_characters import irreducible_character, peel, side_character
 from reference_roots import listed_group, reference_contains
 
@@ -46,18 +46,10 @@ def reference_kernel(pair, s) -> Mapping:
 def binomial_kernel(pair, s) -> Mapping:
     """{k: c} on ``grid(pair.root_system)`` as the product
     prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s, expanded one
-    binomial at a time, with chi-bar^s = (P_+ + s (-1)^m P_-) / 2 read from
-    ``spin.binomial_products``: no straightening and no orbit."""
+    binomial at a time, with chi-bar^s = chi^(s (-1)^m) read from
+    ``spin.spinor_counts``: no straightening and no orbit."""
     g = grid(pair.root_system)
-    plus, minus = binomial_products(pair)
-    bar = s * (-1) ** pair.m
-    kernel = {}
-    for k in plus.keys() | minus.keys():
-        twice = plus.get(k, 0) + bar * minus.get(k, 0)
-        if twice % 2:  # raised, not asserted: also under python -O
-            raise AssertionError(f"odd count {twice} at {g.weight(k)}")
-        if twice:
-            kernel[k] = twice // 2
+    kernel = dict(spinor_counts(pair)[s * (-1) ** pair.m])
     for alpha in (g.positive[k] for k in sorted(pair.h_index)):
         product = dict(kernel)
         for k, c in kernel.items():

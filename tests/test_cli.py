@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirackernel
+from corpus import corpus_pair
 from dirackernel import cli
 from dirackernel.cli import run
+from dirackernel.roots import grid
+from dirackernel.sympair import builtin_pair
+from reference_oracle import reference_kernel
 
 
 # G2: the six positive roots in the sum-zero plane of Z^3, h from two of
@@ -112,21 +116,45 @@ class TestVerifyCommands:
 
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
-    def test_chi_builds_no_weight_rows(self, monkeypatch, fmt):
-        # verify chi reads the rows counted on the grid, never the
-        # Weight rows of the spinor table
+    def test_chi_builds_no_weight_rows(self, monkeypatch, tmp_path, fmt):
+        # verify chi and both sides of the extraction kernel read chi^+-
+        # from the merged product, never the sign-vector rows: on so9_so8
+        # and on C3 node 0, two of whose rows of E+ share a weight
+        import dirackernel.dirac as dirac
         import dirackernel.spin as spin
 
-        argv = ["--format", fmt, "verify", "chi", "so9_so8"]
-        expected = invoke(argv)
+        c3 = corpus_pair("C", 3, 0)
+        path = tmp_path / "c3_node0.json"
+        path.write_text(json.dumps({
+            "name": c3.name, "rank": c3.rank,
+            "positive_roots": [str(a) for a in c3.root_system.positive_roots],
+            "h_positive_indices": sorted(c3.h_index),
+            "lattice_F_shifts": [str(s) for s in c3.lattice_F.sorted_shifts()],
+            "lattice_F1_shifts": [str(s)
+                                  for s in c3.lattice_F1.sorted_shifts()]}),
+            encoding="utf-8")
+        argvs = [["--format", fmt, "verify", "chi", token]
+                 for token in ("so9_so8", str(path))]
+        expected = [invoke(argv) for argv in argvs]
+        assert [code for code, _, _ in expected] == [0, 0]
+        kernels = {(pair, s): reference_kernel(pair, s)
+                   for pair in (builtin_pair("so9_so8"), c3) for s in (1, -1)}
 
         def unusable(*_args):
-            raise AssertionError("verify chi built the Weight rows")
+            raise AssertionError("chi^+- was read from the sign-vector rows")
 
         monkeypatch.setattr(cli, "spinor_weights", unusable)
         monkeypatch.setattr(spin, "spinor_weights", unusable)
-        assert invoke(argv) == expected
-        assert expected[0] == 0
+        monkeypatch.setattr(spin, "_rows", unusable)
+        # uncached, so that a path through the rows would reach them
+        counts = spin.spinor_counts.__wrapped__
+        monkeypatch.setattr(spin, "spinor_counts", counts)
+        monkeypatch.setattr(dirac, "spinor_counts", counts)
+        assert [invoke(argv) for argv in argvs] == expected
+        for (pair, s), reference in kernels.items():
+            g = grid(pair.root_system)
+            kernel = dirac._extraction_kernel.__wrapped__(pair, s)
+            assert {g.weight(k): c for k, c in kernel.items()} == reference
 
 
 class TestPairCommands:

@@ -301,23 +301,12 @@ class TestExtractionKernel:
             assert kernel_weights(pair, s) == reference_kernel(pair, s)
             assert dirac._extraction_kernel(pair, s) == binomial_kernel(pair, s)
 
-    def test_odd_count_raises(self, monkeypatch):
-        # chi-bar^s = (P_+ + s (-1)^m P_-) / 2 must have integer counts
-        pair = builtin_pair("so5_so4")
-        plus, minus = spin.binomial_products(pair)
-        k = next(iter(plus))
-        monkeypatch.setattr(dirac, "binomial_products",
-                            lambda p: ({**plus, k: plus[k] + 1}, minus))
-        with pytest.raises(ConsistencyError,
-                           match="half-spin character has count .*/2 at"):
-            dirac._extraction_kernel.__wrapped__(pair, 1)
-
     def test_negative_component_raises(self, monkeypatch):
         # -chi-bar^s straightens to components of multiplicity -1
         pair = builtin_pair("so7_so6")
-        negated = tuple({k: -c for k, c in product.items()}
-                        for product in spin.binomial_products(pair))
-        monkeypatch.setattr(dirac, "binomial_products", lambda p: negated)
+        negated = {side: {k: -n for k, n in chi.items()}
+                   for side, chi in spin.spinor_counts(pair).items()}
+        monkeypatch.setattr(dirac, "spinor_counts", lambda p: negated)
         for s in (1, -1):
             with pytest.raises(ConsistencyError, match="multiplicity -1 at"):
                 dirac._extraction_kernel.__wrapped__(pair, s)
@@ -328,7 +317,7 @@ class TestExtractionKernel:
         monkeypatch.setattr(spin, "grid", lambda rs: Grid(rs, 1))
         monkeypatch.setattr(dirac, "grid", lambda rs: Grid(rs, 1))
         with pytest.raises(ConsistencyError, match="not on the grid"):
-            spin.binomial_products.__wrapped__(pair)
+            spin.spinor_counts.__wrapped__(pair)
         with pytest.raises(ConsistencyError, match="not on the grid"):
             dirac._extraction_kernel.__wrapped__(pair, 1)
         with pytest.raises(ConsistencyError, match="not on the grid"):

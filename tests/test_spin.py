@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 import dirackernel.spin as spin
-from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
-                            _m_scale, build_clifford, pair_operators,
-                            simultaneous_spin_weights)
+from clifford_model import (_m_identity, _m_mul, build_clifford,
+                            pair_operators, simultaneous_spin_weights)
 from corpus import W1_PAIRS, corpus_pair
 from dirackernel.errors import ConsistencyError, NonDominantError
 from dirackernel.lattice import Weight
@@ -40,34 +39,8 @@ SPIN_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
 
 
 class TestCliffordModel:
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_relations_hold_exactly(self, n):
-        c = build_clifford(n)
-        ident = _m_identity(c.size)
-        minus_two = _m_scale(ident, (Fraction(-2), Fraction(0)))
-        for j in range(n):
-            for k in range(n):
-                anti = _m_add(_m_mul(c.generators[j], c.generators[k]),
-                              _m_mul(c.generators[k], c.generators[j]))
-                assert anti == (minus_two if j == k else {}), (j, k)
-
-    def test_n2_generators_anticommute_exactly(self):
-        c = build_clifford(2)
-        e1, e2 = c.generators
-        assert _m_add(_m_mul(e1, e2), _m_mul(e2, e1)) == {}
-
-    @pytest.mark.parametrize("n,size", [(2, 2), (4, 4), (6, 8), (8, 16)])
-    def test_spinor_space_dimension(self, n, size):
-        assert build_clifford(n).size == size
-
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_volume_eigenspaces_split_evenly(self, n):
-        c = build_clifford(n)
-        ident = _m_identity(c.size)
-        for sign in (1, -1):
-            shifted = _m_add(c.volume,
-                             _m_scale(ident, (Fraction(-sign), Fraction(0))))
-            assert len(_kernel_basis(shifted, c.size)) == c.size // 2
+    # the relations, dimensions, volume eigenspaces and joint spectra for
+    # n <= 8 are checked once, in test_criterion_08_clifford_model
 
     def test_volume_is_product_of_pair_operators(self):
         for n in (4, 6):
@@ -101,14 +74,6 @@ class TestSimultaneousSpinWeights:
     def test_n2(self):
         assert simultaneous_spin_weights(build_clifford(2)) == [
             W("-1/2"), W("1/2")]
-
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_full_sign_hypercube_each_once(self, n):
-        m = n // 2
-        got = simultaneous_spin_weights(build_clifford(n))
-        expected = sorted(Weight(Fraction(e, 2) for e in eps)
-                          for eps in itertools.product((1, -1), repeat=m))
-        assert got == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matrix_route_matches_combinatorial_route(self, m):
@@ -289,17 +254,13 @@ class TestGridAgainstReference:
 
     @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
     def test_flipped_row_parity_raises(self, pair, monkeypatch):
-        rows = spin._rows
-
-        def flipped(halves, rank):
-            out = rows(halves, rank)
-            x, parity = out[-1]
-            out[-1] = (x, -parity)
-            return out
-
-        monkeypatch.setattr(spin, "_rows", flipped)
-        monkeypatch.setattr(spin, "spinor_counts",
-                            spin.spinor_counts.__wrapped__)
+        # one row of E+ moved to E- at the same weight
+        chi_trace_difference(pair)
+        plus, minus = spinor_counts(pair)[1], spinor_counts(pair)[-1]
+        x = next(iter(plus))
+        moved = {1: {**plus, x: plus[x] - 1},
+                 -1: {**minus, x: minus.get(x, 0) + 1}}
+        monkeypatch.setattr(spin, "spinor_counts", lambda p: moved)
         with pytest.raises(ConsistencyError, match="trace difference"):
             chi_trace_difference(pair)
 

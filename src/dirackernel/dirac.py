@@ -223,11 +223,11 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
                 f"half-spin character has multiplicity {n} at the "
                 f"subgroup irreducible {h.weight(tuple(map(sub, p, h.delta)))}")
         if n:
-            # p is regular, so the orbit words are reduced: sgn(w) is the
-            # parity of the word; distinct orbits meet no shift twice
+            # p is regular, so sgn(w) is (-1)^parity for the parity that
+            # orbit gives w p; distinct orbits meet no shift twice
             by_parity = (sign * n, -sign * n)
-            for y, word in orbit(h, p).items():
-                kernel[tuple(map(add, h.delta, y))] = by_parity[len(word) % 2]
+            for y, parity in orbit(h, p).items():
+                kernel[tuple(map(add, h.delta, y))] = by_parity[parity]
     return kernel
 
 

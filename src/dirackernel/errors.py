@@ -30,7 +30,7 @@ class UnsupportedRootSystemError(ValueError):
 
 
 class GroupOrderLimitError(RuntimeError):
-    """Weyl-group closure exceeded the configured safety limit."""
+    """Weyl-group closure exceeded the fixed safety limit ``ORBIT_LIMIT``."""
 
 
 class ConsistencyError(RuntimeError):

@@ -6,17 +6,18 @@ elimination, the reflection closure): ``Fraction``s are made only where a
 A Weyl element is a reduced word in the simple reflections together with
 its image w(delta).  W acts simply transitively on the orbit of the regular
 weight delta (Humphreys, Introduction to Lie Algebras, 10.3), so the image
-identifies the element, and the group is the breadth-first orbit of delta
-under the simple reflections, each element carrying its breadth-first word.
-Reflections act on weight vectors directly, so a user-supplied list of
-positive roots works just as well as a built-in family.  A, B, C, D are
-realized in the standard e-basis, which for the A family means an ambient
-space of dimension rank + 1.
+identifies the element, and ``weyl_group`` is the breadth-first orbit of
+delta under the simple reflections, each element given its word from the
+orbit's search tree.  Reflections act on weight vectors directly, so a
+user-supplied list of positive roots works just as well as a built-in
+family.  A, B, C, D are realized in the standard e-basis, which for the A
+family means an ambient space of dimension rank + 1.
 
 ``orbit`` walks down from a dominant int tuple D w on the grid (1/D)
-Z^rank of a root system (``Grid``), where W is the orbit of D delta; the
-grid keeps one search tree per wall set of the start, which later starts
-with the same walls replay.
+Z^rank of a root system (``Grid``), where W is the orbit of D delta, and
+gives each image the parity of its shortest element, no word; the grid
+keeps one search tree per wall set of the start, which later starts with
+the same walls replay.  The search is held to ``ORBIT_LIMIT`` images.
 ``weyl_order`` counts W without listing it, as the product of m_i + 1 over
 the exponents m_i, which the heights of the positive roots give (Kostant).
 """
@@ -305,7 +306,7 @@ class Grid:
             (tuple((j, c) for j, c in enumerate(b) if c), sum(c * c for c in b))
             for b in (self.positive[k] for k in self.mirror_index))
         self.supports = self.mirrors[:len(simple)]
-        self.orbit_trees = {}  # wall set -> (parents, generators): ``orbit``
+        self.orbit_trees = {}  # wall set -> its search tree: ``orbit``
 
     def locate(self, w: Weight) -> Optional[tuple]:
         """D w, or None when w is off the grid."""
@@ -419,25 +420,26 @@ def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
 ORBIT_LIMIT = 10 ** 6
 
 
-def orbit(g: Grid, v: tuple, limit: int = ORBIT_LIMIT) -> dict:
-    """The W-orbit of a dominant v = D w on the grid g as {image: word},
-    with s_word[0] ... s_word[-1] v = image; NonDominantError otherwise.
+def orbit(g: Grid, v: tuple) -> dict:
+    """The W-orbit of a dominant v = D w on the grid g as {image: parity}
+    in tree order, the parity being l(u) mod 2 for the shortest u in W
+    with u v = image (for a regular v, u is unique and (-1)^parity its
+    sign); NonDominantError otherwise.
 
-    Breadth-first from v, generators in index order, a new image's word
-    being the generator prepended to its parent's, so every word is of
-    minimal length.  s_a u is one level down if <u, a> > 0, u if it is 0,
-    and one level up, already seen, if it is negative (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.10): only the first kind is
-    reflected.  The stabilizer of v is the parabolic W_J of its walls
-    J = {i : <v, a_i> = 0} (ibid., 1.12), so which reflections the search
-    takes, and in which order, depends on J alone.  One search per wall
-    set: the first start with walls J records its tree, each image's
-    parent and generator, in ``g.orbit_trees[J]`` (two int lists, kept as
-    long as the grid: about 40 bytes per image on large trees); every
-    later start replays it, one reflection per image.  Raises
-    GroupOrderLimitError past ``limit`` images, and ConsistencyError on a
-    non-integral pairing, tested on every reflection, recorded or
-    replayed.
+    Breadth-first from v, generators in index order.  s_a u is one level
+    down if <u, a> > 0, u if it is 0, and one level up, already seen, if it
+    is negative (Humphreys, Reflection Groups and Coxeter Groups, 1.10):
+    only the first kind is reflected, so an image's level is l(u).  The
+    stabilizer of v is the parabolic W_J of its walls J = {i : <v, a_i> =
+    0} (ibid., 1.12), so which reflections the search takes, and in which
+    order, depends on J alone.  One search per wall set: the first start
+    with walls J records its tree, each image's parent, generator and
+    parity, in ``g.orbit_trees[J]`` (three int lists, kept as long as the
+    grid: about 46 bytes per image on large trees); every later start
+    replays it, one reflection per image.  Only the search counts images,
+    raising GroupOrderLimitError past ``ORBIT_LIMIT``, so every kept tree
+    is within it; ConsistencyError on a non-integral pairing is tested on
+    every reflection, recorded or replayed.
     """
     walls = []
     for i, (support, _) in enumerate(g.supports):
@@ -451,19 +453,18 @@ def orbit(g: Grid, v: tuple, limit: int = ORBIT_LIMIT) -> dict:
             walls.append(i)
     walls = tuple(walls)
     tree = g.orbit_trees.get(walls)
-    if tree is None or len(tree[0]) >= limit:
-        # no tree yet, or more images than ``limit``: the search raises
-        return _record_orbit(g, v, walls, limit)
+    if tree is None:
+        return _record_orbit(g, v, walls)
     return _replay_orbit(g, v, tree)
 
 
-def _record_orbit(g: Grid, v: tuple, walls: tuple, limit: int) -> dict:
+def _record_orbit(g: Grid, v: tuple, walls: tuple) -> dict:
     """The breadth-first search of ``orbit`` over one list of images,
     storing its tree under ``walls`` once it completes."""
-    seen, images = {v: ()}, [v]
+    seen, images = {v: 0}, [v]
     parents, generators = [], []
     for p, u in enumerate(images):  # images grows while it is read
-        word = seen[u]
+        parity = 1 - seen[u]
         for i, (support, norm) in enumerate(g.supports):
             dot = 0
             for k, c in support:
@@ -478,37 +479,26 @@ def _record_orbit(g: Grid, v: tuple, walls: tuple, limit: int) -> dict:
                 y[k] -= pairing * c
             image = tuple(y)
             if image not in seen:
-                seen[image] = (i,) + word
+                seen[image] = parity
                 images.append(image)
                 parents.append(p)
                 generators.append(i)
-                if len(seen) > limit:
+                if len(seen) > ORBIT_LIMIT:
                     raise GroupOrderLimitError(
-                        f"group closure exceeded limit {limit}")
-    g.orbit_trees[walls] = parents, generators
+                        f"group closure exceeded limit {ORBIT_LIMIT}")
+    g.orbit_trees[walls] = parents, generators, list(seen.values())
     return seen
 
 
 def _replay_orbit(g: Grid, v: tuple, tree: tuple) -> dict:
-    """``orbit`` from v along a recorded tree: image n + 1 is s_i applied
-    to image parents[n], with i = generators[n]."""
-    supports = g.supports
-    images, words = [v], [()]
-    for p, i in zip(*tree):
-        u = images[p]
-        support, norm = supports[i]
-        dot = 0
-        for k, c in support:
-            dot += u[k] * c
-        pairing, rest = divmod(2 * dot, norm)
-        if rest:
-            g.coroot_pairing(u, i)  # raises ConsistencyError
-        y = list(u)
-        for k, c in support:
-            y[k] -= pairing * c
-        images.append(tuple(y))
-        words.append((i,) + words[p])
-    return dict(zip(images, words))
+    """``orbit`` from v along a recorded tree: image n + 1 is image
+    parents[n] reflected in the simple root generators[n] (``Grid.reflect``,
+    which tests the pairing)."""
+    parents, generators, parities = tree
+    images = [v]
+    for p, i in zip(parents, generators):
+        images.append(g.reflect(images[p], i))
+    return dict(zip(images, parities))
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -527,15 +517,21 @@ def weyl_order(rs: RootSystem) -> int:
     return order
 
 
-def weyl_group(rs: RootSystem, limit: int = ORBIT_LIMIT) -> tuple:
+def weyl_group(rs: RootSystem) -> tuple:
     """The Weyl group as the orbit of the regular weight delta, each
-    element carrying its orbit word (reduced, since the stabilizer of delta
-    is trivial).  Elements are returned sorted by their image of delta.
-    The orbit runs on the grid, and each image becomes a ``Weight`` once.
+    element carrying its reduced word, rebuilt from the orbit's kept tree
+    (an image's generator prepended to its parent's word).  Elements are
+    returned sorted by their image of delta.  The orbit runs on the grid,
+    and each image becomes a ``Weight`` once.
     """
     g = grid(rs)
-    seen = orbit(g, g.delta, limit)
-    return tuple(WeylElement(rs, seen[x], g.weight(x)) for x in sorted(seen))
+    images = orbit(g, g.delta)
+    parents, generators, _ = g.orbit_trees[()]  # delta lies on no wall
+    words = [()]
+    for p, i in zip(parents, generators):
+        words.append((i,) + words[p])
+    return tuple(WeylElement(rs, word, g.weight(x))
+                 for x, word in sorted(zip(images, words)))
 
 
 def dominant_walk(w, space) -> tuple:

@@ -134,7 +134,7 @@ class SymmetricPair:
         Delta_h-dominant, so the images are the chambers of the
         Delta_h-dominant cone, found on the grid without listing W
         (``_cone_images``); only they become ``Weight``s.  Each word is the
-        one ``orbit`` gives (``_orbit_word``).  Before the search, |W_1| =
+        one ``weyl_group`` gives (``_orbit_word``).  Before the search, |W_1| =
         |W| / |W_H| from the exponents is held to ``ORBIT_LIMIT``; after
         it, the count |W| = |W_H| * |W_1| and the dominance plus
         distinctness of the delta_p^sigma are verified.
@@ -198,9 +198,9 @@ def _cone_images(g: Grid, h: Grid) -> set:
 
 
 def _orbit_word(g: Grid, x: tuple) -> tuple:
-    """The word of the image x of D delta in ``orbit(g, g.delta)``, without
-    the orbit: the orbit gives each image the least reduced word read from
-    the right, which is reversed(dominant_walk(sigma^-1 delta).steps).
+    """The word ``weyl_group`` gives the image x of D delta, without the
+    orbit: it gives each image the least reduced word read from the right,
+    which is reversed(dominant_walk(sigma^-1 delta).steps).
     sigma^-1 delta is D delta reflected along the steps of
     dominant_walk(x), in order."""
     y = g.delta

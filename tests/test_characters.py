@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -325,15 +326,17 @@ class TestDecompose:
         assert decompose(total, rs) == combo
 
 
+@lru_cache(maxsize=None)
 def dominant_grid(rs, top, half=False):
     """Dominant weights with coordinates in 0..top, and with every
-    coordinate shifted by 1/2 as well when ``half``."""
+    coordinate shifted by 1/2 as well when ``half``; built once per
+    session."""
     shifts = [Weight.zero(rs.rank)]
     if half:
         shifts.append(Weight([Fraction(1, 2)] * rs.rank))
-    return [nu for coords in itertools.product(range(top + 1), repeat=rs.rank)
-            for nu in (Weight(coords) + s for s in shifts)
-            if rs.is_dominant(nu)]
+    return tuple(
+        nu for coords in itertools.product(range(top + 1), repeat=rs.rank)
+        for nu in (Weight(coords) + s for s in shifts) if rs.is_dominant(nu))
 
 
 class TestDecomposeMatchesPeel:
@@ -508,13 +511,14 @@ class TestWeightMultiplicity:
             weight_multiplicity(rs, W("0,1"), W("5,5"))
 
 
+@lru_cache(maxsize=None)
 def small_highest_weights(rs):
-    """The dominant integral nu with coordinates in {-2, -3/2, ..., 2}."""
+    """The dominant integral nu with coordinates in {-2, -3/2, ..., 2},
+    built once per session."""
     coords = [Fraction(k, 2) for k in range(-4, 5)]
-    for nu in itertools.product(coords, repeat=rs.rank):
-        nu = Weight(nu)
-        if rs.is_dominant(nu) and reference_is_integral(rs, nu):
-            yield nu
+    box = map(Weight, itertools.product(coords, repeat=rs.rank))
+    return tuple(nu for nu in box
+                 if rs.is_dominant(nu) and reference_is_integral(rs, nu))
 
 
 class TestIntegerTable:

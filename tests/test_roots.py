@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dirackernel.roots as roots
 from corpus import CORPUS, W1_PAIRS, corpus_pair
 from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
                                 NonDominantError, UnsupportedRootSystemError)
@@ -437,9 +438,13 @@ class TestWeylGroup:
         for w in group:
             assert WeylElement.from_word(rs, w.word).image == w.image
 
-    def test_order_limit(self):
+    def test_order_limit(self, monkeypatch):
+        # a fresh grid keeps no tree, so the 384 images of D delta are
+        # searched, not replayed, and the search meets the limit
+        monkeypatch.setattr(roots, "ORBIT_LIMIT", 10)
+        monkeypatch.setattr(roots, "grid", lambda rs: Grid(rs, 2))
         with pytest.raises(GroupOrderLimitError):
-            weyl_group(build_classical("B", 4), limit=10)
+            weyl_group(build_classical("B", 4))
 
     def test_deterministic_order(self):
         rs = build_classical("B", 2)
@@ -489,12 +494,15 @@ class TestOrbit:
         for v, size in [("1,0,0", 6), ("1,1,0", 12), ("1/2,1/2,1/2", 8),
                         ("2,1,0", 24), ("0,0,0", 1)]:
             v = W(v)
-            images = {g.weight(x): word
-                      for x, word in orbit(g, g.point(v)).items()}
+            images = {g.weight(x): parity
+                      for x, parity in orbit(g, g.point(v)).items()}
             assert set(images) == {act(w, v) for w in group}
             assert len(images) == size
-            for image, word in images.items():
+            # the reference's shortest word reaches the image, and its
+            # length has the image's parity
+            for image, word in reference_orbit(rs, v).items():
                 assert act(WeylElement.from_word(rs, word), v) == image
+                assert images[image] == len(word) % 2
 
     @pytest.mark.parametrize("family,rank,weights", [
         ("B", 3, ["1,0,0", "1,1,0", "1/2,1/2,1/2", "2,1,0", "0,0,0"]),
@@ -503,15 +511,13 @@ class TestOrbit:
         ("D", 4, ["1,0,0,0", "1,1,0,0", "1/2,1/2,1/2,-1/2", "2,1,1,-1"]),
         ("B", 4, ["1,1,0,0", "3/2,1/2,1/2,1/2", "3,2,1,0"])])
     def test_matches_the_weight_reference(self, family, rank, weights):
-        # walking down from a dominant start keeps the images, words and
-        # order of the breadth-first orbit that reflects every image in
-        # every simple root
+        # walking down from a dominant start keeps the images, order and
+        # word-length parities of the breadth-first orbit that reflects
+        # every image in every simple root
         rs = build_classical(family, rank)
         g = grid(rs)
         for v in map(W, weights):
-            assert list(orbit(g, g.point(v)).items()) == [
-                (g.point(w), word)
-                for w, word in reference_orbit(rs, v).items()], v
+            assert_reference_orbit(g, g.point(v))
 
     @pytest.mark.parametrize("family,rank,v", [
         ("B", 3, "1,-1,0"), ("A", 3, "0,1,0,0"), ("C", 3, "-1/2,0,0")])
@@ -526,10 +532,19 @@ class TestOrbit:
         with pytest.raises(ConsistencyError, match="pairs to 1/2"):
             orbit(g, g.point(W("1/4,1/4")))
 
-    def test_limit(self):
-        g = grid(build_classical("B", 3))
-        with pytest.raises(GroupOrderLimitError):
-            orbit(g, g.point(W("2,1,0")), limit=10)
+    def test_limit(self, monkeypatch):
+        # 2,1,0 has 24 images: one over the limit raises and keeps no
+        # tree, and a limit of 24 lets the search through
+        g = Grid(build_classical("B", 3), 2)
+        x = g.point(W("2,1,0"))
+        for limit in [10, 23]:
+            monkeypatch.setattr(roots, "ORBIT_LIMIT", limit)
+            with pytest.raises(GroupOrderLimitError) as raised:
+                orbit(g, x)
+            assert str(raised.value) == f"group closure exceeded limit {limit}"
+            assert not g.orbit_trees
+        monkeypatch.setattr(roots, "ORBIT_LIMIT", 24)
+        assert len(orbit(g, x)) == 24
         with pytest.raises(GroupOrderLimitError):
             reference_orbit(build_classical("B", 3), W("2,1,0"), limit=10)
 
@@ -550,10 +565,10 @@ def starts_by_walls(g: Grid) -> dict:
 
 
 def assert_reference_orbit(g: Grid, x: tuple) -> None:
-    """``orbit(g, x)`` has the images, words and order of the breadth-first
-    reference on ``Fraction`` weights."""
+    """``orbit(g, x)`` has the images and order of the breadth-first
+    reference on ``Fraction`` weights, each with its word's length mod 2."""
     assert list(orbit(g, x).items()) == [
-        (g.point(w), word)
+        (g.point(w), len(word) % 2)
         for w, word in reference_orbit(g.rs, g.weight(x)).items()], x
 
 
@@ -596,33 +611,16 @@ class TestOrbitReplay:
         assert set(fine.orbit_trees) == {(1,), (0,), ()}
         assert list(coarse.orbit_trees) == [()]
 
-    def test_cached_tree_keeps_the_limit(self):
-        # 24 images recorded at the default limit: with that tree kept, a
-        # lower limit still raises, with the search's message
-        g = Grid(build_classical("B", 3), 2)
-        orbit(g, g.point(W("2,1,0")))
-        for v in ["2,1,0", "3,1,0"]:
-            x = g.point(W(v))
-            with pytest.raises(GroupOrderLimitError) as raised:
-                orbit(g, x, limit=10)
-            assert str(raised.value) == "group closure exceeded limit 10"
-            with pytest.raises(GroupOrderLimitError):
-                orbit(g, x, limit=23)
-            assert len(orbit(g, x, limit=24)) == 24
-
     def test_replay_tests_integrality(self):
         # 1/4,1/4 has the walls of 1,1; with that tree and delta's cached
-        # the replay raises the search's ConsistencyError, also before a
-        # limit of one image is reached
+        # the replay raises the search's ConsistencyError
         g = Grid(build_classical("B", 2), 4)
         orbit(g, g.delta)
         orbit(g, g.point(W("1,1")))
-        x = g.point(W("1/4,1/4"))
-        for limit in [10, 1]:
-            with pytest.raises(ConsistencyError) as raised:
-                orbit(g, x, limit=limit)
-            assert str(raised.value) == (
-                "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
+        with pytest.raises(ConsistencyError) as raised:
+            orbit(g, g.point(W("1/4,1/4")))
+        assert str(raised.value) == (
+            "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
 
 
 class TestDominantRepresentative:

@@ -205,20 +205,6 @@ class TestW1:
         assert {x.delta_p_sigma for x in w1} == {
             W("3/2,0"), W("-3/2,0"), W("1/2,1"), W("-1/2,1")}
 
-    @pytest.mark.parametrize("name,total,h_order,w1_order", [
-        ("so3_so2", 2, 1, 2),
-        ("so5_so4", 8, 4, 2),
-        ("so5_so2xso3", 8, 2, 4),
-        ("so7_so6", 48, 24, 2),
-        ("so9_so8", 384, 192, 2),
-    ])
-    def test_bijection_counts(self, name, total, h_order, w1_order):
-        pair = builtin_pair(name)
-        assert len(listed_group(pair.root_system)) == total
-        assert pair.weyl_h_order == h_order
-        assert len(w1_enumerate(pair)) == w1_order
-        assert total == h_order * w1_order
-
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_grid_filter_matches_fraction_reference(self, pair):
         # the orbit of D delta on the grid, filtered by strict

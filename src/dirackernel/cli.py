@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: pair list/show, spinor, kernel, verify euler, verify chi,
-branch, tensor, dim.  ``--format machine`` emits a single JSON document
-with every rational rendered as a "p/q" string and weights in the same
-comma-separated grammar the flags accept; exit codes are 0 for
-success/verification pass, 1 for verification failure, 2 for usage or
-input errors, which ``run`` maps in one place: every input error is a
-``ValueError``.  Output ordering is deterministic everywhere.
+``_COMMANDS`` holds each command's syntax, handler and help line: argv is
+parsed and ``--help`` printed from it.  ``--format machine`` emits one JSON
+document with every rational as a "p/q" string and weights in the
+comma-separated grammar the flags accept.  Exit codes: 0 success or
+verification passed, 1 verification failed, 2 every input error, usage
+included: each is a ``ValueError`` that ``run`` maps in one place to one
+``error:`` line on stderr.  Output order is deterministic everywhere.
 
 Custom pairs load from a JSON file of the shape::
 
@@ -19,9 +19,9 @@ Custom pairs load from a JSON file of the shape::
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from .characters import branch_equal_rank, tensor, weyl_dim
@@ -361,78 +361,78 @@ def cmd_dim(args, out) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dirackernel",
-        description="Exact computations around the Dirac operator on "
-                    "equal-rank compact symmetric spaces.",
-        epilog="Weights are comma-separated rationals, e.g. 3/2,-1/2. "
-               "For values starting with '-', use the --flag=value form.")
-    parser.add_argument("--format", choices=("text", "machine"),
-                        default="text",
-                        help="human tables or a single JSON document")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_pair = sub.add_parser("pair", help="registry and pair structure")
-    pair_sub = p_pair.add_subparsers(dest="action", required=True)
-    pair_sub.add_parser("list", help="list built-in pairs")
-    p_show = pair_sub.add_parser("show", help="roots, deltas, W1, validation")
-    p_show.add_argument("pair", help="built-in name or pair file path")
-
-    p_spin = sub.add_parser("spinor", help="spinor weight/parity table")
-    p_spin.add_argument("pair")
-
-    p_kernel = sub.add_parser("kernel", help="classify ker D+/ker D-")
-    p_kernel.add_argument("pair")
-    p_kernel.add_argument("--mu", required=True,
-                          help="highest weight for the subgroup cover")
-
-    p_verify = sub.add_parser("verify", help="independent verifications")
-    verify_sub = p_verify.add_subparsers(dest="what", required=True)
-    p_euler = verify_sub.add_parser(
-        "euler", help="alternating-trace oracle over the Casimir shell")
-    p_euler.add_argument("pair")
-    p_euler.add_argument("--mu", required=True)
-    p_chi = verify_sub.add_parser(
-        "chi", help="spinor decomposition and Casimir-scalar checks")
-    p_chi.add_argument("pair")
-
-    p_branch = sub.add_parser("branch", help="equal-rank restriction")
-    p_branch.add_argument("pair")
-    p_branch.add_argument("--nu", required=True)
-
-    p_tensor = sub.add_parser("tensor", help="tensor product decomposition")
-    p_tensor.add_argument("system", help="classical system, e.g. B2")
-    p_tensor.add_argument("--nu1", required=True)
-    p_tensor.add_argument("--nu2", required=True)
-
-    p_dim = sub.add_parser("dim", help="Weyl dimension")
-    p_dim.add_argument("system", help="classical system, e.g. B2")
-    p_dim.add_argument("--nu", required=True)
-    return parser
+# One row per command: its syntax (its words, then each required <positional>
+# and --flag <value>), its handler and its help line, read by _parse and _help.
+_COMMANDS = (
+    ("pair list", cmd_pair, "built-in pairs"),
+    ("pair show <pair>", cmd_pair, "roots, deltas, W1 table, validation"),
+    ("spinor <pair>", cmd_spinor, "spinor weight/parity table, chi+/- split"),
+    ("kernel <pair> --mu <weight>", cmd_kernel, "classify ker D+ / ker D-"),
+    ("verify euler <pair> --mu <weight>", cmd_verify, "oracle over the shell"),
+    ("verify chi <pair>", cmd_verify, "chi+/- split, trace, Casimir checks"),
+    ("branch <pair> --nu <weight>", cmd_branch, "equal-rank restriction"),
+    ("tensor <system> --nu1 <w> --nu2 <w>", cmd_tensor, "tensor product"),
+    ("dim <system> --nu <weight>", cmd_dim, "Weyl dimension"),
+)
+_SECOND_WORD = {"pair": "action", "verify": "what"}  # as the handlers read
 
 
-_HANDLERS = {
-    "pair": cmd_pair,
-    "spinor": cmd_spinor,
-    "kernel": cmd_kernel,
-    "verify": cmd_verify,
-    "branch": cmd_branch,
-    "tensor": cmd_tensor,
-    "dim": cmd_dim,
-}
+def _help(args, out) -> int:
+    width = max(len(syntax) for syntax, _, _ in _COMMANDS)
+    print("dirackernel [--format text|machine] <command> ...\n", *(
+        f"  {syntax:<{width}}  {text}" for syntax, _, text in args.rows),
+        sep="\n", file=out)
+    return 0
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The format, the handler, and the words, positionals and flags of a
+    command line under the names the handlers read; -h or --help after the
+    format selects ``_help``.  A usage error raises CliError."""
+    rest = []
+    for token in argv:  # --flag=value as --flag value: a value is one token
+        rest += token.split("=", 1) if token.startswith("--") else [token]
+    fmt = "text"
+    if rest[:1] == ["--format"]:
+        fmt, rest = "".join(rest[1:2]), rest[2:]
+    if fmt not in ("text", "machine"):
+        raise CliError(f"--format takes text or machine, not {fmt!r}")
+    heads = [[t for t in s.split() if t[0] not in "<-"] for s, *_ in _COMMANDS]
+    words = []
+    while rest and words + rest[:1] in (h[:len(words) + 1] for h in heads):
+        words.append(rest.pop(0))
+    rows = [row for row, h in zip(_COMMANDS, heads) if h[:len(words)] == words]
+    if {"-h", "--help"} & set(rest):
+        return SimpleNamespace(handler=_help, rows=rows)
+    if words not in heads:
+        expected = dict.fromkeys(" ".join(h[:len(words) + 1]) for h in heads
+                                 if h[:len(words)] == words)
+        got = repr(rest[0]) if rest else "nothing"
+        raise CliError(f"expected {' | '.join(expected)}, got {got}")
+    syntax, handler, _ = rows[0]
+    head, *tail = syntax.split(" --")
+    names = ([_SECOND_WORD[w] for w in words[:-1]]
+             + [t[1:-1] for t in head.split()[len(words):]])
+    flags = ["--" + t.split()[0] for t in tail]
+    values, given = {}, words[1:]  # then the positionals, and anything else
+    while rest:
+        token = rest.pop(0)
+        if token in flags and rest:
+            values[token[2:]] = rest.pop(0)
+        else:
+            given.append(token)
+    if len(given) != len(names) or len(values) != len(flags):
+        raise CliError(f"usage: dirackernel {syntax}")
+    return SimpleNamespace(format=fmt, handler=handler,
+                           **dict(zip(names, given)), **values)
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return _HANDLERS[args.command](args, out)
+        args = _parse(argv)
+        return args.handler(args, out)
     except (ValueError, GroupOrderLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -67,6 +67,13 @@ class TestKernelCommand:
         assert code == 0
         assert "ker D+ carries" in out
 
+    def test_negative_mu_as_the_next_token(self):
+        # a flag's value is the next token, even one that starts with '-'
+        result = invoke(["kernel", "so5_so2xso3", "--mu", "-5/2,0"])
+        assert result == invoke(["kernel", "so5_so2xso3", "--mu=-5/2,0"])
+        assert result[0] == 0
+        assert "mu = -5/2,0:\n  ker D+ carries" in result[1]
+
     def test_both_zero(self):
         code, out, _ = invoke(["kernel", "so5_so2xso3", "--mu", "3/2,1"])
         assert code == 0
@@ -561,10 +568,72 @@ class TestOtherCommands:
         assert "coordinates" in err
 
 
+HELP_HEAD = "dirackernel [--format text|machine] <command> ...\n\n"
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
-        code, _, _ = invoke(["--help"])
-        assert code == 0
+        code, out, err = invoke(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(HELP_HEAD)
+
+    @pytest.mark.parametrize("argv,words,rows", [
+        (["-h"], [], 9),
+        (["--format", "machine", "--help"], [], 9),
+        (["pair", "-h"], ["pair"], 2),
+        (["verify", "--help"], ["verify"], 2),
+        (["verify", "euler", "-h"], ["verify", "euler"], 1),
+        (["kernel", "so7_so6", "--help"], ["kernel"], 1),
+        (["tensor", "--nu1", "1,0", "-h"], ["tensor"], 1),
+        (["bogus", "--help"], [], 9),
+    ])
+    def test_help_after_any_words_goes_to_out(self, argv, words, rows):
+        """The usage of every command the words read so far select."""
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(HELP_HEAD)
+        usage = out[len(HELP_HEAD):].splitlines()
+        assert len(usage) == rows
+        assert all(line.split()[:len(words)] == words for line in usage)
+
+    def test_readme_command_block_is_the_help(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("## Command line\n", 1)[1]
+        block = section.split("```text\n", 1)[1].split("```", 1)[0]
+        assert invoke(["--help"]) == (0, block, "")
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "expected pair | spinor | kernel | verify | branch | tensor | "
+             "dim, got nothing"),
+        (["bogus"], "expected pair | spinor | kernel | verify | branch | "
+                    "tensor | dim, got 'bogus'"),
+        (["pair"], "expected pair list | pair show, got nothing"),
+        (["verify"], "expected verify euler | verify chi, got nothing"),
+        (["--format", "xml", "pair", "list"],
+         "--format takes text or machine, not 'xml'"),
+        (["--format"], "--format takes text or machine, not ''"),
+        (["kernel", "so7_so6"],
+         "usage: dirackernel kernel <pair> --mu <weight>"),
+        (["kernel", "so7_so6", "--mu"],
+         "usage: dirackernel kernel <pair> --mu <weight>"),
+        (["dim", "B2", "--nu", "1,0", "--mu", "1"],
+         "usage: dirackernel dim <system> --nu <weight>"),
+        (["pair", "list", "extra"], "usage: dirackernel pair list"),
+    ])
+    def test_usage_error_is_one_line_on_err(self, argv, message):
+        assert invoke(argv) == (2, "", f"error: {message}\n")
+
+    def test_usage_error_in_a_real_process(self):
+        """The console script's own stderr gets the one error line too."""
+        src = Path(dirackernel.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", "from dirackernel.cli import main; main()",
+             "kernel", "so7_so6"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: usage: dirackernel kernel <pair> --mu <weight>\n")
 
     def test_missing_subcommand_exits_two(self):
         code, _, _ = invoke([])
@@ -800,14 +869,16 @@ def test_golden_output(key):
     assert (code, out) == (GOLDENS[key]["code"], GOLDENS[key]["stdout"])
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_argparse_gettext_json_dataclasses_inspect():
     """Every cold CLI process pays for what ``import dirackernel.cli``
     loads, and ``dataclasses`` brings ``inspect``, ``ast`` and ``dis``.
     ``json`` is not loaded either: only a pair file and machine output
-    need it, and they import it where they read or write it."""
+    need it, and they import it where they read or write it.  The command
+    line is read from the module's own table, without ``argparse`` and the
+    ``gettext`` it imports."""
     src = Path(dirackernel.__file__).resolve().parent.parent
-    code = ("import sys, dirackernel.cli; print(sorted("
-            "{'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    code = ("import sys, dirackernel.cli; print(sorted({'argparse', "
+            "'dataclasses', 'gettext', 'inspect', 'json'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)

@@ -1,12 +1,14 @@
 """Command-line interface.
 
 ``_COMMANDS`` holds each command's syntax, handler and help line: argv is
-parsed and ``--help`` printed from it.  ``--format machine`` emits one JSON
-document with every rational as a "p/q" string and weights in the
-comma-separated grammar the flags accept.  Exit codes: 0 success or
-verification passed, 1 verification failed, 2 every input error, usage
-included: each is a ``ValueError`` that ``run`` maps in one place to one
-``error:`` line on stderr.  Output order is deterministic everywhere.
+parsed and ``--help`` printed from it.  A handler computes and prints
+nothing: it returns ``(doc, lines)``, a JSON-ready document with every
+rational as a "p/q" string and weights in the comma-separated grammar the
+flags accept, and its text lines.  ``run`` renders: the document under
+``--format machine``, else the lines.  It also maps every input error,
+usage included, a ``ValueError`` each, to one ``error:`` line on stderr and
+exit 2, and reads the exit status from the document: 1 exactly when it says
+``"passed": false``, else 0.  Output order is deterministic everywhere.
 
 Custom pairs load from a JSON file of the shape::
 
@@ -51,7 +53,7 @@ def _field(data: dict, key: str, kind: type):
 
 
 def load_pair_file(path: str) -> SymmetricPair:
-    import json  # only here and in ``emit``: not on the import path
+    import json  # not on the import path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -122,15 +124,6 @@ def resolve_classical(token: str, *weights: str) -> tuple:
     return build_classical(family, int(digits)), *parsed
 
 
-def emit(doc: dict, machine: bool, lines: list, out) -> None:
-    if machine:
-        import json
-        print(json.dumps(doc, indent=2, sort_keys=False), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
-
-
 def _pair_doc(pair: SymmetricPair) -> dict:
     w1 = pair.w1  # checks |W| = |W_H| * |W_1|, W_1 from the cone search
     return {
@@ -157,12 +150,12 @@ def _pair_doc(pair: SymmetricPair) -> dict:
     }
 
 
-def cmd_pair(args, out) -> int:
-    if args.action == "list":
-        names = builtin_pair_names()
-        doc = {"pairs": names}
-        emit(doc, args.format == "machine", names, out)
-        return 0
+def cmd_pair_list(args) -> tuple:
+    names = builtin_pair_names()
+    return {"pairs": names}, names
+
+
+def cmd_pair_show(args) -> tuple:
     pair = resolve_pair(args.pair)
     doc = _pair_doc(pair)
     lines = [
@@ -183,11 +176,10 @@ def cmd_pair(args, out) -> int:
                     for x in doc["w1"]),
     ]
     lines += [f"check {name}: pass" for name in PAIR_CHECKS]
-    emit(doc, args.format == "machine", lines, out)
-    return 0
+    return doc, lines
 
 
-def cmd_spinor(args, out) -> int:
+def cmd_spinor(args) -> tuple:
     pair = resolve_pair(args.pair)
     sw = spinor_weights(pair)
     plus, minus = chi_decompose(pair)
@@ -206,16 +198,13 @@ def cmd_spinor(args, out) -> int:
         eps = "".join("+" if x == 1 else "-" for x in e.epsilon)
         side = "E+" if e.parity == 1 else "E-"
         lines.append(f"  {eps}  {e.weight}  {side}")
-    lines.append("chi+ highest weights: "
-                 + ", ".join(str(w) for w in sorted(plus)))
-    lines.append("chi- highest weights: "
-                 + ", ".join(str(w) for w in sorted(minus)))
-    lines.append("trace-difference identity: pass")
-    emit(doc, args.format == "machine", lines, out)
-    return 0
+    lines += ["chi+ highest weights: " + ", ".join(doc["chi_plus"]),
+              "chi- highest weights: " + ", ".join(doc["chi_minus"]),
+              "trace-difference identity: pass"]
+    return doc, lines
 
 
-def cmd_kernel(args, out) -> int:
+def cmd_kernel(args) -> tuple:
     pair = resolve_pair(args.pair)
     mu = parse_weight(args.mu, pair.rank)
     result = dirac_kernel(pair, mu)
@@ -244,79 +233,66 @@ def cmd_kernel(args, out) -> int:
         lines.append(f"  ker {other} = 0")
         lines.append(f"  sigma sign {result.sigma_sign:+d}, Casimir scalar "
                      f"{result.casimir}")
-    emit(doc, args.format == "machine", lines, out)
-    return 0
+    return doc, lines
 
 
-def cmd_verify(args, out) -> int:
+def cmd_euler(args) -> tuple:
     pair = resolve_pair(args.pair)
-    if args.what == "euler":
-        mu = parse_weight(args.mu, pair.rank)
-        report = euler_verify(pair, mu)
-        doc = {
-            "pair": pair.name,
-            "mu": str(mu),
-            "lambda": str(report.lam),
-            "kernel_status": report.kernel.status.value,
-            "shell": [{"nu": str(r.nu), "dim": r.dimension,
-                       "mult_plus": r.mult_plus, "mult_minus": r.mult_minus}
-                      for r in report.rows],
-            "signed_sum": [[str(w), c] for w, c in report.signed_sum],
-            "expected": [[str(w), c] for w, c in report.expected],
-            "failures": list(report.failures),
-            "passed": report.passed,
-        }
-        lines = [f"euler-characteristic check for {pair.name}, mu = {mu} "
-                 f"(lambda = {report.lam}):"]
-        if not report.rows:
-            lines.append("  Casimir shell is empty")
-        for r in report.rows:
-            lines.append(f"  nu = {r.nu}  dim {r.dimension}  "
-                         f"m+ = {r.mult_plus}  m- = {r.mult_minus}")
-        lines.append(f"  signed sum: "
-                     + (" + ".join(f"{c:+d}[{w}]" for w, c in report.signed_sum)
-                        or "0"))
-        lines.append(f"  classification: {report.kernel.status.value}")
-        for f in report.failures:
-            lines.append(f"  FAIL: {f}")
-        lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-        emit(doc, args.format == "machine", lines, out)
-        return 0 if report.passed else 1
-    # verify chi
-    failures = []
-    details = []
-    try:
-        plus, minus = chi_decompose(pair)
-        details.append("chi split over W1: pass")
-    except ConsistencyError as exc:
-        failures.append(f"chi split: {exc}")
-    try:
-        chi_trace_difference(pair)
-        details.append("trace-difference identity: pass")
-    except ConsistencyError as exc:
-        failures.append(f"trace difference: {exc}")
-    try:
-        scalar = chi_casimir_check(pair)
-        details.append(f"Casimir scalar identity: pass (scalar {scalar})")
-    except ConsistencyError as exc:
-        failures.append(f"Casimir scalar: {exc}")
-    try:
-        chi_disjointness_check(pair)
-        details.append("E+/E- weight disjointness: pass")
-    except ConsistencyError as exc:
-        failures.append(str(exc))
-    passed = not failures
-    doc = {"pair": pair.name, "checks": details, "failures": failures,
-           "passed": passed}
+    mu = parse_weight(args.mu, pair.rank)
+    report = euler_verify(pair, mu)
+    doc = {
+        "pair": pair.name,
+        "mu": str(mu),
+        "lambda": str(report.lam),
+        "kernel_status": report.kernel.status.value,
+        "shell": [{"nu": str(r.nu), "dim": r.dimension,
+                   "mult_plus": r.mult_plus, "mult_minus": r.mult_minus}
+                  for r in report.rows],
+        "signed_sum": [[str(w), c] for w, c in report.signed_sum],
+        "expected": [[str(w), c] for w, c in report.expected],
+        "failures": list(report.failures),
+        "passed": report.passed,
+    }
+    lines = [f"euler-characteristic check for {pair.name}, mu = {mu} "
+             f"(lambda = {report.lam}):"]
+    if not report.rows:
+        lines.append("  Casimir shell is empty")
+    for r in report.rows:
+        lines.append(f"  nu = {r.nu}  dim {r.dimension}  "
+                     f"m+ = {r.mult_plus}  m- = {r.mult_minus}")
+    lines.append(f"  signed sum: "
+                 + (" + ".join(f"{c:+d}[{w}]" for w, c in report.signed_sum)
+                    or "0"))
+    lines.append(f"  classification: {report.kernel.status.value}")
+    lines += [f"  FAIL: {f}" for f in report.failures]
+    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
+    return doc, lines
+
+
+def cmd_chi(args) -> tuple:
+    pair = resolve_pair(args.pair)
+    checks, failures = [], []
+    # each check, its pass line (given what it returns), its failure's prefix
+    for check, passed, prefix in (
+            (chi_decompose, "chi split over W1: pass", "chi split: "),
+            (chi_trace_difference, "trace-difference identity: pass",
+             "trace difference: "),
+            (chi_casimir_check, "Casimir scalar identity: pass (scalar {})",
+             "Casimir scalar: "),
+            (chi_disjointness_check, "E+/E- weight disjointness: pass", "")):
+        try:
+            checks.append(passed.format(check(pair)))
+        except ConsistencyError as exc:
+            failures.append(f"{prefix}{exc}")
+    doc = {"pair": pair.name, "checks": checks, "failures": failures,
+           "passed": not failures}
     lines = [f"chi verification for {pair.name}:"]
-    lines += [f"  {d}" for d in details]
-    lines += [f"  FAIL: {f}" for f in failures]
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    emit(doc, args.format == "machine", lines, out)
-    return 0 if passed else 1
+    lines += [f"  {c}" for c in checks] + [f"  FAIL: {f}" for f in failures]
+    lines.append(f"result: {'FAIL' if failures else 'PASS'}")
+    return doc, lines
 
 
-def cmd_branch(args, out) -> int:
+def cmd_branch(args) -> tuple:
     pair = resolve_pair(args.pair)
     nu = parse_weight(args.nu, pair.rank)
     result = branch_equal_rank(pair, nu)
@@ -330,11 +306,10 @@ def cmd_branch(args, out) -> int:
              f"(dim {doc['dimension']}) to the subgroup of {pair.name}:"]
     for w, m in sorted(result.items()):
         lines.append(f"  [{w}] x {m}  (dim {weyl_dim(pair.h_system, w)})")
-    emit(doc, args.format == "machine", lines, out)
-    return 0
+    return doc, lines
 
 
-def cmd_tensor(args, out) -> int:
+def cmd_tensor(args) -> tuple:
     rs, nu1, nu2 = resolve_classical(args.system, args.nu1, args.nu2)
     result = tensor(rs, nu1, nu2)
     doc = {
@@ -347,48 +322,43 @@ def cmd_tensor(args, out) -> int:
              f"[{nu1}] x [{nu2}] ="]
     for w, m in sorted(result.items()):
         lines.append(f"  [{w}] x {m}  (dim {weyl_dim(rs, w)})")
-    emit(doc, args.format == "machine", lines, out)
-    return 0
+    return doc, lines
 
 
-def cmd_dim(args, out) -> int:
+def cmd_dim(args) -> tuple:
     rs, nu = resolve_classical(args.system, args.nu)
     d = weyl_dim(rs, nu)
     doc = {"system": rs.name, "nu": str(nu), "dimension": d}
-    emit(doc, args.format == "machine",
-         [f"dim of the {rs.name} irreducible with highest weight {nu}: {d}"],
-         out)
-    return 0
+    return doc, [f"dim of the {rs.name} irreducible with highest weight "
+                 f"{nu}: {d}"]
 
 
 # One row per command: its syntax (its words, then each required <positional>
 # and --flag <value>), its handler and its help line, read by _parse and _help.
 _COMMANDS = (
-    ("pair list", cmd_pair, "built-in pairs"),
-    ("pair show <pair>", cmd_pair, "roots, deltas, W1 table, validation"),
+    ("pair list", cmd_pair_list, "built-in pairs"),
+    ("pair show <pair>", cmd_pair_show, "roots, deltas, W1 table, validation"),
     ("spinor <pair>", cmd_spinor, "spinor weight/parity table, chi+/- split"),
     ("kernel <pair> --mu <weight>", cmd_kernel, "classify ker D+ / ker D-"),
-    ("verify euler <pair> --mu <weight>", cmd_verify, "oracle over the shell"),
-    ("verify chi <pair>", cmd_verify, "chi+/- split, trace, Casimir checks"),
+    ("verify euler <pair> --mu <weight>", cmd_euler, "oracle over the shell"),
+    ("verify chi <pair>", cmd_chi, "chi+/- split, trace, Casimir checks"),
     ("branch <pair> --nu <weight>", cmd_branch, "equal-rank restriction"),
     ("tensor <system> --nu1 <w> --nu2 <w>", cmd_tensor, "tensor product"),
     ("dim <system> --nu <weight>", cmd_dim, "Weyl dimension"),
 )
-_SECOND_WORD = {"pair": "action", "verify": "what"}  # as the handlers read
 
 
-def _help(args, out) -> int:
+def _help(args) -> tuple:
     width = max(len(syntax) for syntax, _, _ in _COMMANDS)
-    print("dirackernel [--format text|machine] <command> ...\n", *(
-        f"  {syntax:<{width}}  {text}" for syntax, _, text in args.rows),
-        sep="\n", file=out)
-    return 0
+    return {}, ["dirackernel [--format text|machine] <command> ...", "", *(
+        f"  {syntax:<{width}}  {text}" for syntax, _, text in args.rows)]
 
 
 def _parse(argv) -> SimpleNamespace:
-    """The format, the handler, and the words, positionals and flags of a
-    command line under the names the handlers read; -h or --help after the
-    format selects ``_help``.  A usage error raises CliError."""
+    """The format, the handler, and the positionals and flags of a command
+    line under the names the handlers read; -h or --help after the format
+    selects ``_help``, printed as text.  A usage error, a repeated flag
+    included, raises CliError."""
     rest = []
     for token in argv:  # --flag=value as --flag value: a value is one token
         rest += token.split("=", 1) if token.startswith("--") else [token]
@@ -403,7 +373,7 @@ def _parse(argv) -> SimpleNamespace:
         words.append(rest.pop(0))
     rows = [row for row, h in zip(_COMMANDS, heads) if h[:len(words)] == words]
     if {"-h", "--help"} & set(rest):
-        return SimpleNamespace(handler=_help, rows=rows)
+        return SimpleNamespace(format="text", handler=_help, rows=rows)
     if words not in heads:
         expected = dict.fromkeys(" ".join(h[:len(words) + 1]) for h in heads
                                  if h[:len(words)] == words)
@@ -411,13 +381,12 @@ def _parse(argv) -> SimpleNamespace:
         raise CliError(f"expected {' | '.join(expected)}, got {got}")
     syntax, handler, _ = rows[0]
     head, *tail = syntax.split(" --")
-    names = ([_SECOND_WORD[w] for w in words[:-1]]
-             + [t[1:-1] for t in head.split()[len(words):]])
+    names = [t[1:-1] for t in head.split()[len(words):]]
     flags = ["--" + t.split()[0] for t in tail]
-    values, given = {}, words[1:]  # then the positionals, and anything else
+    values, given = {}, []  # the positionals, and anything else
     while rest:
         token = rest.pop(0)
-        if token in flags and rest:
+        if token in flags and rest and token[2:] not in values:
             values[token[2:]] = rest.pop(0)
         else:
             given.append(token)
@@ -432,13 +401,19 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = _parse(argv)
-        return args.handler(args, out)
+        doc, lines = args.handler(args)
     except (ValueError, GroupOrderLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=err)
         return 1
+    if args.format == "machine":
+        import json
+        print(json.dumps(doc, indent=2), file=out)
+    else:
+        out.writelines(f"{line}\n" for line in lines)
+    return 1 if doc.get("passed") is False else 0
 
 
 def main() -> None:

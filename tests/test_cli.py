@@ -620,6 +620,11 @@ class TestExitCodes:
         (["dim", "B2", "--nu", "1,0", "--mu", "1"],
          "usage: dirackernel dim <system> --nu <weight>"),
         (["pair", "list", "extra"], "usage: dirackernel pair list"),
+        # a repeated flag is an extra argument, not a second value
+        (["kernel", "so7_so6", "--mu", "13/2,7/2,3/2", "--mu", "13/2,7/2,3/2"],
+         "usage: dirackernel kernel <pair> --mu <weight>"),
+        (["dim", "B2", "--nu", "1,0", "--nu=1,0"],
+         "usage: dirackernel dim <system> --nu <weight>"),
     ])
     def test_usage_error_is_one_line_on_err(self, argv, message):
         assert invoke(argv) == (2, "", f"error: {message}\n")
@@ -639,7 +644,8 @@ class TestExitCodes:
         code, _, _ = invoke([])
         assert code == 2
 
-    def test_verification_failure_exits_one(self, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_verification_failure_exits_one(self, monkeypatch, fmt):
         import dirackernel.cli as cli
         from dirackernel.dirac import EulerReport, dirac_kernel
         from dirackernel.lattice import Weight
@@ -653,19 +659,30 @@ class TestExitCodes:
             signed_sum=(), expected=((Weight.parse("2"), -1),),
             kernel=kernel, failures=("signed sum mismatch",))
         monkeypatch.setattr(cli, "euler_verify", lambda p, m: broken)
-        code, out, _ = invoke(["verify", "euler", "so3_so2", "--mu", "5/2"])
+        code, out, _ = invoke(["--format", fmt, "verify", "euler", "so3_so2",
+                               "--mu", "5/2"])
         assert code == 1
-        assert "result: FAIL" in out
+        if fmt == "machine":
+            assert json.loads(out)["passed"] is False
+        else:
+            assert "result: FAIL" in out
 
-    def test_shared_spinor_weight_fails_verify_chi(self, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_shared_spinor_weight_fails_verify_chi(self, monkeypatch, fmt):
         import dirackernel.spin as spin
 
         # E+ and E- of so3_so2 (grid D = 2) made to share the weight -1/2
         monkeypatch.setattr(spin, "spinor_counts",
                             lambda pair: {1: {(1,): 1, (-1,): 1},
                                           -1: {(-1,): 1}})
-        code, out, _ = invoke(["verify", "chi", "so3_so2"])
+        code, out, _ = invoke(["--format", fmt, "verify", "chi", "so3_so2"])
         assert code == 1
+        if fmt == "machine":
+            doc = json.loads(out)
+            assert doc["passed"] is False
+            assert ("E+ and E- share weights: [Weight(-1/2)]"
+                    in doc["failures"])
+            return
         assert "  FAIL: E+ and E- share weights: [Weight(-1/2)]\n" in out
         assert "disjointness: pass" not in out
         assert out.endswith("result: FAIL\n")

@@ -6,11 +6,11 @@ per grid point D nu (``grid_table``; ``weight_table`` converts and checks
 a (root system, nu) at the edge): the Freudenthal multiplicity
 recursion evaluated on the dominant weights only, each value copied over
 the Weyl orbit of its weight.  Dimensions come from Weyl's product formula
-as a quotient of two integer products on the same grid, cross-checked
-against the multiplicity mass in the tests.  Decomposition of an invariant
-character on the grid is straightening (``_straighten``): each support
-weight w is walked from w + delta into the dominant chamber, as the
-theorem path walks lambda + delta; branching and tensor products
+as a quotient of two integer products on the same grid (``grid_dim``),
+cross-checked against the multiplicity mass in the tests.  Decomposition
+of an invariant character on the grid is straightening (``_straighten``):
+each support weight w is walked from w + delta into the dominant chamber,
+as the theorem path walks lambda + delta; branching and tensor products
 straighten the integer tables directly.  ``Weight``s appear only as
 highest weights.  Half-integral highest weights are first-class; lattice
 membership is only ever enforced against an explicit LatticeSpec.
@@ -102,13 +102,13 @@ def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
 
     nu must be dominant; integrality against any particular lattice is
     deliberately not required (spin representations are half-integral)."""
-    return grid_table(*_highest_weight_point(rs, Weight(nu)))[0]
+    return grid_table(*_highest_weight_point(rs, Weight(nu)))
 
 
 @lru_cache(maxsize=None)
-def grid_table(g: Grid, top: tuple) -> tuple:
-    """(WeightTable, dimension) of pi_nu for a checked highest weight
-    top = D nu on g; cached per grid point.
+def grid_table(g: Grid, top: tuple) -> WeightTable:
+    """The WeightTable of pi_nu for a checked highest weight top = D nu on
+    g; cached per grid point.
 
     Freudenthal runs on the dominant weights by descending <., delta>, and
     each value is copied over the W-orbit of its weight before the next.
@@ -147,25 +147,28 @@ def grid_table(g: Grid, top: tuple) -> tuple:
             value = 2 * acc // gap
         for image in orbit(g, x):
             table[image] = value
-    return WeightTable(g, table), sum(table.values())
+    return WeightTable(g, table)
 
 
-def weyl_dim(rs: RootSystem, nu: Weight) -> int:
-    """Dimension of pi_nu by Weyl's product formula (Humphreys, 24.3) on
-    the grid of ``weight_table``: prod <D (nu + delta), D alpha> over
+def grid_dim(rs: RootSystem, g: Grid, x: tuple) -> int:
+    """Dimension of pi_nu by Weyl's product formula (Humphreys, 24.3) for
+    x = D nu on g, a grid of rs: prod <D (nu + delta), D alpha> over
     Delta^+ divided exactly by prod <D delta, D alpha>.  A remainder or a
-    quotient that is not positive raises ConsistencyError."""
-    nu = Weight(nu)
-    g, x = _highest_weight_point(rs, nu)
+    quotient that is not positive raises ConsistencyError naming rs."""
     shifted = tuple(map(add, x, g.delta))
     top = bottom = 1
     for alpha in g.positive:
         top *= sum(map(mul, shifted, alpha))
         bottom *= sum(map(mul, g.delta, alpha))
     if top % bottom or top // bottom <= 0:
-        raise ConsistencyError(
-            f"Weyl dimension formula gave {top}/{bottom} for {nu} in {rs}")
+        raise ConsistencyError(f"Weyl dimension formula gave {top}/{bottom} "
+                               f"for {g.weight(x)} in {rs}")
     return top // bottom
+
+
+def weyl_dim(rs: RootSystem, nu: Weight) -> int:
+    """Dimension of pi_nu by ``grid_dim`` on the grid of ``weight_table``."""
+    return grid_dim(rs, *_highest_weight_point(rs, Weight(nu)))
 
 
 # -- decomposition by straightening ----------------------------------------

@@ -7,8 +7,11 @@ rational as a "p/q" string and weights in the comma-separated grammar the
 flags accept, and its text lines.  ``run`` renders: the document under
 ``--format machine``, else the lines.  It also maps every input error,
 usage included, a ``ValueError`` each, to one ``error:`` line on stderr and
-exit 2, and reads the exit status from the document: 1 exactly when it says
-``"passed": false``, else 0.  Output order is deterministic everywhere.
+exit 2.  A ``ConsistencyError`` becomes one ``internal consistency error:``
+line on stderr in text, and under ``--format machine`` the document
+``{"error": <that line>, "passed": false}``.  The exit status is read from
+the document: 1 exactly when it says ``"passed": false``, else 0; a text
+consistency error exits 1 too.  Output order is deterministic everywhere.
 
 Custom pairs load from a JSON file of the shape::
 
@@ -406,8 +409,11 @@ def run(argv, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
     except ConsistencyError as exc:
-        print(f"internal consistency error: {exc}", file=err)
-        return 1
+        message = f"internal consistency error: {exc}"
+        if args.format == "text":
+            print(message, file=err)
+            return 1
+        doc = {"error": message, "passed": False}
     if args.format == "machine":
         import json
         print(json.dumps(doc, indent=2), file=out)

@@ -10,14 +10,23 @@ sgn(sigma) * (-1)^m.
 The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda as integer points on a
 sphere, once per sphere (``_sphere``, bounded by the simple-root
-inequalities), reads each member's weight table and dimension once per
-grid point, computes Frobenius multiplicities on both sides by Brauer-Klimyk
-extraction (``_extract``: the weight multiplicities of pi_nu summed
-against signed shifts, over the smaller of the two sides), and checks
-that the alternating sum collapses to the predicted signed irreducible
-(or to zero).  It runs on int tuples D w on the grid of ``roots.grid`` end
-to end; ``Weight`` appears only at its inputs and in its report.  The
-shifts are prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
+inequalities), takes each member's dimension from Weyl's product, computes
+Frobenius multiplicities on both sides by Brauer-Klimyk extraction
+(``_extract``: the weight multiplicities of pi_nu summed against signed
+shifts, over the smaller of the two sides), and checks that the
+alternating sum collapses to the predicted signed irreducible (or to
+zero).  The multiplicities are read on demand (``_multiplicity``) by a
+standard lemma (Humphreys, Introduction to Lie Algebras and Representation
+Theory, 13.4 Lemma C and 21.3): every weight of pi_nu lies in the ball
+|y| <= |nu|, and the weights of norm |nu| are exactly W nu, each of
+multiplicity 1.  So a shift landing outside the ball reads 0, one on its
+sphere reads 1 or 0 by a walk to the dominant chamber, and one strictly
+inside reads the Freudenthal table (``grid_table``) only when its dominant
+representative is a weight.
+
+The oracle runs on int tuples D w on the grid of ``roots.grid`` end to
+end; ``Weight`` appears only at its inputs and in its report.  The shifts
+are prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
 character, built by Weyl's character formula (``_extraction_kernel``): the
 character, read from ``spin.spinor_counts`` (negating every weight swaps
 the sides when m is odd), is straightened against Delta_h, and each
@@ -31,13 +40,13 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Dict, NamedTuple, Optional
 
-from .characters import alternant_sums, grid_table, weyl_dim
+from .characters import alternant_sums, grid_dim, grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
-from .roots import Grid, WeylElement, dominant_walk, grid, orbit
+from .roots import Grid, WeylElement, _solve, dominant_walk, grid, orbit
 from .spin import spinor_counts
 from .sympair import SymmetricPair, admissibility_failures
 
@@ -231,17 +240,53 @@ def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
     return kernel
 
 
-def _extract(pair: SymmetricPair, table: dict, x: tuple, side: int) -> int:
-    """sum c * table[x + k] over the signed shifts (k, c) of the kernel of
-    ``side``, for the weight table of pi_nu and x = D mu; when the table is
-    the smaller side, as sum table[y] * kernel[y - x]."""
+def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
+    """mult_nu(y) for pi_nu, top = D nu and y integral on g, read by the
+    lemma of ``_extract``.  Outside the ball |y| <= |nu| the read is 0, and
+    on its sphere it is 1 when y walks (``dominant_walk``) to nu.  Inside,
+    y is walked to y+, a dominant weight of pi_nu exactly when nu - y+ is
+    in Q+ (Humphreys, 21.3): its coordinates over the simple roots
+    (``roots._solve``) are nonnegative integers.  Then the read is the
+    cached Freudenthal table's (``grid_table``), else 0."""
+    gap = sum(map(mul, top, top)) - sum(map(mul, y, y))
+    if gap < 0:
+        return 0
+    dominant = dominant_walk(y, g)[1]
+    if not gap:
+        return int(dominant == top)
+    d, (coefficients,) = _solve([g.positive[k] for k in g.rs.simple_index],
+                                [tuple(map(sub, top, dominant))])
+    if coefficients is None or any(c % d or c // d < 0 for c in coefficients):
+        return 0
+    return grid_table(g, top).terms[dominant]
+
+
+def _extract(pair: SymmetricPair, g: Grid, top: tuple, dimension: int,
+             x: tuple, side: int) -> int:
+    """sum c * mult_nu(x + k) over the signed shifts (k, c) of the kernel
+    of ``side``, for pi_nu of the given dimension, top = D nu and x = D mu
+    on g = grid(pair.root_system).
+
+    The reads rest on a lemma (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 13.4 Lemma C and 21.3): every weight of pi_nu
+    lies in the ball |y| <= |nu|, and the weights of norm |nu| are exactly
+    W nu, each of multiplicity 1.  A shift that takes x outside the ball
+    reads 0 at once; every other read is ``_multiplicity``'s.  When pi_nu
+    is the smaller side (its dimension below the kernel's size), the sum
+    runs over its table (``grid_table``) as sum table[y] * kernel[y - x]
+    instead."""
     s = side if pair.m % 2 == 0 else -side
     kernel = _extraction_kernel(pair, s)
-    if len(table) < len(kernel):
+    if dimension < len(kernel):
         return sum(m * kernel.get(tuple(map(sub, y, x)), 0)
-                   for y, m in table.items())
-    return sum(c * table.get(tuple(map(add, x, k)), 0)
-               for k, c in kernel.items())
+                   for y, m in grid_table(g, top).terms.items())
+    radius = sum(map(mul, top, top))
+    total = 0
+    for k, c in kernel.items():
+        y = tuple(map(add, x, k))
+        if sum(map(mul, y, y)) <= radius:
+            total += c * _multiplicity(g, top, y)
+    return total
 
 
 class ShellRow(NamedTuple):
@@ -284,9 +329,9 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     failures = []
     signed: Dict[Weight, int] = {}
     for point in _shell_points(pair, g, lam):
-        table, dimension = grid_table(g, point)
-        m_plus = _extract(pair, table.terms, x, +1)
-        m_minus = _extract(pair, table.terms, x, -1)
+        dimension = grid_dim(pair.root_system, g, point)
+        m_plus = _extract(pair, g, point, dimension, x, +1)
+        m_minus = _extract(pair, g, point, dimension, x, -1)
         nu = g.weight(point)
         rows.append(ShellRow(nu, dimension, m_plus, m_minus))
         if m_plus + m_minus > 1:

@@ -1,6 +1,6 @@
 """The references of the oracle layer: the extraction kernel as a sum over
 W_H and as a product of binomials over Delta_h^+, the product-and-peel
-multiplicity, the Casimir shell by a ``Fraction``
+multiplicity and the full-table sum, the Casimir shell by a ``Fraction``
 and an integer brute-force scan, and ``checked_euler``; and ``Weight`` views
 of the library's shell and extraction.  The kernel per (pair, s), the
 product and peel per (pair, nu, s), which serves every mu, and each scan
@@ -15,7 +15,7 @@ from operator import add, sub
 from types import MappingProxyType
 from typing import Mapping
 
-from dirackernel.characters import weight_table, weyl_dim
+from dirackernel.characters import grid_dim, weight_table, weyl_dim
 from dirackernel.dirac import (_extract, _extraction_kernel, _shell_points,
                                euler_verify)
 from dirackernel.lattice import Weight, inner_product
@@ -83,10 +83,23 @@ def reference_multiplicity(pair, nu, mu, side) -> int:
 def frobenius_multiplicity(pair, nu, mu, side: int) -> int:
     """The multiplicity of the mu-irreducible of the subgroup cover in
     chi^s tensor pi_nu restricted, s = side for m even and -side for m
-    odd, for nu a dominant point of F and mu admissible."""
+    odd, for nu a dominant point of F and mu admissible: the library's
+    extraction, which reads pi_nu on demand."""
     g = grid(pair.root_system)
+    top = g.point(Weight(nu))
+    return _extract(pair, g, top, grid_dim(pair.root_system, g, top),
+                    g.point(Weight(mu)), side)
+
+
+def table_multiplicity(pair, nu, mu, side: int) -> int:
+    """``frobenius_multiplicity`` as the full-table sum: c * table[x + k]
+    over every signed shift (k, c) of the kernel, every value read from
+    the whole Freudenthal table of pi_nu."""
+    s = side if pair.m % 2 == 0 else -side
     table = weight_table(pair.root_system, Weight(nu)).terms
-    return _extract(pair, table, g.point(Weight(mu)), side)
+    x = grid(pair.root_system).point(Weight(mu))
+    return sum(c * table.get(tuple(map(add, x, k)), 0)
+               for k, c in _extraction_kernel(pair, s).items())
 
 
 def casimir_shell(pair, lam) -> list:
@@ -159,10 +172,12 @@ def _integer_sphere(pair, total) -> tuple:
 
 
 def checked_euler(pair, mu):
-    """``euler_verify(pair, mu)``, after checking that every shell row's
-    dimension (the multiplicity mass of pi_nu) is ``weyl_dim``."""
+    """``euler_verify(pair, mu)``, after checking that every shell
+    member's Freudenthal mass (the sum of its table) is ``weyl_dim``."""
     report = euler_verify(pair, mu)
+    rs = pair.root_system
     for row in report.rows:  # raised, not asserted: also under python -O
-        if row.dimension != weyl_dim(pair.root_system, row.nu):
-            raise AssertionError(f"{row} against weyl_dim")
+        mass = sum(weight_table(rs, row.nu).terms.values())
+        if mass != weyl_dim(rs, row.nu) or mass != row.dimension:
+            raise AssertionError(f"{row}: mass {mass} against weyl_dim")
     return report

@@ -687,6 +687,25 @@ class TestExitCodes:
         assert "disjointness: pass" not in out
         assert out.endswith("result: FAIL\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_consistency_error_in_spinor(self, monkeypatch, fmt):
+        import dirackernel.spin as spin
+
+        # the shared weight of the test above, which chi_decompose raises
+        # on: spinor calls it outside any try
+        monkeypatch.setattr(spin, "spinor_counts",
+                            lambda pair: {1: {(1,): 1, (-1,): 1},
+                                          -1: {(-1,): 1}})
+        code, out, err = invoke(["--format", fmt, "spinor", "so3_so2"])
+        message = ("internal consistency error: chi^+ does not decompose "
+                   "over W1 with highest weights [Weight(1/2)]")
+        assert code == 1
+        if fmt == "machine":
+            assert json.loads(out) == {"error": message, "passed": False}
+            assert err == ""
+        else:
+            assert (out, err) == ("", message + "\n")
+
     def test_group_order_limit_exits_two(self, monkeypatch):
         from dirackernel.errors import GroupOrderLimitError
         from dirackernel.sympair import SymmetricPair

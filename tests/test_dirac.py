@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from operator import add, sub
 
@@ -7,7 +8,7 @@ import pytest
 import dirackernel.characters as characters
 import dirackernel.dirac as dirac
 import dirackernel.spin as spin
-from corpus import CORPUS, corpus_pair
+from corpus import CORPUS, W1_PAIRS, corpus_pair
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
@@ -21,7 +22,7 @@ from reference_oracle import (brute_force_shell, casimir_shell,
                               checked_euler, frobenius_multiplicity,
                               binomial_kernel, integer_brute_force_shell,
                               kernel_weights, reference_kernel,
-                              reference_multiplicity)
+                              reference_multiplicity, table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
                              inverse, quarter_delta_pair, reference_contains)
 
@@ -355,6 +356,7 @@ class TestFrobeniusDifferential:
     def assert_agree(self, pair, nu, mu):
         for side in (1, -1):
             assert (frobenius_multiplicity(pair, nu, mu, side)
+                    == table_multiplicity(pair, nu, mu, side)
                     == reference_multiplicity(pair, nu, mu, side)
                     ), (pair.name, mu, nu, side)
 
@@ -389,6 +391,81 @@ class TestFrobeniusDifferential:
             for _lam, mu in admissible_box(pair, box):
                 for nu in nus:
                     self.assert_agree(pair, nu, mu)
+
+
+class TestOnDemandMultiplicity:
+    def test_reads_match_the_table_in_a_box(self):
+        # pi_nu on the root systems of W1_PAIRS, read at every integral
+        # point y of a box around D nu that holds the ball |y| <= |nu|
+        # with a step to spare.  nu is 0, the highest root and, up to rank
+        # 3, delta; on BC1 (a root twice another) Freudenthal is exact
+        # only at 0 and 1/4, and raises from 1/2 on.
+        cases = set()
+        for rs in dict.fromkeys(pair.root_system for pair in W1_PAIRS):
+            g = grid(rs)
+            step = g.scale // 2
+            if len(g.reduced) < len(g.positive):
+                tops = [(0,), (1,)]
+            else:
+                highest = max(range(len(g.positive)),
+                              key=lambda k: sum(rs.coefficients[k]))
+                tops = [(0,) * rs.rank, g.positive[highest]]
+                tops += [g.delta] if rs.rank <= 3 else []
+            for top in tops:
+                radius = sum(c * c for c in top)
+                reach = math.isqrt(radius) + max(map(abs, top)) + 2 * step
+                box = [range(c - reach, c + reach + 1, step) for c in top]
+                terms = characters.grid_table(g, top).terms
+                for y in itertools.product(*box):
+                    if not g.is_integral(y):
+                        continue
+                    read = dirac._multiplicity(g, top, y)
+                    assert read == terms.get(y, 0), (rs, top, y)
+                    norm = sum(c * c for c in y)
+                    cases.add((norm > radius, norm == radius, read > 0))
+        # outside; the sphere, in W nu and not; inside, weights and not
+        assert cases == {(True, False, False), (False, True, True),
+                         (False, True, False), (False, False, True),
+                         (False, False, False)}
+
+    def test_both_sums_match_the_full_table_sum(self):
+        # every row of the oracle sample and of |lambda_i| <= 1 on the
+        # corpus pairs, summed on demand (a dimension above any kernel's
+        # size) and over the table (a dimension of 0)
+        ops = [(builtin_pair(name), box)
+               for name, box in ORACLE_SAMPLE_BOXES.items()]
+        ops += [(corpus_pair(*node), 1) for node in CORPUS]
+        for pair, box in ops:
+            g = grid(pair.root_system)
+            for lam, mu in admissible_box(pair, box):
+                x = g.point(mu)
+                for nu in casimir_shell(pair, lam):
+                    top = g.point(nu)
+                    for side in (1, -1):
+                        full = table_multiplicity(pair, nu, mu, side)
+                        assert dirac._extract(pair, g, top, 10 ** 9, x,
+                                              side) == full
+                        assert dirac._extract(pair, g, top, 0, x,
+                                              side) == full
+
+    def test_rung_builds_no_table(self):
+        characters.grid_table.cache_clear()
+        report = dirac.euler_verify(builtin_pair("so7_so6"),
+                                    W("13/2,7/2,3/2"))
+        assert report.passed
+        assert report.rows[0].dimension == 41769
+        assert characters.grid_table.cache_info().misses == 0
+
+    def test_oracle_sample_builds_five_tables(self):
+        # one cold pass of the 103 sample mu built 32 tables when each
+        # row read its whole table; now only rows with dim pi_nu below
+        # the kernel's size, or an inside read that is a weight, build one
+        characters.grid_table.cache_clear()
+        for name, box in ORACLE_SAMPLE_BOXES.items():
+            pair = builtin_pair(name)
+            for _lam, mu in admissible_box(pair, box):
+                assert dirac.euler_verify(pair, mu).passed
+        assert characters.grid_table.cache_info().misses <= 5
 
 
 class TestEulerVerify:

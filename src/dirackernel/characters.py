@@ -24,7 +24,8 @@ from operator import add, mul, sub
 from typing import Dict, NamedTuple
 
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
-                     NonDominantError, SymmetryError)
+                     NonDominantError, SymmetryError,
+                     UnsupportedRootSystemError)
 from .lattice import Weight
 from .roots import Grid, RootSystem, dominant_walk, grid, orbit
 from .sympair import SymmetricPair
@@ -81,11 +82,18 @@ def _refined_grid(rs: RootSystem, weights) -> Grid:
 
 def _highest_weight_point(rs: RootSystem, nu: Weight) -> tuple:
     """(g, D nu) on the grid g of rs refined by the denominators of nu,
-    checked by ``_check_highest_weight``; a nu whose length is not the
-    rank raises DimensionError first."""
+    checked by ``_check_highest_weight``; first a nu of the wrong length
+    raises DimensionError, and a root twice another (Freudenthal and Weyl's
+    product need a reduced system) UnsupportedRootSystemError."""
     if len(nu) != rs.rank:
         raise DimensionError(f"weight length {len(nu)} vs rank {rs.rank}")
     g = _refined_grid(rs, [nu])
+    if len(g.reduced) < len(g.positive):
+        twice = next(a for k, a in enumerate(rs.positive_roots)
+                     if k not in g.reduced)
+        raise UnsupportedRootSystemError(
+            f"{rs} is not reduced: its root {twice} is twice the root "
+            f"{Weight(c / 2 for c in twice)}")
     x = g.point(nu)
     _check_highest_weight(rs, g, x)
     return g, x

@@ -11,27 +11,18 @@ The oracle path shares only the lattice/roots primitives with the theorem
 path.  It enumerates the Casimir shell of lambda as integer points on a
 sphere, once per sphere (``_sphere``, bounded by the simple-root
 inequalities), takes each member's dimension from Weyl's product, computes
-Frobenius multiplicities on both sides by Brauer-Klimyk extraction
-(``_extract``: the weight multiplicities of pi_nu summed against signed
-shifts, over the smaller of the two sides), and checks that the
-alternating sum collapses to the predicted signed irreducible (or to
-zero).  The multiplicities are read on demand (``_multiplicity``) by a
-standard lemma (Humphreys, Introduction to Lie Algebras and Representation
-Theory, 13.4 Lemma C and 21.3): every weight of pi_nu lies in the ball
-|y| <= |nu|, and the weights of norm |nu| are exactly W nu, each of
-multiplicity 1.  So a shift landing outside the ball reads 0, one on its
-sphere reads 1 or 0 by a walk to the dominant chamber, and one strictly
-inside reads the Freudenthal table (``grid_table``) only when its dominant
-representative is a weight.
+Frobenius multiplicities on both sides by Brauer-Klimyk extraction, and
+checks that the alternating sum collapses to the predicted signed
+irreducible (or to zero).  The extraction (``_extract``) sums the weight
+multiplicities of pi_nu over the W_H-images of D (mu + delta_h), shifted
+by the components of the negated half-spin character (``_components``,
+cached per pair and side): a pruned search visits only the images that
+land in the ball |y| <= |nu| holding every weight of pi_nu, and each is
+read on demand (``_multiplicity``).
 
 The oracle runs on int tuples D w on the grid of ``roots.grid`` end to
-end; ``Weight`` appears only at its inputs and in its report.  The shifts
-are prod (1 - e^alpha) over Delta_h^+ times the negated half-spin
-character, built by Weyl's character formula (``_extraction_kernel``): the
-character, read from ``spin.spinor_counts`` (negating every weight swaps
-the sides when m is odd), is straightened against Delta_h, and each
-component contributes one signed W_H-orbit.  The kernel reads W_H only as
-orbits on the subgroup's grid; never W_1.
+end; ``Weight`` appears only at its inputs and in its report.  It keeps
+nothing of the size of W_H, and never reads W_1.
 """
 
 from __future__ import annotations
@@ -46,7 +37,7 @@ from typing import Dict, NamedTuple, Optional
 from .characters import alternant_sums, grid_dim, grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
-from .roots import Grid, WeylElement, _solve, dominant_walk, grid, orbit
+from .roots import Grid, WeylElement, _solve, dominant_walk, grid
 from .spin import spinor_counts
 from .sympair import SymmetricPair, admissibility_failures
 
@@ -179,8 +170,8 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
     are the integer vectors with x = r + D delta mod D and sum x_k^2 =
     total.  nu is dominant iff <x, D a> >= <D delta, D a> for each simple
     root a: each coordinate steps by D within the integer square root of
-    what remains and the bounds of the a whose support it completes; the
-    end point is tested.
+    what remains and the bounds of the a whose support it completes, so
+    every end point is dominant (else ConsistencyError).
     """
     delta = g.delta
     checks = [[] for _ in delta]
@@ -192,52 +183,37 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
         offsets = tuple(map(add, residue, delta))
         for x in _squares_summing_to(offsets, g.scale, total, checks):
             nu = tuple(map(sub, x, delta))
-            if g.is_dominant(nu):
-                found.append(nu)
+            if not g.is_dominant(nu):
+                raise ConsistencyError(
+                    f"shell point {g.weight(nu)} is not dominant")
+            found.append(nu)
     return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
-def _extraction_kernel(pair: SymmetricPair, s: int) -> dict:
-    """The signed shifts {k: c}, k on ``grid(pair.root_system)``, with
-    m_mu = sum c * mult_nu(mu + k); cached, so not to be changed.
+def _components(pair: SymmetricPair, s: int) -> tuple:
+    """The components (p, n) of chi-bar^s = sum n ch_h(tau) on the
+    subgroup's grid, p = D (tau + delta_h); cached per pair and side.
 
-    Multiplying chi^s * pi_nu = sum m_mu' ch_h(mu') by the Weyl denominator
-    of Delta_h and reading off the coefficient of e^(mu + delta_h) gives
-    m_mu = sum over w in W_H and the weights e of chi^s of
-    sgn(w) n_e mult_nu(mu + delta_h - w delta_h - e).  By Weyl's
-    denominator formula the shifts with their signed counts are the
-    product K_s = prod_{alpha in Delta_h^+} (1 - e^alpha) * chi-bar^s,
-    where the bar negates every weight.  Negating every sign of a row of
-    parity s gives a row of parity s (-1)^m, so chi-bar^s is
-    chi^(s (-1)^m), read from ``spin.spinor_counts``.
-
-    The product is built by Weyl's character formula on the subgroup's
-    grid h: prod (1 - e^alpha) = (-1)^|Delta_h^+| e^delta_h A_delta_h, and
-    chi-bar^s splits into h-irreducibles tau (Parthasarathy), each with
-    A_delta_h ch_h(tau) = A_(tau + delta_h), a signed W_H-orbit.  So
-    chi-bar^s is straightened against Delta_h (``alternant_sums``), and
-    each component p = D (tau + delta_h) with multiplicity n puts
-    (-1)^|Delta_h^+| sgn(w) n at D delta_h + w p over ``orbit(h, p)``.
-    The kernel reads W_H only as orbits on the subgroup's grid; never W_1.
+    The coefficient of e^(mu + delta_h) in chi^s * pi_nu times the Weyl
+    denominator of Delta_h gives m_mu = sum c mult_nu(mu + k) over the
+    signed shifts (k, c) of prod_{alpha in Delta_h^+} (1 - e^alpha) *
+    chi-bar^s, the bar negating every weight: chi-bar^s is chi^(s (-1)^m)
+    (``spin.spinor_counts``).  Straightened against Delta_h
+    (``alternant_sums``) it splits into h-irreducibles tau (Parthasarathy;
+    a negative n raises), each putting (-1)^|Delta_h^+| sgn(w) n on
+    D delta_h + w p over W_H (Weyl), shifts ``_extract`` never lists.
     """
     g = grid(pair.root_system)
     h = grid(pair.h_system, g.scale)
     chi = spinor_counts(pair)[s * (-1) ** pair.m]
-    sign = (-1) ** len(pair.h_index)
-    kernel = {}
-    for p, n in alternant_sums(h, chi).items():
+    components = alternant_sums(h, chi)
+    for p, n in components.items():
         if n < 0:
             raise ConsistencyError(
                 f"half-spin character has multiplicity {n} at the "
                 f"subgroup irreducible {h.weight(tuple(map(sub, p, h.delta)))}")
-        if n:
-            # p is regular, so sgn(w) is (-1)^parity for the parity that
-            # orbit gives w p; distinct orbits meet no shift twice
-            by_parity = (sign * n, -sign * n)
-            for y, parity in orbit(h, p).items():
-                kernel[tuple(map(add, h.delta, y))] = by_parity[parity]
-    return kernel
+    return tuple((p, n) for p, n in components.items() if n)
 
 
 def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
@@ -261,32 +237,45 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     return grid_table(g, top).terms[dominant]
 
 
-def _extract(pair: SymmetricPair, g: Grid, top: tuple, dimension: int,
-             x: tuple, side: int) -> int:
-    """sum c * mult_nu(x + k) over the signed shifts (k, c) of the kernel
-    of ``side``, for pi_nu of the given dimension, top = D nu and x = D mu
-    on g = grid(pair.root_system).
+def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
+             side: int) -> int:
+    """The multiplicity of the subgroup irreducible mu in chi^s tensor pi_nu
+    (s = side for m even, -side for m odd), for top = D nu on g =
+    grid(pair.root_system) and start = w0 z on the subgroup's grid at g's
+    scale, z = D (mu + delta_h) and w0 the longest element of W_H.
 
-    The reads rest on a lemma (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, 13.4 Lemma C and 21.3): every weight of pi_nu
-    lies in the ball |y| <= |nu|, and the weights of norm |nu| are exactly
-    W nu, each of multiplicity 1.  A shift that takes x outside the ball
-    reads 0 at once; every other read is ``_multiplicity``'s.  When pi_nu
-    is the smaller side (its dimension below the kernel's size), the sum
-    runs over its table (``grid_table``) as sum table[y] * kernel[y - x]
-    instead."""
+    mult_nu is W-invariant, so the shifts of ``_components`` give m_mu =
+    (-1)^|Delta_h^+| sum_p n sum_u sgn(u) mult_nu(p + u) over the images
+    u = w z, sgn(u) = (-1)^l(w) as z is strictly Delta_h-dominant.  Every
+    weight of pi_nu lies in the ball |y| <= |nu| (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 13.4 Lemma C and 21.3), so
+    u reads nonzero only if 2 <p, u> <= |nu|^2 - |p|^2 - |z|^2.  A step
+    toward the dominant chamber adds a positive multiple of a simple root
+    to u and shortens w by one: it never lowers <p, u> (p is dominant),
+    and such steps reach every u from w0 z.  So a breadth-first search
+    along them from w0 z, pruned where the bound fails, visits exactly the
+    images that can read nonzero, at parity l(w0) = ``len(h.reduced)``
+    less the level.  Each reflection tests its pairing (``Grid.reflect``).
+    """
+    h = grid(pair.h_system, g.scale)
     s = side if pair.m % 2 == 0 else -side
-    kernel = _extraction_kernel(pair, s)
-    if dimension < len(kernel):
-        return sum(m * kernel.get(tuple(map(sub, y, x)), 0)
-                   for y, m in grid_table(g, top).terms.items())
-    radius = sum(map(mul, top, top))
+    room = sum(map(mul, top, top)) - sum(map(mul, start, start))
     total = 0
-    for k, c in kernel.items():
-        y = tuple(map(add, x, k))
-        if sum(map(mul, y, y)) <= radius:
-            total += c * _multiplicity(g, top, y)
-    return total
+    for p, n in _components(pair, s):
+        bound = room - sum(map(mul, p, p))  # on 2 <p, u>
+        level = [start] if 2 * sum(map(mul, p, start)) <= bound else []
+        sign = n if len(h.reduced) % 2 == 0 else -n
+        while level:
+            up = set()
+            for u in level:
+                total += sign * _multiplicity(g, top, tuple(map(add, p, u)))
+                for i, (support, _) in enumerate(h.supports):
+                    if sum(u[k] * c for k, c in support) < 0:
+                        y = h.reflect(u, i)
+                        if 2 * sum(map(mul, p, y)) <= bound:
+                            up.add(y)
+            level, sign = up, -sign
+    return (-1) ** len(pair.h_index) * total
 
 
 class ShellRow(NamedTuple):
@@ -325,13 +314,16 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     g = grid(pair.root_system)
     x = g.point(mu)
     lam = tuple(map(sub, x, g.half_sum(pair.p_index)))
+    h = grid(pair.h_system, g.scale)
+    start = tuple(-c for c in dominant_walk(  # w0 z: -(-z walked dominant)
+        tuple(-a - b for a, b in zip(x, h.delta)), h)[1])
     rows = []
     failures = []
     signed: Dict[Weight, int] = {}
     for point in _shell_points(pair, g, lam):
         dimension = grid_dim(pair.root_system, g, point)
-        m_plus = _extract(pair, g, point, dimension, x, +1)
-        m_minus = _extract(pair, g, point, dimension, x, -1)
+        m_plus = _extract(pair, g, point, start, +1)
+        m_minus = _extract(pair, g, point, start, -1)
         nu = g.weight(point)
         rows.append(ShellRow(nu, dimension, m_plus, m_minus))
         if m_plus + m_minus > 1:

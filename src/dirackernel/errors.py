@@ -26,7 +26,7 @@ class InvalidPairError(ValueError):
 
 
 class UnsupportedRootSystemError(ValueError):
-    """Family/rank combination outside the supported classical range."""
+    """An unsupported family or rank, or a root system that is not reduced."""
 
 
 class GroupOrderLimitError(RuntimeError):

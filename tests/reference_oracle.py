@@ -1,10 +1,12 @@
 """The references of the oracle layer: the extraction kernel as a sum over
-W_H and as a product of binomials over Delta_h^+, the product-and-peel
-multiplicity and the full-table sum, the Casimir shell by a ``Fraction``
-and an integer brute-force scan, and ``checked_euler``; and ``Weight`` views
-of the library's shell and extraction.  The kernel per (pair, s), the
-product and peel per (pair, nu, s), which serves every mu, and each scan
-per sphere are computed once per session.
+W_H and as a product of binomials over Delta_h^+, and from the library's
+components over the listed W_H; the product-and-peel multiplicity, and the
+sums over the whole kernel, read on demand or from the full table; the
+Casimir shell by a ``Fraction`` and an integer brute-force scan, and
+``checked_euler``; and ``Weight`` views of the library's shell and
+extraction.  The kernel per (pair, s), the product and peel per (pair, nu,
+s), which serves every mu, and each scan per sphere are computed once per
+session.
 """
 
 import itertools
@@ -15,14 +17,14 @@ from operator import add, sub
 from types import MappingProxyType
 from typing import Mapping
 
-from dirackernel.characters import grid_dim, weight_table, weyl_dim
-from dirackernel.dirac import (_extract, _extraction_kernel, _shell_points,
-                               euler_verify)
+from dirackernel.characters import weight_table, weyl_dim
+from dirackernel.dirac import (_components, _extract, _multiplicity,
+                               _shell_points, euler_verify)
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import grid
+from dirackernel.roots import dominant_walk, grid
 from dirackernel.spin import spinor_counts
 from reference_characters import irreducible_character, peel, side_character
-from reference_roots import listed_group, reference_contains
+from reference_roots import act, listed_group, reference_contains
 
 
 @lru_cache(maxsize=None)
@@ -59,10 +61,18 @@ def binomial_kernel(pair, s) -> Mapping:
     return MappingProxyType(kernel)
 
 
-def kernel_weights(pair, s) -> dict:
-    """``_extraction_kernel(pair, s)`` read back as {Weight: c}."""
-    g = grid(pair.root_system)
-    return {g.weight(k): c for k, c in _extraction_kernel(pair, s).items()}
+def kernel_weights(pair, s, components=None) -> dict:
+    """The kernel K_s as {Weight: c}, built from the library's components
+    of chi-bar^s (``_components(pair, s)`` unless given) over the listed
+    W_H: each (p, n) puts (-1)^|Delta_h^+| sgn(w) n at delta_h + w p, and
+    distinct components meet no shift twice."""
+    h = grid(pair.h_system, grid(pair.root_system).scale)
+    sign = (-1) ** len(pair.h_positive)
+    kernel = {}
+    for p, n in _components(pair, s) if components is None else components:
+        for w in listed_group(pair.h_system):
+            kernel[pair.delta_h + act(w, h.weight(p))] = sign * w.sign * n
+    return kernel
 
 
 @lru_cache(maxsize=None)
@@ -86,20 +96,33 @@ def frobenius_multiplicity(pair, nu, mu, side: int) -> int:
     odd, for nu a dominant point of F and mu admissible: the library's
     extraction, which reads pi_nu on demand."""
     g = grid(pair.root_system)
-    top = g.point(Weight(nu))
-    return _extract(pair, g, top, grid_dim(pair.root_system, g, top),
-                    g.point(Weight(mu)), side)
+    h = grid(pair.h_system, g.scale)
+    z = tuple(map(add, g.point(Weight(mu)), h.delta))
+    lowest = dominant_walk(tuple(-c for c in z), h)[1]
+    return _extract(pair, g, g.point(Weight(nu)), tuple(-c for c in lowest),
+                    side)
+
+
+def kernel_multiplicity(pair, nu, mu, side: int) -> int:
+    """``frobenius_multiplicity`` as the sum c * mult_nu(x + k) over every
+    signed shift (k, c) of the whole kernel (``binomial_kernel``), each
+    read on demand by ``_multiplicity``: no pruning."""
+    s = side if pair.m % 2 == 0 else -side
+    g = grid(pair.root_system)
+    top, x = g.point(Weight(nu)), g.point(Weight(mu))
+    return sum(c * _multiplicity(g, top, tuple(map(add, x, k)))
+               for k, c in binomial_kernel(pair, s).items())
 
 
 def table_multiplicity(pair, nu, mu, side: int) -> int:
     """``frobenius_multiplicity`` as the full-table sum: c * table[x + k]
-    over every signed shift (k, c) of the kernel, every value read from
-    the whole Freudenthal table of pi_nu."""
+    over every signed shift (k, c) of the kernel (``binomial_kernel``),
+    every value read from the whole Freudenthal table of pi_nu."""
     s = side if pair.m % 2 == 0 else -side
     table = weight_table(pair.root_system, Weight(nu)).terms
     x = grid(pair.root_system).point(Weight(mu))
     return sum(c * table.get(tuple(map(add, x, k)), 0)
-               for k, c in _extraction_kernel(pair, s).items())
+               for k, c in binomial_kernel(pair, s).items())
 
 
 def casimir_shell(pair, lam) -> list:

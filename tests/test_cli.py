@@ -15,9 +15,8 @@ import dirackernel
 from corpus import corpus_pair
 from dirackernel import cli
 from dirackernel.cli import run
-from dirackernel.roots import grid
 from dirackernel.sympair import builtin_pair
-from reference_oracle import reference_kernel
+from reference_oracle import kernel_weights, reference_kernel
 
 
 # G2: the six positive roots in the sum-zero plane of Z^3, h from two of
@@ -35,6 +34,12 @@ README_PAIR = {"name": "custom_so5_so4", "rank": 2,
                "h_positive_indices": [0, 1],
                "lattice_F_shifts": ["0,0"],
                "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
+
+
+# BC1, whose root 1 is twice the root 1/2, with h = {1}
+BC1_PAIR = {"name": "bc1", "rank": 1, "positive_roots": ["1/2", "1"],
+            "h_positive_indices": [1], "lattice_F_shifts": ["0"],
+            "lattice_F1_shifts": ["0", "1/2"]}
 
 
 def invoke(argv):
@@ -115,6 +120,34 @@ class TestVerifyCommands:
         assert code == 2
         assert "mu - delta_p not in F" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_euler_multiplicity_bound(self, monkeypatch, fmt):
+        # one row of four read as 1 on both sides: the signed sum is
+        # unchanged, so the multiplicity bound alone fails the check
+        import dirackernel.dirac as dirac
+
+        extract = dirac._extract
+        row = dirackernel.Weight.parse("6,0,0")
+
+        def one_row_read_twice(pair, g, top, *rest):
+            return 1 if g.weight(top) == row else extract(pair, g, top, *rest)
+
+        monkeypatch.setattr(dirac, "_extract", one_row_read_twice)
+        failure = "multiplicity bound violated at nu=6,0,0: m+=1, m-=1"
+        report = dirac.euler_verify(builtin_pair("so7_so6"),
+                                    dirackernel.Weight.parse("9/2,9/2,3/2"))
+        assert report.failures == (failure,)
+        code, out, _ = invoke(["--format", fmt, "verify", "euler", "so7_so6",
+                               "--mu", "9/2,9/2,3/2"])
+        assert code == 1
+        if fmt == "machine":
+            doc = json.loads(out)
+            assert doc["passed"] is False
+            assert doc["failures"] == [failure]
+        else:
+            assert failure in out
+            assert out.endswith("result: FAIL\n")
+
     def test_chi_pass_all_builtins(self):
         for name in ("so3_so2", "so5_so4", "so7_so6", "so5_so2xso3"):
             code, out, _ = invoke(["verify", "chi", name])
@@ -124,9 +157,9 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_chi_builds_no_weight_rows(self, monkeypatch, tmp_path, fmt):
-        # verify chi and both sides of the extraction kernel read chi^+-
-        # from the merged product, never the sign-vector rows: on so9_so8
-        # and on C3 node 0, two of whose rows of E+ share a weight
+        # verify chi and both sides of the extraction's components read
+        # chi^+- from the merged product, never the sign-vector rows: on
+        # so9_so8 and on C3 node 0, two of whose rows of E+ share a weight
         import dirackernel.dirac as dirac
         import dirackernel.spin as spin
 
@@ -159,9 +192,8 @@ class TestVerifyCommands:
         monkeypatch.setattr(dirac, "spinor_counts", counts)
         assert [invoke(argv) for argv in argvs] == expected
         for (pair, s), reference in kernels.items():
-            g = grid(pair.root_system)
-            kernel = dirac._extraction_kernel.__wrapped__(pair, s)
-            assert {g.weight(k): c for k, c in kernel.items()} == reference
+            components = dirac._components.__wrapped__(pair, s)
+            assert kernel_weights(pair, s, components) == reference
 
 
 class TestPairCommands:
@@ -462,15 +494,25 @@ class TestPairCommands:
                              ids=["spinor", "verify_chi"])
     def test_pair_file_bc1(self, tmp_path, fmt, command):
         # BC1 with h = {1}: delta_p^sigma = 1/4 is not integral for Delta_h
-        data = {"name": "bc1", "rank": 1, "positive_roots": ["1/2", "1"],
-                "h_positive_indices": [1], "lattice_F_shifts": ["0"],
-                "lattice_F1_shifts": ["0", "1/2"]}
         path = tmp_path / "bc1.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
+        path.write_text(json.dumps(BC1_PAIR), encoding="utf-8")
         code, out, err = invoke(["--format", fmt, *command, str(path)])
         assert (code, out) == (2, "")
         assert err == ("error: 1/4 is not algebraically integral for "
                        "RootSystem(bc1:h, 1 positive roots)\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("nu", ["0", "1"])
+    def test_pair_file_bc1_branch_refused(self, tmp_path, fmt, nu):
+        # Freudenthal and Weyl's product need a reduced root system, so a
+        # character of BC1 is an input error, not a failed identity
+        path = tmp_path / "bc1.json"
+        path.write_text(json.dumps(BC1_PAIR), encoding="utf-8")
+        code, out, err = invoke(["--format", fmt, "branch", str(path),
+                                 "--nu", nu])
+        assert (code, out) == (2, "")
+        assert err == ("error: RootSystem(bc1, 2 positive roots) is not "
+                       "reduced: its root 1 is twice the root 1/2\n")
 
     def test_pair_file_huge_rank(self, tmp_path):
         # the zero-shift check must not build a weight of this length

@@ -13,16 +13,17 @@ from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
 from dirackernel.lattice import LatticeSpec, Weight
-from dirackernel.roots import Grid, grid
+from dirackernel.roots import ORBIT_LIMIT, Grid, build_classical, grid
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
-                                 builtin_pair_names)
+                                 builtin_pair_names, marked_node_pair)
 from reference_characters import irreducible_character, reference_character
 from reference_oracle import (brute_force_shell, casimir_shell,
                               checked_euler, frobenius_multiplicity,
                               binomial_kernel, integer_brute_force_shell,
-                              kernel_weights, reference_kernel,
-                              reference_multiplicity, table_multiplicity)
+                              kernel_multiplicity, kernel_weights,
+                              reference_kernel, reference_multiplicity,
+                              table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
                              inverse, quarter_delta_pair, reference_contains)
 
@@ -162,6 +163,20 @@ class TestCasimirShell:
         assert dirac._sphere.cache_info().misses == 2
         assert all(expected.values())
 
+    def test_a_point_that_is_not_dominant_raises(self, monkeypatch):
+        # the simple-root bounds keep every point of the search dominant;
+        # one that is not, here x = -D delta (nu = -2 delta) on so5_so4,
+        # is a bug
+        pair = builtin_pair("so5_so4")
+        g = grid(pair.root_system)
+        monkeypatch.setattr(dirac, "_squares_summing_to",
+                            lambda *_args: iter([(-3, -1)]))
+        dirac._sphere.cache_clear()
+        with pytest.raises(ConsistencyError,
+                           match="shell point -3,-1 is not dominant"):
+            dirac._shell_points(pair, g, (0, 0))
+        dirac._sphere.cache_clear()
+
     def test_equal_norms_share_one_tuple(self):
         # |lambda + delta|^2 = 29/2 for all three, delta = 3/2,1/2
         pair = builtin_pair("so5_so4")
@@ -261,6 +276,10 @@ KERNEL_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
 
 
 class TestExtractionKernel:
+    # The library keeps only the components of chi-bar^s
+    # (``dirac._components``); ``kernel_weights`` builds the whole kernel
+    # from them over the listed W_H, and these tests hold it against the
+    # sum over W_H and the product of binomials.
     @pytest.mark.parametrize("name", builtin_pair_names())
     def test_shifts_cancel_to_one_orbit_per_component(self, name):
         # The kernel is e^delta_h times (A_delta_h * chi^s)(-x), and
@@ -268,9 +287,10 @@ class TestExtractionKernel:
         # over the components tau of chi^s, each with |W_H| distinct
         # terms; chi^+ and chi^- together have |W_1| components.
         pair = builtin_pair(name)
-        terms = (len(dirac._extraction_kernel(pair, 1))
-                 + len(dirac._extraction_kernel(pair, -1)))
+        terms = len(kernel_weights(pair, 1)) + len(kernel_weights(pair, -1))
         assert terms == pair.weyl_h_order * len(pair.w1)
+        assert (len(dirac._components(pair, 1))
+                + len(dirac._components(pair, -1))) == len(pair.w1)
 
     @pytest.mark.parametrize("family,rank,node", CORPUS)
     def test_counts_match_a_walk_over_the_rows(self, family, rank, node):
@@ -298,9 +318,12 @@ class TestExtractionKernel:
         # one term per (w, row) pair, so a weight that several sign vectors
         # give is counted that many times; and the product of binomials
         # over Delta_h^+, expanded term by term
+        g = grid(pair.root_system)
         for s in (1, -1):
-            assert kernel_weights(pair, s) == reference_kernel(pair, s)
-            assert dirac._extraction_kernel(pair, s) == binomial_kernel(pair, s)
+            kernel = kernel_weights(pair, s)
+            assert kernel == reference_kernel(pair, s)
+            assert kernel == {g.weight(k): c
+                              for k, c in binomial_kernel(pair, s).items()}
 
     def test_negative_component_raises(self, monkeypatch):
         # -chi-bar^s straightens to components of multiplicity -1
@@ -310,7 +333,7 @@ class TestExtractionKernel:
         monkeypatch.setattr(dirac, "spinor_counts", lambda p: negated)
         for s in (1, -1):
             with pytest.raises(ConsistencyError, match="multiplicity -1 at"):
-                dirac._extraction_kernel.__wrapped__(pair, s)
+                dirac._components.__wrapped__(pair, s)
 
     def test_off_grid_coordinate(self, monkeypatch):
         # delta = 3/2,1/2 of so5_so4 is not on the grid Z
@@ -320,7 +343,7 @@ class TestExtractionKernel:
         with pytest.raises(ConsistencyError, match="not on the grid"):
             spin.spinor_counts.__wrapped__(pair)
         with pytest.raises(ConsistencyError, match="not on the grid"):
-            dirac._extraction_kernel.__wrapped__(pair, 1)
+            dirac._components.__wrapped__(pair, 1)
         with pytest.raises(ConsistencyError, match="not on the grid"):
             dirac.euler_verify(pair, W("5/2,3/2"))
 
@@ -430,23 +453,20 @@ class TestOnDemandMultiplicity:
 
     def test_both_sums_match_the_full_table_sum(self):
         # every row of the oracle sample and of |lambda_i| <= 1 on the
-        # corpus pairs, summed on demand (a dimension above any kernel's
-        # size) and over the table (a dimension of 0)
+        # corpus pairs: the pruned read, and the whole kernel read on
+        # demand, against the whole kernel over the full table
         ops = [(builtin_pair(name), box)
                for name, box in ORACLE_SAMPLE_BOXES.items()]
         ops += [(corpus_pair(*node), 1) for node in CORPUS]
         for pair, box in ops:
-            g = grid(pair.root_system)
             for lam, mu in admissible_box(pair, box):
-                x = g.point(mu)
                 for nu in casimir_shell(pair, lam):
-                    top = g.point(nu)
                     for side in (1, -1):
                         full = table_multiplicity(pair, nu, mu, side)
-                        assert dirac._extract(pair, g, top, 10 ** 9, x,
-                                              side) == full
-                        assert dirac._extract(pair, g, top, 0, x,
-                                              side) == full
+                        assert frobenius_multiplicity(pair, nu, mu,
+                                                      side) == full
+                        assert kernel_multiplicity(pair, nu, mu,
+                                                   side) == full
 
     def test_rung_builds_no_table(self):
         characters.grid_table.cache_clear()
@@ -456,16 +476,17 @@ class TestOnDemandMultiplicity:
         assert report.rows[0].dimension == 41769
         assert characters.grid_table.cache_info().misses == 0
 
-    def test_oracle_sample_builds_five_tables(self):
+    def test_oracle_sample_builds_no_table(self):
         # one cold pass of the 103 sample mu built 32 tables when each
-        # row read its whole table; now only rows with dim pi_nu below
-        # the kernel's size, or an inside read that is a weight, build one
+        # row read its whole table, and 5 when rows with dim pi_nu below
+        # the kernel's size did; now only an inside read that is a weight
+        # builds one, and the sample has none
         characters.grid_table.cache_clear()
         for name, box in ORACLE_SAMPLE_BOXES.items():
             pair = builtin_pair(name)
             for _lam, mu in admissible_box(pair, box):
                 assert dirac.euler_verify(pair, mu).passed
-        assert characters.grid_table.cache_info().misses <= 5
+        assert characters.grid_table.cache_info().misses == 0
 
 
 class TestEulerVerify:
@@ -582,6 +603,15 @@ class TestEulerVerify:
         pair = builtin_pair("so7_so6")
         report = dirac.euler_verify(pair, W("9/2,7/2,7/2"))
         assert report.passed and len(report.rows) == 4
+
+    def test_b8_node_7_at_delta_p(self):
+        # |W_H| = 2^7 8! is past ORBIT_LIMIT, and the pruned read never
+        # lists W_H: the one member nu = 0 reads its images in the ball
+        pair = marked_node_pair(build_classical("B", 8), 7, "so17_so16")
+        assert pair.weyl_h_order > ORBIT_LIMIT
+        report = dirac.euler_verify(pair, pair.delta_p)
+        assert report.passed
+        assert [row.nu for row in report.rows] == [Weight.zero(8)]
 
     def test_so9_sample(self):
         pair = builtin_pair("so9_so8")

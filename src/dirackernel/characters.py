@@ -153,7 +153,7 @@ def grid_table(g: Grid, top: tuple) -> WeightTable:
                 raise ConsistencyError(
                     f"Freudenthal produced {2 * acc}/{gap} at {g.weight(x)}")
             value = 2 * acc // gap
-        for image in orbit(g, x):
+        for image in orbit(g, x)[0]:
             table[image] = value
     return WeightTable(g, table)
 

@@ -8,18 +8,18 @@ its image w(delta).  W acts simply transitively on the orbit of the regular
 weight delta (Humphreys, Introduction to Lie Algebras, 10.3), so the image
 identifies the element, and ``weyl_group`` is the breadth-first orbit of
 delta under the simple reflections, each element given its word from the
-orbit's search tree.  Reflections act on weight vectors directly, so a
+orbit's search.  Reflections act on weight vectors directly, so a
 user-supplied list of positive roots works just as well as a built-in
 family.  A, B, C, D are realized in the standard e-basis, which for the A
 family means an ambient space of dimension rank + 1.
 
 ``orbit`` walks down from a dominant int tuple D w on the grid (1/D)
-Z^rank of a root system (``Grid``), where W is the orbit of D delta, and
-gives each image the parity of its shortest element, no word; the grid
-keeps one search tree per wall set of the start, which later starts with
-the same walls replay.  The search is held to ``ORBIT_LIMIT`` images.
-``weyl_order`` counts W without listing it, as the product of m_i + 1 over
-the exponents m_i, which the heights of the positive roots give (Kostant).
+Z^rank of a root system (``Grid``), where W is the orbit of D delta: one
+breadth-first search that gives each image with its parent and generator,
+no word, and keeps nothing on the grid.  The search is held to
+``ORBIT_LIMIT`` images.  ``weyl_order`` counts W without listing it, as the
+product of m_i + 1 over the exponents m_i, which the heights of the
+positive roots give (Kostant).
 """
 
 from __future__ import annotations
@@ -283,8 +283,7 @@ class Grid:
     membership, pairings, dominance and reflections are integer
     arithmetic.  A conversion, half-sum or coroot pairing that is not exact
     raises ConsistencyError (``locate`` gives None off the grid); only
-    ``weight`` makes ``Fraction``s, one per coordinate value.  ``orbit``
-    keeps one breadth-first tree per wall set in ``orbit_trees``.
+    ``weight`` makes ``Fraction``s, one per coordinate value.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -306,7 +305,6 @@ class Grid:
             (tuple((j, c) for j, c in enumerate(b) if c), sum(c * c for c in b))
             for b in (self.positive[k] for k in self.mirror_index))
         self.supports = self.mirrors[:len(simple)]
-        self.orbit_trees = {}  # wall set -> its search tree: ``orbit``
 
     def locate(self, w: Weight) -> Optional[tuple]:
         """D w, or None when w is off the grid."""
@@ -420,51 +418,24 @@ def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
 ORBIT_LIMIT = 10 ** 6
 
 
-def orbit(g: Grid, v: tuple) -> dict:
-    """The W-orbit of a dominant v = D w on the grid g as {image: parity}
-    in tree order, the parity being l(u) mod 2 for the shortest u in W
-    with u v = image (for a regular v, u is unique and (-1)^parity its
-    sign); NonDominantError otherwise.
+def orbit(g: Grid, v: tuple) -> tuple:
+    """(images, parents, generators): the W-orbit of a dominant v = D w on
+    the grid g in breadth-first order from v, image n + 1 being image
+    parents[n] reflected in the simple root generators[n];
+    NonDominantError otherwise.
 
-    Breadth-first from v, generators in index order.  s_a u is one level
-    down if <u, a> > 0, u if it is 0, and one level up, already seen, if it
-    is negative (Humphreys, Reflection Groups and Coxeter Groups, 1.10):
-    only the first kind is reflected, so an image's level is l(u).  The
-    stabilizer of v is the parabolic W_J of its walls J = {i : <v, a_i> =
-    0} (ibid., 1.12), so which reflections the search takes, and in which
-    order, depends on J alone.  One search per wall set: the first start
-    with walls J records its tree, each image's parent, generator and
-    parity, in ``g.orbit_trees[J]`` (three int lists, kept as long as the
-    grid: about 46 bytes per image on large trees); every later start
-    replays it, one reflection per image.  Only the search counts images,
-    raising GroupOrderLimitError past ``ORBIT_LIMIT``, so every kept tree
-    is within it; ConsistencyError on a non-integral pairing is tested on
-    every reflection, recorded or replayed.
+    Generators are taken in index order.  s_a u is one level down if
+    <u, a> > 0, u if it is 0, and one level up, already seen, if it is
+    negative (Humphreys, Reflection Groups and Coxeter Groups, 1.10): only
+    the first kind is reflected, so an image's level is the length of the
+    shortest u in W with u v = image.  Past ``ORBIT_LIMIT`` images the
+    search raises GroupOrderLimitError, and on a non-integral pairing
+    ConsistencyError.
     """
-    walls = []
-    for i, (support, _) in enumerate(g.supports):
-        dot = 0
-        for k, c in support:
-            dot += v[k] * c
-        if dot < 0:
-            raise NonDominantError(
-                f"orbit start {g.weight(v)} is not dominant")
-        if not dot:
-            walls.append(i)
-    walls = tuple(walls)
-    tree = g.orbit_trees.get(walls)
-    if tree is None:
-        return _record_orbit(g, v, walls)
-    return _replay_orbit(g, v, tree)
-
-
-def _record_orbit(g: Grid, v: tuple, walls: tuple) -> dict:
-    """The breadth-first search of ``orbit`` over one list of images,
-    storing its tree under ``walls`` once it completes."""
-    seen, images = {v: 0}, [v]
-    parents, generators = [], []
+    if not g.is_dominant(v):
+        raise NonDominantError(f"orbit start {g.weight(v)} is not dominant")
+    seen, images, parents, generators = {v}, [v], [], []
     for p, u in enumerate(images):  # images grows while it is read
-        parity = 1 - seen[u]
         for i, (support, norm) in enumerate(g.supports):
             dot = 0
             for k, c in support:
@@ -479,26 +450,14 @@ def _record_orbit(g: Grid, v: tuple, walls: tuple) -> dict:
                 y[k] -= pairing * c
             image = tuple(y)
             if image not in seen:
-                seen[image] = parity
+                seen.add(image)
                 images.append(image)
                 parents.append(p)
                 generators.append(i)
-                if len(seen) > ORBIT_LIMIT:
+                if len(images) > ORBIT_LIMIT:
                     raise GroupOrderLimitError(
                         f"group closure exceeded limit {ORBIT_LIMIT}")
-    g.orbit_trees[walls] = parents, generators, list(seen.values())
-    return seen
-
-
-def _replay_orbit(g: Grid, v: tuple, tree: tuple) -> dict:
-    """``orbit`` from v along a recorded tree: image n + 1 is image
-    parents[n] reflected in the simple root generators[n] (``Grid.reflect``,
-    which tests the pairing)."""
-    parents, generators, parities = tree
-    images = [v]
-    for p, i in zip(parents, generators):
-        images.append(g.reflect(images[p], i))
-    return dict(zip(images, parities))
+    return images, parents, generators
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -519,14 +478,13 @@ def weyl_order(rs: RootSystem) -> int:
 
 def weyl_group(rs: RootSystem) -> tuple:
     """The Weyl group as the orbit of the regular weight delta, each
-    element carrying its reduced word, rebuilt from the orbit's kept tree
-    (an image's generator prepended to its parent's word).  Elements are
-    returned sorted by their image of delta.  The orbit runs on the grid,
-    and each image becomes a ``Weight`` once.
+    element carrying its reduced word, rebuilt from the orbit's parents and
+    generators (an image's generator prepended to its parent's word).
+    Elements are returned sorted by their image of delta.  The orbit runs
+    on the grid, and each image becomes a ``Weight`` once.
     """
     g = grid(rs)
-    images = orbit(g, g.delta)
-    parents, generators, _ = g.orbit_trees[()]  # delta lies on no wall
+    images, parents, generators = orbit(g, g.delta)
     words = [()]
     for p, i in zip(parents, generators):
         words.append((i,) + words[p])

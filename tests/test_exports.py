@@ -1,10 +1,11 @@
 """The names the benchmark harness in ``perfbench/`` reads from the package.
 
 ``perfbench/worker.py`` calls ``dk.<name>`` on ``import dirackernel as dk``
-and ``perfbench/test_perfbench.py`` imports names ``from dirackernel``.  Some
-of them (``weyl_group``, ``w1_enumerate``, ``validate_pair``) have no caller
-left in the library, so this pins them: deleting one would break every
-benchmark set-up.  The files are only read.
+and ``perfbench/test_perfbench.py`` imports names ``from dirackernel``.  Two
+of them (``weyl_group``, ``w1_enumerate``) have no caller left in the
+library, and ``validate_pair`` is called only inside ``SymmetricPair``, so
+this pins them as exports: deleting one would break every benchmark set-up.
+The files are only read.
 """
 
 import ast

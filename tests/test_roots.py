@@ -439,10 +439,8 @@ class TestWeylGroup:
             assert WeylElement.from_word(rs, w.word).image == w.image
 
     def test_order_limit(self, monkeypatch):
-        # a fresh grid keeps no tree, so the 384 images of D delta are
-        # searched, not replayed, and the search meets the limit
+        # the search for the 384 images of D delta meets the limit
         monkeypatch.setattr(roots, "ORBIT_LIMIT", 10)
-        monkeypatch.setattr(roots, "grid", lambda rs: Grid(rs, 2))
         with pytest.raises(GroupOrderLimitError):
             weyl_group(build_classical("B", 4))
 
@@ -456,7 +454,7 @@ class TestWeylGroup:
 def orbit_order(rs):
     """|W| counted as the orbit of D delta on the grid."""
     g = grid(rs)
-    return len(orbit(g, g.delta))
+    return len(orbit(g, g.delta)[0])
 
 
 class TestWeylOrder:
@@ -494,15 +492,12 @@ class TestOrbit:
         for v, size in [("1,0,0", 6), ("1,1,0", 12), ("1/2,1/2,1/2", 8),
                         ("2,1,0", 24), ("0,0,0", 1)]:
             v = W(v)
-            images = {g.weight(x): parity
-                      for x, parity in orbit(g, g.point(v)).items()}
+            images = [g.weight(x) for x in orbit(g, g.point(v))[0]]
             assert set(images) == {act(w, v) for w in group}
             assert len(images) == size
-            # the reference's shortest word reaches the image, and its
-            # length has the image's parity
+            # the reference's shortest word reaches the image
             for image, word in reference_orbit(rs, v).items():
                 assert act(WeylElement.from_word(rs, word), v) == image
-                assert images[image] == len(word) % 2
 
     @pytest.mark.parametrize("family,rank,weights", [
         ("B", 3, ["1,0,0", "1,1,0", "1/2,1/2,1/2", "2,1,0", "0,0,0"]),
@@ -511,9 +506,9 @@ class TestOrbit:
         ("D", 4, ["1,0,0,0", "1,1,0,0", "1/2,1/2,1/2,-1/2", "2,1,1,-1"]),
         ("B", 4, ["1,1,0,0", "3/2,1/2,1/2,1/2", "3,2,1,0"])])
     def test_matches_the_weight_reference(self, family, rank, weights):
-        # walking down from a dominant start keeps the images, order and
-        # word-length parities of the breadth-first orbit that reflects
-        # every image in every simple root
+        # walking down from a dominant start keeps the images and order of
+        # the breadth-first orbit that reflects every image in every simple
+        # root
         rs = build_classical(family, rank)
         g = grid(rs)
         for v in map(W, weights):
@@ -529,12 +524,14 @@ class TestOrbit:
 
     def test_non_integral_start_raises(self):
         g = Grid(build_classical("B", 2), 4)
-        with pytest.raises(ConsistencyError, match="pairs to 1/2"):
+        with pytest.raises(ConsistencyError) as raised:
             orbit(g, g.point(W("1/4,1/4")))
+        assert str(raised.value) == (
+            "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
 
     def test_limit(self, monkeypatch):
-        # 2,1,0 has 24 images: one over the limit raises and keeps no
-        # tree, and a limit of 24 lets the search through
+        # 2,1,0 has 24 images: one over the limit raises, and a limit of
+        # 24 lets the search through
         g = Grid(build_classical("B", 3), 2)
         x = g.point(W("2,1,0"))
         for limit in [10, 23]:
@@ -542,85 +539,54 @@ class TestOrbit:
             with pytest.raises(GroupOrderLimitError) as raised:
                 orbit(g, x)
             assert str(raised.value) == f"group closure exceeded limit {limit}"
-            assert not g.orbit_trees
         monkeypatch.setattr(roots, "ORBIT_LIMIT", 24)
-        assert len(orbit(g, x)) == 24
+        assert len(orbit(g, x)[0]) == 24
         with pytest.raises(GroupOrderLimitError):
             reference_orbit(build_classical("B", 3), W("2,1,0"), limit=10)
-
-
-def starts_by_walls(g: Grid) -> dict:
-    """{J: integral dominant starts with walls J} over the points D t / 2,
-    t in [-6, 6]^rank, at most two per wall set J."""
-    found = {}
-    for t in itertools.product(range(-6, 7), repeat=g.rs.rank):
-        x = tuple(c * g.scale // 2 for c in t)
-        if g.is_dominant(x) and g.is_integral(x):
-            walls = tuple(i for i in range(len(g.supports))
-                          if not g.coroot_pairing(x, i))
-            starts = found.setdefault(walls, [])
-            if len(starts) < 2:
-                starts.append(x)
-    return found
-
-
-def assert_reference_orbit(g: Grid, x: tuple) -> None:
-    """``orbit(g, x)`` has the images and order of the breadth-first
-    reference on ``Fraction`` weights, each with its word's length mod 2."""
-    assert list(orbit(g, x).items()) == [
-        (g.point(w), len(word) % 2)
-        for w, word in reference_orbit(g.rs, g.weight(x)).items()], x
-
-
-class TestOrbitReplay:
-    """One search per wall set, replayed by every later start."""
 
     @pytest.mark.parametrize("rs", [
         build_classical("B", 2), build_classical("B", 3),
         build_classical("C", 3), build_classical("D", 4),
         build_classical("A", 3), builtin_pair("so5_so2xso3").h_system],
         ids=lambda rs: repr(rs))
-    def test_every_wall_set_records_then_replays(self, rs):
-        # a fresh grid keeps no trees: the first start with walls J
-        # records one; once every tree is kept, a second start with walls
-        # J (the same start when 0 is the only one) replays J's tree, so a
-        # replay of another wall set's tree would list the wrong images
+    def test_every_wall_set_matches_the_reference(self, rs):
+        # which reflections the search takes depends on the walls of the
+        # start, whose stabilizer they generate: one start per wall set
         g = Grid(rs, grid(rs).scale)
         starts = starts_by_walls(g)
         assert len(starts) == 2 ** len(g.supports)
-        for walls, xs in starts.items():
-            assert walls not in g.orbit_trees
-            assert_reference_orbit(g, xs[0])
-            assert walls in g.orbit_trees
-        trees = dict(g.orbit_trees)
-        assert set(trees) == set(starts)
-        for walls, xs in starts.items():
-            assert_reference_orbit(g, xs[-1])
-        assert all(g.orbit_trees[walls] is trees[walls] for walls in trees)
+        for x in starts.values():
+            assert_reference_orbit(g, x)
 
-    def test_refined_grid_keeps_its_own_trees(self):
-        # A2 at nu = 2/3,-1/3,-1/3 lies on the grid 1/6 Z only; its trees
-        # are recorded and replayed there, apart from the default grid's
-        rs = build_classical("A", 2)
-        coarse, fine = Grid(rs, grid(rs).scale), Grid(rs, 6)
-        orbit(coarse, coarse.delta)
-        assert not fine.orbit_trees
+    def test_refined_grid_matches_the_reference(self):
+        # A2 at nu = 2/3,-1/3,-1/3 lies on the grid 1/6 Z only
+        g = Grid(build_classical("A", 2), 6)
         for v in ["2/3,-1/3,-1/3", "4/3,-2/3,-2/3", "1/3,1/3,-2/3",
                   "2/3,2/3,-4/3", "1,0,-1", "2,0,-2"]:
-            assert_reference_orbit(fine, fine.point(W(v)))
-        assert set(fine.orbit_trees) == {(1,), (0,), ()}
-        assert list(coarse.orbit_trees) == [()]
+            assert_reference_orbit(g, g.point(W(v)))
 
-    def test_replay_tests_integrality(self):
-        # 1/4,1/4 has the walls of 1,1; with that tree and delta's cached
-        # the replay raises the search's ConsistencyError
-        g = Grid(build_classical("B", 2), 4)
-        orbit(g, g.delta)
-        orbit(g, g.point(W("1,1")))
-        with pytest.raises(ConsistencyError) as raised:
-            orbit(g, g.point(W("1/4,1/4")))
-        assert str(raised.value) == (
-            "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
+
+def starts_by_walls(g: Grid) -> dict:
+    """{J: the first integral dominant start with walls J} over the points
+    D t / 2, t in [-6, 6]^rank."""
+    found = {}
+    for t in itertools.product(range(-6, 7), repeat=g.rs.rank):
+        x = tuple(c * g.scale // 2 for c in t)
+        if g.is_dominant(x) and g.is_integral(x):
+            walls = tuple(i for i in range(len(g.supports))
+                          if not g.coroot_pairing(x, i))
+            found.setdefault(walls, x)
+    return found
+
+
+def assert_reference_orbit(g: Grid, x: tuple) -> None:
+    """``orbit(g, x)`` has the images and order of the breadth-first
+    reference on ``Fraction`` weights, and each image is its parent
+    reflected in its generator."""
+    images, parents, generators = orbit(g, x)
+    assert images == list(map(g.point, reference_orbit(g.rs, g.weight(x)))), x
+    for n, (p, i) in enumerate(zip(parents, generators), 1):
+        assert images[n] == g.reflect(images[p], i)
 
 
 class TestDominantRepresentative:

@@ -566,6 +566,21 @@ class TestOrbit:
             assert_reference_orbit(g, g.point(W(v)))
 
 
+class TestOrbitReplay:
+    """Later starts on a grid that earlier starts have searched."""
+
+    def test_replay_tests_integrality(self):
+        # 1/4,1/4 has the walls of 1,1; after delta and 1,1 were searched
+        # on the same grid, the search still raises its ConsistencyError
+        g = Grid(build_classical("B", 2), 4)
+        orbit(g, g.delta)
+        orbit(g, g.point(W("1,1")))
+        with pytest.raises(ConsistencyError) as raised:
+            orbit(g, g.point(W("1/4,1/4")))
+        assert str(raised.value) == (
+            "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
+
+
 def starts_by_walls(g: Grid) -> dict:
     """{J: the first integral dominant start with walls J} over the points
     D t / 2, t in [-6, 6]^rank."""

@@ -154,6 +154,36 @@ class TestVerifyCommands:
             assert code == 0, name
             assert "result: PASS" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("change,failures", [
+        ("shifted", ["chi split: chi^- does not decompose over W1 with "
+                     "highest weights [Weight(3/2,1/2,-1/2)]",
+                     "Casimir scalar: Casimir scalar mismatch at sigma with "
+                     "delta_p^sigma=3/2,1/2,-1/2: 39/4 != 15/4"]),
+        ("repeated", ["chi split: duplicate highest weight 1/2,1/2,-1/2 in "
+                      "chi split"])])
+    def test_chi_failure_branches(self, monkeypatch, fmt, change, failures):
+        # W_1 of so7_so6 with its sigma of sign -1 (delta_p^sigma =
+        # 1/2,1/2,-1/2) moved by 1,0,0, or listed twice
+        pair = builtin_pair("so7_so6")
+        minus = next(x for x in pair.w1 if x.sign == -1)
+        if change == "shifted":
+            moved = minus._replace(delta_p_sigma=minus.delta_p_sigma
+                                   + dirackernel.Weight.parse("1,0,0"))
+            w1 = tuple(moved if x is minus else x for x in pair.w1)
+        else:
+            w1 = tuple(pair.w1) + (minus,)
+        monkeypatch.setattr(pair, "w1", w1)
+        code, out, _ = invoke(["--format", fmt, "verify", "chi", "so7_so6"])
+        assert code == 1
+        if fmt == "machine":
+            doc = json.loads(out)
+            assert doc["passed"] is False
+            assert doc["failures"] == failures
+            return
+        for failure in failures:
+            assert f"  FAIL: {failure}\n" in out
+        assert out.endswith("result: FAIL\n")
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_chi_builds_no_weight_rows(self, monkeypatch, tmp_path, fmt):

@@ -15,10 +15,10 @@ Frobenius multiplicities on both sides by Brauer-Klimyk extraction, and
 checks that the alternating sum collapses to the predicted signed
 irreducible (or to zero).  The extraction (``_extract``) sums the weight
 multiplicities of pi_nu over the W_H-images of D (mu + delta_h), shifted
-by the components of the negated half-spin character (``_components``,
-cached per pair and side): a pruned search visits only the images that
-land in the ball |y| <= |nu| holding every weight of pi_nu, and each is
-read on demand (``_multiplicity``).
+by the components of the half-spin character of its side
+(``spin.chi_components``, cached per pair and side): a pruned search
+visits only the images that land in the ball |y| <= |nu| holding every
+weight of pi_nu, and each is read on demand (``_multiplicity``).
 
 The oracle runs on int tuples D w on the grid of ``roots.grid`` end to
 end; ``Weight`` appears only at its inputs and in its report.  It keeps
@@ -34,11 +34,11 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, NamedTuple, Optional
 
-from .characters import alternant_sums, grid_dim, grid_table, weyl_dim
+from .characters import grid_dim, grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
 from .roots import Grid, WeylElement, _solve, dominant_walk, grid
-from .spin import spinor_counts
+from .spin import chi_components
 from .sympair import SymmetricPair, admissibility_failures
 
 
@@ -190,32 +190,6 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
     return tuple(sorted(found))
 
 
-@lru_cache(maxsize=None)
-def _components(pair: SymmetricPair, s: int) -> tuple:
-    """The components (p, n) of chi-bar^s = sum n ch_h(tau) on the
-    subgroup's grid, p = D (tau + delta_h); cached per pair and side.
-
-    The coefficient of e^(mu + delta_h) in chi^s * pi_nu times the Weyl
-    denominator of Delta_h gives m_mu = sum c mult_nu(mu + k) over the
-    signed shifts (k, c) of prod_{alpha in Delta_h^+} (1 - e^alpha) *
-    chi-bar^s, the bar negating every weight: chi-bar^s is chi^(s (-1)^m)
-    (``spin.spinor_counts``).  Straightened against Delta_h
-    (``alternant_sums``) it splits into h-irreducibles tau (Parthasarathy;
-    a negative n raises), each putting (-1)^|Delta_h^+| sgn(w) n on
-    D delta_h + w p over W_H (Weyl), shifts ``_extract`` never lists.
-    """
-    g = grid(pair.root_system)
-    h = grid(pair.h_system, g.scale)
-    chi = spinor_counts(pair)[s * (-1) ** pair.m]
-    components = alternant_sums(h, chi)
-    for p, n in components.items():
-        if n < 0:
-            raise ConsistencyError(
-                f"half-spin character has multiplicity {n} at the "
-                f"subgroup irreducible {h.weight(tuple(map(sub, p, h.delta)))}")
-    return tuple((p, n) for p, n in components.items() if n)
-
-
 def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     """mult_nu(y) for pi_nu, top = D nu and y integral on g, read by the
     lemma of ``_extract``.  Outside the ball |y| <= |nu| the read is 0, and
@@ -244,24 +218,29 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     grid(pair.root_system) and start = w0 z on the subgroup's grid at g's
     scale, z = D (mu + delta_h) and w0 the longest element of W_H.
 
-    mult_nu is W-invariant, so the shifts of ``_components`` give m_mu =
-    (-1)^|Delta_h^+| sum_p n sum_u sgn(u) mult_nu(p + u) over the images
-    u = w z, sgn(u) = (-1)^l(w) as z is strictly Delta_h-dominant.  Every
-    weight of pi_nu lies in the ball |y| <= |nu| (Humphreys, Introduction
-    to Lie Algebras and Representation Theory, 13.4 Lemma C and 21.3), so
-    u reads nonzero only if 2 <p, u> <= |nu|^2 - |p|^2 - |z|^2.  A step
-    toward the dominant chamber adds a positive multiple of a simple root
-    to u and shortens w by one: it never lowers <p, u> (p is dominant),
-    and such steps reach every u from w0 z.  So a breadth-first search
-    along them from w0 z, pruned where the bound fails, visits exactly the
-    images that can read nonzero, at parity l(w0) = ``len(h.reduced)``
-    less the level.  Each reflection tests its pairing (``Grid.reflect``).
+    The coefficient of e^(mu + delta_h) in chi^s * pi_nu times the Weyl
+    denominator of Delta_h is m_mu = sum c mult_nu(mu + k) over the shifts
+    (k, c) of prod_{alpha in Delta_h^+} (1 - e^alpha) times chi^s negated,
+    which is chi^side (negating a row of parity s gives parity s (-1)^m).
+    Each of its components (p, n) (``spin.chi_components``) puts
+    (-1)^|Delta_h^+| sgn(w) n on D delta_h + w p over W_H (Weyl), and
+    mult_nu is W-invariant, so m_mu = (-1)^|Delta_h^+| sum_p n sum_u sgn(u)
+    mult_nu(p + u) over the images u = w z, sgn(u) = (-1)^l(w) as z is
+    strictly Delta_h-dominant.  Every weight of pi_nu lies in the ball |y|
+    <= |nu| (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 13.4 Lemma C and 21.3), so u reads nonzero only if 2 <p, u> <=
+    |nu|^2 - |p|^2 - |z|^2.  A step toward the dominant chamber adds a
+    positive multiple of a simple root to u and shortens w by one: it never
+    lowers <p, u> (p is dominant), and such steps reach every u from w0 z.
+    So a breadth-first search along them from w0 z, pruned where the bound
+    fails, visits exactly the images that can read nonzero, at parity l(w0)
+    = ``len(h.reduced)`` less the level.  Each reflection tests its pairing
+    (``Grid.reflect``).
     """
     h = grid(pair.h_system, g.scale)
-    s = side if pair.m % 2 == 0 else -side
     room = sum(map(mul, top, top)) - sum(map(mul, start, start))
     total = 0
-    for p, n in _components(pair, s):
+    for p, n in chi_components(pair, side):
         bound = room - sum(map(mul, p, p))  # on 2 <p, u>
         level = [start] if 2 * sum(map(mul, p, start)) <= bound else []
         sign = n if len(h.reduced) % 2 == 0 else -n

@@ -1,17 +1,17 @@
 """Spinor representation data, by a combinatorial route from the pair
 structure, on the integer grid of ``roots.grid``: the half-spin characters
 chi^+ and chi^- ({D w: count}), multiplied out over Delta_p^+ one root at a
-time with one dict per parity and equal points merged after each root, the
-one source of chi^+- for the chi checks and the oracle's extraction
-kernel; the 2^m sign-vector rows, each the grid point D (1/2) sum eps_k
-alpha_k split E+/E- by the parity of minus signs, listed only for the
-``spinor`` table; and the checks of chi^+- against a second computation:
-P_- = prod_{alpha in Delta_p^+} (e^(alpha/2) - e^(-alpha/2)) = chi^+ -
-chi^-, the split of chi^+ and chi^- over W_1 into integer weight tables of
-the subgroup (Parthasarathy), and the disjointness of the weights of E+
-and E-.  ``Weight``s appear only in the rows of the ``spinor`` table and in
-the highest weights of the split.  The explicit Clifford matrices that
-cross-check these weights live with the tests (``tests/clifford_model.py``).
+time with one dict per parity and equal points merged after each root, and
+their components over Delta_h, each side straightened once
+(``chi_components``) for the chi split and the oracle's extraction; the
+2^m sign-vector rows, each the grid point D (1/2) sum eps_k alpha_k split
+E+/E- by the parity of minus signs, listed only for the ``spinor`` table;
+and the checks of chi^+- against a second computation: P_- = prod_{alpha
+in Delta_p^+} (e^(alpha/2) - e^(-alpha/2)) = chi^+ - chi^-, the split over
+W_1 (Parthasarathy), and the disjointness of the weights of E+ and E-.
+``Weight``s appear only in the rows of the ``spinor`` table and in the
+highest weights of the split.  The Clifford matrices that cross-check
+these weights live with the tests (``tests/clifford_model.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Dict, NamedTuple, Sequence
 
-from .characters import weight_table
+from .characters import _check_highest_weight, alternant_sums
 from .errors import ConsistencyError
 from .lattice import Weight
 from .roots import grid
@@ -112,7 +112,7 @@ def chi_trace_difference(pair: SymmetricPair) -> dict:
 
     Equals chi^+ - chi^-, which is asserted here: the product is built
     apart from ``spinor_counts``, so it cross-checks the chi^+- that the
-    other checks and the oracle's extraction kernel read.
+    other checks and the oracle's extraction read.
     """
     product = {(0,) * pair.rank: 1}
     for half in _halves(pair):
@@ -127,39 +127,59 @@ def chi_trace_difference(pair: SymmetricPair) -> dict:
     return product
 
 
+@lru_cache(maxsize=None)
+def chi_components(pair: SymmetricPair, side: int) -> tuple:
+    """The components (p, n) of chi^side = sum n ch_h(tau), p = D (tau +
+    delta_h) on the subgroup's grid at G's scale: chi^side straightened
+    against Delta_h (``alternant_sums``), a negative n raising; cached per
+    pair and side.  The oracle's extraction reads them, and
+    ``chi_decompose`` checks them against W_1."""
+    g = grid(pair.root_system)
+    h = grid(pair.h_system, g.scale)
+    components = alternant_sums(h, spinor_counts(pair)[side])
+    for p, n in components.items():
+        if n < 0:
+            raise ConsistencyError(
+                f"half-spin character has multiplicity {n} at the "
+                f"subgroup irreducible {h.weight(tuple(map(sub, p, h.delta)))}")
+    return tuple((p, n) for p, n in components.items() if n)
+
+
 def chi_decompose(pair: SymmetricPair):
     """Split chi^+ and chi^- into irreducibles over W_1.
 
     Returns (plus, minus): maps delta_p^sigma -> 1 over the sign classes of
-    W_1.  Verification: on each side, the sum of the integer weight tables
-    of the subgroup irreducibles equals the counted rows exactly; failure
-    raises, since it indicates a bad pair or bug.
+    W_1.  Verification: each delta_p^sigma is a highest weight for Delta_h
+    (NonDominantError), each chi^side is W_H-invariant (equal counts at the
+    reflections in the simple roots of Delta_h), and its components
+    (``chi_components``) are the D (delta_p^sigma + delta_h) of its side,
+    once each, which for an invariant character is chi^side = sum
+    ch_h(delta_p^sigma).  Failure raises: it indicates a bad pair or bug.
     """
-    plus: Dict[Weight, int] = {}
-    minus: Dict[Weight, int] = {}
+    split: Dict[int, Dict[Weight, int]] = {1: {}, -1: {}}
     for w1 in pair.w1:
-        target = plus if w1.sign == 1 else minus
-        if w1.delta_p_sigma in target:
+        if w1.delta_p_sigma in split[w1.sign]:
             raise ConsistencyError(
                 f"duplicate highest weight {w1.delta_p_sigma} in chi split")
-        target[w1.delta_p_sigma] = 1
-    counts = spinor_counts(pair)
-    scale = grid(pair.root_system).scale
-    for side, mapping in ((1, plus), (-1, minus)):
-        total: Dict[tuple, int] = {}
+        split[w1.sign][w1.delta_p_sigma] = 1
+    h = grid(pair.h_system, grid(pair.root_system).scale)
+    for side, mapping in split.items():
+        name = "+" if side == 1 else "-"
+        expected = {}
         for hw in mapping:
-            # delta_p^sigma lies on the grid of G, and the grid of the
-            # subgroup divides it, so the table's scale divides D
-            table = weight_table(pair.h_system, hw)
-            f = scale // table.grid.scale
-            for x, n in table.terms.items():
-                x = tuple(f * c for c in x)
-                total[x] = total.get(x, 0) + n
-        if total != counts[side]:
+            x = h.point(hw)
+            _check_highest_weight(pair.h_system, h, x)
+            expected[tuple(map(add, x, h.delta))] = 1
+        chi = spinor_counts(pair)[side]
+        for i, a in enumerate(h.simple_roots):
+            if any(chi.get(h.reflect(x, i)) != n for x, n in chi.items()):
+                raise ConsistencyError(
+                    f"chi^{name} is not invariant under reflection in {a}")
+        if dict(chi_components(pair, side)) != expected:
             raise ConsistencyError(
-                f"chi^{'+' if side == 1 else '-'} does not decompose over "
-                f"W1 with highest weights {sorted(mapping)}")
-    return plus, minus
+                f"chi^{name} does not decompose over W1 with highest "
+                f"weights {sorted(mapping)}")
+    return split[1], split[-1]
 
 
 def chi_disjointness_check(pair: SymmetricPair) -> None:

@@ -18,11 +18,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from dirackernel.characters import weight_table, weyl_dim
-from dirackernel.dirac import (_components, _extract, _multiplicity,
-                               _shell_points, euler_verify)
+from dirackernel.dirac import (_extract, _multiplicity, _shell_points,
+                               euler_verify)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import dominant_walk, grid
-from dirackernel.spin import spinor_counts
+from dirackernel.spin import chi_components, spinor_counts
 from reference_characters import irreducible_character, peel, side_character
 from reference_roots import act, listed_group, reference_contains
 
@@ -63,13 +63,16 @@ def binomial_kernel(pair, s) -> Mapping:
 
 def kernel_weights(pair, s, components=None) -> dict:
     """The kernel K_s as {Weight: c}, built from the library's components
-    of chi-bar^s (``_components(pair, s)`` unless given) over the listed
-    W_H: each (p, n) puts (-1)^|Delta_h^+| sgn(w) n at delta_h + w p, and
-    distinct components meet no shift twice."""
+    of chi-bar^s = chi^(s (-1)^m) (``chi_components(pair, s (-1)^m)``
+    unless given) over the listed W_H: each (p, n) puts (-1)^|Delta_h^+|
+    sgn(w) n at delta_h + w p, and distinct components meet no shift
+    twice."""
     h = grid(pair.h_system, grid(pair.root_system).scale)
     sign = (-1) ** len(pair.h_positive)
     kernel = {}
-    for p, n in _components(pair, s) if components is None else components:
+    if components is None:
+        components = chi_components(pair, s * (-1) ** pair.m)
+    for p, n in components:
         for w in listed_group(pair.h_system):
             kernel[pair.delta_h + act(w, h.weight(p))] = sign * w.sign * n
     return kernel

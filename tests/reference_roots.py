@@ -270,8 +270,8 @@ def quarter_delta_pair() -> SymmetricPair:
 
 def half_c2_pair() -> SymmetricPair:
     # C2 scaled by 1/2 with h = the long roots 1,0 and 0,1: the grid of G
-    # needs D = 4 and that of Delta_h only 2, so the subgroup's weight
-    # tables in the chi split are rescaled onto the grid of G
+    # needs D = 4 and that of Delta_h only 2, so the chi split runs on the
+    # subgroup's grid at G's scale, not at its own
     half = Fraction(1, 2)
     rs = RootSystem(2, [(half, -half), (half, half), (1, 0), (0, 1)])
     return SymmetricPair(rs, [(1, 0), (0, 1)], LatticeSpec.integers(2),

@@ -186,11 +186,37 @@ class TestVerifyCommands:
         assert out.endswith("result: FAIL\n")
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_chi_split_reads_the_straightened_components(self, monkeypatch,
+                                                         fmt):
+        # straightening that loses one component of each side fails the
+        # chi split: the check reads the components the oracle reads
+        import dirackernel.spin as spin
+
+        sums = spin.alternant_sums
+
+        def one_dropped(g, terms):
+            found = sums(g, terms)
+            del found[next(p for p, m in found.items() if m)]
+            return found
+
+        monkeypatch.setattr(spin, "alternant_sums", one_dropped)
+        monkeypatch.setattr(spin, "chi_components",
+                            spin.chi_components.__wrapped__)
+        failure = ("chi split: chi^+ does not decompose over W1 with "
+                   "highest weights [Weight(1/2,1/2,1/2)]")
+        code, out, _ = invoke(["--format", fmt, "verify", "chi", "so7_so6"])
+        assert code == 1
+        if fmt == "machine":
+            assert json.loads(out)["failures"] == [failure]
+        else:
+            assert f"  FAIL: {failure}\n" in out
+            assert out.endswith("result: FAIL\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_chi_builds_no_weight_rows(self, monkeypatch, tmp_path, fmt):
         # verify chi and both sides of the extraction's components read
         # chi^+- from the merged product, never the sign-vector rows: on
         # so9_so8 and on C3 node 0, two of whose rows of E+ share a weight
-        import dirackernel.dirac as dirac
         import dirackernel.spin as spin
 
         c3 = corpus_pair("C", 3, 0)
@@ -217,13 +243,14 @@ class TestVerifyCommands:
         monkeypatch.setattr(spin, "spinor_weights", unusable)
         monkeypatch.setattr(spin, "_rows", unusable)
         # uncached, so that a path through the rows would reach them
-        counts = spin.spinor_counts.__wrapped__
-        monkeypatch.setattr(spin, "spinor_counts", counts)
-        monkeypatch.setattr(dirac, "spinor_counts", counts)
+        monkeypatch.setattr(spin, "spinor_counts",
+                            spin.spinor_counts.__wrapped__)
+        components = spin.chi_components.__wrapped__
+        monkeypatch.setattr(spin, "chi_components", components)
         assert [invoke(argv) for argv in argvs] == expected
         for (pair, s), reference in kernels.items():
-            components = dirac._components.__wrapped__(pair, s)
-            assert kernel_weights(pair, s, components) == reference
+            assert kernel_weights(
+                pair, s, components(pair, s * (-1) ** pair.m)) == reference
 
 
 class TestPairCommands:
@@ -764,10 +791,13 @@ class TestExitCodes:
         import dirackernel.spin as spin
 
         # the shared weight of the test above, which chi_decompose raises
-        # on: spinor calls it outside any try
+        # on: spinor calls it outside any try; the components are
+        # straightened from these counts, not read from the cache
         monkeypatch.setattr(spin, "spinor_counts",
                             lambda pair: {1: {(1,): 1, (-1,): 1},
                                           -1: {(-1,): 1}})
+        monkeypatch.setattr(spin, "chi_components",
+                            spin.chi_components.__wrapped__)
         code, out, err = invoke(["--format", fmt, "spinor", "so3_so2"])
         message = ("internal consistency error: chi^+ does not decompose "
                    "over W1 with highest weights [Weight(1/2)]")

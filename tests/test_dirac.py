@@ -276,10 +276,11 @@ KERNEL_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
 
 
 class TestExtractionKernel:
-    # The library keeps only the components of chi-bar^s
-    # (``dirac._components``); ``kernel_weights`` builds the whole kernel
-    # from them over the listed W_H, and these tests hold it against the
-    # sum over W_H and the product of binomials.
+    # The library keeps only the components of chi^s
+    # (``spin.chi_components``), and those of chi-bar^s, every weight
+    # negated, are the ones of chi^(s (-1)^m); ``kernel_weights`` builds
+    # the whole kernel from them over the listed W_H, and these tests hold
+    # it against the sum over W_H and the product of binomials.
     @pytest.mark.parametrize("name", builtin_pair_names())
     def test_shifts_cancel_to_one_orbit_per_component(self, name):
         # The kernel is e^delta_h times (A_delta_h * chi^s)(-x), and
@@ -289,8 +290,8 @@ class TestExtractionKernel:
         pair = builtin_pair(name)
         terms = len(kernel_weights(pair, 1)) + len(kernel_weights(pair, -1))
         assert terms == pair.weyl_h_order * len(pair.w1)
-        assert (len(dirac._components(pair, 1))
-                + len(dirac._components(pair, -1))) == len(pair.w1)
+        assert sum(len(spin.chi_components(pair, s * (-1) ** pair.m))
+                   for s in (1, -1)) == len(pair.w1)
 
     @pytest.mark.parametrize("family,rank,node", CORPUS)
     def test_counts_match_a_walk_over_the_rows(self, family, rank, node):
@@ -330,10 +331,10 @@ class TestExtractionKernel:
         pair = builtin_pair("so7_so6")
         negated = {side: {k: -n for k, n in chi.items()}
                    for side, chi in spin.spinor_counts(pair).items()}
-        monkeypatch.setattr(dirac, "spinor_counts", lambda p: negated)
+        monkeypatch.setattr(spin, "spinor_counts", lambda p: negated)
         for s in (1, -1):
             with pytest.raises(ConsistencyError, match="multiplicity -1 at"):
-                dirac._components.__wrapped__(pair, s)
+                spin.chi_components.__wrapped__(pair, s * (-1) ** pair.m)
 
     def test_off_grid_coordinate(self, monkeypatch):
         # delta = 3/2,1/2 of so5_so4 is not on the grid Z
@@ -343,7 +344,7 @@ class TestExtractionKernel:
         with pytest.raises(ConsistencyError, match="not on the grid"):
             spin.spinor_counts.__wrapped__(pair)
         with pytest.raises(ConsistencyError, match="not on the grid"):
-            dirac._components.__wrapped__(pair, 1)
+            spin.chi_components.__wrapped__(pair, (-1) ** pair.m)
         with pytest.raises(ConsistencyError, match="not on the grid"):
             dirac.euler_verify(pair, W("5/2,3/2"))
 

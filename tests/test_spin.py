@@ -204,6 +204,22 @@ class TestChiDecompose:
                     total += irreducible_character(pair.h_system, hw)
                 assert total == side_character(pair, side)
 
+    def test_non_invariant_chi_raises(self, monkeypatch):
+        # chi^+ of so7_so6 with one more weight at -delta_h: its shift by
+        # delta_h is 0, singular, so straightening drops it and the
+        # components still match W_1; the invariance check alone fails
+        pair = builtin_pair("so7_so6")
+        h = grid(pair.h_system, grid(pair.root_system).scale)
+        counts = spinor_counts(pair)
+        moved = {1: {**counts[1], tuple(-c for c in h.delta): 1},
+                 -1: counts[-1]}
+        monkeypatch.setattr(spin, "spinor_counts", lambda p: moved)
+        spin.chi_components.cache_clear()
+        with pytest.raises(ConsistencyError,
+                           match=r"chi\^\+ is not invariant under "
+                                 r"reflection in"):
+            chi_decompose(pair)
+
 
 class TestMergePath:
     def test_coinciding_sign_sums_merge_in_characters(self):

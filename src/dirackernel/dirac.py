@@ -97,12 +97,22 @@ def _require_admissible(pair: SymmetricPair, mu: Weight) -> None:
 
 
 def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
-    """Classify the kernel of the Dirac operator twisted by mu."""
+    """Classify the kernel of the Dirac operator twisted by mu.
+
+    mu is checked once (``admissibility_failures``).  The Casimir scalar
+    <lambda + 2 delta, lambda> = |lambda + delta|^2 - |delta|^2 is read on
+    the grid of ``roots.grid``, as one ``Fraction`` over D^2 from D
+    (lambda + delta) = D mu + D delta_h.  The walk of lambda + delta, sigma
+    and the checks on nu run on ``Weight``s.
+    """
     mu = Weight(mu)
     _require_admissible(pair, mu)
     rs = pair.root_system
+    g = grid(rs)
+    shifted = map(add, g.point(mu), grid(pair.h_system, g.scale).delta)
+    casimir = Fraction(sum(c * c for c in shifted)
+                       - sum(c * c for c in g.delta), g.scale ** 2)
     lam = mu - pair.delta_p
-    casimir = casimir_eigenvalue(pair, lam)
     steps, dominant = dominant_walk(lam + pair.delta, rs)
     if not rs.is_dominant(dominant, strict=True):
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
@@ -113,7 +123,6 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     if not pair.h_system.is_dominant(sigma.image, strict=True):
         raise ConsistencyError(
             f"computed sigma is not in W_1 for mu={mu} (lambda={lam})")
-    g = grid(rs)
     if not g.contains(pair.lattice_F, g.locate(nu)) or not rs.is_dominant(nu):
         raise ConsistencyError(
             f"computed nu={nu} is not a dominant lattice point for mu={mu}")
@@ -211,6 +220,15 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     return grid_table(g, top).terms[dominant]
 
 
+@lru_cache(maxsize=None)
+def _longest_word(h: Grid) -> tuple:
+    """A reduced word of w0, the longest element of the Weyl group of h:
+    the steps of the walk (``dominant_walk``) of -D delta_h to D delta_h,
+    as w0 is the one element that sends -delta_h to delta_h.  Its length
+    is the number of reduced positive roots; cached per grid."""
+    return dominant_walk(tuple(-c for c in h.delta), h)[0]
+
+
 def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
              side: int) -> int:
     """The multiplicity of the subgroup irreducible mu in chi^s tensor pi_nu
@@ -234,8 +252,8 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     lowers <p, u> (p is dominant), and such steps reach every u from w0 z.
     So a breadth-first search along them from w0 z, pruned where the bound
     fails, visits exactly the images that can read nonzero, at parity l(w0)
-    = ``len(h.reduced)`` less the level.  Each reflection tests its pairing
-    (``Grid.reflect``).
+    = ``len(h.reduced)`` (the length of w0's word, ``_longest_word``) less
+    the level.  Each reflection tests its pairing (``Grid.reflect``).
     """
     h = grid(pair.h_system, g.scale)
     room = sum(map(mul, top, top)) - sum(map(mul, start, start))
@@ -287,6 +305,9 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     +[nu0], -[nu0] or 0 according to the kernel result.  Failures are
     reported, not raised.  mu is checked once, by ``dirac_kernel``, and
     converted once; the shell members, dominant points of F, need no checks.
+    The extraction's start w0 z, z = D (mu + delta_h), is z reflected along
+    w0's reduced word (``_longest_word``, read once per subgroup grid)
+    through ``Grid.reflect``.
     """
     mu = Weight(mu)
     kernel = dirac_kernel(pair, mu)
@@ -294,8 +315,9 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     x = g.point(mu)
     lam = tuple(map(sub, x, g.half_sum(pair.p_index)))
     h = grid(pair.h_system, g.scale)
-    start = tuple(-c for c in dominant_walk(  # w0 z: -(-z walked dominant)
-        tuple(-a - b for a, b in zip(x, h.delta)), h)[1])
+    start = tuple(map(add, x, h.delta))  # z, then w0 z
+    for i in _longest_word(h):
+        start = h.reflect(start, i)
     rows = []
     failures = []
     signed: Dict[Weight, int] = {}

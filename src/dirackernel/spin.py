@@ -24,7 +24,7 @@ from typing import Dict, NamedTuple, Sequence
 from .characters import _check_highest_weight, alternant_sums
 from .errors import ConsistencyError
 from .lattice import Weight
-from .roots import grid
+from .roots import Grid, grid
 from .sympair import SymmetricPair
 
 
@@ -145,16 +145,39 @@ def chi_components(pair: SymmetricPair, side: int) -> tuple:
     return tuple((p, n) for p, n in components.items() if n)
 
 
+def _reflection_invariant(h: Grid, i: int, counts: dict) -> bool:
+    """Whether counts ({x: n} on h) is invariant under the reflection s in
+    the i-th simple root of h.  Each x with a positive pairing goes through
+    ``Grid.reflect`` (which tests its integrality) and must have its count
+    at s x; then s maps those points one-to-one into the points with a
+    negative pairing, onto them when there are as many of each, and fixes
+    the points on the wall."""
+    support = h.supports[i][0]
+    above = below = 0
+    for x, n in counts.items():
+        dot = 0
+        for k, c in support:
+            dot += x[k] * c
+        if dot > 0:
+            if counts.get(h.reflect(x, i)) != n:
+                return False
+            above += 1
+        elif dot < 0:
+            below += 1
+    return above == below
+
+
 def chi_decompose(pair: SymmetricPair):
     """Split chi^+ and chi^- into irreducibles over W_1.
 
     Returns (plus, minus): maps delta_p^sigma -> 1 over the sign classes of
     W_1.  Verification: each delta_p^sigma is a highest weight for Delta_h
     (NonDominantError), each chi^side is W_H-invariant (equal counts at the
-    reflections in the simple roots of Delta_h), and its components
-    (``chi_components``) are the D (delta_p^sigma + delta_h) of its side,
-    once each, which for an invariant character is chi^side = sum
-    ch_h(delta_p^sigma).  Failure raises: it indicates a bad pair or bug.
+    reflections in the simple roots of Delta_h, ``_reflection_invariant``),
+    and its components (``chi_components``) are the D (delta_p^sigma +
+    delta_h) of its side, once each, which for an invariant character is
+    chi^side = sum ch_h(delta_p^sigma).  Failure raises: it indicates a bad
+    pair or bug.
     """
     split: Dict[int, Dict[Weight, int]] = {1: {}, -1: {}}
     for w1 in pair.w1:
@@ -172,7 +195,7 @@ def chi_decompose(pair: SymmetricPair):
             expected[tuple(map(add, x, h.delta))] = 1
         chi = spinor_counts(pair)[side]
         for i, a in enumerate(h.simple_roots):
-            if any(chi.get(h.reflect(x, i)) != n for x, n in chi.items()):
+            if not _reflection_invariant(h, i, chi):
                 raise ConsistencyError(
                     f"chi^{name} is not invariant under reflection in {a}")
         if dict(chi_components(pair, side)) != expected:

@@ -13,6 +13,7 @@ of the Dynkin diagram (``marked_node_pair``).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import add, sub
 from typing import NamedTuple
 
@@ -303,16 +304,30 @@ def w1_enumerate(pair: SymmetricPair) -> list:
 
 
 def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
-    """The admissibility clauses mu violates, by name (empty = admissible)."""
+    """The admissibility clauses mu violates, by name (empty = admissible):
+    "mu not in F1", "mu not dominant for Delta_h+", "mu - delta_p not in
+    F", in that order.
+
+    mu is read on the grid once, as y = L mu for L the least common
+    multiple of D = grid(pair.root_system).scale and mu's denominators.  If
+    L = D, y is x = D mu, and F1 and F are tested on x and x - D delta_p
+    (``Grid.contains``); otherwise mu is off G's grid and in neither.
+    Delta_h-dominance is a sign test of y on the subgroup's grid at scale
+    D, which holds for any positive multiple of mu.
+    """
     if len(mu) != pair.rank:
         raise DimensionError(f"mu length {len(mu)} vs rank {pair.rank}")
     g = grid(pair.root_system)
+    scale = lcm(g.scale, *(c.denominator for c in mu))
+    y = tuple(c.numerator * (scale // c.denominator) for c in mu)
+    x = y if scale == g.scale else None  # D mu, or None off the grid
     failures = []
-    if not g.contains(pair.lattice_F1, g.locate(mu)):
+    if not g.contains(pair.lattice_F1, x):
         failures.append("mu not in F1")
-    if not pair.h_system.is_dominant(mu):
+    if not grid(pair.h_system, g.scale).is_dominant(y):
         failures.append("mu not dominant for Delta_h+")
-    if not g.contains(pair.lattice_F, g.locate(mu - pair.delta_p)):
+    if x is None or not g.contains(
+            pair.lattice_F, tuple(map(sub, x, g.half_sum(pair.p_index)))):
         failures.append("mu - delta_p not in F")
     return failures
 

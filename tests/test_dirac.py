@@ -13,7 +13,8 @@ from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
 from dirackernel.lattice import LatticeSpec, Weight
-from dirackernel.roots import ORBIT_LIMIT, Grid, build_classical, grid
+from dirackernel.roots import (ORBIT_LIMIT, Grid, build_classical,
+                               dominant_walk, grid)
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
                                  builtin_pair_names, marked_node_pair)
@@ -98,6 +99,16 @@ class TestDiracKernel:
                 assert casimir_eigenvalue(pair, result.nu) == result.casimir
                 assert act(result.sigma, result.nu + pair.delta) == \
                     lam + pair.delta
+
+    # W1_PAIRS but its last two, b2_half and bc1, which admit no mu:
+    # mu - delta_p in F puts mu off F1
+    @pytest.mark.parametrize("pair", W1_PAIRS[:-2], ids=lambda p: p.name)
+    def test_casimir_is_the_scalar_of_lambda(self, pair):
+        # read on the grid, for every status: <lambda + 2 delta, lambda>
+        for lam, mu in admissible_box(pair, 1):
+            casimir = dirac_kernel(pair, mu).casimir
+            assert type(casimir) is Fraction
+            assert casimir == casimir_eigenvalue(pair, lam), (pair.name, mu)
 
     @pytest.mark.parametrize("name", builtin_pair_names())
     def test_sigma_is_the_inverse_of_the_dominant_representative(self, name):
@@ -357,6 +368,60 @@ ROADMAP_RUNGS = [("so7_so6", "5/2,3/2,1/2"), ("so7_so6", "9/2,5/2,1/2"),
                  ("so7_so6", "13/2,7/2,3/2"), ("so9_so8", "7/2,5/2,3/2,1/2")]
 
 
+def walked_start(pair: SymmetricPair, mu: Weight) -> tuple:
+    """w0 z for z = D (mu + delta_h) on the subgroup's grid at G's scale,
+    as the negated dominant representative of -z."""
+    g = grid(pair.root_system)
+    h = grid(pair.h_system, g.scale)
+    z = tuple(map(add, g.point(mu), h.delta))
+    return tuple(-c for c in dominant_walk(tuple(-c for c in z), h)[1])
+
+
+class TestLongestWord:
+    # euler_verify starts the extraction's search at w0 z, z = D (mu +
+    # delta_h), by w0's reduced word, read once per subgroup grid
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_word_gives_the_walked_start(self, pair):
+        # b2_half and bc1 admit no mu (mu - delta_p in F puts mu off F1),
+        # so they check only w0 delta_h = -delta_h
+        h = grid(pair.h_system, grid(pair.root_system).scale)
+        word = dirac._longest_word(h)
+        assert len(word) == len(h.reduced)  # the parity _extract starts at
+        u = h.delta
+        for i in word:
+            u = h.reflect(u, i)
+        assert u == tuple(-c for c in h.delta)
+        mus = [mu for _lam, mu in admissible_box(pair, 1)]
+        assert bool(mus) == (pair.name not in ("b2_half", "bc1"))
+        for mu in mus:
+            u = tuple(map(add, grid(pair.root_system).point(mu), h.delta))
+            for i in word:
+                u = h.reflect(u, i)
+            assert u == walked_start(pair, mu), (pair.name, str(mu))
+
+    def test_euler_verify_starts_at_w0_z(self, monkeypatch):
+        # on the oracle sample, every search starts where the walk of -z
+        # ends, negated
+        starts = []
+        extract = dirac._extract
+
+        def recorded(pair, g, top, start, side):
+            starts.append(start)
+            return extract(pair, g, top, start, side)
+
+        monkeypatch.setattr(dirac, "_extract", recorded)
+        searched = 0  # the mu whose shell is not empty
+        for name, box in ORACLE_SAMPLE_BOXES.items():
+            pair = builtin_pair(name)
+            for _lam, mu in admissible_box(pair, box):
+                starts.clear()
+                assert dirac.euler_verify(pair, mu).passed
+                assert all(start == walked_start(pair, mu)
+                           for start in starts), (name, str(mu))
+                searched += bool(starts)
+        assert searched == 97
+
+
 class TestOracleSampleTables:
     def test_weight_tables_match_fraction_freudenthal(self):
         # every nu on the shells of the benchmark's oracle sample, the 103
@@ -557,7 +622,20 @@ class TestEulerVerify:
         ("so3_so2", "2", "mu=2 is not admissible for so3_so2: "
                          "mu - delta_p not in F"),
         ("so5_so4", "1/2,-3/2", "mu=1/2,-3/2 is not admissible for "
-                                "so5_so4: mu not dominant for Delta_h+")])
+                                "so5_so4: mu not dominant for Delta_h+"),
+        # off G's grid: in no lattice, and Delta_h-dominance read from the
+        # numerators over the common denominator
+        ("so5_so4", "1/3,0", "mu=1/3,0 is not admissible for so5_so4: "
+                             "mu not in F1; mu - delta_p not in F"),
+        ("so5_so4", "0,1/3", "mu=0,1/3 is not admissible for so5_so4: "
+                             "mu not in F1; mu not dominant for Delta_h+; "
+                             "mu - delta_p not in F"),
+        ("so9_so8", "3/5,1/3,1/6,-1/6",
+         "mu=3/5,1/3,1/6,-1/6 is not admissible for so9_so8: mu not in F1; "
+         "mu - delta_p not in F"),
+        ("so9_so8", "1/3,1/2,0,0",
+         "mu=1/3,1/2,0,0 is not admissible for so9_so8: mu not in F1; "
+         "mu not dominant for Delta_h+; mu - delta_p not in F")])
     def test_inadmissible_mu_raises_before_the_shell(self, monkeypatch, name,
                                                      mu, message):
         dirac._sphere.cache_clear()  # else delta_p's shell may be cached

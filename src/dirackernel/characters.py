@@ -19,9 +19,9 @@ membership is only ever enforced against an explicit LatticeSpec.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, NamedTuple
 
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError,
@@ -99,9 +99,9 @@ def _highest_weight_point(rs: RootSystem, nu: Weight) -> tuple:
     return g, x
 
 
-class WeightTable(NamedTuple):
-    grid: Grid  # a key x is the weight x / grid.scale
-    terms: Dict[tuple, int]  # {D w: multiplicity of w}, zeros absent
+# grid: a Grid, on which a key x of terms is the weight x / grid.scale;
+# terms: {D w: multiplicity of w}, zeros absent
+WeightTable = namedtuple("WeightTable", "grid terms")
 
 
 def weight_table(rs: RootSystem, nu: Weight) -> WeightTable:
@@ -135,7 +135,7 @@ def grid_table(g: Grid, top: tuple) -> WeightTable:
         return sum((a + d) ** 2 for a, d in zip(x, delta))
 
     target = norm_shifted(top)
-    table: Dict[tuple, int] = {}
+    table: dict[tuple, int] = {}
     norms = [(alpha, sum(c * c for c in alpha)) for alpha in g.positive]
     for x in _dominant_weights(g, top):
         value = 1
@@ -181,7 +181,7 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
 
 # -- decomposition by straightening ----------------------------------------
 
-def alternant_sums(g: Grid, terms: Dict[tuple, int]) -> Dict[tuple, int]:
+def alternant_sums(g: Grid, terms: dict[tuple, int]) -> dict[tuple, int]:
     """{p: m} with sum_x terms[x] A_(x + delta) = sum_p m A_p on g, over
     strictly dominant p = D (nu + delta), A_p = sum_w sgn(w) e^(w p): each
     x + delta is walked into the dominant chamber, and the end point p
@@ -190,7 +190,7 @@ def alternant_sums(g: Grid, terms: Dict[tuple, int]) -> Dict[tuple, int]:
     denominator, so m is the multiplicity of pi_nu (Racah-Speiser); m may
     be 0 or negative, which the caller judges."""
     delta = g.delta
-    sums: Dict[tuple, int] = {}
+    sums: dict[tuple, int] = {}
     for x, c in terms.items():
         steps, p = dominant_walk(tuple(map(add, x, delta)), g)
         if g.is_dominant(p, strict=True):
@@ -198,8 +198,30 @@ def alternant_sums(g: Grid, terms: Dict[tuple, int]) -> Dict[tuple, int]:
     return sums
 
 
+def _reflection_invariant(g: Grid, i: int, counts: dict) -> bool:
+    """Whether counts ({x: n} on g) is invariant under the reflection s in
+    the i-th simple root of g.  Each x with a positive pairing goes through
+    ``Grid.reflect`` (which tests its integrality) and must have its count
+    at s x; then s maps those points one-to-one into the points with a
+    negative pairing, onto them when there are as many of each, and fixes
+    the points on the wall.  So each pair {x, s x} is looked up once."""
+    support = g.supports[i][0]
+    above = below = 0
+    for x, n in counts.items():
+        dot = 0
+        for k, c in support:
+            dot += x[k] * c
+        if dot > 0:
+            if counts.get(g.reflect(x, i)) != n:
+                return False
+            above += 1
+        elif dot < 0:
+            below += 1
+    return above == below
+
+
 def _straighten(rs: RootSystem, g: Grid,
-                terms: Dict[tuple, int]) -> Dict[Weight, int]:
+                terms: dict[tuple, int]) -> dict[Weight, int]:
     """Multiplicities m_nu with sum_x terms[x] e^(x / D) = sum m_nu times
     the character of pi_nu (``weight_table(rs, nu)``), for a character
     on g, a grid of rs; messages name rs, not an equal ``g.rs``.
@@ -207,18 +229,17 @@ def _straighten(rs: RootSystem, g: Grid,
     Straightening (``alternant_sums``): m at nu is the sum at
     p = D (nu + delta).  A non-integral support weight raises
     NonDominantError before any reflection, a non-invariant ch
-    SymmetryError, a negative m DecompositionError.  Only the nu of the
-    result become ``Weight``s.
+    (``_reflection_invariant`` per simple root) SymmetryError, a negative
+    m DecompositionError.  Only the nu of the result become ``Weight``s.
     """
     for x in terms:
         if not g.is_integral(x):
             raise NonDominantError(
                 f"{g.weight(x)} is not algebraically integral for {rs}")
     for i, a in enumerate(rs.simple_roots):
-        for x, c in terms.items():
-            if terms.get(g.reflect(x, i)) != c:
-                raise SymmetryError(
-                    f"character is not invariant under reflection in {a}")
+        if not _reflection_invariant(g, i, terms):
+            raise SymmetryError(
+                f"character is not invariant under reflection in {a}")
     result = {}
     for p, m in alternant_sums(g, terms).items():
         if not m:
@@ -234,14 +255,14 @@ def _straighten(rs: RootSystem, g: Grid,
     return result
 
 
-def tensor(rs: RootSystem, nu1: Weight, nu2: Weight) -> Dict[Weight, int]:
+def tensor(rs: RootSystem, nu1: Weight, nu2: Weight) -> dict[Weight, int]:
     """pi_nu1 (x) pi_nu2 decomposed into irreducibles: the product of the
     two integer weight tables, rescaled to a common grid, straightened."""
     t1, t2 = weight_table(rs, Weight(nu1)), weight_table(rs, Weight(nu2))
     scale = math.lcm(t1.grid.scale, t2.grid.scale)
     f1, f2 = scale // t1.grid.scale, scale // t2.grid.scale
     second = [(tuple(f2 * c for c in y), n) for y, n in t2.terms.items()]
-    product: Dict[tuple, int] = {}
+    product: dict[tuple, int] = {}
     for x, m in t1.terms.items():
         x = tuple(f1 * c for c in x)
         for y, n in second:
@@ -252,7 +273,7 @@ def tensor(rs: RootSystem, nu1: Weight, nu2: Weight) -> Dict[Weight, int]:
 
 # -- branching ---------------------------------------------------------------
 
-def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> Dict[Weight, int]:
+def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> dict[Weight, int]:
     """Restrict pi_nu to the subgroup side of an equal-rank pair.
 
     The maximal torus is shared, so restriction is reinterpretation of the

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import Optional
 
 from .characters import branch_equal_rank, tensor, weyl_dim
 from .dirac import KernelStatus, chi_casimir_check, dirac_kernel, euler_verify
@@ -106,7 +105,7 @@ def resolve_pair(token: str) -> SymmetricPair:
                    + ", ".join(builtin_pair_names()))
 
 
-def parse_weight(token: str, rank: Optional[int] = None) -> Weight:
+def parse_weight(token: str, rank: int | None = None) -> Weight:
     w = Weight.parse(token)
     if rank is not None and len(w) != rank:
         raise CliError(f"weight {token!r} has {len(w)} coordinates, "

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, NamedTuple, Optional
 
 from .characters import grid_dim, grid_table, weyl_dim
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
@@ -48,15 +48,13 @@ class KernelStatus(enum.Enum):
     BOTH_ZERO = "BOTH_ZERO"
 
 
-class KernelResult(NamedTuple):
-    """Which side of the kernel carries which irreducible, if any."""
-
-    status: KernelStatus
-    casimir: Fraction
-    nu: Optional[Weight] = None
-    sigma: Optional[WeylElement] = None
-    sigma_sign: Optional[int] = None
-    dimension: Optional[int] = None
+KernelResult = namedtuple(
+    "KernelResult", "status casimir nu sigma sigma_sign dimension",
+    defaults=(None,) * 4)
+KernelResult.__doc__ = """Which side of the kernel carries which irreducible,
+if any: the ``KernelStatus``, the Casimir scalar (a ``Fraction``), and for
+a nonzero kernel nu (a ``Weight``), sigma (a ``WeylElement``), its sign
+and the dimension of pi_nu, else None each."""
 
 
 def casimir_eigenvalue(pair: SymmetricPair, nu: Weight) -> Fraction:
@@ -275,22 +273,18 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     return (-1) ** len(pair.h_index) * total
 
 
-class ShellRow(NamedTuple):
-    nu: Weight
-    dimension: int
-    mult_plus: int
-    mult_minus: int
+ShellRow = namedtuple("ShellRow", "nu dimension mult_plus mult_minus")
 
 
-class EulerReport(NamedTuple):
-    pair_name: str
-    mu: Weight
-    lam: Weight
-    rows: tuple  # ShellRow, in shell order
-    signed_sum: tuple  # ((nu, coefficient), ...) nonzero entries
-    expected: tuple  # same shape, from the kernel classification
-    kernel: KernelResult
-    failures: tuple
+class EulerReport(namedtuple("EulerReport", "pair_name mu lam rows signed_sum"
+                             " expected kernel failures")):
+    """The oracle's report: ``rows`` holds a ``ShellRow`` per shell member,
+    in shell order; ``signed_sum`` the nonzero ((nu, coefficient), ...),
+    and ``expected`` the same from the kernel classification (``kernel``,
+    a ``KernelResult``); ``failures`` the messages, empty when it
+    passed."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -320,7 +314,7 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
         start = h.reflect(start, i)
     rows = []
     failures = []
-    signed: Dict[Weight, int] = {}
+    signed: dict[Weight, int] = {}
     for point in _shell_points(pair, g, lam):
         dimension = grid_dim(pair.root_system, g, point)
         m_plus = _extract(pair, g, point, start, +1)

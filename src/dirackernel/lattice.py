@@ -9,8 +9,8 @@ integer grid of a root system (``roots.Grid.contains``).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import DimensionError
 

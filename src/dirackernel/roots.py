@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
                      NonDominantError, UnsupportedRootSystemError)
@@ -118,7 +118,7 @@ class RootSystem:
     """
 
     def __init__(self, rank: int, positive_roots: Iterable,
-                 name: Optional[str] = None) -> None:
+                 name: str | None = None) -> None:
         roots = tuple(Weight(r) for r in positive_roots)
         if rank < 1:
             raise ValueError("rank must be positive")
@@ -137,9 +137,13 @@ class RootSystem:
         self.positive_roots = roots
         self._twice = tuple(twice)  # compared by __eq__
         self.name = name
+        # each (i, j, k) with i <= j and alpha_i + alpha_j = alpha_k, by i,
+        # then j (``root_sums``); the bracket-grading check reads them too
+        self.sums = tuple(root_sums(twice))
         # the positions of the simple roots, the roots that are no sum of two
-        sums = {k for _, _, k in root_sums(twice)}
-        self.simple_index = tuple(k for k in range(len(twice)) if k not in sums)
+        composite = {k for _, _, k in self.sums}
+        self.simple_index = tuple(k for k in range(len(twice))
+                                  if k not in composite)
         self.simple_roots = tuple(roots[k] for k in self.simple_index)
         simple_twice = [twice[k] for k in self.simple_index]
         coefficients = []
@@ -306,7 +310,7 @@ class Grid:
             for b in (self.positive[k] for k in self.mirror_index))
         self.supports = self.mirrors[:len(simple)]
 
-    def locate(self, w: Weight) -> Optional[tuple]:
+    def locate(self, w: Weight) -> tuple | None:
         """D w, or None when w is off the grid."""
         scale = self.scale
         if any(scale % c.denominator for c in w):
@@ -342,7 +346,7 @@ class Grid:
         Cached per grid and lattice; ``grid`` keeps its grids anyway."""
         return frozenset(map(self.point, lattice.coset_shifts))
 
-    def contains(self, lattice: LatticeSpec, x: Optional[tuple]) -> bool:
+    def contains(self, lattice: LatticeSpec, x: tuple | None) -> bool:
         """w in ``lattice``, for x = D w as ``locate`` gives it: x mod D is
         one of its ``residues``.  A lattice lies in (1/2) Z^rank and D is
         even, so a w off the grid (x None) is in none."""
@@ -402,15 +406,17 @@ class Grid:
 
 
 @lru_cache(maxsize=None)
-def grid(rs: RootSystem, scale: Optional[int] = None) -> Grid:
+def grid(rs: RootSystem, scale: int | None = None, /) -> Grid:
     """The grid of ``rs`` at ``scale``, by default D = lcm(2, the
     denominators of alpha/2 over Delta^+): 4 if a root has a coordinate in
     Z + 1/2, else 2.  With that D, D alpha, D delta and D times any
     half-sum of roots (a spinor weight) are integral, and so are D times
-    the coset shifts of a lattice, which lie in {0, 1/2}."""
+    the coset shifts of a lattice, which lie in {0, 1/2}.  Cached: one
+    ``Grid`` per system (up to equality) and scale, the default one
+    included, as the call without a scale reads the call with it."""
     if scale is None:
-        scale = 4 if any(c.denominator == 2 for a in rs.positive_roots
-                         for c in a) else 2
+        return grid(rs, 4 if any(c.denominator == 2 for a in rs.positive_roots
+                                 for c in a) else 2)
     return Grid(rs, scale)
 
 

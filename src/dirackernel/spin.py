@@ -17,27 +17,25 @@ these weights live with the tests (``tests/clifford_model.py``).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import add, sub
-from typing import Dict, NamedTuple, Sequence
 
-from .characters import _check_highest_weight, alternant_sums
+from .characters import (_check_highest_weight, _reflection_invariant,
+                         alternant_sums)
 from .errors import ConsistencyError
 from .lattice import Weight
-from .roots import Grid, grid
+from .roots import grid
 from .sympair import SymmetricPair
 
 
 # -- combinatorial spinor weights -------------------------------------------
 
-class SpinorWeightEntry(NamedTuple):
-    epsilon: tuple  # in {+1, -1}^m
-    weight: Weight
-    parity: int  # +1 for E+, -1 for E-
-
-
-class SpinorWeights(NamedTuple):
-    entries: tuple
+# epsilon in {+1, -1}^m, the weight (1/2) sum eps_k alpha_k, and the
+# parity: +1 for E+, -1 for E-
+SpinorWeightEntry = namedtuple("SpinorWeightEntry", "epsilon weight parity")
+SpinorWeights = namedtuple("SpinorWeights", "entries")
 
 
 def _halves(pair: SymmetricPair) -> tuple:
@@ -62,7 +60,7 @@ def spinor_weights(pair: SymmetricPair) -> SpinorWeights:
     """One entry per sign vector over Delta_p^+ (in pair order): the weight
     (1/2) sum eps_k alpha_k, tagged with its E+/E- parity."""
     g = grid(pair.root_system)
-    weights: Dict[tuple, Weight] = {}  # one Weight per distinct point
+    weights: dict[tuple, Weight] = {}  # one Weight per distinct point
     entries = []
     signs = itertools.product((1, -1), repeat=pair.m)
     for eps, (x, parity) in zip(signs, _rows(_halves(pair), pair.rank)):
@@ -82,7 +80,7 @@ def spinor_counts(pair: SymmetricPair) -> dict:
     list is built."""
     counts = {1: {(0,) * pair.rank: 1}, -1: {}}
     for half in _halves(pair):
-        step: Dict[int, Dict[tuple, int]] = {1: {}, -1: {}}
+        step: dict[int, dict[tuple, int]] = {1: {}, -1: {}}
         for parity, side in counts.items():
             same, flipped = step[parity], step[-parity]
             for x, n in side.items():
@@ -97,7 +95,7 @@ def spinor_counts(pair: SymmetricPair) -> dict:
 def times_binomial(poly: dict, x: tuple, y: tuple, c: int) -> dict:
     """poly * (e^x + c e^y) on grid points, equal keys merged and zeros
     dropped."""
-    out: Dict[tuple, int] = {}
+    out: dict[tuple, int] = {}
     for k, v in poly.items():
         kx = tuple(map(add, k, x))
         out[kx] = out.get(kx, 0) + v
@@ -145,28 +143,6 @@ def chi_components(pair: SymmetricPair, side: int) -> tuple:
     return tuple((p, n) for p, n in components.items() if n)
 
 
-def _reflection_invariant(h: Grid, i: int, counts: dict) -> bool:
-    """Whether counts ({x: n} on h) is invariant under the reflection s in
-    the i-th simple root of h.  Each x with a positive pairing goes through
-    ``Grid.reflect`` (which tests its integrality) and must have its count
-    at s x; then s maps those points one-to-one into the points with a
-    negative pairing, onto them when there are as many of each, and fixes
-    the points on the wall."""
-    support = h.supports[i][0]
-    above = below = 0
-    for x, n in counts.items():
-        dot = 0
-        for k, c in support:
-            dot += x[k] * c
-        if dot > 0:
-            if counts.get(h.reflect(x, i)) != n:
-                return False
-            above += 1
-        elif dot < 0:
-            below += 1
-    return above == below
-
-
 def chi_decompose(pair: SymmetricPair):
     """Split chi^+ and chi^- into irreducibles over W_1.
 
@@ -179,7 +155,7 @@ def chi_decompose(pair: SymmetricPair):
     chi^side = sum ch_h(delta_p^sigma).  Failure raises: it indicates a bad
     pair or bug.
     """
-    split: Dict[int, Dict[Weight, int]] = {1: {}, -1: {}}
+    split: dict[int, dict[Weight, int]] = {1: {}, -1: {}}
     for w1 in pair.w1:
         if w1.delta_p_sigma in split[w1.sign]:
             raise ConsistencyError(

@@ -12,16 +12,15 @@ of the Dynkin diagram (``marked_node_pair``).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, sub
-from typing import NamedTuple
 
 from .errors import DimensionError, GroupOrderLimitError, InvalidPairError
 from .lattice import LatticeSpec, Weight
 from .roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
-                    build_classical, dominant_walk, grid, root_sums,
-                    weyl_order)
+                    build_classical, dominant_walk, grid, weyl_order)
 
 
 # the checks of ``validate_pair``, in the order it runs them
@@ -29,12 +28,9 @@ PAIR_CHECKS = ("p_nonempty", "bracket_grading", "p_level_parity",
                "lattice_containment")
 
 
-class W1Element(NamedTuple):
-    """A coset representative sigma with its sign and delta_p^sigma."""
-
-    element: WeylElement
-    sign: int
-    delta_p_sigma: Weight
+W1Element = namedtuple("W1Element", "element sign delta_p_sigma")
+W1Element.__doc__ = """A coset representative sigma (a ``WeylElement``) with
+its sign and delta_p^sigma (a ``Weight``)."""
 
 
 class SymmetricPair:
@@ -245,11 +241,11 @@ def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:
                                  f"{g.weight(y)} is not in F")
 
 
-def _grading_clash(points: tuple, h_index: frozenset):
-    """The first (i, j, k) of ``root_sums(points)`` where k lies on the
-    wrong side: in h iff exactly one of i, j does (h+h->h, p+p->h,
+def _grading_clash(sums: tuple, h_index: frozenset):
+    """The first (i, j, k) of ``sums`` (``RootSystem.sums``) where k lies
+    on the wrong side: in h iff exactly one of i, j does (h+h->h, p+p->h,
     h+p->p); None if there is none."""
-    return next(((i, j, k) for i, j, k in root_sums(points)
+    return next(((i, j, k) for i, j, k in sums
                  if (k in h_index) != ((i in h_index) == (j in h_index))),
                 None)
 
@@ -259,8 +255,9 @@ def validate_pair(pair: SymmetricPair) -> None:
     ``InvalidPairError`` naming every one that fails.  ``SymmetricPair``
     runs them on construction, so a pair that exists has passed them.
     Roots are taken by their positions in ``positive_roots``: the grading
-    adds their grid points D alpha, the parity reads their simple
-    coefficients; the containment compares the residues of F and F1."""
+    reads the root sums the root system found (``RootSystem.sums``), the
+    parity their simple coefficients; the containment compares the
+    residues of F and F1."""
     rs = pair.root_system
     g = grid(rs)
     roots = rs.positive_roots
@@ -272,7 +269,7 @@ def validate_pair(pair: SymmetricPair) -> None:
             "p_nonempty: Delta_p^+ is empty (h equals the full algebra)")
 
     # Bracket grading, restated on root sums: h+h->h, p+p->h, h+p->p.
-    clash = _grading_clash(g.positive, h_index)
+    clash = _grading_clash(rs.sums, h_index)
     if clash:
         i, j, k = clash
         side = "h" if (i in h_index) == (j in h_index) else "p"

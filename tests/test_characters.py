@@ -629,6 +629,21 @@ class TestGridStraightening:
             characters._straighten(d4, g, {(1, 0, 0, 0): 1,
                                            (-1, 0, 0, 0): 1})
 
+    def test_unpaired_point_below_a_wall_raises(self):
+        # the vector of B2 plus -2e1: it is on the wall of e2 and below
+        # that of e1 - e2, and s -2e1 = -2e2 is absent.  It is never
+        # reflected, as only points above a wall are, so the count of
+        # the points below each wall must catch it
+        rs = build_classical("B", 2)
+        table = weight_table(rs, W("1,0"))
+        g = table.grid
+        terms = {**table.terms, g.point(W("-2,0")): 1}
+        with pytest.raises(SymmetryError) as raised:
+            characters._straighten(rs, g, terms)
+        assert str(raised.value) == (
+            "character is not invariant under reflection in 1,-1")
+        assert characters._straighten(rs, g, table.terms) == {W("1,0"): 1}
+
 
 class TestInvariantsRaise:
     """Broken invariants raise ConsistencyError, also under python -O."""

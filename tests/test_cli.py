@@ -1022,3 +1022,17 @@ def test_import_loads_no_argparse_gettext_json_dataclasses_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_without_site_loads_no_typing():
+    """The library imports no ``typing``: its records are
+    ``collections.namedtuple`` classes and its annotations strings of
+    builtin generics.  ``python -S`` runs no ``site``, whose ``.pth``
+    files may import ``typing`` before any code of the package."""
+    src = Path(dirackernel.__file__).resolve().parent.parent
+    code = "import sys, dirackernel.cli; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -354,10 +354,24 @@ class TestGridPrimitives:
                     for i in range(len(roots)) for j in range(i, len(roots))
                     if roots[i] + roots[j] in roots]
         assert list(root_sums(grid(rs).positive)) == expected
+        assert rs.sums == tuple(expected)  # kept from the scan on 2 alpha
         sums = {k for _, _, k in expected}
         assert rs.simple_index == tuple(
             k for k in range(len(roots)) if k not in sums)
         assert rs.simple_roots == tuple(roots[k] for k in rs.simple_index)
+
+
+class TestGridCache:
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in W1_PAIRS])
+    def test_default_scale_is_the_same_grid(self, pair):
+        # a grid asked for without a scale is the one at its default scale
+        for rs in (pair.root_system, pair.h_system):
+            assert grid(rs) is grid(rs, grid(rs).scale)
+
+    def test_scale_is_positional_only(self):
+        with pytest.raises(TypeError):
+            grid(build_classical("B", 2), scale=4)
 
 
 class TestWeylGroup:

@@ -1,16 +1,21 @@
 import io
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dirackernel.roots as roots
 from corpus import CORPUS, W1_PAIRS, corpus_pair
 from dirackernel.cli import run
 from dirackernel.dirac import chi_casimir_check
@@ -362,6 +367,50 @@ class TestRegistry:
     def test_all_builtins_validate(self):
         for name in builtin_pair_names():
             assert validate_pair(builtin_pair(name)) is None
+
+    def test_one_grid_per_system_and_scale(self):
+        # a cold process that builds every built-in pair, its W_1 and one
+        # oracle run makes one Grid per (system, scale): the four G
+        # systems and the five subgroups, whose default scale is G's
+        code = textwrap.dedent("""\
+            import dirackernel.roots as roots
+            made = []
+            init = roots.Grid.__init__
+            def counted(self, rs, scale):
+                made.append((rs, scale))
+                init(self, rs, scale)
+            roots.Grid.__init__ = counted
+            from dirackernel import (builtin_pair, builtin_pair_names,
+                                     euler_verify)
+            for name in builtin_pair_names():
+                pair = builtin_pair(name)
+                assert pair.w1
+                assert euler_verify(pair, pair.delta_p).passed
+            print(len(made), len(set(made)))
+            """)
+        src = Path(roots.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "9 9\n"
+
+    def test_grading_reads_the_root_systems_sums(self, monkeypatch):
+        # the bracket-grading check makes no scan of its own: it reads
+        # RootSystem.sums, so a pair validates with root_sums unusable
+        def unusable(*_args, **_kwargs):
+            raise AssertionError("scanned the root sums again")
+
+        b2, b3 = build_classical("B", 2), build_classical("B", 3)
+        monkeypatch.setattr(roots, "root_sums", unusable)
+        assert validate_pair(marked_node_pair(b3, 2, "so7_so6")) is None
+        with pytest.raises(InvalidPairError) as raised:
+            SymmetricPair(b2, (W("1,-1"),), LatticeSpec.integers(2),
+                          integers_and_half_integers(2))
+        assert str(raised.value) == (
+            "pair 'pair' fails validation: bracket_grading: 1,0 + 0,1 = "
+            "1,1 should lie in Delta_h^+; p_level_parity: root 1,1 has "
+            "p-level 2, expected odd")
 
 
 def test_cache_keys_compare_by_content():

@@ -27,7 +27,7 @@ from .errors import (ConsistencyError, DecompositionError, DimensionError,
                      NonDominantError, SymmetryError,
                      UnsupportedRootSystemError)
 from .lattice import Weight
-from .roots import Grid, RootSystem, dominant_walk, grid, orbit
+from .roots import Grid, RootSystem, grid, orbit
 from .sympair import SymmetricPair
 
 
@@ -184,15 +184,15 @@ def weyl_dim(rs: RootSystem, nu: Weight) -> int:
 def alternant_sums(g: Grid, terms: dict[tuple, int]) -> dict[tuple, int]:
     """{p: m} with sum_x terms[x] A_(x + delta) = sum_p m A_p on g, over
     strictly dominant p = D (nu + delta), A_p = sum_w sgn(w) e^(w p): each
-    x + delta is walked into the dominant chamber, and the end point p
-    gets (-1)^steps * terms[x], a singular one nothing.  For a
+    x + delta is walked into the dominant chamber (``Grid.walk``), and the
+    end point p gets (-1)^steps * terms[x], a singular one nothing.  For a
     W-invariant character the alternants sum to it times the Weyl
     denominator, so m is the multiplicity of pi_nu (Racah-Speiser); m may
     be 0 or negative, which the caller judges."""
     delta = g.delta
     sums: dict[tuple, int] = {}
     for x, c in terms.items():
-        steps, p = dominant_walk(tuple(map(add, x, delta)), g)
+        steps, p = g.walk(tuple(map(add, x, delta)))
         if g.is_dominant(p, strict=True):
             sums[p] = sums.get(p, 0) + (-1) ** len(steps) * c
     return sums

@@ -134,14 +134,17 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
 
 
 def _squares_summing_to(offsets: tuple, step: int, total: int,
-                        checks: list, prefix: tuple = ()):
+                        checks: list, floors: tuple, prefix: tuple = ()):
     """Integer vectors x after prefix with sum x_k^2 = total and x_k =
     offsets[k] mod step, in lex order; the last coordinate is solved for,
     not searched.  Each (support of a, least) in checks[k], a's coefficient
-    c at k, bounds x_k by <x, a> >= least: from below if c > 0, else above."""
+    c at k, bounds x_k by <x, a> >= least: from below if c > 0, else above;
+    x_k >= floors[k] too, unless that is None."""
     k = len(prefix)
     bound = math.isqrt(total)
     low, high = -bound, bound
+    if floors[k] is not None:
+        low = max(low, floors[k])
     for support, least in checks[k]:
         *earlier, (_, c) = support
         rest = least - sum(prefix[j] * b for j, b in earlier)
@@ -154,7 +157,7 @@ def _squares_summing_to(offsets: tuple, step: int, total: int,
             left = total - x * x  # the last coordinate needs a square
             if k + 2 < len(offsets) or math.isqrt(left) ** 2 == left:
                 yield from _squares_summing_to(offsets, step, left, checks,
-                                               prefix + (x,))
+                                               floors, prefix + (x,))
     elif bound * bound == total:  # the last one: +-bound, in the range
         for x in sorted({-bound, bound}):
             if low <= x <= high and not (x - offsets[k]) % step:
@@ -178,17 +181,21 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
     total.  nu is dominant iff <x, D a> >= <D delta, D a> for each simple
     root a: each coordinate steps by D within the integer square root of
     what remains and the bounds of the a whose support it completes, so
-    every end point is dominant (else ConsistencyError).
+    every end point is dominant (else ConsistencyError).  Where e_k is a
+    nonnegative combination of the simple roots, nu_k = <nu, e_k> >= 0 for
+    dominant nu, so x_k starts at (D delta)_k (``_coordinate_floors``).
     """
     delta = g.delta
     checks = [[] for _ in delta]
     for support, _ in g.supports:
         checks[support[-1][0]].append(
             (support, sum(delta[k] * c for k, c in support)))
+    floors = _coordinate_floors(g)
     found = []
     for residue in g.residues(lattice):
         offsets = tuple(map(add, residue, delta))
-        for x in _squares_summing_to(offsets, g.scale, total, checks):
+        for x in _squares_summing_to(offsets, g.scale, total, checks,
+                                     floors):
             nu = tuple(map(sub, x, delta))
             if not g.is_dominant(nu):
                 raise ConsistencyError(
@@ -197,10 +204,25 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=None)
+def _coordinate_floors(g: Grid) -> tuple:
+    """Per coordinate k, the least x_k = D (nu + delta)_k over dominant nu:
+    (D delta)_k where e_k is a nonnegative combination of the simple roots
+    (``roots._solve``), since <nu, a> >= 0 for each, else None.  That is
+    every coordinate of B and C, all but the last of D, and none of A or of
+    a torus factor, which lie outside the span.  Cached per grid."""
+    rank = g.rs.rank
+    d, solved = _solve([g.positive[k] for k in g.rs.simple_index],
+                       [tuple(int(j == k) for j in range(rank))
+                        for k in range(rank)])
+    return tuple(None if c is None or any(n * d < 0 for n in c) else least
+                 for c, least in zip(solved, g.delta))
+
+
 def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     """mult_nu(y) for pi_nu, top = D nu and y integral on g, read by the
     lemma of ``_extract``.  Outside the ball |y| <= |nu| the read is 0, and
-    on its sphere it is 1 when y walks (``dominant_walk``) to nu.  Inside,
+    on its sphere it is 1 when y walks (``Grid.walk``) to nu.  Inside,
     y is walked to y+, a dominant weight of pi_nu exactly when nu - y+ is
     in Q+ (Humphreys, 21.3): its coordinates over the simple roots
     (``roots._solve``) are nonnegative integers.  Then the read is the
@@ -208,7 +230,7 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     gap = sum(map(mul, top, top)) - sum(map(mul, y, y))
     if gap < 0:
         return 0
-    dominant = dominant_walk(y, g)[1]
+    dominant = g.walk(y)[1]
     if not gap:
         return int(dominant == top)
     d, (coefficients,) = _solve([g.positive[k] for k in g.rs.simple_index],
@@ -221,10 +243,10 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
 @lru_cache(maxsize=None)
 def _longest_word(h: Grid) -> tuple:
     """A reduced word of w0, the longest element of the Weyl group of h:
-    the steps of the walk (``dominant_walk``) of -D delta_h to D delta_h,
+    the steps of the walk (``Grid.walk``) of -D delta_h to D delta_h,
     as w0 is the one element that sends -delta_h to delta_h.  Its length
     is the number of reduced positive roots; cached per grid."""
-    return dominant_walk(tuple(-c for c in h.delta), h)[0]
+    return h.walk(tuple(-c for c in h.delta))[0]
 
 
 def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,

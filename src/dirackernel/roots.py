@@ -11,13 +11,16 @@ delta under the simple reflections, each element given its word from the
 orbit's search.  Reflections act on weight vectors directly, so a
 user-supplied list of positive roots works just as well as a built-in
 family.  A, B, C, D are realized in the standard e-basis, which for the A
-family means an ambient space of dimension rank + 1.
+family means an ambient space of dimension rank + 1, and built once per
+family and rank.
 
 ``orbit`` walks down from a dominant int tuple D w on the grid (1/D)
 Z^rank of a root system (``Grid``), where W is the orbit of D delta: one
 breadth-first search that gives each image with its parent and generator,
 no word, and keeps nothing on the grid.  The search is held to
-``ORBIT_LIMIT`` images.  ``weyl_order`` counts W without listing it, as the
+``ORBIT_LIMIT`` images.  ``Grid.walk`` goes the other way, from any grid
+point up into the dominant chamber, and ``dominant_walk`` is the same walk
+on ``Weight``s.  ``weyl_order`` counts W without listing it, as the
 product of m_i + 1 over the exponents m_i, which the heights of the
 positive roots give (Kostant).
 """
@@ -39,7 +42,9 @@ from .lattice import LatticeSpec, Weight
 class WeylElement:
     """w = s_word[0] ... s_word[-1] in the Weyl group of ``rs``, with its
     image w(delta); the word is reduced, and equality and hashing use the
-    image alone."""
+    image alone.  Slotted: W_1 and ``weyl_group`` make one per element."""
+
+    __slots__ = ("rs", "word", "image")
 
     def __init__(self, rs: "RootSystem", word: tuple, image: Weight) -> None:
         self.rs = rs
@@ -262,9 +267,15 @@ def classical_dimension(family: str, rank: int) -> int:
 
 def build_classical(family: str, rank: int) -> RootSystem:
     """Standard positive roots of A/B/C/D in the e-basis: e_i - e_j, then
-    e_i + e_j (B, C, D), then e_k (B) or 2 e_k (C), for i < j."""
+    e_i + e_j (B, C, D), then e_k (B) or 2 e_k (C), for i < j.  One
+    ``RootSystem`` per (family, rank), the family in either case: pairs on
+    one system, such as so5_so4 and so5_so2xso3, share it."""
+    return _classical(family.upper(), rank)
+
+
+@lru_cache(maxsize=None)
+def _classical(family: str, rank: int) -> RootSystem:
     n = classical_dimension(family, rank)
-    family = family.upper()
     e = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]  # as ints
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     roots = [tuple(map(sub, e[i], e[j])) for i, j in pairs]
@@ -284,10 +295,11 @@ class Grid:
     ones (not twice another root), D delta, and per reduced root b, the
     simple roots first, the nonzero coordinates (k, c) of D b with
     <D b, D b> (``mirrors``; the simple roots' are the ``supports``):
-    membership, pairings, dominance and reflections are integer
-    arithmetic.  A conversion, half-sum or coroot pairing that is not exact
-    raises ConsistencyError (``locate`` gives None off the grid); only
-    ``weight`` makes ``Fraction``s, one per coordinate value.
+    membership, pairings, dominance, reflections and the walk into the
+    dominant chamber (``walk``) are integer arithmetic.  A conversion,
+    half-sum or coroot pairing that is not exact raises ConsistencyError
+    (``locate`` gives None off the grid); only ``weight`` makes
+    ``Fraction``s, one per coordinate value, cached per grid.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -325,8 +337,10 @@ class Grid:
         return x
 
     def weight(self, x: tuple) -> Weight:
-        """The weight x / D, with one ``Fraction`` per coordinate value."""
-        return Weight(map(self._quotient, x))
+        """The weight x / D, with one ``Fraction`` per coordinate value.
+        The cached quotients are ``Fraction``s already, so the tuple is
+        built without ``Weight.__new__``'s conversion."""
+        return tuple.__new__(Weight, map(self._quotient, x))
 
     def half_sum(self, indices: Iterable) -> tuple:
         """D (1/2) sum alpha over the positive roots alpha at ``indices``
@@ -403,6 +417,37 @@ class Grid:
         for k, c in self.mirrors[i][0]:
             y[k] -= pairing * c
         return tuple(y)
+
+    def walk(self, x: tuple) -> tuple:
+        """(steps, dominant): reflect x in the first simple root that pairs
+        negatively with it, rescanning from the first root after each step,
+        until none does; s_steps[-1] ... s_steps[0] x = dominant.  It ends
+        because <. , D delta> strictly increases.  Each pairing is read
+        inline, and only a negative one reflects; one that is not an
+        integer raises ConsistencyError (``coroot_pairing``'s message)
+        where the walk scans it."""
+        supports = self.supports
+        steps = []
+        i = 0
+        while i < len(supports):
+            support, norm = supports[i]
+            dot = 0
+            for k, c in support:
+                dot += x[k] * c
+            twice = 2 * dot
+            if twice % norm:
+                self.coroot_pairing(x, i)  # raises ConsistencyError
+            if dot >= 0:
+                i += 1
+                continue
+            pairing = twice // norm
+            y = list(x)
+            for k, c in support:
+                y[k] -= pairing * c
+            x = tuple(y)
+            steps.append(i)
+            i = 0
+        return tuple(steps), x
 
 
 @lru_cache(maxsize=None)
@@ -498,18 +543,16 @@ def weyl_group(rs: RootSystem) -> tuple:
                  for x, word in sorted(zip(images, words)))
 
 
-def dominant_walk(w, space) -> tuple:
-    """(steps, dominant): reflect w in the first simple root that pairs
-    negatively with it, rescanning from the first root after each step,
-    until none does.  The walk terminates because <. , delta> strictly
-    increases, and s_steps[-1] ... s_steps[0] w = dominant.  ``space`` is a
-    ``RootSystem`` with w a ``Weight``, or a ``Grid`` with w an int tuple.
-    """
+def dominant_walk(w: Weight, rs: RootSystem) -> tuple:
+    """(steps, dominant): the walk of ``Grid.walk`` on the ``Weight`` w,
+    through ``RootSystem.coroot_pairing`` and ``reflect``, each pairing a
+    ``Fraction``.  The theorem path walks lambda + delta with it; grid
+    points take ``Grid.walk``."""
     steps = []
     i = 0
-    while i < len(space.simple_roots):
-        if space.coroot_pairing(w, i) < 0:
-            w = space.reflect(w, i)
+    while i < len(rs.simple_roots):
+        if rs.coroot_pairing(w, i) < 0:
+            w = rs.reflect(w, i)
             steps.append(i)
             i = 0
         else:

@@ -20,7 +20,7 @@ from operator import add, sub
 from .errors import DimensionError, GroupOrderLimitError, InvalidPairError
 from .lattice import LatticeSpec, Weight
 from .roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
-                    build_classical, dominant_walk, grid, weyl_order)
+                    build_classical, grid, weyl_order)
 
 
 # the checks of ``validate_pair``, in the order it runs them
@@ -197,13 +197,13 @@ def _cone_images(g: Grid, h: Grid) -> set:
 def _orbit_word(g: Grid, x: tuple) -> tuple:
     """The word ``weyl_group`` gives the image x of D delta, without the
     orbit: it gives each image the least reduced word read from the right,
-    which is reversed(dominant_walk(sigma^-1 delta).steps).
-    sigma^-1 delta is D delta reflected along the steps of
-    dominant_walk(x), in order."""
+    which is reversed(g.walk(sigma^-1 D delta).steps).
+    sigma^-1 D delta is D delta reflected along the steps of g.walk(x), in
+    order."""
     y = g.delta
-    for i in dominant_walk(x, g)[0]:
+    for i in g.walk(x)[0]:
         y = g.reflect(y, i)
-    return dominant_walk(y, g)[0][::-1]
+    return g.walk(y)[0][::-1]
 
 
 def _check_torus_lattice(rs: RootSystem, lattice: LatticeSpec) -> None:

@@ -21,10 +21,11 @@ from dirackernel.characters import weight_table, weyl_dim
 from dirackernel.dirac import (_extract, _multiplicity, _shell_points,
                                euler_verify)
 from dirackernel.lattice import Weight, inner_product
-from dirackernel.roots import dominant_walk, grid
+from dirackernel.roots import grid
 from dirackernel.spin import chi_components, spinor_counts
 from reference_characters import irreducible_character, peel, side_character
-from reference_roots import act, listed_group, reference_contains
+from reference_roots import (act, listed_group, reference_contains,
+                             reference_grid_walk)
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +102,7 @@ def frobenius_multiplicity(pair, nu, mu, side: int) -> int:
     g = grid(pair.root_system)
     h = grid(pair.h_system, g.scale)
     z = tuple(map(add, g.point(Weight(mu)), h.delta))
-    lowest = dominant_walk(tuple(-c for c in z), h)[1]
+    lowest = reference_grid_walk(h, tuple(-c for c in z))[1]
     return _extract(pair, g, g.point(Weight(nu)), tuple(-c for c in lowest),
                     side)
 

@@ -1,6 +1,7 @@
 """The ``Fraction`` references of the root, lattice and pair layer, which
 the library runs on the integer grid (``roots.Grid``), and the helpers the
-tests share: the Weyl action by words, the breadth-first orbit, half-sums,
+tests share: the Weyl action by words, the breadth-first orbit, the walk
+into the dominant chamber on the grid, half-sums,
 reduced roots, residues, lattice membership and integrality, the solver
 behind the simple coefficients, Weyl's product formula, the W_1 filter, the
 pair checks, and three pairs no registry name reaches.  ``listed_group``
@@ -14,7 +15,7 @@ from functools import lru_cache
 from dirackernel.errors import (ConsistencyError, DimensionError,
                                 GroupOrderLimitError)
 from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
-from dirackernel.roots import (ORBIT_LIMIT, RootSystem, WeylElement,
+from dirackernel.roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
                                dominant_walk, weyl_group)
 from dirackernel.sympair import SymmetricPair, W1Element, admissible_mu
 
@@ -111,6 +112,23 @@ def reference_orbit(rs: RootSystem, v: Weight,
                             f"group closure exceeded limit {limit}")
         frontier = new_frontier
     return seen
+
+
+def reference_grid_walk(g: Grid, x: tuple) -> tuple:
+    """(steps, dominant) for the int tuple x on g, walked as ``Grid.walk``
+    walks it, but through the checked ``Grid.coroot_pairing`` of every
+    simple root it scans and ``Grid.reflect``: the reference for the
+    inline walk."""
+    steps = []
+    i = 0
+    while i < len(g.supports):
+        if g.coroot_pairing(x, i) < 0:
+            x = g.reflect(x, i)
+            steps.append(i)
+            i = 0
+        else:
+            i += 1
+    return tuple(steps), x
 
 
 def reference_half_sum(roots, rank: int) -> Weight:

@@ -13,8 +13,8 @@ from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
 from dirackernel.lattice import LatticeSpec, Weight
-from dirackernel.roots import (ORBIT_LIMIT, Grid, build_classical,
-                               dominant_walk, grid)
+from dirackernel.roots import ORBIT_LIMIT, Grid, build_classical, grid
+from dirackernel.roots import RootSystem
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
                                  builtin_pair_names, marked_node_pair)
@@ -26,7 +26,8 @@ from reference_oracle import (brute_force_shell, casimir_shell,
                               reference_kernel, reference_multiplicity,
                               table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
-                             inverse, quarter_delta_pair, reference_contains)
+                             inverse, quarter_delta_pair, reference_contains,
+                             reference_grid_walk)
 
 
 class TestCasimirEigenvalue:
@@ -173,6 +174,42 @@ class TestCasimirShell:
             assert dirac._shell_points(pair, g, lam) == expected[lam], lam
         assert dirac._sphere.cache_info().misses == 2
         assert all(expected.values())
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_floors_keep_every_sphere(self, pair, monkeypatch):
+        # x_k >= (D delta)_k where e_k is a nonnegative combination of the
+        # simple roots: every sphere from |D delta|^2 on, each read cold,
+        # equals the search with no floor
+        g = grid(pair.root_system)
+        least = sum(c * c for c in g.delta)
+        totals = range(least, least + 24 * g.scale ** 2)
+        dirac._sphere.cache_clear()
+        floored = {t: dirac._sphere(g, pair.lattice_F, t) for t in totals}
+        monkeypatch.setattr(dirac, "_coordinate_floors",
+                            lambda g: (None,) * g.rs.rank)
+        dirac._sphere.cache_clear()
+        for t in totals:
+            assert dirac._sphere(g, pair.lattice_F, t) == floored[t], t
+        dirac._sphere.cache_clear()
+        assert sum(map(bool, floored.values())) > 2
+
+    @pytest.mark.parametrize("rs,floored", [
+        (build_classical("B", 4), (0, 1, 2, 3)),
+        (build_classical("C", 3), (0, 1, 2)),
+        (build_classical("D", 4), (0, 1, 2)),
+        (build_classical("D", 2), (0,)),
+        (build_classical("A", 3), ()),
+        # B2 and a torus factor (the third coordinate)
+        (RootSystem(3, [W("1,-1,0"), W("1,1,0"), W("1,0,0"), W("0,1,0")]),
+         (0, 1)),
+        (builtin_pair("so5_so2xso3").h_system, (1,)),
+        (RootSystem(2, []), ())], ids=repr)
+    def test_coordinate_floors(self, rs, floored):
+        # every coordinate of B and C, all but the last of D, none of A or
+        # of a torus factor; each floor is (D delta)_k
+        g = grid(rs)
+        assert dirac._coordinate_floors(g) == tuple(
+            c if k in floored else None for k, c in enumerate(g.delta))
 
     def test_a_point_that_is_not_dominant_raises(self, monkeypatch):
         # the simple-root bounds keep every point of the search dominant;
@@ -374,7 +411,7 @@ def walked_start(pair: SymmetricPair, mu: Weight) -> tuple:
     g = grid(pair.root_system)
     h = grid(pair.h_system, g.scale)
     z = tuple(map(add, g.point(mu), h.delta))
-    return tuple(-c for c in dominant_walk(tuple(-c for c in z), h)[1])
+    return tuple(-c for c in reference_grid_walk(h, tuple(-c for c in z))[1])
 
 
 class TestLongestWord:

@@ -68,6 +68,18 @@ def test_euler_report_passed():
         report.extra = 1  # no instance dict
 
 
+def test_kernel_result_with_sigma_pickles():
+    # sigma is a slotted WeylElement; every protocol from 2 keeps it
+    pair = builtin_pair("so5_so2xso3")
+    result = dirac_kernel(pair, W("-1/2,1"))
+    assert result.sigma.word == (0, 1)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(result, protocol))
+        assert copy == result and type(copy) is KernelResult
+        assert (copy.sigma.word, copy.sigma.image, copy.sigma.rs) == (
+            result.sigma.word, result.sigma.image, result.sigma.rs)
+
+
 def test_library_results_round_trip():
     pair = builtin_pair("so5_so4")
     mu = W("5/2,3/2")

@@ -1,11 +1,15 @@
 import itertools
+import pickle
 import random
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+from operator import add
 
 import pytest
 
+import dirackernel.dirac as dirac
 import dirackernel.roots as roots
 from corpus import CORPUS, W1_PAIRS, corpus_pair
 from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
@@ -14,12 +18,14 @@ from dirackernel.lattice import HALF, Weight, inner_product
 from dirackernel.roots import (Grid, RootSystem, WeylElement, _solve,
                                build_classical, classical_dimension, grid,
                                orbit, root_sums, weyl_group, weyl_order)
+from dirackernel.spin import spinor_counts
 from dirackernel.sympair import builtin_pair, builtin_pair_names
-from reference_roots import (W, act, bc1_pair, compose,
+from reference_roots import (W, act, admissible_box, bc1_pair, compose,
                              dominant_representative, group_images,
                              half_c2_pair, identity, inverse, is_sublattice,
                              quarter_delta_pair, reference_contains,
-                             reference_half_sum, reference_orbit,
+                             reference_grid_walk, reference_half_sum,
+                             reference_orbit,
                              reference_reduced, reference_residues,
                              reference_simple_data, reference_solve,
                              simple_coefficients)
@@ -180,14 +186,21 @@ class TestEquality:
     def test_separately_built_systems_are_equal(self):
         for family, rank in [("A", 3), ("B", 2), ("B", 4), ("C", 3),
                              ("D", 4)]:
-            a, b = build_classical(family, rank), build_classical(family, rank)
+            a = build_classical(family, rank)
+            b = RootSystem(a.rank, a.positive_roots)
             assert a is not b and a == b and hash(a) == hash(b)
-        # so5_so2xso3 holds its own B2, equal to so5_so4's
-        a = builtin_pair("so5_so4").root_system
-        b = builtin_pair("so5_so2xso3").root_system
-        assert a is not b and a == b and hash(a) == hash(b)
+        a = build_classical("B", 2)
         named = RootSystem(2, a.positive_roots, name="renamed")
         assert named == a and hash(named) == hash(a)
+
+    def test_one_system_per_family_and_rank(self):
+        # build_classical builds B2 once, whichever case names the family,
+        # and the two pairs on B2 share it
+        b2 = build_classical("B", 2)
+        assert build_classical("b", 2) is b2
+        assert build_classical("C", 2) is not b2
+        assert builtin_pair("so5_so4").root_system is b2
+        assert builtin_pair("so5_so2xso3").root_system is b2
 
     def test_root_order_and_rank_count(self):
         rs = build_classical("B", 2)
@@ -318,12 +331,33 @@ class TestGridPrimitives:
             w = g.weight(x)
             expected = Weight(Fraction(c, scale) for c in x)
             assert w == expected and hash(w) == hash(expected)
+            assert type(w) is Weight
+            assert all(type(c) is Fraction for c in w), x
             assert g.point(expected) == g.locate(expected) == x
         for text in ["1/5,0,0", f"0,-1/{2 * scale},1", "1,2/7,-3"]:
             assert g.locate(W(text)) is None
             with pytest.raises(ConsistencyError,
                                match=f"^{text} is not on the grid 1/{scale} Z$"):
                 g.point(W(text))
+
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in W1_PAIRS])
+    def test_weight_holds_fractions(self, pair):
+        # Grid.weight builds the Weight from its cached quotients, without
+        # Weight.__new__: each coordinate, zero and negative ones too, is a
+        # Fraction, on G's grid and on the subgroup's grid at G's scale
+        g = grid(pair.root_system)
+        h = grid(pair.h_system, g.scale)
+        for space in (g, h):
+            points = [(0,) * pair.rank, tuple(-c for c in space.delta)]
+            points += [tuple(-c for c in x) for x in space.positive]
+            points += [x for w1 in pair.w1 for x in (
+                g.point(w1.element.image), g.point(w1.delta_p_sigma))]
+            for x in points:
+                w = space.weight(x)
+                assert type(w) is Weight and len(w) == pair.rank
+                assert all(type(c) is Fraction for c in w), x
+                assert w == Weight(Fraction(c, g.scale) for c in x)
 
     @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
                                       for p in PAIRS])
@@ -595,6 +629,97 @@ class TestOrbitReplay:
             "1/4,1/4 pairs to 1/2 with the coroot of 0,1")
 
 
+def walk_outcome(walk, x: tuple):
+    """walk(x), or the message of the ConsistencyError it raises."""
+    try:
+        return walk(x)
+    except ConsistencyError as error:
+        return str(error)
+
+
+class TestGridWalk:
+    """``Grid.walk`` against ``reference_grid_walk``, which reads every
+    pairing it scans through ``Grid.coroot_pairing``: the same steps and end
+    point, or the same ConsistencyError."""
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_set_up_and_straightening_inputs(self, pair):
+        # the inputs of _orbit_word (the images of D delta in W_1, then
+        # D delta reflected along their steps), of _longest_word (-D
+        # delta_h) and of straightening: x + D delta_h for the points x of
+        # chi^+- on the subgroup's grid and x + D delta for the points x of
+        # a box on G's grid, where integral (bc1's chi^+- is not)
+        g = grid(pair.root_system)
+        h = grid(pair.h_system, g.scale)
+        inputs = [(h, tuple(-c for c in h.delta))]
+        for w1 in pair.w1:
+            x = g.point(w1.element.image)
+            y = g.delta
+            for i in reference_grid_walk(g, x)[0]:
+                y = g.reflect(y, i)
+            inputs += [(g, x), (g, y)]
+        counts = spinor_counts(pair)
+        inputs += [(h, tuple(map(add, x, h.delta)))
+                   for side in (1, -1) for x in counts[side]
+                   if h.is_integral(x)]
+        box = range(-2, 3) if pair.rank < 4 else range(-1, 2)
+        for t in itertools.product(box, repeat=pair.rank):
+            x = tuple(c * g.scale // 2 for c in t)
+            if g.is_integral(x):
+                inputs.append((g, tuple(map(add, x, g.delta))))
+        steps = 0
+        for space, x in inputs:
+            walked = space.walk(x)
+            assert walked == reference_grid_walk(space, x), x
+            steps += len(walked[0])
+        assert steps
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_multiplicity_reads(self, pair, monkeypatch):
+        # every point the oracle's extraction reads on demand, over the
+        # admissible mu of a box; b2_half and bc1 admit none
+        reads = []
+        read = dirac._multiplicity
+
+        def recorded(g, top, y):
+            reads.append((g, y))
+            return read(g, top, y)
+
+        monkeypatch.setattr(dirac, "_multiplicity", recorded)
+        for _lam, mu in admissible_box(pair, 2 if pair.rank < 4 else 1):
+            assert dirac.euler_verify(pair, mu).passed, mu
+        assert bool(reads) == (pair.name not in ("b2_half", "bc1"))
+        steps = 0
+        for g, y in reads:
+            walked = g.walk(y)
+            assert walked == reference_grid_walk(g, y), y
+            steps += len(walked[0])
+        assert steps or not reads
+
+    @pytest.mark.parametrize("family,rank,scale", [
+        ("B", 2, 4), ("C", 3, 4), ("A", 2, 6), ("D", 4, 2)])
+    def test_every_point_of_a_box(self, family, rank, scale):
+        # integral or not: a non-integral pairing raises where the
+        # reference's checked pairing raises, with its message
+        g = Grid(build_classical(family, rank), scale)
+        raised = 0
+        for x in itertools.product(range(-3, 4), repeat=g.rs.rank):
+            walked = walk_outcome(g.walk, x)
+            assert walked == walk_outcome(partial(reference_grid_walk, g), x)
+            raised += isinstance(walked, str)
+        assert raised
+
+    def test_non_integral_message(self):
+        # a positive pairing of 1/2 raises too, though it reflects nothing
+        g = Grid(build_classical("B", 2), 4)
+        for x, message in [
+                ("1/4,1/4", "1/4,1/4 pairs to 1/2 with the coroot of 0,1"),
+                ("-1/4,-1/4", "-1/4,-1/4 pairs to -1/2 with the coroot of 0,1")]:
+            with pytest.raises(ConsistencyError) as raised:
+                g.walk(g.point(W(x)))
+            assert str(raised.value) == message
+
+
 def starts_by_walls(g: Grid) -> dict:
     """{J: the first integral dominant start with walls J} over the points
     D t / 2, t in [-6, 6]^rank."""
@@ -656,6 +781,18 @@ class TestDominantRepresentative:
 
 
 class TestWeylElement:
+    def test_slotted(self):
+        # no instance dict; the three slots pickle with the element
+        rs = build_classical("B", 3)
+        for w in weyl_group(rs)[:10] + tuple(
+                x.element for x in builtin_pair("so7_so6").w1):
+            assert not hasattr(w, "__dict__")
+            with pytest.raises(AttributeError):
+                w.extra = 1
+            copy = pickle.loads(pickle.dumps(w))
+            assert (copy.rs, copy.word, copy.image) == (w.rs, w.word, w.image)
+            assert copy == w and hash(copy) == hash(w)
+
     def test_inverse_is_transpose(self):
         rs = build_classical("B", 3)
         for w in weyl_group(rs)[:10]:

@@ -371,15 +371,21 @@ class TestRegistry:
     def test_one_grid_per_system_and_scale(self):
         # a cold process that builds every built-in pair, its W_1 and one
         # oracle run makes one Grid per (system, scale): the four G
-        # systems and the five subgroups, whose default scale is G's
+        # systems and the five subgroups, whose default scale is G's; and
+        # one RootSystem per system, so5_so4 and so5_so2xso3 sharing B2
         code = textwrap.dedent("""\
             import dirackernel.roots as roots
-            made = []
+            made, systems = [], []
             init = roots.Grid.__init__
             def counted(self, rs, scale):
                 made.append((rs, scale))
                 init(self, rs, scale)
             roots.Grid.__init__ = counted
+            build = roots.RootSystem.__init__
+            def built(self, *args, **kwargs):
+                build(self, *args, **kwargs)
+                systems.append(self)
+            roots.RootSystem.__init__ = built
             from dirackernel import (builtin_pair, builtin_pair_names,
                                      euler_verify)
             for name in builtin_pair_names():
@@ -387,13 +393,14 @@ class TestRegistry:
                 assert pair.w1
                 assert euler_verify(pair, pair.delta_p).passed
             print(len(made), len(set(made)))
+            print(len(systems), len(set(systems)))
             """)
         src = Path(roots.__file__).resolve().parent.parent
         proc = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "9 9\n"
+        assert proc.stdout == "9 9\n9 9\n"
 
     def test_grading_reads_the_root_systems_sums(self, monkeypatch):
         # the bracket-grading check makes no scan of its own: it reads

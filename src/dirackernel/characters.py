@@ -6,7 +6,8 @@ per grid point D nu (``grid_table``; ``weight_table`` converts and checks
 a (root system, nu) at the edge): the Freudenthal multiplicity
 recursion evaluated on the dominant weights only, each value copied over
 the Weyl orbit of its weight.  Dimensions come from Weyl's product formula
-as a quotient of two integer products on the same grid (``grid_dim``),
+as a quotient of two integer products on the same grid, the denominator
+cached per grid (``weyl_product``, read as a dimension by ``grid_dim``),
 cross-checked against the multiplicity mass in the tests.  Decomposition
 of an invariant character on the grid is straightening (``_straighten``):
 each support weight w is walked from w + delta into the dominant chamber,
@@ -158,20 +159,35 @@ def grid_table(g: Grid, top: tuple) -> WeightTable:
     return WeightTable(g, table)
 
 
-def grid_dim(rs: RootSystem, g: Grid, x: tuple) -> int:
-    """Dimension of pi_nu by Weyl's product formula (Humphreys, 24.3) for
-    x = D nu on g, a grid of rs: prod <D (nu + delta), D alpha> over
-    Delta^+ divided exactly by prod <D delta, D alpha>.  A remainder or a
-    quotient that is not positive raises ConsistencyError naming rs."""
-    shifted = tuple(map(add, x, g.delta))
-    top = bottom = 1
-    for alpha in g.positive:
-        top *= sum(map(mul, shifted, alpha))
-        bottom *= sum(map(mul, g.delta, alpha))
-    if top % bottom or top // bottom <= 0:
-        raise ConsistencyError(f"Weyl dimension formula gave {top}/{bottom} "
-                               f"for {g.weight(x)} in {rs}")
+def weyl_product(rs: RootSystem, g: Grid, y: tuple) -> int:
+    """Weyl's polynomial P at y = D (nu + delta) on g, a grid of rs: prod
+    <y, D alpha> over the reduced positive roots, divided exactly by the
+    grid's ``weyl_denominator``.  P is W-anti-invariant, P(w y) = sgn(w)
+    P(y), so it is 0 at a singular y and the dimension of pi_nu at a
+    dominant nu (Humphreys, 24.3).  A remainder raises ConsistencyError
+    naming nu and rs."""
+    top = 1
+    for k in g.reduced:
+        top *= sum(map(mul, y, g.positive[k]))
+    bottom = g.weyl_denominator
+    if top % bottom:
+        raise ConsistencyError(
+            f"Weyl dimension formula gave {top}/{bottom} for "
+            f"{g.weight(tuple(map(sub, y, g.delta)))} in {rs}")
     return top // bottom
+
+
+def grid_dim(rs: RootSystem, g: Grid, x: tuple) -> int:
+    """Dimension of pi_nu by Weyl's product formula for x = D nu on g, a
+    grid of rs: ``weyl_product`` at x + D delta, which must be positive,
+    else ConsistencyError naming rs."""
+    dimension = weyl_product(rs, g, tuple(map(add, x, g.delta)))
+    if dimension <= 0:
+        bottom = g.weyl_denominator
+        raise ConsistencyError(
+            f"Weyl dimension formula gave {dimension * bottom}/{bottom} "
+            f"for {g.weight(x)} in {rs}")
+    return dimension
 
 
 def weyl_dim(rs: RootSystem, nu: Weight) -> int:

@@ -5,17 +5,22 @@ lambda + delta is singular the kernel vanishes on both sides, otherwise
 the unique Weyl element w moving lambda + delta into the open chamber
 yields sigma = w^{-1} (the steps of ``dominant_walk``, read as a word),
 nu = w(lambda + delta) - delta, and the side is decided by
-sgn(sigma) * (-1)^m.
+sgn(sigma) * (-1)^m.  Bott's index (-1)^m P(lambda + delta), P Weyl's
+product (``characters.weyl_product``), is that signed dimension read with
+no walk: 0 at a singular lambda + delta, else sgn(sigma) (-1)^m dim pi_nu.
+The theorem path takes its dimension from it and checks its sign against
+the walk's; the oracle checks its own signed sum against it.
 
-The oracle path shares only the lattice/roots primitives with the theorem
-path.  It enumerates the Casimir shell of lambda as integer points on a
+The oracle path shares only the lattice/roots primitives and Weyl's
+product with the theorem path.  It enumerates the Casimir shell of lambda as integer points on a
 sphere, once per sphere (``_sphere``, bounded by the simple-root
 inequalities), takes each member's dimension from Weyl's product, computes
 Frobenius multiplicities on both sides by Brauer-Klimyk extraction, and
 checks that the alternating sum collapses to the predicted signed
-irreducible (or to zero).  The extraction (``_extract``) sums the weight
-multiplicities of pi_nu over the W_H-images of D (mu + delta_h), shifted
-by the components of the half-spin character of its side
+irreducible (or to zero), and that its signed dimension is Bott's index,
+read from its own D (mu + delta_h).  The extraction (``_extract``) sums
+the weight multiplicities of pi_nu over the W_H-images of D (mu +
+delta_h), shifted by the components of the half-spin character of its side
 (``spin.chi_components``, cached per pair and side): a pruned search
 visits only the images that land in the ball |y| <= |nu| holding every
 weight of pi_nu, and each is read on demand (``_multiplicity``).
@@ -34,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .characters import grid_dim, grid_table, weyl_dim
+from .characters import grid_dim, grid_table, weyl_product
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
 from .roots import Grid, WeylElement, _solve, dominant_walk, grid
@@ -97,22 +102,32 @@ def _require_admissible(pair: SymmetricPair, mu: Weight) -> None:
 def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     """Classify the kernel of the Dirac operator twisted by mu.
 
-    mu is checked once (``admissibility_failures``).  The Casimir scalar
-    <lambda + 2 delta, lambda> = |lambda + delta|^2 - |delta|^2 is read on
-    the grid of ``roots.grid``, as one ``Fraction`` over D^2 from D
-    (lambda + delta) = D mu + D delta_h.  The walk of lambda + delta, sigma
-    and the checks on nu run on ``Weight``s.
+    mu is checked once (``admissibility_failures``).  On the grid of
+    ``roots.grid``, from D (lambda + delta) = D mu + D delta_h, are read
+    the Casimir scalar <lambda + 2 delta, lambda> = |lambda + delta|^2 -
+    |delta|^2, as one ``Fraction`` over D^2, and Bott's index (-1)^m
+    P(lambda + delta) (``characters.weyl_product``).  The walk of lambda +
+    delta, sigma and the checks on nu run on ``Weight``s.  The index must
+    be 0 when lambda + delta is singular and have the sign of the side
+    otherwise, else ConsistencyError (raised, so it holds under python
+    -O); its absolute value is the dimension of pi_nu.
     """
     mu = Weight(mu)
     _require_admissible(pair, mu)
     rs = pair.root_system
     g = grid(rs)
-    shifted = map(add, g.point(mu), grid(pair.h_system, g.scale).delta)
+    shifted = tuple(map(add, g.point(mu), grid(pair.h_system, g.scale).delta))
     casimir = Fraction(sum(c * c for c in shifted)
                        - sum(c * c for c in g.delta), g.scale ** 2)
+    parity = (-1) ** pair.m
+    index = parity * weyl_product(rs, g, shifted)
     lam = mu - pair.delta_p
     steps, dominant = dominant_walk(lam + pair.delta, rs)
     if not rs.is_dominant(dominant, strict=True):
+        if index:
+            raise ConsistencyError(
+                f"Bott's index {index} is not 0 at the singular lambda + "
+                f"delta={lam + pair.delta} for mu={mu}")
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
     sigma = WeylElement.from_word(rs, steps)
     nu = dominant - pair.delta
@@ -127,10 +142,14 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     if casimir_eigenvalue(pair, nu) != casimir:
         raise ConsistencyError("Casimir mismatch between nu and lambda")
     sign = sigma.sign
-    status = (KernelStatus.PLUS
-              if sign * (-1) ** pair.m == 1 else KernelStatus.MINUS)
+    side = sign * parity
+    if index * side <= 0:
+        raise ConsistencyError(
+            f"Bott's index {index} disagrees with the side "
+            f"sgn(sigma) (-1)^m = {side} for mu={mu}")
+    status = KernelStatus.PLUS if side == 1 else KernelStatus.MINUS
     return KernelResult(status=status, casimir=casimir, nu=nu, sigma=sigma,
-                        sigma_sign=sign, dimension=weyl_dim(rs, nu))
+                        sigma_sign=sign, dimension=abs(index))
 
 
 def _squares_summing_to(offsets: tuple, step: int, total: int,
@@ -317,8 +336,10 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     """Check the alternating-trace collapse against the classification.
 
     Over every shell member nu: (a) the two Frobenius multiplicities never
-    exceed one in total, and (b) the signed sum of multiplicities equals
-    +[nu0], -[nu0] or 0 according to the kernel result.  Failures are
+    exceed one in total, (b) the signed sum of multiplicities equals
+    +[nu0], -[nu0] or 0 according to the kernel result, and (c) the sum of
+    (m+ - m-) dim pi_nu equals Bott's index (-1)^m P(z), read from z = D
+    (mu + delta_h) with no input from the kernel result.  Failures are
     reported, not raised.  mu is checked once, by ``dirac_kernel``, and
     converted once; the shell members, dominant points of F, need no checks.
     The extraction's start w0 z, z = D (mu + delta_h), is z reflected along
@@ -329,14 +350,16 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     kernel = dirac_kernel(pair, mu)
     g = grid(pair.root_system)
     x = g.point(mu)
-    lam = tuple(map(sub, x, g.half_sum(pair.p_index)))
+    lam = tuple(map(sub, x, pair.delta_p_point))
     h = grid(pair.h_system, g.scale)
     start = tuple(map(add, x, h.delta))  # z, then w0 z
+    index = (-1) ** pair.m * weyl_product(pair.root_system, g, start)
     for i in _longest_word(h):
         start = h.reflect(start, i)
     rows = []
     failures = []
     signed: dict[Weight, int] = {}
+    signed_dimension = 0
     for point in _shell_points(pair, g, lam):
         dimension = grid_dim(pair.root_system, g, point)
         m_plus = _extract(pair, g, point, start, +1)
@@ -349,6 +372,7 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
                 f"m+={m_plus}, m-={m_minus}")
         if m_plus != m_minus:
             signed[nu] = m_plus - m_minus
+            signed_dimension += (m_plus - m_minus) * dimension
     if kernel.status is KernelStatus.PLUS:
         expected = {kernel.nu: 1}
     elif kernel.status is KernelStatus.MINUS:
@@ -359,6 +383,10 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
         failures.append(
             f"signed sum {sorted(signed.items())} does not match "
             f"classification {sorted(expected.items())}")
+    if signed_dimension != index:
+        failures.append(
+            f"signed dimension {signed_dimension} does not match Bott's "
+            f"index {index}")
     return EulerReport(
         pair_name=pair.name, mu=mu, lam=g.weight(lam), rows=tuple(rows),
         signed_sum=tuple(sorted(signed.items())),

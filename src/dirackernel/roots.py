@@ -299,7 +299,9 @@ class Grid:
     dominant chamber (``walk``) are integer arithmetic.  A conversion,
     half-sum or coroot pairing that is not exact raises ConsistencyError
     (``locate`` gives None off the grid); only ``weight`` makes
-    ``Fraction``s, one per coordinate value, cached per grid.
+    ``Fraction``s, one per coordinate value, cached per grid.  The
+    denominator of Weyl's product (``weyl_denominator``) is read once,
+    when first needed.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -321,6 +323,16 @@ class Grid:
             (tuple((j, c) for j, c in enumerate(b) if c), sum(c * c for c in b))
             for b in (self.positive[k] for k in self.mirror_index))
         self.supports = self.mirrors[:len(simple)]
+
+    @cached_property
+    def weyl_denominator(self) -> int:
+        """prod <D delta, D alpha> over the reduced positive roots alpha
+        (every positive root of a reduced system), read from ``delta`` on
+        first use and then kept."""
+        product = 1
+        for k in self.reduced:
+            product *= sum(map(mul, self.delta, self.positive[k]))
+        return product
 
     def locate(self, w: Weight) -> tuple | None:
         """D w, or None when w is off the grid."""

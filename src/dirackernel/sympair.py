@@ -106,9 +106,13 @@ class SymmetricPair:
         return g.weight(g.half_sum(self.h_index))
 
     @cached_property
+    def delta_p_point(self) -> tuple:
+        """D delta_p on grid(root_system), read once per pair."""
+        return grid(self.root_system).half_sum(self.p_index)
+
+    @cached_property
     def delta_p(self) -> Weight:
-        g = grid(self.root_system)
-        return g.weight(g.half_sum(self.p_index))
+        return grid(self.root_system).weight(self.delta_p_point)
 
     @cached_property
     def h_system(self) -> RootSystem:
@@ -308,9 +312,10 @@ def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     mu is read on the grid once, as y = L mu for L the least common
     multiple of D = grid(pair.root_system).scale and mu's denominators.  If
     L = D, y is x = D mu, and F1 and F are tested on x and x - D delta_p
-    (``Grid.contains``); otherwise mu is off G's grid and in neither.
-    Delta_h-dominance is a sign test of y on the subgroup's grid at scale
-    D, which holds for any positive multiple of mu.
+    (``Grid.contains``; ``delta_p_point``); otherwise mu is off G's grid
+    and in neither.  Delta_h-dominance is a sign test of y on the
+    subgroup's grid at scale D, which holds for any positive multiple of
+    mu.
     """
     if len(mu) != pair.rank:
         raise DimensionError(f"mu length {len(mu)} vs rank {pair.rank}")
@@ -324,7 +329,7 @@ def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     if not grid(pair.h_system, g.scale).is_dominant(y):
         failures.append("mu not dominant for Delta_h+")
     if x is None or not g.contains(
-            pair.lattice_F, tuple(map(sub, x, g.half_sum(pair.p_index)))):
+            pair.lattice_F, tuple(map(sub, x, pair.delta_p_point))):
         failures.append("mu - delta_p not in F")
     return failures
 

@@ -2,7 +2,8 @@
 W_H and as a product of binomials over Delta_h^+, and from the library's
 components over the listed W_H; the product-and-peel multiplicity, and the
 sums over the whole kernel, read on demand or from the full table; the
-Casimir shell by a ``Fraction`` and an integer brute-force scan, and
+Casimir shell by a ``Fraction`` and an integer brute-force scan,
+``checked_kernel`` (against Bott's index and ``weyl_dim``) and
 ``checked_euler``; and ``Weight`` views of the library's shell and
 extraction.  The kernel per (pair, s), the product and peel per (pair, nu,
 s), which serves every mu, and each scan per sphere are computed once per
@@ -18,14 +19,14 @@ from types import MappingProxyType
 from typing import Mapping
 
 from dirackernel.characters import weight_table, weyl_dim
-from dirackernel.dirac import (_extract, _multiplicity, _shell_points,
-                               euler_verify)
+from dirackernel.dirac import (KernelStatus, _extract, _multiplicity,
+                               _shell_points, dirac_kernel, euler_verify)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.roots import grid
 from dirackernel.spin import chi_components, spinor_counts
 from reference_characters import irreducible_character, peel, side_character
-from reference_roots import (act, listed_group, reference_contains,
-                             reference_grid_walk)
+from reference_roots import (act, listed_group, reference_bott_index,
+                             reference_contains, reference_grid_walk)
 
 
 @lru_cache(maxsize=None)
@@ -196,6 +197,28 @@ def _integer_sphere(pair, total) -> tuple:
             if g.contains(pair.lattice_F, nu) and g.is_dominant(nu):
                 found.append(nu)
     return tuple(sorted(found))
+
+
+def checked_kernel(pair, mu):
+    """``dirac_kernel(pair, mu)``, after checking it against Bott's index
+    on ``Fraction`` weights (``reference_bott_index``): 0 for BOTH_ZERO,
+    else positive for PLUS, negative for MINUS, and of absolute value the
+    dimension, which must also be ``weyl_dim`` of nu."""
+    result = dirac_kernel(pair, mu)
+    index = reference_bott_index(pair, Weight(mu) - pair.delta_p)
+    if result.status is KernelStatus.BOTH_ZERO:
+        expected = 0
+    else:
+        dimension = weyl_dim(pair.root_system, result.nu)
+        expected = (dimension if result.status is KernelStatus.PLUS
+                    else -dimension)
+        if result.dimension != dimension:  # raised: also under python -O
+            raise AssertionError(f"{pair.name} mu={mu}: {result} against "
+                                 f"weyl_dim {dimension}")
+    if index != expected:
+        raise AssertionError(f"{pair.name} mu={mu}: {result} against "
+                             f"Bott's index {index}")
+    return result
 
 
 def checked_euler(pair, mu):

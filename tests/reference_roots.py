@@ -3,8 +3,9 @@ the library runs on the integer grid (``roots.Grid``), and the helpers the
 tests share: the Weyl action by words, the breadth-first orbit, the walk
 into the dominant chamber on the grid, half-sums,
 reduced roots, residues, lattice membership and integrality, the solver
-behind the simple coefficients, Weyl's product formula, the W_1 filter, the
-pair checks, and three pairs no registry name reaches.  ``listed_group``
+behind the simple coefficients, Weyl's product formula and Bott's index,
+the W_1 filter, the pair checks, and three pairs no registry name
+reaches.  ``listed_group``
 lists ``roots.weyl_group`` once per session for each root system.
 """
 
@@ -256,6 +257,20 @@ def reference_weyl_dim(rs: RootSystem, nu: Weight) -> int:
         raise ConsistencyError(
             f"Weyl dimension formula gave {result} for {nu} in {rs}")
     return int(result)
+
+
+def reference_bott_index(pair: SymmetricPair, lam: Weight) -> Fraction:
+    """Bott's index (-1)^m P(lambda + delta) on ``Fraction`` weights: P is
+    the product over the reduced positive roots alpha of <lambda + delta,
+    alpha> / <delta, alpha>."""
+    rs = pair.root_system
+    delta = rs.delta
+    shifted = Weight(lam) + delta
+    result = Fraction((-1) ** pair.m)
+    for k in reference_reduced(rs):
+        alpha = rs.positive_roots[k]
+        result *= inner_product(shifted, alpha) / inner_product(delta, alpha)
+    return result
 
 
 def deltas(pair: SymmetricPair):

@@ -148,6 +148,28 @@ class TestVerifyCommands:
             assert failure in out
             assert out.endswith("result: FAIL\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_euler_signed_dimension_against_bott_index(self, monkeypatch,
+                                                        fmt):
+        # every row dimension doubled: the signed sum is unchanged, so the
+        # index check alone fails
+        import dirackernel.dirac as dirac
+
+        dimension = dirac.grid_dim
+        monkeypatch.setattr(dirac, "grid_dim",
+                            lambda *args: 2 * dimension(*args))
+        failure = "signed dimension 70 does not match Bott's index 35"
+        code, out, _ = invoke(["--format", fmt, "verify", "euler", "so5_so4",
+                               "--mu", "5/2,3/2"])
+        assert code == 1
+        if fmt == "machine":
+            doc = json.loads(out)
+            assert doc["passed"] is False
+            assert doc["failures"] == [failure]
+        else:
+            assert f"  FAIL: {failure}\n" in out
+            assert out.endswith("result: FAIL\n")
+
     def test_chi_pass_all_builtins(self):
         for name in ("so3_so2", "so5_so4", "so7_so6", "so5_so2xso3"):
             code, out, _ = invoke(["verify", "chi", name])
@@ -801,6 +823,26 @@ class TestExitCodes:
         code, out, err = invoke(["--format", fmt, "spinor", "so3_so2"])
         message = ("internal consistency error: chi^+ does not decompose "
                    "over W1 with highest weights [Weight(1/2)]")
+        assert code == 1
+        if fmt == "machine":
+            assert json.loads(out) == {"error": message, "passed": False}
+            assert err == ""
+        else:
+            assert (out, err) == ("", message + "\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_consistency_error_in_kernel(self, monkeypatch, fmt):
+        import dirackernel.dirac as dirac
+
+        # Weyl's product with a flipped sign: Bott's index disagrees with
+        # the side of the walk
+        product = dirac.weyl_product
+        monkeypatch.setattr(dirac, "weyl_product",
+                            lambda *args: -product(*args))
+        code, out, err = invoke(["--format", fmt, "kernel", "so5_so4",
+                                 "--mu", "5/2,3/2"])
+        message = ("internal consistency error: Bott's index -35 disagrees "
+                   "with the side sgn(sigma) (-1)^m = 1 for mu=5/2,3/2")
         assert code == 1
         if fmt == "machine":
             assert json.loads(out) == {"error": message, "passed": False}

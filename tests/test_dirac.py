@@ -8,7 +8,7 @@ import pytest
 import dirackernel.characters as characters
 import dirackernel.dirac as dirac
 import dirackernel.spin as spin
-from corpus import CORPUS, W1_PAIRS, corpus_pair
+from corpus import CORPUS, W1_PAIRS, bott_sweep, corpus_pair
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
 from dirackernel.errors import AdmissibilityError, ConsistencyError
@@ -20,7 +20,8 @@ from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  builtin_pair_names, marked_node_pair)
 from reference_characters import irreducible_character, reference_character
 from reference_oracle import (brute_force_shell, casimir_shell,
-                              checked_euler, frobenius_multiplicity,
+                              checked_euler, checked_kernel,
+                              frobenius_multiplicity,
                               binomial_kernel, integer_brute_force_shell,
                               kernel_multiplicity, kernel_weights,
                               reference_kernel, reference_multiplicity,
@@ -92,7 +93,8 @@ class TestDiracKernel:
         for name in builtin_pair_names():
             pair = builtin_pair(name)
             for lam, mu in admissible_box(pair, 2):
-                result = dirac_kernel(pair, mu)
+                # and against Bott's index and weyl_dim
+                result = checked_kernel(pair, mu)
                 if result.status is KernelStatus.BOTH_ZERO:
                     continue
                 plus = result.sigma_sign * (-1) ** pair.m == 1
@@ -130,6 +132,68 @@ class TestDiracKernel:
             assert (result.sigma.word, result.sigma.image, result.sigma_sign
                     ) == (sigma.word, sigma.image, sigma.sign)
         assert regular
+
+
+class TestBottIndex:
+    def test_sweep_matches_weyl_dim_and_the_side(self):
+        # every node of A2-A6, B2-B6, C2-C6 and D4-D6, seeded; the CI line
+        # runs the same sweep up to rank 8
+        results = [checked_kernel(pair, mu) for pair, mu in bott_sweep(6, 10)]
+        counts = {status: 0 for status in KernelStatus}
+        for result in results:
+            counts[result.status] += 1
+        assert len(results) == 725
+        assert counts[KernelStatus.BOTH_ZERO] == 359
+        assert counts[KernelStatus.PLUS] and counts[KernelStatus.MINUS]
+
+    # the checks raise, not assert, so they hold under python -O
+    @pytest.mark.parametrize("mu,change,message", [
+        ("5/2,3/2", lambda p: -p, "Bott's index -35 disagrees with the side "
+                                  "sgn(sigma) (-1)^m = 1 for mu=5/2,3/2"),
+        ("3/2,-1/2", lambda p: -p, "Bott's index 5 disagrees with the side "
+                                   "sgn(sigma) (-1)^m = -1 for mu=3/2,-1/2"),
+        ("5/2,3/2", lambda p: 0, "Bott's index 0 disagrees with the side "
+                                 "sgn(sigma) (-1)^m = 1 for mu=5/2,3/2")])
+    def test_wrong_sign_raises(self, monkeypatch, mu, change, message):
+        product = dirac.weyl_product
+        monkeypatch.setattr(dirac, "weyl_product",
+                            lambda *args: change(product(*args)))
+        with pytest.raises(ConsistencyError) as raised:
+            dirac_kernel(builtin_pair("so5_so4"), W(mu))
+        assert str(raised.value) == message
+
+    def test_nonzero_at_a_singular_point_raises(self, monkeypatch):
+        pair = builtin_pair("so5_so2xso3")
+        assert dirac_kernel(pair, W("3/2,1")).status is KernelStatus.BOTH_ZERO
+        monkeypatch.setattr(dirac, "weyl_product", lambda *args: 1)
+        with pytest.raises(ConsistencyError) as raised:
+            dirac_kernel(pair, W("3/2,1"))
+        # m = 3
+        assert str(raised.value) == ("Bott's index -1 is not 0 at the "
+                                     "singular lambda + delta=3/2,3/2 for "
+                                     "mu=3/2,1")
+
+    def test_euler_fails_on_a_wrong_row_dimension(self, monkeypatch):
+        # the kernel reads its dimension from the index, not grid_dim, so
+        # only the oracle's rows change; its index is its own
+        dimension = dirac.grid_dim
+        monkeypatch.setattr(dirac, "grid_dim",
+                            lambda *args: 2 * dimension(*args))
+        report = dirac.euler_verify(builtin_pair("so5_so4"), W("5/2,3/2"))
+        assert report.kernel.dimension == 35
+        assert [row.dimension for row in report.rows] == [70]
+        assert report.failures == (
+            "signed dimension 70 does not match Bott's index 35",)
+
+    def test_euler_index_needs_no_kernel_result(self, monkeypatch):
+        # a kernel result with a wrong dimension leaves the oracle's
+        # index check alone: it reads z = D (mu + delta_h) itself
+        kernel = dirac.dirac_kernel
+        monkeypatch.setattr(
+            dirac, "dirac_kernel",
+            lambda pair, mu: kernel(pair, mu)._replace(dimension=1))
+        report = dirac.euler_verify(builtin_pair("so5_so4"), W("5/2,3/2"))
+        assert report.passed
 
 
 class TestCasimirShell:

@@ -279,7 +279,7 @@ class TestHalfSum:
         assert g.weight(g.delta) == rs.delta == pair.delta == half
         assert pair.delta_h == reference_half_sum(pair.h_positive, rs.rank)
         delta_p = reference_half_sum(pair.p_positive, rs.rank)
-        assert pair.delta_p == delta_p
+        assert pair.delta_p == delta_p == g.weight(pair.delta_p_point)
         h = grid(pair.h_system, g.scale)
         assert h.weight(h.delta) == pair.delta_h
         for k, alpha in enumerate(rs.positive_roots):
@@ -393,6 +393,61 @@ class TestGridPrimitives:
         assert rs.simple_index == tuple(
             k for k in range(len(roots)) if k not in sums)
         assert rs.simple_roots == tuple(roots[k] for k in rs.simple_index)
+
+
+def reference_denominator(rs: RootSystem, scale: int) -> Fraction:
+    """prod D^2 <delta, alpha> over the reduced positive roots, on
+    ``Fraction`` weights."""
+    result = Fraction(1)
+    for k in reference_reduced(rs):
+        result *= scale ** 2 * inner_product(rs.delta, rs.positive_roots[k])
+    return result
+
+
+class TestWeylDenominator:
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in W1_PAIRS])
+    def test_matches_fraction_product(self, pair):
+        # on G's grid and on the subgroup's grid at G's scale; W1_PAIRS
+        # holds the quarter-delta pair (D = 4) and BC1, where the product
+        # runs over the reduced roots only
+        g = grid(pair.root_system)
+        for rs, space in ((pair.root_system, g),
+                          (pair.h_system, grid(pair.h_system, g.scale))):
+            assert space.weyl_denominator == reference_denominator(
+                rs, g.scale)
+
+    def test_refined_a2_grid(self):
+        rs = build_classical("A", 2)
+        assert grid(rs).scale == 2
+        g = grid(rs, 6)
+        # <delta, alpha> is 1, 1, 2 over the positive roots of A2
+        assert g.weyl_denominator == reference_denominator(rs, 6)
+        assert g.weyl_denominator == 2 * 36 ** 3
+
+    def test_quarter_delta_pair(self):
+        # delta = 3/4,1/4 over the roots of B2 halved: D = 4
+        rs = quarter_delta_pair().root_system
+        g = grid(rs)
+        assert g.scale == 4
+        assert g.weyl_denominator == reference_denominator(rs, 4)
+        assert g.weyl_denominator == 4 * 8 * 6 * 2
+
+    def test_one_on_a_torus_factor(self):
+        # Delta_h of so3_so2 is empty: a rank-one torus, an empty product
+        h = grid(builtin_pair("so3_so2").h_system)
+        assert h.positive == ()
+        assert h.weyl_denominator == 1
+
+    def test_read_from_delta_on_first_use(self):
+        # a grid whose delta is replaced before the first read takes the
+        # new delta (TestInvariantsRaise patches it so); the value is kept
+        rs = build_classical("B", 2)
+        g = Grid(rs, 2)
+        g.delta = g.point(W("3,1"))
+        assert g.weyl_denominator == 8 * 16 * 12 * 4
+        g.delta = g.point(rs.delta)
+        assert g.weyl_denominator == 8 * 16 * 12 * 4
 
 
 class TestGridCache:

@@ -3,9 +3,9 @@
 The theorem path: for admissible mu, set lambda = mu - delta_p; if
 lambda + delta is singular the kernel vanishes on both sides, otherwise
 the unique Weyl element w moving lambda + delta into the open chamber
-yields sigma = w^{-1} (the steps of ``dominant_walk``, read as a word),
-nu = w(lambda + delta) - delta, and the side is decided by
-sgn(sigma) * (-1)^m.  Bott's index (-1)^m P(lambda + delta), P Weyl's
+yields sigma = w^{-1} (the steps of ``Grid.walk`` of D (lambda + delta),
+read as a word), nu = w(lambda + delta) - delta, and the side is decided
+by sgn(sigma) * (-1)^m.  Bott's index (-1)^m P(lambda + delta), P Weyl's
 product (``characters.weyl_product``), is that signed dimension read with
 no walk: 0 at a singular lambda + delta, else sgn(sigma) (-1)^m dim pi_nu.
 The theorem path takes its dimension from it and checks its sign against
@@ -42,7 +42,7 @@ from operator import add, mul, sub
 from .characters import grid_dim, grid_table, weyl_product
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight, inner_product
-from .roots import Grid, WeylElement, _solve, dominant_walk, grid
+from .roots import Grid, WeylElement, _solve, grid
 from .spin import chi_components
 from .sympair import SymmetricPair, admissibility_failures
 
@@ -106,8 +106,9 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     ``roots.grid``, from D (lambda + delta) = D mu + D delta_h, are read
     the Casimir scalar <lambda + 2 delta, lambda> = |lambda + delta|^2 -
     |delta|^2, as one ``Fraction`` over D^2, and Bott's index (-1)^m
-    P(lambda + delta) (``characters.weyl_product``).  The walk of lambda +
-    delta, sigma and the checks on nu run on ``Weight``s.  The index must
+    P(lambda + delta) (``characters.weyl_product``), and that point is
+    walked into the dominant chamber (``Grid.walk``); sigma is the walk's
+    word, and nu's checks run on ``Weight``s.  The index must
     be 0 when lambda + delta is singular and have the sign of the side
     otherwise, else ConsistencyError (raised, so it holds under python
     -O); its absolute value is the dimension of pi_nu.
@@ -122,7 +123,8 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     parity = (-1) ** pair.m
     index = parity * weyl_product(rs, g, shifted)
     lam = mu - pair.delta_p
-    steps, dominant = dominant_walk(lam + pair.delta, rs)
+    steps, end = g.walk(shifted)
+    dominant = g.weight(end)
     if not rs.is_dominant(dominant, strict=True):
         if index:
             raise ConsistencyError(

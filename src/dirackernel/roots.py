@@ -19,9 +19,9 @@ Z^rank of a root system (``Grid``), where W is the orbit of D delta: one
 breadth-first search that gives each image with its parent and generator,
 no word, and keeps nothing on the grid.  The search is held to
 ``ORBIT_LIMIT`` images.  ``Grid.walk`` goes the other way, from any grid
-point up into the dominant chamber, and ``dominant_walk`` is the same walk
-on ``Weight``s.  ``weyl_order`` counts W without listing it, as the
-product of m_i + 1 over the exponents m_i, which the heights of the
+point up into the dominant chamber: it is the one walk, and no ``Weight``
+is walked or reflected.  ``weyl_order`` counts W without listing it, as
+the product of m_i + 1 over the exponents m_i, which the heights of the
 positive roots give (Kostant).
 """
 
@@ -61,11 +61,19 @@ class WeylElement:
 
     @classmethod
     def from_word(cls, rs: "RootSystem", word: Iterable) -> "WeylElement":
+        """The element of the word, its image replayed from D delta on
+        ``grid(rs)`` (``Grid.reflect``); ValueError for a letter that is not
+        the index of a simple root."""
         word = tuple(word)
-        image = rs.delta
+        g = grid(rs)
+        simple = range(len(rs.simple_roots))
+        x = g.delta
         for i in reversed(word):  # the rightmost reflection first
-            image = rs.reflect(image, i)
-        return cls(rs, word, image)
+            if i not in simple:
+                raise ValueError(f"letter {i!r} is not the index of one of "
+                                 f"the {len(simple)} simple roots of {rs}")
+            x = g.reflect(x, i)
+        return cls(rs, word, g.weight(x))
 
     @property
     def sign(self) -> int:
@@ -165,13 +173,11 @@ class RootSystem:
         # order of positive_roots
         self.coefficients = tuple(coefficients)
         # per simple root a: the int tuple 2a with <2a, 2a>, and the nonzero
-        # coordinates (k, a_k, 2 a_k / <a, a>), which pairings and
-        # reflections touch
+        # coordinates (k, 2 a_k / <a, a>) of its coroot, which pairings touch
         doubled = [(u, sum(c * c for c in u)) for u in simple_twice]
         self._simple_supports = tuple(
-            tuple((k, c, Fraction(4 * x, norm))
-                  for k, (c, x) in enumerate(zip(a, u)) if x)
-            for a, (u, norm) in zip(self.simple_roots, doubled))
+            tuple((k, Fraction(4 * x, norm)) for k, x in enumerate(u) if x)
+            for u, norm in doubled)
         # closure: s_a(2b) = scaled / norm, as pairing / norm = <b, a^>
         closed = set(twice) | {tuple(-c for c in t) for t in twice}
         for i, (u, norm) in enumerate(doubled):
@@ -212,15 +218,7 @@ class RootSystem:
 
     def coroot_pairing(self, v: Weight, i: int) -> Fraction:
         """<v, a^> for the i-th simple root a, where a^ = 2a / <a, a>."""
-        return sum(v[k] * c for k, _, c in self._simple_supports[i])
-
-    def reflect(self, v: Weight, i: int) -> Weight:
-        """s_a(v) = v - <v, a^> a for the i-th simple root a."""
-        pairing = self.coroot_pairing(v, i)
-        coords = list(v)
-        for k, c, _ in self._simple_supports[i]:
-            coords[k] -= pairing * c
-        return Weight(coords)
+        return sum(v[k] * c for k, c in self._simple_supports[i])
 
     @cached_property
     def delta(self) -> Weight:
@@ -554,19 +552,3 @@ def weyl_group(rs: RootSystem) -> tuple:
     return tuple(WeylElement(rs, word, g.weight(x))
                  for x, word in sorted(zip(images, words)))
 
-
-def dominant_walk(w: Weight, rs: RootSystem) -> tuple:
-    """(steps, dominant): the walk of ``Grid.walk`` on the ``Weight`` w,
-    through ``RootSystem.coroot_pairing`` and ``reflect``, each pairing a
-    ``Fraction``.  The theorem path walks lambda + delta with it; grid
-    points take ``Grid.walk``."""
-    steps = []
-    i = 0
-    while i < len(rs.simple_roots):
-        if rs.coroot_pairing(w, i) < 0:
-            w = rs.reflect(w, i)
-            steps.append(i)
-            i = 0
-        else:
-            i += 1
-    return tuple(steps), w

@@ -137,8 +137,8 @@ class SymmetricPair:
         (``_cone_images``); only they become ``Weight``s.  Each word is the
         one ``weyl_group`` gives (``_orbit_word``).  Before the search, |W_1| =
         |W| / |W_H| from the exponents is held to ``ORBIT_LIMIT``; after
-        it, the count |W| = |W_H| * |W_1| and the dominance plus
-        distinctness of the delta_p^sigma are verified.
+        it, the count |W| = |W_H| * |W_1| and the dominance of the
+        delta_p^sigma are verified; they are distinct, as the images are.
         """
         order = weyl_order(self.root_system)
         if order > ORBIT_LIMIT * self.weyl_h_order:
@@ -152,7 +152,6 @@ class SymmetricPair:
             raise InvalidPairError(
                 f"|W| = {order} != |W_H| * |W_1| = "
                 f"{self.weyl_h_order} * {len(members)}")
-        seen = set()
         result = []
         for x in members:
             shifted = tuple(map(sub, x, h.delta))
@@ -160,10 +159,6 @@ class SymmetricPair:
             if not h.is_dominant(shifted):
                 raise InvalidPairError(
                     f"delta_p^sigma = {delta_p_sigma} is not dominant for h")
-            if shifted in seen:
-                raise InvalidPairError(
-                    f"duplicate delta_p^sigma = {delta_p_sigma}")
-            seen.add(shifted)
             element = WeylElement(self.root_system, _orbit_word(g, x),
                                   g.weight(x))
             result.append(W1Element(element, element.sign, delta_p_sigma))

@@ -19,7 +19,7 @@ from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 SymmetryError)
 from dirackernel.lattice import Weight, inner_product
 from dirackernel.spin import spinor_weights
-from reference_roots import act, reference_orbit
+from reference_roots import act, reference_orbit, reference_reflect
 
 
 class FormalCharacter:
@@ -205,7 +205,8 @@ def peel(ch: FormalCharacter, rs) -> Dict[Weight, int]:
     for i, a in enumerate(rs.simple_roots):
         # a reflection permutes the support, so invariance is one lookup
         # per term
-        if any(terms.get(rs.reflect(w, i)) != c for w, c in terms.items()):
+        if any(terms.get(reference_reflect(rs, w, i)) != c
+               for w, c in terms.items()):
             raise SymmetryError(
                 f"character is not invariant under reflection in {a}")
     delta = rs.delta

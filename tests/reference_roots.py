@@ -1,7 +1,8 @@
 """The ``Fraction`` references of the root, lattice and pair layer, which
 the library runs on the integer grid (``roots.Grid``), and the helpers the
-tests share: the Weyl action by words, the breadth-first orbit, the walk
-into the dominant chamber on the grid, half-sums,
+tests share: the simple reflections and the walk into the dominant chamber
+on ``Weight``s, from ``inner_product`` alone, the Weyl action by words, the
+breadth-first orbit, the walk on the grid, half-sums,
 reduced roots, residues, lattice membership and integrality, the solver
 behind the simple coefficients, Weyl's product formula and Bott's index,
 the W_1 filter, the pair checks, and three pairs no registry name
@@ -17,7 +18,7 @@ from dirackernel.errors import (ConsistencyError, DimensionError,
                                 GroupOrderLimitError)
 from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
 from dirackernel.roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
-                               dominant_walk, weyl_group)
+                               weyl_group)
 from dirackernel.sympair import SymmetricPair, W1Element, admissible_mu
 
 
@@ -32,6 +33,36 @@ def listed_group(rs: RootSystem) -> tuple:
     return weyl_group(rs)
 
 
+@lru_cache(maxsize=None)
+def _coroots(rs: RootSystem) -> tuple:
+    # a^ = 2a / <a, a> for each simple root a
+    return tuple(a * (2 / inner_product(a, a)) for a in rs.simple_roots)
+
+
+def reference_reflect(rs: RootSystem, v: Weight, i: int) -> Weight:
+    """s_a(v) = v - <v, a^> a for the i-th simple root a, by
+    ``inner_product`` on ``Fraction`` weights: the reference for
+    ``Grid.reflect``."""
+    return v - rs.simple_roots[i] * inner_product(v, _coroots(rs)[i])
+
+
+def reference_walk(w: Weight, rs: RootSystem) -> tuple:
+    """(steps, dominant): w reflected (``reference_reflect``) in the first
+    simple root it pairs negatively with, rescanning from the first after
+    each step, until none does, so s_steps[-1] ... s_steps[0] w =
+    dominant: the ``Fraction`` reference for ``Grid.walk``."""
+    steps = []
+    i = 0
+    while i < len(rs.simple_roots):
+        if inner_product(w, rs.simple_roots[i]) < 0:
+            w = reference_reflect(rs, w, i)
+            steps.append(i)
+            i = 0
+        else:
+            i += 1
+    return tuple(steps), w
+
+
 def act(element: WeylElement, v: Weight) -> Weight:
     """s_word[0] ... s_word[-1] v for the word of the element (the
     rightmost reflection first)."""
@@ -39,7 +70,7 @@ def act(element: WeylElement, v: Weight) -> Weight:
         raise DimensionError(
             f"weight length {len(v)} vs rank {element.rs.rank}")
     for i in reversed(element.word):
-        v = element.rs.reflect(v, i)
+        v = reference_reflect(element.rs, v, i)
     return v
 
 
@@ -53,7 +84,7 @@ def group_images(rs: RootSystem, weights) -> dict:
     for element in sorted(listed_group(rs), key=lambda w: len(w.word)):
         word = element.word
         if word:
-            by_word[word] = tuple(rs.reflect(v, word[0])
+            by_word[word] = tuple(reference_reflect(rs, v, word[0])
                                   for v in by_word[word[1:]])
         table[element] = by_word[word]
     return table
@@ -64,29 +95,40 @@ def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, (), rs.delta)
 
 
+def reference_element(rs: RootSystem, word) -> WeylElement:
+    """The element of the word, its image of delta replayed on ``Fraction``
+    weights (``reference_reflect``, the rightmost reflection first): the
+    reference for ``WeylElement.from_word``."""
+    word = tuple(word)
+    image = rs.delta
+    for i in reversed(word):
+        image = reference_reflect(rs, image, i)
+    return WeylElement(rs, word, image)
+
+
 def inverse(element: WeylElement) -> WeylElement:
     """The inverse element: the reversed word."""
-    return WeylElement.from_word(element.rs, reversed(element.word))
+    return reference_element(element.rs, reversed(element.word))
 
 
 def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """w1 after w2, with a reduced word read off its image."""
     image = act(w1, w2.image)
-    return WeylElement(w1.rs, dominant_walk(image, w1.rs)[0], image)
+    return WeylElement(w1.rs, reference_walk(image, w1.rs)[0], image)
 
 
 def dominant_representative(w: Weight, rs: RootSystem):
     """Return (element, dominant, regular) with element * w = dominant.
 
-    The element comes from ``dominant_walk``.  When the result is regular
+    The element comes from ``reference_walk``.  When the result is regular
     (strictly dominant), it is the unique Weyl element moving w into the
     open chamber.
     """
     if len(w) != rs.rank:
         raise DimensionError(f"weight length {len(w)} vs rank {rs.rank}")
-    steps, dominant = dominant_walk(w, rs)
-    regular = rs.is_dominant(dominant, strict=True)
-    return WeylElement.from_word(rs, steps[::-1]), dominant, regular
+    steps, dominant = reference_walk(w, rs)
+    regular = all(inner_product(dominant, a) > 0 for a in rs.simple_roots)
+    return reference_element(rs, steps[::-1]), dominant, regular
 
 
 def reference_orbit(rs: RootSystem, v: Weight,
@@ -104,7 +146,7 @@ def reference_orbit(rs: RootSystem, v: Weight,
         for u in frontier:
             word = seen[u]
             for i in range(len(rs.simple_roots)):
-                image = rs.reflect(u, i)
+                image = reference_reflect(rs, u, i)
                 if image not in seen:
                     seen[image] = (i,) + word
                     new_frontier.append(image)

@@ -170,6 +170,38 @@ class TestVerifyCommands:
             assert f"  FAIL: {failure}\n" in out
             assert out.endswith("result: FAIL\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_euler_signed_sum_against_the_classification(self, monkeypatch,
+                                                          fmt):
+        # the kernel's PLUS and MINUS swapped: the shell and the index are
+        # unchanged, so the comparison with the classification alone fails
+        import dirackernel.dirac as dirac
+
+        kernel = dirac.dirac_kernel
+        other = {dirac.KernelStatus.PLUS: dirac.KernelStatus.MINUS,
+                 dirac.KernelStatus.MINUS: dirac.KernelStatus.PLUS}
+
+        def swapped(pair, mu):
+            result = kernel(pair, mu)
+            return result._replace(status=other[result.status])
+
+        monkeypatch.setattr(dirac, "dirac_kernel", swapped)
+        failure = ("signed sum [(Weight(2,1), 1)] does not match "
+                   "classification [(Weight(2,1), -1)]")
+        report = dirac.euler_verify(builtin_pair("so5_so4"),
+                                    dirackernel.Weight.parse("5/2,3/2"))
+        assert report.failures == (failure,)
+        code, out, _ = invoke(["--format", fmt, "verify", "euler", "so5_so4",
+                               "--mu", "5/2,3/2"])
+        assert code == 1
+        if fmt == "machine":
+            doc = json.loads(out)
+            assert (doc["passed"], doc["kernel_status"]) == (False, "MINUS")
+            assert doc["failures"] == [failure]
+        else:
+            assert f"  FAIL: {failure}\n" in out
+            assert out.endswith("result: FAIL\n")
+
     def test_chi_pass_all_builtins(self):
         for name in ("so3_so2", "so5_so4", "so7_so6", "so5_so2xso3"):
             code, out, _ = invoke(["verify", "chi", name])
@@ -843,6 +875,44 @@ class TestExitCodes:
                                  "--mu", "5/2,3/2"])
         message = ("internal consistency error: Bott's index -35 disagrees "
                    "with the side sgn(sigma) (-1)^m = 1 for mu=5/2,3/2")
+        assert code == 1
+        if fmt == "machine":
+            assert json.loads(out) == {"error": message, "passed": False}
+            assert err == ""
+        else:
+            assert (out, err) == ("", message + "\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("target,change,message", [
+        # the walk's word gains s_0, so sigma(delta) = 1/2,3/2 is not
+        # strictly Delta_h-dominant
+        ("walk", lambda steps, end: ((0,) + steps, end),
+         "computed sigma is not in W_1 for mu=5/2,3/2 (lambda=2,1)"),
+        # the walk's end point moved by 1/D off F = Z^2
+        ("walk", lambda steps, end: (steps, (end[0] + 1,) + end[1:]),
+         "computed nu=5/2,1 is not a dominant lattice point for "
+         "mu=5/2,3/2"),
+        ("casimir_eigenvalue", lambda value: value + 1,
+         "Casimir mismatch between nu and lambda")],
+        ids=["sigma", "nu", "casimir"])
+    def test_kernel_checks_on_the_walk(self, monkeypatch, fmt, target,
+                                       change, message):
+        # each check after the walk raises (not asserts, so it holds under
+        # python -O), and the command prints one line
+        import dirackernel.dirac as dirac
+        from dirackernel.roots import Grid
+
+        if target == "walk":
+            walk = Grid.walk
+            monkeypatch.setattr(Grid, "walk",
+                                lambda g, x: change(*walk(g, x)))
+        else:
+            value = dirac.casimir_eigenvalue
+            monkeypatch.setattr(dirac, "casimir_eigenvalue",
+                                lambda pair, nu: change(value(pair, nu)))
+        code, out, err = invoke(["--format", fmt, "kernel", "so5_so4",
+                                 "--mu", "5/2,3/2"])
+        message = "internal consistency error: " + message
         assert code == 1
         if fmt == "machine":
             assert json.loads(out) == {"error": message, "passed": False}

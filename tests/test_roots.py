@@ -24,8 +24,8 @@ from reference_roots import (W, act, admissible_box, bc1_pair, compose,
                              dominant_representative, group_images,
                              half_c2_pair, identity, inverse, is_sublattice,
                              quarter_delta_pair, reference_contains,
-                             reference_grid_walk, reference_half_sum,
-                             reference_orbit,
+                             reference_element, reference_grid_walk,
+                             reference_half_sum, reference_orbit,
                              reference_reduced, reference_residues,
                              reference_simple_data, reference_solve,
                              simple_coefficients)
@@ -836,6 +836,37 @@ class TestDominantRepresentative:
 
 
 class TestWeylElement:
+    @pytest.mark.parametrize("rs", [
+        build_classical("B", 3), build_classical("A", 3),
+        build_classical("D", 4), half_c2_pair().root_system,
+        bc1_pair().root_system], ids=lambda rs: repr(rs))
+    def test_from_word_replays_as_the_fraction_reference(self, rs):
+        # every word of length up to 3, reduced or not: the image replayed
+        # on the grid is the one replayed on Fraction weights
+        letters = range(len(rs.simple_roots))
+        for n in range(4):
+            for word in itertools.product(letters, repeat=n):
+                w = WeylElement.from_word(rs, word)
+                assert (w.word, w.image) == (
+                    word, reference_element(rs, word).image)
+
+    @pytest.mark.parametrize("word", [(-1,), (2,), (0, 2, 1), (1, -1)])
+    def test_from_word_rejects_a_letter_off_the_simple_roots(self, word):
+        # B2 has two simple roots; the grid would reflect 2 and -1 in a
+        # non-simple root of its mirrors
+        rs = build_classical("B", 2)
+        bad = next(i for i in word if i not in (0, 1))
+        message = (f"letter {bad} is not the index of one of the 2 simple "
+                   f"roots of RootSystem(B2, 4 positive roots)")
+        with pytest.raises(ValueError) as raised:
+            WeylElement.from_word(rs, word)
+        assert str(raised.value) == message
+
+    def test_from_word_takes_every_simple_letter(self):
+        rs = build_classical("B", 2)
+        w = WeylElement.from_word(rs, iter((1, 0)))
+        assert (w.word, w.image, w.sign) == ((1, 0), W("1/2,-3/2"), 1)
+
     def test_slotted(self):
         # no instance dict; the three slots pickle with the element
         rs = build_classical("B", 3)

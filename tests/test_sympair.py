@@ -264,6 +264,30 @@ class TestW1:
             pair.w1
         assert time.perf_counter() - start < 1
 
+    def test_w1_count_check(self, monkeypatch, tmp_path):
+        # one chamber of the cone dropped: |W| = |W_H| * |W_1| fails on a
+        # fresh pair, and ``pair show`` on that pair's file exits 2
+        import dirackernel.sympair as sympair
+
+        images = sympair._cone_images
+        monkeypatch.setattr(sympair, "_cone_images",
+                            lambda g, h: set(sorted(images(g, h))[1:]))
+        message = "|W| = 8 != |W_H| * |W_1| = 4 * 1"
+        with pytest.raises(InvalidPairError) as raised:
+            b2_pair(["1,-1", "1,1"]).w1
+        assert str(raised.value) == message
+        path = tmp_path / "so5_so4.json"
+        path.write_text(json.dumps({
+            "name": "so5_so4", "rank": 2,
+            "positive_roots": ["1,-1", "1,1", "1,0", "0,1"],
+            "h_positive_indices": [0, 1], "lattice_F_shifts": ["0,0"],
+            "lattice_F1_shifts": ["0,0", "1/2,1/2"]}))
+        for fmt in ("text", "machine"):
+            out, err = io.StringIO(), io.StringIO()
+            code = run(["--format", fmt, "pair", "show", str(path)], out, err)
+            assert (code, out.getvalue(), err.getvalue()) == (
+                2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_weyl_h_order_counts_the_listed_group(self, pair):
         # the orbit of D delta_h on the grid against W_H listed as a group,

@@ -41,7 +41,7 @@ from operator import add, mul, sub
 
 from .characters import grid_dim, grid_table, weyl_product
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
-from .lattice import LatticeSpec, Weight, inner_product
+from .lattice import LatticeSpec, Weight
 from .roots import Grid, WeylElement, _solve, grid
 from .spin import chi_components
 from .sympair import SymmetricPair, admissibility_failures
@@ -63,10 +63,21 @@ and the dimension of pi_nu, else None each."""
 
 
 def casimir_eigenvalue(pair: SymmetricPair, nu: Weight) -> Fraction:
-    """<nu + 2*delta, nu>, the Casimir scalar of pi_nu (exact)."""
+    """<nu + 2*delta, nu>, the Casimir scalar of pi_nu (exact).
+
+    nu is read on G's grid as ``admissibility_failures`` reads mu: y = L nu
+    for L the least common multiple of D = grid(pair.root_system).scale
+    and nu's denominators, so the scalar is sum y_k (y_k + 2 (L/D) (D
+    delta)_k) / L^2, one ``Fraction``.
+    """
     if len(nu) != pair.rank:
         raise DimensionError(f"nu length {len(nu)} vs rank {pair.rank}")
-    return inner_product(nu + pair.delta * 2, nu)
+    g = grid(pair.root_system)
+    scale = math.lcm(g.scale, *(c.denominator for c in nu))
+    y = tuple(c.numerator * (scale // c.denominator) for c in nu)
+    twice = 2 * (scale // g.scale)
+    return Fraction(sum(a * (a + twice * d) for a, d in zip(y, g.delta)),
+                    scale * scale)
 
 
 def chi_casimir_check(pair: SymmetricPair) -> Fraction:
@@ -108,7 +119,10 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     |delta|^2, as one ``Fraction`` over D^2, and Bott's index (-1)^m
     P(lambda + delta) (``characters.weyl_product``), and that point is
     walked into the dominant chamber (``Grid.walk``); sigma is the walk's
-    word, and nu's checks run on ``Weight``s.  The index must
+    word.  nu's Casimir scalar is read on the grid too
+    (``casimir_eigenvalue``); sigma in W_1 and nu in F and dominant are
+    tested on ``Weight``s, and lambda = mu - delta_p is formed only for
+    an error message.  The index must
     be 0 when lambda + delta is singular and have the sign of the side
     otherwise, else ConsistencyError (raised, so it holds under python
     -O); its absolute value is the dimension of pi_nu.
@@ -122,14 +136,13 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
                        - sum(c * c for c in g.delta), g.scale ** 2)
     parity = (-1) ** pair.m
     index = parity * weyl_product(rs, g, shifted)
-    lam = mu - pair.delta_p
     steps, end = g.walk(shifted)
     dominant = g.weight(end)
     if not rs.is_dominant(dominant, strict=True):
         if index:
             raise ConsistencyError(
                 f"Bott's index {index} is not 0 at the singular lambda + "
-                f"delta={lam + pair.delta} for mu={mu}")
+                f"delta={g.weight(shifted)} for mu={mu}")
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
     sigma = WeylElement.from_word(rs, steps)
     nu = dominant - pair.delta
@@ -137,7 +150,8 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     # assertions, not assumptions.
     if not pair.h_system.is_dominant(sigma.image, strict=True):
         raise ConsistencyError(
-            f"computed sigma is not in W_1 for mu={mu} (lambda={lam})")
+            f"computed sigma is not in W_1 for mu={mu} "
+            f"(lambda={mu - pair.delta_p})")
     if not g.contains(pair.lattice_F, g.locate(nu)) or not rs.is_dominant(nu):
         raise ConsistencyError(
             f"computed nu={nu} is not a dominant lattice point for mu={mu}")

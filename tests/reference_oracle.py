@@ -2,12 +2,13 @@
 W_H and as a product of binomials over Delta_h^+, and from the library's
 components over the listed W_H; the product-and-peel multiplicity, and the
 sums over the whole kernel, read on demand or from the full table; the
-Casimir shell by a ``Fraction`` and an integer brute-force scan,
-``checked_kernel`` (against the ``Fraction`` walk of lambda + delta,
-Bott's index and ``weyl_dim``) and ``checked_euler``; and ``Weight`` views
-of the library's shell and extraction.  The kernel per (pair, s), the
-product and peel per (pair, nu, s), which serves every mu, and each scan
-per sphere are computed once per session.
+Casimir shell by a ``Fraction`` and an integer brute-force scan; the
+Casimir scalar on ``Fraction`` weights; ``checked_kernel`` (against the
+``Fraction`` walk of lambda + delta, sigma's replayed image, the Casimir
+scalar of lambda, Bott's index and ``weyl_dim``) and ``checked_euler``;
+and ``Weight`` views of the library's shell and extraction.  The kernel
+per (pair, s), the product and peel per (pair, nu, s), which serves every
+mu, and each scan per sphere are computed once per session.
 """
 
 import itertools
@@ -26,8 +27,8 @@ from dirackernel.roots import grid
 from dirackernel.spin import chi_components, spinor_counts
 from reference_characters import irreducible_character, peel, side_character
 from reference_roots import (act, listed_group, reference_bott_index,
-                             reference_contains, reference_grid_walk,
-                             reference_walk)
+                             reference_contains, reference_element,
+                             reference_grid_walk, reference_walk)
 
 
 @lru_cache(maxsize=None)
@@ -200,31 +201,47 @@ def _integer_sphere(pair, total) -> tuple:
     return tuple(sorted(found))
 
 
+def reference_casimir(pair, nu) -> Fraction:
+    """<nu + 2 delta, nu> by ``inner_product`` on ``Fraction`` weights:
+    the reference for ``casimir_eigenvalue`` and the kernel's scalar."""
+    nu = Weight(nu)
+    return inner_product(nu + pair.delta * 2, nu)
+
+
 def checked_kernel(pair, mu):
     """``dirac_kernel(pair, mu)``, after checking it against the walk of
     lambda + delta on ``Fraction`` weights (``reference_walk``): BOTH_ZERO
-    exactly where it ends singular, else sigma's word is its steps, sigma's
-    sign their parity and nu its end less delta; and against Bott's index
-    on ``Fraction`` weights (``reference_bott_index``): 0 for BOTH_ZERO,
-    else positive for PLUS, negative for MINUS, and of absolute value the
+    exactly where it ends singular, else sigma's word is its steps,
+    sigma's image the replay of that word on delta (``reference_element``),
+    sigma's sign their parity and nu its end less delta; against the
+    Casimir scalar of lambda on ``Fraction`` weights
+    (``reference_casimir``), for every status; and against Bott's index on
+    ``Fraction`` weights (``reference_bott_index``): 0 for BOTH_ZERO, else
+    positive for PLUS, negative for MINUS, and of absolute value the
     dimension, which must also be ``weyl_dim`` of nu.  Raised, not
     asserted: also under python -O."""
     result = dirac_kernel(pair, mu)
+    rs = pair.root_system
     lam = Weight(mu) - pair.delta_p
-    steps, dominant = reference_walk(lam + pair.delta, pair.root_system)
-    walked = (None, None, None)
-    if all(inner_product(dominant, a) > 0
-           for a in pair.root_system.simple_roots):
-        walked = (steps, (-1) ** len(steps), dominant - pair.delta)
-    sigma = None if result.sigma is None else result.sigma.word
-    if (sigma, result.sigma_sign, result.nu) != walked:
+    steps, dominant = reference_walk(lam + pair.delta, rs)
+    walked = (None, None, None, None)
+    if all(inner_product(dominant, a) > 0 for a in rs.simple_roots):
+        walked = (steps, reference_element(rs, steps).image,
+                  (-1) ** len(steps), dominant - pair.delta)
+    sigma = ((None, None) if result.sigma is None
+             else (result.sigma.word, result.sigma.image))
+    if (*sigma, result.sigma_sign, result.nu) != walked:
         raise AssertionError(f"{pair.name} mu={mu}: {result} against the "
                              f"walk {walked}")
+    casimir = reference_casimir(pair, lam)
+    if result.casimir != casimir:
+        raise AssertionError(f"{pair.name} mu={mu}: {result} against the "
+                             f"Casimir scalar {casimir} of lambda")
     index = reference_bott_index(pair, lam)
     if result.status is KernelStatus.BOTH_ZERO:
         expected = 0
     else:
-        dimension = weyl_dim(pair.root_system, result.nu)
+        dimension = weyl_dim(rs, result.nu)
         expected = (dimension if result.status is KernelStatus.PLUS
                     else -dimension)
         if result.dimension != dimension:

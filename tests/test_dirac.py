@@ -11,7 +11,8 @@ import dirackernel.spin as spin
 from corpus import CORPUS, W1_PAIRS, bott_sweep, corpus_pair
 from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
                                chi_casimir_check, dirac_kernel)
-from dirackernel.errors import AdmissibilityError, ConsistencyError
+from dirackernel.errors import (AdmissibilityError, ConsistencyError,
+                               DimensionError)
 from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import ORBIT_LIMIT, Grid, build_classical, grid
 from dirackernel.roots import RootSystem
@@ -24,10 +25,10 @@ from reference_oracle import (brute_force_shell, casimir_shell,
                               frobenius_multiplicity,
                               binomial_kernel, integer_brute_force_shell,
                               kernel_multiplicity, kernel_weights,
-                              reference_kernel, reference_multiplicity,
-                              table_multiplicity)
+                              reference_casimir, reference_kernel,
+                              reference_multiplicity, table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
-                             inverse, quarter_delta_pair, reference_contains,
+                             quarter_delta_pair, reference_contains,
                              reference_grid_walk)
 
 
@@ -42,6 +43,21 @@ class TestCasimirEigenvalue:
 
     def test_so5_vector(self):
         assert casimir_eigenvalue(builtin_pair("so5_so4"), W("1,0")) == 4
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_matches_the_fraction_formula(self, pair):
+        # zero, dominant or not, on G's grid or off it (thirds, sixths:
+        # 1/3,0 on so5_so4, where D = 2, gives 10/9)
+        values = [Fraction(v) for v in ("-1", "-1/2", "0", "1/3", "5/6", "2")]
+        for coords in itertools.product(values, repeat=pair.rank):
+            nu = Weight(coords)
+            value = casimir_eigenvalue(pair, nu)
+            assert (type(value), value) == \
+                (Fraction, reference_casimir(pair, nu)), (pair.name, nu)
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(DimensionError, match="nu length 3 vs rank 2"):
+            casimir_eigenvalue(builtin_pair("so5_so4"), W("1,0,0"))
 
 
 class TestChiCasimir:
@@ -93,13 +109,14 @@ class TestDiracKernel:
         for name in builtin_pair_names():
             pair = builtin_pair(name)
             for lam, mu in admissible_box(pair, 2):
-                # and against Bott's index and weyl_dim
+                # and against the walk, sigma's image, the Casimir scalar of
+                # lambda, Bott's index and weyl_dim
                 result = checked_kernel(pair, mu)
                 if result.status is KernelStatus.BOTH_ZERO:
                     continue
                 plus = result.sigma_sign * (-1) ** pair.m == 1
                 assert (result.status is KernelStatus.PLUS) == plus
-                assert casimir_eigenvalue(pair, result.nu) == result.casimir
+                assert reference_casimir(pair, result.nu) == result.casimir
                 assert act(result.sigma, result.nu + pair.delta) == \
                     lam + pair.delta
 
@@ -111,27 +128,7 @@ class TestDiracKernel:
         for lam, mu in admissible_box(pair, 1):
             casimir = dirac_kernel(pair, mu).casimir
             assert type(casimir) is Fraction
-            assert casimir == casimir_eigenvalue(pair, lam), (pair.name, mu)
-
-    @pytest.mark.parametrize("name", builtin_pair_names())
-    def test_sigma_is_the_inverse_of_the_dominant_representative(self, name):
-        # sigma is read straight off the walk of lambda + delta; the
-        # reference builds w with w(lambda + delta) dominant and inverts it
-        pair = builtin_pair(name)
-        rs = pair.root_system
-        regular = 0
-        for lam, mu in admissible_box(pair, 2):
-            result = dirac_kernel(pair, mu)
-            element, _, is_regular = dominant_representative(
-                lam + pair.delta, rs)
-            if not is_regular:
-                assert result.sigma is None
-                continue
-            regular += 1
-            sigma = inverse(element)
-            assert (result.sigma.word, result.sigma.image, result.sigma_sign
-                    ) == (sigma.word, sigma.image, sigma.sign)
-        assert regular
+            assert casimir == reference_casimir(pair, lam), (pair.name, mu)
 
 
 class TestBottIndex:

@@ -7,7 +7,7 @@ from .characters import branch_equal_rank, tensor, weyl_dim
 from .dirac import (EulerReport, KernelResult, KernelStatus,
                     casimir_eigenvalue, chi_casimir_check, dirac_kernel,
                     euler_verify)
-from .lattice import LatticeSpec, Weight, inner_product
+from .lattice import LatticeSpec, Weight
 from .roots import RootSystem, WeylElement, build_classical, weyl_group
 from .spin import (SpinorWeights, chi_decompose, chi_trace_difference,
                    spinor_weights)
@@ -21,7 +21,7 @@ __all__ = [
     "branch_equal_rank", "tensor", "weyl_dim",
     "EulerReport", "KernelResult", "KernelStatus", "casimir_eigenvalue",
     "chi_casimir_check", "dirac_kernel", "euler_verify",
-    "LatticeSpec", "Weight", "inner_product",
+    "LatticeSpec", "Weight",
     "RootSystem", "WeylElement", "build_classical", "weyl_group",
     "SpinorWeights", "chi_decompose", "chi_trace_difference",
     "spinor_weights",

@@ -119,10 +119,13 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     |delta|^2, as one ``Fraction`` over D^2, and Bott's index (-1)^m
     P(lambda + delta) (``characters.weyl_product``), and that point is
     walked into the dominant chamber (``Grid.walk``); sigma is the walk's
-    word.  nu's Casimir scalar is read on the grid too
-    (``casimir_eigenvalue``); sigma in W_1 and nu in F and dominant are
-    tested on ``Weight``s, and lambda = mu - delta_p is formed only for
-    an error message.  The index must
+    word.  The regularity of lambda + delta is tested on the grid, at the
+    walk's end point (``Grid.is_dominant``), so a vanishing kernel builds
+    no ``Weight``; only a regular end point is made a ``Weight``, for nu.
+    nu's Casimir scalar is read on the grid too (``casimir_eigenvalue``);
+    sigma in W_1 and nu in F and dominant are tested on ``Weight``s
+    (``RootSystem.is_dominant``), and lambda = mu - delta_p is formed only
+    for an error message.  The index must
     be 0 when lambda + delta is singular and have the sign of the side
     otherwise, else ConsistencyError (raised, so it holds under python
     -O); its absolute value is the dimension of pi_nu.
@@ -137,15 +140,14 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     parity = (-1) ** pair.m
     index = parity * weyl_product(rs, g, shifted)
     steps, end = g.walk(shifted)
-    dominant = g.weight(end)
-    if not rs.is_dominant(dominant, strict=True):
+    if not g.is_dominant(end, strict=True):
         if index:
             raise ConsistencyError(
                 f"Bott's index {index} is not 0 at the singular lambda + "
                 f"delta={g.weight(shifted)} for mu={mu}")
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
     sigma = WeylElement.from_word(rs, steps)
-    nu = dominant - pair.delta
+    nu = g.weight(end) - pair.delta
     # Automatic consequences of admissibility; treated as runtime
     # assertions, not assumptions.
     if not pair.h_system.is_dominant(sigma.image, strict=True):

@@ -91,18 +91,6 @@ class Weight(tuple):
         return f"Weight({self!s})"
 
 
-def inner_product(a: Weight, b: Weight) -> Fraction:
-    """Euclidean dot product in the e-basis, exact.
-
-    The ambient inner product is fixed up to positive scale; every test the
-    package performs (dominance, Casimir-shell equality) is invariant under
-    that rescaling, so the convention-free dot product is used throughout.
-    """
-    if len(a) != len(b):
-        raise DimensionError(f"weight length mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 class LatticeSpec:
     """A weight lattice given as a finite union of coset shifts of Z^m.
 

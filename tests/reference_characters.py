@@ -17,9 +17,10 @@ from dirackernel.characters import _refined_grid, _straighten, weight_table
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 DimensionError, NonDominantError,
                                 SymmetryError)
-from dirackernel.lattice import Weight, inner_product
+from dirackernel.lattice import Weight
 from dirackernel.spin import spinor_weights
-from reference_roots import act, reference_orbit, reference_reflect
+from reference_roots import (act, inner_product, reference_orbit,
+                             reference_reflect)
 
 
 class FormalCharacter:

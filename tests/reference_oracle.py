@@ -22,13 +22,14 @@ from typing import Mapping
 from dirackernel.characters import weight_table, weyl_dim
 from dirackernel.dirac import (KernelStatus, _extract, _multiplicity,
                                _shell_points, dirac_kernel, euler_verify)
-from dirackernel.lattice import Weight, inner_product
+from dirackernel.lattice import Weight
 from dirackernel.roots import grid
 from dirackernel.spin import chi_components, spinor_counts
 from reference_characters import irreducible_character, peel, side_character
-from reference_roots import (act, listed_group, reference_bott_index,
-                             reference_contains, reference_element,
-                             reference_grid_walk, reference_walk)
+from reference_roots import (act, inner_product, listed_group,
+                             reference_bott_index, reference_contains,
+                             reference_element, reference_grid_walk,
+                             reference_walk)
 
 
 @lru_cache(maxsize=None)

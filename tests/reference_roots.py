@@ -1,7 +1,8 @@
 """The ``Fraction`` references of the root, lattice and pair layer, which
 the library runs on the integer grid (``roots.Grid``), and the helpers the
-tests share: the simple reflections and the walk into the dominant chamber
-on ``Weight``s, from ``inner_product`` alone, the Weyl action by words, the
+tests share: the dot product of ``Weight``s (``inner_product``), and from
+it alone the simple reflections and the walk into the dominant chamber on
+``Weight``s, the Weyl action by words, the
 breadth-first orbit, the walk on the grid, half-sums,
 reduced roots, residues, lattice membership and integrality, the solver
 behind the simple coefficients, Weyl's product formula and Bott's index,
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from dirackernel.errors import (ConsistencyError, DimensionError,
                                 GroupOrderLimitError)
-from dirackernel.lattice import HALF, LatticeSpec, Weight, inner_product
+from dirackernel.lattice import HALF, LatticeSpec, Weight
 from dirackernel.roots import (ORBIT_LIMIT, Grid, RootSystem, WeylElement,
                                weyl_group)
 from dirackernel.sympair import SymmetricPair, W1Element, admissible_mu
@@ -24,6 +25,19 @@ from dirackernel.sympair import SymmetricPair, W1Element, admissible_mu
 
 def W(text: str) -> Weight:
     return Weight.parse(text)
+
+
+def inner_product(a: Weight, b: Weight) -> Fraction:
+    """Euclidean dot product in the e-basis, exact: the ``Fraction``
+    reference for the integer dot products the library takes on the grid.
+
+    The ambient inner product is fixed up to positive scale; every test it
+    serves (dominance, Casimir-shell equality) is invariant under that
+    rescaling, so the convention-free dot product is used throughout.
+    """
+    if len(a) != len(b):
+        raise DimensionError(f"weight length mismatch: {len(a)} vs {len(b)}")
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from clifford_model import (_kernel_basis, _m_add, _m_identity, _m_mul,
                             simultaneous_spin_weights)
 from dirackernel.characters import branch_equal_rank, weyl_dim
 from dirackernel.dirac import KernelStatus, chi_casimir_check, dirac_kernel
-from dirackernel.lattice import Weight, inner_product
+from dirackernel.lattice import Weight
 from dirackernel.roots import build_classical, weyl_group
 from dirackernel.spin import chi_decompose, chi_trace_difference
 from dirackernel.sympair import (builtin_pair, builtin_pair_names,
@@ -23,7 +23,7 @@ from reference_characters import (FormalCharacter, branch_interleave_BD,
                                   subset_sum_weights, support)
 from reference_oracle import checked_euler
 from reference_roots import (W, admissible_box, group_images, identity,
-                             reference_contains)
+                             inner_product, reference_contains)
 
 
 def report(number, label, failures):

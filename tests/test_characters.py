@@ -13,7 +13,7 @@ from dirackernel.characters import (branch_equal_rank, tensor, weight_table,
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 DimensionError, NonDominantError,
                                 SymmetryError, UnsupportedRootSystemError)
-from dirackernel.lattice import Weight, inner_product
+from dirackernel.lattice import Weight
 from dirackernel.roots import RootSystem, WeylElement, build_classical
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from reference_characters import (FormalCharacter, apply,
@@ -21,10 +21,11 @@ from reference_characters import (FormalCharacter, apply,
                                   irreducible_character, mass, peel,
                                   reference_character, support,
                                   weight_multiplicity)
-from reference_roots import (W, act, bc1_pair, is_integer_vector,
-                             listed_group, quarter_delta_pair,
-                             reference_contains, reference_is_integral,
-                             reference_weyl_dim, simple_coefficients)
+from reference_roots import (W, act, bc1_pair, inner_product,
+                             is_integer_vector, listed_group,
+                             quarter_delta_pair, reference_contains,
+                             reference_is_integral, reference_weyl_dim,
+                             simple_coefficients)
 
 
 def mono(text, coeff=1):

@@ -28,8 +28,9 @@ from reference_oracle import (brute_force_shell, casimir_shell,
                               reference_casimir, reference_kernel,
                               reference_multiplicity, table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
-                             quarter_delta_pair, reference_contains,
-                             reference_grid_walk)
+                             inner_product, quarter_delta_pair,
+                             reference_contains, reference_grid_walk,
+                             reference_walk)
 
 
 class TestCasimirEigenvalue:
@@ -100,6 +101,33 @@ class TestDiracKernel:
         result = dirac_kernel(builtin_pair("so5_so2xso3"), W("3/2,1"))
         assert result.status is KernelStatus.BOTH_ZERO
         assert result.nu is None and result.sigma is None
+
+    def test_both_zero_builds_no_weight(self, monkeypatch):
+        # lambda + delta's regularity is read on the grid at the walk's end
+        # point: a singular mu, found by the walk on Fraction weights, takes
+        # neither RootSystem.is_dominant nor Grid.weight
+        singular = []
+        for name in builtin_pair_names():
+            pair = builtin_pair(name)
+            rs = pair.root_system
+            for lam, mu in admissible_box(pair, 2):
+                dominant = reference_walk(lam + pair.delta, rs)[1]
+                if not all(inner_product(dominant, a) > 0
+                           for a in rs.simple_roots):
+                    singular.append((pair, mu, reference_casimir(pair, lam)))
+        # all four on so5_so2xso3, 3/2,1 among them
+        assert len(singular) == 4
+        assert (builtin_pair("so5_so2xso3"), W("3/2,1")) in [
+            (pair, mu) for pair, mu, _ in singular]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Weight on the BOTH_ZERO path")
+
+        monkeypatch.setattr(RootSystem, "is_dominant", refuse)
+        monkeypatch.setattr(Grid, "weight", refuse)
+        for pair, mu, casimir in singular:
+            assert dirac_kernel(pair, mu) == dirac.KernelResult(
+                KernelStatus.BOTH_ZERO, casimir), (pair.name, mu)
 
     def test_inadmissible_mu_rejected(self):
         with pytest.raises(AdmissibilityError):

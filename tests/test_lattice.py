@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirackernel.errors import DimensionError
-from dirackernel.lattice import LatticeSpec, Weight, inner_product
+from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import build_classical, grid
-from reference_roots import (W, integers_and_half_integers, is_sublattice,
-                             reference_contains)
+from reference_roots import (W, inner_product, integers_and_half_integers,
+                             is_sublattice, reference_contains)
 
 
 class TestWeight:

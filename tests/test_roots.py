@@ -14,7 +14,7 @@ import dirackernel.roots as roots
 from corpus import CORPUS, W1_PAIRS, corpus_pair
 from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
                                 NonDominantError, UnsupportedRootSystemError)
-from dirackernel.lattice import HALF, Weight, inner_product
+from dirackernel.lattice import HALF, Weight
 from dirackernel.roots import (Grid, RootSystem, WeylElement, _solve,
                                build_classical, classical_dimension, grid,
                                orbit, root_sums, weyl_group, weyl_order)
@@ -22,13 +22,13 @@ from dirackernel.spin import spinor_counts
 from dirackernel.sympair import builtin_pair, builtin_pair_names
 from reference_roots import (W, act, admissible_box, bc1_pair, compose,
                              dominant_representative, group_images,
-                             half_c2_pair, identity, inverse, is_sublattice,
-                             quarter_delta_pair, reference_contains,
-                             reference_element, reference_grid_walk,
-                             reference_half_sum, reference_orbit,
-                             reference_reduced, reference_residues,
-                             reference_simple_data, reference_solve,
-                             simple_coefficients)
+                             half_c2_pair, identity, inner_product, inverse,
+                             is_sublattice, quarter_delta_pair,
+                             reference_contains, reference_element,
+                             reference_grid_walk, reference_half_sum,
+                             reference_orbit, reference_reduced,
+                             reference_residues, reference_simple_data,
+                             reference_solve, simple_coefficients)
 
 
 # the pairs of the Borel-de Siebenthal rule: the built-ins and the corpus
@@ -358,6 +358,30 @@ class TestGridPrimitives:
                 assert type(w) is Weight and len(w) == pair.rank
                 assert all(type(c) is Fraction for c in w), x
                 assert w == Weight(Fraction(c, g.scale) for c in x)
+
+    @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
+                                      for p in W1_PAIRS])
+    def test_is_dominant_matches_the_weight_test(self, pair):
+        # the kernel's regularity test reads Grid.is_dominant at the walk's
+        # end point: on G's grid and on the subgroup's grid at G's scale, a
+        # box about 0 (every wall, and points off the weight lattice) and
+        # one about D delta (strictly dominant points) read as
+        # RootSystem.is_dominant reads their Weights, strict or not
+        g = grid(pair.root_system)
+        offsets = list(itertools.product(range(-2, 3), repeat=pair.rank))
+        box = offsets + [tuple(map(add, g.delta, o)) for o in offsets]
+        for rs, space in ((pair.root_system, g),
+                          (pair.h_system, grid(pair.h_system, g.scale))):
+            for strict in (False, True):
+                assert [space.is_dominant(x, strict) for x in box] == [
+                    rs.is_dominant(space.weight(x), strict) for x in box], (
+                        rs, strict)
+        # on G's grid the box holds regular points, points on a wall and,
+        # but for rank 1, points whose coroot pairings are not all integers
+        zero = (0,) * pair.rank
+        assert g.delta in box and g.is_dominant(g.delta, strict=True)
+        assert g.is_dominant(zero) and not g.is_dominant(zero, strict=True)
+        assert pair.rank == 1 or not all(map(g.is_integral, box))
 
     @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
                                       for p in PAIRS])

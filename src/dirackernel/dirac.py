@@ -4,10 +4,13 @@ The theorem path: for admissible mu, set lambda = mu - delta_p; if
 lambda + delta is singular the kernel vanishes on both sides, otherwise
 the unique Weyl element w moving lambda + delta into the open chamber
 yields sigma = w^{-1} (the steps of ``Grid.walk`` of D (lambda + delta),
-read as a word), nu = w(lambda + delta) - delta, and the side is decided
-by sgn(sigma) * (-1)^m.  Bott's index (-1)^m P(lambda + delta), P Weyl's
-product (``characters.weyl_product``), is that signed dimension read with
-no walk: 0 at a singular lambda + delta, else sgn(sigma) (-1)^m dim pi_nu.
+read as a word), nu = w(lambda + delta) - delta (the walk's end point less
+D delta, on the grid), and the side is decided by sgn(sigma) * (-1)^m.
+nu's lattice test and Casimir check read that grid point; only the two
+dominance tests, sigma in W_1 and nu dominant, use ``Weight``s.  Bott's
+index (-1)^m P(lambda + delta), P Weyl's product
+(``characters.weyl_product``), is that signed dimension read with no walk:
+0 at a singular lambda + delta, else sgn(sigma) (-1)^m dim pi_nu.
 The theorem path takes its dimension from it and checks its sign against
 the walk's; the oracle checks its own signed sum against it.
 
@@ -121,22 +124,25 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     walked into the dominant chamber (``Grid.walk``); sigma is the walk's
     word.  The regularity of lambda + delta is tested on the grid, at the
     walk's end point (``Grid.is_dominant``), so a vanishing kernel builds
-    no ``Weight``; only a regular end point is made a ``Weight``, for nu.
-    nu's Casimir scalar is read on the grid too (``casimir_eigenvalue``);
-    sigma in W_1 and nu in F and dominant are tested on ``Weight``s
-    (``RootSystem.is_dominant``), and lambda = mu - delta_p is formed only
-    for an error message.  The index must
-    be 0 when lambda + delta is singular and have the sign of the side
-    otherwise, else ConsistencyError (raised, so it holds under python
-    -O); its absolute value is the dimension of pi_nu.
+    no ``Weight``.  At a regular end point, D nu is formed once on the grid
+    as the end point less D delta, and made a ``Weight`` from the cached
+    quotients (``Grid.weight``).  nu in F is tested on D nu
+    (``Grid.contains``), and nu's Casimir scalar is checked there as the
+    integer identity sum D nu_k (D nu_k + 2 (D delta)_k) = |D (lambda +
+    delta)|^2 - |D delta|^2.  Only sigma in W_1 and nu dominant are tested
+    on ``Weight``s (``RootSystem.is_dominant``), and lambda = mu - delta_p
+    is formed only for an error message.  The index must be 0 when lambda
+    + delta is singular and have the sign of the side otherwise, else
+    ConsistencyError (raised, so it holds under python -O); its absolute
+    value is the dimension of pi_nu.
     """
     mu = Weight(mu)
     _require_admissible(pair, mu)
     rs = pair.root_system
     g = grid(rs)
     shifted = tuple(map(add, g.point(mu), grid(pair.h_system, g.scale).delta))
-    casimir = Fraction(sum(c * c for c in shifted)
-                       - sum(c * c for c in g.delta), g.scale ** 2)
+    numerator = sum(c * c for c in shifted) - sum(c * c for c in g.delta)
+    casimir = Fraction(numerator, g.scale ** 2)
     parity = (-1) ** pair.m
     index = parity * weyl_product(rs, g, shifted)
     steps, end = g.walk(shifted)
@@ -147,17 +153,18 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
                 f"delta={g.weight(shifted)} for mu={mu}")
         return KernelResult(status=KernelStatus.BOTH_ZERO, casimir=casimir)
     sigma = WeylElement.from_word(rs, steps)
-    nu = g.weight(end) - pair.delta
+    point = tuple(map(sub, end, g.delta))
+    nu = g.weight(point)
     # Automatic consequences of admissibility; treated as runtime
     # assertions, not assumptions.
     if not pair.h_system.is_dominant(sigma.image, strict=True):
         raise ConsistencyError(
             f"computed sigma is not in W_1 for mu={mu} "
             f"(lambda={mu - pair.delta_p})")
-    if not g.contains(pair.lattice_F, g.locate(nu)) or not rs.is_dominant(nu):
+    if not g.contains(pair.lattice_F, point) or not rs.is_dominant(nu):
         raise ConsistencyError(
             f"computed nu={nu} is not a dominant lattice point for mu={mu}")
-    if casimir_eigenvalue(pair, nu) != casimir:
+    if sum(p * (p + 2 * d) for p, d in zip(point, g.delta)) != numerator:
         raise ConsistencyError("Casimir mismatch between nu and lambda")
     sign = sigma.sign
     side = sign * parity
@@ -310,15 +317,16 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     So a breadth-first search along them from w0 z, pruned where the bound
     fails, visits exactly the images that can read nonzero, at parity l(w0)
     = ``len(h.reduced)`` (the length of w0's word, ``_longest_word``) less
-    the level.  Each reflection tests its pairing (``Grid.reflect``).
+    the level.  Each reflection tests its pairing (``Grid.reflect``).  Each
+    component's |p|^2, and n with both signs folded in, are read once per
+    pair and side (``_chi_reads``), and h once per pair (``_subgroup``).
     """
-    h = grid(pair.h_system, g.scale)
+    h = _subgroup(pair)[0]
     room = sum(map(mul, top, top)) - sum(map(mul, start, start))
     total = 0
-    for p, n in chi_components(pair, side):
-        bound = room - sum(map(mul, p, p))  # on 2 <p, u>
+    for p, square, sign in _chi_reads(pair, side):
+        bound = room - square  # on 2 <p, u>
         level = [start] if 2 * sum(map(mul, p, start)) <= bound else []
-        sign = n if len(h.reduced) % 2 == 0 else -n
         while level:
             up = set()
             for u in level:
@@ -329,7 +337,28 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
                         if 2 * sum(map(mul, p, y)) <= bound:
                             up.add(y)
             level, sign = up, -sign
-    return (-1) ** len(pair.h_index) * total
+    return total
+
+
+@lru_cache(maxsize=None)
+def _subgroup(pair: SymmetricPair) -> tuple:
+    """What the oracle reads of pair's subgroup on every call, once per
+    pair: its grid h at G's scale, (-1)^m and w0's reduced word
+    (``_longest_word``)."""
+    h = grid(pair.h_system, grid(pair.root_system).scale)
+    return h, (-1) ** pair.m, _longest_word(h)
+
+
+@lru_cache(maxsize=None)
+def _chi_reads(pair: SymmetricPair, side: int) -> tuple:
+    """The components (p, n) of chi^side (``spin.chi_components``) as
+    ``_extract`` reads them, once per pair and side: (p, |p|^2, n (-1)^(l(w0)
+    + |Delta_h^+|)), the sign of the search's first level and that of the
+    sum folded into n."""
+    h = _subgroup(pair)[0]
+    fold = (-1) ** (len(h.reduced) + len(pair.h_index))
+    return tuple((p, sum(map(mul, p, p)), fold * n)
+                 for p, n in chi_components(pair, side))
 
 
 ShellRow = namedtuple("ShellRow", "nu dimension mult_plus mult_minus")
@@ -361,18 +390,19 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     reported, not raised.  mu is checked once, by ``dirac_kernel``, and
     converted once; the shell members, dominant points of F, need no checks.
     The extraction's start w0 z, z = D (mu + delta_h), is z reflected along
-    w0's reduced word (``_longest_word``, read once per subgroup grid)
-    through ``Grid.reflect``.
+    w0's reduced word (``_longest_word``) through ``Grid.reflect``; the
+    subgroup's grid, (-1)^m and that word are read once per pair
+    (``_subgroup``).
     """
     mu = Weight(mu)
     kernel = dirac_kernel(pair, mu)
     g = grid(pair.root_system)
     x = g.point(mu)
     lam = tuple(map(sub, x, pair.delta_p_point))
-    h = grid(pair.h_system, g.scale)
+    h, parity, word = _subgroup(pair)
     start = tuple(map(add, x, h.delta))  # z, then w0 z
-    index = (-1) ** pair.m * weyl_product(pair.root_system, g, start)
-    for i in _longest_word(h):
+    index = parity * weyl_product(pair.root_system, g, start)
+    for i in word:
         start = h.reflect(start, i)
     rows = []
     failures = []

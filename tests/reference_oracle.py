@@ -5,10 +5,11 @@ sums over the whole kernel, read on demand or from the full table; the
 Casimir shell by a ``Fraction`` and an integer brute-force scan; the
 Casimir scalar on ``Fraction`` weights; ``checked_kernel`` (against the
 ``Fraction`` walk of lambda + delta, sigma's replayed image, the Casimir
-scalar of lambda, Bott's index and ``weyl_dim``) and ``checked_euler``;
-and ``Weight`` views of the library's shell and extraction.  The kernel
-per (pair, s), the product and peel per (pair, nu, s), which serves every
-mu, and each scan per sphere are computed once per session.
+scalar of lambda and the library's of nu, Bott's index and ``weyl_dim``)
+and ``checked_euler``; and ``Weight`` views of the library's shell and
+extraction.  The kernel per (pair, s), the product and peel per (pair, nu,
+s), which serves every mu, and each scan per sphere are computed once per
+session.
 """
 
 import itertools
@@ -21,7 +22,8 @@ from typing import Mapping
 
 from dirackernel.characters import weight_table, weyl_dim
 from dirackernel.dirac import (KernelStatus, _extract, _multiplicity,
-                               _shell_points, dirac_kernel, euler_verify)
+                               _shell_points, casimir_eigenvalue,
+                               dirac_kernel, euler_verify)
 from dirackernel.lattice import Weight
 from dirackernel.roots import grid
 from dirackernel.spin import chi_components, spinor_counts
@@ -216,11 +218,13 @@ def checked_kernel(pair, mu):
     sigma's image the replay of that word on delta (``reference_element``),
     sigma's sign their parity and nu its end less delta; against the
     Casimir scalar of lambda on ``Fraction`` weights
-    (``reference_casimir``), for every status; and against Bott's index on
-    ``Fraction`` weights (``reference_bott_index``): 0 for BOTH_ZERO, else
-    positive for PLUS, negative for MINUS, and of absolute value the
-    dimension, which must also be ``weyl_dim`` of nu.  Raised, not
-    asserted: also under python -O."""
+    (``reference_casimir``), for every status, and for PLUS and MINUS
+    against the library's scalar of nu (``casimir_eigenvalue``), which the
+    kernel does not call; and against Bott's index on ``Fraction`` weights
+    (``reference_bott_index``): 0 for BOTH_ZERO, else positive for PLUS,
+    negative for MINUS, and of absolute value the dimension, which must
+    also be ``weyl_dim`` of nu.  Raised, not asserted: also under python
+    -O."""
     result = dirac_kernel(pair, mu)
     rs = pair.root_system
     lam = Weight(mu) - pair.delta_p
@@ -242,6 +246,9 @@ def checked_kernel(pair, mu):
     if result.status is KernelStatus.BOTH_ZERO:
         expected = 0
     else:
+        if casimir_eigenvalue(pair, result.nu) != result.casimir:
+            raise AssertionError(f"{pair.name} mu={mu}: {result} against "
+                                 f"casimir_eigenvalue of nu")
         dimension = weyl_dim(rs, result.nu)
         expected = (dimension if result.status is KernelStatus.PLUS
                     else -dimension)

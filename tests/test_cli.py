@@ -883,33 +883,28 @@ class TestExitCodes:
             assert (out, err) == ("", message + "\n")
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
-    @pytest.mark.parametrize("target,change,message", [
+    @pytest.mark.parametrize("change,message", [
         # the walk's word gains s_0, so sigma(delta) = 1/2,3/2 is not
         # strictly Delta_h-dominant
-        ("walk", lambda steps, end: ((0,) + steps, end),
+        (lambda steps, end: ((0,) + steps, end),
          "computed sigma is not in W_1 for mu=5/2,3/2 (lambda=2,1)"),
         # the walk's end point moved by 1/D off F = Z^2
-        ("walk", lambda steps, end: (steps, (end[0] + 1,) + end[1:]),
+        (lambda steps, end: (steps, (end[0] + 1,) + end[1:]),
          "computed nu=5/2,1 is not a dominant lattice point for "
          "mu=5/2,3/2"),
-        ("casimir_eigenvalue", lambda value: value + 1,
+        # the walk's end point moved by D e_0: nu = 3,1 is dominant and in
+        # F, but on another sphere than lambda + delta
+        (lambda steps, end: (steps, (end[0] + 2,) + end[1:]),
          "Casimir mismatch between nu and lambda")],
         ids=["sigma", "nu", "casimir"])
-    def test_kernel_checks_on_the_walk(self, monkeypatch, fmt, target,
-                                       change, message):
+    def test_kernel_checks_on_the_walk(self, monkeypatch, fmt, change,
+                                       message):
         # each check after the walk raises (not asserts, so it holds under
         # python -O), and the command prints one line
-        import dirackernel.dirac as dirac
         from dirackernel.roots import Grid
 
-        if target == "walk":
-            walk = Grid.walk
-            monkeypatch.setattr(Grid, "walk",
-                                lambda g, x: change(*walk(g, x)))
-        else:
-            value = dirac.casimir_eigenvalue
-            monkeypatch.setattr(dirac, "casimir_eigenvalue",
-                                lambda pair, nu: change(value(pair, nu)))
+        walk = Grid.walk
+        monkeypatch.setattr(Grid, "walk", lambda g, x: change(*walk(g, x)))
         code, out, err = invoke(["--format", fmt, "kernel", "so5_so4",
                                  "--mu", "5/2,3/2"])
         message = "internal consistency error: " + message

@@ -28,7 +28,7 @@ from reference_oracle import (brute_force_shell, casimir_shell,
                               reference_casimir, reference_kernel,
                               reference_multiplicity, table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
-                             inner_product, quarter_delta_pair,
+                             half_c2_pair, inner_product, quarter_delta_pair,
                              reference_contains, reference_grid_walk,
                              reference_walk)
 
@@ -128,6 +128,51 @@ class TestDiracKernel:
         for pair, mu, casimir in singular:
             assert dirac_kernel(pair, mu) == dirac.KernelResult(
                 KernelStatus.BOTH_ZERO, casimir), (pair.name, mu)
+
+    def test_regular_kernel_forms_nu_on_the_grid(self, monkeypatch):
+        # nu is the walk's end point less D delta, made a Weight once: no
+        # Weight arithmetic, no weight but mu put on the grid, and nu's
+        # Casimir scalar read without casimir_eigenvalue.  half_c2_pair
+        # (D = 4; quarter_delta_pair admits no mu) also takes nu's F test
+        # on its raising branch
+        def read(result):
+            return (result.status, result.nu, result.sigma.word,
+                    result.sigma.image, result.sigma_sign, result.dimension,
+                    result.casimir)
+
+        expected = []
+        for pair in [*map(builtin_pair, builtin_pair_names()), half_c2_pair()]:
+            for _lam, mu in admissible_box(pair, 2):
+                try:
+                    result = checked_kernel(pair, mu)
+                except ConsistencyError as exc:
+                    expected.append((pair, mu, str(exc)))
+                    continue
+                if result.status is not KernelStatus.BOTH_ZERO:
+                    expected.append((pair, mu, read(result)))
+        assert len(expected) == 75 + 9
+        assert [str(mu) for pair, mu, value in expected
+                if isinstance(value, str)] == ["1/2,1", "1/2,2", "3/2,2"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nu formed off the grid")
+
+        located = []
+        locate = Grid.locate
+        monkeypatch.setattr(Weight, "__sub__", refuse)
+        monkeypatch.setattr(Weight, "__add__", refuse)
+        monkeypatch.setattr(dirac, "casimir_eigenvalue", refuse)
+        monkeypatch.setattr(
+            Grid, "locate", lambda g, w: located.append(w) or locate(g, w))
+        for pair, mu, value in expected:
+            located.clear()
+            if isinstance(value, str):
+                with pytest.raises(ConsistencyError) as caught:
+                    dirac_kernel(pair, mu)
+                assert str(caught.value) == value, (pair.name, mu)
+            else:
+                assert read(dirac_kernel(pair, mu)) == value, (pair.name, mu)
+            assert located and all(w == mu for w in located), (pair.name, mu)
 
     def test_inadmissible_mu_rejected(self):
         with pytest.raises(AdmissibilityError):

@@ -297,10 +297,13 @@ def branch_equal_rank(pair: SymmetricPair, nu: Weight) -> dict[Weight, int]:
     """
     nu = Weight(nu)
     rs = pair.root_system
-    if not rs.is_dominant(nu):
+    if len(nu) != rs.rank:
+        raise DimensionError(f"weight length {len(nu)} vs rank {rs.rank}")
+    g = _refined_grid(rs, [nu])
+    x = g.point(nu)
+    if not g.is_dominant(x):
         raise NonDominantError(f"{nu} is not dominant for {rs}")
-    g = grid(rs)
-    if not g.contains(pair.lattice_F1, g.locate(nu)):
+    if not g.contains(pair.lattice_F1, x):
         raise ValueError(f"{nu} is not in F1 for pair {pair.name}")
     table = weight_table(rs, nu)
     result = _straighten(pair.h_system, grid(pair.h_system, table.grid.scale),

@@ -241,6 +241,17 @@ def integers_and_half_integers(rank: int) -> LatticeSpec:
     return LatticeSpec(rank, [Weight.zero(rank), Weight([HALF] * rank)])
 
 
+def reference_w_stable(rs: RootSystem, lattice: LatticeSpec) -> bool:
+    """Each generator of the lattice (each e_k and each coset shift),
+    reflected in each simple root (``reference_reflect``), lies in it:
+    W-stability on ``Fraction`` weights.  ``sympair`` asks that F be an
+    integral group holding the roots, which implies it."""
+    generators = [*lattice.coset_shifts,
+                  *(Weight.basis(lattice.rank, k) for k in range(lattice.rank))]
+    return all(reference_contains(lattice, reference_reflect(rs, x, i))
+               for x in generators for i in range(len(rs.simple_roots)))
+
+
 def reference_solve(basis, vectors) -> list:
     """The coordinates of each vector over the vectors ``basis``, or None
     for one outside their span: one ``Fraction`` Gauss-Jordan elimination
@@ -348,31 +359,40 @@ def admissible_box(pair: SymmetricPair, box: int):
             yield lam, mu
 
 
+def half_integers(rank: int) -> LatticeSpec:
+    """(1/2 Z)^m: every shift in {0, 1/2}^m."""
+    return LatticeSpec(rank, itertools.product((0, HALF), repeat=rank))
+
+
 def quarter_delta_pair() -> SymmetricPair:
     # B2 scaled by 1/2 with h = {(0, 1/2)} has delta = (3/4, 1/4), so
-    # D (nu + delta) is integral for D = 4 and not for D = 2
+    # D (nu + delta) is integral for D = 4 and not for D = 2; F = F1 =
+    # (1/2 Z)^2 holds the roots
     half = Fraction(1, 2)
     rs = RootSystem(2, [(half, -half), (half, half), (half, 0), (0, half)])
-    both = integers_and_half_integers(2)
+    both = half_integers(2)
     return SymmetricPair(rs, [(0, half)], both, both, name="b2_half")
 
 
 def half_c2_pair() -> SymmetricPair:
     # C2 scaled by 1/2 with h = the long roots 1,0 and 0,1: the grid of G
     # needs D = 4 and that of Delta_h only 2, so the chi split runs on the
-    # subgroup's grid at G's scale, not at its own
+    # subgroup's grid at G's scale, not at its own; F = Z^2 u ((1/2,1/2) +
+    # Z^2) holds the short roots (1/2, +-1/2)
     half = Fraction(1, 2)
     rs = RootSystem(2, [(half, -half), (half, half), (1, 0), (0, 1)])
-    return SymmetricPair(rs, [(1, 0), (0, 1)], LatticeSpec.integers(2),
-                         LatticeSpec(2, [(0, 0), (half, 0)]), name="c2_half")
+    return SymmetricPair(rs, [(1, 0), (0, 1)],
+                         LatticeSpec(2, [(0, 0), (half, half)]),
+                         half_integers(2), name="c2_half")
 
 
 def bc1_pair() -> SymmetricPair:
     # BC1, whose root 1 is twice the root 1/2, with h = {1}: W_1 is the
-    # identity alone, and the reflection in 1 is the one in 1/2
+    # identity alone, and the reflection in 1 is the one in 1/2; F = F1 =
+    # (1/2) Z holds the root 1/2
     rs = RootSystem(1, [(HALF,), (1,)])
-    return SymmetricPair(rs, [(1,)], LatticeSpec.integers(1),
-                         integers_and_half_integers(1), name="bc1")
+    return SymmetricPair(rs, [(1,)], half_integers(1), half_integers(1),
+                         name="bc1")
 
 
 def reference_w1(pair: SymmetricPair) -> tuple:

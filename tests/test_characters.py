@@ -241,6 +241,29 @@ class TestHighestWeightCheck:
         # a torus has only dominant integral weights
         assert outcomes == {True, not rs.simple_roots}
 
+    @pytest.mark.parametrize("name", ["so5_so4", "so5_so2xso3"])
+    def test_branch_checks_in_order(self, name):
+        # branch_equal_rank tests dominance on the grid, then F1, then
+        # integrality, with the messages of the Fraction checks; (1/2,0) in
+        # F1 of so5_so2xso3 is not integral for B2
+        pair = builtin_pair(name)
+        rs = pair.root_system
+        for nu in map(Weight, itertools.product(self.COORDS, repeat=2)):
+            if not rs.is_dominant(nu):
+                expected = f"{nu} is not dominant for {rs}"
+            elif not reference_contains(pair.lattice_F1, nu):
+                expected = f"{nu} is not in F1 for pair {name}"
+            elif not reference_is_integral(rs, nu):
+                expected = f"{nu} is not algebraically integral for {rs}"
+            else:
+                expected = None
+            try:
+                branch_equal_rank(pair, nu)
+            except ValueError as exc:
+                assert str(exc) == expected, nu
+            else:
+                assert expected is None, nu
+
     def test_a2_third_weights(self):
         rs = build_classical("A", 2)
         g, x = characters._highest_weight_point(rs, W("2/3,-1/3,-1/3"))

@@ -36,10 +36,26 @@ README_PAIR = {"name": "custom_so5_so4", "rank": 2,
                "lattice_F1_shifts": ["0,0", "1/2,1/2"]}
 
 
-# BC1, whose root 1 is twice the root 1/2, with h = {1}
+# BC1, whose root 1 is twice the root 1/2, with h = {1} and F = F1 =
+# (1/2) Z
 BC1_PAIR = {"name": "bc1", "rank": 1, "positive_roots": ["1/2", "1"],
-            "h_positive_indices": [1], "lattice_F_shifts": ["0"],
+            "h_positive_indices": [1], "lattice_F_shifts": ["0", "1/2"],
             "lattice_F1_shifts": ["0", "1/2"]}
+
+
+# pair files whose F misses a simple root, each with a mu and that root:
+# C2 and B2 scaled by 1/2, and BC1, on F = Z^2, Z^2 u (Z + 1/2)^2 and Z
+F_MISSES_A_ROOT = {
+    "c2_half": ({"name": "c2_half", "rank": 2,
+                 "positive_roots": ["1/2,-1/2", "1/2,1/2", "1,0", "0,1"],
+                 "h_positive_indices": [2, 3], "lattice_F_shifts": ["0,0"],
+                 "lattice_F1_shifts": ["0,0", "1/2,0"]}, "1/2,1", "1/2,-1/2"),
+    "b2_half": ({"name": "b2_half", "rank": 2,
+                 "positive_roots": ["1/2,-1/2", "1/2,1/2", "1/2,0", "0,1/2"],
+                 "h_positive_indices": [3],
+                 "lattice_F_shifts": ["0,0", "1/2,1/2"],
+                 "lattice_F1_shifts": ["0,0", "1/2,1/2"]}, "1,1/2", "0,1/2"),
+    "bc1": (dict(BC1_PAIR, lattice_F_shifts=["0"]), "1/2", "1/2")}
 
 
 def invoke(argv):
@@ -611,6 +627,26 @@ class TestPairCommands:
         assert (code, out) == (2, "")
         assert err == ("error: 1/4 is not algebraically integral for "
                        "RootSystem(bc1:h, 1 positive roots)\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("command", [
+        ["pair", "show"], ["kernel"], ["verify", "euler"]],
+        ids=["pair_show", "kernel", "verify_euler"])
+    @pytest.mark.parametrize("name", list(F_MISSES_A_ROOT))
+    def test_pair_file_F_misses_a_root(self, tmp_path, fmt, command, name):
+        # refused when the file is loaded: F must hold the roots, or nu =
+        # w(lambda + delta) - delta, which differs from lambda by roots,
+        # leaves F
+        data, mu, root = F_MISSES_A_ROOT[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        extra = [] if command == ["pair", "show"] else ["--mu", mu]
+        code, out, err = invoke(["--format", fmt, *command, str(path),
+                                 *extra])
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad pair file {path}: F misses the simple "
+                       f"root {root} of RootSystem({name}, "
+                       f"{len(data['positive_roots'])} positive roots)\n")
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     @pytest.mark.parametrize("nu", ["0", "1"])

@@ -132,9 +132,11 @@ class TestDiracKernel:
     def test_regular_kernel_forms_nu_on_the_grid(self, monkeypatch):
         # nu is the walk's end point less D delta, made a Weight once: no
         # Weight arithmetic, no weight but mu put on the grid, and nu's
-        # Casimir scalar read without casimir_eigenvalue.  half_c2_pair
-        # (D = 4; quarter_delta_pair admits no mu) also takes nu's F test
-        # on its raising branch
+        # Casimir scalar read without casimir_eigenvalue; half_c2_pair has
+        # D = 4 (quarter_delta_pair admits no mu).  No valid pair fails
+        # nu's F test, so it is reached, on the same terms, by moving the
+        # walk's end point one grid step along e_0: F is Z^rank on the
+        # built-ins (D = 2) and lies in (1/2) Z^2 on half_c2_pair
         def read(result):
             return (result.status, result.nu, result.sigma.word,
                     result.sigma.image, result.sigma_sign, result.dimension,
@@ -142,17 +144,15 @@ class TestDiracKernel:
 
         expected = []
         for pair in [*map(builtin_pair, builtin_pair_names()), half_c2_pair()]:
+            step = Weight.basis(pair.rank, 0,
+                                Fraction(1, grid(pair.root_system).scale))
             for _lam, mu in admissible_box(pair, 2):
-                try:
-                    result = checked_kernel(pair, mu)
-                except ConsistencyError as exc:
-                    expected.append((pair, mu, str(exc)))
-                    continue
+                result = checked_kernel(pair, mu)
                 if result.status is not KernelStatus.BOTH_ZERO:
-                    expected.append((pair, mu, read(result)))
+                    off_F = (f"computed nu={result.nu + step} is not a "
+                             f"dominant lattice point for mu={mu}")
+                    expected.append((pair, mu, read(result), off_F))
         assert len(expected) == 75 + 9
-        assert [str(mu) for pair, mu, value in expected
-                if isinstance(value, str)] == ["1/2,1", "1/2,2", "3/2,2"]
 
         def refuse(*args, **kwargs):
             raise AssertionError("nu formed off the grid")
@@ -164,14 +164,23 @@ class TestDiracKernel:
         monkeypatch.setattr(dirac, "casimir_eigenvalue", refuse)
         monkeypatch.setattr(
             Grid, "locate", lambda g, w: located.append(w) or locate(g, w))
-        for pair, mu, value in expected:
+        for pair, mu, value, _ in expected:
             located.clear()
-            if isinstance(value, str):
-                with pytest.raises(ConsistencyError) as caught:
-                    dirac_kernel(pair, mu)
-                assert str(caught.value) == value, (pair.name, mu)
-            else:
-                assert read(dirac_kernel(pair, mu)) == value, (pair.name, mu)
+            assert read(dirac_kernel(pair, mu)) == value, (pair.name, mu)
+            assert located and all(w == mu for w in located), (pair.name, mu)
+
+        walk = Grid.walk
+
+        def moved(g, x):
+            steps, end = walk(g, x)
+            return steps, (end[0] + 1,) + end[1:]
+
+        monkeypatch.setattr(Grid, "walk", moved)
+        for pair, mu, _, off_F in expected:
+            located.clear()
+            with pytest.raises(ConsistencyError) as caught:
+                dirac_kernel(pair, mu)
+            assert str(caught.value) == off_F, (pair.name, mu)
             assert located and all(w == mu for w in located), (pair.name, mu)
 
     def test_inadmissible_mu_rejected(self):

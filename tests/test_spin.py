@@ -18,7 +18,7 @@ from dirackernel.sympair import builtin_pair, builtin_pair_names
 from reference_characters import (FormalCharacter, binomial_reference,
                                   irreducible_character, peel,
                                   side_character)
-from reference_roots import W, bc1_pair, half_c2_pair
+from reference_roots import W, bc1_pair
 
 
 def as_weights(pair, points: dict) -> dict:
@@ -242,8 +242,8 @@ class TestMergePath:
 
 
 # every W_1 pair but BC1, whose delta_p^sigma = 1/4 is not integral for
-# Delta_h (pinned in TestBC1), and a pair whose subgroup grid is coarser
-CHI_PAIRS = [p for p in W1_PAIRS if p.name != "bc1"] + [half_c2_pair()]
+# Delta_h (pinned in TestBC1)
+CHI_PAIRS = [p for p in W1_PAIRS if p.name != "bc1"]
 
 
 class TestGridAgainstReference:

@@ -29,12 +29,15 @@ from dirackernel.spin import (chi_decompose, chi_trace_difference,
 from dirackernel.sympair import (PAIR_CHECKS, SymmetricPair,
                                  admissibility_failures, admissible_mu,
                                  builtin_pair, builtin_pair_names,
-                                 marked_node_pair, validate_pair,
-                                 w1_enumerate)
+                                 _check_torus_lattice, marked_node_pair,
+                                 validate_pair, w1_enumerate)
 from reference_oracle import checked_euler
-from reference_roots import (W, act, admissible_box, deltas,
-                             integers_and_half_integers, listed_group,
-                             reference_pair_failures, reference_w1)
+from reference_roots import (W, act, admissible_box, bc1_pair, deltas,
+                             half_c2_pair, integers_and_half_integers,
+                             listed_group, quarter_delta_pair,
+                             reference_contains, reference_is_integral,
+                             reference_pair_failures, reference_w1,
+                             reference_w_stable)
 
 
 def b2_pair(h_roots, name="test"):
@@ -159,8 +162,9 @@ class TestValidate:
 
 
     def test_F_must_be_W_stable(self):
-        # F4: every e_k is integral, but the reflection in the simple root
-        # (1/2)(1,-1,-1,-1) moves e_1 into (Z + 1/2)^4, outside F = Z^4
+        # F4: every e_k is integral, but F = Z^4 misses the simple root
+        # (1/2)(1,-1,-1,-1), and so is not W-stable: the reflection in it
+        # moves e_1 into (Z + 1/2)^4
         half = Fraction(1, 2)
         e = [Weight.basis(4, k) for k in range(4)]
         roots = ([e[i] - e[j] for i in range(4) for j in range(i + 1, 4)]
@@ -168,9 +172,68 @@ class TestValidate:
                  + e + [Weight([half, *signs]) for signs in
                         itertools.product((half, -half), repeat=3)])
         rs = RootSystem(4, roots, name="F4")
-        with pytest.raises(ValueError, match="F is not W-stable: reflecting "
-                                             "1,0,0,0 in the simple root"):
+        with pytest.raises(ValueError, match=re.escape(
+                "F misses the simple root 1/2,-1/2,-1/2,-1/2 of "
+                "RootSystem(F4, 24 positive roots)")):
             marked_node_pair(rs, 3, "f4_spin9")
+
+    @pytest.mark.parametrize("make,F,root", [
+        (half_c2_pair, LatticeSpec.integers(2), "1/2,-1/2"),
+        (quarter_delta_pair, integers_and_half_integers(2), "0,1/2"),
+        (bc1_pair, LatticeSpec.integers(1), "1/2")],
+        ids=["c2_half", "b2_half", "bc1"])
+    def test_F_must_hold_the_roots(self, make, F, root):
+        # each test pair on an F that is an integral W-stable group but
+        # misses a root: nu = w(lambda + delta) - delta differs from lambda
+        # by roots, so it would leave F
+        pair = make()
+        rs = pair.root_system
+        with pytest.raises(ValueError, match=re.escape(
+                f"F misses the simple root {root} of {rs}")):
+            SymmetricPair(rs, pair.h_positive, F, pair.lattice_F1,
+                          name=pair.name)
+        assert reference_w_stable(rs, F)
+
+    def test_torus_lattice_rule_over_every_shift_set(self):
+        # every F = Z^rank + S for a set S of {0, 1/2}^rank holding 0: the
+        # rule accepts F exactly when it is integral, a group and holds
+        # each simple root, and every F it accepts is W-stable (the
+        # reference scan); the integral W-stable groups it refuses all
+        # miss a root of a system scaled by 1/2 or of BC1
+        half = Fraction(1, 2)
+        systems = {name: build_classical(name[0], int(name[1]))
+                   for name in ("A1", "A2", "B1", "B2", "B3", "C2", "C3",
+                                "D3")}
+        systems["A1xA1"] = RootSystem(2, [W("1,0"), W("0,1")])
+        systems["A1xA1_half"] = RootSystem(2, [W("1/2,0"), W("0,1/2")])
+        for make in (half_c2_pair, quarter_delta_pair, bc1_pair):
+            pair = make()
+            systems[pair.name] = pair.root_system
+        refused_stable = set()
+        for name, rs in systems.items():
+            zero, *rest = itertools.product((0, half), repeat=rs.rank)
+            generators = [Weight.basis(rs.rank, k) for k in range(rs.rank)]
+            for mask in itertools.product((False, True), repeat=len(rest)):
+                shifts = [Weight(zero)] + [Weight(s) for s, keep
+                                           in zip(rest, mask) if keep]
+                F = LatticeSpec(rs.rank, shifts)
+                try:
+                    _check_torus_lattice(rs, F)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                integral_group = (all(reference_is_integral(rs, x)
+                                      for x in shifts + generators)
+                                  and all(reference_contains(F, x + y)
+                                          for x in shifts for y in shifts))
+                holds = all(reference_contains(F, a) for a in rs.simple_roots)
+                stable = reference_w_stable(rs, F)
+                case = (name, [str(x) for x in shifts])
+                assert accepted == (integral_group and holds), case
+                assert stable or not accepted, case
+                if integral_group and stable and not accepted:
+                    refused_stable.add(name)
+        assert refused_stable == {"A1xA1_half", "c2_half", "b2_half", "bc1"}
 
     def test_F_must_be_a_group(self):
         # A1 x A1: both half-shifts are integral and W-stable, their sum

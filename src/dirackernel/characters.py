@@ -161,14 +161,13 @@ def grid_table(g: Grid, top: tuple) -> WeightTable:
 
 def weyl_product(rs: RootSystem, g: Grid, y: tuple) -> int:
     """Weyl's polynomial P at y = D (nu + delta) on g, a grid of rs: prod
-    <y, D alpha> over the reduced positive roots, divided exactly by the
+    <y, D alpha> over the reduced positive roots, each read over the sparse
+    support of D alpha (``Grid.root_product``), divided exactly by the
     grid's ``weyl_denominator``.  P is W-anti-invariant, P(w y) = sgn(w)
     P(y), so it is 0 at a singular y and the dimension of pi_nu at a
     dominant nu (Humphreys, 24.3).  A remainder raises ConsistencyError
     naming nu and rs."""
-    top = 1
-    for k in g.reduced:
-        top *= sum(map(mul, y, g.positive[k]))
+    top = g.root_product(y)
     bottom = g.weyl_denominator
     if top % bottom:
         raise ConsistencyError(

@@ -249,18 +249,41 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _simple_coordinates(g: Grid) -> tuple:
+    """(d, coefficients, span) for g's simple roots: the coordinates of an
+    int vector v in their span are numerators over d > 0 of the linear
+    forms ``coefficients``, one per simple root, and v is in the span
+    exactly when each form of ``span`` vanishes on it (A family, torus
+    factors); each form is the nonzero (k, c) of its row.  One elimination
+    (``roots._solve``) of the unit vectors over the simple roots followed
+    by the unit vectors, whose coordinates on the independent units are
+    ``span``; cached per grid."""
+    rank = g.rs.rank
+    simple = [g.positive[k] for k in g.rs.simple_index]
+    units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+    d, solved = _solve(simple + units, units)
+    if d < 0:
+        d, solved = -d, [tuple(-c for c in row) for row in solved]
+    n = len(simple)
+    forms = [tuple((k, row[j]) for k, row in enumerate(solved) if row[j])
+             for j in range(n + rank)]
+    return d, tuple(forms[:n]), tuple(form for form in forms[n:] if form)
+
+
+@lru_cache(maxsize=None)
 def _coordinate_floors(g: Grid) -> tuple:
     """Per coordinate k, the least x_k = D (nu + delta)_k over dominant nu:
     (D delta)_k where e_k is a nonnegative combination of the simple roots
-    (``roots._solve``), since <nu, a> >= 0 for each, else None.  That is
-    every coordinate of B and C, all but the last of D, and none of A or of
-    a torus factor, which lie outside the span.  Cached per grid."""
-    rank = g.rs.rank
-    d, solved = _solve([g.positive[k] for k in g.rs.simple_index],
-                       [tuple(int(j == k) for j in range(rank))
-                        for k in range(rank)])
-    return tuple(None if c is None or any(n * d < 0 for n in c) else least
-                 for c, least in zip(solved, g.delta))
+    (no form of ``_simple_coordinates``' span reads it, and none of its
+    coefficients reads it negatively), since <nu, a> >= 0 for each, else
+    None.  That is every coordinate of B and C, all but the last of D, and
+    none of A or of a torus factor, which lie outside the span.  Cached per
+    grid."""
+    _, coefficients, span = _simple_coordinates(g)
+    return tuple(
+        None if any(j == k for form in span for j, _ in form)
+        or any(j == k and c < 0 for form in coefficients for j, c in form)
+        else least for k, least in enumerate(g.delta))
 
 
 def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
@@ -268,8 +291,9 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     lemma of ``_extract``.  Outside the ball |y| <= |nu| the read is 0, and
     on its sphere it is 1 when y walks (``Grid.walk``) to nu.  Inside,
     y is walked to y+, a dominant weight of pi_nu exactly when nu - y+ is
-    in Q+ (Humphreys, 21.3): its coordinates over the simple roots
-    (``roots._solve``) are nonnegative integers.  Then the read is the
+    in Q+ (Humphreys, 21.3): it lies in the span of the simple roots, and
+    its coordinates over them are nonnegative integers, both read from the
+    grid's one elimination (``_simple_coordinates``).  Then the read is the
     cached Freudenthal table's (``grid_table``), else 0."""
     gap = sum(map(mul, top, top)) - sum(map(mul, y, y))
     if gap < 0:
@@ -277,10 +301,20 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     dominant = g.walk(y)[1]
     if not gap:
         return int(dominant == top)
-    d, (coefficients,) = _solve([g.positive[k] for k in g.rs.simple_index],
-                                [tuple(map(sub, top, dominant))])
-    if coefficients is None or any(c % d or c // d < 0 for c in coefficients):
-        return 0
+    d, coefficients, span = _simple_coordinates(g)
+    v = tuple(map(sub, top, dominant))
+    for form in span:
+        dot = 0
+        for k, c in form:
+            dot += v[k] * c
+        if dot:
+            return 0
+    for form in coefficients:
+        dot = 0
+        for k, c in form:
+            dot += v[k] * c
+        if dot < 0 or dot % d:
+            return 0
     return grid_table(g, top).terms[dominant]
 
 
@@ -317,9 +351,12 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     So a breadth-first search along them from w0 z, pruned where the bound
     fails, visits exactly the images that can read nonzero, at parity l(w0)
     = ``len(h.reduced)`` (the length of w0's word, ``_longest_word``) less
-    the level.  Each reflection tests its pairing (``Grid.reflect``).  Each
-    component's |p|^2, and n with both signs folded in, are read once per
-    pair and side (``_chi_reads``), and h once per pair (``_subgroup``).
+    the level.  Each image pairs with each simple root of Delta_h once,
+    inline, and a negative pairing reflects it by that same pairing, which
+    must be an integer (else ConsistencyError, ``Grid.coroot_pairing``'s
+    message), as ``Grid.walk`` does.  Each component's |p|^2, and n with
+    both signs folded in, are read once per pair and side (``_chi_reads``),
+    and h once per pair (``_subgroup``).
     """
     h = _subgroup(pair)[0]
     room = sum(map(mul, top, top)) - sum(map(mul, start, start))
@@ -331,11 +368,21 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
             up = set()
             for u in level:
                 total += sign * _multiplicity(g, top, tuple(map(add, p, u)))
-                for i, (support, _) in enumerate(h.supports):
-                    if sum(u[k] * c for k, c in support) < 0:
-                        y = h.reflect(u, i)
-                        if 2 * sum(map(mul, p, y)) <= bound:
-                            up.add(y)
+                for i, (support, norm) in enumerate(h.supports):
+                    dot = 0
+                    for k, c in support:
+                        dot += u[k] * c
+                    if dot >= 0:
+                        continue
+                    pairing, rest = divmod(2 * dot, norm)
+                    if rest:
+                        h.coroot_pairing(u, i)  # raises ConsistencyError
+                    y = list(u)
+                    for k, c in support:
+                        y[k] -= pairing * c
+                    y = tuple(y)
+                    if 2 * sum(map(mul, p, y)) <= bound:
+                        up.add(y)
             level, sign = up, -sign
     return total
 
@@ -392,7 +439,10 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     The extraction's start w0 z, z = D (mu + delta_h), is z reflected along
     w0's reduced word (``_longest_word``) through ``Grid.reflect``; the
     subgroup's grid, (-1)^m and that word are read once per pair
-    (``_subgroup``).
+    (``_subgroup``).  The signed sum is collected over the shell's sorted
+    grid points, so it is in the order of their ``Weight``s, made once per
+    row for the report; it is compared with the classification's as those
+    tuples, and no ``Fraction`` is hashed.
     """
     mu = Weight(mu)
     kernel = dirac_kernel(pair, mu)
@@ -406,7 +456,7 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
         start = h.reflect(start, i)
     rows = []
     failures = []
-    signed: dict[Weight, int] = {}
+    signed = []  # (nu, m+ - m-) where nonzero, in shell order
     signed_dimension = 0
     for point in _shell_points(pair, g, lam):
         dimension = grid_dim(pair.root_system, g, point)
@@ -419,24 +469,24 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
                 f"multiplicity bound violated at nu={nu}: "
                 f"m+={m_plus}, m-={m_minus}")
         if m_plus != m_minus:
-            signed[nu] = m_plus - m_minus
+            signed.append((nu, m_plus - m_minus))
             signed_dimension += (m_plus - m_minus) * dimension
+    signed_sum = tuple(signed)
     if kernel.status is KernelStatus.PLUS:
-        expected = {kernel.nu: 1}
+        expected = ((kernel.nu, 1),)
     elif kernel.status is KernelStatus.MINUS:
-        expected = {kernel.nu: -1}
+        expected = ((kernel.nu, -1),)
     else:
-        expected = {}
-    if signed != expected:
+        expected = ()
+    if signed_sum != expected:
         failures.append(
-            f"signed sum {sorted(signed.items())} does not match "
-            f"classification {sorted(expected.items())}")
+            f"signed sum {signed} does not match classification "
+            f"{list(expected)}")
     if signed_dimension != index:
         failures.append(
             f"signed dimension {signed_dimension} does not match Bott's "
             f"index {index}")
     return EulerReport(
         pair_name=pair.name, mu=mu, lam=g.weight(lam), rows=tuple(rows),
-        signed_sum=tuple(sorted(signed.items())),
-        expected=tuple(sorted(expected.items())),
+        signed_sum=signed_sum, expected=expected,
         kernel=kernel, failures=tuple(failures))

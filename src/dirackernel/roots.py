@@ -293,13 +293,14 @@ class Grid:
     ones (not twice another root), D delta, and per reduced root b, the
     simple roots first, the nonzero coordinates (k, c) of D b with
     <D b, D b> (``mirrors``; the simple roots' are the ``supports``):
-    membership, pairings, dominance, reflections and the walk into the
-    dominant chamber (``walk``) are integer arithmetic.  A conversion,
-    half-sum or coroot pairing that is not exact raises ConsistencyError
-    (``locate`` gives None off the grid); only ``weight`` makes
-    ``Fraction``s, one per coordinate value, cached per grid.  The
-    denominator of Weyl's product (``weyl_denominator``) is read once,
-    when first needed.
+    membership, pairings, dominance, reflections, the walk into the
+    dominant chamber (``walk``) and the product of the pairings with the
+    reduced roots (``root_product``, Weyl's polynomial) are integer
+    arithmetic over those sparse supports.  A conversion, half-sum or
+    coroot pairing that is not exact raises ConsistencyError (``locate``
+    gives None off the grid); only ``weight`` makes ``Fraction``s, one per
+    coordinate value, cached per grid.  The denominator of Weyl's product
+    (``weyl_denominator``) is read once, when first needed.
     """
 
     def __init__(self, rs: RootSystem, scale: int) -> None:
@@ -324,12 +325,19 @@ class Grid:
 
     @cached_property
     def weyl_denominator(self) -> int:
-        """prod <D delta, D alpha> over the reduced positive roots alpha
-        (every positive root of a reduced system), read from ``delta`` on
-        first use and then kept."""
+        """``root_product`` at D delta, read on first use and then kept."""
+        return self.root_product(self.delta)
+
+    def root_product(self, x: tuple) -> int:
+        """prod <x, D b> over the reduced positive roots b (every positive
+        root of a reduced system), one per mirror, each pairing read over
+        the nonzero coordinates of D b (``mirrors``)."""
         product = 1
-        for k in self.reduced:
-            product *= sum(map(mul, self.delta, self.positive[k]))
+        for support, _ in self.mirrors:
+            dot = 0
+            for k, c in support:
+                dot += x[k] * c
+            product *= dot
         return product
 
     def locate(self, w: Weight) -> tuple | None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from operator import add, sub
 
@@ -14,7 +15,8 @@ from dirackernel.dirac import (KernelStatus, casimir_eigenvalue,
 from dirackernel.errors import (AdmissibilityError, ConsistencyError,
                                DimensionError)
 from dirackernel.lattice import LatticeSpec, Weight
-from dirackernel.roots import ORBIT_LIMIT, Grid, build_classical, grid
+from dirackernel.roots import (ORBIT_LIMIT, Grid, _solve, build_classical,
+                               grid)
 from dirackernel.roots import RootSystem
 from dirackernel.sympair import (SymmetricPair, admissibility_failures,
                                  admissible_mu, builtin_pair,
@@ -602,6 +604,29 @@ class TestLongestWord:
         assert searched == 97
 
 
+class TestSearch:
+    def test_non_integral_pairing_raises(self, monkeypatch):
+        # the search pairs each image with each simple root of Delta_h once,
+        # and a negative pairing that is not an integer raises with
+        # Grid.coroot_pairing's message, as Grid.reflect would.  The reads
+        # are stubbed: G's walk of the same point would raise first.
+        pair = builtin_pair("so5_so4")
+        g = grid(pair.root_system)
+        h = grid(pair.h_system, g.scale)
+        start = g.point(W("0,1/2"))
+        with pytest.raises(ConsistencyError) as expected:
+            h.reflect(start, 0)
+        assert str(expected.value) == "0,1/2 pairs to -1/2 with the coroot " \
+            "of 1,-1"
+        reads = []
+        monkeypatch.setattr(dirac, "_multiplicity",
+                            lambda g, top, y: reads.append(y) or 0)
+        with pytest.raises(ConsistencyError) as raised:
+            dirac._extract(pair, g, g.point(W("5,5")), start, 1)
+        assert str(raised.value) == str(expected.value)
+        assert len(reads) == 1
+
+
 class TestOracleSampleTables:
     def test_weight_tables_match_fraction_freudenthal(self):
         # every nu on the shells of the benchmark's oracle sample, the 103
@@ -696,6 +721,37 @@ class TestOnDemandMultiplicity:
         assert cases == {(True, False, False), (False, True, True),
                          (False, True, False), (False, False, True),
                          (False, False, False)}
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_one_elimination_per_grid(self, pair):
+        # the Q+ test reads nu - y+ through the grid's one elimination: at
+        # seeded int vectors, and at seeded combinations of the simple
+        # roots, its forms give what an elimination of that vector alone
+        # gives, outside the span (A family) included
+        g = grid(pair.root_system)
+        simple = [g.positive[k] for k in pair.root_system.simple_index]
+        d, coefficients, span = dirac._simple_coordinates(g)
+        assert d > 0 and len(coefficients) == len(simple)
+        rng = random.Random(pair.name)
+        vectors = [tuple(rng.randint(-6, 6) for _ in range(pair.rank))
+                   for _ in range(20)]
+        for _ in range(20):
+            weights = [rng.randint(-3, 3) for _ in simple]
+            vectors.append(tuple(sum(c * a[k] for c, a in zip(weights, simple))
+                                 for k in range(pair.rank)))
+        outside = 0
+        for v in vectors:
+            e, (numerators,) = _solve(simple, [v])
+            reads = [[sum(v[k] * c for k, c in form) for form in forms]
+                     for forms in (span, coefficients)]
+            if numerators is None:
+                outside += 1
+                assert any(reads[0]), v
+            else:
+                assert not any(reads[0]), v
+                assert [Fraction(n, d) for n in reads[1]] == \
+                    [Fraction(n, e) for n in numerators], v
+        assert bool(outside) == (len(simple) < pair.rank)
 
     def test_both_sums_match_the_full_table_sum(self):
         # every row of the oracle sample and of |lambda_i| <= 1 on the
@@ -852,6 +908,34 @@ class TestEulerVerify:
             dirac.euler_verify(pair, mu)
         assert [dirac.euler_verify(pair, mu) for pair, mu in ops] == cold
         assert all(report.passed for report in cold)
+
+    def test_oracle_sample_hashes_no_fraction(self, monkeypatch):
+        # after a warm-up pass, and with dirac_kernel's results given
+        # precomputed, the oracle's own code on the 103 sample mu hashes no
+        # Fraction: its signed sum is collected over the shell's sorted grid
+        # points, with no dict, and compared as tuples of the report's
+        # Weights
+        ops = [(builtin_pair(name), mu)
+               for name, box in ORACLE_SAMPLE_BOXES.items()
+               for _lam, mu in admissible_box(builtin_pair(name), box)]
+        assert len(ops) == 103
+        warm = [dirac.euler_verify(pair, mu) for pair, mu in ops]
+        given = iter([report.kernel for report in warm])
+        monkeypatch.setattr(dirac, "dirac_kernel",
+                            lambda pair, mu: next(given))
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        reports = [dirac.euler_verify(pair, mu) for pair, mu in ops]
+        monkeypatch.undo()
+        assert hashed == []
+        assert reports == warm
+        assert sum(bool(report.signed_sum) for report in reports) > 50
 
     def test_reads_neither_W_H_nor_W1(self, monkeypatch):
         def unusable(self):

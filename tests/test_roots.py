@@ -12,6 +12,7 @@ import pytest
 import dirackernel.dirac as dirac
 import dirackernel.roots as roots
 from corpus import CORPUS, W1_PAIRS, corpus_pair
+from dirackernel.characters import weyl_product
 from dirackernel.errors import (ConsistencyError, GroupOrderLimitError,
                                 NonDominantError, UnsupportedRootSystemError)
 from dirackernel.lattice import HALF, Weight
@@ -472,6 +473,58 @@ class TestWeylDenominator:
         assert g.weyl_denominator == 8 * 16 * 12 * 4
         g.delta = g.point(rs.delta)
         assert g.weyl_denominator == 8 * 16 * 12 * 4
+
+
+def dense_root_product(rs: RootSystem, g: Grid, y: tuple) -> int:
+    """prod <y, D alpha> over the reduced positive roots (tested on
+    ``Fraction`` weights), each pairing over every coordinate."""
+    product = 1
+    for k in reference_reduced(rs):
+        product *= sum(a * b for a, b in zip(y, g.positive[k]))
+    return product
+
+
+def product_grids():
+    """(name, system, grid): every grid of W1_PAIRS, G's and the
+    subgroup's at G's scale, then A3's and A2's refined by thirds."""
+    for pair in W1_PAIRS:
+        g = grid(pair.root_system)
+        yield pair.name, pair.root_system, g
+        yield pair.name + "_h", pair.h_system, grid(pair.h_system, g.scale)
+    a3, a2 = build_classical("A", 3), build_classical("A", 2)
+    yield "A3", a3, grid(a3)
+    yield "A2_thirds", a2, grid(a2, 6)
+
+
+class TestWeylProduct:
+    # weyl_product reads each pairing over the sparse support of D alpha
+    # (Grid.root_product, over the mirrors); against the dense product over
+    # the dense weyl_denominator at seeded integral points y = D delta + D t
+    # and y = D t, t integral, which include singular points (0).  BC1's
+    # Grid.reduced skips 2 alpha, and its quotient is not always exact.
+    @pytest.mark.parametrize("name,rs,g", [pytest.param(*case, id=case[0])
+                                           for case in product_grids()])
+    def test_matches_the_dense_product(self, name, rs, g):
+        rng = random.Random(name)
+        bottom = dense_root_product(rs, g, g.delta)
+        assert g.weyl_denominator == bottom
+        reads = set()
+        for _ in range(40):
+            t = [g.scale * rng.randint(-3, 3) for _ in range(rs.rank)]
+            for y in (tuple(map(add, g.delta, t)), tuple(t)):
+                assert g.is_integral(y)
+                top = dense_root_product(rs, g, y)
+                assert g.root_product(y) == top
+                if top % bottom:
+                    with pytest.raises(ConsistencyError,
+                                       match="Weyl dimension formula gave"):
+                        weyl_product(rs, g, y)
+                    reads.add("inexact")
+                else:
+                    assert weyl_product(rs, g, y) == top // bottom, (name, y)
+                    reads.add("singular" if not top else "regular")
+        assert reads >= {"singular", "regular"} or not g.positive
+        assert ("inexact" in reads) == (name == "bc1")
 
 
 class TestGridCache:

@@ -15,22 +15,26 @@ The theorem path takes its dimension from it and checks its sign against
 the walk's; the oracle checks its own signed sum against it.
 
 The oracle path shares only the lattice/roots primitives and Weyl's
-product with the theorem path.  It enumerates the Casimir shell of lambda as integer points on a
-sphere, once per sphere (``_sphere``, bounded by the simple-root
-inequalities), takes each member's dimension from Weyl's product, computes
-Frobenius multiplicities on both sides by Brauer-Klimyk extraction, and
-checks that the alternating sum collapses to the predicted signed
-irreducible (or to zero), and that its signed dimension is Bott's index,
-read from its own D (mu + delta_h).  The extraction (``_extract``) sums
-the weight multiplicities of pi_nu over the W_H-images of D (mu +
-delta_h), shifted by the components of the half-spin character of its side
-(``spin.chi_components``, cached per pair and side): a pruned search
-visits only the images that land in the ball |y| <= |nu| holding every
-weight of pi_nu, and each is read on demand (``_multiplicity``).
+product with the theorem path.  It enumerates the Casimir shell of lambda
+as integer points on a sphere, once per sphere (``_sphere``, bounded by
+the simple-root inequalities), with each member's dimension from Weyl's
+product and its ``Weight``, computes Frobenius multiplicities on both
+sides by Brauer-Klimyk extraction, and checks that the alternating sum
+collapses to the predicted signed irreducible (or to zero), and that its
+signed dimension is Bott's index, read from its own D (mu + delta_h).  The
+extraction (``_extract``) sums the weight multiplicities of pi_nu over the
+W_H-images of D (mu + delta_h), shifted by the components of the half-spin
+character of its side (``spin.chi_components``, cached per pair and
+side): a pruned search from w0 D (mu + delta_h) (w0 read as one integer
+map per subgroup grid, ``_longest_map``) visits only the images that land
+in the ball |y| <= |nu| holding every weight of pi_nu, and each is read on
+demand (``_multiplicity``).
 
 The oracle runs on int tuples D w on the grid of ``roots.grid`` end to
-end; ``Weight`` appears only at its inputs and in its report.  It keeps
-nothing of the size of W_H, and never reads W_1.
+end; ``Weight`` appears only at its inputs and in its report.  What it
+reads of a pair, a subgroup grid or a sphere is made once and cached, so
+an op makes only its own mu's reads.  It keeps nothing of the size of W_H,
+and never reads W_1.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import AdmissibilityError, ConsistencyError, DimensionError
 from .lattice import LatticeSpec, Weight
 from .roots import Grid, WeylElement, _solve, grid
 from .spin import chi_components
-from .sympair import SymmetricPair, admissibility_failures
+from .sympair import SymmetricPair, _admissibility
 
 
 class KernelStatus(enum.Enum):
@@ -68,16 +72,15 @@ and the dimension of pi_nu, else None each."""
 def casimir_eigenvalue(pair: SymmetricPair, nu: Weight) -> Fraction:
     """<nu + 2*delta, nu>, the Casimir scalar of pi_nu (exact).
 
-    nu is read on G's grid as ``admissibility_failures`` reads mu: y = L nu
-    for L the least common multiple of D = grid(pair.root_system).scale
-    and nu's denominators, so the scalar is sum y_k (y_k + 2 (L/D) (D
-    delta)_k) / L^2, one ``Fraction``.
+    nu is read on G's grid as the admissibility check reads mu
+    (``Grid.lift``): y = L nu for L the least common multiple of D =
+    grid(pair.root_system).scale and nu's denominators, so the scalar is
+    sum y_k (y_k + 2 (L/D) (D delta)_k) / L^2, one ``Fraction``.
     """
     if len(nu) != pair.rank:
         raise DimensionError(f"nu length {len(nu)} vs rank {pair.rank}")
     g = grid(pair.root_system)
-    scale = math.lcm(g.scale, *(c.denominator for c in nu))
-    y = tuple(c.numerator * (scale // c.denominator) for c in nu)
+    scale, y = g.lift(nu)
     twice = 2 * (scale // g.scale)
     return Fraction(sum(a * (a + twice * d) for a, d in zip(y, g.delta)),
                     scale * scale)
@@ -105,18 +108,22 @@ def chi_casimir_check(pair: SymmetricPair) -> Fraction:
     return c
 
 
-def _require_admissible(pair: SymmetricPair, mu: Weight) -> None:
-    failures = admissibility_failures(pair, mu)
+def _require_admissible(pair: SymmetricPair, mu: Weight) -> tuple:
+    """D mu on G's grid, as the admissibility check read it; an
+    inadmissible mu raises AdmissibilityError naming every failed clause."""
+    failures, x = _admissibility(pair, mu)
     if failures:
         raise AdmissibilityError(
             f"mu={mu} is not admissible for {pair.name}: "
             + "; ".join(failures))
+    return x
 
 
 def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     """Classify the kernel of the Dirac operator twisted by mu.
 
-    mu is checked once (``admissibility_failures``).  On the grid of
+    mu is checked and read onto G's grid once (``_admissibility``, which
+    hands back D mu).  On the grid of
     ``roots.grid``, from D (lambda + delta) = D mu + D delta_h, are read
     the Casimir scalar <lambda + 2 delta, lambda> = |lambda + delta|^2 -
     |delta|^2, as one ``Fraction`` over D^2, and Bott's index (-1)^m
@@ -136,11 +143,12 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     ConsistencyError (raised, so it holds under python -O); its absolute
     value is the dimension of pi_nu.
     """
-    mu = Weight(mu)
-    _require_admissible(pair, mu)
+    if type(mu) is not Weight:  # a Weight is used as it is, not rebuilt
+        mu = Weight(mu)
+    x = _require_admissible(pair, mu)
     rs = pair.root_system
     g = grid(rs)
-    shifted = tuple(map(add, g.point(mu), grid(pair.h_system, g.scale).delta))
+    shifted = tuple(map(add, x, grid(pair.h_system, g.scale).delta))
     numerator = sum(c * c for c in shifted) - sum(c * c for c in g.delta)
     casimir = Fraction(numerator, g.scale ** 2)
     parity = (-1) ** pair.m
@@ -208,17 +216,29 @@ def _squares_summing_to(offsets: tuple, step: int, total: int,
                 yield prefix + (x,)
 
 
-def _shell_points(pair: SymmetricPair, g: Grid, lam: tuple) -> tuple:
-    """The Casimir shell of lam = D lambda on g = grid(pair.root_system)."""
+def _shell_rows(pair: SymmetricPair, g: Grid, lam: tuple) -> tuple:
+    """The rows of the Casimir shell of lam = D lambda on g =
+    grid(pair.root_system) (``_sphere``)."""
     return _sphere(g, pair.lattice_F,
                    sum((a + d) ** 2 for a, d in zip(lam, g.delta)))
 
 
 @lru_cache(maxsize=None)
 def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
+    """A row (D nu, dim pi_nu, nu) per point D nu of ``_sphere_points``,
+    in its order; cached per sphere, so each member's dimension
+    (``characters.grid_dim``, which checks that it is positive) and
+    ``Weight`` are made once.  It is the shell of every lambda on that
+    sphere, as <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2.  Pairs with
+    equal root systems and equal Fs share an entry: the lattice compares
+    by its integer key."""
+    return tuple((nu, grid_dim(g.rs, g, nu), g.weight(nu))
+                 for nu in _sphere_points(g, lattice, total))
+
+
+def _sphere_points(g: Grid, lattice: LatticeSpec, total: int) -> list:
     """The dominant D nu in D F (F = ``lattice``) with |D (nu + delta)|^2 =
-    total, sorted; cached per sphere.  It is the shell of every lambda on
-    that sphere, as <nu + 2 delta, nu> = |nu + delta|^2 - |delta|^2.
+    total, sorted.
 
     Per residue r of F (``Grid.residues``) the points x = D (nu + delta)
     are the integer vectors with x = r + D delta mod D and sum x_k^2 =
@@ -245,7 +265,7 @@ def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
                 raise ConsistencyError(
                     f"shell point {g.weight(nu)} is not dominant")
             found.append(nu)
-    return tuple(sorted(found))
+    return sorted(found)
 
 
 @lru_cache(maxsize=None)
@@ -327,12 +347,56 @@ def _longest_word(h: Grid) -> tuple:
     return h.walk(tuple(-c for c in h.delta))[0]
 
 
+@lru_cache(maxsize=None)
+def _longest_map(h: Grid) -> tuple:
+    """w0 on h's grid as one exact integer map (d, rows): w0 x = (<row, x>
+    / d for each row), each row the nonzero (k, c) of one coordinate's
+    numerators over d > 0.  Built once per grid by reflecting each unit
+    vector along w0's reduced word (``_longest_word``), as numerators over
+    a denominator kept in lowest terms; for a system with no roots it is
+    the identity."""
+    rank = h.rs.rank
+    columns = []  # w0 e_k as (numerators, denominator)
+    for k in range(rank):
+        v, d = [int(j == k) for j in range(rank)], 1
+        for i in _longest_word(h):
+            support, norm = h.supports[i]
+            twice = 2 * sum(v[j] * c for j, c in support)
+            v = [a * norm for a in v]
+            for j, c in support:
+                v[j] -= twice * c
+            common = math.gcd(d * norm, *v)
+            v, d = [a // common for a in v], d * norm // common
+        columns.append((v, d))
+    d = math.lcm(*(e for _, e in columns))
+    return d, tuple(
+        tuple((k, v[j] * (d // e)) for k, (v, e) in enumerate(columns) if v[j])
+        for j in range(rank))
+
+
+def _longest_image(h: Grid, longest: tuple, x: tuple) -> tuple:
+    """w0 x for x on h's grid, read from ``longest`` = ``_longest_map(h)``;
+    an image off the grid (a remainder) raises ConsistencyError."""
+    d, rows = longest
+    image = []
+    for row in rows:
+        dot = 0
+        for k, c in row:
+            dot += x[k] * c
+        if dot % d:
+            raise ConsistencyError(
+                f"w0 sends {h.weight(x)} off the grid 1/{h.scale} Z")
+        image.append(dot // d)
+    return tuple(image)
+
+
 def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
              side: int) -> int:
     """The multiplicity of the subgroup irreducible mu in chi^s tensor pi_nu
     (s = side for m even, -side for m odd), for top = D nu on g =
     grid(pair.root_system) and start = w0 z on the subgroup's grid at g's
-    scale, z = D (mu + delta_h) and w0 the longest element of W_H.
+    scale, z = D (mu + delta_h) and w0 the longest element of W_H
+    (``_longest_image``).
 
     The coefficient of e^(mu + delta_h) in chi^s * pi_nu times the Weyl
     denominator of Delta_h is m_mu = sum c mult_nu(mu + k) over the shifts
@@ -390,10 +454,9 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
 @lru_cache(maxsize=None)
 def _subgroup(pair: SymmetricPair) -> tuple:
     """What the oracle reads of pair's subgroup on every call, once per
-    pair: its grid h at G's scale, (-1)^m and w0's reduced word
-    (``_longest_word``)."""
+    pair: its grid h at G's scale, (-1)^m and w0 on h (``_longest_map``)."""
     h = grid(pair.h_system, grid(pair.root_system).scale)
-    return h, (-1) ** pair.m, _longest_word(h)
+    return h, (-1) ** pair.m, _longest_map(h)
 
 
 @lru_cache(maxsize=None)
@@ -435,34 +498,35 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     (m+ - m-) dim pi_nu equals Bott's index (-1)^m P(z), read from z = D
     (mu + delta_h) with no input from the kernel result.  Failures are
     reported, not raised.  mu is checked once, by ``dirac_kernel``, and
-    converted once; the shell members, dominant points of F, need no checks.
-    The extraction's start w0 z, z = D (mu + delta_h), is z reflected along
-    w0's reduced word (``_longest_word``) through ``Grid.reflect``; the
-    subgroup's grid, (-1)^m and that word are read once per pair
-    (``_subgroup``).  The signed sum is collected over the shell's sorted
-    grid points, so it is in the order of their ``Weight``s, made once per
-    row for the report; it is compared with the classification's as those
-    tuples, and no ``Fraction`` is hashed.
+    read onto G's grid twice: once there, by the admissibility check, and
+    once here, as the oracle takes nothing but the classification from
+    the theorem path.  The shell members, dominant points of F, need no
+    checks; each comes with its dimension and its ``Weight``, made once per
+    sphere (``_sphere``).  The extraction's start w0 z, z = D (mu +
+    delta_h), is read from w0's integer map on the subgroup's grid
+    (``_longest_image``); that grid, (-1)^m and the map are read once per
+    pair (``_subgroup``).  The signed sum is collected over the shell's
+    sorted grid points, so it is in the order of their ``Weight``s; it is
+    compared with the classification's as tuples of ``Weight``s, and no
+    ``Fraction`` is hashed.
     """
-    mu = Weight(mu)
+    if type(mu) is not Weight:  # a Weight is used as it is, not rebuilt
+        mu = Weight(mu)
     kernel = dirac_kernel(pair, mu)
     g = grid(pair.root_system)
     x = g.point(mu)
     lam = tuple(map(sub, x, pair.delta_p_point))
-    h, parity, word = _subgroup(pair)
-    start = tuple(map(add, x, h.delta))  # z, then w0 z
-    index = parity * weyl_product(pair.root_system, g, start)
-    for i in word:
-        start = h.reflect(start, i)
+    h, parity, longest = _subgroup(pair)
+    z = tuple(map(add, x, h.delta))
+    index = parity * weyl_product(pair.root_system, g, z)
+    start = _longest_image(h, longest, z)
     rows = []
     failures = []
     signed = []  # (nu, m+ - m-) where nonzero, in shell order
     signed_dimension = 0
-    for point in _shell_points(pair, g, lam):
-        dimension = grid_dim(pair.root_system, g, point)
+    for point, dimension, nu in _shell_rows(pair, g, lam):
         m_plus = _extract(pair, g, point, start, +1)
         m_minus = _extract(pair, g, point, start, -1)
-        nu = g.weight(point)
         rows.append(ShellRow(nu, dimension, m_plus, m_minus))
         if m_plus + m_minus > 1:
             failures.append(

@@ -97,7 +97,10 @@ class LatticeSpec:
     w lies in the lattice iff w - s is all-integer for some shift s;
     ``roots.Grid.contains`` tests that exactly, on int tuples.  Shifts
     have coordinates in {0, 1/2} and always include the zero shift, which
-    covers every integral-form lattice handled here.
+    covers every integral-form lattice handled here.  Equality and hashing
+    read an integer key made once, when the spec is built: the rank and
+    the frozenset of the int tuples 2s, so a cache keyed by a lattice
+    compares no ``Fraction``.
     """
 
     def __init__(self, rank: int, coset_shifts: Iterable) -> None:
@@ -115,15 +118,18 @@ class LatticeSpec:
             raise ValueError("the zero shift must be present")
         self.rank = rank
         self.coset_shifts = shifts
+        # 2s, as 2c is c's numerator for c in {0, 1/2}
+        self._key = (rank, frozenset(tuple(c.numerator for c in s)
+                                     for s in shifts))
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.rank, self.coset_shifts)
-                == (other.rank, other.coset_shifts))
+        return self is other or self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.coset_shifts))
+        return self._hash
 
     @classmethod
     def integers(cls, rank: int) -> "LatticeSpec":

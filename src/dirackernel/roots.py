@@ -32,6 +32,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from math import lcm
 from operator import add, mul, sub
 
 from .errors import (ConsistencyError, DimensionError, GroupOrderLimitError,
@@ -339,6 +340,13 @@ class Grid:
                 dot += x[k] * c
             product *= dot
         return product
+
+    def lift(self, w: Weight) -> tuple:
+        """(L, L w) for L the least common multiple of D and the
+        denominators of w: w on the finest grid that holds it and this
+        one."""
+        scale = lcm(self.scale, *(c.denominator for c in w))
+        return scale, tuple(c.numerator * (scale // c.denominator) for c in w)
 
     def locate(self, w: Weight) -> tuple | None:
         """D w, or None when w is off the grid."""

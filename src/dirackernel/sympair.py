@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import add, sub
 
 from .errors import DimensionError, GroupOrderLimitError, InvalidPairError
@@ -298,21 +297,26 @@ def w1_enumerate(pair: SymmetricPair) -> list:
 def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     """The admissibility clauses mu violates, by name (empty = admissible):
     "mu not in F1", "mu not dominant for Delta_h+", "mu - delta_p not in
-    F", in that order.
+    F", in that order (``_admissibility``)."""
+    return _admissibility(pair, mu)[0]
+
+
+def _admissibility(pair: SymmetricPair, mu: Weight) -> tuple:
+    """(failures, x): the clauses of ``admissibility_failures`` and x = D
+    mu on G's grid, or None when mu is off it.
 
     mu is read on the grid once, as y = L mu for L the least common
-    multiple of D = grid(pair.root_system).scale and mu's denominators.  If
-    L = D, y is x = D mu, and F1 and F are tested on x and x - D delta_p
-    (``Grid.contains``; ``delta_p_point``); otherwise mu is off G's grid
-    and in neither.  Delta_h-dominance is a sign test of y on the
-    subgroup's grid at scale D, which holds for any positive multiple of
-    mu.
+    multiple of D = grid(pair.root_system).scale and mu's denominators
+    (``Grid.lift``).  If L = D, y is x, and F1 and F are tested on x and x
+    - D delta_p (``Grid.contains``; ``delta_p_point``); otherwise mu is
+    off G's grid and in neither.  Delta_h-dominance is a sign test of y on
+    the subgroup's grid at scale D, which holds for any positive multiple
+    of mu.
     """
     if len(mu) != pair.rank:
         raise DimensionError(f"mu length {len(mu)} vs rank {pair.rank}")
     g = grid(pair.root_system)
-    scale = lcm(g.scale, *(c.denominator for c in mu))
-    y = tuple(c.numerator * (scale // c.denominator) for c in mu)
+    scale, y = g.lift(mu)
     x = y if scale == g.scale else None  # D mu, or None off the grid
     failures = []
     if not g.contains(pair.lattice_F1, x):
@@ -322,7 +326,7 @@ def admissibility_failures(pair: SymmetricPair, mu: Weight) -> list:
     if x is None or not g.contains(
             pair.lattice_F, tuple(map(sub, x, pair.delta_p_point))):
         failures.append("mu - delta_p not in F")
-    return failures
+    return failures, x
 
 
 def admissible_mu(pair: SymmetricPair, mu: Weight) -> bool:

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from dirackernel.characters import weight_table, weyl_dim
 from dirackernel.dirac import (KernelStatus, _extract, _multiplicity,
-                               _shell_points, casimir_eigenvalue,
+                               _shell_rows, casimir_eigenvalue,
                                dirac_kernel, euler_verify)
 from dirackernel.lattice import Weight
 from dirackernel.roots import grid
@@ -139,8 +139,8 @@ def casimir_shell(pair, lam) -> list:
     """The dominant points nu of F with the Casimir scalar of lambda, for
     lambda in F, sorted."""
     g = grid(pair.root_system)
-    return [g.weight(nu)
-            for nu in _shell_points(pair, g, g.point(Weight(lam)))]
+    return [nu for _point, _dimension, nu
+            in _shell_rows(pair, g, g.point(Weight(lam)))]
 
 
 def brute_force_shell(pair, lam, scale=Fraction(1)) -> list:

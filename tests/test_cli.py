@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,10 @@ class TestVerifyCommands:
         # index check alone fails
         import dirackernel.dirac as dirac
 
+        # the rows are made once per sphere: read the sphere from an empty
+        # cache of its own, dropped with the patch
+        monkeypatch.setattr(dirac, "_sphere",
+                            lru_cache(maxsize=None)(dirac._sphere.__wrapped__))
         dimension = dirac.grid_dim
         monkeypatch.setattr(dirac, "grid_dim",
                             lambda *args: 2 * dimension(*args))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, sub
 
 import pytest
@@ -18,8 +19,7 @@ from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import (ORBIT_LIMIT, Grid, _solve, build_classical,
                                grid)
 from dirackernel.roots import RootSystem
-from dirackernel.sympair import (SymmetricPair, admissibility_failures,
-                                 admissible_mu, builtin_pair,
+from dirackernel.sympair import (SymmetricPair, admissible_mu, builtin_pair,
                                  builtin_pair_names, marked_node_pair)
 from reference_characters import irreducible_character, reference_character
 from reference_oracle import (brute_force_shell, casimir_shell,
@@ -159,13 +159,15 @@ class TestDiracKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("nu formed off the grid")
 
-        located = []
-        locate = Grid.locate
+        located = []  # the weights read onto a grid: by locate or lift
+        locate, lift = Grid.locate, Grid.lift
         monkeypatch.setattr(Weight, "__sub__", refuse)
         monkeypatch.setattr(Weight, "__add__", refuse)
         monkeypatch.setattr(dirac, "casimir_eigenvalue", refuse)
         monkeypatch.setattr(
             Grid, "locate", lambda g, w: located.append(w) or locate(g, w))
+        monkeypatch.setattr(
+            Grid, "lift", lambda g, w: located.append(w) or lift(g, w))
         for pair, mu, value, _ in expected:
             located.clear()
             assert read(dirac_kernel(pair, mu)) == value, (pair.name, mu)
@@ -256,7 +258,11 @@ class TestBottIndex:
 
     def test_euler_fails_on_a_wrong_row_dimension(self, monkeypatch):
         # the kernel reads its dimension from the index, not grid_dim, so
-        # only the oracle's rows change; its index is its own
+        # only the oracle's rows change; its index is its own.  The rows
+        # are made once per sphere, so the sphere is read from an empty
+        # cache of its own, dropped with the patch
+        monkeypatch.setattr(dirac, "_sphere",
+                            lru_cache(maxsize=None)(dirac._sphere.__wrapped__))
         dimension = dirac.grid_dim
         monkeypatch.setattr(dirac, "grid_dim",
                             lambda *args: 2 * dimension(*args))
@@ -277,6 +283,12 @@ class TestBottIndex:
         assert report.passed
 
 
+def shell_points(pair, g, lam) -> tuple:
+    """The D nu of the shell rows of lam = D lambda, in shell order."""
+    return tuple(point for point, _dimension, _nu in
+                 dirac._shell_rows(pair, g, lam))
+
+
 class TestCasimirShell:
     @pytest.mark.parametrize("family,rank,node", [
         (family, rank, node) for family, rank in [("A", 3), ("C", 3), ("D", 4)]
@@ -291,7 +303,7 @@ class TestCasimirShell:
         for residue in sorted(g.residues(pair.lattice_F)):
             for t in itertools.product(range(-1, 2), repeat=pair.rank):
                 lam = tuple(map(add, residue, (g.scale * c for c in t)))
-                shell = dirac._shell_points(pair, g, lam)
+                shell = shell_points(pair, g, lam)
                 assert shell == integer_brute_force_shell(pair, lam), lam
                 nonempty += bool(shell)
         assert nonempty
@@ -313,10 +325,10 @@ class TestCasimirShell:
                     for lam in lams}
         for lam in lams:
             dirac._sphere.cache_clear()
-            assert dirac._shell_points(pair, g, lam) == expected[lam], lam
+            assert shell_points(pair, g, lam) == expected[lam], lam
         dirac._sphere.cache_clear()
         for lam in lams:
-            assert dirac._shell_points(pair, g, lam) == expected[lam], lam
+            assert shell_points(pair, g, lam) == expected[lam], lam
         assert dirac._sphere.cache_info().misses == 2
         assert all(expected.values())
 
@@ -328,14 +340,12 @@ class TestCasimirShell:
         g = grid(pair.root_system)
         least = sum(c * c for c in g.delta)
         totals = range(least, least + 24 * g.scale ** 2)
-        dirac._sphere.cache_clear()
-        floored = {t: dirac._sphere(g, pair.lattice_F, t) for t in totals}
+        floored = {t: dirac._sphere_points(g, pair.lattice_F, t)
+                   for t in totals}
         monkeypatch.setattr(dirac, "_coordinate_floors",
                             lambda g: (None,) * g.rs.rank)
-        dirac._sphere.cache_clear()
         for t in totals:
-            assert dirac._sphere(g, pair.lattice_F, t) == floored[t], t
-        dirac._sphere.cache_clear()
+            assert dirac._sphere_points(g, pair.lattice_F, t) == floored[t], t
         assert sum(map(bool, floored.values())) > 2
 
     @pytest.mark.parametrize("rs,floored", [
@@ -367,7 +377,7 @@ class TestCasimirShell:
         dirac._sphere.cache_clear()
         with pytest.raises(ConsistencyError,
                            match="shell point -3,-1 is not dominant"):
-            dirac._shell_points(pair, g, (0, 0))
+            dirac._shell_rows(pair, g, (0, 0))
         dirac._sphere.cache_clear()
 
     def test_equal_norms_share_one_tuple(self):
@@ -375,11 +385,26 @@ class TestCasimirShell:
         pair = builtin_pair("so5_so4")
         g = grid(pair.root_system)
         dirac._sphere.cache_clear()
-        first = dirac._shell_points(pair, g, g.point(W("2,1")))
-        assert first == (g.point(W("2,1")),)
+        first = dirac._shell_rows(pair, g, g.point(W("2,1")))
+        assert first == ((g.point(W("2,1")), 35, W("2,1")),)
         for other in ("2,-2", "0,3"):
-            assert dirac._shell_points(pair, g, g.point(W(other))) is first
-        assert dirac._shell_points(pair, g, g.point(W("1,1"))) is not first
+            assert dirac._shell_rows(pair, g, g.point(W(other))) is first
+        assert dirac._shell_rows(pair, g, g.point(W("1,1"))) is not first
+
+    def test_pairs_with_equal_F_share_a_sphere(self):
+        # so5_so4 and so5_so2xso3 build their Fs apart; the one cache entry
+        # of a sphere serves both, found by the lattice's integer key
+        first, second = builtin_pair("so5_so4"), builtin_pair("so5_so2xso3")
+        assert first.lattice_F is not second.lattice_F
+        g = grid(first.root_system)
+        assert grid(second.root_system) is g
+        lam = g.point(W("2,1"))
+        dirac._sphere.cache_clear()
+        rows = dirac._shell_rows(first, g, lam)
+        assert dirac._shell_rows(second, g, lam) is rows
+        info = dirac._sphere.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert rows == ((lam, 35, W("2,1")),)
 
     def test_pairs_on_one_grid_keep_their_own_F(self):
         # the roots of so5_so4 with F = Z^2 u (Z + 1/2)^2 (Spin(5)): on the
@@ -393,9 +418,9 @@ class TestCasimirShell:
         lam = g.point(W("3/2,1/2"))
         dirac._sphere.cache_clear()
         for pair in (base, spin, base, spin):
-            assert dirac._shell_points(pair, g, lam) == \
+            assert shell_points(pair, g, lam) == \
                 integer_brute_force_shell(pair, lam), pair.name
-        assert dirac._shell_points(spin, g, lam) == (lam,)
+        assert shell_points(spin, g, lam) == (lam,)
 
     def test_so3_lambda_two(self):
         assert casimir_shell(builtin_pair("so3_so2"), W("2")) == [W("2")]
@@ -561,7 +586,8 @@ def walked_start(pair: SymmetricPair, mu: Weight) -> tuple:
 
 class TestLongestWord:
     # euler_verify starts the extraction's search at w0 z, z = D (mu +
-    # delta_h), by w0's reduced word, read once per subgroup grid
+    # delta_h), by w0's integer map, built once per subgroup grid from
+    # w0's reduced word
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_word_gives_the_walked_start(self, pair):
         # b2_half and bc1 admit no mu (mu - delta_p in F puts mu off F1),
@@ -602,6 +628,54 @@ class TestLongestWord:
                            for start in starts), (name, str(mu))
                 searched += bool(starts)
         assert searched == 97
+
+
+class TestLongestMap:
+    # w0 on the subgroup grid as one integer map (numerators over one
+    # denominator), built once per grid from _longest_word
+    @pytest.mark.parametrize(
+        "pair", W1_PAIRS + [corpus_pair("D", 6, 5)], ids=lambda p: p.name)
+    def test_map_is_the_reflected_word(self, pair):
+        # every subgroup grid of the corpus, so5_so2xso3 (A1 and a torus
+        # direction), so3_so2 (no roots) and D6:5 (A5 and a torus
+        # direction, where w0 is not -1): on a box of strictly
+        # Delta_h-dominant, integral grid points around D delta_h, the map
+        # equals reflecting along w0's word
+        h = grid(pair.h_system, grid(pair.root_system).scale)
+        word = dirac._longest_word(h)
+        longest = dirac._longest_map(h)
+        box = range(-2, 3) if pair.rank <= 4 else range(-1, 2)
+        checked = []
+        for t in itertools.product(box, repeat=pair.rank):
+            x = tuple(map(add, h.delta, t))
+            if not (h.is_dominant(x, strict=True) and h.is_integral(x)):
+                continue
+            u = x
+            for i in word:
+                u = h.reflect(u, i)
+            assert dirac._longest_image(h, longest, x) == u, (pair.name, x)
+            checked.append(x)
+        assert checked
+        if pair.name == "D6_node5":  # w0 of A5 reverses the coordinates
+            assert all(dirac._longest_image(h, longest, x) == x[::-1]
+                       for x in checked)
+
+    def test_subgroup_reads_the_map(self):
+        pair = builtin_pair("so9_so8")
+        h, parity, longest = dirac._subgroup(pair)
+        assert (parity, longest) == (1, dirac._longest_map(h))
+        assert longest == (1, tuple(((k, -1),) for k in range(4)))
+
+    def test_an_image_off_the_grid_raises(self):
+        # a single root 1,2: w0 = s_(1,2) is (1/5) [[3, -4], [-4, -3]], so
+        # 1,0 goes to 3/5,-4/5, off the grid 1/2 Z, and 1,2 to -1,-2
+        h = grid(RootSystem(2, [W("1,2")]))
+        longest = dirac._longest_map(h)
+        assert longest == (5, (((0, 3), (1, -4)), ((0, -4), (1, -3))))
+        assert dirac._longest_image(h, longest, (2, 4)) == (-2, -4)
+        with pytest.raises(ConsistencyError) as raised:
+            dirac._longest_image(h, longest, (2, 0))
+        assert str(raised.value) == "w0 sends 1,0 off the grid 1/2 Z"
 
 
 class TestSearch:
@@ -846,9 +920,10 @@ class TestEulerVerify:
 
         def counted(pair, mu):
             calls.append(mu)
-            return admissibility_failures(pair, mu)
+            return admissibility(pair, mu)
 
-        monkeypatch.setattr(dirac, "admissibility_failures", counted)
+        admissibility = dirac._admissibility
+        monkeypatch.setattr(dirac, "_admissibility", counted)
         mu = W("9/2,9/2,3/2")
         report = dirac.euler_verify(builtin_pair("so7_so6"), mu)
         assert report.passed and len(report.rows) == 4
@@ -908,6 +983,30 @@ class TestEulerVerify:
             dirac.euler_verify(pair, mu)
         assert [dirac.euler_verify(pair, mu) for pair, mu in ops] == cold
         assert all(report.passed for report in cold)
+
+    def test_mu_is_read_onto_the_grid_twice(self, monkeypatch):
+        # after a warm pass, on the oracle sample and the ROADMAP rungs:
+        # euler_verify reads mu onto G's grid twice (the admissibility
+        # check's read, handed to the kernel, and its own), dirac_kernel
+        # once, and neither reads any other weight
+        ops = [(builtin_pair(name), mu)
+               for name, box in ORACLE_SAMPLE_BOXES.items()
+               for _lam, mu in admissible_box(builtin_pair(name), box)]
+        ops += [(builtin_pair(name), W(mu)) for name, mu in ROADMAP_RUNGS]
+        warm = [dirac.euler_verify(pair, mu) for pair, mu in ops]
+        reads = []
+        locate, lift = Grid.locate, Grid.lift
+        monkeypatch.setattr(
+            Grid, "locate", lambda g, w: reads.append(w) or locate(g, w))
+        monkeypatch.setattr(
+            Grid, "lift", lambda g, w: reads.append(w) or lift(g, w))
+        for (pair, mu), report in zip(ops, warm):
+            reads.clear()
+            assert dirac.euler_verify(pair, mu) == report
+            assert reads == [mu, mu], (pair.name, str(mu))
+            reads.clear()
+            assert dirac.dirac_kernel(pair, mu) == report.kernel
+            assert reads == [mu], (pair.name, str(mu))
 
     def test_oracle_sample_hashes_no_fraction(self, monkeypatch):
         # after a warm-up pass, and with dirac_kernel's results given

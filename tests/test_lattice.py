@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dirackernel.errors import DimensionError
 from dirackernel.lattice import LatticeSpec, Weight
 from dirackernel.roots import build_classical, grid
+from dirackernel.sympair import builtin_pair
 from reference_roots import (W, inner_product, integers_and_half_integers,
                              is_sublattice, reference_contains)
 
@@ -111,6 +112,51 @@ class TestMembership:
         g = grid(build_classical("B", 2))
         assert g.residues(F) <= g.residues(F1)
         assert not g.residues(F1) <= g.residues(F)
+
+
+class TestLatticeKey:
+    # a spec compares and hashes on (rank, the frozenset of the int tuples
+    # 2s), made once when it is built
+
+    def test_equal_specs_compare_no_fraction(self, monkeypatch):
+        first = LatticeSpec.integers(2)
+        second = LatticeSpec(2, [Weight.zero(2)])
+        halves = integers_and_half_integers(2)
+        other_halves = LatticeSpec(2, [W("1/2,1/2"), W("0,0")])
+        rank_three = LatticeSpec.integers(3)
+        residues = g_residues_cached(first)
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was compared or hashed")
+
+        monkeypatch.setattr(Fraction, "__eq__", refuse)
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert halves == other_halves and hash(halves) == hash(other_halves)
+        assert first != halves and not first == halves
+        assert first != rank_three
+        assert {first: 1}[second] == 1
+        assert g_residues_cached(second) is residues
+        monkeypatch.undo()
+
+    def test_builtin_F_and_F1_stay_apart(self):
+        pair = builtin_pair("so5_so4")
+        assert pair.lattice_F != pair.lattice_F1
+        assert pair.lattice_F == builtin_pair("so5_so2xso3").lattice_F
+        assert pair.lattice_F == LatticeSpec.integers(2)
+        assert pair.lattice_F1 == integers_and_half_integers(2)
+        assert pair.lattice_F1 != LatticeSpec(2, [W("0,0"), W("1/2,0")])
+
+    def test_key_reads_the_shifts(self):
+        spec = LatticeSpec(3, [W("0,0,0"), W("1/2,0,1/2")])
+        assert spec._key == (3, frozenset({(0, 0, 0), (1, 0, 1)}))
+        assert spec.sorted_shifts() == [W("0,0,0"), W("1/2,0,1/2")]
+
+
+def g_residues_cached(lattice):
+    """The residues of ``lattice`` on the grid of B2, a cached read."""
+    return grid(build_classical("B", 2)).residues(lattice)
 
 
 class TestDominance:

@@ -25,8 +25,7 @@ from functools import lru_cache
 from operator import add, mul, sub
 
 from .errors import (ConsistencyError, DecompositionError, DimensionError,
-                     NonDominantError, SymmetryError,
-                     UnsupportedRootSystemError)
+                     NonDominantError, SymmetryError)
 from .lattice import Weight
 from .roots import Grid, RootSystem, grid, orbit
 from .sympair import SymmetricPair
@@ -84,17 +83,10 @@ def _refined_grid(rs: RootSystem, weights) -> Grid:
 def _highest_weight_point(rs: RootSystem, nu: Weight) -> tuple:
     """(g, D nu) on the grid g of rs refined by the denominators of nu,
     checked by ``_check_highest_weight``; first a nu of the wrong length
-    raises DimensionError, and a root twice another (Freudenthal and Weyl's
-    product need a reduced system) UnsupportedRootSystemError."""
+    raises DimensionError."""
     if len(nu) != rs.rank:
         raise DimensionError(f"weight length {len(nu)} vs rank {rs.rank}")
     g = _refined_grid(rs, [nu])
-    if len(g.reduced) < len(g.positive):
-        twice = next(a for k, a in enumerate(rs.positive_roots)
-                     if k not in g.reduced)
-        raise UnsupportedRootSystemError(
-            f"{rs} is not reduced: its root {twice} is twice the root "
-            f"{Weight(c / 2 for c in twice)}")
     x = g.point(nu)
     _check_highest_weight(rs, g, x)
     return g, x
@@ -161,7 +153,7 @@ def grid_table(g: Grid, top: tuple) -> WeightTable:
 
 def weyl_product(rs: RootSystem, g: Grid, y: tuple) -> int:
     """Weyl's polynomial P at y = D (nu + delta) on g, a grid of rs: prod
-    <y, D alpha> over the reduced positive roots, each read over the sparse
+    <y, D alpha> over the positive roots, each read over the sparse
     support of D alpha (``Grid.root_product``), divided exactly by the
     grid's ``weyl_denominator``.  P is W-anti-invariant, P(w y) = sgn(w)
     P(y), so it is 0 at a singular y and the dimension of pi_nu at a

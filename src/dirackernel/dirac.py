@@ -343,7 +343,7 @@ def _longest_word(h: Grid) -> tuple:
     """A reduced word of w0, the longest element of the Weyl group of h:
     the steps of the walk (``Grid.walk``) of -D delta_h to D delta_h,
     as w0 is the one element that sends -delta_h to delta_h.  Its length
-    is the number of reduced positive roots; cached per grid."""
+    is the number of positive roots; cached per grid."""
     return h.walk(tuple(-c for c in h.delta))[0]
 
 
@@ -414,13 +414,14 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     lowers <p, u> (p is dominant), and such steps reach every u from w0 z.
     So a breadth-first search along them from w0 z, pruned where the bound
     fails, visits exactly the images that can read nonzero, at parity l(w0)
-    = ``len(h.reduced)`` (the length of w0's word, ``_longest_word``) less
-    the level.  Each image pairs with each simple root of Delta_h once,
+    = |Delta_h^+| (the length of w0's word, ``_longest_word``) less the
+    level.  Each image pairs with each simple root of Delta_h once,
     inline, and a negative pairing reflects it by that same pairing, which
     must be an integer (else ConsistencyError, ``Grid.coroot_pairing``'s
-    message), as ``Grid.walk`` does.  Each component's |p|^2, and n with
-    both signs folded in, are read once per pair and side (``_chi_reads``),
-    and h once per pair (``_subgroup``).
+    message), as ``Grid.walk`` does.  The first level's sign (-1)^l(w0)
+    cancels the sum's (-1)^|Delta_h^+|.  Each component's |p|^2 is read
+    once per pair and side (``_chi_reads``), and h once per pair
+    (``_subgroup``).
     """
     h = _subgroup(pair)[0]
     room = sum(map(mul, top, top)) - sum(map(mul, start, start))
@@ -462,12 +463,8 @@ def _subgroup(pair: SymmetricPair) -> tuple:
 @lru_cache(maxsize=None)
 def _chi_reads(pair: SymmetricPair, side: int) -> tuple:
     """The components (p, n) of chi^side (``spin.chi_components``) as
-    ``_extract`` reads them, once per pair and side: (p, |p|^2, n (-1)^(l(w0)
-    + |Delta_h^+|)), the sign of the search's first level and that of the
-    sum folded into n."""
-    h = _subgroup(pair)[0]
-    fold = (-1) ** (len(h.reduced) + len(pair.h_index))
-    return tuple((p, sum(map(mul, p, p)), fold * n)
+    ``_extract`` reads them, once per pair and side: (p, |p|^2, n)."""
+    return tuple((p, sum(map(mul, p, p)), n)
                  for p, n in chi_components(pair, side))
 
 

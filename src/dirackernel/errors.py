@@ -26,7 +26,7 @@ class InvalidPairError(ValueError):
 
 
 class UnsupportedRootSystemError(ValueError):
-    """An unsupported family or rank, or a root system that is not reduced."""
+    """An unsupported family or rank."""
 
 
 class GroupOrderLimitError(RuntimeError):

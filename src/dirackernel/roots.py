@@ -127,8 +127,10 @@ class RootSystem:
 
     ``rank`` is the dimension of the ambient coordinate space (for the A
     family this is one more than the Lie rank).  An empty set of positive
-    roots is allowed and models a torus factor only.  Equality and hashing
-    ignore ``name``.
+    roots is allowed and models a torus factor only.  No root may be twice
+    another, as in the root system of any compact Lie algebra (Bourbaki,
+    Lie Groups and Lie Algebras, VI 1).  Equality and hashing ignore
+    ``name``.
     """
 
     def __init__(self, rank: int, positive_roots: Iterable,
@@ -145,8 +147,12 @@ class RootSystem:
             if any(c.denominator > 2 for c in r):
                 raise ValueError(f"root {r} has a coordinate outside 1/2 Z")
             twice.append(tuple(c.numerator * (2 // c.denominator) for c in r))
-        if len(set(twice)) != len(twice):
+        points = set(twice)
+        if len(points) != len(twice):
             raise ValueError("positive roots must be pairwise distinct")
+        for r, t in zip(roots, twice):
+            if tuple(2 * c for c in t) in points:
+                raise ValueError(f"root {r * 2} is twice the root {r}")
         self.rank = rank
         self.positive_roots = roots
         self._twice = tuple(twice)  # compared by __eq__
@@ -180,7 +186,7 @@ class RootSystem:
             tuple((k, Fraction(4 * x, norm)) for k, x in enumerate(u) if x)
             for u, norm in doubled)
         # closure: s_a(2b) = scaled / norm, as pairing / norm = <b, a^>
-        closed = set(twice) | {tuple(-c for c in t) for t in twice}
+        closed = points | {tuple(-c for c in t) for t in twice}
         for i, (u, norm) in enumerate(doubled):
             for alpha, t in zip(roots, twice):
                 pairing = 2 * sum(map(mul, t, u))
@@ -290,13 +296,12 @@ def _classical(family: str, rank: int) -> RootSystem:
 class Grid:
     """``rs`` on the grid (1/D) Z^rank: a weight w is the int tuple D w.
 
-    Keeps D alpha for the positive roots, the positions of the reduced
-    ones (not twice another root), D delta, and per reduced root b, the
-    simple roots first, the nonzero coordinates (k, c) of D b with
+    Keeps D alpha for the positive roots, D delta, and per positive root
+    b, the simple roots first, the nonzero coordinates (k, c) of D b with
     <D b, D b> (``mirrors``; the simple roots' are the ``supports``):
     membership, pairings, dominance, reflections, the walk into the
     dominant chamber (``walk``) and the product of the pairings with the
-    reduced roots (``root_product``, Weyl's polynomial) are integer
+    positive roots (``root_product``, Weyl's polynomial) are integer
     arithmetic over those sparse supports.  A conversion, half-sum or
     coroot pairing that is not exact raises ConsistencyError (``locate``
     gives None off the grid); only ``weight`` makes ``Fraction``s, one per
@@ -310,14 +315,9 @@ class Grid:
         self._quotient = lru_cache(None)(partial(Fraction, denominator=scale))
         self.simple_roots = rs.simple_roots
         self.positive = tuple(self.point(a) for a in rs.positive_roots)
-        points = set(self.positive)
-        self.reduced = tuple(
-            k for k, b in enumerate(self.positive)
-            if any(c % 2 for c in b) or tuple(c // 2 for c in b) not in points)
         self.delta = self.half_sum(range(len(self.positive)))
-        # no simple root is twice another root, so all are reduced
         simple = rs.simple_index
-        self.mirror_index = simple + tuple(k for k in self.reduced
+        self.mirror_index = simple + tuple(k for k in range(len(self.positive))
                                            if k not in simple)
         self.mirrors = tuple(
             (tuple((j, c) for j, c in enumerate(b) if c), sum(c * c for c in b))
@@ -330,9 +330,8 @@ class Grid:
         return self.root_product(self.delta)
 
     def root_product(self, x: tuple) -> int:
-        """prod <x, D b> over the reduced positive roots b (every positive
-        root of a reduced system), one per mirror, each pairing read over
-        the nonzero coordinates of D b (``mirrors``)."""
+        """prod <x, D b> over the positive roots b, one per mirror, each
+        pairing read over the nonzero coordinates of D b (``mirrors``)."""
         product = 1
         for support, _ in self.mirrors:
             dot = 0
@@ -542,11 +541,10 @@ def weyl_order(rs: RootSystem) -> int:
     orbit.  The exponents are the dual partition of the counts of positive
     roots by height (Kostant 1959; Humphreys, Reflection Groups and Coxeter
     Groups, 3.20): as many exponents are >= h as there are roots of height
-    h.  That holds for reducible systems and torus factors too.  Only the
-    reduced roots count (``Grid.reduced``): a root twice another has the
-    reflection of its half.  A system with no roots has |W| = 1.
+    h.  That holds for reducible systems and torus factors too.  A system
+    with no roots has |W| = 1.
     """
-    heights = Counter(sum(rs.coefficients[k]) for k in grid(rs).reduced)
+    heights = Counter(map(sum, rs.coefficients))
     order = 1
     for height, count in heights.items():
         order *= (height + 1) ** (count - heights[height + 1])

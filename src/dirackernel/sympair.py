@@ -175,9 +175,8 @@ def _cone_images(g: Grid, h: Grid) -> set:
     Their chambers fill the convex Delta_h-dominant cone, and neighbouring
     chambers differ by a reflection s_beta (beta in Delta^+), so a
     breadth-first search from D delta over those reflections, keeping only
-    strictly Delta_h-dominant images, reaches every one.  Only the reduced
-    roots are taken (``Grid.mirrors``): a root twice another has the
-    reflection of its half.
+    strictly Delta_h-dominant images, reaches every one (``Grid.mirrors``
+    holds one reflection per positive root).
     """
     seen = {g.delta}
     frontier = [g.delta]

@@ -11,7 +11,7 @@ from functools import lru_cache
 from dirackernel.roots import build_classical, grid
 from dirackernel.sympair import (admissible_mu, builtin_pair,
                                  builtin_pair_names, marked_node_pair)
-from reference_roots import bc1_pair, half_c2_pair, quarter_delta_pair
+from reference_roots import half_c2_pair, quarter_delta_pair
 
 CORPUS = [(family, rank, node)
           for family, ranks in [("A", (2, 3)), ("B", (2, 3, 4)),
@@ -49,9 +49,9 @@ def bott_sweep(top_rank, draws, seed=0):
                     yield pair, mu
 
 
-# the built-ins, the marked-node corpus, two pairs whose grid needs D = 4
-# (the subgroup grid of c2_half needs only 2) and one with a root twice
-# another; b2_half and bc1, last, admit no mu
+# the built-ins, the marked-node corpus and two pairs whose grid needs D =
+# 4 (the subgroup grid of c2_half needs only 2); b2_half, last, admits no
+# mu
 W1_PAIRS = ([builtin_pair(name) for name in builtin_pair_names()]
             + [corpus_pair(*node) for node in CORPUS]
-            + [half_c2_pair(), quarter_delta_pair(), bc1_pair()])
+            + [half_c2_pair(), quarter_delta_pair()])

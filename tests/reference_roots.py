@@ -4,9 +4,9 @@ tests share: the dot product of ``Weight``s (``inner_product``), and from
 it alone the simple reflections and the walk into the dominant chamber on
 ``Weight``s, the Weyl action by words, the
 breadth-first orbit, the walk on the grid, half-sums,
-reduced roots, residues, lattice membership and integrality, the solver
+residues, lattice membership and integrality, the solver
 behind the simple coefficients, Weyl's product formula and Bott's index,
-the W_1 filter, the pair checks, and three pairs no registry name
+the W_1 filter, the pair checks, and two pairs no registry name
 reaches.  ``listed_group``
 lists ``roots.weyl_group`` once per session for each root system.
 """
@@ -193,14 +193,6 @@ def reference_half_sum(roots, rank: int) -> Weight:
     return sum(roots, Weight.zero(rank)) * HALF
 
 
-def reference_reduced(rs: RootSystem) -> tuple:
-    """The positions of the positive roots that are not twice another
-    root, tested on ``Fraction`` weights."""
-    roots = set(rs.positive_roots)
-    return tuple(k for k, a in enumerate(rs.positive_roots)
-                 if a * HALF not in roots)
-
-
 def is_integer_vector(w: Weight) -> bool:
     """Every coordinate of w is an integer."""
     return all(c.denominator == 1 for c in w)
@@ -328,14 +320,13 @@ def reference_weyl_dim(rs: RootSystem, nu: Weight) -> int:
 
 def reference_bott_index(pair: SymmetricPair, lam: Weight) -> Fraction:
     """Bott's index (-1)^m P(lambda + delta) on ``Fraction`` weights: P is
-    the product over the reduced positive roots alpha of <lambda + delta,
-    alpha> / <delta, alpha>."""
+    the product over the positive roots alpha of <lambda + delta, alpha> /
+    <delta, alpha>."""
     rs = pair.root_system
     delta = rs.delta
     shifted = Weight(lam) + delta
     result = Fraction((-1) ** pair.m)
-    for k in reference_reduced(rs):
-        alpha = rs.positive_roots[k]
+    for alpha in rs.positive_roots:
         result *= inner_product(shifted, alpha) / inner_product(delta, alpha)
     return result
 
@@ -384,15 +375,6 @@ def half_c2_pair() -> SymmetricPair:
     return SymmetricPair(rs, [(1, 0), (0, 1)],
                          LatticeSpec(2, [(0, 0), (half, half)]),
                          half_integers(2), name="c2_half")
-
-
-def bc1_pair() -> SymmetricPair:
-    # BC1, whose root 1 is twice the root 1/2, with h = {1}: W_1 is the
-    # identity alone, and the reflection in 1 is the one in 1/2; F = F1 =
-    # (1/2) Z holds the root 1/2
-    rs = RootSystem(1, [(HALF,), (1,)])
-    return SymmetricPair(rs, [(1,)], half_integers(1), half_integers(1),
-                         name="bc1")
 
 
 def reference_w1(pair: SymmetricPair) -> tuple:

@@ -12,7 +12,7 @@ from dirackernel.characters import (branch_equal_rank, tensor, weight_table,
                                    weyl_dim)
 from dirackernel.errors import (ConsistencyError, DecompositionError,
                                 DimensionError, NonDominantError,
-                                SymmetryError, UnsupportedRootSystemError)
+                                SymmetryError)
 from dirackernel.lattice import Weight
 from dirackernel.roots import RootSystem, WeylElement, build_classical
 from dirackernel.sympair import builtin_pair, builtin_pair_names
@@ -21,7 +21,7 @@ from reference_characters import (FormalCharacter, apply,
                                   irreducible_character, mass, peel,
                                   reference_character, support,
                                   weight_multiplicity)
-from reference_roots import (W, act, bc1_pair, inner_product,
+from reference_roots import (W, act, inner_product,
                              is_integer_vector, listed_group,
                              quarter_delta_pair, reference_contains,
                              reference_is_integral, reference_weyl_dim,
@@ -293,27 +293,6 @@ class TestWrongLengthNu:
         message = f"^weight length {len(W(text))} vs rank 2$"
         with pytest.raises(DimensionError, match=message):
             self.CALLS[name](self.B2, W(text))
-
-
-class TestNonReducedRefused:
-    """Freudenthal and Weyl's product need a reduced root system: on BC1,
-    whose root 1 is twice its root 1/2, every character entry point
-    raises UnsupportedRootSystemError, a ValueError, naming the root."""
-
-    BC1 = bc1_pair()
-    CALLS = {
-        "weight_table": lambda pair, nu: weight_table(pair.root_system, nu),
-        "weyl_dim": lambda pair, nu: weyl_dim(pair.root_system, nu),
-        "tensor": lambda pair, nu: tensor(pair.root_system, nu, nu),
-        "branch_equal_rank": branch_equal_rank}
-
-    @pytest.mark.parametrize("text", ["0", "1/2", "1"])
-    @pytest.mark.parametrize("name", CALLS)
-    def test_raises(self, name, text):
-        with pytest.raises(UnsupportedRootSystemError) as raised:
-            self.CALLS[name](self.BC1, W(text))
-        assert str(raised.value) == (f"{self.BC1.root_system} is not reduced: "
-                                     "its root 1 is twice the root 1/2")
 
 
 class TestDecompose:

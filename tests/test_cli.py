@@ -38,14 +38,15 @@ README_PAIR = {"name": "custom_so5_so4", "rank": 2,
 
 
 # BC1, whose root 1 is twice the root 1/2, with h = {1} and F = F1 =
-# (1/2) Z
+# (1/2) Z: no compact Lie algebra has it as its root system, so it is
+# refused on load
 BC1_PAIR = {"name": "bc1", "rank": 1, "positive_roots": ["1/2", "1"],
             "h_positive_indices": [1], "lattice_F_shifts": ["0", "1/2"],
             "lattice_F1_shifts": ["0", "1/2"]}
 
 
 # pair files whose F misses a simple root, each with a mu and that root:
-# C2 and B2 scaled by 1/2, and BC1, on F = Z^2, Z^2 u (Z + 1/2)^2 and Z
+# C2 and B2 scaled by 1/2, on F = Z^2 and Z^2 u (Z + 1/2)^2
 F_MISSES_A_ROOT = {
     "c2_half": ({"name": "c2_half", "rank": 2,
                  "positive_roots": ["1/2,-1/2", "1/2,1/2", "1,0", "0,1"],
@@ -55,8 +56,7 @@ F_MISSES_A_ROOT = {
                  "positive_roots": ["1/2,-1/2", "1/2,1/2", "1/2,0", "0,1/2"],
                  "h_positive_indices": [3],
                  "lattice_F_shifts": ["0,0", "1/2,1/2"],
-                 "lattice_F1_shifts": ["0,0", "1/2,1/2"]}, "1,1/2", "0,1/2"),
-    "bc1": (dict(BC1_PAIR, lattice_F_shifts=["0"]), "1/2", "1/2")}
+                 "lattice_F1_shifts": ["0,0", "1/2,1/2"]}, "1,1/2", "0,1/2")}
 
 
 def invoke(argv):
@@ -622,16 +622,20 @@ class TestPairCommands:
                        f"a JSON object\n")
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
-    @pytest.mark.parametrize("command", [["spinor"], ["verify", "chi"]],
-                             ids=["spinor", "verify_chi"])
-    def test_pair_file_bc1(self, tmp_path, fmt, command):
-        # BC1 with h = {1}: delta_p^sigma = 1/4 is not integral for Delta_h
+    @pytest.mark.parametrize("command,flags", [
+        (["pair", "show"], []), (["spinor"], []), (["kernel"], ["--mu=1/2"]),
+        (["verify", "euler"], ["--mu=1/2"]), (["verify", "chi"], [])],
+        ids=["pair_show", "spinor", "kernel", "verify_euler", "verify_chi"])
+    def test_pair_file_bc1(self, tmp_path, fmt, command, flags):
+        # a root twice another is refused when the file is loaded, before
+        # any command reads the pair (branch below)
         path = tmp_path / "bc1.json"
         path.write_text(json.dumps(BC1_PAIR), encoding="utf-8")
-        code, out, err = invoke(["--format", fmt, *command, str(path)])
+        code, out, err = invoke(["--format", fmt, *command, str(path),
+                                 *flags])
         assert (code, out) == (2, "")
-        assert err == ("error: 1/4 is not algebraically integral for "
-                       "RootSystem(bc1:h, 1 positive roots)\n")
+        assert err == (f"error: bad pair file {path}: root 1 is twice the "
+                       "root 1/2\n")
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     @pytest.mark.parametrize("command", [
@@ -656,15 +660,14 @@ class TestPairCommands:
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     @pytest.mark.parametrize("nu", ["0", "1"])
     def test_pair_file_bc1_branch_refused(self, tmp_path, fmt, nu):
-        # Freudenthal and Weyl's product need a reduced root system, so a
-        # character of BC1 is an input error, not a failed identity
+        # BC1 is refused on load, so no character of it is ever formed
         path = tmp_path / "bc1.json"
         path.write_text(json.dumps(BC1_PAIR), encoding="utf-8")
         code, out, err = invoke(["--format", fmt, "branch", str(path),
                                  "--nu", nu])
         assert (code, out) == (2, "")
-        assert err == ("error: RootSystem(bc1, 2 positive roots) is not "
-                       "reduced: its root 1 is twice the root 1/2\n")
+        assert err == (f"error: bad pair file {path}: root 1 is twice the "
+                       "root 1/2\n")
 
     def test_pair_file_huge_rank(self, tmp_path):
         # the zero-shift check must not build a weight of this length
@@ -1052,9 +1055,10 @@ PAIR_COMMANDS = [["pair", "show"], ["spinor"], ["kernel"],
 
 @st.composite
 def mutated_pair_file(draw):
-    """The valid so5_so4 file or the G2 file (F not integral) after up to
-    three random mutations."""
-    data = json.loads(json.dumps(draw(st.sampled_from([BASE_PAIR, G2_PAIR]))))
+    """The valid so5_so4 file, the G2 file (F not integral) or the BC1 file
+    (a root twice another) after up to three random mutations."""
+    data = json.loads(json.dumps(draw(st.sampled_from(
+        [BASE_PAIR, G2_PAIR, BC1_PAIR]))))
     for _ in range(draw(st.integers(0, 3))):
         if not isinstance(data, dict):
             break

@@ -206,15 +206,37 @@ class TestDiracKernel:
                 assert act(result.sigma, result.nu + pair.delta) == \
                     lam + pair.delta
 
-    # W1_PAIRS but its last two, b2_half and bc1, which admit no mu:
-    # mu - delta_p in F puts mu off F1
-    @pytest.mark.parametrize("pair", W1_PAIRS[:-2], ids=lambda p: p.name)
+    # W1_PAIRS but its last, b2_half, which admits no mu: mu - delta_p in
+    # F puts mu off F1
+    @pytest.mark.parametrize("pair", W1_PAIRS[:-1], ids=lambda p: p.name)
     def test_casimir_is_the_scalar_of_lambda(self, pair):
         # read on the grid, for every status: <lambda + 2 delta, lambda>
         for lam, mu in admissible_box(pair, 1):
             casimir = dirac_kernel(pair, mu).casimir
             assert type(casimir) is Fraction
             assert casimir == reference_casimir(pair, lam), (pair.name, mu)
+
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
+    def test_strictly_dominant_point_less_delta_in_F_is_dominant(self, pair):
+        # the lemma that makes the kernel's nu dominance test redundant:
+        # for a strictly dominant x = D (nu + delta) with nu in F, <nu +
+        # delta, a^> is a positive integer (F is integral) and <delta, a^>
+        # = 1 for each simple root a (no root is twice another), so <nu,
+        # a^> >= 0.  Over a box of grid points y = D nu about 0; off F the
+        # implication fails somewhere in the box of every pair of rank >= 2
+        g = grid(pair.root_system)
+        reach = 2 * g.scale if pair.rank < 4 else g.scale
+        held = failed_off_F = 0
+        for y in itertools.product(range(-reach, reach + 1),
+                                   repeat=pair.rank):
+            x = tuple(map(add, y, g.delta))
+            if not g.is_dominant(x, strict=True) or g.is_dominant(y):
+                held += g.is_dominant(x, strict=True)
+                continue
+            assert not g.contains(pair.lattice_F, y), (pair.name, y)
+            failed_off_F += 1
+        assert held
+        assert failed_off_F or pair.rank == 1
 
 
 class TestBottIndex:
@@ -590,17 +612,17 @@ class TestLongestWord:
     # w0's reduced word
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_word_gives_the_walked_start(self, pair):
-        # b2_half and bc1 admit no mu (mu - delta_p in F puts mu off F1),
-        # so they check only w0 delta_h = -delta_h
+        # b2_half admits no mu (mu - delta_p in F puts mu off F1), so it
+        # checks only w0 delta_h = -delta_h
         h = grid(pair.h_system, grid(pair.root_system).scale)
         word = dirac._longest_word(h)
-        assert len(word) == len(h.reduced)  # the parity _extract starts at
+        assert len(word) == len(h.positive)  # the parity _extract starts at
         u = h.delta
         for i in word:
             u = h.reflect(u, i)
         assert u == tuple(-c for c in h.delta)
         mus = [mu for _lam, mu in admissible_box(pair, 1)]
-        assert bool(mus) == (pair.name not in ("b2_half", "bc1"))
+        assert bool(mus) == (pair.name != "b2_half")
         for mu in mus:
             u = tuple(map(add, grid(pair.root_system).point(mu), h.delta))
             for i in word:
@@ -766,19 +788,15 @@ class TestOnDemandMultiplicity:
         # pi_nu on the root systems of W1_PAIRS, read at every integral
         # point y of a box around D nu that holds the ball |y| <= |nu|
         # with a step to spare.  nu is 0, the highest root and, up to rank
-        # 3, delta; on BC1 (a root twice another) Freudenthal is exact
-        # only at 0 and 1/4, and raises from 1/2 on.
+        # 3, delta.
         cases = set()
         for rs in dict.fromkeys(pair.root_system for pair in W1_PAIRS):
             g = grid(rs)
             step = g.scale // 2
-            if len(g.reduced) < len(g.positive):
-                tops = [(0,), (1,)]
-            else:
-                highest = max(range(len(g.positive)),
-                              key=lambda k: sum(rs.coefficients[k]))
-                tops = [(0,) * rs.rank, g.positive[highest]]
-                tops += [g.delta] if rs.rank <= 3 else []
+            highest = max(range(len(g.positive)),
+                          key=lambda k: sum(rs.coefficients[k]))
+            tops = [(0,) * rs.rank, g.positive[highest]]
+            tops += [g.delta] if rs.rank <= 3 else []
             for top in tops:
                 radius = sum(c * c for c in top)
                 reach = math.isqrt(radius) + max(map(abs, top)) + 2 * step

@@ -21,14 +21,13 @@ from dirackernel.roots import (Grid, RootSystem, WeylElement, _solve,
                                orbit, root_sums, weyl_group, weyl_order)
 from dirackernel.spin import spinor_counts
 from dirackernel.sympair import builtin_pair, builtin_pair_names
-from reference_roots import (W, act, admissible_box, bc1_pair, compose,
+from reference_roots import (W, act, admissible_box, compose,
                              dominant_representative, group_images,
                              half_c2_pair, identity, inner_product, inverse,
                              is_sublattice, quarter_delta_pair,
                              reference_contains, reference_element,
                              reference_grid_walk, reference_half_sum,
-                             reference_orbit, reference_reduced,
-                             reference_residues, reference_simple_data,
+                             reference_orbit, reference_residues, reference_simple_data,
                              reference_solve, simple_coefficients)
 
 
@@ -85,6 +84,19 @@ class TestBuildClassical:
     def test_rejects_root_outside_half_integers(self):
         with pytest.raises(ValueError, match="outside 1/2 Z"):
             RootSystem(1, [W("1/3")])
+
+    @pytest.mark.parametrize("rank,roots,message", [
+        # BC1, in either order, and BC2: the root system of a compact Lie
+        # algebra has no root twice another, so none is built
+        (1, ["1/2", "1"], "root 1 is twice the root 1/2"),
+        (1, ["1", "1/2"], "root 1 is twice the root 1/2"),
+        (2, ["1,-1", "1,1", "1,0", "0,1", "2,0", "0,2"],
+         "root 2,0 is twice the root 1,0"),
+        (2, ["1/2,1/2", "1,1", "1,-1"], "root 1,1 is twice the root 1/2,1/2"),
+    ])
+    def test_rejects_a_root_twice_another(self, rank, roots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RootSystem(rank, [W(r) for r in roots])
 
     @pytest.mark.parametrize("roots,message,rank", [
         # an angle that is no rational multiple of pi: W would be infinite
@@ -218,16 +230,13 @@ class TestEquality:
                                 == (b.rank, b.positive_roots)), (a, b)
 
 
-# every h_system of the W_1 corpus, then classical and non-reduced
-# systems and one with a torus factor (the third coordinate)
+# every h_system of the W_1 corpus, then classical systems and one with a
+# torus factor (the third coordinate)
 ELIMINATION_SYSTEMS = (
     [pytest.param(p.h_system, id=f"{p.name}:h") for p in W1_PAIRS]
     + [pytest.param(build_classical(family, rank), id=f"{family}{rank}")
        for family in "ABCD" for rank in range(2 if family == "D" else 1, 9)]
-    + [pytest.param(RootSystem(1, [W("1/2"), W("1")]), id="BC1"),
-       pytest.param(RootSystem(2, [W(r) for r in [
-           "1,-1", "1,1", "1,0", "0,1", "2,0", "0,2"]]), id="BC2"),
-       pytest.param(RootSystem(3, [W("1,-1,0"), W("1,1,0"), W("1,0,0"),
+    + [pytest.param(RootSystem(3, [W("1,-1,0"), W("1,1,0"), W("1,0,0"),
                                    W("0,1,0")]), id="B2+torus")])
 
 
@@ -269,10 +278,9 @@ class TestHalfSum:
 
     @pytest.mark.parametrize("pair,marked", [
         pytest.param(p, p in MARKED_PAIRS, id=p.name)
-        for p in MARKED_PAIRS + [quarter_delta_pair(), half_c2_pair(),
-                                 bc1_pair()]])
+        for p in MARKED_PAIRS + [quarter_delta_pair(), half_c2_pair()]])
     def test_grid_data_match_fraction_references(self, pair, marked):
-        # the half-sums, reduced roots and residues Grid derives once
+        # the half-sums and residues Grid derives once
         # against their Fraction references
         rs = pair.root_system
         g = grid(rs)
@@ -289,7 +297,6 @@ class TestHalfSum:
             shift = Weight(c % 1 for c in delta_p)
             assert pair.lattice_F1.coset_shifts == {Weight.zero(rs.rank),
                                                     shift}
-        assert g.reduced == reference_reduced(rs)
         F, F1 = pair.lattice_F, pair.lattice_F1
         for lattice in (F, F1):
             assert set(map(g.weight, g.residues(lattice))) == \
@@ -305,7 +312,7 @@ OFF_GRID_BOX = tuple(Fraction(n, d) for n, d in [
 
 
 class TestGridPrimitives:
-    PAIRS = MARKED_PAIRS + [quarter_delta_pair(), half_c2_pair(), bc1_pair()]
+    PAIRS = MARKED_PAIRS + [quarter_delta_pair(), half_c2_pair()]
 
     @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
                                       for p in PAIRS])
@@ -387,13 +394,14 @@ class TestGridPrimitives:
     @pytest.mark.parametrize("pair", [pytest.param(p, id=p.name)
                                       for p in PAIRS])
     def test_mirrors_reflect_in_every_reduced_root(self, pair):
-        # the simple roots first, then the other reduced roots; each
-        # reflection against s_b(w) = w - (2 <w, b> / <b, b>) b
+        # the simple roots first, then the other positive roots (no root
+        # is twice another, so every one is reduced); each reflection
+        # against s_b(w) = w - (2 <w, b> / <b, b>) b
         rs = pair.root_system
         g = grid(rs)
         simple = len(rs.simple_roots)
         assert g.mirror_index[:simple] == rs.simple_index
-        assert sorted(g.mirror_index) == list(g.reduced)
+        assert sorted(g.mirror_index) == list(range(len(rs.positive_roots)))
         assert g.supports == g.mirrors[:simple]
         weights = [pair.delta] + [
             Weight(c) for c in itertools.product(range(-1, 2),
@@ -421,11 +429,11 @@ class TestGridPrimitives:
 
 
 def reference_denominator(rs: RootSystem, scale: int) -> Fraction:
-    """prod D^2 <delta, alpha> over the reduced positive roots, on
-    ``Fraction`` weights."""
+    """prod D^2 <delta, alpha> over the positive roots, on ``Fraction``
+    weights."""
     result = Fraction(1)
-    for k in reference_reduced(rs):
-        result *= scale ** 2 * inner_product(rs.delta, rs.positive_roots[k])
+    for alpha in rs.positive_roots:
+        result *= scale ** 2 * inner_product(rs.delta, alpha)
     return result
 
 
@@ -434,8 +442,7 @@ class TestWeylDenominator:
                                       for p in W1_PAIRS])
     def test_matches_fraction_product(self, pair):
         # on G's grid and on the subgroup's grid at G's scale; W1_PAIRS
-        # holds the quarter-delta pair (D = 4) and BC1, where the product
-        # runs over the reduced roots only
+        # holds the quarter-delta pair (D = 4)
         g = grid(pair.root_system)
         for rs, space in ((pair.root_system, g),
                           (pair.h_system, grid(pair.h_system, g.scale))):
@@ -476,11 +483,11 @@ class TestWeylDenominator:
 
 
 def dense_root_product(rs: RootSystem, g: Grid, y: tuple) -> int:
-    """prod <y, D alpha> over the reduced positive roots (tested on
-    ``Fraction`` weights), each pairing over every coordinate."""
+    """prod <y, D alpha> over the positive roots, each pairing over every
+    coordinate."""
     product = 1
-    for k in reference_reduced(rs):
-        product *= sum(a * b for a, b in zip(y, g.positive[k]))
+    for alpha in g.positive:
+        product *= sum(a * b for a, b in zip(y, alpha))
     return product
 
 
@@ -500,8 +507,7 @@ class TestWeylProduct:
     # weyl_product reads each pairing over the sparse support of D alpha
     # (Grid.root_product, over the mirrors); against the dense product over
     # the dense weyl_denominator at seeded integral points y = D delta + D t
-    # and y = D t, t integral, which include singular points (0).  BC1's
-    # Grid.reduced skips 2 alpha, and its quotient is not always exact.
+    # and y = D t, t integral, which include singular points (0).
     @pytest.mark.parametrize("name,rs,g", [pytest.param(*case, id=case[0])
                                            for case in product_grids()])
     def test_matches_the_dense_product(self, name, rs, g):
@@ -515,16 +521,10 @@ class TestWeylProduct:
                 assert g.is_integral(y)
                 top = dense_root_product(rs, g, y)
                 assert g.root_product(y) == top
-                if top % bottom:
-                    with pytest.raises(ConsistencyError,
-                                       match="Weyl dimension formula gave"):
-                        weyl_product(rs, g, y)
-                    reads.add("inexact")
-                else:
-                    assert weyl_product(rs, g, y) == top // bottom, (name, y)
-                    reads.add("singular" if not top else "regular")
+                assert top % bottom == 0, (name, y)
+                assert weyl_product(rs, g, y) == top // bottom, (name, y)
+                reads.add("singular" if not top else "regular")
         assert reads >= {"singular", "regular"} or not g.positive
-        assert ("inexact" in reads) == (name == "bc1")
 
 
 class TestGridCache:
@@ -645,14 +645,6 @@ class TestWeylOrder:
     def test_classical(self, family, rank):
         rs = build_classical(family, rank)
         assert weyl_order(rs) == orbit_order(rs)
-
-    @pytest.mark.parametrize("roots,order", [
-        (["1/2", "1"], 2),  # BC1: 1 is twice the root 1/2
-        (["1,-1", "1,1", "1,0", "0,1", "2,0", "0,2"], 8),  # BC2
-    ])
-    def test_non_reduced(self, roots, order):
-        rs = RootSystem(len(W(roots[0])), [W(r) for r in roots])
-        assert weyl_order(rs) == orbit_order(rs) == order
 
     def test_no_roots(self):
         rs = RootSystem(3, [])
@@ -780,7 +772,7 @@ class TestGridWalk:
         # D delta reflected along their steps), of _longest_word (-D
         # delta_h) and of straightening: x + D delta_h for the points x of
         # chi^+- on the subgroup's grid and x + D delta for the points x of
-        # a box on G's grid, where integral (bc1's chi^+- is not)
+        # a box on G's grid, where integral
         g = grid(pair.root_system)
         h = grid(pair.h_system, g.scale)
         inputs = [(h, tuple(-c for c in h.delta))]
@@ -809,7 +801,7 @@ class TestGridWalk:
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_multiplicity_reads(self, pair, monkeypatch):
         # every point the oracle's extraction reads on demand, over the
-        # admissible mu of a box; b2_half and bc1 admit none
+        # admissible mu of a box; b2_half admits none
         reads = []
         read = dirac._multiplicity
 
@@ -820,7 +812,7 @@ class TestGridWalk:
         monkeypatch.setattr(dirac, "_multiplicity", recorded)
         for _lam, mu in admissible_box(pair, 2 if pair.rank < 4 else 1):
             assert dirac.euler_verify(pair, mu).passed, mu
-        assert bool(reads) == (pair.name not in ("b2_half", "bc1"))
+        assert bool(reads) == (pair.name != "b2_half")
         steps = 0
         for g, y in reads:
             walked = g.walk(y)
@@ -916,7 +908,7 @@ class TestWeylElement:
     @pytest.mark.parametrize("rs", [
         build_classical("B", 3), build_classical("A", 3),
         build_classical("D", 4), half_c2_pair().root_system,
-        bc1_pair().root_system], ids=lambda rs: repr(rs))
+        RootSystem(1, [W("1/2")])], ids=lambda rs: repr(rs))
     def test_from_word_replays_as_the_fraction_reference(self, rs):
         # every word of length up to 3, reduced or not: the image replayed
         # on the grid is the one replayed on Fraction weights

@@ -8,7 +8,7 @@ import dirackernel.spin as spin
 from clifford_model import (_m_identity, _m_mul, build_clifford,
                             pair_operators, simultaneous_spin_weights)
 from corpus import W1_PAIRS, corpus_pair
-from dirackernel.errors import ConsistencyError, NonDominantError
+from dirackernel.errors import ConsistencyError
 from dirackernel.lattice import Weight
 from dirackernel.roots import grid
 from dirackernel.spin import (chi_decompose, chi_disjointness_check,
@@ -18,7 +18,7 @@ from dirackernel.sympair import builtin_pair, builtin_pair_names
 from reference_characters import (FormalCharacter, binomial_reference,
                                   irreducible_character, peel,
                                   side_character)
-from reference_roots import W, bc1_pair
+from reference_roots import W
 
 
 def as_weights(pair, points: dict) -> dict:
@@ -241,21 +241,16 @@ class TestMergePath:
         assert sorted(counts.values()) == [1] * 6 + [2]
 
 
-# every W_1 pair but BC1, whose delta_p^sigma = 1/4 is not integral for
-# Delta_h (pinned in TestBC1)
-CHI_PAIRS = [p for p in W1_PAIRS if p.name != "bc1"]
-
-
 class TestGridAgainstReference:
     """The grid chi code against the ``Weight``-keyed reference."""
 
-    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_split_matches_peel(self, pair):
         plus, minus = chi_decompose(pair)
         for side, mapping in ((1, plus), (-1, minus)):
             assert peel(side_character(pair, side), pair.h_system) == mapping
 
-    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_counts_are_the_rows(self, pair):
         rows = spinor_weights(pair).entries
         assert len(rows) == 2 ** pair.m
@@ -263,12 +258,12 @@ class TestGridAgainstReference:
             assert counted(pair, side) == Counter(
                 e.weight for e in rows if e.parity == side)
 
-    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_trace_difference_is_the_binomial_product(self, pair):
         assert as_weights(pair, chi_trace_difference(pair)) == \
             binomial_reference(pair).terms
 
-    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_flipped_row_parity_raises(self, pair, monkeypatch):
         # one row of E+ moved to E- at the same weight
         chi_trace_difference(pair)
@@ -280,7 +275,7 @@ class TestGridAgainstReference:
         with pytest.raises(ConsistencyError, match="trace difference"):
             chi_trace_difference(pair)
 
-    @pytest.mark.parametrize("pair", CHI_PAIRS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_dropped_sigma_raises(self, pair, monkeypatch):
         for k in range(len(pair.w1)):
             kept = pair.w1[:k] + pair.w1[k + 1:]
@@ -291,12 +286,3 @@ class TestGridAgainstReference:
                                    match=f"chi\\^\\{side} does not"):
                     chi_decompose(pair)
         chi_decompose(pair)
-
-
-class TestBC1:
-    def test_chi_decompose_refuses_a_quarter(self):
-        with pytest.raises(NonDominantError) as raised:
-            chi_decompose(bc1_pair())
-        assert str(raised.value) == (
-            "1/4 is not algebraically integral for "
-            "RootSystem(bc1:h, 1 positive roots)")

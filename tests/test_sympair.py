@@ -32,7 +32,7 @@ from dirackernel.sympair import (PAIR_CHECKS, SymmetricPair,
                                  _check_torus_lattice, marked_node_pair,
                                  validate_pair, w1_enumerate)
 from reference_oracle import checked_euler
-from reference_roots import (W, act, admissible_box, bc1_pair, deltas,
+from reference_roots import (W, act, admissible_box, deltas,
                              half_c2_pair, integers_and_half_integers,
                              listed_group, quarter_delta_pair,
                              reference_contains, reference_is_integral,
@@ -179,9 +179,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("make,F,root", [
         (half_c2_pair, LatticeSpec.integers(2), "1/2,-1/2"),
-        (quarter_delta_pair, integers_and_half_integers(2), "0,1/2"),
-        (bc1_pair, LatticeSpec.integers(1), "1/2")],
-        ids=["c2_half", "b2_half", "bc1"])
+        (quarter_delta_pair, integers_and_half_integers(2), "0,1/2")],
+        ids=["c2_half", "b2_half"])
     def test_F_must_hold_the_roots(self, make, F, root):
         # each test pair on an F that is an integral W-stable group but
         # misses a root: nu = w(lambda + delta) - delta differs from lambda
@@ -199,14 +198,14 @@ class TestValidate:
         # rule accepts F exactly when it is integral, a group and holds
         # each simple root, and every F it accepts is W-stable (the
         # reference scan); the integral W-stable groups it refuses all
-        # miss a root of a system scaled by 1/2 or of BC1
+        # miss a root of a system scaled by 1/2
         half = Fraction(1, 2)
         systems = {name: build_classical(name[0], int(name[1]))
                    for name in ("A1", "A2", "B1", "B2", "B3", "C2", "C3",
                                 "D3")}
         systems["A1xA1"] = RootSystem(2, [W("1,0"), W("0,1")])
         systems["A1xA1_half"] = RootSystem(2, [W("1/2,0"), W("0,1/2")])
-        for make in (half_c2_pair, quarter_delta_pair, bc1_pair):
+        for make in (half_c2_pair, quarter_delta_pair):
             pair = make()
             systems[pair.name] = pair.root_system
         refused_stable = set()
@@ -233,7 +232,7 @@ class TestValidate:
                 assert stable or not accepted, case
                 if integral_group and stable and not accepted:
                     refused_stable.add(name)
-        assert refused_stable == {"A1xA1_half", "c2_half", "b2_half", "bc1"}
+        assert refused_stable == {"A1xA1_half", "c2_half", "b2_half"}
 
     def test_F_must_be_a_group(self):
         # A1 x A1: both half-shifts are integral and W-stable, their sum

@@ -24,17 +24,19 @@ collapses to the predicted signed irreducible (or to zero), and that its
 signed dimension is Bott's index, read from its own D (mu + delta_h).  The
 extraction (``_extract``) sums the weight multiplicities of pi_nu over the
 W_H-images of D (mu + delta_h), shifted by the components of the half-spin
-character of its side (``spin.chi_components``, cached per pair and
-side): a pruned search from w0 D (mu + delta_h) (w0 read as one integer
-map per subgroup grid, ``_longest_map``) visits only the images that land
-in the ball |y| <= |nu| holding every weight of pi_nu, and each is read on
-demand (``_multiplicity``).
+character of its side (``spin.chi_components``): a pruned search from w0 D
+(mu + delta_h) (w0 read as one integer map) visits only the images that
+land in the ball |y| <= |nu| holding every weight of pi_nu, and each is
+read on demand (``_multiplicity``).
 
 The oracle runs on int tuples D w on the grid of ``roots.grid`` end to
 end; ``Weight`` appears only at its inputs and in its report.  What it
-reads of a pair, a subgroup grid or a sphere is made once and cached, so
-an op makes only its own mu's reads.  It keeps nothing of the size of W_H,
-and never reads W_1.
+reads once is cached in one entry per key, so an op makes only its own
+mu's reads: per pair, the subgroup's grid, (-1)^m, w0's map and both
+sides' components (``_oracle``); per grid, the elimination over the simple
+roots and the shell's coordinate floors (``_simple_coordinates``); per
+sphere, the shell's rows (``_sphere``).  It keeps nothing of the size of
+W_H, and never reads W_1.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
+from types import MappingProxyType
 
 from .characters import grid_dim, grid_table, weyl_product
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
@@ -108,17 +111,6 @@ def chi_casimir_check(pair: SymmetricPair) -> Fraction:
     return c
 
 
-def _require_admissible(pair: SymmetricPair, mu: Weight) -> tuple:
-    """D mu on G's grid, as the admissibility check read it; an
-    inadmissible mu raises AdmissibilityError naming every failed clause."""
-    failures, x = _admissibility(pair, mu)
-    if failures:
-        raise AdmissibilityError(
-            f"mu={mu} is not admissible for {pair.name}: "
-            + "; ".join(failures))
-    return x
-
-
 def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     """Classify the kernel of the Dirac operator twisted by mu.
 
@@ -145,7 +137,11 @@ def dirac_kernel(pair: SymmetricPair, mu: Weight) -> KernelResult:
     """
     if type(mu) is not Weight:  # a Weight is used as it is, not rebuilt
         mu = Weight(mu)
-    x = _require_admissible(pair, mu)
+    failures, x = _admissibility(pair, mu)
+    if failures:
+        raise AdmissibilityError(
+            f"mu={mu} is not admissible for {pair.name}: "
+            + "; ".join(failures))
     rs = pair.root_system
     g = grid(rs)
     shifted = tuple(map(add, x, grid(pair.h_system, g.scale).delta))
@@ -216,13 +212,6 @@ def _squares_summing_to(offsets: tuple, step: int, total: int,
                 yield prefix + (x,)
 
 
-def _shell_rows(pair: SymmetricPair, g: Grid, lam: tuple) -> tuple:
-    """The rows of the Casimir shell of lam = D lambda on g =
-    grid(pair.root_system) (``_sphere``)."""
-    return _sphere(g, pair.lattice_F,
-                   sum((a + d) ** 2 for a, d in zip(lam, g.delta)))
-
-
 @lru_cache(maxsize=None)
 def _sphere(g: Grid, lattice: LatticeSpec, total: int) -> tuple:
     """A row (D nu, dim pi_nu, nu) per point D nu of ``_sphere_points``,
@@ -247,14 +236,15 @@ def _sphere_points(g: Grid, lattice: LatticeSpec, total: int) -> list:
     what remains and the bounds of the a whose support it completes, so
     every end point is dominant (else ConsistencyError).  Where e_k is a
     nonnegative combination of the simple roots, nu_k = <nu, e_k> >= 0 for
-    dominant nu, so x_k starts at (D delta)_k (``_coordinate_floors``).
+    dominant nu, so x_k starts at (D delta)_k (the floors of
+    ``_simple_coordinates``).
     """
     delta = g.delta
     checks = [[] for _ in delta]
     for support, _ in g.supports:
         checks[support[-1][0]].append(
             (support, sum(delta[k] * c for k, c in support)))
-    floors = _coordinate_floors(g)
+    floors = _simple_coordinates(g)[3]
     found = []
     for residue in g.residues(lattice):
         offsets = tuple(map(add, residue, delta))
@@ -270,14 +260,19 @@ def _sphere_points(g: Grid, lattice: LatticeSpec, total: int) -> list:
 
 @lru_cache(maxsize=None)
 def _simple_coordinates(g: Grid) -> tuple:
-    """(d, coefficients, span) for g's simple roots: the coordinates of an
-    int vector v in their span are numerators over d > 0 of the linear
-    forms ``coefficients``, one per simple root, and v is in the span
-    exactly when each form of ``span`` vanishes on it (A family, torus
+    """(d, coefficients, span, floors) for g's simple roots: the coordinates
+    of an int vector v in their span are numerators over d > 0 of the
+    linear forms ``coefficients``, one per simple root, and v is in the
+    span exactly when each form of ``span`` vanishes on it (A family, torus
     factors); each form is the nonzero (k, c) of its row.  One elimination
     (``roots._solve``) of the unit vectors over the simple roots followed
     by the unit vectors, whose coordinates on the independent units are
-    ``span``; cached per grid."""
+    ``span``; cached per grid.  Per coordinate k, ``floors`` holds the least
+    x_k = D (nu + delta)_k over dominant nu: (D delta)_k where e_k is a
+    nonnegative combination of the simple roots (no form of ``span`` reads
+    it, and no coefficient reads it negatively), since <nu, a> >= 0 for
+    each, else None.  That is every coordinate of B and C, all but the last
+    of D, and none of A or of a torus factor, which lie outside the span."""
     rank = g.rs.rank
     simple = [g.positive[k] for k in g.rs.simple_index]
     units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
@@ -287,23 +282,13 @@ def _simple_coordinates(g: Grid) -> tuple:
     n = len(simple)
     forms = [tuple((k, row[j]) for k, row in enumerate(solved) if row[j])
              for j in range(n + rank)]
-    return d, tuple(forms[:n]), tuple(form for form in forms[n:] if form)
-
-
-@lru_cache(maxsize=None)
-def _coordinate_floors(g: Grid) -> tuple:
-    """Per coordinate k, the least x_k = D (nu + delta)_k over dominant nu:
-    (D delta)_k where e_k is a nonnegative combination of the simple roots
-    (no form of ``_simple_coordinates``' span reads it, and none of its
-    coefficients reads it negatively), since <nu, a> >= 0 for each, else
-    None.  That is every coordinate of B and C, all but the last of D, and
-    none of A or of a torus factor, which lie outside the span.  Cached per
-    grid."""
-    _, coefficients, span = _simple_coordinates(g)
-    return tuple(
+    coefficients = tuple(forms[:n])
+    span = tuple(form for form in forms[n:] if form)
+    floors = tuple(
         None if any(j == k for form in span for j, _ in form)
         or any(j == k and c < 0 for form in coefficients for j, c in form)
         else least for k, least in enumerate(g.delta))
+    return d, coefficients, span, floors
 
 
 def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
@@ -321,7 +306,7 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     dominant = g.walk(y)[1]
     if not gap:
         return int(dominant == top)
-    d, coefficients, span = _simple_coordinates(g)
+    d, coefficients, span, _ = _simple_coordinates(g)
     v = tuple(map(sub, top, dominant))
     for form in span:
         dot = 0
@@ -339,44 +324,45 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _longest_word(h: Grid) -> tuple:
-    """A reduced word of w0, the longest element of the Weyl group of h:
-    the steps of the walk (``Grid.walk``) of -D delta_h to D delta_h,
-    as w0 is the one element that sends -delta_h to delta_h.  Its length
-    is the number of positive roots; cached per grid."""
-    return h.walk(tuple(-c for c in h.delta))[0]
-
-
-@lru_cache(maxsize=None)
-def _longest_map(h: Grid) -> tuple:
-    """w0 on h's grid as one exact integer map (d, rows): w0 x = (<row, x>
-    / d for each row), each row the nonzero (k, c) of one coordinate's
-    numerators over d > 0.  Built once per grid by reflecting each unit
-    vector along w0's reduced word (``_longest_word``), as numerators over
-    a denominator kept in lowest terms; for a system with no roots it is
-    the identity."""
+def _oracle(pair: SymmetricPair) -> tuple:
+    """What the oracle reads of pair on every call, once per pair: (h,
+    parity, longest, chi).  h is the subgroup's grid at G's scale and parity
+    (-1)^m.  longest is w0, the longest element of the Weyl group of h, as
+    one exact integer map (d, rows): w0 x = (<row, x> / d for each row),
+    each row the nonzero (k, c) of one coordinate's numerators over d > 0.
+    w0 is the one element that sends -delta_h to delta_h, so the steps of
+    the walk (``Grid.walk``) of -D delta_h are a reduced word of it; each
+    d e_k, d the least common multiple of the |D a|^2 over h's simple roots
+    a, is reflected along them (``Grid.reflect``, every pairing an
+    integer), and one common factor of d and every numerator is divided
+    out.  For a system with no roots it is the identity.  chi maps, read
+    only, each side s to the components (p, n) of chi^s
+    (``spin.chi_components``) as ``_extract`` reads them: (p, |p|^2, n)."""
+    h = grid(pair.h_system, grid(pair.root_system).scale)
     rank = h.rs.rank
-    columns = []  # w0 e_k as (numerators, denominator)
+    word = h.walk(tuple(-c for c in h.delta))[0]
+    d = math.lcm(*(norm for _, norm in h.supports))
+    columns = []  # d w0 e_k
     for k in range(rank):
-        v, d = [int(j == k) for j in range(rank)], 1
-        for i in _longest_word(h):
-            support, norm = h.supports[i]
-            twice = 2 * sum(v[j] * c for j, c in support)
-            v = [a * norm for a in v]
-            for j, c in support:
-                v[j] -= twice * c
-            common = math.gcd(d * norm, *v)
-            v, d = [a // common for a in v], d * norm // common
-        columns.append((v, d))
-    d = math.lcm(*(e for _, e in columns))
-    return d, tuple(
-        tuple((k, v[j] * (d // e)) for k, (v, e) in enumerate(columns) if v[j])
+        v = tuple(d * (j == k) for j in range(rank))
+        for i in word:
+            v = h.reflect(v, i)
+        columns.append(v)
+    common = math.gcd(d, *(c for v in columns for c in v))
+    longest = d // common, tuple(
+        tuple((k, v[j] // common) for k, v in enumerate(columns) if v[j])
         for j in range(rank))
+    chi = MappingProxyType({
+        side: tuple((p, sum(map(mul, p, p)), n)
+                    for p, n in chi_components(pair, side))
+        for side in (1, -1)})
+    return h, (-1) ** pair.m, longest, chi
 
 
 def _longest_image(h: Grid, longest: tuple, x: tuple) -> tuple:
-    """w0 x for x on h's grid, read from ``longest`` = ``_longest_map(h)``;
-    an image off the grid (a remainder) raises ConsistencyError."""
+    """w0 x for x on h's grid, read from ``longest``, w0's map of
+    ``_oracle``; an image off the grid (a remainder) raises
+    ConsistencyError."""
     d, rows = longest
     image = []
     for row in rows:
@@ -414,19 +400,18 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
     lowers <p, u> (p is dominant), and such steps reach every u from w0 z.
     So a breadth-first search along them from w0 z, pruned where the bound
     fails, visits exactly the images that can read nonzero, at parity l(w0)
-    = |Delta_h^+| (the length of w0's word, ``_longest_word``) less the
-    level.  Each image pairs with each simple root of Delta_h once,
-    inline, and a negative pairing reflects it by that same pairing, which
-    must be an integer (else ConsistencyError, ``Grid.coroot_pairing``'s
-    message), as ``Grid.walk`` does.  The first level's sign (-1)^l(w0)
-    cancels the sum's (-1)^|Delta_h^+|.  Each component's |p|^2 is read
-    once per pair and side (``_chi_reads``), and h once per pair
-    (``_subgroup``).
+    = |Delta_h^+| (the length of w0's word) less the level.  Each image
+    pairs with each simple root of Delta_h once, inline, and a negative
+    pairing reflects it by that same pairing, which must be an integer
+    (else ConsistencyError, ``Grid.coroot_pairing``'s message), as
+    ``Grid.walk`` does.  The first level's sign (-1)^l(w0) cancels the
+    sum's (-1)^|Delta_h^+|.  h and each component's |p|^2 are read once per
+    pair (``_oracle``).
     """
-    h = _subgroup(pair)[0]
+    h, _, _, chi = _oracle(pair)
     room = sum(map(mul, top, top)) - sum(map(mul, start, start))
     total = 0
-    for p, square, sign in _chi_reads(pair, side):
+    for p, square, sign in chi[side]:
         bound = room - square  # on 2 <p, u>
         level = [start] if 2 * sum(map(mul, p, start)) <= bound else []
         while level:
@@ -450,22 +435,6 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
                         up.add(y)
             level, sign = up, -sign
     return total
-
-
-@lru_cache(maxsize=None)
-def _subgroup(pair: SymmetricPair) -> tuple:
-    """What the oracle reads of pair's subgroup on every call, once per
-    pair: its grid h at G's scale, (-1)^m and w0 on h (``_longest_map``)."""
-    h = grid(pair.h_system, grid(pair.root_system).scale)
-    return h, (-1) ** pair.m, _longest_map(h)
-
-
-@lru_cache(maxsize=None)
-def _chi_reads(pair: SymmetricPair, side: int) -> tuple:
-    """The components (p, n) of chi^side (``spin.chi_components``) as
-    ``_extract`` reads them, once per pair and side: (p, |p|^2, n)."""
-    return tuple((p, sum(map(mul, p, p)), n)
-                 for p, n in chi_components(pair, side))
 
 
 ShellRow = namedtuple("ShellRow", "nu dimension mult_plus mult_minus")
@@ -499,13 +468,13 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     once here, as the oracle takes nothing but the classification from
     the theorem path.  The shell members, dominant points of F, need no
     checks; each comes with its dimension and its ``Weight``, made once per
-    sphere (``_sphere``).  The extraction's start w0 z, z = D (mu +
-    delta_h), is read from w0's integer map on the subgroup's grid
-    (``_longest_image``); that grid, (-1)^m and the map are read once per
-    pair (``_subgroup``).  The signed sum is collected over the shell's
-    sorted grid points, so it is in the order of their ``Weight``s; it is
-    compared with the classification's as tuples of ``Weight``s, and no
-    ``Fraction`` is hashed.
+    sphere (``_sphere``), on the sphere |D (lambda + delta)|^2 = |z|^2, z
+    = D (mu + delta_h).  The extraction's start w0 z is read from w0's
+    integer map on the subgroup's grid (``_longest_image``); that grid,
+    (-1)^m and the map are read once per pair (``_oracle``).  The signed
+    sum is collected over the shell's sorted grid points, so it is in the
+    order of their ``Weight``s; it is compared with the classification's
+    as tuples of ``Weight``s, and no ``Fraction`` is hashed.
     """
     if type(mu) is not Weight:  # a Weight is used as it is, not rebuilt
         mu = Weight(mu)
@@ -513,7 +482,7 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     g = grid(pair.root_system)
     x = g.point(mu)
     lam = tuple(map(sub, x, pair.delta_p_point))
-    h, parity, longest = _subgroup(pair)
+    h, parity, longest, _ = _oracle(pair)
     z = tuple(map(add, x, h.delta))
     index = parity * weyl_product(pair.root_system, g, z)
     start = _longest_image(h, longest, z)
@@ -521,7 +490,8 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     failures = []
     signed = []  # (nu, m+ - m-) where nonzero, in shell order
     signed_dimension = 0
-    for point, dimension, nu in _shell_rows(pair, g, lam):
+    for point, dimension, nu in _sphere(g, pair.lattice_F,
+                                        sum(map(mul, z, z))):
         m_plus = _extract(pair, g, point, start, +1)
         m_minus = _extract(pair, g, point, start, -1)
         rows.append(ShellRow(nu, dimension, m_plus, m_minus))

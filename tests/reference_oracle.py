@@ -22,8 +22,8 @@ from typing import Mapping
 
 from dirackernel.characters import weight_table, weyl_dim
 from dirackernel.dirac import (KernelStatus, _extract, _multiplicity,
-                               _shell_rows, casimir_eigenvalue,
-                               dirac_kernel, euler_verify)
+                               _sphere, casimir_eigenvalue, dirac_kernel,
+                               euler_verify)
 from dirackernel.lattice import Weight
 from dirackernel.roots import grid
 from dirackernel.spin import chi_components, spinor_counts
@@ -135,12 +135,20 @@ def table_multiplicity(pair, nu, mu, side: int) -> int:
                for k, c in binomial_kernel(pair, s).items())
 
 
+def shell_rows(pair, g, lam) -> tuple:
+    """The library's rows (D nu, dim pi_nu, nu) of the Casimir shell of lam
+    = D lambda on g = grid(pair.root_system): ``dirac._sphere`` at |D
+    (lambda + delta)|^2."""
+    return _sphere(g, pair.lattice_F,
+                   sum((a + d) ** 2 for a, d in zip(lam, g.delta)))
+
+
 def casimir_shell(pair, lam) -> list:
     """The dominant points nu of F with the Casimir scalar of lambda, for
     lambda in F, sorted."""
     g = grid(pair.root_system)
     return [nu for _point, _dimension, nu
-            in _shell_rows(pair, g, g.point(Weight(lam)))]
+            in shell_rows(pair, g, g.point(Weight(lam)))]
 
 
 def brute_force_shell(pair, lam, scale=Fraction(1)) -> list:

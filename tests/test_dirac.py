@@ -28,7 +28,8 @@ from reference_oracle import (brute_force_shell, casimir_shell,
                               binomial_kernel, integer_brute_force_shell,
                               kernel_multiplicity, kernel_weights,
                               reference_casimir, reference_kernel,
-                              reference_multiplicity, table_multiplicity)
+                              reference_multiplicity, shell_rows,
+                              table_multiplicity)
 from reference_roots import (W, act, admissible_box, dominant_representative,
                              half_c2_pair, inner_product, quarter_delta_pair,
                              reference_contains, reference_grid_walk,
@@ -308,7 +309,7 @@ class TestBottIndex:
 def shell_points(pair, g, lam) -> tuple:
     """The D nu of the shell rows of lam = D lambda, in shell order."""
     return tuple(point for point, _dimension, _nu in
-                 dirac._shell_rows(pair, g, lam))
+                 shell_rows(pair, g, lam))
 
 
 class TestCasimirShell:
@@ -364,8 +365,10 @@ class TestCasimirShell:
         totals = range(least, least + 24 * g.scale ** 2)
         floored = {t: dirac._sphere_points(g, pair.lattice_F, t)
                    for t in totals}
-        monkeypatch.setattr(dirac, "_coordinate_floors",
-                            lambda g: (None,) * g.rs.rank)
+        coordinates = dirac._simple_coordinates
+        monkeypatch.setattr(
+            dirac, "_simple_coordinates",
+            lambda g: coordinates(g)[:3] + ((None,) * g.rs.rank,))
         for t in totals:
             assert dirac._sphere_points(g, pair.lattice_F, t) == floored[t], t
         assert sum(map(bool, floored.values())) > 2
@@ -385,7 +388,7 @@ class TestCasimirShell:
         # every coordinate of B and C, all but the last of D, none of A or
         # of a torus factor; each floor is (D delta)_k
         g = grid(rs)
-        assert dirac._coordinate_floors(g) == tuple(
+        assert dirac._simple_coordinates(g)[3] == tuple(
             c if k in floored else None for k, c in enumerate(g.delta))
 
     def test_a_point_that_is_not_dominant_raises(self, monkeypatch):
@@ -399,7 +402,7 @@ class TestCasimirShell:
         dirac._sphere.cache_clear()
         with pytest.raises(ConsistencyError,
                            match="shell point -3,-1 is not dominant"):
-            dirac._shell_rows(pair, g, (0, 0))
+            shell_rows(pair, g, (0, 0))
         dirac._sphere.cache_clear()
 
     def test_equal_norms_share_one_tuple(self):
@@ -407,11 +410,11 @@ class TestCasimirShell:
         pair = builtin_pair("so5_so4")
         g = grid(pair.root_system)
         dirac._sphere.cache_clear()
-        first = dirac._shell_rows(pair, g, g.point(W("2,1")))
+        first = shell_rows(pair, g, g.point(W("2,1")))
         assert first == ((g.point(W("2,1")), 35, W("2,1")),)
         for other in ("2,-2", "0,3"):
-            assert dirac._shell_rows(pair, g, g.point(W(other))) is first
-        assert dirac._shell_rows(pair, g, g.point(W("1,1"))) is not first
+            assert shell_rows(pair, g, g.point(W(other))) is first
+        assert shell_rows(pair, g, g.point(W("1,1"))) is not first
 
     def test_pairs_with_equal_F_share_a_sphere(self):
         # so5_so4 and so5_so2xso3 build their Fs apart; the one cache entry
@@ -422,8 +425,8 @@ class TestCasimirShell:
         assert grid(second.root_system) is g
         lam = g.point(W("2,1"))
         dirac._sphere.cache_clear()
-        rows = dirac._shell_rows(first, g, lam)
-        assert dirac._shell_rows(second, g, lam) is rows
+        rows = shell_rows(first, g, lam)
+        assert shell_rows(second, g, lam) is rows
         info = dirac._sphere.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert rows == ((lam, 35, W("2,1")),)
@@ -606,16 +609,22 @@ def walked_start(pair: SymmetricPair, mu: Weight) -> tuple:
     return tuple(-c for c in reference_grid_walk(h, tuple(-c for c in z))[1])
 
 
+def longest_word(h: Grid) -> tuple:
+    """w0's reduced word as the oracle reads it: the steps of the walk of
+    -D delta_h."""
+    return h.walk(tuple(-c for c in h.delta))[0]
+
+
 class TestLongestWord:
     # euler_verify starts the extraction's search at w0 z, z = D (mu +
-    # delta_h), by w0's integer map, built once per subgroup grid from
-    # w0's reduced word
+    # delta_h), by w0's integer map, built once per pair from w0's reduced
+    # word, the steps of the walk of -D delta_h
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_word_gives_the_walked_start(self, pair):
         # b2_half admits no mu (mu - delta_p in F puts mu off F1), so it
         # checks only w0 delta_h = -delta_h
         h = grid(pair.h_system, grid(pair.root_system).scale)
-        word = dirac._longest_word(h)
+        word = longest_word(h)
         assert len(word) == len(h.positive)  # the parity _extract starts at
         u = h.delta
         for i in word:
@@ -654,18 +663,24 @@ class TestLongestWord:
 
 class TestLongestMap:
     # w0 on the subgroup grid as one integer map (numerators over one
-    # denominator), built once per grid from _longest_word
+    # denominator), built once per pair (_oracle) from w0's reduced word
     @pytest.mark.parametrize(
-        "pair", W1_PAIRS + [corpus_pair("D", 6, 5)], ids=lambda p: p.name)
-    def test_map_is_the_reflected_word(self, pair):
+        "pair", W1_PAIRS + [corpus_pair(*node) for node in [
+            ("D", 6, 5), ("D", 7, 6), ("D", 7, 3), ("C", 6, 5)]],
+        ids=lambda p: p.name)
+    def test_map_is_the_reflected_word(self, pair, monkeypatch):
         # every subgroup grid of the corpus, so5_so2xso3 (A1 and a torus
-        # direction), so3_so2 (no roots) and D6:5 (A5 and a torus
-        # direction, where w0 is not -1): on a box of strictly
+        # direction), so3_so2 (no roots), and at ranks 6 and 7, where w0 is
+        # not -1: D6:5, C6:5 and D7:6 (A5, A5, A6, each with a torus
+        # direction) and D7:3 (D4 + A3).  On a box of strictly
         # Delta_h-dominant, integral grid points around D delta_h, the map
-        # equals reflecting along w0's word
+        # equals reflecting along w0's word.  The map reads no half-spin
+        # component, so those are stubbed (D7:3's take seconds) and the
+        # pair's reads are built past their cache
+        monkeypatch.setattr(dirac, "chi_components", lambda pair, side: ())
         h = grid(pair.h_system, grid(pair.root_system).scale)
-        word = dirac._longest_word(h)
-        longest = dirac._longest_map(h)
+        word = longest_word(h)
+        longest = dirac._oracle.__wrapped__(pair)[2]
         box = range(-2, 3) if pair.rank <= 4 else range(-1, 2)
         checked = []
         for t in itertools.product(box, repeat=pair.rank):
@@ -684,15 +699,23 @@ class TestLongestMap:
 
     def test_subgroup_reads_the_map(self):
         pair = builtin_pair("so9_so8")
-        h, parity, longest = dirac._subgroup(pair)
-        assert (parity, longest) == (1, dirac._longest_map(h))
-        assert longest == (1, tuple(((k, -1),) for k in range(4)))
+        h, parity, longest, _ = dirac._oracle(pair)
+        assert h is grid(pair.h_system, grid(pair.root_system).scale)
+        assert (parity, longest) == (1, (1, tuple(((k, -1),)
+                                                  for k in range(4))))
 
     def test_an_image_off_the_grid_raises(self):
         # a single root 1,2: w0 = s_(1,2) is (1/5) [[3, -4], [-4, -3]], so
-        # 1,0 goes to 3/5,-4/5, off the grid 1/2 Z, and 1,2 to -1,-2
-        h = grid(RootSystem(2, [W("1,2")]))
-        longest = dirac._longest_map(h)
+        # 1,0 goes to 3/5,-4/5, off the grid 1/2 Z, and 1,2 to -1,-2.  No
+        # valid pair has that subgroup (F = Z^2 holds 1,0, which pairs to
+        # 2/5 with the coroot), so the pair h = G is built unvalidated
+        rs = RootSystem(2, [W("1,2")])
+        pair = SymmetricPair.__new__(SymmetricPair)
+        pair.root_system, pair.h_positive = rs, rs.positive_roots
+        pair.h_index, pair.name = frozenset({0}), "single_root"
+        pair.lattice_F = pair.lattice_F1 = LatticeSpec(2, [W("0,0")])
+        h, _, longest, _ = dirac._oracle(pair)
+        assert h is grid(rs)
         assert longest == (5, (((0, 3), (1, -4)), ((0, -4), (1, -3))))
         assert dirac._longest_image(h, longest, (2, 4)) == (-2, -4)
         with pytest.raises(ConsistencyError) as raised:
@@ -822,7 +845,7 @@ class TestOnDemandMultiplicity:
         # gives, outside the span (A family) included
         g = grid(pair.root_system)
         simple = [g.positive[k] for k in pair.root_system.simple_index]
-        d, coefficients, span = dirac._simple_coordinates(g)
+        d, coefficients, span, _ = dirac._simple_coordinates(g)
         assert d > 0 and len(coefficients) == len(simple)
         rng = random.Random(pair.name)
         vectors = [tuple(rng.randint(-6, 6) for _ in range(pair.rank))
@@ -1001,6 +1024,31 @@ class TestEulerVerify:
             dirac.euler_verify(pair, mu)
         assert [dirac.euler_verify(pair, mu) for pair, mu in ops] == cold
         assert all(report.passed for report in cold)
+
+    def test_each_key_is_built_once(self):
+        # on the oracle sample from cleared caches: the per-pair reads once
+        # per pair, the elimination once per G grid, the shell once per
+        # sphere |lambda + delta|^2, and a second pass builds nothing
+        ops = [(builtin_pair(name), lam, mu)
+               for name, box in ORACLE_SAMPLE_BOXES.items()
+               for lam, mu in admissible_box(builtin_pair(name), box)]
+        keys = {"_oracle": {pair for pair, _, _ in ops},
+                "_simple_coordinates": {pair.root_system
+                                        for pair, _, _ in ops},
+                "_sphere": {(pair.root_system, pair.lattice_F,
+                             inner_product(lam + pair.delta,
+                                           lam + pair.delta))
+                            for pair, lam, _ in ops}}
+        assert (len(ops), [len(keys[name]) for name in keys]) == \
+            (103, [5, 4, 34])
+        caches = [getattr(dirac, name) for name in keys]
+        for cache in caches:
+            cache.cache_clear()
+        for _ in range(2):
+            assert all(dirac.euler_verify(pair, mu).passed
+                       for pair, _, mu in ops)
+            assert [cache.cache_info().misses for cache in caches] == \
+                [len(keys[name]) for name in keys]
 
     def test_mu_is_read_onto_the_grid_twice(self, monkeypatch):
         # after a warm pass, on the oracle sample and the ROADMAP rungs:

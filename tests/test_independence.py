@@ -117,6 +117,8 @@ SHARED = {
     "roots.Grid.locate": STEP,
     "roots.Grid.walk": STEP + ": the one walk into the dominant chamber",
     "roots.Grid.is_dominant": STEP,
+    "roots.Grid.reflect": STEP + ": w0's integer map is built by it",
+    "roots.Grid.coroot_pairing": STEP + ": the pairing Grid.reflect reads",
     "roots.Grid.weight": STEP,
     "lattice.Weight.__new__": "a weight",
     "lattice.LatticeSpec.__eq__": KEYS,

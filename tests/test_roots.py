@@ -769,7 +769,7 @@ class TestGridWalk:
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_set_up_and_straightening_inputs(self, pair):
         # the inputs of _orbit_word (the images of D delta in W_1, then
-        # D delta reflected along their steps), of _longest_word (-D
+        # D delta reflected along their steps), of w0's word (-D
         # delta_h) and of straightening: x + D delta_h for the points x of
         # chi^+- on the subgroup's grid and x + D delta for the points x of
         # a box on G's grid, where integral

@@ -25,18 +25,18 @@ signed dimension is Bott's index, read from its own D (mu + delta_h).  The
 extraction (``_extract``) sums the weight multiplicities of pi_nu over the
 W_H-images of D (mu + delta_h), shifted by the components of the half-spin
 character of its side (``spin.chi_components``): a pruned search from w0 D
-(mu + delta_h) (w0 read as one integer map) visits only the images that
-land in the ball |y| <= |nu| holding every weight of pi_nu, and each is
-read on demand (``_multiplicity``).
+(mu + delta_h) (the negated end point of the walk of -D (mu + delta_h))
+visits only the images that land in the ball |y| <= |nu| holding every
+weight of pi_nu, and each is read on demand (``_multiplicity``).
 
 The oracle runs on int tuples D w on the grid of ``roots.grid`` end to
 end; ``Weight`` appears only at its inputs and in its report.  What it
 reads once is cached in one entry per key, so an op makes only its own
-mu's reads: per pair, the subgroup's grid, (-1)^m, w0's map and both
-sides' components (``_oracle``); per grid, the elimination over the simple
-roots and the shell's coordinate floors (``_simple_coordinates``); per
-sphere, the shell's rows (``_sphere``).  It keeps nothing of the size of
-W_H, and never reads W_1.
+mu's reads: per grid, the elimination over the simple roots and the
+shell's coordinate floors (``_simple_coordinates``); per sphere, the
+shell's rows (``_sphere``); per pair and side, the components
+(``spin.chi_components``), read only for a nonempty shell.  It keeps
+nothing of the size of W_H, and never reads W_1.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
-from types import MappingProxyType
+from operator import add, mul, neg, sub
 
 from .characters import grid_dim, grid_table, weyl_product
 from .errors import AdmissibilityError, ConsistencyError, DimensionError
@@ -323,101 +322,47 @@ def _multiplicity(g: Grid, top: tuple, y: tuple) -> int:
     return grid_table(g, top).terms[dominant]
 
 
-@lru_cache(maxsize=None)
-def _oracle(pair: SymmetricPair) -> tuple:
-    """What the oracle reads of pair on every call, once per pair: (h,
-    parity, longest, chi).  h is the subgroup's grid at G's scale and parity
-    (-1)^m.  longest is w0, the longest element of the Weyl group of h, as
-    one exact integer map (d, rows): w0 x = (<row, x> / d for each row),
-    each row the nonzero (k, c) of one coordinate's numerators over d > 0.
-    w0 is the one element that sends -delta_h to delta_h, so the steps of
-    the walk (``Grid.walk``) of -D delta_h are a reduced word of it; each
-    d e_k, d the least common multiple of the |D a|^2 over h's simple roots
-    a, is reflected along them (``Grid.reflect``, every pairing an
-    integer), and one common factor of d and every numerator is divided
-    out.  For a system with no roots it is the identity.  chi maps, read
-    only, each side s to the components (p, n) of chi^s
-    (``spin.chi_components``) as ``_extract`` reads them: (p, |p|^2, n)."""
-    h = grid(pair.h_system, grid(pair.root_system).scale)
-    rank = h.rs.rank
-    word = h.walk(tuple(-c for c in h.delta))[0]
-    d = math.lcm(*(norm for _, norm in h.supports))
-    columns = []  # d w0 e_k
-    for k in range(rank):
-        v = tuple(d * (j == k) for j in range(rank))
-        for i in word:
-            v = h.reflect(v, i)
-        columns.append(v)
-    common = math.gcd(d, *(c for v in columns for c in v))
-    longest = d // common, tuple(
-        tuple((k, v[j] // common) for k, v in enumerate(columns) if v[j])
-        for j in range(rank))
-    chi = MappingProxyType({
-        side: tuple((p, sum(map(mul, p, p)), n)
-                    for p, n in chi_components(pair, side))
-        for side in (1, -1)})
-    return h, (-1) ** pair.m, longest, chi
-
-
-def _longest_image(h: Grid, longest: tuple, x: tuple) -> tuple:
-    """w0 x for x on h's grid, read from ``longest``, w0's map of
-    ``_oracle``; an image off the grid (a remainder) raises
-    ConsistencyError."""
-    d, rows = longest
-    image = []
-    for row in rows:
-        dot = 0
-        for k, c in row:
-            dot += x[k] * c
-        if dot % d:
-            raise ConsistencyError(
-                f"w0 sends {h.weight(x)} off the grid 1/{h.scale} Z")
-        image.append(dot // d)
-    return tuple(image)
-
-
-def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
-             side: int) -> int:
+def _extract(g: Grid, h: Grid, top: tuple, start: tuple,
+             components: tuple) -> int:
     """The multiplicity of the subgroup irreducible mu in chi^s tensor pi_nu
-    (s = side for m even, -side for m odd), for top = D nu on g =
-    grid(pair.root_system) and start = w0 z on the subgroup's grid at g's
-    scale, z = D (mu + delta_h) and w0 the longest element of W_H
-    (``_longest_image``).
+    (s = side for m even, -side for m odd), for top = D nu on g, G's grid,
+    h the subgroup's grid at g's scale, start = w0 z on h, z = D (mu +
+    delta_h) and w0 the longest element of W_H, and components the (p, n)
+    of chi^side (``spin.chi_components``).
 
     The coefficient of e^(mu + delta_h) in chi^s * pi_nu times the Weyl
     denominator of Delta_h is m_mu = sum c mult_nu(mu + k) over the shifts
     (k, c) of prod_{alpha in Delta_h^+} (1 - e^alpha) times chi^s negated,
     which is chi^side (negating a row of parity s gives parity s (-1)^m).
-    Each of its components (p, n) (``spin.chi_components``) puts
-    (-1)^|Delta_h^+| sgn(w) n on D delta_h + w p over W_H (Weyl), and
-    mult_nu is W-invariant, so m_mu = (-1)^|Delta_h^+| sum_p n sum_u sgn(u)
-    mult_nu(p + u) over the images u = w z, sgn(u) = (-1)^l(w) as z is
-    strictly Delta_h-dominant.  Every weight of pi_nu lies in the ball |y|
-    <= |nu| (Humphreys, Introduction to Lie Algebras and Representation
-    Theory, 13.4 Lemma C and 21.3), so u reads nonzero only if 2 <p, u> <=
-    |nu|^2 - |p|^2 - |z|^2.  A step toward the dominant chamber adds a
-    positive multiple of a simple root to u and shortens w by one: it never
-    lowers <p, u> (p is dominant), and such steps reach every u from w0 z.
-    So a breadth-first search along them from w0 z, pruned where the bound
-    fails, visits exactly the images that can read nonzero, at parity l(w0)
-    = |Delta_h^+| (the length of w0's word) less the level.  Each image
-    pairs with each simple root of Delta_h once, inline, and a negative
-    pairing reflects it by that same pairing, which must be an integer
-    (else ConsistencyError, ``Grid.coroot_pairing``'s message), as
-    ``Grid.walk`` does.  The first level's sign (-1)^l(w0) cancels the
-    sum's (-1)^|Delta_h^+|.  h and each component's |p|^2 are read once per
-    pair (``_oracle``).
+    Each of its components (p, n) puts (-1)^|Delta_h^+| sgn(w) n on D
+    delta_h + w p over W_H (Weyl), and mult_nu is W-invariant, so m_mu =
+    (-1)^|Delta_h^+| sum_p n sum_u sgn(u) mult_nu(p + u) over the images u
+    = w z, sgn(u) = (-1)^l(w) as z is strictly Delta_h-dominant.  Every
+    weight of pi_nu lies in the ball |y| <= |nu| (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 13.4 Lemma C and 21.3), so u
+    reads nonzero only if |p + u|^2 <= |nu|^2.  A step toward the dominant
+    chamber adds a positive multiple of a simple root to u and shortens w
+    by one: it never lowers <p, u> (p is dominant), so never lowers |p +
+    u| (|u| = |z|), and such steps reach every u from w0 z.  So a
+    breadth-first search along them from w0 z, pruned where the bound
+    fails, visits exactly the images that can read nonzero, at parity
+    l(w0) = |Delta_h^+| less the level.  Each image pairs with each simple
+    root of Delta_h once, inline, and a negative pairing reflects it by
+    that same pairing, which must be an integer (else ConsistencyError,
+    ``Grid.coroot_pairing``'s message), as ``Grid.walk`` does.  The first
+    level's sign (-1)^l(w0) cancels the sum's (-1)^|Delta_h^+|.
     """
-    h, _, _, chi = _oracle(pair)
-    room = sum(map(mul, top, top)) - sum(map(mul, start, start))
+    radius = sum(map(mul, top, top))
     total = 0
-    for p, square, sign in chi[side]:
-        bound = room - square  # on 2 <p, u>
-        level = [start] if 2 * sum(map(mul, p, start)) <= bound else []
+    for p, sign in components:
+        level = {start}
         while level:
             up = set()
             for u in level:
-                total += sign * _multiplicity(g, top, tuple(map(add, p, u)))
+                y = tuple(map(add, p, u))
+                if sum(map(mul, y, y)) > radius:
+                    continue
+                total += sign * _multiplicity(g, top, y)
                 for i, (support, norm) in enumerate(h.supports):
                     dot = 0
                     for k, c in support:
@@ -427,12 +372,10 @@ def _extract(pair: SymmetricPair, g: Grid, top: tuple, start: tuple,
                     pairing, rest = divmod(2 * dot, norm)
                     if rest:
                         h.coroot_pairing(u, i)  # raises ConsistencyError
-                    y = list(u)
+                    v = list(u)
                     for k, c in support:
-                        y[k] -= pairing * c
-                    y = tuple(y)
-                    if 2 * sum(map(mul, p, y)) <= bound:
-                        up.add(y)
+                        v[k] -= pairing * c
+                    up.add(tuple(v))
             level, sign = up, -sign
     return total
 
@@ -469,12 +412,16 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     the theorem path.  The shell members, dominant points of F, need no
     checks; each comes with its dimension and its ``Weight``, made once per
     sphere (``_sphere``), on the sphere |D (lambda + delta)|^2 = |z|^2, z
-    = D (mu + delta_h).  The extraction's start w0 z is read from w0's
-    integer map on the subgroup's grid (``_longest_image``); that grid,
-    (-1)^m and the map are read once per pair (``_oracle``).  The signed
-    sum is collected over the shell's sorted grid points, so it is in the
-    order of their ``Weight``s; it is compared with the classification's
-    as tuples of ``Weight``s, and no ``Fraction`` is hashed.
+    = D (mu + delta_h).  Only a nonempty shell reads
+    the extraction's start and both sides' components
+    (``spin.chi_components``, cached per pair and side).  The start w0 z
+    is the one antidominant point of z's W_H-orbit, as z is strictly
+    Delta_h-dominant: the negated end point of the walk of -z
+    (``Grid.walk``, which raises ConsistencyError on a pairing that is not
+    an integer), and z itself for a torus.  The signed sum is collected
+    over the shell's sorted grid points, so it is in the order of their
+    ``Weight``s; it is compared with the classification's as tuples of
+    ``Weight``s, and no ``Fraction`` is hashed.
     """
     if type(mu) is not Weight:  # a Weight is used as it is, not rebuilt
         mu = Weight(mu)
@@ -482,18 +429,20 @@ def euler_verify(pair: SymmetricPair, mu: Weight) -> EulerReport:
     g = grid(pair.root_system)
     x = g.point(mu)
     lam = tuple(map(sub, x, pair.delta_p_point))
-    h, parity, longest, _ = _oracle(pair)
+    h = grid(pair.h_system, g.scale)
     z = tuple(map(add, x, h.delta))
-    index = parity * weyl_product(pair.root_system, g, z)
-    start = _longest_image(h, longest, z)
+    index = (-1) ** pair.m * weyl_product(pair.root_system, g, z)
+    shell = _sphere(g, pair.lattice_F, sum(map(mul, z, z)))
+    if shell:
+        start = tuple(map(neg, h.walk(tuple(map(neg, z)))[1]))
+        plus, minus = chi_components(pair, 1), chi_components(pair, -1)
     rows = []
     failures = []
     signed = []  # (nu, m+ - m-) where nonzero, in shell order
     signed_dimension = 0
-    for point, dimension, nu in _sphere(g, pair.lattice_F,
-                                        sum(map(mul, z, z))):
-        m_plus = _extract(pair, g, point, start, +1)
-        m_minus = _extract(pair, g, point, start, -1)
+    for point, dimension, nu in shell:
+        m_plus = _extract(g, h, point, start, plus)
+        m_minus = _extract(g, h, point, start, minus)
         rows.append(ShellRow(nu, dimension, m_plus, m_minus))
         if m_plus + m_minus > 1:
             failures.append(

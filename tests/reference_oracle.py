@@ -104,13 +104,14 @@ def frobenius_multiplicity(pair, nu, mu, side: int) -> int:
     """The multiplicity of the mu-irreducible of the subgroup cover in
     chi^s tensor pi_nu restricted, s = side for m even and -side for m
     odd, for nu a dominant point of F and mu admissible: the library's
-    extraction, which reads pi_nu on demand."""
+    extraction, which reads pi_nu on demand, from the start w0 z read by
+    the tests' checked walk of -z (``reference_grid_walk``)."""
     g = grid(pair.root_system)
     h = grid(pair.h_system, g.scale)
     z = tuple(map(add, g.point(Weight(mu)), h.delta))
     lowest = reference_grid_walk(h, tuple(-c for c in z))[1]
-    return _extract(pair, g, g.point(Weight(nu)), tuple(-c for c in lowest),
-                    side)
+    return _extract(g, h, g.point(Weight(nu)), tuple(-c for c in lowest),
+                    chi_components(pair, side))
 
 
 def kernel_multiplicity(pair, nu, mu, side: int) -> int:

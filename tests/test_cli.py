@@ -146,8 +146,8 @@ class TestVerifyCommands:
         extract = dirac._extract
         row = dirackernel.Weight.parse("6,0,0")
 
-        def one_row_read_twice(pair, g, top, *rest):
-            return 1 if g.weight(top) == row else extract(pair, g, top, *rest)
+        def one_row_read_twice(g, h, top, *rest):
+            return 1 if g.weight(top) == row else extract(g, h, top, *rest)
 
         monkeypatch.setattr(dirac, "_extract", one_row_read_twice)
         failure = "multiplicity bound violated at nu=6,0,0: m+=1, m-=1"

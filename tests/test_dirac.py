@@ -33,7 +33,7 @@ from reference_oracle import (brute_force_shell, casimir_shell,
 from reference_roots import (W, act, admissible_box, dominant_representative,
                              half_c2_pair, inner_product, quarter_delta_pair,
                              reference_contains, reference_grid_walk,
-                             reference_walk)
+                             reference_reflect, reference_walk)
 
 
 class TestCasimirEigenvalue:
@@ -610,15 +610,20 @@ def walked_start(pair: SymmetricPair, mu: Weight) -> tuple:
 
 
 def longest_word(h: Grid) -> tuple:
-    """w0's reduced word as the oracle reads it: the steps of the walk of
-    -D delta_h."""
+    """w0's reduced word: the steps of the walk of -D delta_h."""
     return h.walk(tuple(-c for c in h.delta))[0]
+
+
+def negated_walk(h: Grid, x: tuple) -> tuple:
+    """The negated end point of the walk of -x on h, as euler_verify reads
+    the extraction's start w0 x."""
+    return tuple(-c for c in h.walk(tuple(-c for c in x))[1])
 
 
 class TestLongestWord:
     # euler_verify starts the extraction's search at w0 z, z = D (mu +
-    # delta_h), by w0's integer map, built once per pair from w0's reduced
-    # word, the steps of the walk of -D delta_h
+    # delta_h), the negated end point of the walk of -z; w0's reduced word,
+    # the steps of the walk of -D delta_h, reaches the same point
     @pytest.mark.parametrize("pair", W1_PAIRS, ids=lambda p: p.name)
     def test_word_gives_the_walked_start(self, pair):
         # b2_half admits no mu (mu - delta_p in F puts mu off F1), so it
@@ -644,9 +649,9 @@ class TestLongestWord:
         starts = []
         extract = dirac._extract
 
-        def recorded(pair, g, top, start, side):
+        def recorded(g, h, top, start, components):
             starts.append(start)
-            return extract(pair, g, top, start, side)
+            return extract(g, h, top, start, components)
 
         monkeypatch.setattr(dirac, "_extract", recorded)
         searched = 0  # the mu whose shell is not empty
@@ -662,65 +667,100 @@ class TestLongestWord:
 
 
 class TestLongestMap:
-    # w0 on the subgroup grid as one integer map (numerators over one
-    # denominator), built once per pair (_oracle) from w0's reduced word
+    # w0 z, the extraction's start, as euler_verify reads it (the negated
+    # end point of the walk of -z on the subgroup grid), against w0's
+    # reduced word replayed on Fraction weights
     @pytest.mark.parametrize(
         "pair", W1_PAIRS + [corpus_pair(*node) for node in [
             ("D", 6, 5), ("D", 7, 6), ("D", 7, 3), ("C", 6, 5)]],
         ids=lambda p: p.name)
-    def test_map_is_the_reflected_word(self, pair, monkeypatch):
+    def test_map_is_the_reflected_word(self, pair):
         # every subgroup grid of the corpus, so5_so2xso3 (A1 and a torus
-        # direction), so3_so2 (no roots), and at ranks 6 and 7, where w0 is
-        # not -1: D6:5, C6:5 and D7:6 (A5, A5, A6, each with a torus
-        # direction) and D7:3 (D4 + A3).  On a box of strictly
-        # Delta_h-dominant, integral grid points around D delta_h, the map
-        # equals reflecting along w0's word.  The map reads no half-spin
-        # component, so those are stubbed (D7:3's take seconds) and the
-        # pair's reads are built past their cache
-        monkeypatch.setattr(dirac, "chi_components", lambda pair, side: ())
-        h = grid(pair.h_system, grid(pair.root_system).scale)
-        word = longest_word(h)
-        longest = dirac._oracle.__wrapped__(pair)[2]
+        # direction), so3_so2 (no roots, so the start is z), and at ranks 6
+        # and 7, where w0 is not -1: D6:5, C6:5 and D7:6 (A5, A5, A6, each
+        # with a torus direction) and D7:3 (D4 + A3).  On a box of strictly
+        # Delta_h-dominant, integral grid points around D delta_h, the
+        # start equals reflecting along w0's word, the steps of the Fraction
+        # walk of -delta_h (reference_walk), one reference_reflect each
+        rs = pair.h_system
+        h = grid(rs, grid(pair.root_system).scale)
+        word = reference_walk(-pair.delta_h, rs)[0]
+        assert len(word) == len(h.positive)  # the parity _extract starts at
         box = range(-2, 3) if pair.rank <= 4 else range(-1, 2)
         checked = []
         for t in itertools.product(box, repeat=pair.rank):
             x = tuple(map(add, h.delta, t))
             if not (h.is_dominant(x, strict=True) and h.is_integral(x)):
                 continue
-            u = x
+            u = h.weight(x)
             for i in word:
-                u = h.reflect(u, i)
-            assert dirac._longest_image(h, longest, x) == u, (pair.name, x)
+                u = reference_reflect(rs, u, i)
+            assert negated_walk(h, x) == h.point(u), (pair.name, x)
             checked.append(x)
         assert checked
         if pair.name == "D6_node5":  # w0 of A5 reverses the coordinates
-            assert all(dirac._longest_image(h, longest, x) == x[::-1]
-                       for x in checked)
+            assert all(negated_walk(h, x) == x[::-1] for x in checked)
 
-    def test_subgroup_reads_the_map(self):
+    def test_subgroup_reads_the_map(self, monkeypatch):
+        # so9_so8, where w0 of D4 is -1: each search of the oracle sample
+        # starts at -z on the subgroup's grid at G's scale, and reads its
+        # side's cached components
         pair = builtin_pair("so9_so8")
-        h, parity, longest, _ = dirac._oracle(pair)
-        assert h is grid(pair.h_system, grid(pair.root_system).scale)
-        assert (parity, longest) == (1, (1, tuple(((k, -1),)
-                                                  for k in range(4))))
+        g = grid(pair.root_system)
+        h = grid(pair.h_system, g.scale)
+        chi = {side: spin.chi_components(pair, side) for side in (1, -1)}
+        calls = []
+        extract = dirac._extract
 
-    def test_an_image_off_the_grid_raises(self):
+        def recorded(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(dirac, "_extract", recorded)
+        mus = [mu for _lam, mu in admissible_box(
+            pair, ORACLE_SAMPLE_BOXES[pair.name])]
+        mus += [W(mu) for name, mu in ROADMAP_RUNGS if name == pair.name]
+        for mu in mus:
+            calls.clear()
+            assert dirac.euler_verify(pair, mu).passed
+            z = tuple(map(add, g.point(mu), h.delta))
+            assert calls, str(mu)
+            for n, (gg, hh, _top, start, components) in enumerate(calls):
+                assert gg is g and hh is h and start == tuple(-c for c in z)
+                assert components is chi[1 if n % 2 == 0 else -1]
+
+    def test_an_image_off_the_grid_raises(self, monkeypatch):
         # a single root 1,2: w0 = s_(1,2) is (1/5) [[3, -4], [-4, -3]], so
         # 1,0 goes to 3/5,-4/5, off the grid 1/2 Z, and 1,2 to -1,-2.  No
         # valid pair has that subgroup (F = Z^2 holds 1,0, which pairs to
-        # 2/5 with the coroot), so the pair h = G is built unvalidated
+        # 2/5 with the coroot), so the pair h = G is built unvalidated, and
+        # the reads before the start are stubbed: the kernel, a one-member
+        # shell, and Bott's index, whose product is not integral at 1,0
         rs = RootSystem(2, [W("1,2")])
         pair = SymmetricPair.__new__(SymmetricPair)
         pair.root_system, pair.h_positive = rs, rs.positive_roots
         pair.h_index, pair.name = frozenset({0}), "single_root"
         pair.lattice_F = pair.lattice_F1 = LatticeSpec(2, [W("0,0")])
-        h, _, longest, _ = dirac._oracle(pair)
-        assert h is grid(rs)
-        assert longest == (5, (((0, 3), (1, -4)), ((0, -4), (1, -3))))
-        assert dirac._longest_image(h, longest, (2, 4)) == (-2, -4)
+        g = grid(rs)
+        monkeypatch.setattr(
+            dirac, "dirac_kernel", lambda pair, mu: dirac.KernelResult(
+                status=KernelStatus.BOTH_ZERO, casimir=0))
+        monkeypatch.setattr(dirac, "weyl_product", lambda rs, g, y: 0)
+        monkeypatch.setattr(dirac, "_sphere",
+                            lambda g, lattice, total: [((0, 0), 1, W("0,0"))])
+        monkeypatch.setattr(dirac, "chi_components", lambda pair, side: ())
+        starts = []
+        monkeypatch.setattr(
+            dirac, "_extract",
+            lambda g, h, top, start, components: starts.append(start) or 0)
+        assert g.delta == (1, 2)  # so z = D (mu + delta_h) = D mu + (1, 2)
+        dirac.euler_verify(pair, W("1/2,1"))  # z = 2,4, the point 1,2
+        assert starts == [(-2, -4)] * 2
         with pytest.raises(ConsistencyError) as raised:
-            dirac._longest_image(h, longest, (2, 0))
-        assert str(raised.value) == "w0 sends 1,0 off the grid 1/2 Z"
+            dirac.euler_verify(pair, W("1/2,-1"))  # z = 2,0, the point 1,0
+        assert str(raised.value) == \
+            "-1,0 pairs to -2/5 with the coroot of 1,2"
+        assert starts == [(-2, -4)] * 2
 
 
 class TestSearch:
@@ -741,7 +781,8 @@ class TestSearch:
         monkeypatch.setattr(dirac, "_multiplicity",
                             lambda g, top, y: reads.append(y) or 0)
         with pytest.raises(ConsistencyError) as raised:
-            dirac._extract(pair, g, g.point(W("5,5")), start, 1)
+            dirac._extract(g, h, g.point(W("5,5")), start,
+                           spin.chi_components(pair, 1))
         assert str(raised.value) == str(expected.value)
         assert len(reads) == 1
 
@@ -1026,29 +1067,45 @@ class TestEulerVerify:
         assert all(report.passed for report in cold)
 
     def test_each_key_is_built_once(self):
-        # on the oracle sample from cleared caches: the per-pair reads once
-        # per pair, the elimination once per G grid, the shell once per
-        # sphere |lambda + delta|^2, and a second pass builds nothing
+        # on the oracle sample from cleared caches: the elimination once per
+        # G grid, the shell once per sphere |lambda + delta|^2, each side's
+        # components once per pair, and a second pass builds nothing
         ops = [(builtin_pair(name), lam, mu)
                for name, box in ORACLE_SAMPLE_BOXES.items()
                for lam, mu in admissible_box(builtin_pair(name), box)]
-        keys = {"_oracle": {pair for pair, _, _ in ops},
-                "_simple_coordinates": {pair.root_system
-                                        for pair, _, _ in ops},
-                "_sphere": {(pair.root_system, pair.lattice_F,
-                             inner_product(lam + pair.delta,
-                                           lam + pair.delta))
-                            for pair, lam, _ in ops}}
-        assert (len(ops), [len(keys[name]) for name in keys]) == \
-            (103, [5, 4, 34])
-        caches = [getattr(dirac, name) for name in keys]
+        keys = {dirac._simple_coordinates: {pair.root_system
+                                            for pair, _, _ in ops},
+                dirac._sphere: {(pair.root_system, pair.lattice_F,
+                                 inner_product(lam + pair.delta,
+                                               lam + pair.delta))
+                                for pair, lam, _ in ops},
+                spin.chi_components: {(pair, side) for pair, _, _ in ops
+                                      for side in (1, -1)}}
+        assert (len(ops), [len(keys[cache]) for cache in keys]) == \
+            (103, [4, 34, 10])
+        caches = list(keys)
         for cache in caches:
             cache.cache_clear()
         for _ in range(2):
             assert all(dirac.euler_verify(pair, mu).passed
                        for pair, _, mu in ops)
             assert [cache.cache_info().misses for cache in caches] == \
-                [len(keys[name]) for name in keys]
+                [len(keys[cache]) for cache in caches]
+
+    def test_an_empty_shell_reads_no_half_spin_character(self, monkeypatch):
+        # D7:3 at mu = 2,2,2,2,0,0,0 is BOTH_ZERO with no shell member, so
+        # neither side's components are read (straightening chi over D4 +
+        # A3 takes seconds); the cache is bypassed, so none hides a read
+        def unusable(pair):
+            raise AssertionError("the oracle read the half-spin characters")
+
+        monkeypatch.setattr(spin, "spinor_counts", unusable)
+        monkeypatch.setattr(dirac, "chi_components",
+                            spin.chi_components.__wrapped__)
+        report = dirac.euler_verify(corpus_pair("D", 7, 3),
+                                    W("2,2,2,2,0,0,0"))
+        assert report.passed and report.rows == ()
+        assert report.kernel.status is KernelStatus.BOTH_ZERO
 
     def test_mu_is_read_onto_the_grid_twice(self, monkeypatch):
         # after a warm pass, on the oracle sample and the ROADMAP rungs:

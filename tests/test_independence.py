@@ -1,7 +1,7 @@
 """The theorem path and the oracle share only the lattice and root
 primitives and Weyl's product: each path runs in a fresh process, traced
 with ``sys.setprofile``, and the library functions the two reach are
-compared with a list of the shared ones, each with its reason.
+compared with the list of the shared ones, each with its reason.
 
 The sample is the five built-ins, c2_half and D6 node 5 over the
 admissible mu with |lambda_i| <= 1.  The box, and for the oracle every
@@ -117,13 +117,10 @@ SHARED = {
     "roots.Grid.locate": STEP,
     "roots.Grid.walk": STEP + ": the one walk into the dominant chamber",
     "roots.Grid.is_dominant": STEP,
-    "roots.Grid.reflect": STEP + ": w0's integer map is built by it",
-    "roots.Grid.coroot_pairing": STEP + ": the pairing Grid.reflect reads",
     "roots.Grid.weight": STEP,
     "lattice.Weight.__new__": "a weight",
     "lattice.LatticeSpec.__eq__": KEYS,
     "lattice.LatticeSpec.__hash__": KEYS,
-    "roots.RootSystem.__eq__": KEYS,
     "roots.RootSystem.__hash__": KEYS,
     "roots.RootSystem._hash": KEYS,
     "roots.RootSystem.__init__": DELTA_H,
@@ -137,9 +134,10 @@ SHARED = {
 
 
 def test_the_paths_share_only_listed_functions():
+    # exactly the listed ones, so a reason that no longer holds fails too
     theorem, oracle = reached("theorem"), reached("oracle")
     assert "dirac.dirac_kernel" in theorem and "dirac._extract" in oracle
-    assert sorted((theorem & oracle) - set(SHARED)) == []
+    assert sorted(theorem & oracle) == sorted(SHARED)
 
 
 def test_the_oracle_reads_no_weyl_group_of_the_theorem_path():
